@@ -39,6 +39,7 @@ from repro.faults.crashmatrix import (  # noqa: E402
     matrix_cells,
     run_cell,
     run_matrix,
+    spread_cells,
 )
 from repro.loadsharing import LoadSharingService  # noqa: E402
 from repro.snapshot import SweepRunner  # noqa: E402
@@ -128,13 +129,7 @@ def run_matrix_fresh(seed: int, cells) -> MatrixReport:
 
 
 def measure_matrix(max_cells: Optional[int]) -> Dict[str, Any]:
-    cells = matrix_cells()
-    if max_cells is not None and 0 < max_cells < len(cells):
-        total = len(cells)
-        indices = sorted(
-            {(i * total) // max_cells for i in range(max_cells)}
-        )
-        cells = [cells[i] for i in indices]
+    cells = spread_cells(matrix_cells(), max_cells)
 
     started = time.perf_counter()
     fresh = run_matrix_fresh(seed=0, cells=cells)

@@ -124,6 +124,9 @@ class CheckpointDaemon:
         store = self.service.store
         params = self.params
         started = self.sim.now
+        # The process may be mid-compute: image its progress and dirty
+        # pages as of the last quantum boundary.
+        self.host.cpu.sync()
 
         incremental = (
             self.service.mode == "incremental"
@@ -174,6 +177,7 @@ class CheckpointDaemon:
             # since the base full image, so a restore needs only the
             # base plus the newest delta (never a chain of deltas).
             registration.base = image
+            self.host.cpu.sync()
             registration.dirty_mark = pcb.vm.dirty
         # Bound storage: drop generations beyond the configured keep
         # count (trimmed only after the new image sealed, so an intact

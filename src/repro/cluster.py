@@ -236,6 +236,8 @@ class SpriteCluster:
         return injector.start()
 
     def total_cpu_seconds(self) -> float:
+        for host in self.hosts:
+            host.cpu.sync()  # count computes still in flight to now
         return sum(host.cpu.total_demand for host in self.hosts)
 
     # ------------------------------------------------------------------

@@ -62,6 +62,7 @@ __all__ = [
     "matrix_cells",
     "run_cell",
     "run_matrix",
+    "spread_cells",
 ]
 
 #: Which machine the fault hits.  ``source``/``target`` are the two
@@ -118,6 +119,33 @@ def matrix_cells(
         for victim in victims
         for kind in kinds
     ]
+
+
+def spread_cells(
+    cells: Sequence[Tuple[str, str, str]], max_cells: Optional[int]
+) -> List[Tuple[str, str, str]]:
+    """At most ``max_cells`` of ``cells``, spread evenly over the list.
+
+    Pick *i* starts at every k-th cell, which spreads the picks over the
+    steps, and then moves to the ``i``-th (cyclically) of the cells that
+    share that step.  A plain stride aliases with the victim and kind
+    periods of :func:`matrix_cells` (every third cell is a ``crash``
+    cell); walking the step's variants instead means any twelve
+    consecutive picks hold every victim x kind pair, so every victim
+    and every fault kind is represented for any ``max_cells >= 12``.
+    """
+    cells = list(cells)
+    total = len(cells)
+    if max_cells is None or not 0 < max_cells < total:
+        return cells
+    by_step: dict = {}
+    for n, cell in enumerate(cells):
+        by_step.setdefault(cell[0], []).append(n)
+    picked = set()
+    for i in range(max_cells):
+        variants = by_step[cells[(i * total) // max_cells][0]]
+        picked.add(variants[i % len(variants)])
+    return [cells[n] for n in sorted(picked)]
 
 
 @dataclass
@@ -367,8 +395,8 @@ def run_matrix(
     """Run the matrix (or a bounded, evenly-spread subset of it).
 
     ``max_cells`` keeps CI smoke runs cheap without losing coverage
-    breadth: it picks every k-th cell of the full ordering, so all
-    victims and fault kinds stay represented.
+    breadth: :func:`spread_cells` picks the subset, so all victims and
+    fault kinds stay represented (from twelve cells up).
 
     The per-cell cluster prefix is built **once** and every cell runs
     in a copy-on-write fork of it, up to ``workers`` concurrently
@@ -378,11 +406,7 @@ def run_matrix(
     """
     if cells is None:
         cells = matrix_cells()
-    cells = list(cells)
-    if max_cells is not None and 0 < max_cells < len(cells):
-        total = len(cells)
-        indices = sorted({(i * total) // max_cells for i in range(max_cells)})
-        cells = [cells[i] for i in indices]
+    cells = spread_cells(cells, max_cells)
     report = MatrixReport(seed=seed)
 
     def cell_fn(cluster: SpriteCluster, cell: Tuple[str, str, str]) -> CellResult:

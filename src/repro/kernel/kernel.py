@@ -204,6 +204,7 @@ class SpriteKernel:
     def ps(self) -> List[Dict[str, Any]]:
         """Process listing as seen on this host (includes shadows —
         migration is invisible to `ps`, per the transparency goal)."""
+        self.cpu.sync()  # a process mid-compute shows its quanta so far
         listing = []
         for pcb in sorted(self.procs.values(), key=lambda p: p.pid):
             if pcb.state in (ProcState.RUNNING, ProcState.MIGRATED):

@@ -60,12 +60,16 @@ class Vm:
     debt_from: Optional[str] = None   # "backing" or "cor"
     cor_source: int = -1              # source host for copy-on-reference
 
-    def touch(self, nbytes: int, write: bool = False) -> None:
+    def touch(self, nbytes: int, write: bool = False, times: int = 1) -> None:
         """Reference ``nbytes`` of memory, growing residency (and dirtying
-        pages on writes)."""
+        pages on writes), ``times`` times over.
+
+        Integer arithmetic, so the closed form is exactly what ``times``
+        separate calls would leave.
+        """
         self.resident = min(self.size, max(self.resident, nbytes))
         if write:
-            self.dirty = min(self.size, self.dirty + nbytes)
+            self.dirty = min(self.size, self.dirty + times * nbytes)
 
     def clean(self) -> None:
         self.dirty = 0

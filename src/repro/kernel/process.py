@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..config import KB, ClusterParams
 from ..fs import BackingFile, OpenMode
-from ..sim import Effect, Interrupted, Sleep, Task, spawn
+from ..sim import Effect, Interrupted, Sleep, SliceRun, Task, spawn
 from . import signals as sig
 from .kernel import NoSuchProcess, ProcessKilled, SpriteKernel
 from .pcb import ExitStatus, Pcb
@@ -197,39 +197,60 @@ class UserContext:
     ) -> Generator[Effect, None, None]:
         """Burn ``demand`` CPU-seconds on the current host.
 
-        Interruptible at quantum granularity, so signals arrive promptly
-        and migration can freeze the process mid-computation.  Optionally
-        dirties memory as it runs (long-running jobs touch their pages).
+        Interruptible at any instant, accounted at quantum granularity:
+        a signal or a migration freeze takes effect the moment it
+        arrives, while ``cpu_time``, the host's ``total_demand`` and the
+        memory dirtied advance one whole quantum at a time — lazily,
+        through :class:`~repro.sim.SliceRun`, which lets an uncontended
+        process sleep across many quanta in one event and cuts the run
+        to the next quantum boundary as soon as a competitor queues on
+        the core.  Optionally dirties memory as it runs (long-running
+        jobs touch their pages).
         """
         if demand < 0:
             raise ValueError(f"negative CPU demand: {demand}")
         pcb = self.pcb
         kernels = self._kernels
-        remaining = demand
-        while remaining > 1e-9:
+        dirty = None
+        if dirty_bytes_per_second > 0:
+
+            def dirty(slices: int, consumed: float) -> None:
+                if consumed > 0:
+                    pcb.vm.touch(
+                        int(dirty_bytes_per_second * consumed),
+                        write=True, times=slices,
+                    )
+
+        run = SliceRun(demand, pcb, dirty)
+        while run.remaining > 1e-9:
             if pcb.vm.page_in_debt > 0:
                 # First touch after a migration: fault the working set
                 # back in (from the backing file, or from the source for
                 # copy-on-reference).
                 yield from self._settle_vm_debt()
-            # Re-resolved every slice: migration rebinds pcb.current.
-            kernel = kernels[pcb.current]
-            cpu = kernel.cpu
-            sim = kernel.sim
-            slice_len = min(cpu.quantum, remaining / cpu.speed)
-            consumed = 0.0
+            # Re-resolved every run: migration rebinds pcb.current.
+            run.cpu = cpu = kernels[pcb.current].cpu
             cpu.runnable += 1
             pcb.interruptible = True
+            # From here on a signal or a freeze interrupts us; one that
+            # came earlier (during a kernel call, or while paging in)
+            # waits for the next safe point, the first quantum boundary.
+            run.eager = (
+                bool(pcb.pending_signals) or pcb.migration_ticket is not None
+            )
             try:
                 yield cpu.core.acquire()
-                started = sim.now
+                survived_interrupt = False
                 try:
-                    yield Sleep(slice_len)
-                    consumed = slice_len * cpu.speed
+                    yield run
                 except Interrupted as intr:
-                    consumed = (sim.now - started) * cpu.speed
                     self._on_interrupt(intr)
+                    survived_interrupt = True
                 finally:
+                    # A killed or crashed process keeps only its whole
+                    # quanta; one that lives on is also charged the part
+                    # of the current quantum it burned.
+                    run.stop(partial=survived_interrupt)
                     cpu.core.release()
             except Interrupted as intr:
                 # Interrupted while waiting for the core: nothing consumed.
@@ -237,15 +258,8 @@ class UserContext:
             finally:
                 cpu.runnable -= 1
                 pcb.interruptible = False
-            remaining -= consumed
-            pcb.cpu_time += consumed
-            cpu.total_demand += consumed
-            if dirty_bytes_per_second > 0 and consumed > 0:
-                pcb.vm.touch(
-                    int(dirty_bytes_per_second * consumed), write=True
-                )
             # Inline the no-signal, no-freeze checkpoint fast path (the
-            # overwhelmingly common case between compute slices).
+            # overwhelmingly common case between runs).
             if pcb.pending_signals:
                 self._drain_signals()
             if pcb.migration_ticket is not None:

@@ -18,7 +18,7 @@ from .errors import (
     TaskFailed,
 )
 from .random import RandomStreams
-from .resources import Cpu, Resource
+from .resources import Cpu, Resource, SliceRun
 from .state import Cell, Counter, StateRegistry
 from .tasks import (
     TIMED_OUT,
@@ -51,6 +51,7 @@ __all__ = [
     "SimulationDeadlock",
     "Simulator",
     "Sleep",
+    "SliceRun",
     "SnapshotError",
     "StateRegistry",
     "Task",

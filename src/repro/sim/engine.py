@@ -201,8 +201,23 @@ class Simulator:
         return handle
 
     def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        """Run ``fn(*args)`` at absolute simulated ``time``."""
-        return self.schedule(time - self.now, fn, *args)
+        """Run ``fn(*args)`` at exactly the absolute simulated ``time``.
+
+        The event is keyed on ``time`` itself, never on
+        ``now + (time - now)``: callers that replay a float recurrence
+        (lazy time-slicing) depend on the wake-up landing on the very
+        float the recurrence produced.
+        """
+        now = self.now
+        if time <= now:
+            if time < now:
+                raise ValueError(
+                    f"cannot schedule into the past (time={time}, now={now})"
+                )
+            return self.call_soon(fn, *args)
+        handle = EventHandle(time, fn, args, self)
+        heapq.heappush(self._heap, (time, next(self._seq), handle))
+        return handle
 
     def call_soon(self, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at the current instant, after pending events."""

@@ -295,7 +295,13 @@ class Task(_Waiter):
     def _throw(self, exc: BaseException) -> None:
         if self.done:
             return
-        self._pending = None
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            # An interrupt deferred this throw while a resume was already
+            # queued (e.g. a resource grant); the resume ran first and
+            # armed a new wait.  Disarm it, or its stale wake-up would
+            # later resume the task out of some unrelated wait.
+            pending.cancel(self)
         self._step(exc=exc)
 
     def _sleep_fire(self, effect: "Sleep") -> None:

@@ -130,7 +130,7 @@ class UsageSimulation:
 
     def finalize(self) -> UsageReport:
         report = self.report
-        report.cpu_seconds = sum(h.cpu.total_demand for h in self.cluster.hosts)
+        report.cpu_seconds = self.cluster.total_cpu_seconds()
         records = self.cluster.migration_records()
         completed = [r for r in records if not r.refused]
         report.migrations_total = len(completed)

@@ -1,6 +1,8 @@
 """The migration-transaction crash matrix: exhaustiveness, cleanliness,
 byte-identical determinism."""
 
+import pytest
+
 from repro.faults import (
     MATRIX_KINDS,
     MATRIX_VICTIMS,
@@ -59,13 +61,16 @@ def test_matrix_fixed_seed_is_byte_identical():
     ]
 
 
-def test_matrix_subset_keeps_coverage_breadth():
-    """A bounded run strides the full ordering, so every victim and
-    every fault kind stay represented even in small CI smokes."""
-    report = run_matrix(seed=0, max_cells=12)
-    assert len(report.cells) == 12
+@pytest.mark.parametrize("max_cells", [12, 16, 22, 44])
+def test_matrix_subset_keeps_coverage_breadth(max_cells):
+    """A bounded run spreads over the full ordering with every victim
+    and every fault kind represented — also at 22 and 44 cells, where a
+    plain stride (6, 3) aliases with the victim and kind periods."""
+    report = run_matrix(seed=0, max_cells=max_cells, workers=2)
+    assert len(report.cells) == max_cells
     assert {c.victim for c in report.cells} == set(MATRIX_VICTIMS)
     assert {c.kind for c in report.cells} == set(MATRIX_KINDS)
+    assert {c.step for c in report.cells} == set(TXN_STEPS)
     assert report.clean
 
 

@@ -736,3 +736,24 @@ def test_rollback_retry_exhaustion_hands_off_to_repair():
     # The stream reference is home again and still usable.
     stream = next(iter(pcb.streams.values()))
     assert stream.stream_id in a.fs.open_streams
+
+
+def test_ring_whose_freeze_request_races_a_core_grant(monkeypatch):
+    """The benchmark's ``migration_ring`` at the one seed in ~270 where a
+    freeze request interrupts a process between being granted the core
+    and resuming.  The wake-up the process armed in between used to stay
+    armed, end the migration freeze early, and fail the next safe point
+    with ``SimError: event 'parked:<pid>' triggered twice``."""
+    import importlib
+    import pathlib
+
+    perf = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "perf"
+    monkeypatch.syspath_prepend(str(perf))
+    ring_class = importlib.import_module("workloads").WORKLOADS["migration_ring"]
+    monkeypatch.setattr(ring_class, "SCENARIOS", 1 << 30)  # take the seed as given
+    ring = ring_class(607, 0.5)
+    ring.setup()
+    ring.run()
+    ring.finish()
+    assert ring.failures == []
+    assert ring.counters["migration.completed"] == ring.ops

@@ -45,6 +45,27 @@ def test_throughput_metrics_flattens_events_per_s_leaves():
     }
 
 
+def test_full_stack_row_is_gated_on_simulated_seconds_per_wall_second():
+    # Skipping events makes events/s fall while the run gets faster: a
+    # row that records sim_s_per_wall_s is gated on that alone.
+    def e10(events_per_s, sim_rate):
+        built = entry(50_000.0)
+        built["benchmarks"]["bench_engine"]["results"]["e10_slice"] = {
+            "events": 1000, "wall_s": 0.1, "sim_s": 600.0,
+            "events_per_s": events_per_s, "sim_s_per_wall_s": sim_rate,
+        }
+        return built
+
+    path = "bench_engine.results.e10_slice."
+    metrics = ledger.throughput_metrics(e10(220_000.0, 13_000.0))
+    assert metrics[path + "sim_s_per_wall_s"] == 13_000.0
+    assert path + "events_per_s" not in metrics
+    history = [e10(220_000.0, 13_000.0)]
+    assert ledger.check_regression(history, e10(60_000.0, 40_000.0)) == []
+    (failure,) = ledger.check_regression(history, e10(400_000.0, 5_000.0))
+    assert "e10_slice.sim_s_per_wall_s" in failure
+
+
 def test_entry_carries_commit_and_host_metadata():
     built = entry(1.0)
     assert built["commit"] and built["commit"] != ""

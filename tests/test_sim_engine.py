@@ -76,6 +76,31 @@ def test_schedule_at_absolute_time():
     assert sim.now == 5.0
 
 
+def test_schedule_at_lands_on_the_exact_float():
+    # now + (time - now) is not time: 0.3 + (0.9 - 0.3) == 0.9000000000000001
+    sim = Simulator()
+    fired = []
+    sim.schedule(0.3, lambda: sim.schedule_at(0.9, lambda: fired.append(sim.now)))
+    sim.run()
+    assert fired == [0.9]
+
+
+def test_schedule_at_now_is_call_soon_and_the_past_is_an_error():
+    sim = Simulator()
+    order = []
+
+    def at_two():
+        sim.schedule_at(2.0, order.append, "same instant")
+        order.append("first")
+        with pytest.raises(ValueError):
+            sim.schedule_at(1.5, order.append, "never")
+
+    sim.schedule(2.0, at_two)
+    sim.run()
+    assert order == ["first", "same instant"]
+    assert sim.now == 2.0
+
+
 def test_call_soon_runs_after_pending_same_time_events():
     sim = Simulator()
     order = []

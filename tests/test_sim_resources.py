@@ -72,6 +72,40 @@ def test_acquire_cancelled_by_interrupt_leaves_queue_clean():
     assert res.queue_length == 0
 
 
+def test_interrupt_between_grant_and_resume_leaves_no_stale_wakeup():
+    """An interrupt that lands after a resource was granted to a waiter
+    but before the waiter resumed is thrown *after* the waiter armed its
+    next wait; that wait must be disarmed, not left to fire into
+    whatever the task waits for later."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    log = []
+
+    def holder():
+        yield res.acquire()
+        yield Sleep(1.0)
+        res.release()               # grants the waiter: resume deferred
+        waiter.interrupt("poke")    # ... and this lands in between
+
+    def waiting():
+        try:
+            yield res.acquire()
+            try:
+                yield Sleep(5.0)    # armed by the grant, then interrupted
+            finally:
+                res.release()
+        except Interrupted as intr:
+            log.append(("interrupted", sim.now, intr.cause))
+        yield Sleep(10.0)           # must last its full ten seconds
+        log.append(("woke", sim.now))
+
+    spawn(sim, holder())
+    waiter = spawn(sim, waiting())
+    sim.run()
+    assert log == [("interrupted", 1.0, "poke"), ("woke", 11.0)]
+    assert res.in_use == 0 and sim.pending_events == 0
+
+
 def test_utilization_accounting():
     sim = Simulator()
     res = Resource(sim, capacity=1)

@@ -7,13 +7,15 @@ the results with commit/cpu metadata, and appends one entry to
 ``BENCH_history.json`` at the repo root — turning isolated bench runs
 into a tracked curve that ``repro report`` and CI can read.
 
-The regression gate compares every throughput metric (``events_per_s``
-leaves) in the new entry against the best previous recording *in the
-same mode* (smoke results are never compared against full runs): the
-gate fails when ``current < best / slowdown``.  The default slowdown of
-2.0 is deliberately loose — shared CI machines jitter — it exists to
-catch accidental algorithmic regressions (an O(n) scan sneaking into
-the dispatch loop), not 10% noise.
+The regression gate compares every throughput metric (a row's
+``sim_s_per_wall_s`` where it records one — the full-stack rows, whose
+``events_per_s`` falls when events are optimised away — and its
+``events_per_s`` otherwise) in the new entry against the best previous
+recording *in the same mode* (smoke results are never compared against
+full runs): the gate fails when ``current < best / slowdown``.  The
+default slowdown of 2.0 is deliberately loose — shared CI machines
+jitter — it exists to catch accidental algorithmic regressions (an O(n)
+scan sneaking into the dispatch loop), not 10% noise.
 
 Usage::
 
@@ -148,19 +150,28 @@ def append_entry(path: pathlib.Path, entry: Dict[str, Any]
 # ----------------------------------------------------------------------
 # Regression gate
 # ----------------------------------------------------------------------
+#: Higher-is-better leaves the gate reads, in order of preference: a row
+#: that records the first is gated on it and not on the second.
+THROUGHPUT_LEAVES = ("sim_s_per_wall_s", "events_per_s")
+
+
 def throughput_metrics(entry: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten every higher-is-better ``events_per_s`` leaf to a dotted
-    path, e.g. ``bench_engine.task_resume.events_per_s``."""
+    """Flatten each row's throughput leaf to a dotted path, e.g.
+    ``bench_engine.results.task_resume.events_per_s`` or
+    ``bench_engine.results.e10_slice.sim_s_per_wall_s``."""
     metrics: Dict[str, float] = {}
 
     def walk(prefix: str, node: Any) -> None:
         if isinstance(node, dict):
+            for leaf in THROUGHPUT_LEAVES:
+                if isinstance(node.get(leaf), (int, float)):
+                    metrics[f"{prefix}.{leaf}" if prefix else leaf] = float(
+                        node[leaf]
+                    )
+                    break
             for key, value in node.items():
-                path = f"{prefix}.{key}" if prefix else key
-                if key == "events_per_s" and isinstance(value, (int, float)):
-                    metrics[path] = float(value)
-                else:
-                    walk(path, value)
+                if key not in THROUGHPUT_LEAVES:
+                    walk(f"{prefix}.{key}" if prefix else key, value)
 
     walk("", entry.get("benchmarks", {}))
     return metrics
@@ -194,7 +205,7 @@ def check_regression(
         floor = reference / slowdown
         if value < floor:
             failures.append(
-                f"{path}: {value:.0f} ev/s is below the regression floor "
+                f"{path}: {value:.0f} is below the regression floor "
                 f"{floor:.0f} (best {mode} recording {reference:.0f} "
                 f"/ slowdown {slowdown})"
             )
@@ -222,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"perf ledger: {len(metrics)} throughput metric(s) at "
           f"commit {entry['commit'][:12]} (mode={entry['mode']})")
     for path, value in sorted(metrics.items()):
-        print(f"  {path:<44} {value:>12,.0f} ev/s")
+        print(f"  {path:<52} {value:>12,.0f}")
 
     failures: List[str] = []
     if not args.no_gate:
