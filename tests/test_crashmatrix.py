@@ -12,6 +12,8 @@ from repro.faults import (
 )
 from repro.migration import TXN_STEPS
 
+from . import golden_migration
+
 
 def test_matrix_enumerates_every_cell_exactly_once():
     cells = matrix_cells()
@@ -25,6 +27,8 @@ def test_full_crash_matrix_is_clean():
     held at that instant, and the quiesced cluster leaked nothing."""
     report = run_matrix(seed=0)
     assert len(report.cells) == 132
+    golden_migration.assert_cells_match(report)
+    assert report.fingerprint == golden_migration.load()["matrix"]["fingerprint"]
     dirty = [
         f"{cell}: {cell.in_flight_violations + cell.violations}"
         for cell in report.cells
@@ -65,9 +69,11 @@ def test_matrix_fixed_seed_is_byte_identical():
 def test_matrix_subset_keeps_coverage_breadth(max_cells):
     """A bounded run spreads over the full ordering with every victim
     and every fault kind represented — also at 22 and 44 cells, where a
-    plain stride (6, 3) aliases with the victim and kind periods."""
+    plain stride (6, 3) aliases with the victim and kind periods.  Run
+    in forked workers, each cell still has its pinned outcome and trace."""
     report = run_matrix(seed=0, max_cells=max_cells, workers=2)
     assert len(report.cells) == max_cells
+    golden_migration.assert_cells_match(report)
     assert {c.victim for c in report.cells} == set(MATRIX_VICTIMS)
     assert {c.kind for c in report.cells} == set(MATRIX_KINDS)
     assert {c.step for c in report.cells} == set(TXN_STEPS)

@@ -16,6 +16,8 @@ from repro.loadsharing import LoadSharingService
 from repro.net import NetworkPartitionedError, Packet
 from repro.sim import RandomStreams, Simulator, Sleep, run_until_complete, spawn
 
+from . import golden_migration
+
 
 # ----------------------------------------------------------------------
 # Task.abort (the crash primitive)
@@ -379,6 +381,15 @@ def test_chaos_run_is_clean_and_byte_identical():
     other = run_chaos(seed=12, workstations=4, duration=50.0, jobs=5)
     assert other.fingerprint != first.fingerprint
     assert other.violations == []
+
+
+@pytest.mark.parametrize("name", sorted(golden_migration.CHAOS_RUNS))
+def test_chaos_fingerprint_matches_golden(name):
+    """CI's chaos smoke runs, pinned: a refactor that moves one trace
+    record is caught even though it stays self-consistent."""
+    report = run_chaos(**golden_migration.CHAOS_RUNS[name])
+    assert report.violations == []
+    assert report.fingerprint == golden_migration.load()["chaos"][name]
 
 
 def test_chaos_random_churn_stays_clean():
