@@ -432,7 +432,7 @@ def run_chaos(
     det = injector.detector
     backpressure = (
         service.migd.refused_busy
-        + sum(m.refused_incoming_busy for m in managers)
+        + sum(m.leases.refused_incoming_busy for m in managers)
         + sum(m.refused_outgoing_cap for m in managers)
     )
     return ChaosReport(

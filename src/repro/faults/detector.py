@@ -62,7 +62,7 @@ class HostWatch:
     declared: bool = False
     #: Reconciles seen (each one raises ``threshold`` — damping).
     flaps: int = 0
-    #: ``migration._crash_epoch`` last observed while the host was
+    #: ``migration.crash_epoch`` last observed while the host was
     #: answering heartbeats; if it is still unchanged when a declared
     #: host reappears, the host never actually crashed in between and
     #: the declaration was a *false* suspicion (partition/flap).
@@ -258,7 +258,7 @@ class FailureDetector:
     # ------------------------------------------------------------------
     def _crash_epoch(self, host) -> int:
         manager = self.cluster.managers.get(host.address)
-        return manager._crash_epoch if manager is not None else 0
+        return manager.crash_epoch if manager is not None else 0
 
     def _emit(self, kind: str, **detail: Any) -> None:
         self.injector._emit(f"detector_{kind}", **detail)

@@ -202,18 +202,20 @@ class InvariantChecker:
             if not manager.host.node.up:
                 continue
             held = 0
-            for (pid, ticket_id), lease in sorted(manager._tickets.items()):
+            for lease in manager.leases.held():
                 held += lease.reserved_bytes
                 if now > lease.expires:
                     violations.append(Violation(
                         "leaked-ticket",
-                        {"host": address, "pid": pid, "ticket": ticket_id,
+                        {"host": address, "pid": lease.pid,
+                         "ticket": lease.ticket_id,
                          "status": lease.status, "expires": lease.expires},
                     ))
-            if manager.reserved_bytes != held:
+            reserved = manager.leases.reserved_bytes
+            if reserved != held:
                 violations.append(Violation(
                     "leaked-reservation",
-                    {"host": address, "reserved": manager.reserved_bytes,
+                    {"host": address, "reserved": reserved,
                      "held_by_leases": held},
                 ))
         return violations
@@ -330,12 +332,12 @@ class InvariantChecker:
             manager = self.cluster.managers[address]
             if not manager.host.node.up:
                 continue
-            for (pid, _), lease in sorted(manager._tickets.items()):
+            for lease in manager.leases.held():
                 if (lease.status == "installed"
                         and lease.install is not None
                         and now <= lease.expires):
                     inactive += 1
-                    inactive_pids.setdefault(pid, []).append(address)
+                    inactive_pids.setdefault(lease.pid, []).append(address)
         if expected_pids is None:
             expected = set(runnable_at) | set(inactive_pids) | exited
         else:

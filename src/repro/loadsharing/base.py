@@ -122,10 +122,10 @@ class AcceptPolicy:
             # requesters racing on the same stale snapshot must not
             # all land here ([BSW89]).
             committed = (
-                len(host.kernel.foreign_pcbs()) + manager.pending_arrivals
+                len(host.kernel.foreign_pcbs()) + manager.leases.pending_arrivals
             )
             if committed >= self.max_foreign:
                 return False
-        manager.note_incoming()
+        manager.leases.note_incoming()
         host.loadavg.anticipate_arrivals(1)
         return True

@@ -1,21 +1,23 @@
 """Transparent process migration — the paper's primary contribution.
 
-:mod:`.mechanism` implements the transfer protocol (negotiation with
-version numbers, safe-point freezing, per-module state packaging, open-
-stream hand-off, home-shadow maintenance) as a crash-consistent
-transaction; :mod:`.txn` holds the journal and state machine behind its
-single commit point.  :mod:`.vm` provides the four virtual-memory
-transfer policies of §4.2.1.  :mod:`.eviction` reclaims workstations
-for returning users.  :mod:`.stats` aggregates telemetry.
+:mod:`.mechanism` implements the source side of the transfer protocol
+(negotiation with version numbers, safe-point freezing, per-module state
+packaging, open-stream hand-off, home-shadow maintenance) as a crash-
+consistent transaction, :mod:`.lease` the target side (leased tickets,
+inactive installs, activation at the commit point); :mod:`.txn` holds
+the journal and state machine behind that single commit point.
+:mod:`.vm` provides the four virtual-memory transfer policies of
+§4.2.1.  :mod:`.eviction` reclaims workstations for returning users.
+:mod:`.stats` aggregates telemetry.
 """
 
 from .eviction import EvictionDaemon, EvictionEvent
+from .lease import LeaseService, TicketLease
 from .mechanism import (
     MigrationAbandoned,
     MigrationManager,
     MigrationRecord,
     MigrationRefused,
-    TicketLease,
 )
 from .stats import (
     collect_records,
@@ -50,6 +52,7 @@ __all__ = [
     "FlushToServer",
     "FullCopy",
     "JournalEntry",
+    "LeaseService",
     "MigrationAbandoned",
     "MigrationJournal",
     "MigrationManager",

@@ -1,40 +1,61 @@
-"""The process-migration mechanism (thesis ch. 4), run as a transaction.
+"""The process-migration mechanism (thesis ch. 4), source side.
 
-One :class:`MigrationManager` per host.  A migration runs the protocol
-the thesis describes, module by module, but structured as an explicit
-two-phase transaction (:mod:`repro.migration.txn`) with a *single
-commit point* and an undo log on both ends:
+One :class:`MigrationManager` per host.  A migration is one transaction
+(:mod:`repro.migration.txn`) walked down the ``TXN_STEPS`` ladder by a
+single driver, :meth:`MigrationManager._drive`, with a *single commit
+point* and an undo log:
 
-1. **Negotiate** with the target kernel: migration *version numbers*
-   must match (§4.5) and the target's acceptance policy must agree.
-   Acceptance issues a leased :class:`~repro.kernel.MigrationTicket` —
-   the target reserves guest memory under it and reaps everything if no
-   commit arrives before the lease expires.
-2. **Freeze** the process at a safe point (between compute quanta or at
-   kernel-call boundaries; in-flight kernel calls drain first).
-3. **Transfer virtual memory** per the configured policy
+1. **Negotiate** (``negotiated``) with the target kernel: migration
+   *version numbers* must match (§4.5) and the target's acceptance
+   policy must agree.  Acceptance issues a leased
+   :class:`~repro.kernel.MigrationTicket` — the target reserves guest
+   memory under it and reaps everything if no commit arrives before the
+   lease expires (:mod:`repro.migration.lease`, the target side).
+2. **Freeze** (``frozen``) the process at a safe point (between compute
+   quanta or at kernel-call boundaries; in-flight kernel calls drain
+   first).
+3. **Transfer virtual memory** (``vm_sent``) per the configured policy
    (:mod:`repro.migration.vm`).
-4. **Package and ship kernel state**: the machine-independent PCB,
-   then each open stream via the file system's export/import protocol
-   (each export preceded by an intent entry in the undo log).
-   ``mig.install`` leaves the copy **inactive** at the target, held in
-   a :class:`~repro.kernel.PendingInstall` outside the process table.
-5. **Commit**: the source's ``mig.commit`` RPC is the commit point.
-   Before it the source's copy is the process (any failure aborts by
-   replaying the undo log and the process resumes at the source,
-   unharmed); after it the target's copy is the process (the source
-   detaches, updates the home's shadow, and closes the lease — duties
-   that reboot-time journal recovery re-drives if the source crashes).
+4. **Package and ship kernel state** (``state_packed``,
+   ``streams_exported``, ``shipped``): the machine-independent PCB, then
+   each open stream via the file system's export/import protocol (each
+   export preceded by an intent entry in the undo log).  ``mig.install``
+   leaves the copy **inactive** at the target, held in a
+   :class:`~repro.kernel.PendingInstall` outside the process table.
+5. **Commit** (``commit_sent``, ``committed``): the source's
+   ``mig.commit`` RPC is the commit point.  Before it the source's copy
+   is the process: every failure leaves through one exit,
+   :meth:`MigrationManager._fail`, which replays the undo log and lets
+   the process resume at the source, unharmed.  After it the target's
+   copy is the process, and the source owes three idempotent duties
+   (``detached``, ``home_updated``, ``closed``;
+   :meth:`MigrationManager._post_commit`) that reboot-time journal
+   recovery re-enters at the first one the journal has not recorded.
 
-Exec-time migration (:meth:`MigrationManager.migrate_for_exec`) skips
-step 3 entirely — the address space is about to be replaced — which is
-why Sprite migrates at exec whenever it can.
+The three public entry points differ only in who parks the process and
+what moves: :meth:`~MigrationManager.migrate` is driven from outside the
+process and must park it, :meth:`~MigrationManager.migrate_self` and
+:meth:`~MigrationManager.migrate_for_exec` run in the process's own task
+(already at a safe point), and exec-time migration skips step 3 entirely
+— the address space is about to be replaced — which is why Sprite
+migrates at exec whenever it can.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple, Union
+from itertools import count
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from ..config import ClusterParams
 from ..fs.errors import FsError
@@ -43,7 +64,6 @@ from ..kernel import (
     Host,
     MigrationTicket,
     Pcb,
-    PendingInstall,
     ProcState,
     SpriteKernel,
     signals,
@@ -72,15 +92,9 @@ from ..obs.spans import (
     SpanTracer,
 )
 from ..sim import Effect, SimClock, SimEvent, Sleep, Tracer, first, spawn
-from .packaging import (
-    discard_imports,
-    export_streams,
-    import_streams,
-    install_payload,
-    state_bytes,
-    stream_bytes,
-)
-from .txn import MigrationJournal, MigrationTxn, TxnState
+from .lease import LeaseService
+from .packaging import export_streams, install_payload, state_bytes, stream_bytes
+from .txn import MigrationJournal, MigrationTxn, TxnState, UndoEntry
 from .vm import FlushToServer, VmOutcome, VmPolicy, make_policy
 
 __all__ = [
@@ -88,7 +102,6 @@ __all__ = [
     "MigrationRecord",
     "MigrationRefused",
     "MigrationAbandoned",
-    "TicketLease",
 ]
 
 
@@ -142,32 +155,15 @@ class MigrationRecord:
         return self.freeze_ended - self.commit_started
 
 
-@dataclass
-class TicketLease:
-    """Target-side record of one issued migration ticket.
-
-    Lives in ``MigrationManager._tickets`` from ``mig.negotiate`` until
-    ``mig.close`` / ``mig.release`` / lease expiry.  ``install`` holds
-    the inactive copy between ``mig.install`` and the commit point.
-    """
-
-    pid: int
-    ticket_id: int
-    expires: float
-    reserved_bytes: int = 0
-    #: issued -> installing -> installed -> activated -> closed
-    #: (or released / reaped on the abort paths).
-    status: str = "issued"
-    install: Optional[PendingInstall] = None
-
-
 #: Signature of a target-side acceptance policy (load sharing installs
 #: one that refuses when the host is no longer idle).
 AcceptHook = Callable[[Dict[str, Any]], bool]
 
 
 class MigrationManager:
-    """Per-host migration engine; also the target-side RPC services."""
+    """Per-host migration engine: the source-side step driver, abort and
+    recovery, plus the home-side and residual-dependency services.  The
+    target-side services live in :attr:`leases`."""
 
     def __init__(
         self,
@@ -192,29 +188,16 @@ class MigrationManager:
         #: Metrics hook, set by ``ClusterObservability.install``; when
         #: ``None`` (the default) no metrics work happens at all.
         self.obs: Optional[Any] = None
-        #: Accept timestamps of migrations not yet installed; acceptance
-        #: policies count these against guest caps (flood prevention,
-        #: [BSW89]).  Entries expire so an aborted transfer cannot leak
-        #: a permanent reservation.
-        self._pending_accepts: List[float] = []
-        #: How long an accepted-but-uninstalled reservation is honoured.
-        self.pending_accept_ttl = 30.0
         #: Write-ahead journal (persistent: survives host.crash).
         self.journal = MigrationJournal(
             host.name, enabled=host.params.migration_txn_journal
         )
         self.journal.bind_clock(SimClock(host.sim))
-        #: Target-side lease registry: (pid, ticket_id) -> lease.
-        self._tickets: Dict[Tuple[int, int], TicketLease] = {}
-        self._ticket_seq = 0
-        #: Guest memory currently reserved under unexpired leases.
-        self.reserved_bytes = 0
         #: Overload backpressure: in-flight outgoing migrations (capped
-        #: by ``params.migration_max_outgoing`` when > 0) and refusal
-        #: counters for both directions of the cap.
+        #: by ``params.migration_max_outgoing`` when > 0) and how often
+        #: the cap refused one.
         self.outgoing_in_flight = 0
         self.refused_outgoing_cap = 0
-        self.refused_incoming_busy = 0
         #: Aborts whose undo log could not be fully replayed inline
         #: (a background repair task owns the remainder).
         self.rollback_incomplete = 0
@@ -223,22 +206,17 @@ class MigrationManager:
         self.eviction_failures = 0
         #: Bumped by ``on_crash``: driving tasks notice mid-protocol
         #: that their host died under them and abandon the transaction.
-        self._crash_epoch = 0
+        self.crash_epoch = 0
         #: Per-peer crash epochs (bumped when the cluster *detects* a
         #: peer's crash) — the escape hatch for retry-forever loops.
         self._peer_epochs: Dict[int, int] = {}
         self._managers = managers
         managers[host.address] = self
-        self.host.rpc.register("mig.negotiate", self._rpc_negotiate)
-        self.host.rpc.register("mig.install", self._rpc_install)
-        self.host.rpc.register("mig.commit", self._rpc_commit)
-        self.host.rpc.register("mig.release", self._rpc_release)
-        self.host.rpc.register("mig.renew", self._rpc_renew)
-        self.host.rpc.register("mig.resolve", self._rpc_resolve)
-        self.host.rpc.register("mig.close", self._rpc_close)
+        #: Target side: lease registry and the ``mig.*`` lease services.
+        self.leases = LeaseService(self)
         self.host.rpc.register("mig.update_location", self._rpc_update_location)
         self.host.rpc.register("mig.cor_fetch", self._rpc_cor_fetch,
-                       idempotent=True)
+                               idempotent=True)
 
     # ------------------------------------------------------------------
     @property
@@ -261,6 +239,11 @@ class MigrationManager:
     def tracer(self) -> Tracer:
         return self.host.tracer
 
+    def _trace(self, kind: str, **fields: Any) -> None:
+        tracer = self.host.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, f"mig:{self.host.name}", kind, **fields)
+
     def remote_page_install(self, target: int, nbytes: int) -> Generator[Effect, None, None]:
         """Charge the target's CPU for receiving/installing pages.
 
@@ -276,18 +259,12 @@ class MigrationManager:
     # Crash / reboot lifecycle (wired from SpriteKernel)
     # ------------------------------------------------------------------
     def on_crash(self) -> None:
-        """Volatile migration state dies with the host.
-
+        """Volatile migration state dies with the host: the lease
+        registry and every driving task's claim on its transaction.
         The journal (modeled as written through the file system)
-        survives; the lease registry, reservations, and pending accepts
-        do not — exactly why an unexpired lease at a crashed target is
-        simply gone and the source must treat silence as abort-or-
-        resolve, never as success.
-        """
-        self._crash_epoch += 1
-        self._tickets.clear()
-        self._pending_accepts.clear()
-        self.reserved_bytes = 0
+        survives."""
+        self.crash_epoch += 1
+        self.leases.on_crash()
 
     def on_reboot(self) -> None:
         """Replay the journal: resolve every transaction left open."""
@@ -298,7 +275,7 @@ class MigrationManager:
             return
         spawn(
             self.sim,
-            self._recover_journal(txns, self._crash_epoch),
+            self._recover_journal(txns, self.crash_epoch),
             name=f"mig-recovery:{self.host.name}",
             daemon=True,
         )
@@ -307,27 +284,28 @@ class MigrationManager:
         """The cluster detected ``address`` crashed (kernel callback)."""
         self._peer_epochs[address] = self._peer_epochs.get(address, 0) + 1
 
-    def _abandon_if_crashed(
-        self, epoch: int, txn: Optional[MigrationTxn] = None
-    ) -> None:
-        """Raise if this host crashed since the transaction captured
-        ``epoch`` — the driving task must not touch the txn again."""
-        if self._crash_epoch != epoch or not self.host.node.up:
-            raise MigrationAbandoned(
-                f"host {self.host.name} crashed mid-migration"
-                + (f" (txn {txn.txn_id})" if txn is not None else "")
-            )
-
-    def _journal_step(
-        self, txn: MigrationTxn, epoch: int, name: str, **detail: Any
-    ) -> None:
-        """Journal a step, then notice if the crash-matrix hook (which
-        fires synchronously inside ``journal.log``) crashed this host."""
-        txn.step(name, **detail)
-        self._abandon_if_crashed(epoch, txn)
-
     def _peer_epoch(self, address: int) -> int:
         return self._peer_epochs.get(address, 0)
+
+    def _crashed_since(self, epoch: int) -> bool:
+        return self.crash_epoch != epoch or not self.host.node.up
+
+    def _abandon_if_crashed(self, txn: MigrationTxn) -> None:
+        """Raise if this host crashed since the driving task took
+        ownership of ``txn`` — it must not touch the txn again."""
+        if self._crashed_since(txn.epoch):
+            raise MigrationAbandoned(
+                f"host {self.host.name} crashed mid-migration "
+                f"(txn {txn.txn_id})"
+            )
+
+    def _journal_step(self, txn: MigrationTxn, name: str, **detail: Any) -> None:
+        """Journal a step, then notice if the crash-matrix hook (which
+        fires synchronously inside ``journal.log``) crashed this host."""
+        if txn.recovering:
+            detail["recovered"] = True
+        txn.step(name, **detail)
+        self._abandon_if_crashed(txn)
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -337,101 +315,7 @@ class MigrationManager:
     ) -> Generator[Effect, None, MigrationRecord]:
         """Migrate a (possibly running) process; called from any task
         on the process's current host — eviction daemons, migd, tests."""
-        self._check_eligible(pcb, target)
-        ticket = MigrationTicket(
-            target=target,
-            reason=reason,
-            parked=SimEvent(self.sim, f"parked:{pcb.pid}"),
-            resume=SimEvent(self.sim, f"resume:{pcb.pid}"),
-        )
-        record = self._new_record(pcb, target, reason)
-        root = self._root_span(record)
-        cap = self.params.migration_max_outgoing
-        if cap > 0 and self.outgoing_in_flight >= cap:
-            # Source-side admission control: too many transfers already
-            # in flight.  Refuse locally (the process keeps running
-            # here) with a reason ``refusal_reasons`` can aggregate.
-            self.refused_outgoing_cap += 1
-            self._refuse(
-                record,
-                "source at outgoing-migration cap",
-                f"host {self.host.name} already has "
-                f"{self.outgoing_in_flight} migration(s) in flight",
-                root,
-            )
-        txn = self.journal.begin(pcb, self.address, target, reason)
-        epoch = self._crash_epoch
-        self.outgoing_in_flight += 1
-        try:
-            # Negotiate and pre-copy while the process keeps running.
-            yield from self._negotiate(pcb, target, record, txn, root, epoch)
-            negotiated_at = self.sim.now
-            self._phase(root, MIG_NEGOTIATE, record.started, negotiated_at)
-            ticket.ticket_id = txn.ticket_id
-            ticket.expires = txn.expires
-            try:
-                pre_bytes = yield from self.policy.pre_freeze(self, pcb, target)
-            except (RpcError, FsError) as err:
-                self._abandon_if_crashed(epoch, txn)
-                yield from self._abort_txn(pcb, target, txn, epoch)
-                self._refuse(
-                    record,
-                    f"pre-copy failed: {err}",
-                    f"pre-copy to {target} failed for pid {pcb.pid}: {err}",
-                    root,
-                )
-            self._abandon_if_crashed(epoch, txn)
-            record.detail["pre_freeze_bytes"] = pre_bytes
-            precopied_at = self.sim.now
-            self._phase(root, MIG_VM_PRE, negotiated_at, precopied_at,
-                        bytes=pre_bytes)
-            # Ask the process to park at its next safe point.
-            pcb.migration_ticket = ticket
-            if pcb.task is not None and pcb.interruptible:
-                pcb.task.interrupt(("migrate", target))
-            index, _value = yield first(ticket.parked.wait(), pcb.exit_event.wait())
-            self._abandon_if_crashed(epoch, txn)
-            if index == 1:
-                # The process exited before reaching a safe point.
-                pcb.migration_ticket = None
-                yield from self._abort_txn(pcb, target, txn, epoch)
-                self._refuse(
-                    record,
-                    "process exited before freeze",
-                    f"pid {pcb.pid} exited before it could be migrated",
-                    root,
-                )
-            record.freeze_started = self.sim.now
-            self._phase(root, MIG_WAIT_SAFE_POINT, precopied_at,
-                        record.freeze_started)
-            # A long pre-copy may have burned most of the lease: renew it
-            # now that the frozen transfer is about to start.
-            yield from self._renew_lease(txn, target, epoch)
-            txn.advance(TxnState.FROZEN)
-            self._journal_step(txn, epoch, "frozen")
-            try:
-                yield from self._frozen_transfer(
-                    pcb, target, record, txn, skip_vm=False, root=root,
-                    epoch=epoch,
-                )
-                yield from self._commit_txn(pcb, target, record, txn, root, epoch)
-            finally:
-                # Whatever happened, the process must not stay frozen: on
-                # an abort it resumes right here on the source.
-                record.freeze_ended = self.sim.now
-                pcb.migration_ticket = None
-                if not ticket.resume.fired:
-                    ticket.resume.trigger()
-                self._emit_freeze_phases(root, record)
-            record.ended = self.sim.now
-            self._finish_record(record, root)
-            return record
-        except MigrationAbandoned:
-            if root is not None:
-                root.annotate(abandoned=True).finish(self.sim.now)
-            raise
-        finally:
-            self.outgoing_in_flight -= 1
+        return (yield from self._drive(pcb, target, reason, park=True))
 
     def migrate_self(
         self, pcb: Pcb, target: int
@@ -439,75 +323,16 @@ class MigrationManager:
         """Migration executed by the process's own task (the migrate
         kernel call): it is already at a safe point, so the whole
         transfer is one freeze."""
-        self._check_eligible(pcb, target)
-        record = self._new_record(pcb, target, "self")
-        root = self._root_span(record)
-        txn = self.journal.begin(pcb, self.address, target, "self")
-        epoch = self._crash_epoch
-        try:
-            yield from self._negotiate(pcb, target, record, txn, root, epoch)
-            record.freeze_started = self.sim.now
-            self._phase(root, MIG_NEGOTIATE, record.started,
-                        record.freeze_started)
-            txn.advance(TxnState.FROZEN)
-            self._journal_step(txn, epoch, "frozen")
-            try:
-                yield from self._frozen_transfer(
-                    pcb, target, record, txn, skip_vm=False, root=root,
-                    epoch=epoch,
-                )
-                yield from self._commit_txn(pcb, target, record, txn, root, epoch)
-            finally:
-                record.freeze_ended = self.sim.now
-                self._emit_freeze_phases(root, record)
-            record.ended = self.sim.now
-            self._finish_record(record, root)
-            return record
-        except MigrationAbandoned:
-            if root is not None:
-                root.annotate(abandoned=True).finish(self.sim.now)
-            raise
+        return (yield from self._drive(pcb, target, "self", park=False))
 
     def migrate_for_exec(
         self, pcb: Pcb, target: int, arg_bytes: int = 2048
     ) -> Generator[Effect, None, MigrationRecord]:
         """Exec-time migration: no VM moves; args/env ride with the state."""
-        self._check_eligible(pcb, target)
-        record = self._new_record(pcb, target, "exec")
-        record.detail["arg_bytes"] = arg_bytes
-        root = self._root_span(record)
-        txn = self.journal.begin(pcb, self.address, target, "exec")
-        epoch = self._crash_epoch
-        try:
-            yield from self._negotiate(pcb, target, record, txn, root, epoch)
-            record.freeze_started = self.sim.now
-            self._phase(root, MIG_NEGOTIATE, record.started,
-                        record.freeze_started)
-            txn.advance(TxnState.FROZEN)
-            self._journal_step(txn, epoch, "frozen")
-            # Discard the old address space outright (exec replaces it).
-            if pcb.vm.backing is not None and pcb.vm.backing.handle_id >= 0:
-                yield from pcb.vm.backing.remove()
-                pcb.vm.backing = None
-            pcb.vm.size = 0
-            pcb.vm.evict_resident()
-            self._abandon_if_crashed(epoch, txn)
-            try:
-                yield from self._frozen_transfer(
-                    pcb, target, record, txn, skip_vm=True,
-                    extra_bytes=arg_bytes, root=root, epoch=epoch,
-                )
-                yield from self._commit_txn(pcb, target, record, txn, root, epoch)
-            finally:
-                record.freeze_ended = self.sim.now
-                self._emit_freeze_phases(root, record)
-            record.ended = self.sim.now
-            self._finish_record(record, root)
-            return record
-        except MigrationAbandoned:
-            if root is not None:
-                root.annotate(abandoned=True).finish(self.sim.now)
-            raise
+        return (yield from self._drive(
+            pcb, target, "exec", park=False, skip_vm=True,
+            extra_bytes=arg_bytes,
+        ))
 
     def evict_all_foreign(self, reason: str = "eviction") -> Generator[Effect, None, List[MigrationRecord]]:
         """Send every foreign process home (user reclaimed the host).
@@ -527,11 +352,7 @@ class MigrationManager:
             except MigrationRefused as err:
                 self.eviction_failures += 1
                 failures.append(f"pid {pcb.pid}: {err}")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.sim.now, f"mig:{self.host.name}",
-                        "eviction-failed", pid=pcb.pid, why=str(err),
-                    )
+                self._trace("eviction-failed", pid=pcb.pid, why=str(err))
                 continue
             records.append(record)
         if failures:
@@ -543,8 +364,95 @@ class MigrationManager:
         return records
 
     # ------------------------------------------------------------------
-    # Protocol steps (source side)
+    # The driver: one walk down the TXN_STEPS ladder
     # ------------------------------------------------------------------
+    def _drive(
+        self,
+        pcb: Pcb,
+        target: int,
+        reason: str,
+        park: bool,
+        skip_vm: bool = False,
+        extra_bytes: int = 0,
+    ) -> Generator[Effect, None, MigrationRecord]:
+        """Run one migration transaction from negotiation to lease close.
+
+        ``park``: the process runs in another task, so the transfer is
+        subject to outgoing admission control, pre-copies while the
+        process still runs, and must park it at a safe point; otherwise
+        the caller *is* the process, already at one.  ``skip_vm`` (exec)
+        discards the address space instead of moving it and ships
+        ``extra_bytes`` of arguments with the state.
+        """
+        self._check_eligible(pcb, target)
+        record = MigrationRecord(
+            pid=pcb.pid,
+            name=pcb.name,
+            source=self.address,
+            target=target,
+            reason=reason,
+            policy=self.policy.name,
+            started=self.sim.now,
+        )
+        if skip_vm:
+            record.detail["arg_bytes"] = extra_bytes
+        root = self._root_span(record)
+        cap = self.params.migration_max_outgoing
+        if park and cap > 0 and self.outgoing_in_flight >= cap:
+            # Source-side admission control: too many transfers already
+            # in flight.  Refuse locally (the process keeps running
+            # here) with a reason ``refusal_reasons`` can aggregate.
+            self.refused_outgoing_cap += 1
+            self._refuse(
+                record,
+                root,
+                "source at outgoing-migration cap",
+                f"host {self.host.name} already has "
+                f"{self.outgoing_in_flight} migration(s) in flight",
+            )
+        txn = self.journal.begin(pcb, self.address, target, reason)
+        txn.epoch, txn.record, txn.root = self.crash_epoch, record, root
+        ticket: Optional[MigrationTicket] = None
+        if park:
+            self.outgoing_in_flight += 1
+        try:
+            yield from self._negotiate(txn)
+            self._phase(txn, MIG_NEGOTIATE, record.started, self.sim.now)
+            if park:
+                ticket = yield from self._park(txn)
+            else:
+                record.freeze_started = self.sim.now
+            txn.advance(TxnState.FROZEN)
+            self._journal_step(txn, "frozen")
+            if skip_vm:
+                yield from self._discard_address_space(txn)
+            try:
+                yield from self._ship(txn, skip_vm, extra_bytes)
+                yield from self._commit(txn)
+            finally:
+                # Whatever happened, the process must not stay frozen: on
+                # an abort it resumes right here on the source.
+                record.freeze_ended = self.sim.now
+                if ticket is not None:
+                    pcb.migration_ticket = None
+                    if not ticket.resume.fired:
+                        ticket.resume.trigger()
+                self._emit_freeze_phases(txn)
+            record.ended = self.sim.now
+            self.records.append(record)
+            if self.obs is not None:
+                self.obs.on_migration(record)
+            if root is not None:
+                root.finish(record.ended, streams=record.streams_moved)
+            return record
+        except MigrationAbandoned:
+            if root is not None:
+                root.annotate(abandoned=True).finish(self.sim.now)
+            raise
+        finally:
+            if park:
+                self.outgoing_in_flight -= 1
+
     def _check_eligible(self, pcb: Pcb, target: int) -> None:
         if pcb.vm.shared_writable:
             raise MigrationRefused(
@@ -561,20 +469,9 @@ class MigrationManager:
         if target == self.address:
             raise MigrationRefused("source and target are the same host")
 
-    def _new_record(self, pcb: Pcb, target: int, reason: str) -> MigrationRecord:
-        return MigrationRecord(
-            pid=pcb.pid,
-            name=pcb.name,
-            source=self.address,
-            target=target,
-            reason=reason,
-            policy=self.policy.name,
-            started=self.sim.now,
-        )
-
     # ------------------------------------------------------------------
-    # Span plumbing.  ``root`` is None whenever spans are disabled, so
-    # every downstream site is a single ``is not None`` test.
+    # Span plumbing.  ``txn.root`` is None whenever spans are disabled,
+    # so every downstream site is a single ``is not None`` test.
     # ------------------------------------------------------------------
     def _root_span(self, record: MigrationRecord) -> Optional[Span]:
         """Open the ``mig.migrate`` root span for one migration."""
@@ -592,20 +489,33 @@ class MigrationManager:
         )
 
     def _phase(
-        self, root: Optional[Span], name: str, start: float, end: float,
+        self, txn: MigrationTxn, name: str, start: float, end: float,
         **attrs: Any,
     ) -> None:
-        """Record one lifecycle phase as a child of ``root``.
+        """Record one lifecycle phase as a child of the root span.
 
         Phases are emitted with explicit boundaries so consecutive
         phases are contiguous: their durations sum exactly to the
         root's extent (``MigrationRecord.total_time``).
         """
+        root = txn.root
         if root is not None:
             self.spans.record(name, root.source, start, end, parent=root,
                               **attrs)
 
-    def _emit_freeze_phases(self, root: Optional[Span], record: MigrationRecord) -> None:
+    def _step(
+        self, txn: MigrationTxn, name: str, started: float, **attrs: Any
+    ) -> float:
+        """Record one transfer sub-step span ending now; returns now
+        (where the next sub-step starts)."""
+        now = self.sim.now
+        root = txn.root
+        if root is not None:
+            self.spans.record(name, root.source, started, now, parent=root,
+                              **attrs)
+        return now
+
+    def _emit_freeze_phases(self, txn: MigrationTxn) -> None:
         """Split the frozen interval at the commit point.
 
         ``mig.freeze`` covers park -> commit point, ``mig.commit`` the
@@ -614,21 +524,22 @@ class MigrationManager:
         ``mig.freeze``.  Either way the phases stay contiguous and the
         partition of ``total_time`` is preserved.
         """
+        record = txn.record
         if record.commit_started:
-            self._phase(root, MIG_FREEZE, record.freeze_started,
+            self._phase(txn, MIG_FREEZE, record.freeze_started,
                         record.commit_started)
-            self._phase(root, MIG_COMMIT, record.commit_started,
+            self._phase(txn, MIG_COMMIT, record.commit_started,
                         record.freeze_ended)
         else:
-            self._phase(root, MIG_FREEZE, record.freeze_started,
+            self._phase(txn, MIG_FREEZE, record.freeze_started,
                         record.freeze_ended)
 
+    # ------------------------------------------------------------------
+    # Failure exits
+    # ------------------------------------------------------------------
     def _refuse(
-        self,
-        record: MigrationRecord,
-        why: str,
+        self, record: MigrationRecord, root: Optional[Span], why: str,
         message: str,
-        root: Optional[Span] = None,
     ) -> None:
         """Finalize a refused migration and raise ``MigrationRefused``."""
         record.refused = True
@@ -641,15 +552,22 @@ class MigrationManager:
             root.annotate(refused=True, why=why).finish(record.ended)
         raise MigrationRefused(message)
 
-    def _negotiate(
-        self,
-        pcb: Pcb,
-        target: int,
-        record: MigrationRecord,
-        txn: MigrationTxn,
-        root: Optional[Span] = None,
-        epoch: int = 0,
+    def _fail(
+        self, txn: MigrationTxn, why: str, message: str
     ) -> Generator[Effect, None, None]:
+        """The one way out of a transaction that cannot reach its commit
+        point: replay the undo log (the process resumes on the source,
+        unharmed), then refuse.  Raises ``MigrationAbandoned`` instead
+        if this host crashed — recovery owns the transaction then."""
+        yield from self._abort(txn)
+        self._refuse(txn.record, txn.root, why, message)
+
+    # ------------------------------------------------------------------
+    # Step handlers, in ladder order
+    # ------------------------------------------------------------------
+    def _negotiate(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
+        """``negotiated``: get a leased ticket from the target."""
+        pcb, target = txn.pcb, txn.target
         try:
             answer = yield from self.host.rpc.call(
                 target,
@@ -660,7 +578,7 @@ class MigrationManager:
                     "name": pcb.name,
                     "uid": pcb.uid,
                     "home": pcb.home,
-                    "reason": record.reason,
+                    "reason": txn.reason,
                     "vm_bytes": pcb.vm.size,
                 },
             )
@@ -672,287 +590,69 @@ class MigrationManager:
         except RpcError as err:
             # Unreachable target: abort cleanly, process stays put.
             answer = {"accept": False, "why": f"target unreachable: {err}"}
-        self._abandon_if_crashed(epoch, txn)
+        self._abandon_if_crashed(txn)
         if not answer.get("accept"):
-            why = answer.get("why", "unspecified")
+            # Nothing to undo yet: no lease was issued.
             txn.finish()
             self._refuse(
-                record,
-                why,
+                txn.record,
+                txn.root,
+                answer.get("why", "unspecified"),
                 f"host {target} refused pid {pcb.pid}: {answer.get('why')}",
-                root,
             )
         txn.ticket_id = int(answer.get("ticket", 0))
         txn.expires = float(answer.get("expires", 0.0))
         txn.push_undo("ticket", ticket=txn.ticket_id)
-        self._journal_step(txn, epoch, "negotiated", ticket=txn.ticket_id)
+        self._journal_step(txn, "negotiated", ticket=txn.ticket_id)
 
-    def _frozen_transfer(
-        self,
-        pcb: Pcb,
-        target: int,
-        record: MigrationRecord,
-        txn: MigrationTxn,
-        skip_vm: bool,
-        extra_bytes: int = 0,
-        root: Optional[Span] = None,
-        epoch: int = 0,
-    ) -> Generator[Effect, None, None]:
-        params = self.params
-        step_started = self.sim.now
-        # -- virtual memory -------------------------------------------------
-        if not skip_vm:
-            try:
-                record.vm = yield from self.policy.during_freeze(self, pcb, target)
-            except (RpcError, FsError) as err:
-                self._abandon_if_crashed(epoch, txn)
-                yield from self._abort_txn(pcb, target, txn, epoch)
-                self._refuse(
-                    record,
-                    f"vm transfer failed: {err}",
-                    f"VM transfer to {target} failed for pid {pcb.pid}: {err}",
-                    root,
-                )
-            self._abandon_if_crashed(epoch, txn)
-            if root is not None:
-                step_started = self._step(
-                    root, MIG_VM_TRANSFER, step_started,
-                    bytes=record.vm.bytes_total, policy=record.policy,
-                )
-        self._journal_step(txn, epoch, "vm_sent")
-        # -- kernel state packaging (per-module encapsulation, §4.5) ---------
-        yield from self.host.cpu.consume(params.migration_state_cpu)
-        self._abandon_if_crashed(epoch, txn)
-        if root is not None:
-            step_started = self._step(root, MIG_STATE_PACK, step_started)
-        self._journal_step(txn, epoch, "state_packed")
-        # -- open streams ---------------------------------------------------
-        # Each export is preceded by an *intent* undo entry, so a crash
-        # or failure mid-loop can roll back exactly the exports that may
-        # have touched the server — including the one that failed.
-        def _export_intent(fd: int, stream: Any) -> Any:
-            return txn.push_undo("stream", fd=fd, stream=stream, state=None)
-
+    def _park(self, txn: MigrationTxn) -> Generator[Effect, None, MigrationTicket]:
+        """Pre-copy while the process keeps running, then ask it to park
+        at its next safe point and wait until it has."""
+        pcb, target, record = txn.pcb, txn.target, txn.record
+        negotiated_at = self.sim.now
+        ticket = MigrationTicket(
+            target=target,
+            reason=txn.reason,
+            parked=SimEvent(self.sim, f"parked:{pcb.pid}"),
+            resume=SimEvent(self.sim, f"resume:{pcb.pid}"),
+            ticket_id=txn.ticket_id,
+            expires=txn.expires,
+        )
         try:
-            stream_states = yield from export_streams(
-                self.host.fs, pcb, target, on_export=_export_intent
-            )
+            pre_bytes = yield from self.policy.pre_freeze(self, pcb, target)
         except (RpcError, FsError) as err:
-            self._abandon_if_crashed(epoch, txn)
-            yield from self._abort_txn(pcb, target, txn, epoch)
-            self._refuse(
-                record,
-                f"stream export failed: {err}",
-                f"stream export to {target} failed for pid {pcb.pid}: {err}",
-                root,
+            yield from self._fail(
+                txn,
+                f"pre-copy failed: {err}",
+                f"pre-copy to {target} failed for pid {pcb.pid}: {err}",
             )
-        self._abandon_if_crashed(epoch, txn)
-        record.streams_moved = len(stream_states)
-        record.stream_bytes = stream_bytes(params, len(stream_states))
-        record.state_bytes = state_bytes(params, extra_bytes)
-        self._journal_step(txn, epoch, "streams_exported",
-                           count=record.streams_moved)
-        if root is not None:
-            step_started = self._step(
-                root, MIG_STREAMS, step_started,
-                count=record.streams_moved,
+        self._abandon_if_crashed(txn)
+        record.detail["pre_freeze_bytes"] = pre_bytes
+        precopied_at = self.sim.now
+        self._phase(txn, MIG_VM_PRE, negotiated_at, precopied_at,
+                    bytes=pre_bytes)
+        pcb.migration_ticket = ticket
+        if pcb.task is not None and pcb.interruptible:
+            pcb.task.interrupt(("migrate", target))
+        index, _value = yield first(ticket.parked.wait(), pcb.exit_event.wait())
+        self._abandon_if_crashed(txn)
+        if index == 1:
+            # The process exited before reaching a safe point.
+            pcb.migration_ticket = None
+            yield from self._fail(
+                txn,
+                "process exited before freeze",
+                f"pid {pcb.pid} exited before it could be migrated",
             )
-        # -- ship the state; the target installs it *inactive* ---------------
-        if pcb.task is not None and pcb.task.done:
-            yield from self._abort_txn(pcb, target, txn, epoch)
-            self._refuse(
-                record,
-                "process died during transfer",
-                f"pid {pcb.pid} died while its state was being packaged",
-                root,
-            )
-        payload = install_payload(pcb, txn.ticket_id, stream_states)
-        wire_bytes = record.state_bytes + record.stream_bytes
-        try:
-            reply = yield from self.host.rpc.call(
-                target, "mig.install", payload, size=wire_bytes
-            )
-        except RpcError as err:
-            # The target died before the commit point: abort — pull the
-            # stream references back and leave the process running here.
-            self._abandon_if_crashed(epoch, txn)
-            yield from self._abort_txn(pcb, target, txn, epoch)
-            self._refuse(
-                record,
-                f"install failed: {err}",
-                f"target {target} failed during transfer of pid {pcb.pid}: "
-                f"{err}",
-                root,
-            )
-        self._abandon_if_crashed(epoch, txn)
-        if not (reply or {}).get("installed"):
-            why = (reply or {}).get("why", "install refused")
-            yield from self._abort_txn(pcb, target, txn, epoch)
-            self._refuse(
-                record,
-                f"install refused: {why}",
-                f"target {target} refused to install pid {pcb.pid}: {why}",
-                root,
-            )
-        txn.expires = max(txn.expires, float(reply.get("expires", 0.0)))
-        txn.advance(TxnState.SHIPPED)
-        self._journal_step(txn, epoch, "shipped")
-        if root is not None:
-            self._step(root, MIG_INSTALL, step_started, bytes=wire_bytes)
+        record.freeze_started = self.sim.now
+        self._phase(txn, MIG_WAIT_SAFE_POINT, precopied_at,
+                    record.freeze_started)
+        # A long pre-copy may have burned most of the lease: renew it
+        # now that the frozen transfer is about to start.
+        yield from self._renew_lease(txn)
+        return ticket
 
-    def _commit_txn(
-        self,
-        pcb: Pcb,
-        target: int,
-        record: MigrationRecord,
-        txn: MigrationTxn,
-        root: Optional[Span],
-        epoch: int,
-    ) -> Generator[Effect, None, None]:
-        """Cross the commit point, then run the post-commit duties."""
-        if pcb.task is not None and pcb.task.done and pcb.current != target:
-            yield from self._abort_txn(pcb, target, txn, epoch)
-            self._refuse(
-                record,
-                "process died before commit",
-                f"pid {pcb.pid} died before the commit point",
-                root,
-            )
-        record.commit_started = self.sim.now
-        self._journal_step(txn, epoch, "commit_sent")
-        outcome, why = yield from self._commit_rpc(pcb, target, txn, epoch)
-        if outcome == "refused":
-            yield from self._abort_txn(pcb, target, txn, epoch)
-            self._refuse(
-                record,
-                f"commit refused: {why}",
-                f"target {target} could not activate pid {pcb.pid}: {why}",
-                root,
-            )
-        if outcome == "lost":
-            # The commit landed and then the target died (already
-            # detected): the process is gone — record its death.
-            txn.advance(TxnState.COMMITTED)
-            record.detail["lost_after_commit"] = True
-            self.journal.committed += 1
-            yield from self._write_off(pcb, target, epoch)
-            txn.finish()
-            self._refuse(
-                record,
-                "target lost after commit",
-                f"target {target} crashed after pid {pcb.pid} committed",
-                root,
-            )
-        # -- committed: the target's copy is the process ----------------------
-        self._journal_step(txn, epoch, "committed")
-        txn.advance(TxnState.COMMITTED)
-        if root is not None:
-            self._step(root, MIG_COMMIT_RPC, record.commit_started)
-        source = self.address
-        self.kernel.detach_pcb(pcb, target)
-        self._journal_step(txn, epoch, "detached")
-        if pcb.home not in (source, target):
-            update_from = self.sim.now
-            yield from self._update_home(pcb, target, txn, epoch)
-            if root is not None:
-                self._step(root, MIG_UPDATE_HOME, update_from,
-                           home=pcb.home)
-        self._journal_step(txn, epoch, "home_updated")
-        yield from self._close_lease(txn, target, epoch)
-        self._journal_step(txn, epoch, "closed")
-        self.journal.committed += 1
-        txn.finish()
-        pcb.migrations += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now,
-                f"mig:{self.host.name}",
-                "migrated",
-                pid=pcb.pid,
-                target=target,
-                reason=record.reason,
-                streams=record.streams_moved,
-            )
-
-    def _activation_happened(self, pcb: Pcb, target: int) -> bool:
-        """Ground truth for an in-doubt commit.
-
-        Only ``mig.commit``'s activation block ever points a PCB at the
-        target, so this marker stands in for the state exchanged by
-        Sprite's host-recovery handshake when the reply was lost.
-        """
-        return pcb.current == target
-
-    def _commit_rpc(
-        self, pcb: Pcb, target: int, txn: MigrationTxn, epoch: int
-    ) -> Generator[Effect, None, Tuple[str, str]]:
-        """Drive ``mig.commit`` to a definite outcome.
-
-        Returns ``("committed", _)``, ``("refused", why)`` — nothing
-        activated, abort is safe — or ``("lost", why)`` — the target
-        activated and then crashed.  Silence (timeouts, partitions) is
-        resolved by retrying until the activation marker, the target's
-        detected-crash epoch, or the lease expiry settles the question.
-        """
-        peer_epoch = self._peer_epoch(target)
-        attempt = 0
-        while True:
-            self._abandon_if_crashed(epoch, txn)
-            if self._peer_epoch(target) != peer_epoch:
-                if self._activation_happened(pcb, target):
-                    return "lost", "target crashed after activating"
-                return "refused", "target crashed before activating"
-            if self._activation_happened(pcb, target):
-                return "committed", "activated"
-            if self.sim.now > txn.expires:
-                # The lease is gone: the target has reaped (or will
-                # refuse) — the commit can no longer take effect.
-                return "refused", "lease expired before commit landed"
-            try:
-                reply = yield from self.host.rpc.call(
-                    target, "mig.commit",
-                    {"pid": pcb.pid, "ticket": txn.ticket_id},
-                )
-            except (RpcTimeout, NetworkPartitionedError, RetryLaterError):
-                # In doubt: the request may have been delivered.  Loop —
-                # the ground-truth checks above settle it.
-                attempt += 1
-                yield Sleep(self.host.rpc.retry_backoff(min(attempt, 6)))
-                continue
-            if reply.get("activated"):
-                return "committed", "activated"
-            if reply.get("unknown") and self._activation_happened(pcb, target):
-                # Our earlier in-doubt attempt activated and the lease
-                # has since been closed/reaped; the commit stands.
-                return "committed", "activated"
-            return "refused", reply.get("why", "commit refused")
-
-    def _update_home(
-        self, pcb: Pcb, target: int, txn: MigrationTxn, epoch: int
-    ) -> Generator[Effect, None, None]:
-        """Point a third-party home's shadow at the target (must land:
-        retried until the home answers or is declared crashed)."""
-        home = pcb.home
-        home_epoch = self._peer_epoch(home)
-        attempt = 0
-        while True:
-            self._abandon_if_crashed(epoch, txn)
-            if self._peer_epoch(home) != home_epoch:
-                return  # home crashed: no shadow survives to update
-            try:
-                yield from self.host.rpc.call(
-                    home,
-                    "mig.update_location",
-                    {"pid": pcb.pid, "current": target},
-                )
-                return
-            except (RpcTimeout, NetworkPartitionedError, RetryLaterError):
-                attempt += 1
-                yield Sleep(self.host.rpc.retry_backoff(min(attempt, 6)))
-
-    def _renew_lease(
-        self, txn: MigrationTxn, target: int, epoch: int
-    ) -> Generator[Effect, None, None]:
+    def _renew_lease(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
         """Best-effort lease renewal before the frozen transfer starts.
 
         Failure is tolerated: if the lease really is gone the install
@@ -963,53 +663,248 @@ class MigrationManager:
         for attempt in range(3):
             try:
                 reply = yield from self.host.rpc.call(
-                    target, "mig.renew",
+                    txn.target, "mig.renew",
                     {"pid": txn.pid, "ticket": txn.ticket_id},
                 )
             except RetryLaterError:
-                self._abandon_if_crashed(epoch, txn)
+                self._abandon_if_crashed(txn)
                 yield Sleep(self.host.rpc.retry_backoff(attempt))
                 continue
             except RpcError:
-                self._abandon_if_crashed(epoch, txn)
+                self._abandon_if_crashed(txn)
                 return
             break
         if reply is None:
             return  # still busy after the backoffs: proceed unrenewed
-        self._abandon_if_crashed(epoch, txn)
+        self._abandon_if_crashed(txn)
         if reply.get("renewed"):
             txn.expires = max(txn.expires, float(reply.get("expires", 0.0)))
 
-    def _close_lease(
-        self, txn: MigrationTxn, target: int, epoch: int
-    ) -> Generator[Effect, None, None]:
-        """Drop the target's lease record for a committed migration.
+    def _discard_address_space(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
+        """Exec replaces the old address space: drop it outright."""
+        vm = txn.pcb.vm
+        if vm.backing is not None and vm.backing.handle_id >= 0:
+            yield from vm.backing.remove()
+            vm.backing = None
+        vm.size = 0
+        vm.evict_resident()
+        self._abandon_if_crashed(txn)
 
-        Retried until it lands; the target's own expiry reaper is the
-        backstop if the source dies first."""
-        peer_epoch = self._peer_epoch(target)
-        attempt = 0
-        while True:
-            self._abandon_if_crashed(epoch, txn)
-            if self._peer_epoch(target) != peer_epoch:
-                return  # lease registry died with the target
-            if self.sim.now > txn.expires:
-                return  # the reaper already dropped it
+    def _ship(
+        self, txn: MigrationTxn, skip_vm: bool, extra_bytes: int
+    ) -> Generator[Effect, None, None]:
+        """``vm_sent`` .. ``shipped``: move the frozen process's memory,
+        kernel state and streams; the target installs them *inactive*."""
+        pcb, target, record = txn.pcb, txn.target, txn.record
+        params = self.params
+        started = self.sim.now
+        # -- virtual memory -------------------------------------------------
+        if not skip_vm:
             try:
-                yield from self.host.rpc.call(
-                    target, "mig.close",
-                    {"pid": txn.pid, "ticket": txn.ticket_id},
+                record.vm = yield from self.policy.during_freeze(self, pcb, target)
+            except (RpcError, FsError) as err:
+                yield from self._fail(
+                    txn,
+                    f"vm transfer failed: {err}",
+                    f"VM transfer to {target} failed for pid {pcb.pid}: {err}",
                 )
-                return
-            except (RpcTimeout, NetworkPartitionedError, RetryLaterError):
-                attempt += 1
-                yield Sleep(self.host.rpc.retry_backoff(min(attempt, 6)))
+            self._abandon_if_crashed(txn)
+            started = self._step(
+                txn, MIG_VM_TRANSFER, started,
+                bytes=record.vm.bytes_total, policy=record.policy,
+            )
+        self._journal_step(txn, "vm_sent")
+        # -- kernel state packaging (per-module encapsulation, §4.5) ---------
+        yield from self.host.cpu.consume(params.migration_state_cpu)
+        self._abandon_if_crashed(txn)
+        started = self._step(txn, MIG_STATE_PACK, started)
+        self._journal_step(txn, "state_packed")
+        # -- open streams ---------------------------------------------------
+        # Each export is preceded by an *intent* undo entry, so a crash
+        # or failure mid-loop can roll back exactly the exports that may
+        # have touched the server — including the one that failed.
+        def _export_intent(fd: int, stream: Any) -> UndoEntry:
+            return txn.push_undo("stream", fd=fd, stream=stream, state=None)
 
-    def _write_off(
-        self, pcb: Pcb, target: int, epoch: int
-    ) -> Generator[Effect, None, None]:
+        try:
+            stream_states = yield from export_streams(
+                self.host.fs, pcb, target, on_export=_export_intent
+            )
+        except (RpcError, FsError) as err:
+            yield from self._fail(
+                txn,
+                f"stream export failed: {err}",
+                f"stream export to {target} failed for pid {pcb.pid}: {err}",
+            )
+        self._abandon_if_crashed(txn)
+        record.streams_moved = len(stream_states)
+        record.stream_bytes = stream_bytes(params, len(stream_states))
+        record.state_bytes = state_bytes(params, extra_bytes)
+        self._journal_step(txn, "streams_exported", count=record.streams_moved)
+        started = self._step(txn, MIG_STREAMS, started,
+                             count=record.streams_moved)
+        # -- ship the state; the target installs it *inactive* ---------------
+        if pcb.task is not None and pcb.task.done:
+            yield from self._fail(
+                txn,
+                "process died during transfer",
+                f"pid {pcb.pid} died while its state was being packaged",
+            )
+        wire_bytes = record.state_bytes + record.stream_bytes
+        try:
+            reply = yield from self.host.rpc.call(
+                target, "mig.install",
+                install_payload(pcb, txn.ticket_id, stream_states),
+                size=wire_bytes,
+            )
+        except RpcError as err:
+            # The target died before the commit point: abort — pull the
+            # stream references back and leave the process running here.
+            yield from self._fail(
+                txn,
+                f"install failed: {err}",
+                f"target {target} failed during transfer of pid {pcb.pid}: "
+                f"{err}",
+            )
+        self._abandon_if_crashed(txn)
+        if not (reply or {}).get("installed"):
+            why = (reply or {}).get("why", "install refused")
+            yield from self._fail(
+                txn,
+                f"install refused: {why}",
+                f"target {target} refused to install pid {pcb.pid}: {why}",
+            )
+        txn.expires = max(txn.expires, float(reply.get("expires", 0.0)))
+        txn.advance(TxnState.SHIPPED)
+        self._journal_step(txn, "shipped")
+        self._step(txn, MIG_INSTALL, started, bytes=wire_bytes)
+
+    def _commit(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
+        """``commit_sent`` .. ``closed``: cross the commit point, then
+        run the post-commit duties."""
+        pcb, target, record = txn.pcb, txn.target, txn.record
+        if pcb.task is not None and pcb.task.done and pcb.current != target:
+            yield from self._fail(
+                txn,
+                "process died before commit",
+                f"pid {pcb.pid} died before the commit point",
+            )
+        record.commit_started = self.sim.now
+        self._journal_step(txn, "commit_sent")
+        outcome, why = yield from self._commit_rpc(txn)
+        if outcome == "refused":
+            yield from self._fail(
+                txn,
+                f"commit refused: {why}",
+                f"target {target} could not activate pid {pcb.pid}: {why}",
+            )
+        if outcome == "lost":
+            # The commit landed and then the target died (already
+            # detected): the process is gone — record its death.
+            txn.advance(TxnState.COMMITTED)
+            record.detail["lost_after_commit"] = True
+            self.journal.committed += 1
+            yield from self._write_off(txn)
+            txn.finish()
+            self._refuse(
+                record,
+                txn.root,
+                "target lost after commit",
+                f"target {target} crashed after pid {pcb.pid} committed",
+            )
+        # -- committed: the target's copy is the process ----------------------
+        self._journal_step(txn, "committed")
+        txn.advance(TxnState.COMMITTED)
+        self._step(txn, MIG_COMMIT_RPC, record.commit_started)
+        yield from self._post_commit(txn)
+        self.journal.committed += 1
+        pcb.migrations += 1
+        self._trace("migrated", pid=pcb.pid, target=target,
+                    reason=record.reason, streams=record.streams_moved)
+
+    def _activation_happened(self, txn: MigrationTxn) -> bool:
+        """Ground truth for an in-doubt commit.
+
+        Only ``mig.commit``'s activation block ever points a PCB at the
+        target, so this marker stands in for the state exchanged by
+        Sprite's host-recovery handshake when the reply was lost.
+        """
+        return txn.pcb.current == txn.target
+
+    def _commit_rpc(
+        self, txn: MigrationTxn
+    ) -> Generator[Effect, None, Tuple[str, str]]:
+        """Drive ``mig.commit`` to a definite outcome.
+
+        Returns ``("committed", _)``, ``("refused", why)`` — nothing
+        activated, abort is safe — or ``("lost", why)`` — the target
+        activated and then crashed.  Silence (timeouts, partitions) is
+        resolved by retrying until the activation marker, the target's
+        detected-crash epoch, or the lease expiry settles the question.
+        """
+        target = txn.target
+        peer_epoch = self._peer_epoch(target)
+        reply = yield from self._settle(
+            txn, target, "mig.commit",
+            {"pid": txn.pid, "ticket": txn.ticket_id},
+            stop=lambda: (
+                self._activation_happened(txn) or self.sim.now > txn.expires
+            ),
+        )
+        activated = self._activation_happened(txn)
+        if reply is None:
+            if self._peer_epoch(target) != peer_epoch:
+                if activated:
+                    return "lost", "target crashed after activating"
+                return "refused", "target crashed before activating"
+            if activated:
+                return "committed", "activated"
+            # The lease is gone: the target has reaped (or will refuse)
+            # — the commit can no longer take effect.
+            return "refused", "lease expired before commit landed"
+        if reply.get("activated") or (reply.get("unknown") and activated):
+            # ("unknown": an earlier in-doubt attempt activated and the
+            # lease has since been closed/reaped; the commit stands.)
+            return "committed", "activated"
+        return "refused", reply.get("why", "commit refused")
+
+    def _settle(
+        self,
+        txn: MigrationTxn,
+        peer: int,
+        service: str,
+        args: Dict[str, Any],
+        attempts: Optional[Iterable[int]] = None,
+        stop: Optional[Callable[[], bool]] = None,
+    ) -> Generator[Effect, None, Any]:
+        """Call ``service`` at ``peer`` until the question is settled.
+
+        Silence is in-doubt — the request may have been delivered — so
+        it is retried with backoff until the call lands (its reply is
+        returned), or one of the things that make it moot happens and
+        ``None`` is returned: the cluster detects that ``peer`` crashed
+        (its volatile state is gone), ``stop()`` turns true, or the
+        ``attempts`` (backoff exponents, one per try; unbounded when
+        omitted) run out.  Raises ``MigrationAbandoned`` if this host
+        crashes meanwhile.
+        """
+        peer_epoch = self._peer_epoch(peer)
+        for attempt in count(1) if attempts is None else attempts:
+            self._abandon_if_crashed(txn)
+            if self._peer_epoch(peer) != peer_epoch:
+                return None
+            if stop is not None and stop():
+                return None
+            try:
+                return (yield from self.host.rpc.call(peer, service, args))
+            except (RpcTimeout, NetworkPartitionedError, RetryLaterError):
+                yield Sleep(self.host.rpc.retry_backoff(attempt))
+        return None
+
+    def _write_off(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
         """The process committed to a target that then died: record the
         death so parents unblock instead of waiting forever."""
+        pcb, target = txn.pcb, txn.target
         status = pcb.exit_status or ExitStatus(
             pid=pcb.pid,
             code=128 + signals.SIGKILL,
@@ -1018,78 +913,130 @@ class MigrationManager:
         )
         pcb.exit_status = status
         if pcb.home == self.address:
-            self.kernel.procs.setdefault(pcb.pid, pcb)
-            if pcb.state not in (ProcState.ZOMBIE, ProcState.DEAD):
-                self.kernel._record_zombie(pcb, status)
+            self._show_zombie(pcb)
             return
         # Foreign process: drop our copy and tell the home (bounded
         # retries — the home's own crash detection is the backstop).
         self.kernel.procs.pop(pcb.pid, None)
-        home_epoch = self._peer_epoch(pcb.home)
-        for attempt in range(self.params.migration_rollback_retries + 1):
-            self._abandon_if_crashed(epoch)
-            if self._peer_epoch(pcb.home) != home_epoch:
-                return
-            try:
-                yield from self.host.rpc.call(
-                    pcb.home,
-                    "proc.exit_notify",
-                    {"pid": pcb.pid, "code": status.code,
-                     "cpu_time": status.cpu_time, "exit_host": target},
-                )
-                return
-            except (RpcTimeout, NetworkPartitionedError, RetryLaterError):
-                yield Sleep(self.host.rpc.retry_backoff(attempt))
+        yield from self._settle(
+            txn, pcb.home, "proc.exit_notify",
+            {"pid": pcb.pid, "code": status.code,
+             "cpu_time": status.cpu_time, "exit_host": target},
+            attempts=range(self.params.migration_rollback_retries + 1),
+        )
+
+    def _show_zombie(self, pcb: Pcb) -> None:
+        """A home process that exited remotely: make sure the zombie is
+        visible here to waiting parents."""
+        self.kernel.procs.setdefault(pcb.pid, pcb)
+        if pcb.state not in (ProcState.ZOMBIE, ProcState.DEAD):
+            self.kernel._record_zombie(pcb, pcb.exit_status)
+
+    # ------------------------------------------------------------------
+    # Post-commit duties (forward path and journal recovery alike)
+    # ------------------------------------------------------------------
+    def _post_commit(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
+        """``detached`` -> ``home_updated`` -> ``closed``, then finish.
+
+        Every duty is idempotent, so reboot-time recovery calls this
+        too: what the journal already records at the home and the target
+        is skipped, while the detach — state in the source's own,
+        volatile process table — is redone.
+        """
+        self._detach(txn)
+        self._journal_step(txn, "detached")
+        if not txn.did("home_updated"):
+            yield from self._update_home(txn)
+            self._journal_step(txn, "home_updated")
+        if not txn.did("closed"):
+            yield from self._close_lease(txn)
+            self._journal_step(txn, "closed")
+        txn.finish()
+
+    def _detach(self, txn: MigrationTxn) -> None:
+        """``detached``: the source's copy gives way to the target's —
+        a shadow at the home, nothing anywhere else."""
+        pcb = txn.pcb
+        if not txn.recovering:
+            self.kernel.detach_pcb(pcb, txn.target)
+        elif pcb.home == self.address:
+            # The crash wiped the process table: rebuild what a home
+            # must hold (a foreign process left nothing to rebuild).
+            if pcb.exit_status is not None:
+                self._show_zombie(pcb)
+            elif pcb.pid not in self.kernel.procs:
+                self.kernel.detach_pcb(pcb, txn.target)
+
+    def _update_home(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
+        """``home_updated``: point a third-party home's shadow at the
+        target.  Must land: retried until the home answers or is
+        declared crashed (then no shadow survives to update)."""
+        home = txn.pcb.home
+        if home in (self.address, txn.target):
+            return  # the home is one end of the transfer: it knows
+        started = self.sim.now
+        yield from self._settle(
+            txn, home, "mig.update_location",
+            {"pid": txn.pid, "current": txn.target},
+        )
+        self._step(txn, MIG_UPDATE_HOME, started, home=home)
+
+    def _close_lease(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
+        """``closed``: drop the target's lease record.  Retried until it
+        lands, the lease registry dies with the target, or the lease
+        runs out — the target's own reaper is the backstop."""
+        yield from self._settle(
+            txn, txn.target, "mig.close",
+            {"pid": txn.pid, "ticket": txn.ticket_id},
+            stop=lambda: self.sim.now > txn.expires,
+        )
 
     # ------------------------------------------------------------------
     # Abort / undo-log replay
     # ------------------------------------------------------------------
-    def _abort_txn(
-        self, pcb: Pcb, target: int, txn: MigrationTxn, epoch: int
-    ) -> Generator[Effect, None, None]:
+    def _abort(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
         """Abort: replay the undo log (with retry/backoff); if retries
         exhaust, hand the remainder to a background repair task so the
-        frozen process is never held hostage to a dead peer."""
-        self._abandon_if_crashed(epoch, txn)
+        frozen process is never held hostage to a dead peer.
+
+        Recovery aborts the same way, except that the source's copy —
+        the authoritative one — died with the crash, so reclaimed
+        stream references are closed out rather than restored
+        (:meth:`_undo_one`)."""
+        if not txn.recovering:
+            self._abandon_if_crashed(txn)
         if txn.state is not TxnState.ABORTED:
             txn.advance(TxnState.ABORTED)
             self.journal.aborted += 1
-        ok = yield from self._replay_undo(txn, target, epoch, close_refs=False)
+        ok = True
+        for entry in txn.pending_undo():
+            done = yield from self._try_undo(entry, txn)
+            if not done:
+                ok = False
+        if txn.recovering:
+            self.journal.recovered += 1
+            self._trace("txn-recovered", txn=txn.txn_id, outcome="aborted")
         if ok:
             txn.finish()
             return
         txn.rollback_pending = True
         self.rollback_incomplete += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, f"mig:{self.host.name}",
-                "rollback-incomplete", txn=txn.txn_id,
-            )
+        if not txn.recovering:
+            self._trace("rollback-incomplete", txn=txn.txn_id)
         spawn(
             self.sim,
-            self._repair(txn, target, epoch, close_refs=False),
+            self._repair(txn),
             name=f"mig-repair:{txn.txn_id}",
             daemon=True,
         )
 
-    def _replay_undo(
-        self, txn: MigrationTxn, target: int, epoch: int, close_refs: bool
-    ) -> Generator[Effect, None, bool]:
-        ok = True
-        for entry in txn.pending_undo():
-            done = yield from self._try_undo(entry, txn, target, close_refs, epoch)
-            if not done:
-                ok = False
-        return ok
-
     def _try_undo(
-        self, entry, txn: MigrationTxn, target: int, close_refs: bool,
-        epoch: int,
+        self, entry: UndoEntry, txn: MigrationTxn
     ) -> Generator[Effect, None, bool]:
         for attempt in range(max(1, self.params.migration_rollback_retries)):
-            self._abandon_if_crashed(epoch, txn)
+            self._abandon_if_crashed(txn)
             try:
-                yield from self._undo_one(entry, txn, target, close_refs)
+                yield from self._undo_one(entry, txn)
                 return True
             except RetryLaterError:
                 # The peer is alive but overloaded: every undo (ticket
@@ -1108,7 +1055,7 @@ class MigrationManager:
         return False
 
     def _undo_one(
-        self, entry, txn: MigrationTxn, target: int, close_refs: bool = False
+        self, entry: UndoEntry, txn: MigrationTxn
     ) -> Generator[Effect, None, None]:
         """Apply one compensating action (idempotent via ``entry.undone``)."""
         if entry.undone:
@@ -1134,17 +1081,17 @@ class MigrationManager:
                         "refcount_decremented": False,
                     },
                 }
-            yield from self.host.fs.undo_export(stream, state, target)
-            if close_refs and not stream.closed:
-                # Recovery path: the process died with the crash, so the
-                # reclaimed reference must also be closed out.
+            yield from self.host.fs.undo_export(stream, state, txn.target)
+            if txn.recovering and not stream.closed:
+                # The process died with the crash, so the reclaimed
+                # reference must also be closed out.
                 stream.refcount = 1
                 yield from self.host.fs.close(stream)
             entry.undone = True
             return
         if entry.kind == "ticket":
             yield from self.host.rpc.call(
-                target,
+                txn.target,
                 "mig.release",
                 {"pid": txn.pid,
                  "ticket": entry.detail.get("ticket", txn.ticket_id)},
@@ -1152,24 +1099,18 @@ class MigrationManager:
             entry.undone = True
             return
 
-    def _repair(
-        self, txn: MigrationTxn, target: int, epoch: int, close_refs: bool
-    ) -> Generator[Effect, None, None]:
+    def _repair(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
         """Background retry loop for an abort whose inline rollback
         exhausted its retries (e.g. the FS server was down too)."""
         attempt = 0
         while True:
-            if self._crash_epoch != epoch or not self.host.node.up:
+            if self._crashed_since(txn.epoch):
                 return  # reboot recovery owns the journal now
             pending = txn.pending_undo()
             if not pending:
                 txn.rollback_pending = False
                 txn.finish()
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.sim.now, f"mig:{self.host.name}",
-                        "rollback-repaired", txn=txn.txn_id,
-                    )
+                self._trace("rollback-repaired", txn=txn.txn_id)
                 return
             progressed = False
             for entry in pending:
@@ -1179,13 +1120,13 @@ class MigrationManager:
                     progressed = True
                     continue
                 try:
-                    yield from self._undo_one(entry, txn, target, close_refs)
+                    yield from self._undo_one(entry, txn)
                     progressed = True
                 except (RpcError, FsError):
                     continue
             if not progressed:
                 attempt += 1
-                yield Sleep(self.host.rpc.retry_backoff(min(attempt, 6)))
+                yield Sleep(self.host.rpc.retry_backoff(attempt))
 
     # ------------------------------------------------------------------
     # Reboot-time journal recovery
@@ -1197,407 +1138,51 @@ class MigrationManager:
         yield from self.host.cpu.consume(
             self.params.kernel_call_cpu * max(1, len(txns))
         )
-        for txn in txns:
-            if self._crash_epoch != epoch or not self.host.node.up:
+        for stale in txns:
+            if self._crashed_since(epoch):
                 return
+            txn = self.journal.reopen(stale, epoch)
             try:
-                yield from self._recover_txn(txn, epoch)
+                yield from self._recover_txn(txn)
             except MigrationAbandoned:
                 return
             except (RpcError, FsError) as err:  # pragma: no cover - safety net
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.sim.now, f"mig:{self.host.name}",
-                        "recovery-failed", txn=txn.txn_id, why=str(err),
-                    )
+                self._trace("recovery-failed", txn=txn.txn_id, why=str(err))
 
-    def _recover_txn(
-        self, txn: MigrationTxn, epoch: int
-    ) -> Generator[Effect, None, None]:
-        pcb: Optional[Pcb] = txn.pcb
-        target = txn.target
+    def _recover_txn(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
+        """Finish what the journal says was started: a transaction whose
+        commit activated resumes the post-commit duties where the
+        journal stops; any other is aborted."""
         if txn.state is TxnState.COMMITTED and txn.did("closed"):
             txn.finish()
             return
         activated = txn.did("committed")
         if not activated and txn.did("commit_sent"):
-            activated = yield from self._resolve_at_target(txn, epoch)
-        if activated:
-            # Re-drive the post-commit duties the crash interrupted.
-            txn.advance(TxnState.COMMITTED)
-            txn.step("committed", recovered=True)
-            self._abandon_if_crashed(epoch, txn)
-            if pcb is not None:
-                if pcb.home == self.address:
-                    if pcb.exit_status is not None:
-                        # The process already exited remotely; make sure
-                        # the zombie is visible to waiting parents.
-                        self.kernel.procs.setdefault(pcb.pid, pcb)
-                        if pcb.state not in (ProcState.ZOMBIE, ProcState.DEAD):
-                            self.kernel._record_zombie(pcb, pcb.exit_status)
-                    elif pcb.pid not in self.kernel.procs:
-                        self.kernel.detach_pcb(pcb, target)
-                txn.step("detached", recovered=True)
-                if (
-                    pcb.home not in (self.address, target)
-                    and not txn.did("home_updated")
-                ):
-                    yield from self._update_home(pcb, target, txn, epoch)
-            txn.step("home_updated", recovered=True)
-            if not txn.did("closed"):
-                yield from self._close_lease(txn, target, epoch)
-            txn.step("closed", recovered=True)
-            self.journal.recovered += 1
-            txn.finish()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    self.sim.now, f"mig:{self.host.name}",
-                    "txn-recovered", txn=txn.txn_id, outcome="committed",
-                )
+            activated = yield from self._resolve_at_target(txn)
+        if not activated:
+            yield from self._abort(txn)
             return
-        yield from self._recover_aborted(txn, epoch)
-
-    def _resolve_at_target(
-        self, txn: MigrationTxn, epoch: int
-    ) -> Generator[Effect, None, bool]:
-        """Ask the target whether an in-doubt commit activated."""
-        peer_epoch = self._peer_epoch(txn.target)
-        for attempt in range(max(1, self.params.migration_rollback_retries)):
-            self._abandon_if_crashed(epoch, txn)
-            if self._peer_epoch(txn.target) != peer_epoch:
-                break
-            try:
-                reply = yield from self.host.rpc.call(
-                    txn.target, "mig.resolve",
-                    {"pid": txn.pid, "ticket": txn.ticket_id},
-                )
-            except (RpcTimeout, NetworkPartitionedError, RetryLaterError):
-                yield Sleep(self.host.rpc.retry_backoff(attempt))
-                continue
-            if reply.get("known"):
-                return bool(reply.get("activated"))
-            break  # lease gone at the target: fall back to the marker
-        pcb = txn.pcb
-        return pcb is not None and self._activation_happened(pcb, txn.target)
-
-    def _recover_aborted(
-        self, txn: MigrationTxn, epoch: int
-    ) -> Generator[Effect, None, None]:
-        """The commit never took effect: the source's (dead) copy was
-        authoritative, so replay the undo log — and since the process
-        died with the crash, reclaimed stream references are closed out
-        rather than restored."""
-        if txn.state is not TxnState.ABORTED:
-            txn.advance(TxnState.ABORTED)
-            self.journal.aborted += 1
-        ok = yield from self._replay_undo(txn, txn.target, epoch, close_refs=True)
+        txn.advance(TxnState.COMMITTED)
+        self._journal_step(txn, "committed")
+        yield from self._post_commit(txn)
         self.journal.recovered += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, f"mig:{self.host.name}",
-                "txn-recovered", txn=txn.txn_id, outcome="aborted",
-            )
-        if ok:
-            txn.finish()
-            return
-        txn.rollback_pending = True
-        self.rollback_incomplete += 1
-        spawn(
-            self.sim,
-            self._repair(txn, txn.target, epoch, close_refs=True),
-            name=f"mig-repair:{txn.txn_id}",
-            daemon=True,
+        self._trace("txn-recovered", txn=txn.txn_id, outcome="committed")
+
+    def _resolve_at_target(self, txn: MigrationTxn) -> Generator[Effect, None, bool]:
+        """Ask the target whether an in-doubt commit activated; if its
+        lease is gone (or it never answers), fall back to the marker."""
+        reply = yield from self._settle(
+            txn, txn.target, "mig.resolve",
+            {"pid": txn.pid, "ticket": txn.ticket_id},
+            attempts=range(max(1, self.params.migration_rollback_retries)),
         )
-
-    def _step(
-        self, root: Span, name: str, started: float, **attrs: Any
-    ) -> float:
-        """Record one transfer sub-step span ending now; returns now."""
-        now = self.sim.now
-        # span-guard: caller (only invoked under ``if root is not None``)
-        self.spans.record(name, root.source, started, now, parent=root,
-                          **attrs)
-        return now
-
-    def _finish_record(
-        self, record: MigrationRecord, root: Optional[Span] = None
-    ) -> None:
-        self.records.append(record)
-        if self.obs is not None:
-            self.obs.on_migration(record)
-        if root is not None:
-            root.finish(record.ended, streams=record.streams_moved)
+        if reply is not None and reply.get("known"):
+            return bool(reply.get("activated"))
+        return self._activation_happened(txn)
 
     # ------------------------------------------------------------------
-    # Target-side services
+    # Home-side and residual-dependency services
     # ------------------------------------------------------------------
-    def _rpc_negotiate(self, args: Dict[str, Any]) -> Generator[Effect, None, Dict[str, Any]]:
-        epoch = self._crash_epoch
-        yield from self.host.cpu.consume(self.params.kernel_call_cpu)
-        if epoch != self._crash_epoch or not self.host.node.up:
-            return {"accept": False, "why": "target crashed during negotiation"}
-        if args["version"] != self.params.migration_version:
-            return {
-                "accept": False,
-                "why": (
-                    f"migration version mismatch: theirs {args['version']}, "
-                    f"ours {self.params.migration_version}"
-                ),
-            }
-        # A host always accepts its own processes back (eviction must
-        # never fail); foreign work passes admission control first.
-        if args["home"] != self.address:
-            cap = self.params.migration_max_incoming
-            if cap > 0 and len(self._tickets) >= cap:
-                # Overloaded, not dead: the error crosses the wire and
-                # tells the source to back off — an unbounded burst of
-                # offers degrades to local execution instead of piling
-                # leases onto a saturated target.
-                self.refused_incoming_busy += 1
-                raise RetryLaterError(
-                    f"host {self.host.name} at incoming-migration cap "
-                    f"({cap} lease(s) outstanding)"
-                )
-            if self.accept_hook is not None and not self.accept_hook(args):
-                return {"accept": False, "why": "host not accepting foreign work"}
-        self._ticket_seq += 1
-        lease = TicketLease(
-            pid=args["pid"],
-            ticket_id=self._ticket_seq,
-            expires=self.sim.now + self.params.migration_ticket_ttl,
-            reserved_bytes=int(args.get("vm_bytes", 0)),
-        )
-        key = (lease.pid, lease.ticket_id)
-        self._tickets[key] = lease
-        self.reserved_bytes += lease.reserved_bytes
-        spawn(
-            self.sim,
-            self._reaper(key, lease),
-            name=f"mig-reaper:{self.host.name}:{lease.ticket_id}",
-            daemon=True,
-        )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, f"mig:{self.host.name}", "ticket-issued",
-                pid=lease.pid, ticket=lease.ticket_id,
-                reserved=lease.reserved_bytes,
-            )
-        return {
-            "accept": True,
-            "version": self.params.migration_version,
-            "ticket": lease.ticket_id,
-            "expires": lease.expires,
-        }
-
-    def _reaper(self, key: Tuple[int, int], lease: TicketLease) -> Generator[Effect, None, None]:
-        """Reap the lease (and any inactive copy under it) at expiry."""
-        while True:
-            now = self.sim.now
-            if now >= lease.expires:
-                break
-            yield Sleep(lease.expires - now)
-        if self._tickets.get(key) is not lease:
-            return  # closed/released/re-issued meanwhile (or we crashed)
-        self._reap(key, lease, "expired")
-
-    def _reap(self, key: Tuple[int, int], lease: TicketLease, why: str) -> None:
-        self._tickets.pop(key, None)
-        self._free_reservation(lease)
-        if lease.install is not None:
-            # The source still owns the stream references (its abort or
-            # recovery pulls them back); only local records go.
-            discard_imports(self.host.fs, lease.install.streams)
-            lease.install = None
-        lease.status = "reaped"
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, f"mig:{self.host.name}", "ticket-reaped",
-                pid=lease.pid, ticket=lease.ticket_id, why=why,
-            )
-
-    def _free_reservation(self, lease: TicketLease) -> None:
-        self.reserved_bytes = max(0, self.reserved_bytes - lease.reserved_bytes)
-        lease.reserved_bytes = 0
-
-    @property
-    def pending_arrivals(self) -> int:
-        """Accepted migrations still in flight (stale entries pruned)."""
-        horizon = self.sim.now - self.pending_accept_ttl
-        self._pending_accepts = [t for t in self._pending_accepts if t > horizon]
-        return len(self._pending_accepts)
-
-    def note_incoming(self) -> None:
-        """Record an acceptance (called by acceptance policies)."""
-        self._pending_accepts.append(self.sim.now)
-
-    def _rpc_install(self, payload: Dict[str, Any]) -> Generator[Effect, None, Dict[str, Any]]:
-        """Install the shipped state *inactive* under its lease.
-
-        The travelling PCB is deliberately not touched and nothing
-        enters the process table: until ``mig.commit`` the source's
-        copy is the process, and an abort has nothing here to undo
-        beyond dropping the :class:`PendingInstall`.
-        """
-        epoch = self._crash_epoch
-        pcb: Pcb = payload["pcb"]
-        key = (payload.get("pid", pcb.pid), payload.get("ticket", 0))
-        if self._pending_accepts:
-            self._pending_accepts.pop(0)
-        lease = self._tickets.get(key)
-        if lease is None:
-            return {"installed": False, "why": "unknown or expired ticket"}
-        if lease.status == "installed":
-            # Idempotent: a retried install is acknowledged, not redone.
-            return {"installed": True, "duplicate": True,
-                    "expires": lease.expires}
-        if lease.status != "issued":
-            return {"installed": False, "why": f"ticket is {lease.status}"}
-        if self.sim.now >= lease.expires:
-            return {"installed": False, "why": "ticket expired"}
-        lease.status = "installing"
-        yield from self.host.cpu.consume(self.params.migration_state_cpu)
-        pending = PendingInstall(
-            pid=pcb.pid,
-            ticket_id=lease.ticket_id,
-            pcb=pcb,
-            expires=lease.expires,
-            reserved_bytes=lease.reserved_bytes,
-            cpu_time=payload.get("cpu_time", 0.0),
-        )
-        imported, failure = yield from import_streams(
-            self.host.fs, payload["streams"]
-        )
-        pending.streams.update(imported)
-        # Re-validate after the yields: the host may have crashed (and
-        # even rebooted) or the reaper may have fired mid-install; a
-        # zombie service task must not resurrect state either way.
-        if (
-            epoch != self._crash_epoch
-            or not self.host.node.up
-            or self._tickets.get(key) is not lease
-        ):
-            discard_imports(self.host.fs, pending.streams)
-            return {"installed": False, "why": "lease lost during install"}
-        if failure is not None:
-            discard_imports(self.host.fs, pending.streams)
-            lease.status = "issued"
-            return {"installed": False, "why": f"stream import failed: {failure}"}
-        # Each protocol message renews the lease (the reaper re-checks).
-        lease.expires = max(
-            lease.expires, self.sim.now + self.params.migration_ticket_ttl
-        )
-        pending.expires = lease.expires
-        lease.install = pending
-        lease.status = "installed"
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, f"mig:{self.host.name}", "installed",
-                pid=pcb.pid, ticket=lease.ticket_id,
-            )
-        return {"installed": True, "expires": lease.expires}
-
-    def _rpc_commit(self, args: Dict[str, Any]) -> Generator[Effect, None, Dict[str, Any]]:
-        """The commit point, target side: activate the inactive copy.
-
-        Everything from ``install_pcb`` to the reply is yield-free, so
-        activation is atomic with respect to crashes and other tasks —
-        there is never an instant with two runnable copies.
-        """
-        epoch = self._crash_epoch
-        key = (args["pid"], args["ticket"])
-        yield from self.host.cpu.consume(self.params.kernel_call_cpu)
-        if epoch != self._crash_epoch or not self.host.node.up:
-            return {"activated": False, "why": "target crashed during commit"}
-        lease = self._tickets.get(key)
-        if lease is None:
-            return {"activated": False, "unknown": True,
-                    "why": "unknown or expired ticket"}
-        if lease.status == "activated":
-            return {"activated": True, "duplicate": True}
-        if lease.status != "installed" or lease.install is None:
-            return {"activated": False,
-                    "why": f"ticket is {lease.status}: nothing installed"}
-        if self.sim.now >= lease.expires:
-            self._reap(key, lease, "expired-at-commit")
-            return {"activated": False, "why": "ticket expired"}
-        pending = lease.install
-        pcb = pending.pcb
-        if pcb.task is not None and pcb.task.done:
-            self._reap(key, lease, "process-died")
-            return {"activated": False, "why": "process died before commit"}
-        # --- activation: atomic (no yields until the return) ---
-        self.kernel.install_pcb(pcb)
-        pcb.streams = dict(pending.streams)
-        if pcb.vm.backing is not None:
-            pcb.vm.backing = pcb.vm.backing.handoff(self.host.fs)
-        self._free_reservation(lease)
-        lease.install = None
-        lease.status = "activated"
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, f"mig:{self.host.name}", "activated",
-                pid=pcb.pid, ticket=lease.ticket_id,
-            )
-        return {"activated": True}
-
-    def _rpc_release(self, args: Dict[str, Any]) -> Generator[Effect, None, Dict[str, Any]]:
-        """Source-side abort is releasing its lease (undo-log replay)."""
-        epoch = self._crash_epoch
-        key = (args["pid"], args["ticket"])
-        yield from self.host.cpu.consume(self.params.kernel_call_cpu)
-        if epoch != self._crash_epoch or not self.host.node.up:
-            return {"released": False, "why": "target crashed"}
-        lease = self._tickets.get(key)
-        if lease is None:
-            return {"released": True, "already": True}
-        if lease.status == "activated":
-            return {"released": False, "why": "already activated"}
-        self._tickets.pop(key, None)
-        self._free_reservation(lease)
-        if lease.install is not None:
-            discard_imports(self.host.fs, lease.install.streams)
-            lease.install = None
-        lease.status = "released"
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, f"mig:{self.host.name}", "ticket-released",
-                pid=lease.pid, ticket=lease.ticket_id,
-            )
-        return {"released": True}
-
-    def _rpc_renew(self, args: Dict[str, Any]) -> Generator[Effect, None, Dict[str, Any]]:
-        """Extend a live lease (the source is about to freeze/ship)."""
-        epoch = self._crash_epoch
-        key = (args["pid"], args["ticket"])
-        yield from self.host.cpu.consume(self.params.kernel_call_cpu)
-        if epoch != self._crash_epoch or not self.host.node.up:
-            return {"renewed": False, "why": "target crashed"}
-        lease = self._tickets.get(key)
-        if lease is None or lease.status not in ("issued", "installing", "installed"):
-            return {"renewed": False, "why": "lease not renewable"}
-        lease.expires = max(
-            lease.expires, self.sim.now + self.params.migration_ticket_ttl
-        )
-        return {"renewed": True, "expires": lease.expires}
-
-    def _rpc_resolve(self, args: Dict[str, Any]) -> Generator[Effect, None, Dict[str, Any]]:
-        """Recovery probe: did an in-doubt commit activate?  Read-only."""
-        yield from self.host.cpu.consume(self.params.kernel_call_cpu)
-        lease = self._tickets.get((args["pid"], args["ticket"]))
-        if lease is None:
-            return {"known": False, "activated": False}
-        return {"known": True, "activated": lease.status == "activated"}
-
-    def _rpc_close(self, args: Dict[str, Any]) -> Generator[Effect, None, Dict[str, Any]]:
-        """Committed migration complete: drop the lease record."""
-        key = (args["pid"], args["ticket"])
-        yield from self.host.cpu.consume(self.params.kernel_call_cpu)
-        lease = self._tickets.pop(key, None)
-        if lease is not None:
-            self._free_reservation(lease)
-            lease.status = "closed"
-        return {"closed": lease is not None}
-
     def _rpc_update_location(self, args: Dict[str, Any]) -> Generator[Effect, None, None]:
         yield from self.host.cpu.consume(self.params.kernel_call_cpu)
         shadow = self.kernel.procs.get(args["pid"])

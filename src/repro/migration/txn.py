@@ -33,6 +33,7 @@ step boundary of the protocol.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -131,6 +132,18 @@ class MigrationTxn:
     #: task owns the remaining undo entries.
     rollback_pending: bool = False
     journal: Optional["MigrationJournal"] = None
+    # -- volatile state of the task driving the transaction ------------
+    #: The source's crash epoch when the driving task took ownership; a
+    #: task whose epoch no longer matches must stop touching the txn.
+    epoch: int = 0
+    #: Telemetry for the migration (``MigrationRecord``) and its
+    #: ``mig.migrate`` root span (``None`` whenever spans are disabled).
+    record: Any = None
+    root: Any = None
+    #: Reboot-time recovery is driving: the source's process table and
+    #: the process itself died with the crash, and every step journaled
+    #: from here on is marked ``recovered``.
+    recovering: bool = False
 
     # ------------------------------------------------------------------
     def advance(self, state: TxnState) -> None:
@@ -240,6 +253,18 @@ class MigrationJournal:
 
     def forget(self, txn: MigrationTxn) -> None:
         self.txns.pop(txn.txn_id, None)
+
+    def reopen(self, txn: MigrationTxn, epoch: int) -> MigrationTxn:
+        """Recovery's handle on a transaction a crash left open.
+
+        A fresh object over the same journaled steps and undo log: a
+        pre-crash driving task may still hold the old one, and its stale
+        ``epoch`` is what makes that task abandon instead of mistaking
+        itself for the owner once the host is back up.
+        """
+        txn = dataclasses.replace(txn, epoch=epoch, root=None, recovering=True)
+        self.txns[txn.txn_id] = txn
+        return txn
 
     def open_txns(self) -> List[MigrationTxn]:
         """Transactions with work left to do or undo (recovery targets)."""

@@ -369,7 +369,12 @@ class RpcPort:
         callers that lost the same host do not retry in lockstep.
         """
         params = self.params
-        delay = min(params.rpc_backoff_base * (2.0 ** attempt), params.rpc_backoff_cap)
+        # 2.0 ** 1024 overflows; every unbounded retry loop gets here
+        # eventually, and the cap has long since taken over by then.
+        delay = min(
+            params.rpc_backoff_base * (2.0 ** min(attempt, 1023)),
+            params.rpc_backoff_cap,
+        )
         jitter = params.rpc_backoff_jitter
         if jitter > 0.0:
             rng = self._backoff_rng

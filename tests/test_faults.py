@@ -538,9 +538,19 @@ def test_target_backpressures_foreign_work_but_never_eviction():
     cluster = SpriteCluster(workstations=3, start_daemons=False)
     cluster.params.migration_max_incoming = 1
     cluster.params.rpc_retries = 1
-    a, b = cluster.hosts[0], cluster.hosts[1]
+    a, b, c = cluster.hosts
     target = cluster.managers[b.address]
     home_mgr = cluster.managers[a.address]
+
+    def saturate(host):
+        """Take the one lease ``host`` allows, for a process of c's."""
+        answer = yield from c.rpc.call(host.address, "mig.negotiate", {
+            "version": cluster.params.migration_version, "pid": 999999,
+            "name": "filler", "uid": 0, "home": c.address,
+            "reason": "test", "vm_bytes": 0,
+        })
+        assert answer["accept"]
+        return {"pid": 999999, "ticket": answer["ticket"]}
 
     def job(proc):
         yield from proc.compute(30.0)
@@ -553,25 +563,25 @@ def test_target_backpressures_foreign_work_but_never_eviction():
 
         yield Sleep(0.5)
         # Saturate the target's lease table: foreign work is refused.
-        target._tickets[(999999, 1)] = object()
+        filler = yield from saturate(b)
         refused = False
         try:
             yield from home_mgr.migrate(pcb, b.address)
         except MigrationRefused:
             refused = True
         assert refused
-        assert target.refused_incoming_busy >= 1
+        assert target.leases.refused_incoming_busy >= 1
         assert home_mgr.records[-1].detail["refusal"] == (
             "target busy (retry later)"
         )
         # Cap released: the same migration now lands.
-        del target._tickets[(999999, 1)]
+        yield from c.rpc.call(b.address, "mig.release", filler)
         yield from home_mgr.migrate(pcb, b.address)
         # Eviction exemption: send it home while the *home* manager is
         # saturated — home processes bypass the incoming cap.
-        home_mgr._tickets[(999998, 1)] = object()
+        filler = yield from saturate(a)
         yield from target.migrate(pcb, a.address)
-        del home_mgr._tickets[(999998, 1)]
+        yield from c.rpc.call(a.address, "mig.release", filler)
         return pcb.current
 
     drv = spawn(cluster.sim, driver(), name="driver")

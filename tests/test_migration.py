@@ -640,18 +640,18 @@ def test_aborted_transfer_ticket_expires_and_reclaims_reservation():
     assert outcomes == ["MigrationAbandoned"]
     assert MigrationAbandoned is not None
     # The inactive copy is leased and its memory reserved...
-    (lease,) = dst_manager._tickets.values()
+    (lease,) = dst_manager.leases.held()
     assert lease.status == "installed"
     assert lease.install is not None
-    assert dst_manager.reserved_bytes == 1 << 20
+    assert dst_manager.leases.reserved_bytes == 1 << 20
     expires = lease.expires
     ticket_id = lease.ticket_id
 
     # ...until the TTL passes: reaped, reservation reclaimed, and the
     # copy never activated (no second runnable copy ever existed).
     cluster.run(until=expires + 1.0)
-    assert dst_manager._tickets == {}
-    assert dst_manager.reserved_bytes == 0
+    assert dst_manager.leases.held() == []
+    assert dst_manager.leases.reserved_bytes == 0
     assert pcb.pid not in b.kernel.procs
 
     # A late duplicate install (e.g. a retransmit that slept through the
@@ -670,8 +670,8 @@ def test_aborted_transfer_ticket_expires_and_reclaims_reservation():
     cluster.run(until=cluster.sim.now + 5.0)
     assert replies and not replies[0]["installed"]
     assert "unknown or expired" in replies[0]["why"]
-    assert dst_manager._tickets == {}
-    assert dst_manager.reserved_bytes == 0
+    assert dst_manager.leases.held() == []
+    assert dst_manager.leases.reserved_bytes == 0
 
 
 def test_rollback_retry_exhaustion_hands_off_to_repair():
