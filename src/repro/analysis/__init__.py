@@ -19,8 +19,6 @@ AST, so a violating PR fails CI even when no test covers the new code:
   the call graph) stay inside the unified error hierarchies.
 * :mod:`.rules_state` — no module-level mutable state (process-wide
   counters/caches); per-cluster state lives in ``sim.state``.
-* :mod:`.rules_packaging` — migration and checkpointing stay on the
-  shared process-packaging helpers (no divergent copies).
 * :mod:`.rules_coroutine` — coroutine calls are driven (`yield from`/
   spawn), never discarded or truth-tested.
 * :mod:`.rules_taint` — wall-clock/entropy taint cannot reach sim code
@@ -55,7 +53,6 @@ from . import rules_coroutine  # noqa: F401
 from . import rules_determinism  # noqa: F401
 from . import rules_exceptions  # noqa: F401
 from . import rules_observability  # noqa: F401
-from . import rules_packaging  # noqa: F401
 from . import rules_rpc  # noqa: F401
 from . import rules_snapshot  # noqa: F401
 from . import rules_state  # noqa: F401

@@ -3,9 +3,8 @@
 The tracing layer's contract (PR 2) is zero cost when disabled: every
 ``tracer.emit`` / ``spans.start`` / ``spans.record`` call site must be
 dominated by a cheap enabled-check so a disabled run never builds event
-payloads.  This is the AST replacement for the old 5-line regex window
-in ``tools/check_trace_guards.py`` — a guard counts wherever it
-actually dominates the call, not just within 5 source lines of it.
+payloads.  A guard counts wherever it actually dominates the call, not
+just within a few source lines of it.
 
 A call is considered guarded when, inside its enclosing function:
 
@@ -207,7 +206,7 @@ class SpanCatalogueRule(Rule):
     own constants (``MIG_FREEZE``, ``RPC_CALL``, …).
 
     Wrapper functions that forward a ``name`` parameter (e.g. the
-    migration mechanism's ``_phase``/``_step`` helpers) are handled by
+    migration mechanism's ``_span`` helper) are handled by
     chasing same-module callers one level: the wrapper is clean when
     every caller passes a catalogued name.
     """

@@ -31,8 +31,8 @@ _TXN_MODULE = "migration/txn.py"
 
 #: call shapes that take a journal-step name: ``txn.step("frozen")``,
 #: ``txn.did("frozen")``, and the mechanism's write-ahead helper
-#: ``self._journal_step(txn, epoch, "frozen", ...)`` (step at index 2).
-_STEP_METHODS = {"step": 0, "did": 0, "_journal_step": 2}
+#: ``self._journal_step(txn, "frozen", ...)`` (step at index 1).
+_STEP_METHODS = {"step": 0, "did": 0, "_journal_step": 1}
 
 
 def _txn_steps(tree: Tree) -> Optional[Set[str]]:

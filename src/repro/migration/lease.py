@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 from ..kernel import Pcb, PendingInstall
 from ..net import RetryLaterError
 from ..sim import Effect, Sleep, spawn
-from .packaging import discard_imports, import_streams
+from .packaging import PACKAGE_EXCEPTIONS
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mechanism import MigrationManager
@@ -205,11 +205,16 @@ class LeaseService:
         self._tickets.pop(key, None)
         self._free_reservation(lease)
         if lease.install is not None:
-            discard_imports(self.host.fs, lease.install.streams)
+            self._discard(lease.install)
             lease.install = None
         lease.status = status
         self._trace(f"ticket-{status}", pid=lease.pid, ticket=lease.ticket_id,
                     **why)
+
+    def _discard(self, pending: PendingInstall) -> None:
+        """Drop the stream references an abandoned install imported."""
+        for fd in sorted(pending.streams):
+            self.host.fs.forget_stream(pending.streams[fd])
 
     def _free_reservation(self, lease: TicketLease) -> None:
         self.reserved_bytes = max(0, self.reserved_bytes - lease.reserved_bytes)
@@ -256,17 +261,20 @@ class LeaseService:
             reserved_bytes=lease.reserved_bytes,
             cpu_time=payload.get("cpu_time", 0.0),
         )
-        imported, failure = yield from import_streams(
-            self.host.fs, payload["streams"]
-        )
-        pending.streams.update(imported)
+        failure = None
+        for fd, state in payload["streams"]:
+            try:
+                pending.streams[fd] = yield from self.host.fs.import_stream(state)
+            except PACKAGE_EXCEPTIONS as err:
+                failure = err
+                break
         # Re-validate after the yields: the host may have crashed (and
         # even rebooted) or the reaper may have fired mid-install.
         if self._crashed_since(epoch) or self._tickets.get(key) is not lease:
-            discard_imports(self.host.fs, pending.streams)
+            self._discard(pending)
             return {"installed": False, "why": "lease lost during install"}
         if failure is not None:
-            discard_imports(self.host.fs, pending.streams)
+            self._discard(pending)
             lease.status = "issued"
             return {"installed": False, "why": f"stream import failed: {failure}"}
         pending.expires = self._renewed(lease)

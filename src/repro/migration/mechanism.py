@@ -44,37 +44,11 @@ migrates at exec whenever it can.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Generator, List, Optional, Union
 
-from ..config import ClusterParams
 from ..fs.errors import FsError
-from ..kernel import (
-    ExitStatus,
-    Host,
-    MigrationTicket,
-    Pcb,
-    ProcState,
-    SpriteKernel,
-    signals,
-)
-from ..net import (
-    NetworkPartitionedError,
-    Reply,
-    RetryLaterError,
-    RpcError,
-    RpcTimeout,
-)
+from ..kernel import ExitStatus, Host, MigrationTicket, Pcb, ProcState, signals
+from ..net import Reply, RetryLaterError, RpcError
 from ..obs.spans import (
     MIG_COMMIT,
     MIG_COMMIT_RPC,
@@ -84,17 +58,16 @@ from ..obs.spans import (
     MIG_NEGOTIATE,
     MIG_STATE_PACK,
     MIG_STREAMS,
-    MIG_UPDATE_HOME,
     MIG_VM_PRE,
     MIG_VM_TRANSFER,
     MIG_WAIT_SAFE_POINT,
     Span,
-    SpanTracer,
 )
-from ..sim import Effect, SimClock, SimEvent, Sleep, Tracer, first, spawn
+from ..sim import Effect, SimEvent, Sleep, first
 from .lease import LeaseService
-from .packaging import export_streams, install_payload, state_bytes, stream_bytes
-from .txn import MigrationJournal, MigrationTxn, TxnState, UndoEntry
+from .packaging import state_bytes, stream_bytes, stream_manifest
+from .recovery import MigrationAbandoned, MigrationRefused, TxnResolver
+from .txn import MigrationTxn, TxnState
 from .vm import FlushToServer, VmOutcome, VmPolicy, make_policy
 
 __all__ = [
@@ -103,16 +76,6 @@ __all__ = [
     "MigrationRefused",
     "MigrationAbandoned",
 ]
-
-
-class MigrationRefused(RpcError):
-    """The target kernel declined the migration (version/policy), or the
-    transaction aborted — either way the process did not move."""
-
-
-class MigrationAbandoned(MigrationRefused):
-    """The *source* crashed mid-transaction: the driving task must stop
-    touching the transaction — reboot-time journal recovery owns it."""
 
 
 @dataclass
@@ -160,10 +123,11 @@ class MigrationRecord:
 AcceptHook = Callable[[Dict[str, Any]], bool]
 
 
-class MigrationManager:
-    """Per-host migration engine: the source-side step driver, abort and
-    recovery, plus the home-side and residual-dependency services.  The
-    target-side services live in :attr:`leases`."""
+class MigrationManager(TxnResolver):
+    """Per-host migration engine: the source-side step driver (abort,
+    post-commit duties and recovery come from :class:`TxnResolver`) plus
+    the home-side and residual-dependency services.  The target-side
+    services live in :attr:`leases`."""
 
     def __init__(
         self,
@@ -172,8 +136,7 @@ class MigrationManager:
         policy: Union[str, VmPolicy, None] = None,
         accept_hook: Optional[AcceptHook] = None,
     ):
-        self.host = host
-        self.kernel: SpriteKernel = host.kernel
+        super().__init__(host)
         self.kernel.migration = self
         if policy is None:
             policy = FlushToServer()
@@ -182,34 +145,17 @@ class MigrationManager:
         self.policy: VmPolicy = policy
         self.accept_hook = accept_hook
         self.records: List[MigrationRecord] = []
-        #: Span tracer shared cluster-wide (one per Tracer); disabled by
-        #: default, so span sites cost one branch each.
-        self.spans: SpanTracer = SpanTracer.for_tracer(host.tracer)
         #: Metrics hook, set by ``ClusterObservability.install``; when
         #: ``None`` (the default) no metrics work happens at all.
         self.obs: Optional[Any] = None
-        #: Write-ahead journal (persistent: survives host.crash).
-        self.journal = MigrationJournal(
-            host.name, enabled=host.params.migration_txn_journal
-        )
-        self.journal.bind_clock(SimClock(host.sim))
         #: Overload backpressure: in-flight outgoing migrations (capped
         #: by ``params.migration_max_outgoing`` when > 0) and how often
         #: the cap refused one.
         self.outgoing_in_flight = 0
         self.refused_outgoing_cap = 0
-        #: Aborts whose undo log could not be fully replayed inline
-        #: (a background repair task owns the remainder).
-        self.rollback_incomplete = 0
         #: Evictions that failed (their refusal is swallowed so one bad
         #: victim cannot strand the others on a reclaimed host).
         self.eviction_failures = 0
-        #: Bumped by ``on_crash``: driving tasks notice mid-protocol
-        #: that their host died under them and abandon the transaction.
-        self.crash_epoch = 0
-        #: Per-peer crash epochs (bumped when the cluster *detects* a
-        #: peer's crash) — the escape hatch for retry-forever loops.
-        self._peer_epochs: Dict[int, int] = {}
         self._managers = managers
         managers[host.address] = self
         #: Target side: lease registry and the ``mig.*`` lease services.
@@ -220,29 +166,14 @@ class MigrationManager:
 
     # ------------------------------------------------------------------
     @property
-    def sim(self):
-        return self.host.sim
-
-    @property
     def lan(self):
         return self.host.lan
 
-    @property
-    def params(self) -> ClusterParams:
-        return self.host.params
-
-    @property
-    def address(self) -> int:
-        return self.host.address
-
-    @property
-    def tracer(self) -> Tracer:
-        return self.host.tracer
-
-    def _trace(self, kind: str, **fields: Any) -> None:
-        tracer = self.host.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, f"mig:{self.host.name}", kind, **fields)
+    def on_crash(self) -> None:
+        """Volatile migration state dies with the host: every driving
+        task's claim on its transaction, and the lease registry."""
+        super().on_crash()
+        self.leases.on_crash()
 
     def remote_page_install(self, target: int, nbytes: int) -> Generator[Effect, None, None]:
         """Charge the target's CPU for receiving/installing pages.
@@ -254,58 +185,6 @@ class MigrationManager:
         yield from peer.host.cpu.consume(
             self.params.page_handling_cpu * self.params.pages(nbytes)
         )
-
-    # ------------------------------------------------------------------
-    # Crash / reboot lifecycle (wired from SpriteKernel)
-    # ------------------------------------------------------------------
-    def on_crash(self) -> None:
-        """Volatile migration state dies with the host: the lease
-        registry and every driving task's claim on its transaction.
-        The journal (modeled as written through the file system)
-        survives."""
-        self.crash_epoch += 1
-        self.leases.on_crash()
-
-    def on_reboot(self) -> None:
-        """Replay the journal: resolve every transaction left open."""
-        if not self.journal.enabled:
-            return
-        txns = self.journal.open_txns()
-        if not txns:
-            return
-        spawn(
-            self.sim,
-            self._recover_journal(txns, self.crash_epoch),
-            name=f"mig-recovery:{self.host.name}",
-            daemon=True,
-        )
-
-    def peer_crashed(self, address: int) -> None:
-        """The cluster detected ``address`` crashed (kernel callback)."""
-        self._peer_epochs[address] = self._peer_epochs.get(address, 0) + 1
-
-    def _peer_epoch(self, address: int) -> int:
-        return self._peer_epochs.get(address, 0)
-
-    def _crashed_since(self, epoch: int) -> bool:
-        return self.crash_epoch != epoch or not self.host.node.up
-
-    def _abandon_if_crashed(self, txn: MigrationTxn) -> None:
-        """Raise if this host crashed since the driving task took
-        ownership of ``txn`` — it must not touch the txn again."""
-        if self._crashed_since(txn.epoch):
-            raise MigrationAbandoned(
-                f"host {self.host.name} crashed mid-migration "
-                f"(txn {txn.txn_id})"
-            )
-
-    def _journal_step(self, txn: MigrationTxn, name: str, **detail: Any) -> None:
-        """Journal a step, then notice if the crash-matrix hook (which
-        fires synchronously inside ``journal.log``) crashed this host."""
-        if txn.recovering:
-            detail["recovered"] = True
-        txn.step(name, **detail)
-        self._abandon_if_crashed(txn)
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -417,7 +296,7 @@ class MigrationManager:
             self.outgoing_in_flight += 1
         try:
             yield from self._negotiate(txn)
-            self._phase(txn, MIG_NEGOTIATE, record.started, self.sim.now)
+            self._span(txn, MIG_NEGOTIATE, record.started)
             if park:
                 ticket = yield from self._park(txn)
             else:
@@ -488,32 +367,25 @@ class MigrationManager:
             reason=record.reason,
         )
 
-    def _phase(
-        self, txn: MigrationTxn, name: str, start: float, end: float,
-        **attrs: Any,
-    ) -> None:
-        """Record one lifecycle phase as a child of the root span.
+    def _span(
+        self, txn: MigrationTxn, name: str, start: float,
+        end: Optional[float] = None, **attrs: Any,
+    ) -> float:
+        """Record one lifecycle phase or transfer sub-step as a child of
+        the root span; ``end`` defaults to now and is returned.
 
-        Phases are emitted with explicit boundaries so consecutive
-        phases are contiguous: their durations sum exactly to the
-        root's extent (``MigrationRecord.total_time``).
+        Spans are emitted with explicit boundaries, each starting where
+        the previous one ended, so consecutive phases are contiguous:
+        their durations sum exactly to the root's extent
+        (``MigrationRecord.total_time``).
         """
+        if end is None:
+            end = self.sim.now
         root = txn.root
         if root is not None:
             self.spans.record(name, root.source, start, end, parent=root,
                               **attrs)
-
-    def _step(
-        self, txn: MigrationTxn, name: str, started: float, **attrs: Any
-    ) -> float:
-        """Record one transfer sub-step span ending now; returns now
-        (where the next sub-step starts)."""
-        now = self.sim.now
-        root = txn.root
-        if root is not None:
-            self.spans.record(name, root.source, started, now, parent=root,
-                              **attrs)
-        return now
+        return end
 
     def _emit_freeze_phases(self, txn: MigrationTxn) -> None:
         """Split the frozen interval at the commit point.
@@ -526,13 +398,13 @@ class MigrationManager:
         """
         record = txn.record
         if record.commit_started:
-            self._phase(txn, MIG_FREEZE, record.freeze_started,
-                        record.commit_started)
-            self._phase(txn, MIG_COMMIT, record.commit_started,
-                        record.freeze_ended)
+            self._span(txn, MIG_FREEZE, record.freeze_started,
+                       record.commit_started)
+            self._span(txn, MIG_COMMIT, record.commit_started,
+                       record.freeze_ended)
         else:
-            self._phase(txn, MIG_FREEZE, record.freeze_started,
-                        record.freeze_ended)
+            self._span(txn, MIG_FREEZE, record.freeze_started,
+                       record.freeze_ended)
 
     # ------------------------------------------------------------------
     # Failure exits
@@ -628,9 +500,8 @@ class MigrationManager:
             )
         self._abandon_if_crashed(txn)
         record.detail["pre_freeze_bytes"] = pre_bytes
-        precopied_at = self.sim.now
-        self._phase(txn, MIG_VM_PRE, negotiated_at, precopied_at,
-                    bytes=pre_bytes)
+        precopied_at = self._span(txn, MIG_VM_PRE, negotiated_at,
+                                  bytes=pre_bytes)
         pcb.migration_ticket = ticket
         if pcb.task is not None and pcb.interruptible:
             pcb.task.interrupt(("migrate", target))
@@ -644,9 +515,8 @@ class MigrationManager:
                 "process exited before freeze",
                 f"pid {pcb.pid} exited before it could be migrated",
             )
-        record.freeze_started = self.sim.now
-        self._phase(txn, MIG_WAIT_SAFE_POINT, precopied_at,
-                    record.freeze_started)
+        record.freeze_started = self._span(txn, MIG_WAIT_SAFE_POINT,
+                                           precopied_at)
         # A long pre-copy may have burned most of the lease: renew it
         # now that the frozen transfer is about to start.
         yield from self._renew_lease(txn)
@@ -709,7 +579,7 @@ class MigrationManager:
                     f"VM transfer to {target} failed for pid {pcb.pid}: {err}",
                 )
             self._abandon_if_crashed(txn)
-            started = self._step(
+            started = self._span(
                 txn, MIG_VM_TRANSFER, started,
                 bytes=record.vm.bytes_total, policy=record.policy,
             )
@@ -717,19 +587,20 @@ class MigrationManager:
         # -- kernel state packaging (per-module encapsulation, §4.5) ---------
         yield from self.host.cpu.consume(params.migration_state_cpu)
         self._abandon_if_crashed(txn)
-        started = self._step(txn, MIG_STATE_PACK, started)
+        started = self._span(txn, MIG_STATE_PACK, started)
         self._journal_step(txn, "state_packed")
         # -- open streams ---------------------------------------------------
         # Each export is preceded by an *intent* undo entry, so a crash
         # or failure mid-loop can roll back exactly the exports that may
         # have touched the server — including the one that failed.
-        def _export_intent(fd: int, stream: Any) -> UndoEntry:
-            return txn.push_undo("stream", fd=fd, stream=stream, state=None)
-
+        stream_states = []
         try:
-            stream_states = yield from export_streams(
-                self.host.fs, pcb, target, on_export=_export_intent
-            )
+            for fd, stream in stream_manifest(pcb):
+                intent = txn.push_undo("stream", fd=fd, stream=stream,
+                                       state=None)
+                state = yield from self.host.fs.export_stream(stream, target)
+                intent.detail["state"] = state
+                stream_states.append((fd, state))
         except (RpcError, FsError) as err:
             yield from self._fail(
                 txn,
@@ -741,7 +612,7 @@ class MigrationManager:
         record.stream_bytes = stream_bytes(params, len(stream_states))
         record.state_bytes = state_bytes(params, extra_bytes)
         self._journal_step(txn, "streams_exported", count=record.streams_moved)
-        started = self._step(txn, MIG_STREAMS, started,
+        started = self._span(txn, MIG_STREAMS, started,
                              count=record.streams_moved)
         # -- ship the state; the target installs it *inactive* ---------------
         if pcb.task is not None and pcb.task.done:
@@ -754,7 +625,8 @@ class MigrationManager:
         try:
             reply = yield from self.host.rpc.call(
                 target, "mig.install",
-                install_payload(pcb, txn.ticket_id, stream_states),
+                {"pcb": pcb, "pid": pcb.pid, "ticket": txn.ticket_id,
+                 "streams": stream_states, "cpu_time": pcb.cpu_time},
                 size=wire_bytes,
             )
         except RpcError as err:
@@ -777,7 +649,7 @@ class MigrationManager:
         txn.expires = max(txn.expires, float(reply.get("expires", 0.0)))
         txn.advance(TxnState.SHIPPED)
         self._journal_step(txn, "shipped")
-        self._step(txn, MIG_INSTALL, started, bytes=wire_bytes)
+        self._span(txn, MIG_INSTALL, started, bytes=wire_bytes)
 
     def _commit(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
         """``commit_sent`` .. ``closed``: cross the commit point, then
@@ -815,25 +687,16 @@ class MigrationManager:
         # -- committed: the target's copy is the process ----------------------
         self._journal_step(txn, "committed")
         txn.advance(TxnState.COMMITTED)
-        self._step(txn, MIG_COMMIT_RPC, record.commit_started)
+        self._span(txn, MIG_COMMIT_RPC, record.commit_started)
         yield from self._post_commit(txn)
         self.journal.committed += 1
         pcb.migrations += 1
         self._trace("migrated", pid=pcb.pid, target=target,
                     reason=record.reason, streams=record.streams_moved)
 
-    def _activation_happened(self, txn: MigrationTxn) -> bool:
-        """Ground truth for an in-doubt commit.
-
-        Only ``mig.commit``'s activation block ever points a PCB at the
-        target, so this marker stands in for the state exchanged by
-        Sprite's host-recovery handshake when the reply was lost.
-        """
-        return txn.pcb.current == txn.target
-
     def _commit_rpc(
         self, txn: MigrationTxn
-    ) -> Generator[Effect, None, Tuple[str, str]]:
+    ) -> Generator[Effect, None, Any]:
         """Drive ``mig.commit`` to a definite outcome.
 
         Returns ``("committed", _)``, ``("refused", why)`` — nothing
@@ -868,39 +731,6 @@ class MigrationManager:
             return "committed", "activated"
         return "refused", reply.get("why", "commit refused")
 
-    def _settle(
-        self,
-        txn: MigrationTxn,
-        peer: int,
-        service: str,
-        args: Dict[str, Any],
-        attempts: Optional[Iterable[int]] = None,
-        stop: Optional[Callable[[], bool]] = None,
-    ) -> Generator[Effect, None, Any]:
-        """Call ``service`` at ``peer`` until the question is settled.
-
-        Silence is in-doubt — the request may have been delivered — so
-        it is retried with backoff until the call lands (its reply is
-        returned), or one of the things that make it moot happens and
-        ``None`` is returned: the cluster detects that ``peer`` crashed
-        (its volatile state is gone), ``stop()`` turns true, or the
-        ``attempts`` (backoff exponents, one per try; unbounded when
-        omitted) run out.  Raises ``MigrationAbandoned`` if this host
-        crashes meanwhile.
-        """
-        peer_epoch = self._peer_epoch(peer)
-        for attempt in count(1) if attempts is None else attempts:
-            self._abandon_if_crashed(txn)
-            if self._peer_epoch(peer) != peer_epoch:
-                return None
-            if stop is not None and stop():
-                return None
-            try:
-                return (yield from self.host.rpc.call(peer, service, args))
-            except (RpcTimeout, NetworkPartitionedError, RetryLaterError):
-                yield Sleep(self.host.rpc.retry_backoff(attempt))
-        return None
-
     def _write_off(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
         """The process committed to a target that then died: record the
         death so parents unblock instead of waiting forever."""
@@ -924,261 +754,6 @@ class MigrationManager:
              "cpu_time": status.cpu_time, "exit_host": target},
             attempts=range(self.params.migration_rollback_retries + 1),
         )
-
-    def _show_zombie(self, pcb: Pcb) -> None:
-        """A home process that exited remotely: make sure the zombie is
-        visible here to waiting parents."""
-        self.kernel.procs.setdefault(pcb.pid, pcb)
-        if pcb.state not in (ProcState.ZOMBIE, ProcState.DEAD):
-            self.kernel._record_zombie(pcb, pcb.exit_status)
-
-    # ------------------------------------------------------------------
-    # Post-commit duties (forward path and journal recovery alike)
-    # ------------------------------------------------------------------
-    def _post_commit(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
-        """``detached`` -> ``home_updated`` -> ``closed``, then finish.
-
-        Every duty is idempotent, so reboot-time recovery calls this
-        too: what the journal already records at the home and the target
-        is skipped, while the detach — state in the source's own,
-        volatile process table — is redone.
-        """
-        self._detach(txn)
-        self._journal_step(txn, "detached")
-        if not txn.did("home_updated"):
-            yield from self._update_home(txn)
-            self._journal_step(txn, "home_updated")
-        if not txn.did("closed"):
-            yield from self._close_lease(txn)
-            self._journal_step(txn, "closed")
-        txn.finish()
-
-    def _detach(self, txn: MigrationTxn) -> None:
-        """``detached``: the source's copy gives way to the target's —
-        a shadow at the home, nothing anywhere else."""
-        pcb = txn.pcb
-        if not txn.recovering:
-            self.kernel.detach_pcb(pcb, txn.target)
-        elif pcb.home == self.address:
-            # The crash wiped the process table: rebuild what a home
-            # must hold (a foreign process left nothing to rebuild).
-            if pcb.exit_status is not None:
-                self._show_zombie(pcb)
-            elif pcb.pid not in self.kernel.procs:
-                self.kernel.detach_pcb(pcb, txn.target)
-
-    def _update_home(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
-        """``home_updated``: point a third-party home's shadow at the
-        target.  Must land: retried until the home answers or is
-        declared crashed (then no shadow survives to update)."""
-        home = txn.pcb.home
-        if home in (self.address, txn.target):
-            return  # the home is one end of the transfer: it knows
-        started = self.sim.now
-        yield from self._settle(
-            txn, home, "mig.update_location",
-            {"pid": txn.pid, "current": txn.target},
-        )
-        self._step(txn, MIG_UPDATE_HOME, started, home=home)
-
-    def _close_lease(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
-        """``closed``: drop the target's lease record.  Retried until it
-        lands, the lease registry dies with the target, or the lease
-        runs out — the target's own reaper is the backstop."""
-        yield from self._settle(
-            txn, txn.target, "mig.close",
-            {"pid": txn.pid, "ticket": txn.ticket_id},
-            stop=lambda: self.sim.now > txn.expires,
-        )
-
-    # ------------------------------------------------------------------
-    # Abort / undo-log replay
-    # ------------------------------------------------------------------
-    def _abort(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
-        """Abort: replay the undo log (with retry/backoff); if retries
-        exhaust, hand the remainder to a background repair task so the
-        frozen process is never held hostage to a dead peer.
-
-        Recovery aborts the same way, except that the source's copy —
-        the authoritative one — died with the crash, so reclaimed
-        stream references are closed out rather than restored
-        (:meth:`_undo_one`)."""
-        if not txn.recovering:
-            self._abandon_if_crashed(txn)
-        if txn.state is not TxnState.ABORTED:
-            txn.advance(TxnState.ABORTED)
-            self.journal.aborted += 1
-        ok = True
-        for entry in txn.pending_undo():
-            done = yield from self._try_undo(entry, txn)
-            if not done:
-                ok = False
-        if txn.recovering:
-            self.journal.recovered += 1
-            self._trace("txn-recovered", txn=txn.txn_id, outcome="aborted")
-        if ok:
-            txn.finish()
-            return
-        txn.rollback_pending = True
-        self.rollback_incomplete += 1
-        if not txn.recovering:
-            self._trace("rollback-incomplete", txn=txn.txn_id)
-        spawn(
-            self.sim,
-            self._repair(txn),
-            name=f"mig-repair:{txn.txn_id}",
-            daemon=True,
-        )
-
-    def _try_undo(
-        self, entry: UndoEntry, txn: MigrationTxn
-    ) -> Generator[Effect, None, bool]:
-        for attempt in range(max(1, self.params.migration_rollback_retries)):
-            self._abandon_if_crashed(txn)
-            try:
-                yield from self._undo_one(entry, txn)
-                return True
-            except RetryLaterError:
-                # The peer is alive but overloaded: every undo (ticket
-                # release included) will land once it drains, so back
-                # off and retry — never downgrade to "left to expire".
-                yield Sleep(self.host.rpc.retry_backoff(attempt))
-                continue
-            except (RpcError, FsError):
-                if entry.kind == "ticket":
-                    # The lease self-destructs at expiry; stop hammering
-                    # a dead or partitioned target.
-                    entry.undone = True
-                    entry.detail["released"] = "left to expire"
-                    return True
-                yield Sleep(self.host.rpc.retry_backoff(attempt))
-        return False
-
-    def _undo_one(
-        self, entry: UndoEntry, txn: MigrationTxn
-    ) -> Generator[Effect, None, None]:
-        """Apply one compensating action (idempotent via ``entry.undone``)."""
-        if entry.undone:
-            return
-        if entry.kind == "stream":
-            stream = entry.detail["stream"]
-            state = entry.detail.get("state")
-            if state is None:
-                # The export never returned — but its server-side move
-                # may have landed (lost reply).  Compensate blind: the
-                # reverse move is safe either way (the server clamps a
-                # decrement of a reference it never saw).
-                if stream.is_pipe:
-                    kind = "pipe"
-                elif stream.is_pdev:
-                    kind = "pdev"
-                else:
-                    kind = "file"
-                state = {
-                    "undo": {
-                        "kind": kind,
-                        "addref_sent": False,
-                        "refcount_decremented": False,
-                    },
-                }
-            yield from self.host.fs.undo_export(stream, state, txn.target)
-            if txn.recovering and not stream.closed:
-                # The process died with the crash, so the reclaimed
-                # reference must also be closed out.
-                stream.refcount = 1
-                yield from self.host.fs.close(stream)
-            entry.undone = True
-            return
-        if entry.kind == "ticket":
-            yield from self.host.rpc.call(
-                txn.target,
-                "mig.release",
-                {"pid": txn.pid,
-                 "ticket": entry.detail.get("ticket", txn.ticket_id)},
-            )
-            entry.undone = True
-            return
-
-    def _repair(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
-        """Background retry loop for an abort whose inline rollback
-        exhausted its retries (e.g. the FS server was down too)."""
-        attempt = 0
-        while True:
-            if self._crashed_since(txn.epoch):
-                return  # reboot recovery owns the journal now
-            pending = txn.pending_undo()
-            if not pending:
-                txn.rollback_pending = False
-                txn.finish()
-                self._trace("rollback-repaired", txn=txn.txn_id)
-                return
-            progressed = False
-            for entry in pending:
-                if entry.kind == "ticket" and self.sim.now > txn.expires:
-                    entry.undone = True
-                    entry.detail["released"] = "expired"
-                    progressed = True
-                    continue
-                try:
-                    yield from self._undo_one(entry, txn)
-                    progressed = True
-                except (RpcError, FsError):
-                    continue
-            if not progressed:
-                attempt += 1
-                yield Sleep(self.host.rpc.retry_backoff(attempt))
-
-    # ------------------------------------------------------------------
-    # Reboot-time journal recovery
-    # ------------------------------------------------------------------
-    def _recover_journal(
-        self, txns: List[MigrationTxn], epoch: int
-    ) -> Generator[Effect, None, None]:
-        """Resolve every transaction the crash left open."""
-        yield from self.host.cpu.consume(
-            self.params.kernel_call_cpu * max(1, len(txns))
-        )
-        for stale in txns:
-            if self._crashed_since(epoch):
-                return
-            txn = self.journal.reopen(stale, epoch)
-            try:
-                yield from self._recover_txn(txn)
-            except MigrationAbandoned:
-                return
-            except (RpcError, FsError) as err:  # pragma: no cover - safety net
-                self._trace("recovery-failed", txn=txn.txn_id, why=str(err))
-
-    def _recover_txn(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
-        """Finish what the journal says was started: a transaction whose
-        commit activated resumes the post-commit duties where the
-        journal stops; any other is aborted."""
-        if txn.state is TxnState.COMMITTED and txn.did("closed"):
-            txn.finish()
-            return
-        activated = txn.did("committed")
-        if not activated and txn.did("commit_sent"):
-            activated = yield from self._resolve_at_target(txn)
-        if not activated:
-            yield from self._abort(txn)
-            return
-        txn.advance(TxnState.COMMITTED)
-        self._journal_step(txn, "committed")
-        yield from self._post_commit(txn)
-        self.journal.recovered += 1
-        self._trace("txn-recovered", txn=txn.txn_id, outcome="committed")
-
-    def _resolve_at_target(self, txn: MigrationTxn) -> Generator[Effect, None, bool]:
-        """Ask the target whether an in-doubt commit activated; if its
-        lease is gone (or it never answers), fall back to the marker."""
-        reply = yield from self._settle(
-            txn, txn.target, "mig.resolve",
-            {"pid": txn.pid, "ticket": txn.ticket_id},
-            attempts=range(max(1, self.params.migration_rollback_retries)),
-        )
-        if reply is not None and reply.get("known"):
-            return bool(reply.get("activated"))
-        return self._activation_happened(txn)
 
     # ------------------------------------------------------------------
     # Home-side and residual-dependency services

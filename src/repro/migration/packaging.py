@@ -2,43 +2,24 @@
 
 Packaging a process for the wire and packaging it for a checkpoint
 image are the same discipline (thesis §4.5: per-module encapsulation of
-process state): walk the open streams in a deterministic order, ship
-machine-independent state plus per-stream references, and rebuild the
-process on the other side from a zero-argument spawn factory.  This
-module is the single home for that discipline — the migration
-transaction (:mod:`repro.migration.mechanism`) and the checkpoint
-subsystem (:mod:`repro.checkpoint`) both call it, and the
-``mig-shared-packaging`` lint rule keeps divergent private copies from
-creeping back in.
-
-Every generator here is driven inside a host task and charges costs via
-the caller's own FS/RPC calls; nothing in this module touches the
-simulator clock directly.
+process state): walk the open streams in a deterministic order, account
+for machine-independent state plus per-stream references, and rebuild
+the process on the other side from a zero-argument spawn factory.  The
+pieces of that discipline both the migration transaction
+(:mod:`repro.migration.mechanism`) and the checkpoint subsystem
+(:mod:`repro.checkpoint`) need live here, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, List, Tuple
 
 from ..fs.errors import FsError
 from ..net.errors import RpcError
-from ..sim import Effect
 
 __all__ = [
     "PACKAGE_EXCEPTIONS",
-    "discard_imports",
-    "export_streams",
-    "import_streams",
-    "install_payload",
     "spawn_factory",
     "state_bytes",
     "stream_bytes",
@@ -60,61 +41,6 @@ def stream_manifest(pcb: Any) -> List[Tuple[int, Any]]:
     return [(fd, pcb.streams[fd]) for fd in sorted(pcb.streams)]
 
 
-def export_streams(
-    fs: Any,
-    pcb: Any,
-    target: int,
-    on_export: Optional[Callable[[int, Any], Any]] = None,
-) -> Generator[Effect, Any, List[Tuple[int, Any]]]:
-    """Export every open stream of ``pcb`` to ``target``.
-
-    Returns the ``[(fd, state), ...]`` list in manifest order.  When
-    ``on_export`` is given it is called *before* each export with
-    ``(fd, stream)`` and must return an object with a ``detail`` dict
-    (the migration txn passes its intent undo entry); after a
-    successful export the state is recorded under ``detail["state"]``
-    so a mid-loop failure can roll back exactly the exports that may
-    have touched the server.  Per-stream failures propagate — the
-    caller owns abort handling.
-    """
-    stream_states: List[Tuple[int, Any]] = []
-    for fd, stream in stream_manifest(pcb):
-        entry = on_export(fd, stream) if on_export is not None else None
-        state = yield from fs.export_stream(stream, target)
-        if entry is not None:
-            entry.detail["state"] = state
-        stream_states.append((fd, state))
-    return stream_states
-
-
-def import_streams(
-    fs: Any, stream_states: List[Tuple[int, Any]]
-) -> Generator[Effect, Any, Tuple[Dict[int, Any], Optional[BaseException]]]:
-    """Import exported stream states, one fd at a time.
-
-    Returns ``(streams, failure)``: the successfully imported
-    ``fd -> stream`` map plus the first :data:`PACKAGE_EXCEPTIONS`
-    error (or ``None``).  On failure the loop stops — the caller
-    decides whether to :func:`discard_imports` the partial map.
-    """
-    streams: Dict[int, Any] = {}
-    failure: Optional[BaseException] = None
-    for fd, state in stream_states:
-        try:
-            stream = yield from fs.import_stream(state)
-        except PACKAGE_EXCEPTIONS as err:
-            failure = err
-            break
-        streams[fd] = stream
-    return streams, failure
-
-
-def discard_imports(fs: Any, streams: Dict[int, Any]) -> None:
-    """Drop imported stream references after a failed/abandoned install."""
-    for fd in sorted(streams):
-        fs.forget_stream(streams[fd])
-
-
 def state_bytes(params: Any, extra_bytes: int = 0) -> int:
     """Bytes of machine-independent process state in a package."""
     return params.migration_state_bytes + extra_bytes
@@ -123,20 +49,6 @@ def state_bytes(params: Any, extra_bytes: int = 0) -> int:
 def stream_bytes(params: Any, count: int) -> int:
     """Bytes of per-stream reference state for ``count`` streams."""
     return count * params.stream_transfer_bytes
-
-
-def install_payload(
-    pcb: Any, ticket_id: int, stream_states: List[Tuple[int, Any]]
-) -> Dict[str, Any]:
-    """The canonical ship-the-process payload (``mig.install`` wire
-    format); checkpoint images persist the same shape."""
-    return {
-        "pcb": pcb,
-        "pid": pcb.pid,
-        "ticket": ticket_id,
-        "streams": stream_states,
-        "cpu_time": pcb.cpu_time,
-    }
 
 
 def _bound_program(program: Any, args: Tuple[Any, ...], proc: Any) -> Any:

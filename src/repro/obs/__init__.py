@@ -19,7 +19,7 @@ Layered on :mod:`repro.sim.trace`'s flat record stream:
 
 Everything is opt-in and zero-cost when off: instrumentation sites are
 guarded by ``enabled`` flags or ``is not None`` hooks, statically
-checked by ``tools/check_trace_guards.py``.  See
+checked by the ``obs-unguarded-emit`` lint rule.  See
 ``docs/observability.md`` for the span taxonomy and metric names.
 """
 

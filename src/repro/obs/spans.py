@@ -11,8 +11,8 @@ span data rides the same stream tests and exporters already consume.
 Cost model (the PR-1 invariant): spans are **disabled by default** and
 every instrumentation site in the library is guarded by
 ``if spans.enabled:`` — a disabled run pays one attribute load and one
-branch per site, nothing else.  ``tools/check_trace_guards.py`` enforces
-the guard statically.  Enabling the tracer alone does *not* enable
+branch per site, nothing else.  The ``obs-unguarded-emit`` lint rule
+(``python -m repro lint``) enforces the guard statically.  Enabling the tracer alone does *not* enable
 spans (so PR 1's golden fixed-seed trace is unchanged); span emission
 is switched on explicitly, normally via
 :meth:`repro.obs.ClusterObservability.install` or the ``repro trace``

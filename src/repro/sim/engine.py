@@ -525,11 +525,6 @@ class Simulator:
         del self.failures[:]
         raise failure
 
-    # Back-compat alias; tasks.py historically called this.
-    def _check_failures(self) -> None:
-        if self.failures:
-            self._raise_failure()
-
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import pathlib
 import shutil
-import subprocess
-import sys
 import textwrap
 
 from repro.analysis import Baseline, run_lint
@@ -692,7 +690,7 @@ def test_txn_unknown_step_journal_helper(tmp_path):
             "migration/mechanism.py": """\
             class Mechanism:
                 def go(self, txn, epoch):
-                    self._journal_step(txn, epoch, "not-a-step")
+                    self._journal_step(txn, "not-a-step")
             """,
         },
         ["txn-unknown-step"],
@@ -1171,121 +1169,6 @@ def test_cli_lint_list_rules(capsys):
 
 
 # ----------------------------------------------------------------------
-# mig-shared-packaging
-# ----------------------------------------------------------------------
-_PACKAGING_STUB = """\
-def export_streams(pcb):
-    pass
-"""
-
-
-def test_packaging_divergent_loop_positive(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "migration/packaging.py": _PACKAGING_STUB,
-            "checkpoint/writer.py": """\
-            def snapshot(pcb, target):
-                for fd in sorted(pcb.streams):
-                    target.export_stream(pcb.streams[fd])
-            """,
-        },
-        ["mig-shared-packaging"],
-    )
-    assert rule_ids(findings) == ["mig-shared-packaging"]
-    assert "export_stream loop" in findings[0].message
-
-
-def test_packaging_handrolled_payload_positive(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "migration/packaging.py": _PACKAGING_STUB,
-            "migration/other.py": """\
-            def payload(pcb, ticket, streams):
-                return {"pcb": pcb, "ticket": ticket, "streams": streams}
-            """,
-        },
-        ["mig-shared-packaging"],
-    )
-    assert rule_ids(findings) == ["mig-shared-packaging"]
-    assert "install payload" in findings[0].message
-
-
-def test_packaging_fork_by_dropped_import_positive(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "migration/packaging.py": _PACKAGING_STUB,
-            "migration/mechanism.py": """\
-            def migrate(pcb):
-                return pcb
-            """,
-        },
-        ["mig-shared-packaging"],
-    )
-    assert rule_ids(findings) == ["mig-shared-packaging"]
-    assert "forked" in findings[0].message
-
-
-def test_packaging_negative(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "migration/packaging.py": _PACKAGING_STUB,
-            "migration/mechanism.py": """\
-            from .packaging import export_streams
-
-            def migrate(pcb):
-                return export_streams(pcb)
-            """,
-            "checkpoint/image.py": """\
-            from ..migration import packaging
-
-            def image(pcb):
-                return packaging.export_streams(pcb)
-            """,
-        },
-        ["mig-shared-packaging"],
-    )
-    assert findings == []
-
-
-def test_packaging_inert_without_shared_module(tmp_path):
-    # Fixture trees that predate the shared module must stay clean.
-    findings = findings_of(
-        tmp_path,
-        {
-            "migration/mechanism.py": """\
-            def migrate(pcb, target):
-                for fd in sorted(pcb.streams):
-                    target.export_stream(pcb.streams[fd])
-            """,
-        },
-        ["mig-shared-packaging"],
-    )
-    assert findings == []
-
-
-def test_packaging_pragma(tmp_path):
-    root = make_tree(
-        tmp_path,
-        {
-            "migration/packaging.py": _PACKAGING_STUB,
-            "checkpoint/writer.py": """\
-            def snapshot(pcb, target):
-                for fd in sorted(pcb.streams):
-                    # lint: disable=mig-shared-packaging(fixture copy)
-                    target.export_stream(pcb.streams[fd])
-            """,
-        },
-    )
-    result = run_lint(root, rule_ids=["mig-shared-packaging"])
-    assert result.findings == []
-    assert result.suppressed == 1
-
-
-# ----------------------------------------------------------------------
 # live tree
 # ----------------------------------------------------------------------
 def test_live_tree_is_lint_clean(capsys):
@@ -1309,16 +1192,6 @@ def test_live_tree_injected_violation_fails(tmp_path, capsys):
     assert code == 1
     assert "kernel/kernel.py" in out
     assert "[determinism-wallclock]" in out
-
-
-def test_trace_guard_shim_cli():
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_trace_guards.py")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "trace guards ok" in proc.stdout
 
 
 # ----------------------------------------------------------------------

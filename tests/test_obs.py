@@ -473,14 +473,6 @@ def test_refusal_reasons_counts_and_defaults():
 # ----------------------------------------------------------------------
 # Tooling (satellites 3 and 6)
 # ----------------------------------------------------------------------
-def test_trace_guard_check_passes_on_tree():
-    result = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_trace_guards.py")],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-
-
 def test_chrome_trace_validator(tmp_path):
     spans = _sample_spans()
     good = tmp_path / "good.json"
