@@ -757,3 +757,151 @@ def test_ring_whose_freeze_request_races_a_core_grant(monkeypatch):
     ring.finish()
     assert ring.failures == []
     assert ring.counters["migration.completed"] == ring.ops
+
+
+# ----------------------------------------------------------------------
+# One driver: entry-point parity and forward/recovery parity
+# ----------------------------------------------------------------------
+def _run_entry_point(entry, accept=True):
+    """Move a process from host 0 to host 1 through one of the three
+    public entry points; returns (cluster, pcb, what the mover saw)."""
+    from repro.sim import spawn
+
+    cluster = make_cluster()
+    src, dst = cluster.hosts[0], cluster.hosts[1]
+    if not accept:
+        cluster.managers[dst.address].accept_hook = lambda args: False
+    seen = []
+
+    def after_exec(proc):
+        yield from proc.compute(1.0)
+        return 0
+
+    def job(proc):
+        yield from proc.compute(1.0)
+        try:
+            if entry == "migrate_self":
+                yield from proc.migrate(dst.address)
+            elif entry == "migrate_for_exec":
+                yield from proc.exec(after_exec, host=dst.address)
+        except MigrationRefused:
+            seen.append("refused")
+        yield from proc.compute(1.0)
+        return 0
+
+    pcb, _ = src.spawn_process(job, name="job")
+
+    def outside():
+        yield Sleep(0.5)
+        try:
+            yield from cluster.managers[src.address].migrate(pcb, dst.address)
+        except MigrationRefused:
+            seen.append("refused")
+
+    if entry == "migrate":
+        spawn(cluster.sim, outside(), name="driver")
+    cluster.run_until_complete(pcb.task)
+    return cluster, pcb, seen
+
+
+ENTRY_POINTS = ["migrate", "migrate_self", "migrate_for_exec"]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_journals_the_whole_ladder_once(entry):
+    from repro.migration import TXN_STEPS
+
+    cluster, pcb, seen = _run_entry_point(entry)
+    src, dst = cluster.hosts[0], cluster.hosts[1]
+    manager = cluster.managers[src.address]
+    assert seen == [] and pcb.current == dst.address
+    assert [e.step for e in manager.journal.entries] == list(TXN_STEPS)
+    assert manager.journal.open_txns() == []
+    (record,) = manager.records
+    assert not record.refused and record.reason == {
+        "migrate": "manual", "migrate_self": "self", "migrate_for_exec": "exec",
+    }[entry]
+    assert cluster.managers[dst.address].leases.held() == []
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refused_at_negotiate_leaves_nothing_open(entry):
+    cluster, pcb, seen = _run_entry_point(entry, accept=False)
+    src, dst = cluster.hosts[0], cluster.hosts[1]
+    manager = cluster.managers[src.address]
+    assert seen == ["refused"] and pcb.current == src.address
+    assert manager.journal.entries == []
+    assert manager.journal.open_txns() == []
+    (record,) = manager.records
+    assert record.refused
+    assert record.detail["refusal"] == "host not accepting foreign work"
+    assert cluster.managers[dst.address].leases.held() == []
+
+
+def _end_state_after_source_crash(crash_after):
+    """Migrate a process with a third-party home from ``a`` to ``b``;
+    crash ``a`` right after it journals ``crash_after`` (None: never),
+    reboot it, and report where everything ended up."""
+    from repro.migration import MigrationAbandoned
+    from repro.sim import spawn
+
+    cluster = make_cluster()
+    home, a, b = cluster.hosts
+    manager = cluster.managers[a.address]
+
+    def job(proc):
+        yield from proc.compute(60.0)
+        return 0
+
+    pcb, _ = home.spawn_process(job, name="job")
+
+    def crash_source(txn, step):
+        if step == crash_after:
+            manager.journal.on_step = None
+            a.crash()
+
+    def reboot():
+        yield Sleep(3.0)
+        a.reboot()
+
+    def driver():
+        yield Sleep(0.5)
+        yield from cluster.managers[home.address].migrate(pcb, a.address)
+        mark = len(manager.journal.entries)
+        manager.journal.on_step = crash_source
+        try:
+            yield from manager.migrate(pcb, b.address)
+            outcome = "migrated"
+        except MigrationAbandoned:
+            outcome = "abandoned"
+            spawn(cluster.sim, reboot(), name="reboot")
+        return outcome, mark
+
+    task = spawn(cluster.sim, driver(), name="driver")
+    cluster.run(until=30.0)
+    outcome, mark = task.result
+    shadow = home.kernel.procs[pcb.pid]
+    return outcome, {
+        "steps": [e.step for e in manager.journal.entries[mark:]],
+        "open": manager.journal.open_txns(),
+        "shadow": (shadow.state.name, shadow.current),
+        "runs_at": pcb.current,
+        "source_table": pcb.pid in a.kernel.procs,
+        "leases": cluster.managers[b.address].leases.held(),
+    }
+
+
+@pytest.mark.parametrize("crash_after", ["committed", "detached", "home_updated"])
+def test_recovery_resumes_the_forward_post_commit_duties(crash_after):
+    """Whichever post-commit duty the source dies before, reboot-time
+    recovery re-enters the same handlers at the first step the journal
+    lacks and ends exactly where the uncrashed run ends."""
+    from repro.migration import TXN_STEPS
+
+    forward_outcome, forward = _end_state_after_source_crash(None)
+    outcome, recovered = _end_state_after_source_crash(crash_after)
+    assert (forward_outcome, outcome) == ("migrated", "abandoned")
+    assert forward["steps"] == list(TXN_STEPS)
+    assert forward["shadow"] == ("MIGRATED", forward["runs_at"])
+    assert forward["open"] == [] and forward["leases"] == []
+    assert recovered == forward

@@ -510,3 +510,16 @@ def test_bounded_inbox_overflow_is_counted_backpressure():
     sim.run_until_idle()
     assert len(b.inbox) == 2
     assert lan.inbox_overflows == 3
+
+
+def test_retry_backoff_survives_unbounded_attempt_counts():
+    """A retry-forever loop hands ``retry_backoff`` ever larger attempt
+    numbers; ``2.0 ** attempt`` overflows a float at 1024, so the
+    exponent is clamped — the delay had reached the cap long before."""
+    sim = Simulator()
+    lan = make_lan(sim, rpc_backoff_jitter=0.0)
+    port = RpcPort(sim, lan, make_node(sim, lan, "a"), params=lan.params)
+    cap = lan.params.rpc_backoff_cap
+    assert port.retry_backoff(0) == lan.params.rpc_backoff_base
+    assert port.retry_backoff(5000) == cap
+    assert port.retry_backoff(1023) == port.retry_backoff(1024) == cap
