@@ -58,6 +58,7 @@ class LeaseService:
     def __init__(self, manager: "MigrationManager"):
         self.manager = manager
         self.host = manager.host
+        self._trace = manager._trace
         #: (pid, ticket_id) -> lease.
         self._tickets: Dict[Tuple[int, int], TicketLease] = {}
         self._ticket_seq = 0
@@ -104,11 +105,6 @@ class LeaseService:
         """Did this host crash since a service task captured ``epoch``?
         (A zombie service task must not resurrect state.)"""
         return epoch != self.manager.crash_epoch or not self.host.node.up
-
-    def _trace(self, kind: str, **fields: Any) -> None:
-        tracer = self.host.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, f"mig:{self.host.name}", kind, **fields)
 
     # ------------------------------------------------------------------
     # Flood prevention (read by acceptance policies)
@@ -197,11 +193,12 @@ class LeaseService:
     def _drop(
         self, key: Tuple[int, int], lease: TicketLease, status: str, **why: Any
     ) -> None:
-        """Forget a lease that will never activate (``status`` is
-        ``reaped`` or ``released``): free its reservation and discard
-        any inactive copy held under it.  The source still owns the
-        stream references (its abort or recovery pulls them back); only
-        local records go."""
+        """Forget a lease that will never activate — ``status`` is
+        ``reaped`` or ``released``, traced as ``ticket-reaped`` /
+        ``ticket-released``: free its reservation and discard any
+        inactive copy held under it.  The source still owns the stream
+        references (its abort or recovery pulls them back); only local
+        records go."""
         self._tickets.pop(key, None)
         self._free_reservation(lease)
         if lease.install is not None:

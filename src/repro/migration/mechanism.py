@@ -694,9 +694,7 @@ class MigrationManager(TxnResolver):
         self._trace("migrated", pid=pcb.pid, target=target,
                     reason=record.reason, streams=record.streams_moved)
 
-    def _commit_rpc(
-        self, txn: MigrationTxn
-    ) -> Generator[Effect, None, Any]:
+    def _commit_rpc(self, txn: MigrationTxn) -> Generator[Effect, None, Any]:
         """Drive ``mig.commit`` to a definite outcome.
 
         Returns ``("committed", _)``, ``("refused", why)`` — nothing
