@@ -53,9 +53,11 @@ if __package__ is None or __package__ == "":
         sys.path.insert(0, str(_SRC))
 
 try:
-    from common import archive_json, run_simulated
+    from common import archive_json, run_simulated, throughput_row
 except ImportError:  # imported as benchmarks.bench_checkpoint
-    from .common import archive_json, run_simulated  # type: ignore
+    from .common import (  # type: ignore
+        archive_json, run_simulated, throughput_row,
+    )
 
 KB = 1024
 
@@ -190,21 +192,11 @@ def _run_gauntlet(idle_service: bool) -> Callable[[], Any]:
 
 def _timed_row(build_and_run: Callable[[], Any], repeats: int) -> Dict[str, Any]:
     walls = []
-    events = 0
-    fingerprint = ""
     for _ in range(repeats):
         start = time.perf_counter()
         sim, report = build_and_run()
         walls.append(time.perf_counter() - start)
-        events = getattr(sim, "events_fired", 0)
-        fingerprint = report.fingerprint
-    wall = min(walls)
-    return {
-        "events": events,
-        "wall_s": round(wall, 6),
-        "events_per_s": round(events / wall) if wall > 0 else 0.0,
-        "fingerprint": fingerprint,
-    }
+    return {**throughput_row(sim, min(walls)), "fingerprint": report.fingerprint}
 
 
 def _idle_overhead(repeats: int) -> Dict[str, Any]:
@@ -215,21 +207,19 @@ def _idle_overhead(repeats: int) -> Dict[str, Any]:
     none_build()  # warm-up, untimed
     none_walls: List[float] = []
     idle_walls: List[float] = []
-    none_row = idle_row = None
     # 2N interleaved samples: the ratio gate is tight (1.05x) and the
     # true cost is ~1.00x, so the min-of-N needs room to converge.
     for _ in range(max(repeats, 3) * 2):
         start = time.perf_counter()
-        sim, report = none_build()
+        none_sim, none_report = none_build()
         none_walls.append(time.perf_counter() - start)
-        none_row = {"events": sim.events_fired, "fingerprint": report.fingerprint}
         start = time.perf_counter()
-        sim, report = idle_build()
+        idle_sim, idle_report = idle_build()
         idle_walls.append(time.perf_counter() - start)
-        idle_row = {"events": sim.events_fired, "fingerprint": report.fingerprint}
-    for row, walls in ((none_row, none_walls), (idle_row, idle_walls)):
-        row["wall_s"] = round(min(walls), 6)
-        row["events_per_s"] = round(row["events"] / min(walls))
+    none_row = {**throughput_row(none_sim, min(none_walls)),
+                "fingerprint": none_report.fingerprint}
+    idle_row = {**throughput_row(idle_sim, min(idle_walls)),
+                "fingerprint": idle_report.fingerprint}
     assert idle_row["events"] == none_row["events"], (
         "idle CheckpointService changed the event schedule: "
         f"{idle_row['events']} != {none_row['events']}"

@@ -2,7 +2,7 @@
 
 Every experiment funnels through ``repro.sim``'s event loop, so its
 dispatch cost multiplies all simulated wall-time.  This benchmark pins
-that cost down on four workloads:
+that cost down on five workloads:
 
 * ``raw_callback``   — bare callbacks rescheduling themselves (a mix of
   zero-delay and timed hops: ready-queue and heap paths).
@@ -13,6 +13,9 @@ that cost down on four workloads:
 * ``e10_slice``      — a compressed slice of the E10 production-usage
   window: the full cluster stack (activity traces, migd, eviction,
   batches) on a live LAN.
+* ``contended_slice`` — four compute-bound processes sharing one host's
+  core: the round-robin rotation the core replays instead of
+  dispatching.
 
 Run standalone (``python benchmarks/bench_engine.py [--smoke]``) or via
 ``python -m repro experiment P1``.  Results are archived as rendered
@@ -49,6 +52,7 @@ SIZES = {
         "channel_pingpong": 50_000,
         "e10_hosts": 6,
         "e10_duration": 2 * 3600.0,
+        "contended_seconds": 600.0,
     },
     "smoke": {
         "raw_callback": 40_000,
@@ -56,6 +60,7 @@ SIZES = {
         "channel_pingpong": 5_000,
         "e10_hosts": 3,
         "e10_duration": 600.0,
+        "contended_seconds": 60.0,
     },
 }
 
@@ -64,7 +69,7 @@ SIZES = {
 #: throughput is simulated seconds per wall second: events per second
 #: *falls* when an optimisation skips events the model never needed
 #: (lazy time-slicing), while the simulation itself gets faster.
-FULL_STACK = frozenset({"e10_slice"})
+FULL_STACK = frozenset({"e10_slice", "contended_slice"})
 
 
 # ----------------------------------------------------------------------
@@ -198,12 +203,31 @@ def _run_e10_slice(hosts: int, duration: float) -> Callable[[], Simulator]:
     return build_and_run
 
 
+def _run_contended_slice(seconds: float) -> Callable[[], Simulator]:
+    def build_and_run() -> Simulator:
+        from repro import SpriteCluster
+
+        cluster = SpriteCluster(workstations=1, start_daemons=False)
+
+        def job(proc):
+            yield from proc.compute(seconds)
+            return 0
+
+        for index in range(4):
+            cluster.hosts[0].spawn_process(job, name=f"job{index}")
+        cluster.sim.run_until_idle()
+        return cluster.sim
+
+    return build_and_run
+
+
 def _workloads(sizes: Dict[str, Any]) -> Dict[str, Callable[[], Simulator]]:
     return {
         "raw_callback": _run_raw_callback(sizes["raw_callback"]),
         "task_resume": _run_task_resume(sizes["task_resume"]),
         "channel_pingpong": _run_channel_pingpong(sizes["channel_pingpong"]),
         "e10_slice": _run_e10_slice(sizes["e10_hosts"], sizes["e10_duration"]),
+        "contended_slice": _run_contended_slice(sizes["contended_seconds"]),
     }
 
 

@@ -55,9 +55,11 @@ if __package__ is None or __package__ == "":
         sys.path.insert(0, str(_SRC))
 
 try:
-    from common import archive_json, run_simulated
+    from common import archive_json, run_simulated, throughput_row
 except ImportError:  # imported as benchmarks.bench_faults
-    from .common import archive_json, run_simulated  # type: ignore
+    from .common import (  # type: ignore
+        archive_json, run_simulated, throughput_row,
+    )
 
 #: Workload sizes: full mode for trend numbers, smoke mode for CI.
 #: The e10 sizes match ``bench_engine.SIZES`` so the ``no_injector``
@@ -180,17 +182,10 @@ def _measure(build_and_run: Callable[[], Any]) -> Tuple[float, Any]:
 
 def _timed_row(build_and_run: Callable[[], Any], repeats: int) -> Dict[str, float]:
     walls = []
-    events = 0
     for _ in range(repeats):
         wall, sim = _measure(build_and_run)
         walls.append(wall)
-        events = getattr(sim, "events_fired", 0)
-    wall = min(walls)
-    return {
-        "events": events,
-        "wall_s": round(wall, 6),
-        "events_per_s": round(events / wall) if wall > 0 else 0.0,
-    }
+    return throughput_row(sim, min(walls))
 
 
 # ----------------------------------------------------------------------
@@ -238,24 +233,13 @@ def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Any]:
     on_build = _run_migration_churn(migrations, True)
     off_build = _run_migration_churn(migrations, False)
     on_walls, off_walls = [], []
-    on_events = off_events = 0
     for _ in range(max(repeats, 3) * 4):
-        wall, sim = _measure(on_build)
+        wall, on_sim = _measure(on_build)
         on_walls.append(wall)
-        on_events = getattr(sim, "events_fired", 0)
-        wall, sim = _measure(off_build)
+        wall, off_sim = _measure(off_build)
         off_walls.append(wall)
-        off_events = getattr(sim, "events_fired", 0)
-    journal_on = {
-        "events": on_events,
-        "wall_s": round(min(on_walls), 6),
-        "events_per_s": round(on_events / min(on_walls)),
-    }
-    journal_off = {
-        "events": off_events,
-        "wall_s": round(min(off_walls), 6),
-        "events_per_s": round(off_events / min(off_walls)),
-    }
+    journal_on = throughput_row(on_sim, min(on_walls))
+    journal_off = throughput_row(off_sim, min(off_walls))
     assert journal_on["events"] == journal_off["events"], (
         "txn journal changed the event schedule: "
         f"{journal_on['events']} != {journal_off['events']}"

@@ -44,3 +44,19 @@ def archive_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def throughput_row(sim: Any, wall: float) -> Dict[str, Any]:
+    """One timed full-stack run as a ledger row.
+
+    ``sim_s_per_wall_s`` is the leaf ``tools/perf_ledger.py`` gates such a
+    row on: ``events_per_s`` *falls* when an optimisation skips events
+    the model never needed while the run itself gets faster.
+    """
+    events = getattr(sim, "events_fired", 0)
+    return {
+        "events": events,
+        "wall_s": round(wall, 6),
+        "events_per_s": round(events / wall) if wall > 0 else 0.0,
+        "sim_s_per_wall_s": round(sim.now / wall, 1) if wall > 0 else 0.0,
+    }

@@ -36,6 +36,10 @@ class BlockCache:
         self.capacity = capacity_blocks
         self.block_size = block_size
         self._blocks: "OrderedDict[BlockKey, CacheBlock]" = OrderedDict()
+        #: Dirty blocks in the cache, per path (no entry at zero).  Most
+        #: flushes and stream hand-offs find none of theirs, and need not
+        #: walk the whole LRU to learn it.
+        self._dirty: Dict[str, int] = {}
         # Metrics.
         self.hits = 0
         self.misses = 0
@@ -44,6 +48,8 @@ class BlockCache:
         return len(self._blocks)
 
     def dirty_blocks(self, path: Optional[str] = None) -> List[CacheBlock]:
+        if not (self._dirty if path is None else path in self._dirty):
+            return []
         return [
             b
             for b in self._blocks.values()
@@ -107,30 +113,46 @@ class BlockCache:
             if dirty:
                 if not block.dirty:
                     block.dirty_since = now
-                block.dirty = True
+                    block.dirty = True
+                    self._dirty[path] = self._dirty.get(path, 0) + 1
         while len(self._blocks) > self.capacity:
             _key, victim = self._blocks.popitem(last=False)
             if victim.dirty:
                 evicted.append(victim)
+                self._cleaned(victim.path)
         return evicted
 
     # ------------------------------------------------------------------
     def clean(self, blocks: Iterable[CacheBlock]) -> None:
         """Mark blocks clean after a successful write-back."""
         for block in blocks:
-            block.dirty = False
+            if block.dirty:
+                block.dirty = False
+                # A block evicted since it was handed out left the
+                # count when it left the cache.
+                if self._blocks.get((block.path, block.index)) is block:
+                    self._cleaned(block.path)
+
+    def _cleaned(self, path: str) -> None:
+        left = self._dirty[path] - 1
+        if left:
+            self._dirty[path] = left
+        else:
+            del self._dirty[path]
 
     def drop_file(self, path: str) -> int:
         """Remove every block of ``path`` (after invalidate); returns count."""
         keys = [k for k in self._blocks if k[0] == path]
         for key in keys:
             del self._blocks[key]
+        self._dirty.pop(path, None)
         return len(keys)
 
     def drop_all(self) -> int:
         """Discard everything, dirty blocks included (host crash)."""
         count = len(self._blocks)
         self._blocks.clear()
+        self._dirty.clear()
         return count
 
     def take_dirty(self, path: str) -> List[CacheBlock]:

@@ -201,11 +201,13 @@ class UserContext:
         a signal or a migration freeze takes effect the moment it
         arrives, while ``cpu_time``, the host's ``total_demand`` and the
         memory dirtied advance one whole quantum at a time — lazily,
-        through :class:`~repro.sim.SliceRun`, which lets an uncontended
-        process sleep across many quanta in one event and cuts the run
-        to the next quantum boundary as soon as a competitor queues on
-        the core.  Optionally dirties memory as it runs (long-running
-        jobs touch their pages).
+        through :class:`~repro.sim.SliceRun`: the run queues for the
+        core and takes its round-robin turns there without an event per
+        quantum, alone or among other computing processes, and this task
+        is resumed when the demand is spent (or after one quantum, if a
+        signal or freeze was already waiting for the next safe point).
+        Optionally dirties memory as it runs (long-running jobs touch
+        their pages).
         """
         if demand < 0:
             raise ValueError(f"negative CPU demand: {demand}")
@@ -234,27 +236,19 @@ class UserContext:
             pcb.interruptible = True
             # From here on a signal or a freeze interrupts us; one that
             # came earlier (during a kernel call, or while paging in)
-            # waits for the next safe point, the first quantum boundary.
+            # waits for the next safe point, the end of our first quantum.
             run.eager = (
                 bool(pcb.pending_signals) or pcb.migration_ticket is not None
             )
             try:
-                yield cpu.core.acquire()
-                survived_interrupt = False
-                try:
-                    yield run
-                except Interrupted as intr:
-                    self._on_interrupt(intr)
-                    survived_interrupt = True
-                finally:
-                    # A killed or crashed process keeps only its whole
-                    # quanta; one that lives on is also charged the part
-                    # of the current quantum it burned.
-                    run.stop(partial=survived_interrupt)
-                    cpu.core.release()
+                yield run
             except Interrupted as intr:
-                # Interrupted while waiting for the core: nothing consumed.
                 self._on_interrupt(intr)
+                # A killed or crashed process keeps only its whole
+                # quanta; one that lives on is also charged the part of
+                # the quantum it was burning (nothing, if it was still
+                # waiting for the core).
+                run.charge_partial()
             finally:
                 cpu.runnable -= 1
                 pcb.interruptible = False

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 from .engine import EventHandle, Simulator
 from .tasks import Effect, Sleep, _Waiter
 
 __all__ = ["Resource", "Cpu", "SliceRun"]
 
-#: Fewest quanta a :class:`SliceRun` plans on an uncontended core: two,
-#: so that any two quanta a consumer has the core to itself cost fewer
-#: events than slicing them one by one.
+#: Fewest quantum boundaries one wake-up of a core spans: two, so that
+#: any two quanta at which no task has business cost fewer events than
+#: slicing them one by one.
 _MIN_HORIZON = 2
 
 
@@ -38,9 +38,6 @@ class Resource:
         # _Acquire keeps no per-wait state (the waiter itself is the
         # queue entry), so one shared instance serves every acquire.
         self._acquire = _Acquire(self)
-        #: The holder's lazily settled time slices, when this resource
-        #: is a :class:`Cpu` core in the middle of a :class:`SliceRun`.
-        self.run: Optional["SliceRun"] = None
 
     @property
     def queue_length(self) -> int:
@@ -95,9 +92,6 @@ class _Acquire(Effect):
             waiter.sim.defer(waiter._resume, None)
         else:
             res._queue.append(waiter)
-            run = res.run
-            if run is not None:
-                run.cut()
 
     def cancel(self, waiter: _Waiter) -> None:
         try:
@@ -131,9 +125,10 @@ class Cpu:
         self.speed = speed
         self.name = name
         #: The single core; public so schedulers with their own slicing
-        #: discipline (e.g. interruptible process compute loops) can
-        #: contend on it directly.
-        self.core = Resource(sim, capacity=1, name=name)
+        #: discipline can contend on it directly (``acquire``/``release``
+        #: /``hold``).  Long compute stretches queue on it as
+        #: :class:`SliceRun` effects and are replayed, not dispatched.
+        self.core = _Core(self, name)
         #: Number of consumers currently inside consume(); the model
         #: kernel samples this for its load average.
         self.runnable = 0
@@ -143,7 +138,7 @@ class Cpu:
         """Charge ``demand`` CPU-seconds, sharing the core fairly."""
         if demand < 0:
             raise ValueError(f"negative CPU demand: {demand}")
-        self.sync()  # a slice run's quanta so far precede this charge
+        self.sync()  # the rotation's quanta so far precede this charge
         self.total_demand += demand
         remaining = demand / self.speed
         self.runnable += 1
@@ -160,21 +155,22 @@ class Cpu:
             self.runnable -= 1
 
     def sync(self) -> None:
-        """Settle the slice run in flight on this core up to now.
+        """Settle the core's rotation of slice runs up to now.
 
-        Whoever reads what a :class:`SliceRun` accounts lazily
-        (``total_demand``, the core's busy time, the holder's
-        ``cpu_time`` and dirty memory) from *outside* the holder's task
+        Whoever reads what the rotation accounts lazily
+        (``total_demand``, the core's busy time, any run's ``cpu_time``
+        and dirty memory, who holds the core) from *outside* the core
         calls this first, and then sees what per-quantum slicing would
-        have published at the last quantum boundary at or before now.
-        The readers: :meth:`utilization`, :meth:`consume`,
-        ``SpriteKernel.ps``, ``CheckpointDaemon.checkpoint_one``,
-        ``UsageSimulation.finalize`` and
-        ``SpriteCluster.total_cpu_seconds``.
+        have published at the last quantum boundary at or before now —
+        a boundary at exactly now has passed.  Everything that edits
+        the core's queue settles by itself before it does; the readers
+        are :meth:`utilization`, :meth:`consume`, ``SpriteKernel.ps``,
+        ``CheckpointDaemon.checkpoint_one``, ``UsageSimulation.finalize``
+        and ``SpriteCluster.total_cpu_seconds``.
         """
-        run = self.core.run
-        if run is not None:
-            run.settle(self.sim.now)
+        core = self.core
+        if core.run is not None:
+            core.settle(self.sim.now)
 
     def utilization(self) -> float:
         self.sync()
@@ -182,38 +178,25 @@ class Cpu:
 
 
 class SliceRun(Effect):
-    """One consumer's CPU demand, burned in quanta that are settled lazily.
+    """One consumer's CPU demand, burned in round-robin quanta on
+    ``cpu.core`` that are replayed rather than dispatched.
 
-    The consumer acquires ``cpu.core``, sets :attr:`cpu` and yields the
-    run; it is woken at a quantum boundary (or when the demand is
-    spent), calls :meth:`stop`, releases the core, and repeats while
-    :attr:`remaining` is positive.  Between acquire and wake-up it
-    sleeps across as many quanta as nobody else wants:
+    The consumer sets :attr:`cpu` (and :attr:`eager`) and yields the
+    run — that is all: the run queues for the core behind whoever is
+    there, holds it one quantum at a time in FIFO rotation with the
+    other runs and with foreign waiters (``Cpu.consume``, plain
+    ``acquire``), and the consumer is resumed when :attr:`remaining` is
+    spent, or at the end of its first quantum if it was ``eager``.
+    While ``remaining`` is positive it yields the run again (a migrated
+    process sets another ``cpu`` first).  Nothing is dispatched for a
+    quantum boundary at which no task has anything to do; see
+    :class:`_Core` for the replay, its invariant and the tie rule.
 
-    * any quantum boundary **may** be materialised (the consumer wakes,
-      releases and re-acquires, as round-robin slicing does at every
-      boundary) and none **needs** to be while the core's queue is empty;
-    * boundaries are the floats the per-quantum recurrence
-      ``t += min(quantum, remaining / speed)`` produces, replayed
-      addition by addition — never ``start + k * quantum``, which
-      differs in the last bit — and the wake-up is scheduled at exactly
-      that float;
-    * :meth:`settle` is the only place slice accounting happens: for
-      every boundary passed it replays the recurrence over
-      ``remaining``, ``account.cpu_time``, ``cpu.total_demand`` and the
-      core's ``busy_time``, and reports the slices to ``on_slices``;
-    * a competitor that queues on the core (:meth:`cut`) shortens the
-      run to its next boundary, after which the core is shared one
-      quantum at a time;
-    * **tie rule:** a boundary at exactly ``now`` has already passed
-      (``<=``) — for :meth:`settle`, for :meth:`cut` and so for every
-      reader behind :meth:`Cpu.sync`.
-
-    How many quanta one wake-up may span (the *horizon*) doubles after
-    an undisturbed run, halves after a cut and restarts at two after an
-    interrupt or when the core is already contended at acquire, so
-    planning and re-planning cost stays proportional to the quanta
-    actually run however often the core is disturbed.
+    An interrupt or abort takes the run out of the rotation at that
+    instant.  If it held the core, the part of the quantum it had burned
+    is remembered, and a consumer that lives on claims it with
+    :meth:`charge_partial`; a run that was still waiting for the core
+    consumed nothing.
 
     ``account`` is the consumer's ledger: any object with a float
     ``cpu_time`` attribute (a process control block).  ``on_slices(n,
@@ -222,8 +205,8 @@ class SliceRun(Effect):
     """
 
     __slots__ = (
-        "remaining", "cpu", "eager", "_account", "_on_slices", "_horizon",
-        "_boundary", "_wake", "_lazy", "_disturbed", "_handle", "_waiter",
+        "remaining", "cpu", "eager", "_account", "_on_slices", "_slices",
+        "_partial", "_waiter",
     )
 
     def __init__(
@@ -234,151 +217,356 @@ class SliceRun(Effect):
     ):
         #: CPU-seconds of demand not yet accounted.
         self.remaining = demand
-        #: The processor to run on; its core is held while the run is
-        #: yielded.  Set before each yield (a migrated process moves).
+        #: The processor to run on.  Set before each yield (a migrated
+        #: process moves).
         self.cpu: Optional[Cpu] = None
-        #: Set before a yield to be woken at the very next boundary even
-        #: on an idle core: the consumer has business at its next safe
-        #: point that will not interrupt it (it is pending already).
+        #: Set before a yield to be resumed at the end of the run's
+        #: first quantum whatever remains: the consumer has business at
+        #: its next safe point that will not interrupt it (it is pending
+        #: already).
         self.eager = False
         self._account = account
         self._on_slices = on_slices
-        self._horizon = _MIN_HORIZON
-        #: The last quantum boundary settled (the run's start at first).
-        self._boundary = 0.0
-        self._wake = 0.0
-        #: True while the wake-up lies beyond the next boundary.
-        self._lazy = False
-        self._disturbed = False
-        self._handle: Optional[EventHandle] = None
+        #: Whole quanta settled and not yet reported to ``on_slices``.
+        self._slices = 0
+        self._partial = 0.0
         self._waiter: Optional[_Waiter] = None
 
     def bind(self, waiter: _Waiter) -> None:
-        cpu = self.cpu
-        core = cpu.core
-        sim = cpu.sim
-        quantum = cpu.quantum
-        speed = cpu.speed
-        remaining = self.remaining
-        step = remaining / speed
-        if not step < quantum:  # min(quantum, step), here as in settle()
-            step = quantum
-        self._boundary = wake = sim.now
-        wake += step
-        if core._queue or self.eager:
-            # Someone is waiting already and gets the core at the first
-            # boundary (plain round-robin), or the consumer wants to be
-            # back by then: one quantum, nothing to settle lazily.
-            self._horizon = _MIN_HORIZON
-        else:
-            quanta = 1
-            horizon = self._horizon
-            remaining -= step * speed
-            while quanta < horizon and remaining > 1e-9:
-                step = remaining / speed
-                if not step < quantum:
-                    step = quantum
-                wake += step
-                remaining -= step * speed
-                quanta += 1
-            self._lazy = quanta > 1
-            self._disturbed = False
-            self._waiter = waiter
-            core.run = self
-        self._wake = wake
-        self._handle = sim.schedule_at(wake, waiter._resume, None)
+        self._waiter = waiter
+        self._partial = 0.0
+        self.cpu.core._enter(self)
 
     def cancel(self, waiter: _Waiter) -> None:
-        self._lazy = False
-        self._disturbed = True
+        self.cpu.core._leave(self)
+
+    def charge_partial(self) -> None:
+        """Charge what an interrupt cut short: the part of its current
+        quantum the run had burned as the core's holder (an interrupted
+        consumer that lives on keeps what it computed)."""
+        consumed = self._partial
+        if consumed > 0.0:
+            self._partial = 0.0
+            self.remaining -= consumed
+            self._account.cpu_time += consumed
+            self.cpu.total_demand += consumed
+            if self._on_slices is not None:
+                self._on_slices(1, consumed)
+
+
+class _Core(Resource):
+    """A :class:`Cpu`'s core: a FIFO shared by slice runs and foreign
+    waiters, whose round-robin rotation is replayed, not dispatched.
+
+    The model is per-quantum slicing: the holder burns
+    ``min(quantum, remaining / speed)``, gives the core to the head of
+    the queue and goes to its tail.  As long as that hand-over is
+    between two :class:`SliceRun` entries no task has anything to do at
+    the boundary, and its time and every number it publishes are fixed
+    in advance, so:
+
+    * **invariant:** any boundary *may* be materialised as an event and
+      none *needs* to be unless a task must run there — a run's demand
+      is spent, a run is ``eager``, or a foreign waiter reaches the head
+      of the queue.  The core arms **one** wake-up (:meth:`_plan`), at
+      the first such boundary or at most :attr:`_horizon` boundaries
+      ahead, whichever comes first;
+    * :meth:`settle` is the only place slice accounting happens.  It
+      walks the boundaries at or before ``now`` in rotation order with
+      the float recurrence per-quantum slicing runs
+      (``t += min(quantum, remaining / speed)``, addition by addition —
+      never ``start + k * quantum``, which differs in the last bit) and
+      the same order of additions into each ``account.cpu_time``,
+      ``cpu.total_demand`` and :attr:`busy_time`, and reports every
+      run's slices to its ``on_slices``;
+    * whatever edits the queue settles first and re-plans after: a new
+      run or foreign waiter appends at the tail, an interrupted run
+      leaves, a foreign holder releases.  Readers settle through
+      :meth:`Cpu.sync`;
+    * **tie rule:** a boundary at exactly ``now`` has already passed
+      (``<=``), for every settle and so for every edit and reader.
+
+    The horizon doubles when a wake-up it bounded fires as planned and
+    halves when an edit makes the core plan again before its wake-up
+    fired, so planning costs in proportion to the quanta actually run
+    however often the core is disturbed.  It belongs to the core, not to
+    a run: a process that computes in many short stretches does not
+    start from two each time.
+    """
+
+    def __init__(self, cpu: Cpu, name: str):
+        super().__init__(cpu.sim, capacity=1, name=name)
+        self.cpu = cpu
+        self._acquire = _CoreAcquire(self)
+        #: The run holding the core, its current quantum having begun at
+        #: ``_last_change``; ``None`` when the core is idle or a foreign
+        #: holder has it.  Queued runs sit in ``_queue`` with the foreign
+        #: waiters.
+        self.run: Optional[SliceRun] = None
+        #: Runs settled out of the rotation whose consumer the wake-up,
+        #: due at this instant, has still to resume.
+        self._due: Deque[SliceRun] = deque()
         self._horizon = _MIN_HORIZON
-        self._handle.cancel()
+        #: Boundaries the armed wake-up spans.
+        self._planned = 0
+        self._handle: Optional[EventHandle] = None
+        #: True while the wake-up resumes consumers: their edits are
+        #: planned for once, after the last of them.
+        self._firing = False
+
+    def release(self) -> None:
+        if self.run is not None or self.in_use <= 0:
+            raise ValueError(f"core {self.name!r} released by a non-holder")
+        self._account()
+        if self._queue:
+            self._hand_over()
+            if self.run is not None:
+                self._replan()
+        else:
+            self.in_use = 0  # every lone Cpu.consume slice ends here
 
     def settle(self, now: float) -> None:
-        """Account every quantum boundary at or before ``now``."""
+        """Replay every quantum boundary at or before ``now``."""
+        run = self.run
+        if run is None:
+            return
         cpu = self.cpu
-        core = cpu.core
+        quantum = cpu.quantum
+        speed = cpu.speed
+        boundary = self._last_change
+        remaining = run.remaining
+        step = remaining / speed
+        if boundary + (step if step < quantum else quantum) > now:
+            return
+        whole = quantum * speed
+        ample = 2.0 * whole  # demand for a whole quantum, without dividing
+        queue = self._queue
+        demand = cpu.total_demand
+        busy = self.busy_time
+        touched: List[SliceRun] = []  # runs with whole quanta to report
+        while True:
+            # The holder's state lives in locals for as many quanta in a
+            # row as it has the core (more than one only when it is the
+            # whole rotation) and is stored when the core changes hands.
+            account = run._account
+            cpu_time = account.cpu_time
+            eager = run.eager
+            shared = eager or bool(queue)  # one quantum, then the next
+            slices = 0  # whole quanta of this turn, not yet reported
+            passed = True  # the turn ends at a boundary at or before now
+            while True:
+                if remaining > ample or not remaining / speed < quantum:
+                    nxt = boundary + quantum
+                    if nxt > now:
+                        passed = False
+                        break
+                    consumed = whole
+                    slices += 1
+                else:
+                    # The demand's last, shorter slice.
+                    step = remaining / speed
+                    nxt = boundary + step
+                    if nxt > now:
+                        passed = False
+                        break
+                    consumed = step * speed
+                    if run._on_slices is not None:
+                        if run._slices or slices:
+                            run._on_slices(run._slices + slices, whole)
+                            run._slices = slices = 0
+                        run._on_slices(1, consumed)
+                remaining -= consumed
+                cpu_time += consumed
+                demand += consumed
+                busy += nxt - boundary
+                boundary = nxt
+                if shared or not remaining > 1e-9:
+                    break
+            run.remaining = remaining
+            account.cpu_time = cpu_time
+            if slices and run._on_slices is not None:
+                if not run._slices:
+                    touched.append(run)
+                run._slices += slices
+            if not passed:
+                break
+            if remaining > 1e-9 and not eager:
+                queue.append(run)
+            else:
+                self._due.append(run)
+                if not queue:
+                    run = None
+                    self.in_use = 0
+                    break
+            run = queue.popleft()
+            if run.__class__ is not SliceRun:
+                # A foreign waiter holds the core from this boundary
+                # (the instant the wake-up was armed for) until it
+                # releases.
+                self.sim.defer(run._resume, None)
+                run = None
+                break
+            remaining = run.remaining
+        self.run = run
+        cpu.total_demand = demand
+        self.busy_time = busy
+        self._last_change = boundary
+        for run in touched:
+            if run._slices:
+                run._on_slices(run._slices, whole)
+                run._slices = 0
+
+    # -- edits: settle, change the queue, plan again ---------------------
+    def _enter(self, run: SliceRun) -> None:
+        """``run`` was yielded: it queues for the core at the tail."""
+        if self.run is not None:
+            self.settle(self.sim.now)
+        if self.in_use < 1 and not self._queue:
+            self._account()
+            self.in_use = 1
+            self.run = run
+        else:
+            self._queue.append(run)
+            if self.run is None:
+                return  # behind a foreign holder: its release plans
+        self._replan()
+
+    def _leave(self, run: SliceRun) -> None:
+        """``run`` was interrupted or aborted: out of the rotation."""
+        self.settle(self.sim.now)
+        if run is self.run:
+            run._partial = (self.sim.now - self._last_change) * self.cpu.speed
+            self._account()
+            self._hand_over()
+        elif run in self._due:
+            # Spent at this very instant and not resumed yet.
+            self._due.remove(run)
+        else:
+            self._queue.remove(run)
+        self._replan()
+
+    def _hand_over(self) -> None:
+        """Give the core, as of now, to the head of the queue."""
+        self.run = None
+        if not self._queue:
+            self.in_use -= 1
+            return
+        head = self._queue.popleft()
+        if head.__class__ is SliceRun:
+            self.run = head
+        else:
+            self.sim.defer(head._resume, None)
+
+    def _replan(self) -> None:
+        if self._firing:
+            return
+        handle = self._handle
+        if handle is not None:
+            handle.cancel()
+            self._horizon = max(_MIN_HORIZON, self._horizon // 2)
+        self._plan()
+
+    def _plan(self) -> None:
+        """Arm the wake-up: at the first boundary where a task must run,
+        at most ``_horizon`` boundaries ahead.  The core is settled."""
+        self._handle = None
+        sim = self.sim
+        if self._due:
+            # Settled by a reader at the very instant of the wake-up.
+            self._planned = 0
+            self._handle = sim.call_soon(self._fire)
+            return
+        run = self.run
+        if run is None:
+            return
+        # The runs whose turns are certain, in rotation order: up to a
+        # foreign waiter (the boundary that gives it the core is real)
+        # or an eager run (the end of its first quantum is).  ``closed``
+        # when neither is there and the rotation goes round.
+        rems = [run.remaining]
+        closed = not run.eager
+        if closed:
+            for entry in self._queue:
+                if entry.__class__ is not SliceRun:
+                    closed = False
+                    break
+                rems.append(entry.remaining)
+                if entry.eager:
+                    closed = False
+                    break
+        cpu = self.cpu
         quantum = cpu.quantum
         speed = cpu.speed
         whole = quantum * speed
-        on_slices = self._on_slices
-        start = boundary = self._boundary
-        remaining = self.remaining
-        cpu_time = self._account.cpu_time
-        demand = cpu.total_demand
-        busy = core.busy_time
-        slices = 0  # whole quanta passed and not yet reported
-        while remaining > 1e-9:
-            step = remaining / speed
-            if step < quantum:
-                # The demand's last, shorter slice.
-                nxt = boundary + step
-                if nxt > now:
-                    break
-                consumed = step * speed
-                if on_slices is not None:
-                    if slices:
-                        on_slices(slices, whole)
-                        slices = 0
-                    on_slices(1, consumed)
+        ample = 2.0 * whole
+        horizon = self._horizon
+        wake = self._last_change
+        last = len(rems) - 1
+        lone = closed and not last  # the holder is the whole rotation
+        remaining = rems[0]
+        turn = planned = 0
+        while planned < horizon:
+            planned += 1
+            # min(quantum, remaining / speed), here as in settle()
+            if remaining > ample or not remaining / speed < quantum:
+                wake += quantum
+                remaining -= whole
             else:
-                nxt = boundary + quantum
-                if nxt > now:
-                    break
-                consumed = whole
-                slices += 1
-            remaining -= consumed
-            cpu_time += consumed
-            demand += consumed
-            busy += nxt - boundary
-            boundary = nxt
-        if boundary != start:
-            if slices and on_slices is not None:
-                on_slices(slices, whole)
-            self.remaining = remaining
-            self._boundary = boundary
-            self._account.cpu_time = cpu_time
-            cpu.total_demand = demand
-            core.busy_time = busy
-            core._last_change = boundary
-
-    def cut(self) -> None:
-        """A competitor queued on the core: end the run at the next
-        quantum boundary."""
-        self._disturbed = True
-        if not self._lazy:
-            return
-        self._lazy = False
-        cpu = self.cpu
-        sim = cpu.sim
-        self.settle(sim.now)
-        boundary = self._boundary + min(cpu.quantum, self.remaining / cpu.speed)
-        if boundary < self._wake:
-            self._handle.cancel()
-            self._wake = boundary
-            self._handle = sim.schedule_at(boundary, self._waiter._resume, None)
-
-    def stop(self, partial: bool = False) -> None:
-        """End the run now, before the core is released.
-
-        Settles the quanta passed; with ``partial`` the part of the
-        current quantum already burned is charged as well (an
-        interrupted consumer that lives on keeps what it computed).
-        """
-        cpu = self.cpu
-        now = cpu.sim.now
-        self.settle(now)
-        if partial:
-            consumed = (now - self._boundary) * cpu.speed
-            self.remaining -= consumed
-            self._account.cpu_time += consumed
-            cpu.total_demand += consumed
-            if self._on_slices is not None:
-                self._on_slices(1, consumed)
-        core = cpu.core
-        if core.run is self:
-            core.run = None
-            if self._disturbed:
-                self._horizon = max(_MIN_HORIZON, self._horizon // 2)
+                step = remaining / speed
+                wake += step
+                remaining -= step * speed
+            if not remaining > 1e-9:
+                break  # this run's demand is spent at ``wake``
+            if lone:
+                continue
+            rems[turn] = remaining
+            if turn < last:
+                turn += 1
+            elif closed:
+                turn = 0
             else:
-                self._horizon *= 2
+                break
+            remaining = rems[turn]
+        self._planned = planned
+        self._handle = sim.schedule_at(wake, self._fire)
+
+    def _fire(self) -> None:
+        """The wake-up: settle, resume who has business now, plan on."""
+        self._handle = None
+        if self._planned >= self._horizon:
+            self._horizon *= 2  # it was the horizon that ended the plan
+        self._firing = True
+        self.settle(self.sim.now)
+        due = self._due
+        while due:
+            due.popleft()._waiter._resume(None)
+        self._firing = False
+        self._plan()
+
+
+class _CoreAcquire(_Acquire):
+    """``core.acquire()``: a foreign waiter, granted in FIFO order with
+    the slice runs."""
+
+    def bind(self, waiter: _Waiter) -> None:
+        core = self.resource
+        if core.run is not None:
+            core.settle(core.sim.now)  # the rotation so far precedes us
+        # Every Cpu.consume slice comes through here: _Acquire.bind, inline.
+        if core.in_use < 1 and not core._queue:
+            core._account()
+            core.in_use = 1
+            waiter.sim.defer(waiter._resume, None)
+        else:
+            core._queue.append(waiter)
+            if core.run is not None:
+                core._replan()
+
+    def cancel(self, waiter: _Waiter) -> None:
+        core = self.resource
+        if core.run is None:
+            super().cancel(waiter)
+        else:
+            core.settle(core.sim.now)
+            super().cancel(waiter)
+            core._replan()

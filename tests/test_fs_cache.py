@@ -1,5 +1,7 @@
 """Unit tests for the client block cache."""
 
+import random
+
 import pytest
 
 from repro.fs import BlockCache
@@ -105,3 +107,55 @@ def test_cached_paths_sorted_unique():
     cache.install_range("/b", 1, 0, 8192, dirty=False, now=0.0)
     cache.install_range("/a", 1, 0, 4096, dirty=False, now=0.0)
     assert cache.cached_paths() == ["/a", "/b"]
+
+
+def test_dirty_count_tracks_every_way_a_block_stops_being_dirty():
+    """``dirty_blocks`` answers from per-path counts when nothing of the
+    path is dirty; the counts must follow rewrites, eviction, clean, drop_file and drop_all,
+    and the scan's order (LRU order) must be what it was."""
+    rng = random.Random(14)
+    cache = make_cache(capacity=6)
+    handed_out = []
+    for step in range(600):
+        path = rng.choice(["/a", "/b", "/c"])
+        action = rng.randrange(8)
+        if action < 4:
+            handed_out += cache.install_range(
+                path, 1, rng.randrange(5) * 4096, rng.choice([1, 8192]),
+                dirty=action < 3, now=float(step),
+            )
+        elif action == 4:
+            cache.lookup_range(path, 1, 0, 16384)
+        elif action == 5:
+            handed_out += cache.take_dirty(path)
+        elif action == 6:
+            # Cleaning blocks already evicted or cleaned changes nothing.
+            cache.clean(handed_out)
+            cache.drop_file(path)
+        elif rng.random() < 0.2:
+            cache.drop_all()
+        scan = [b for b in cache._blocks.values() if b.dirty]
+        assert cache._dirty == {
+            p: n for p in ("/a", "/b", "/c")
+            if (n := sum(b.path == p for b in scan))
+        }
+        assert cache.dirty_blocks() == scan
+        assert cache.dirty_blocks(path) == [b for b in scan if b.path == path]
+
+
+def test_dirty_blocks_does_not_scan_for_a_clean_file():
+    cache = make_cache()
+    cache.install_range("/a", 1, 0, 16384, dirty=False, now=0.0)
+    cache.install_range("/b", 1, 0, 4096, dirty=True, now=0.0)
+    scanned = cache.dirty_blocks("/b")
+
+    class Unscannable(type(cache._blocks)):
+        def values(self):
+            raise AssertionError("scanned the LRU with nothing dirty")
+
+    cache._blocks = Unscannable(cache._blocks)
+    # Nothing of /a is dirty, whatever else is.
+    assert cache.dirty_bytes("/a") == 0
+    assert cache.take_dirty("/a") == []
+    cache.clean(scanned)
+    assert cache.dirty_blocks() == []

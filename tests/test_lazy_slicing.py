@@ -1,11 +1,14 @@
 """Lazy time-slicing is an optimisation, not a model change.
 
-``UserContext.compute`` lets an uncontended process sleep across many
-quanta in one event (:class:`repro.sim.SliceRun`).  The reference below
-is the loop it replaced — wake at *every* quantum, release and
-re-acquire the core, account the slice — kept here, and only here, as a
-``UserContext`` subclass.  Each scenario runs twice, once per context
-class, and every observable must be **equal** (``==``, never
+``UserContext.compute`` yields one effect per compute stretch
+(:class:`repro.sim.SliceRun`): the stretch queues on the host's core and
+takes its round-robin turns there, alone or among the stretches of other
+processes, without an event per quantum — the core replays the rotation
+and dispatches only the boundaries at which a task has something to do.
+The reference below is the loop that replaced — wake at *every* quantum,
+release and re-acquire the core, account the slice — kept here, and only
+here, as a ``UserContext`` subclass.  Each scenario runs twice, once per
+context class, and every observable must be **equal** (``==``, never
 ``approx``): simulated times, CPU accounting, dirty memory, checkpoint
 progress, mid-run readings and the trace fingerprint.  Only the number
 of events dispatched may differ, and only downwards.
@@ -13,17 +16,17 @@ of events dispatched may differ, and only downwards.
 Ties.  Who wins when a competitor reaches the core at exactly a quantum
 boundary was decided, in the reference, by event sequence numbers: the
 holder's quantum timer (armed one quantum earlier) against the
-competitor's event.  ``SliceRun`` arms no timer for a boundary it may
+competitor's event.  The replay arms no timer for a boundary it may
 skip, so it has a rule instead — a boundary at exactly ``now`` has
 already passed — which is what the reference does whenever the
-competitor's event is the younger one: a process spawned at that
-instant (the ``boundary`` disturbance below), anything reached through a
-deferred wake-up.  It is not what the reference does when the
-competitor's *own older timer* fires on the boundary, the one structural
-case being a task that hands the core over and then sleeps a whole
-number of quanta: the reference lets it in at the boundary, ``SliceRun``
-one quantum later.  Schedules here stay clear of that case: sleeps are
-never whole quanta and every timed disturbance has a phase of its own
+competitor's event is the younger one: a process or a ``Cpu.consume``
+started at that instant (the ``boundary`` disturbance below), anything
+reached through a deferred wake-up.  It is not what the reference does
+when the competitor's *own older timer* fires on the boundary, the one
+structural case being a task that hands the core over and then sleeps a
+whole number of quanta: the reference lets it in at the boundary, the
+replay one quantum later.  Schedules here stay clear of that case: sleeps
+are never whole quanta and every timed disturbance has a phase of its own
 within the quantum.
 """
 
@@ -42,7 +45,7 @@ from repro.kernel import process as process_module
 from repro.kernel import signals as sig
 from repro.kernel.process import UserContext
 from repro.net.rpc import RpcError
-from repro.sim import Interrupted, Sleep, spawn
+from repro.sim import Effect, Interrupted, Sleep, spawn
 
 QUANTUM = 0.01  # ClusterParams.cpu_quantum
 MB = 1 << 20
@@ -51,19 +54,59 @@ MB = 1 << 20
 # ----------------------------------------------------------------------
 # The reference: one wake-up per quantum
 # ----------------------------------------------------------------------
+class _Grant(Effect):
+    """``core.acquire()`` that remembers being cancelled *after* the
+    grant.  ``Resource`` hands a released unit to the head of its queue
+    by a deferred resume; a waiter aborted before that resume arrives (a
+    host crash aborts the holder and, in the same instant, the process
+    it had just handed the core to) never runs again to release it, and
+    the core stays taken for good.  The reference gives it back."""
+
+    def __init__(self, core):
+        self.core = core
+        self.granted = False
+
+    def bind(self, waiter):
+        self.core.acquire().bind(waiter)
+
+    def cancel(self, waiter):
+        self.granted = waiter not in self.core._queue
+        self.core.acquire().cancel(waiter)
+
+
 class PerQuantumContext(UserContext):
     """``compute`` exactly as it was before lazy time-slicing."""
 
-    #: Times a process held the core for a whole quantum that nobody
-    #: else wanted (queue empty when granted and still empty at the
-    #: boundary), with no signal or freeze waiting for that boundary
-    #: and more of the same compute to follow: the lazy implementation
-    #: must then get by with fewer events.
-    lone_pairs = 0
+    #: Quantum boundaries at which no task had anything to do: the
+    #: holder was not hurried (no signal or freeze waiting for that
+    #: boundary), has more of the same compute to follow, and hands the
+    #: core to another computing process or, with nobody waiting, back
+    #: to itself.  ``longest`` is the most of them any core saw in a row
+    #: with nothing else in between; from two on, the lazy
+    #: implementation must get by with fewer events.
+    quiet = 0
+    longest = 0
+    _streaks = {}
+    #: Tasks waiting for a core from inside ``compute``.
+    _waiting = set()
+
+    @classmethod
+    def reset(cls):
+        cls.quiet = cls.longest = 0
+        cls._streaks = {}
+        cls._waiting = set()
+
+    @classmethod
+    def _boundary(cls, core, quiet):
+        streak = cls._streaks.get(core, 0) + 1 if quiet else 0
+        cls._streaks[core] = streak
+        cls.quiet += quiet
+        cls.longest = max(cls.longest, streak)
 
     def compute(self, demand, dirty_bytes_per_second=0.0):
         if demand < 0:
             raise ValueError(f"negative CPU demand: {demand}")
+        cls = PerQuantumContext
         pcb = self.pcb
         kernels = self._kernels
         remaining = demand
@@ -72,6 +115,7 @@ class PerQuantumContext(UserContext):
                 yield from self._settle_vm_debt()
             kernel = kernels[pcb.current]
             cpu = kernel.cpu
+            core = cpu.core
             sim = kernel.sim
             slice_len = min(cpu.quantum, remaining / cpu.speed)
             consumed = 0.0
@@ -80,21 +124,32 @@ class PerQuantumContext(UserContext):
             unhurried = (
                 not pcb.pending_signals and pcb.migration_ticket is None
             )
+            grant = _Grant(core)
             try:
-                yield cpu.core.acquire()
+                cls._waiting.add(pcb.task)
+                try:
+                    yield grant
+                except GeneratorExit:
+                    if grant.granted:
+                        core.release()
+                    raise
+                finally:
+                    cls._waiting.discard(pcb.task)
                 started = sim.now
-                alone = unhurried and not cpu.core._queue
                 try:
                     yield Sleep(slice_len)
                     consumed = slice_len * cpu.speed
-                    if (alone and not cpu.core._queue
-                            and remaining - consumed > 1e-9):
-                        PerQuantumContext.lone_pairs += 1
+                    cls._boundary(core, (
+                        unhurried and remaining - consumed > 1e-9
+                        and (not core._queue
+                             or core._queue[0] in cls._waiting)
+                    ))
                 except Interrupted as intr:
                     consumed = (sim.now - started) * cpu.speed
+                    cls._boundary(core, False)
                     self._on_interrupt(intr)
                 finally:
-                    cpu.core.release()
+                    core.release()
             except Interrupted as intr:
                 self._on_interrupt(intr)
             finally:
@@ -131,43 +186,60 @@ def lone_compute(proc, seconds, rate, log):
     return 0
 
 
-def main_program(proc, steps, boundary, spawn_at_home, log):
-    """The process under test: ``steps`` in order, logging after each."""
+def program(proc, index, steps, boundary, cluster, log):
+    """One process of the scenario: ``steps`` in order, logging after
+    each.  Process 0 is the one checkpointed; all start on host 0, so
+    consecutive ``compute`` steps re-enter the core's queue at the very
+    instant the previous stretch ended."""
     proc.catch_signal(sig.SIGUSR1)
     yield from proc.use_memory(MB)
-    for index, step in enumerate(steps):
+    for position, step in enumerate(steps):
         kind = step[0]
         if kind == "compute":
             _, quanta, rate = step
-            if index == 0 and boundary is not None:
-                spawn(proc.sim,
-                      _boundary_arrival(proc.sim, boundary, spawn_at_home, log))
+            if index == 0 and position == 0 and boundary is not None:
+                spawn(proc.sim, _boundary_arrival(cluster, boundary, log))
             yield from proc.compute(quanta * QUANTUM, rate)
         elif kind == "migrate":
             try:
                 yield from proc.migrate(step[1])
             except RpcError as refused:  # e.g. an image is being written
-                log.append(("migrate-refused", type(refused).__name__))
+                log.append((index, "migrate-refused", type(refused).__name__))
         elif kind == "sleep":
             yield from proc.sleep(step[1] * QUANTUM)
-        log.append((kind, proc.now, proc.pcb.current, proc.pcb.cpu_time,
+        log.append((index, kind, proc.now, proc.pcb.current, proc.pcb.cpu_time,
                     proc.pcb.vm.dirty, tuple(proc.signals_seen())))
     return 0
 
 
-def _boundary_arrival(sim, boundary, spawn_at_home, log):
-    """Start a competitor at exactly the ``b``-th quantum boundary of
-    the compute that begins now, from an event scheduled in the middle
-    of the quantum before it."""
-    b, quanta = boundary
-    arrival = boundary_after(sim.now, b)
-    yield Sleep((b - 0.5) * QUANTUM)
-    sim.schedule_at(
-        arrival, spawn_at_home, lone_compute, quanta * QUANTUM, 0.0, log,
-    )
+def _boundary_arrival(cluster, boundary, log):
+    """Bring a competitor to host 0's core at exactly a quantum boundary
+    of the rotation in progress, about ``b`` quanta from now, from an
+    event scheduled in the middle of the quantum before it: a process
+    that computes ``amount`` quanta, or ``Cpu.consume`` of ``amount``
+    seconds."""
+    b, kind, amount = boundary
+    sim = cluster.sim
+    host = cluster.hosts[0]
+    yield Sleep((b - 0.4631) * QUANTUM)  # no compute ends on this phase
+    host.cpu.sync()
+    core = host.cpu.core
+    arrival = core._last_change + QUANTUM
+    if core.in_use == 0 or arrival <= sim.now:
+        return  # idle, or a holder other than a compute: no boundary ahead
+    if kind == "compete":
+        sim.schedule_at(arrival, host.spawn_process, lone_compute,
+                        amount * QUANTUM, 0.0, log)
+    else:
+        sim.schedule_at(arrival, spawn, sim, _consume(host, amount, log))
 
 
-def disturbance(cluster, injector, pcb, event, log):
+def _consume(host, seconds, log):
+    yield from host.cpu.consume(seconds)
+    log.append(("consumed", host.sim.now))
+
+
+def disturbance(cluster, injector, pcbs, event, log):
     """One driver task per disturbance; all are spawned at time zero."""
     when, kind, *args = event
     hosts = cluster.hosts
@@ -182,11 +254,14 @@ def disturbance(cluster, injector, pcb, event, log):
         host, seconds = args
         yield from hosts[host].cpu.core.hold(seconds)
     elif kind == "signal":
+        pcb = pcbs[args[1] if len(args) > 1 else 0]
         yield from hosts[0].kernel.signal(pcb.pid, args[0])
     elif kind == "taskkill":
+        pcb = pcbs[args[0] if args else 0]
         if pcb.task is not None:
             pcb.task.interrupt()
     elif kind == "migrate":
+        pcb = pcbs[args[1] if len(args) > 1 else 0]
         manager = cluster.managers.get(pcb.current)
         try:
             yield from manager.migrate(pcb, hosts[args[0]].address)
@@ -200,8 +275,8 @@ def disturbance(cluster, injector, pcb, event, log):
                     host.cpu.utilization()))
 
 
-def readings(cluster, pcb):
-    """What a reader outside the process may look at, mid-run or after."""
+def readings(cluster, pcbs):
+    """What a reader outside the processes may look at, mid-run or after."""
     listing = [host.kernel.ps() for host in cluster.hosts]  # syncs each cpu
     return {
         "now": cluster.sim.now,
@@ -210,9 +285,11 @@ def readings(cluster, pcb):
         "total_demand": [h.cpu.total_demand for h in cluster.hosts],
         "busy_time": [h.cpu.core.busy_time for h in cluster.hosts],
         "utilization": [h.cpu.utilization() for h in cluster.hosts],
-        "cpu_time": pcb.cpu_time,
-        "dirty": (pcb.vm.dirty, pcb.vm.resident),
-        "state": (pcb.state, pcb.current),
+        "core": [(h.cpu.core.in_use, h.cpu.core.queue_length, h.cpu.runnable)
+                 for h in cluster.hosts],
+        "cpu_time": [pcb.cpu_time for pcb in pcbs],
+        "dirty": [(pcb.vm.dirty, pcb.vm.resident) for pcb in pcbs],
+        "state": [(pcb.state, pcb.current) for pcb in pcbs],
     }
 
 
@@ -229,16 +306,20 @@ def run_scenario(scenario, context_cls):
         )
         injector = cluster.faults(detect_delay=0.5)
         log = []
-        steps = [
-            ("migrate", cluster.hosts[s[1]].address) if s[0] == "migrate" else s
-            for s in scenario["steps"]
-        ]
-        program_args = (
-            steps, scenario["boundary"], cluster.hosts[0].spawn_process, log,
-        )
-        pcb, _ = cluster.hosts[0].spawn_process(
-            main_program, *program_args, name="main"
-        )
+        pcbs = []
+        for index, steps in enumerate(scenario["procs"]):
+            steps = [
+                ("migrate", cluster.hosts[s[1]].address)
+                if s[0] == "migrate" else s
+                for s in steps
+            ]
+            args = (index, steps, scenario["boundary"], cluster, log)
+            pcb, _ = cluster.hosts[0].spawn_process(
+                program, *args, name=f"proc{index}"
+            )
+            pcbs.append(pcb)
+            if index == 0:
+                main_args = args
         service = None
         if scenario["checkpoint"] is not None:
             interval, mode = scenario["checkpoint"]
@@ -246,26 +327,26 @@ def run_scenario(scenario, context_cls):
                 cluster, injector=injector, interval=interval * QUANTUM,
                 mode=mode,
             )
-            service.register(pcb, main_program, *program_args)
+            service.register(pcbs[0], program, *main_args)
         for event in scenario["events"]:
-            spawn(cluster.sim, disturbance(cluster, injector, pcb, event, log),
+            spawn(cluster.sim, disturbance(cluster, injector, pcbs, event, log),
                   daemon=True)
         stops = []
         for stop in scenario["stops"]:
             cluster.run(until=stop * QUANTUM)
-            stops.append(readings(cluster, pcb))
+            stops.append(readings(cluster, pcbs))
         cluster.run(until=scenario["horizon"] * QUANTUM)
         images = []
         if service is not None:
             images = [
                 (im.seq, im.mode, im.taken_at, im.progress, im.image_bytes,
                  im.intact)
-                for im in service.store.images.get(pcb.pid, [])
+                for im in service.store.images.get(pcbs[0].pid, [])
             ]
         return {
             "log": log,
             "stops": stops,
-            "final": readings(cluster, pcb),
+            "final": readings(cluster, pcbs),
             "images": images,
             "migrations": [
                 (r.pid, r.source, r.target, r.started, r.total_time, r.refused)
@@ -277,14 +358,14 @@ def run_scenario(scenario, context_cls):
 
 
 def assert_same_simulation(scenario):
-    PerQuantumContext.lone_pairs = 0
+    PerQuantumContext.reset()
     expected, reference_events = run_scenario(scenario, PerQuantumContext)
-    lone_pairs = PerQuantumContext.lone_pairs
+    longest = PerQuantumContext.longest
     actual, events = run_scenario(scenario, UserContext)
     for key in expected:
         assert actual[key] == expected[key], key
     assert events <= reference_events
-    if lone_pairs:
+    if longest >= 2:
         assert events < reference_events
 
 
@@ -316,14 +397,30 @@ def scenarios(draw):
             st.tuples(st.just("migrate"), hosts),
             st.tuples(st.just("sleep"), SLEEPS),
         )))
+    # Up to four more compute-bound processes on the same core, with
+    # demands of their own; half the schedules have the core shared
+    # from the start.
+    procs = [steps]
+    shorter = st.floats(min_value=0.3, max_value=120.0, allow_nan=False)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3, 4]))):
+        procs.append(draw(st.lists(
+            st.one_of(
+                st.tuples(st.just("compute"), shorter, RATES),
+                st.tuples(st.just("compute"), shorter, RATES),
+                st.tuples(st.just("migrate"), hosts),
+                st.tuples(st.just("sleep"), SLEEPS),
+            ), min_size=1, max_size=3,
+        )))
+    targets = st.integers(0, len(procs) - 1)
     kinds = st.one_of(
         st.tuples(st.just("compete"), hosts, quanta, RATES),
         st.tuples(st.just("consume"), hosts, CHARGES),
         st.tuples(st.just("hold"), hosts, CHARGES),
         st.tuples(st.just("signal"),
-                  st.sampled_from([sig.SIGUSR1, sig.SIGUSR1, sig.SIGTERM])),
-        st.tuples(st.just("taskkill")),
-        st.tuples(st.just("migrate"), hosts),
+                  st.sampled_from([sig.SIGUSR1, sig.SIGUSR1, sig.SIGTERM]),
+                  targets),
+        st.tuples(st.just("taskkill"), targets),
+        st.tuples(st.just("migrate"), hosts, targets),
         st.tuples(st.just("crash"), hosts),
         st.tuples(st.just("ps"), hosts),
     )
@@ -335,7 +432,10 @@ def scenarios(draw):
         phase = (index + draw(st.floats(min_value=0.2, max_value=0.8))) / (count + 1)
         when = draw(st.integers(0, 400)) + 0.05 + 0.9 * phase
         events.append((when,) + draw(kinds))
-    boundary = draw(st.none() | st.tuples(st.integers(1, 40), quanta))
+    boundary = draw(st.none() | st.one_of(
+        st.tuples(st.integers(1, 40), st.just("compete"), quanta),
+        st.tuples(st.integers(1, 40), st.just("consume"), CHARGES),
+    ))
     checkpoint = draw(st.none() | st.tuples(
         st.floats(min_value=20.0, max_value=200.0),
         st.sampled_from(["full", "incremental"]),
@@ -345,7 +445,7 @@ def scenarios(draw):
     )))
     return {
         "speeds": [draw(SPEEDS) for _ in range(nhosts)],
-        "steps": steps,
+        "procs": procs,
         "events": events,
         "boundary": boundary,
         "checkpoint": checkpoint,
@@ -355,19 +455,30 @@ def scenarios(draw):
 
 
 def scenario(steps, events=(), boundary=None, checkpoint=None, stops=(),
-             speeds=(1.0, 1.0)):
+             speeds=(1.0, 1.0), rivals=()):
     return {
-        "speeds": list(speeds), "steps": list(steps), "events": list(events),
-        "boundary": boundary, "checkpoint": checkpoint, "stops": list(stops),
-        "horizon": 4000.0,
+        "speeds": list(speeds),
+        "procs": [list(steps)] + [list(rival) for rival in rivals],
+        "events": list(events), "boundary": boundary,
+        "checkpoint": checkpoint, "stops": list(stops), "horizon": 4000.0,
     }
+
+
+#: Three rivals with unequal demands, one dirtying memory, one computing
+#: in three back-to-back stretches: with the main process, a rotation of
+#: four from about t = 7 quanta (``use_memory`` comes first) to 160.
+RIVALS = (
+    [("compute", 61.7, 0.0)],
+    [("compute", 40.3, 2.0e5), ("compute", 25.0, 0.0)],
+    [("compute", 12.5, 0.0), ("compute", 0.4, 0.0), ("compute", 30.1, 3.3e6)],
+)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(scenarios())
 @example(scenario([("compute", 100.0, 0.0)]))
 @example(scenario([("compute", 250.5, 2.0e5)], speeds=(0.5, 2.0)))
-@example(scenario([("compute", 120.0, 2.0e5)], boundary=(7, 30.0)))
+@example(scenario([("compute", 120.0, 2.0e5)], boundary=(7, "compete", 30.0)))
 @example(scenario([("compute", 120.0, 0.0)],
                   events=[(30.4, "compete", 0, 50.0, 2.0e5),
                           (60.7, "consume", 0, 0.0171)]))
@@ -383,22 +494,69 @@ def scenario(steps, events=(), boundary=None, checkpoint=None, stops=(),
                   checkpoint=(40.0, "incremental")))
 @example(scenario([("compute", 300.0, 2.0e5)], checkpoint=(33.0, "full"),
                   stops=[77.7, 180.2]))
+# A shared core: the rotation by itself, at another speed, and read by
+# ps and the checkpoint daemon while it turns.
+@example(scenario([("compute", 100.0, 2.0e5)], rivals=RIVALS))
+@example(scenario([("compute", 100.0, 2.0e5)], rivals=RIVALS,
+                  speeds=(1.25, 0.5), checkpoint=(33.0, "incremental"),
+                  events=[(40.3, "ps", 0), (90.6, "ps", 0)],
+                  stops=[55.5, 120.2]))
+# Foreign arrivals: mid-quantum, and exactly on a boundary.
+@example(scenario([("compute", 100.0, 0.0)], rivals=RIVALS,
+                  events=[(30.4, "consume", 0, 0.0171),
+                          (30.6, "hold", 0, 0.00137),
+                          (61.3, "consume", 0, 0.0333)]))
+@example(scenario([("compute", 100.0, 0.0)], rivals=RIVALS,
+                  boundary=(23, "consume", 0.0171)))
+@example(scenario([("compute", 100.0, 0.0)], rivals=RIVALS,
+                  boundary=(24, "compete", 30.0)))
+# Caught and fatal signals, a bare kill and both kinds of migration, each
+# at four consecutive quanta of a rotation of four: they hit every
+# process once as the holder and three times while it is queued.
+@example(scenario([("compute", 100.0, 2.0e5)], rivals=RIVALS,
+                  events=[(20.3 + i, "signal", sig.SIGUSR1, i % 4)
+                          for i in range(8)]))
+@example(scenario([("compute", 100.0, 2.0e5)], rivals=RIVALS,
+                  events=[(20.3, "signal", sig.SIGTERM, 1),
+                          (21.4, "signal", sig.SIGTERM, 2),
+                          (30.5, "taskkill", 3), (31.6, "taskkill", 0)]))
+@example(scenario([("compute", 100.0, 2.0e5)], rivals=RIVALS,
+                  events=[(20.3, "migrate", 1, 0), (21.4, "migrate", 1, 1),
+                          (22.5, "migrate", 1, 2), (23.6, "migrate", 1, 3)]))
+@example(scenario([("compute", 30.2, 0.0), ("migrate", 1),
+                   ("compute", 50.0, 0.0)],
+                  rivals=[[("compute", 30.7, 0.0), ("migrate", 1),
+                           ("compute", 20.0, 2.0e5)],
+                          [("compute", 31.1, 0.0), ("migrate", 1),
+                           ("compute", 10.0, 0.0)]]))
+# A host crash takes the holder and everyone queued behind it.
+@example(scenario([("compute", 300.0, 2.0e5)], rivals=RIVALS,
+                  events=[(50.5, "crash", 0)],
+                  checkpoint=(20.0, "incremental")))
 def test_lazy_slicing_matches_the_per_quantum_reference(scenario):
     assert_same_simulation(scenario)
 
 
 def test_reference_and_lazy_contexts_really_differ():
     """Guard the harness itself: the patched class is the one that runs,
-    the trace compared is not empty, and the lazy run of a lone 1 s
-    compute needs far fewer events."""
+    the trace compared is not empty, the reference counts its quiet
+    boundaries, and the lazy run needs far fewer events — of a lone 1 s
+    compute, and of a core four processes share."""
     lone = scenario([("compute", 100.0, 0.0), ("migrate", 1)])
-    PerQuantumContext.lone_pairs = 0
+    PerQuantumContext.reset()
     observed, reference_events = run_scenario(lone, PerQuantumContext)
-    assert PerQuantumContext.lone_pairs == 99
+    assert PerQuantumContext.quiet == PerQuantumContext.longest == 99
     assert observed["trace_records"] > 0
-    assert [entry[0] for entry in observed["log"]] == ["compute", "migrate"]
+    assert [entry[1] for entry in observed["log"]] == ["compute", "migrate"]
     _, events = run_scenario(lone, UserContext)
     assert reference_events - events > 150
+
+    shared = scenario([("compute", 100.0, 2.0e5)], rivals=RIVALS)
+    PerQuantumContext.reset()
+    _, reference_events = run_scenario(shared, PerQuantumContext)
+    assert PerQuantumContext.longest > 40
+    _, events = run_scenario(shared, UserContext)
+    assert reference_events - events > 500
 
 
 # ----------------------------------------------------------------------
@@ -423,3 +581,24 @@ def test_ps_mid_run_reports_whole_quanta():
     assert host.cpu.utilization() == pytest.approx(1.0)
     cluster.run(until=2.0)
     assert pcb.cpu_time == pytest.approx(1.0)
+
+
+def test_ps_mid_rotation_reports_each_process_its_own_quanta():
+    """0.255 s into a core three processes share from the start, 25
+    quanta have passed: nine for the first in the queue, eight each for
+    the others."""
+    cluster = SpriteCluster(workstations=1, start_daemons=False)
+    host = cluster.hosts[0]
+
+    def job(proc):
+        yield from proc.compute(1.0)
+        return 0
+
+    pcbs = [host.spawn_process(job, name=f"job{i}")[0] for i in range(3)]
+    cluster.run(until=0.255)
+    listing = {e["pid"]: e["cpu_time"] for e in host.kernel.ps()}
+    assert [listing[pcb.pid] for pcb in pcbs] == [
+        boundary_after(0.0, 9), boundary_after(0.0, 8), boundary_after(0.0, 8),
+    ]
+    assert host.cpu.total_demand == boundary_after(0.0, 25)
+    assert cluster.sim.events_fired < 12

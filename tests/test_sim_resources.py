@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Cpu, Interrupted, Resource, Simulator, Sleep, spawn
+from repro.sim import (
+    Cpu, Interrupted, Resource, Simulator, Sleep, SliceRun, spawn,
+)
 
 
 def test_resource_serializes_holders():
@@ -232,3 +234,178 @@ def test_cpu_rejects_negative_demand():
     spawn(sim, job(), name="bad")
     with pytest.raises(ValueError):
         sim.run()
+
+
+# ----------------------------------------------------------------------
+# Slice runs: the round-robin rotation is replayed, not dispatched
+# ----------------------------------------------------------------------
+class _Ledger:
+    def __init__(self):
+        self.cpu_time = 0.0
+
+
+def _round_robin(starts, demands, quantum, speed):
+    """Finish time and CPU time of each consumer under per-quantum
+    round-robin, by the recurrence itself: the holder burns
+    ``min(quantum, remaining / speed)`` and goes to the tail.  All
+    ``starts`` are distinct and fall strictly inside a quantum."""
+    arrivals = sorted(range(len(starts)), key=lambda i: starts[i])
+    remaining = list(demands)
+    charged = [0.0] * len(demands)
+    finished = [None] * len(demands)
+    queue = []
+    holder = None
+    t = 0.0
+    while holder is not None or arrivals:
+        if holder is None:
+            holder = arrivals.pop(0)
+            t = starts[holder]
+        end = t + min(quantum, remaining[holder] / speed)
+        while arrivals and starts[arrivals[0]] < end:
+            queue.append(arrivals.pop(0))
+        consumed = min(quantum, remaining[holder] / speed) * speed
+        remaining[holder] -= consumed
+        charged[holder] += consumed
+        t = end
+        if remaining[holder] > 1e-9:
+            queue.append(holder)
+        else:
+            finished[holder] = t
+        holder = queue.pop(0) if queue else None
+    return finished, charged
+
+
+def _slice_consumers(sim, cpu, starts, demands, log):
+    ledgers = [_Ledger() for _ in demands]
+
+    def consumer(index):
+        yield Sleep(starts[index])
+        run = SliceRun(demands[index], ledgers[index])
+        run.cpu = cpu
+        cpu.runnable += 1
+        while run.remaining > 1e-9:
+            yield run
+        cpu.runnable -= 1
+        log.append((index, sim.now))
+
+    for index in range(len(demands)):
+        spawn(sim, consumer(index))
+    return ledgers
+
+
+@pytest.mark.parametrize("speed", [1.0, 0.5, 1.25])
+def test_slice_runs_share_the_core_on_the_per_quantum_floats(speed):
+    """Five runs with unequal demands, arriving mid-quantum one after
+    another, finish at exactly the floats of the per-quantum schedule —
+    and the whole rotation, hundreds of quanta, costs a few events per
+    run."""
+    sim = Simulator()
+    cpu = Cpu(sim, quantum=0.01, speed=speed)
+    starts = [0.0, 0.0137, 0.0291, 0.0618, 0.3333]
+    demands = [1.0, 0.3337, 2.0, 0.05, 1.4142]
+    log = []
+    ledgers = _slice_consumers(sim, cpu, starts, demands, log)
+    sim.run()
+    finished, charged = _round_robin(starts, demands, 0.01, speed)
+    assert sorted(log) == list(enumerate(finished))
+    assert [ledger.cpu_time for ledger in ledgers] == charged
+    assert cpu.total_demand == pytest.approx(sum(demands))
+    assert cpu.core.in_use == 0 and cpu.runnable == 0
+    assert cpu.utilization() == pytest.approx(1.0)  # never idle
+    quanta = sum(demands) / (0.01 * speed)
+    assert quanta > 380
+    assert sim.events_fired < 6 * len(demands)
+
+
+def test_slice_run_events_grow_with_runs_not_with_quanta():
+    def events(demand):
+        sim = Simulator()
+        cpu = Cpu(sim, quantum=0.01)
+        _slice_consumers(sim, cpu, [0.0, 0.0013, 0.0029, 0.0041],
+                         [demand * k for k in (1, 2, 3, 4)], [])
+        sim.run()
+        return sim.events_fired
+
+    # A hundred times the quanta: a few more doublings of the horizon.
+    assert events(40.0) - events(0.4) <= 12
+
+
+def test_foreign_waiter_takes_its_turn_in_the_rotation():
+    """``Cpu.consume`` arriving while two runs rotate gets the core when
+    it reaches the head of the queue — after each run has had one more
+    quantum — and holds it for its (shorter) slice."""
+    sim = Simulator()
+    cpu = Cpu(sim, quantum=0.01)
+    log = []
+    ledgers = _slice_consumers(sim, cpu, [0.0, 0.001], [0.1, 0.1], log)
+
+    def foreign():
+        yield Sleep(0.025)  # in the third quantum: run 0 holds, run 1 waits
+        yield from cpu.consume(0.004)
+        log.append(("foreign", sim.now))
+
+    spawn(sim, foreign())
+    sim.run(until=0.0301)
+    # Settled on arrival (two boundaries), nothing since.
+    assert [ledger.cpu_time for ledger in ledgers] == [0.01, 0.01]
+    sim.run(until=0.0445)
+    # Run 0 finished its quantum at 0.03, run 1 ran to 0.04, then the
+    # foreign slice: 0.04 .. 0.044.
+    assert log == [("foreign", 0.01 + 0.01 + 0.01 + 0.01 + 0.004)]
+    assert cpu.core.run is not None and cpu.core.queue_length == 1
+    sim.run()
+    assert sorted(entry[1] for entry in log[1:]) == pytest.approx([0.194, 0.204])
+    assert cpu.total_demand == pytest.approx(0.204)
+
+
+def test_interrupted_slice_run_is_charged_only_as_the_holder():
+    sim = Simulator()
+    cpu = Cpu(sim, quantum=0.01)
+    ledgers = [_Ledger(), _Ledger()]
+    charged = []
+
+    def consumer(index):
+        run = SliceRun(1.0, ledgers[index],
+                       lambda n, consumed: charged.append((index, n, consumed)))
+        run.cpu = cpu
+        try:
+            yield run
+        except Interrupted:
+            run.charge_partial()
+        return run.remaining
+
+    holder = spawn(sim, consumer(0))
+    waiter = spawn(sim, consumer(1))
+    sim.run(until=0.005)
+    assert cpu.core.run is not None and cpu.core.queue_length == 1
+    waiter.interrupt()
+    sim.run(until=0.0051)
+    assert waiter.result == 1.0 and ledgers[1].cpu_time == 0.0
+    assert cpu.core.queue_length == 0
+    sim.run(until=0.0275)
+    holder.interrupt()
+    sim.run(until=0.03)
+    # Two whole quanta, then 7.5 ms of the third.
+    assert charged == [(0, 2, 0.01), (0, 1, 0.0275 - (0.01 + 0.01))]
+    assert ledgers[0].cpu_time == 0.01 + 0.01 + (0.0275 - (0.01 + 0.01))
+    assert holder.result == 1.0 - ledgers[0].cpu_time
+    assert cpu.core.in_use == 0 and cpu.core.run is None
+    assert cpu.total_demand == ledgers[0].cpu_time
+    assert sim.pending_events == 0
+
+
+def test_release_by_a_non_holder_is_an_error():
+    sim = Simulator()
+    cpu = Cpu(sim)
+    with pytest.raises(ValueError):
+        cpu.core.release()
+
+    def consumer():
+        run = SliceRun(1.0, _Ledger())
+        run.cpu = cpu
+        yield run
+
+    spawn(sim, consumer())
+    sim.run(until=0.5)
+    with pytest.raises(ValueError):
+        cpu.core.release()  # the run holds the core, not the caller
