@@ -24,7 +24,9 @@ Resolution strategy, in decreasing precision:
    (nearest ancestor implementation plus every subclass override —
    dynamic dispatch may land on any of them);
 3. module-alias receivers (``packaging.export_streams``);
-4. *fallback by attribute name*: ``obj.meth(...)`` with an untyped
+4. a parameter annotated with a tree class (``txn: MigrationTxn``),
+   resolved through the hierarchy like ``self``;
+5. *fallback by attribute name*: ``obj.meth(...)`` with an untyped
    receiver resolves to every tree method named ``meth`` (minus a small
    blocklist of ubiquitous builtin-container method names).  Fallback
    edges are marked ``sharp=False`` so rules can demand precision.
@@ -314,7 +316,8 @@ class CallGraph:
                     self._record_ref(module, element, scope)
             elif isinstance(node, ast.Return) and node.value is not None:
                 self._record_ref(module, node.value, scope)
-            elif isinstance(node, ast.Assign):
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and node.value is not None:
                 self._record_ref(module, node.value, scope)
             stack.extend(ast.iter_child_nodes(node))
 
@@ -399,6 +402,12 @@ class CallGraph:
                 if isinstance(resolved, ClassInfo):
                     return [], True, resolved
                 return [], True, None
+            # a parameter annotated with a tree class: `txn: MigrationTxn`
+            klass = self._annotated_class(receiver.id, scope)
+            if klass is not None:
+                targets = self.resolve_method(klass, attr)
+                if targets:
+                    return targets, True, None
         # untyped receiver: fallback by method name
         if attr in _FALLBACK_BLOCKLIST:
             return [], False, None
@@ -470,6 +479,25 @@ class CallGraph:
             if current.function is not None and \
                     current.function.class_name is not None:
                 return current.function.class_name
+            current = current.parent
+        return None
+
+    def _annotated_class(self, name: str, scope: _Scope) -> Optional[str]:
+        """Tree class that the nearest enclosing function annotates its
+        parameter ``name`` with (a bare or quoted class name), if any."""
+        current: Optional[_Scope] = scope
+        while current is not None:
+            if current.function is not None:
+                args = current.function.node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    if arg.arg != name:
+                        continue
+                    note = arg.annotation
+                    if isinstance(note, ast.Constant):
+                        note_name = note.value
+                    else:
+                        note_name = getattr(note, "id", None)
+                    return note_name if note_name in self.classes else None
             current = current.parent
         return None
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..fs import BackingFile
 from ..migration.packaging import state_bytes, stream_bytes, stream_manifest
@@ -141,15 +141,6 @@ class CheckpointStore:
     def drop(self, key: int) -> None:
         """Forget every image for ``key`` (process exited cleanly)."""
         self.images.pop(key, None)
-
-    def accounted_keys(self) -> Set[int]:
-        """Keys with at least one intact image — state the invariant
-        checker counts as accounted even with no runnable copy."""
-        return {
-            key
-            for key, generations in self.images.items()
-            if any(image.intact for image in generations)
-        }
 
 
 def image_payload(params: Any, pcb: Any) -> Tuple[int, Tuple[Tuple[int, str, int], ...]]:

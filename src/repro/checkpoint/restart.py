@@ -146,7 +146,6 @@ class RestartManager:
         pcb.streams = streams
         pcb.next_fd = max(streams, default=2) + 1
         pcb.pending_signals.clear()
-        pcb.in_syscall = 0
         pcb.interruptible = False
         pcb.migration_ticket = None
         pcb.checkpoint_lock = False

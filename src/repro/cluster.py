@@ -75,7 +75,6 @@ class SpriteCluster:
         trace: bool = False,
         vm_policy: Union[str, VmPolicy, None] = None,
         start_daemons: bool = True,
-        host_prefix: str = "ws",
         cpu_speeds: Optional[List[float]] = None,
     ):
         if workstations < 1 or file_servers < 1:
@@ -114,13 +113,12 @@ class SpriteCluster:
             host = Host(
                 self.sim,
                 self.lan,
-                f"{host_prefix}{i}",
+                f"ws{i}",
                 self.prefixes,
                 self.kernels,
                 params=self.params,
                 tracer=self.tracer,
                 start_daemons=start_daemons,
-                batch_load_ticks=True,
                 cpu_speed=cpu_speeds[i] if cpu_speeds else 1.0,
             )
             manager = MigrationManager(host, self.managers, policy=vm_policy)

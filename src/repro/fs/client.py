@@ -621,26 +621,6 @@ class FsClient:
         used when the *source* has already pulled the reference back."""
         self.open_streams.pop(stream.stream_id, None)
 
-    def release_imported(
-        self, stream: Stream, close_refs: bool
-    ) -> Generator[Effect, None, None]:
-        """Dispose of a stream copy installed by :meth:`import_stream`
-        for a migration that never committed.
-
-        ``close_refs=True`` means the source is gone for good (crashed
-        before it could pull references back): close the copy so the
-        server's counts drain.  ``close_refs=False`` means the source
-        is undoing its own export — only local records go.
-        """
-        if not close_refs:
-            yield from self.cpu.consume(self.params.kernel_call_cpu)
-            self.forget_stream(stream)
-            return
-        if stream.closed:
-            return
-        stream.refcount = 1
-        yield from self.close(stream)
-
     def import_stream(self, state: Dict[str, Any]) -> Generator[Effect, None, Stream]:
         """Target side: install a stream exported by another client."""
         stream: Stream = state["stream"]

@@ -19,7 +19,7 @@ from .kernel import (
 from .loadavg import LoadAverage
 from .pcb import ExitStatus, MigrationTicket, Pcb, PendingInstall, ProcState, Vm
 from .process import ExitProcess, Program, UserContext
-from .syscalls import CALL_TABLE, CallClass, call_class, forward_all_table
+from .syscalls import CALL_TABLE, CallClass, call_class
 
 __all__ = [
     "APPENDIX_A",
@@ -42,7 +42,6 @@ __all__ = [
     "Vm",
     "call_class",
     "classes_of",
-    "forward_all_table",
     "home_of_pid",
     "signals",
 ]

@@ -36,7 +36,6 @@ class Host:
         tracer: Optional[Tracer] = None,
         cpu_speed: float = 1.0,
         start_daemons: bool = True,
-        batch_load_ticks: bool = False,
     ):
         self.sim = sim
         self.lan = lan
@@ -61,12 +60,9 @@ class Host:
             sim, lan, self.node, self.cpu, self.rpc, self.fs, self.pdevs,
             params=self.params,
         )
-        # ``batch_load_ticks``: the cluster starts every host's sampler
-        # itself with one LoadAverage.start_batched call.
-        self.loadavg = LoadAverage(
-            sim, self.cpu, self.params,
-            start_daemon=start_daemons and not batch_load_ticks,
-        )
+        # The cluster starts every host's sampler itself, with one
+        # LoadAverage.start_batched call.
+        self.loadavg = LoadAverage(sim, self.cpu, self.params)
         self._kernels = kernels
         kernels[self.node.address] = self.kernel
         #: Simulated time of the last keyboard/mouse input (-inf = never).

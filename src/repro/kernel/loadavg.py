@@ -25,7 +25,6 @@ class LoadAverage:
         sim: Simulator,
         cpu: Cpu,
         params: Optional[ClusterParams] = None,
-        start_daemon: bool = True,
     ):
         self.sim = sim
         self.cpu = cpu
@@ -36,27 +35,23 @@ class LoadAverage:
         self._alpha = math.exp(
             -self.params.load_sample_period / self.params.load_decay
         )
-        # The sampler is the highest-frequency periodic activity in a
-        # cluster (one event per host per simulated second), so it runs
-        # as a bare self-rescheduling callback rather than a coroutine
-        # task: no generator frame, no Effect binding per tick.
-        if start_daemon:
-            sim.defer(self._start_ticks)
 
-    def _start_ticks(self) -> None:
-        self.sim.schedule(self.params.load_sample_period, self._tick)
-
+    # The sampler is the highest-frequency periodic activity in a cluster
+    # (one event per host per simulated second), so it runs as a bare
+    # self-rescheduling callback rather than a coroutine task: no
+    # generator frame, no Effect binding per tick.
     def _tick(self) -> None:
         self.sample()
         self.sim.schedule(self.params.load_sample_period, self._tick)
 
     @staticmethod
     def start_batched(sim: Simulator, loadavgs: "list[LoadAverage]") -> None:
-        """Kick a group of samplers with one bulk scheduling call.
+        """Start the periodic tick of a group of samplers (the only way
+        a sampler starts ticking).
 
-        The cluster uses this to start every host's per-second tick in a
-        single ``schedule_many`` instead of one startup event per host.
-        All samplers must share the same ``load_sample_period``.
+        The cluster starts every host's per-second tick in a single
+        ``schedule_many`` instead of one startup event per host.  All
+        samplers must share the same ``load_sample_period``.
         """
         if not loadavgs:
             return

@@ -162,8 +162,6 @@ class Pcb:
     start_time: float = 0.0
     #: Set while a migration is being negotiated/performed.
     migration_ticket: Optional[MigrationTicket] = None
-    #: Depth of kernel calls in progress (migration waits for zero).
-    in_syscall: int = 0
     #: Number of completed migrations (for statistics / double migration).
     migrations: int = 0
     #: True while the process task is parked in an interruptible wait
@@ -202,7 +200,3 @@ class Pcb:
         if fd not in self.streams:
             raise KeyError(f"pid {self.pid}: bad file descriptor {fd}")
         return self.streams[fd]
-
-    def describe(self) -> str:
-        where = "home" if not self.is_remote else f"remote@{self.current}"
-        return f"<pid {self.pid} {self.name} {self.state.value} {where}>"

@@ -313,14 +313,9 @@ class UserContext:
     # ------------------------------------------------------------------
     # Kernel-call plumbing
     # ------------------------------------------------------------------
-    def _syscall(self, name: str, local: Generator) -> Generator[Effect, None, Any]:
+    def _syscall(self, local: Generator) -> Generator[Effect, None, Any]:
         """Run a kernel call to completion, then hit a safe point."""
-        pcb = self.pcb
-        pcb.in_syscall += 1
-        try:
-            result = yield from local
-        finally:
-            pcb.in_syscall -= 1
+        result = yield from local
         yield from self._checkpoint()
         return result
 
@@ -344,25 +339,19 @@ class UserContext:
         return self.pcb.parent_pid
 
     def gettimeofday(self) -> Generator[Effect, None, float]:
-        return (yield from self._syscall(
-            "gettimeofday", self._classified("gettimeofday")
-        ))
+        return (yield from self._syscall(self._classified("gettimeofday")))
 
     def gethostname(self) -> Generator[Effect, None, str]:
-        return (yield from self._syscall(
-            "gethostname", self._classified("gethostname")
-        ))
+        return (yield from self._syscall(self._classified("gethostname")))
 
     def getrusage(self) -> Generator[Effect, None, Dict[str, Any]]:
-        return (yield from self._syscall("getrusage", self._classified("getrusage")))
+        return (yield from self._syscall(self._classified("getrusage")))
 
     def getpgrp(self) -> Generator[Effect, None, int]:
-        return (yield from self._syscall("getpgrp", self._classified("getpgrp")))
+        return (yield from self._syscall(self._classified("getpgrp")))
 
     def setpgrp(self, pgrp: Optional[int] = None) -> Generator[Effect, None, int]:
-        return (yield from self._syscall(
-            "setpgrp", self._classified("setpgrp", pgrp)
-        ))
+        return (yield from self._syscall(self._classified("setpgrp", pgrp)))
 
     # ------------------------------------------------------------------
     # Files (location-independent thanks to the network FS)
@@ -372,44 +361,44 @@ class UserContext:
             full = self._resolve(path)
             stream = yield from self.kernel.fs.open(full, mode)
             return self.pcb.new_fd(stream)
-        return (yield from self._syscall("open", impl()))
+        return (yield from self._syscall(impl()))
 
     def close(self, fd: int) -> Generator[Effect, None, None]:
         def impl():
             stream = self.pcb.streams.pop(fd)
             yield from self.kernel.fs.close(stream)
-        return (yield from self._syscall("close", impl()))
+        return (yield from self._syscall(impl()))
 
     def read(self, fd: int, nbytes: int) -> Generator[Effect, None, int]:
         def impl():
             return (yield from self.kernel.fs.read(self.pcb.stream(fd), nbytes))
-        return (yield from self._syscall("read", impl()))
+        return (yield from self._syscall(impl()))
 
     def write(self, fd: int, nbytes: int) -> Generator[Effect, None, int]:
         def impl():
             return (yield from self.kernel.fs.write(self.pcb.stream(fd), nbytes))
-        return (yield from self._syscall("write", impl()))
+        return (yield from self._syscall(impl()))
 
     def lseek(self, fd: int, offset: int) -> Generator[Effect, None, int]:
         def impl():
             return (yield from self.kernel.fs.seek(self.pcb.stream(fd), offset))
-        return (yield from self._syscall("lseek", impl()))
+        return (yield from self._syscall(impl()))
 
     def stat(self, path: str) -> Generator[Effect, None, Dict[str, Any]]:
         def impl():
             return (yield from self.kernel.fs.stat(self._resolve(path)))
-        return (yield from self._syscall("stat", impl()))
+        return (yield from self._syscall(impl()))
 
     def unlink(self, path: str) -> Generator[Effect, None, None]:
         def impl():
             yield from self.kernel.fs.remove(self._resolve(path))
-        return (yield from self._syscall("unlink", impl()))
+        return (yield from self._syscall(impl()))
 
     def chdir(self, path: str) -> Generator[Effect, None, None]:
         def impl():
             yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
             self.pcb.cwd = self._resolve(path)
-        return (yield from self._syscall("chdir", impl()))
+        return (yield from self._syscall(impl()))
 
     def dup(self, fd: int) -> Generator[Effect, None, int]:
         """Duplicate a descriptor: both fds share one stream (and
@@ -419,7 +408,7 @@ class UserContext:
             stream = self.pcb.stream(fd)
             stream.refcount += 1
             return self.pcb.new_fd(stream)
-        return (yield from self._syscall("dup", impl()))
+        return (yield from self._syscall(impl()))
 
     def dup2(self, fd: int, new_fd: int) -> Generator[Effect, None, int]:
         """Duplicate ``fd`` onto ``new_fd`` (closing what was there)."""
@@ -433,7 +422,7 @@ class UserContext:
             self.pcb.streams[new_fd] = stream
             self.pcb.next_fd = max(self.pcb.next_fd, new_fd + 1)
             return new_fd
-        return (yield from self._syscall("dup", impl()))
+        return (yield from self._syscall(impl()))
 
     def getuid(self) -> Generator[Effect, None, int]:
         yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
@@ -447,7 +436,7 @@ class UserContext:
                 "utime": self.pcb.cpu_time,
                 "elapsed": elapsed - self.pcb.start_time,
             }
-        return (yield from self._syscall("times", impl()))
+        return (yield from self._syscall(impl()))
 
     def pipe(self) -> Generator[Effect, None, Tuple[int, int]]:
         """Create a pipe; returns (read_fd, write_fd).  The buffer lives
@@ -455,7 +444,7 @@ class UserContext:
         def impl():
             read_stream, write_stream = yield from self.kernel.fs.make_pipe()
             return (self.pcb.new_fd(read_stream), self.pcb.new_fd(write_stream))
-        return (yield from self._syscall("pipe", impl()))
+        return (yield from self._syscall(impl()))
 
     def pdev_request(
         self, fd: int, message: Any, size: int = 256, reply_size: int = 256
@@ -467,7 +456,7 @@ class UserContext:
                     timeout=None,
                 )
             )
-        return (yield from self._syscall("ioctl", impl()))
+        return (yield from self._syscall(impl()))
 
     def _resolve(self, path: str) -> str:
         if path.startswith("/"):
@@ -493,7 +482,7 @@ class UserContext:
             child_ctx = UserContext(child, self._kernels)
             child_ctx.start(program, args)
             return child.pid
-        return (yield from self._syscall("fork", impl()))
+        return (yield from self._syscall(impl()))
 
     def exec(
         self,
@@ -513,22 +502,18 @@ class UserContext:
         argument/environment bytes move.
         """
         pcb = self.pcb
-        pcb.in_syscall += 1
-        try:
-            yield from self.kernel.cpu.consume(self.params.exec_cpu)
-            if host is not None and host != pcb.current:
-                manager = self.kernel.migration
-                if manager is None:
-                    raise NoSuchProcess("no migration support on this kernel")
-                yield from manager.migrate_for_exec(pcb, host, arg_bytes=arg_bytes)
-            # The old image is gone; the new one demand-pages from the FS.
-            pcb.vm.size = image_size
-            pcb.vm.resident = 0
-            pcb.vm.dirty = 0
-            if image_path is not None:
-                yield from self._load_image(image_path, image_size)
-        finally:
-            pcb.in_syscall -= 1
+        yield from self.kernel.cpu.consume(self.params.exec_cpu)
+        if host is not None and host != pcb.current:
+            manager = self.kernel.migration
+            if manager is None:
+                raise NoSuchProcess("no migration support on this kernel")
+            yield from manager.migrate_for_exec(pcb, host, arg_bytes=arg_bytes)
+        # The old image is gone; the new one demand-pages from the FS.
+        pcb.vm.size = image_size
+        pcb.vm.resident = 0
+        pcb.vm.dirty = 0
+        if image_path is not None:
+            yield from self._load_image(image_path, image_size)
         yield from self._checkpoint()
         raise _ExecImage(program, args, name or getattr(program, "__name__", None))
 
@@ -556,7 +541,7 @@ class UserContext:
                     self.pcb.home, "proc.wait", {"pid": self.pcb.pid}, timeout=None
                 )
             )
-        return (yield from self._syscall("wait", impl()))
+        return (yield from self._syscall(impl()))
 
     def wait_all(self) -> Generator[Effect, None, List[ExitStatus]]:
         """Convenience: wait for every live child."""
@@ -573,7 +558,7 @@ class UserContext:
     def kill(self, pid: int, signum: int = sig.SIGTERM) -> Generator[Effect, None, None]:
         def impl():
             yield from self.kernel.signal(pid, signum)
-        return (yield from self._syscall("kill", impl()))
+        return (yield from self._syscall(impl()))
 
     def killpg(self, pgrp: int, signum: int = sig.SIGTERM) -> Generator[Effect, None, int]:
         """Signal a whole process group (executed at the home, which
@@ -590,7 +575,7 @@ class UserContext:
                     {"pgrp": pgrp, "sig": signum},
                 )
             )
-        return (yield from self._syscall("kill", impl()))
+        return (yield from self._syscall(impl()))
 
     def catch_signal(self, signum: int) -> None:
         """Register interest in a signal instead of dying from it."""
@@ -627,4 +612,4 @@ class UserContext:
                 yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
                 return self.kernel.ps()
             return (yield from self.kernel.rpc.call(host, "proc.ps", None))
-        return (yield from self._syscall("ps", impl()))
+        return (yield from self._syscall(impl()))

@@ -13,15 +13,16 @@ it must execute* for a remote process:
 * ``CREATES_STATE`` — handled locally but with home participation to
   keep the shadow PCB consistent (fork/exec/exit).
 
-The table is data, not code, so the forward-everything ablation (A2)
-can override it wholesale, reproducing the design discussion of §4.3.
+The table is data, not code: each kernel holds its own copy
+(``SpriteKernel.call_table``).  The forward-everything design of §4.3
+(ablation A2) is modelled separately, in :mod:`repro.baselines.forwarding`.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["CallClass", "CALL_TABLE", "call_class", "forward_all_table"]
+__all__ = ["CallClass", "CALL_TABLE", "call_class"]
 
 
 class CallClass:
@@ -70,8 +71,3 @@ def call_class(name: str) -> str:
     (Appendix A: calls with no UNIX equivalent are handled remotely,
     with the migrate call the lone exception — listed above)."""
     return CALL_TABLE.get(name, CallClass.LOCAL)
-
-
-def forward_all_table() -> Dict[str, str]:
-    """The §4.3 straw man: leave all state home, forward every call."""
-    return {name: CallClass.HOME for name in CALL_TABLE}

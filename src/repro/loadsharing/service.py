@@ -34,7 +34,6 @@ class LoadSharingService:
         self,
         cluster: SpriteCluster,
         architecture: str = "centralized",
-        migd_host_index: int = 0,
         max_foreign: Optional[int] = 1,
         start_daemons: bool = True,
     ):
@@ -51,7 +50,7 @@ class LoadSharingService:
         install_accept_hooks(cluster, max_foreign=max_foreign)
 
         if architecture == "centralized":
-            self.migd = MigdServer(cluster.hosts[migd_host_index])
+            self.migd = MigdServer(cluster.hosts[0])
             self.migd.start()
             for host in cluster.hosts:
                 self.notifiers.append(
@@ -83,31 +82,5 @@ class LoadSharingService:
     # ------------------------------------------------------------------
     # Facility-wide metrics (benchmark E7 reads these)
     # ------------------------------------------------------------------
-    def total_requests(self) -> int:
-        return sum(s.metrics.requests for s in self.selectors.values())
-
     def total_conflicts(self) -> int:
         return sum(s.metrics.conflicts for s in self.selectors.values())
-
-    def mean_request_latency(self) -> float:
-        samples = [
-            latency
-            for selector in self.selectors.values()
-            for latency in selector.metrics.latencies
-        ]
-        return sum(samples) / len(samples) if samples else 0.0
-
-    def control_messages(self) -> int:
-        """Messages the facility itself put on the wire (approximate:
-        counted from daemon/server instrumentation per architecture)."""
-        if self.architecture == "centralized" and self.migd is not None:
-            return self.migd.updates_received + self.migd.requests_served
-        if self.architecture == "probabilistic":
-            return sum(
-                getattr(s, "gossip_messages", 0) for s in self.selectors.values()
-            )
-        if self.architecture == "multicast":
-            return self.total_requests() + sum(
-                getattr(s, "queries_answered", 0) for s in self.selectors.values()
-            )
-        return self.total_requests()

@@ -15,6 +15,12 @@ Design notes
   wakeups) bypass the heap entirely and travel through a FIFO *ready
   queue*.  Dispatch merges the two sources by ``(time, seq)``, so the
   global FIFO tie-break is byte-identical to an all-heap engine.
+* That merge exists once: :meth:`Simulator._dispatch` is the only code
+  that pops either queue and fires a callback.  ``run``,
+  ``run_until_idle``, ``step`` and ``tasks.run_until_complete`` are the
+  same loop under two stop conditions (a time bound, a watched
+  ``done`` flag), and an installed ``profiler`` is one branch at its
+  fire site.
 * Cancellation is O(1): a cancelled handle stays in its queue but is
   skipped when popped.  Cancelled-event counters keep
   :attr:`Simulator.pending_events` O(1) with no per-dispatch
@@ -47,8 +53,22 @@ __all__ = ["SimClock", "Simulator", "EventHandle"]
 _COMPACT_MIN = 64
 
 
+#: ``until`` of a run with no time bound.
+_FOREVER = float("inf")
+
+
 def _noop(*_args: Any) -> None:
     pass
+
+
+class _AlwaysDone:
+    """A ``watch`` that is done after any event: :meth:`Simulator.step`."""
+
+    __slots__ = ()
+    done = True
+
+
+_ONE_EVENT = _AlwaysDone()
 
 
 class EventHandle:
@@ -167,7 +187,7 @@ class Simulator:
         self.heap_compactions = 0
         #: Exceptions raised by detached tasks; populated by tasks.py and
         #: re-raised by :meth:`run` so failures never pass silently.
-        #: Mutated in place (never rebound) so dispatch loops can alias it.
+        #: Mutated in place (never rebound): the event loop aliases it.
         self.failures: List[BaseException] = []
         #: Number of live (unfinished) tasks; maintained by tasks.py so
         #: that :meth:`run` can detect deadlock.
@@ -177,10 +197,10 @@ class Simulator:
         #: of the simulator.
         self.state = StateRegistry()
         #: Optional hot-spot profiler (:class:`repro.obs.profile.
-        #: EngineProfiler`).  ``None`` by default; the dispatch loops
-        #: test it once per entry (``run``) or per event (``step``), so
-        #: an unprofiled run pays one load and one branch — the same
-        #: cost model as the trace/span guards.
+        #: EngineProfiler`).  ``None`` by default; the event loop reads
+        #: it once per entry and tests the local at the fire site, so an
+        #: unprofiled run pays one branch per event — the same cost
+        #: model as the trace/span guards.
         self.profiler: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -270,72 +290,24 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next event.  Returns False when the queue is empty."""
-        if self.profiler is not None:
-            return self._step_profiled()
-        ready = self._ready
-        heap = self._heap
-        while ready or heap:
-            if ready:
-                r = ready[0]
-                if heap:
-                    h = heap[0]
-                    if h[0] < r[0] or (h[0] == r[0] and h[1] < r[1]):
-                        heapq.heappop(heap)
-                        handle = h[2]
-                        if handle.cancelled:
-                            self._heap_cancelled -= 1
-                            continue
-                        handle.sim = None
-                        self.now = h[0]
-                        self.events_fired += 1
-                        handle.fn(*handle.args)
-                        if self.failures:
-                            self._raise_failure()
-                        return True
-                ready.popleft()
-                handle = r[2]
-                if handle is not None:
-                    if handle.cancelled:
-                        self._ready_cancelled -= 1
-                        continue
-                    handle.sim = None
-                self.now = r[0]
-                self.events_fired += 1
-                r[3](*r[4])
-                if self.failures:
-                    self._raise_failure()
-                return True
-            h = heapq.heappop(heap)
-            handle = h[2]
-            if handle.cancelled:
-                self._heap_cancelled -= 1
-                continue
-            handle.sim = None
-            self.now = h[0]
-            self.events_fired += 1
-            handle.fn(*handle.args)
-            if self.failures:
-                self._raise_failure()
-            return True
-        return False
+    def _dispatch(self, until: float = _FOREVER, watch: Any = None) -> bool:
+        """The event loop: the only code that pops a queue and fires.
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Drain the event queue, optionally stopping at time ``until``.
+        Merges the ready queue and the heap by ``(time, seq)``, discards
+        cancelled corpses as they surface and fires live events in
+        order.  It stops — returning ``True`` — right after the event
+        that leaves ``watch.done`` true (``watch`` may be ``None``), and
+        returns ``False`` when the next live event lies beyond ``until``
+        or both queues are empty.  Every public driver is this loop
+        under a different stop condition.
 
-        Returns the simulated time at which the run stopped.  Raises
-        :class:`SimulationDeadlock` if live tasks remain when the queue
-        drains before ``until`` (or drains entirely when no ``until``
-        was given and tasks are still blocked).
-
-        Each live event is popped exactly once per dispatch; cancelled
-        heap corpses are discarded as they surface.
+        ``events_fired`` is brought up to date before each profiled
+        dispatch and whenever the loop is left, by return or exception.
         """
         if self._running:
-            raise RuntimeError("Simulator.run is not reentrant")
-        if self.profiler is not None:
-            return self._run_profiled(until)
+            raise RuntimeError("Simulator event loop is not reentrant")
+        if until < self.now:
+            return False            # nothing queued predates ``now``
         self._running = True
         fired = 0
         try:
@@ -343,72 +315,70 @@ class Simulator:
             heap = self._heap
             heappop = heapq.heappop
             failures = self.failures
-            bounded = until is not None
+            profiler = self.profiler
             while True:
-                if ready:
-                    r = ready[0]
-                    if heap:
-                        h = heap[0]
-                        if h[0] < r[0] or (h[0] == r[0] and h[1] < r[1]):
-                            # A heap entry (or corpse) precedes the ready
-                            # head; fall through to the heap branch.
-                            handle = h[2]
-                            if handle.cancelled:
-                                heappop(heap)
-                                self._heap_cancelled -= 1
-                                continue
-                            if bounded and h[0] > until:
-                                break
-                            heappop(heap)
-                            handle.sim = None
-                            self.now = h[0]
-                            fired += 1
-                            handle.fn(*handle.args)
-                            if failures:
-                                self._raise_failure()
-                            continue
-                    if bounded and r[0] > until:
-                        break
-                    ready.popleft()
-                    handle = r[2]
+                # ``seq`` is unique across both queues, so comparing the
+                # entries as tuples is decided by ``(time, seq)``.
+                if heap and (not ready or heap[0] < ready[0]):
+                    entry = heap[0]
+                    handle = entry[2]
+                    if handle.cancelled:
+                        heappop(heap)
+                        self._heap_cancelled -= 1
+                        continue
+                    if entry[0] > until:
+                        return False
+                    heappop(heap)
+                    handle.sim = None
+                    fn = handle.fn
+                    args = handle.args
+                elif ready:
+                    # No bound check: a ready entry carries the ``now`` it
+                    # was queued at, and ``now`` never passes ``until``.
+                    entry = ready.popleft()
+                    handle = entry[2]
                     if handle is not None:
                         if handle.cancelled:
                             self._ready_cancelled -= 1
                             continue
                         handle.sim = None
-                    self.now = r[0]
-                    fired += 1
-                    r[3](*r[4])
-                    if failures:
-                        self._raise_failure()
-                elif heap:
-                    h = heap[0]
-                    handle = h[2]
-                    if handle.cancelled:
-                        heappop(heap)
-                        self._heap_cancelled -= 1
-                        continue
-                    if bounded and h[0] > until:
-                        break
-                    heappop(heap)
-                    handle.sim = None
-                    self.now = h[0]
-                    fired += 1
-                    handle.fn(*handle.args)
-                    if failures:
-                        self._raise_failure()
+                    fn = entry[3]
+                    args = entry[4]
                 else:
-                    break
-            if bounded:
-                self.now = max(self.now, until)
-            elif self.live_tasks > 0:
-                raise SimulationDeadlock(
-                    f"event queue drained with {self.live_tasks} task(s) still blocked"
-                )
-            return self.now
+                    return False
+                self.now = entry[0]
+                fired += 1
+                if profiler is None:
+                    fn(*args)
+                else:
+                    self.events_fired += fired
+                    fired = 0
+                    profiler.dispatch(fn, args)
+                if failures:
+                    self._raise_failure()
+                if watch is not None and watch.done:
+                    return True
         finally:
             self.events_fired += fired
             self._running = False
+
+    def run(self, until: Optional[float] = None) -> float:
+        """Drain the event queue, optionally stopping at time ``until``.
+
+        Returns the simulated time at which the run stopped.  Raises
+        :class:`SimulationDeadlock` if the queue drains entirely when no
+        ``until`` was given and tasks are still blocked.
+        """
+        if until is None:
+            self._dispatch()
+            if self.live_tasks > 0:
+                raise SimulationDeadlock(
+                    f"event queue drained with {self.live_tasks} task(s) still blocked"
+                )
+        else:
+            self._dispatch(until)
+            self.now = max(self.now, until)
+        return self.now
 
     def run_until_idle(self) -> float:
         """Drain the queue without treating blocked tasks as an error.
@@ -416,109 +386,12 @@ class Simulator:
         Useful for driving open-ended server simulations where daemons
         legitimately block forever waiting for requests.
         """
-        while self.step():
-            pass
+        self._dispatch()
         return self.now
 
-    # ------------------------------------------------------------------
-    # Profiled dispatch (cold twins of step()/run(); the hot loops above
-    # stay branch-free apart from the single entry check)
-    # ------------------------------------------------------------------
-    def _peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when the queue is empty.
-
-        Discards cancelled corpses from both queue heads as a side
-        effect (exactly what dispatch would have done lazily).
-        """
-        ready = self._ready
-        heap = self._heap
-        while True:
-            if ready:
-                r = ready[0]
-                handle = r[2]
-                if handle is not None and handle.cancelled:
-                    ready.popleft()
-                    self._ready_cancelled -= 1
-                    continue
-                if heap:
-                    h = heap[0]
-                    if h[2].cancelled:
-                        heapq.heappop(heap)
-                        self._heap_cancelled -= 1
-                        continue
-                    if h[0] < r[0] or (h[0] == r[0] and h[1] < r[1]):
-                        return h[0]
-                return r[0]
-            if heap:
-                h = heap[0]
-                if h[2].cancelled:
-                    heapq.heappop(heap)
-                    self._heap_cancelled -= 1
-                    continue
-                return h[0]
-            return None
-
-    def _dispatch_profiled(self) -> None:
-        """Pop and fire the next event through :attr:`profiler`.
-
-        Callers must have established via :meth:`_peek_time` that a live
-        event exists (both queue heads are corpse-free).
-        """
-        ready = self._ready
-        heap = self._heap
-        use_heap = bool(heap)
-        if ready:
-            use_heap = False
-            if heap:
-                h = heap[0]
-                r = ready[0]
-                if h[0] < r[0] or (h[0] == r[0] and h[1] < r[1]):
-                    use_heap = True
-        if use_heap:
-            h = heapq.heappop(heap)
-            handle = h[2]
-            handle.sim = None
-            self.now = h[0]
-            fn, args = handle.fn, handle.args
-        else:
-            r = ready.popleft()
-            handle = r[2]
-            if handle is not None:
-                handle.sim = None
-            self.now = r[0]
-            fn, args = r[3], r[4]
-        self.events_fired += 1
-        self.profiler.dispatch(fn, args)
-        if self.failures:
-            self._raise_failure()
-
-    def _step_profiled(self) -> bool:
-        if self._peek_time() is None:
-            return False
-        self._dispatch_profiled()
-        return True
-
-    def _run_profiled(self, until: Optional[float]) -> float:
-        """:meth:`run` with every dispatch routed through the profiler."""
-        self._running = True
-        try:
-            bounded = until is not None
-            while True:
-                t = self._peek_time()
-                if t is None:
-                    break
-                if bounded and t > until:
-                    break
-                self._dispatch_profiled()
-            if bounded:
-                self.now = max(self.now, until)
-            elif self.live_tasks > 0:
-                raise SimulationDeadlock(
-                    f"event queue drained with {self.live_tasks} task(s) still blocked"
-                )
-            return self.now
-        finally:
-            self._running = False
+    def step(self) -> bool:
+        """Fire the next event.  Returns False when the queue is empty."""
+        return self._dispatch(watch=_ONE_EVENT)
 
     def _raise_failure(self) -> None:
         failure = self.failures[0]
@@ -540,7 +413,7 @@ class Simulator:
 
         The surviving entries keep their ``(time, seq)`` keys, so the
         dispatch order is exactly what it would have been lazily.  The
-        list is mutated in place — dispatch loops hold aliases to it.
+        list is mutated in place — the event loop holds an alias to it.
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]

@@ -465,11 +465,12 @@ def run_until_complete(sim: Simulator, gen_or_task: Any, name: str = "main") -> 
     task = gen_or_task
     if not isinstance(task, Task):
         task = spawn(sim, gen_or_task, name=name)
-    while not task.done:
-        if not sim.step():
-            raise SimError(
-                f"event queue drained before task {task.name!r} completed"
-            )
+    # The event loop stops right after the event that finishes the task;
+    # events queued behind it, even at the same instant, stay pending.
+    if not task.done and not sim._dispatch(watch=task):
+        raise SimError(
+            f"event queue drained before task {task.name!r} completed"
+        )
     if task.exception is not None:
         raise task.exception
     return task.result

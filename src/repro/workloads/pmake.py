@@ -203,9 +203,6 @@ class PmakeResult:
     hosts_used: int
     detail: Dict[str, float] = field(default_factory=dict)
 
-    def speedup_against(self, sequential_elapsed: float) -> float:
-        return sequential_elapsed / self.elapsed if self.elapsed else 0.0
-
 
 class Pmake:
     """The pmake coordinator: schedules the graph onto granted hosts."""

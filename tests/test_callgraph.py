@@ -97,6 +97,57 @@ def test_subclass_inherits_base_method(tmp_path):
     assert callee_keys(graph, run) == [("mod.py", "Base.step")]
 
 
+def test_annotated_parameter_receiver_resolves_sharply(tmp_path):
+    # `txn: Txn` pins `txn.step()` to Txn.step (and overrides), not to
+    # every tree method that happens to be called `step`; an untyped
+    # receiver still gets the unsharp name fallback.
+    graph = graph_of(
+        tmp_path,
+        {
+            "engine.py": """            class Engine:
+                def step(self):
+                    raise RuntimeError("not reentrant")
+            """,
+            "txn.py": """            class Txn:
+                def step(self, name):
+                    return name
+
+
+            class LoggedTxn(Txn):
+                def step(self, name):
+                    return name.upper()
+
+
+            def default_clock():
+                return 0.0
+
+
+            class Journal:
+                def __init__(self):
+                    self.now: object = default_clock
+
+                def log(self, txn: "Txn", name):
+                    txn.step(name)
+
+                def guess(self, thing, name):
+                    thing.step(name)
+            """,
+        },
+    )
+    typed = fn(graph, "txn.py", "Journal.log")
+    assert callee_keys(graph, typed) == [
+        ("txn.py", "LoggedTxn.step"), ("txn.py", "Txn.step"),
+    ]
+    assert all(edge.sharp for edge in graph.edges_out(typed))
+    untyped = fn(graph, "txn.py", "Journal.guess")
+    assert ("engine.py", "Engine.step") in callee_keys(graph, untyped)
+    assert not any(edge.sharp for edge in graph.edges_out(untyped))
+    # an annotated assignment is a reference like a plain one
+    assert "txn.py::default_clock" not in [
+        f"{f.rel}::{f.qualname}" for f in graph.unreferenced()
+    ]
+
+
 def test_constructor_call_edges_to_init(tmp_path):
     graph = graph_of(
         tmp_path,

@@ -177,14 +177,6 @@ def test_call_table_covers_every_usercontext_syscall():
         assert name in CALL_TABLE, f"{name} missing from Appendix-A table"
 
 
-def test_forward_all_table_marks_everything_home():
-    from repro.kernel import forward_all_table
-
-    table = forward_all_table()
-    assert set(table) == set(CALL_TABLE)
-    assert all(klass == "home" for klass in table.values())
-
-
 def test_full_stack_day_in_the_life():
     """One compact scenario touching every subsystem: load sharing,
     remote exec, file traffic, eviction, re-export, and accounting."""

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.sim import Simulator, SimulationDeadlock, SimEvent, Sleep, spawn
+from repro.obs.profile import EngineProfiler
+from repro.sim import (
+    SimError,
+    SimEvent,
+    Simulator,
+    SimulationDeadlock,
+    Sleep,
+    run_until_complete,
+    spawn,
+)
 
 
 def test_events_fire_in_time_order():
@@ -155,6 +164,24 @@ def test_run_is_not_reentrant():
 
     sim.schedule(1.0, reenter)
     sim.run()
+
+
+@pytest.mark.parametrize("driver", [Simulator.run_until_idle, Simulator.step])
+def test_every_driver_shares_the_reentrancy_guard(driver):
+    sim = Simulator()
+    seen = []
+
+    def reenter():
+        with pytest.raises(RuntimeError):
+            driver(sim)
+        seen.append(sim.now)
+
+    sim.schedule(1.0, reenter)
+    sim.schedule(2.0, seen.append, "later")
+    sim.run()
+    # The refused inner call left the outer loop's state alone.
+    assert seen == [1.0, "later"]
+    assert sim.events_fired == 2
 
 
 def test_sleep_zero_allowed():
@@ -363,3 +390,158 @@ def test_late_cancel_after_fire_does_not_corrupt_accounting():
     sim.run()
     assert fired == ["x", "y"]
     assert sim.pending_events == 0 == sim._pending_events_slow()
+
+
+# ----------------------------------------------------------------------
+# One event loop, five drivers
+# ----------------------------------------------------------------------
+def _parity_scenario(sim):
+    """Ready-queue traffic, heap timers with same-instant ties, cancelled
+    handles in both queues, a heap compaction and a task to complete."""
+    log = []
+
+    def note(label):
+        log.append((sim.now, label))
+
+    for i in range(6):
+        sim.schedule(0.5 * (i % 3 + 1), note, f"timer{i}")
+
+    def chain(n):
+        note(f"chain{n}")
+        if n:
+            sim.defer(note, f"deferred{n}")
+            if n % 2:
+                sim.call_soon(chain, n - 1)
+            else:
+                sim.schedule(0.25, chain, n - 1)
+
+    sim.call_soon(chain, 8)
+    sim.call_soon(note, "cancelled-while-ready").cancel()
+    doomed = sim.schedule(0.75, note, "cancelled-in-heap")
+    sim.schedule(0.5, doomed.cancel)
+
+    def churn():
+        timeouts = [
+            sim.schedule(100.0 + i, note, f"timeout{i}") for i in range(80)
+        ]
+        for handle in timeouts[:70]:
+            handle.cancel()          # over half the heap: compacts
+        late = []                    # cancelled by the event ahead of it
+        sim.defer(lambda: late[0].cancel())
+        late.append(sim.call_soon(note, "cancelled-at-the-same-instant"))
+        note("churned")
+
+    sim.schedule(1.0, churn)
+
+    def main():
+        yield Sleep(0.3)
+        note("main-a")
+        yield Sleep(0)
+        note("main-b")
+        yield Sleep(1.7)
+        sim.call_soon(note, "behind-main")
+        note("main-done")
+        return "ok"
+
+    return log, spawn(sim, main(), name="main")
+
+
+def _by_run(sim, task):
+    sim.run()
+
+
+def _by_slices(sim, task):
+    for until in (0.25, 0.5, 0.5, 1.1, 2.0, 150.0):
+        sim.run(until=until)
+        assert sim.now == until
+    sim.run()
+
+
+def _by_step(sim, task):
+    fired = sim.events_fired
+    while sim.step():
+        fired += 1
+        assert sim.events_fired == fired
+        assert sim.pending_events == sim._pending_events_slow()
+    assert sim.events_fired == fired
+
+
+def _by_run_until_idle(sim, task):
+    sim.run_until_idle()
+
+
+def _by_run_until_complete(sim, task):
+    assert run_until_complete(sim, task) == "ok"
+    sim.run()
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+def test_every_driver_dispatches_the_same_sequence(profiled):
+    outcomes = {}
+    for drive in (_by_run, _by_slices, _by_step, _by_run_until_idle,
+                  _by_run_until_complete):
+        sim = Simulator()
+        profiler = EngineProfiler().install(sim) if profiled else None
+        log, task = _parity_scenario(sim)
+        drive(sim, task)
+        assert sim.pending_events == 0 == sim._pending_events_slow()
+        assert task.result == "ok"
+        if profiler is not None:
+            assert profiler.events == sim.events_fired
+        outcomes[drive.__name__] = (
+            log, sim.now, sim.events_fired, sim.heap_compactions,
+        )
+    reference = outcomes.pop("_by_run")
+    log, now, events_fired, compactions = reference
+    assert compactions >= 1
+    assert not any("cancelled" in label for _now, label in log)
+    assert len(log) < events_fired          # task resumes fire but log nothing
+    for name, outcome in outcomes.items():
+        assert outcome == reference, name
+
+
+def test_run_until_a_time_already_past_fires_nothing():
+    sim = Simulator()
+    fired = []
+    sim.run(until=2.0)
+    sim.call_soon(fired.append, "ready")
+    sim.schedule(0.5, fired.append, "timer")
+    assert sim.run(until=1.0) == 2.0
+    assert (fired, sim.events_fired, sim.pending_events) == ([], 0, 2)
+    sim.run()
+    assert fired == ["ready", "timer"]
+
+
+def test_run_until_complete_stops_right_after_the_finishing_event():
+    sim = Simulator()
+    fired = []
+
+    def main():
+        yield Sleep(1.0)
+        sim.call_soon(fired.append, "behind")
+        return 7
+
+    task = spawn(sim, main(), name="main")
+    sim.schedule(1.0, fired.append, "ahead")
+    assert run_until_complete(sim, task) == 7
+    # The same-instant event queued behind the finishing one is pending.
+    assert (fired, sim.now, sim.pending_events) == (["ahead"], 1.0, 1)
+    # A task that is already done fires nothing.
+    before = sim.events_fired
+    assert run_until_complete(sim, task) == 7
+    assert (sim.events_fired, sim.pending_events) == (before, 1)
+    sim.run()
+    assert fired == ["ahead", "behind"]
+
+
+def test_run_until_complete_raises_when_the_queue_drains_first():
+    sim = Simulator()
+    never = SimEvent(sim, "never")
+
+    def waiter():
+        yield never.wait()
+
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SimError, match="drained before task 'stuck'"):
+        run_until_complete(sim, waiter(), name="stuck")
+    assert sim.now == 1.0
