@@ -42,7 +42,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .core import ModuleInfo, Tree, is_generator
+from .core import ModuleInfo, Tree
 
 __all__ = ["CallEdge", "CallGraph", "ClassInfo", "FunctionNode"]
 
@@ -140,6 +140,7 @@ class CallGraph:
         self._call_targets: Dict[int, List[FunctionNode]] = {}
         self._call_sharp: Dict[int, bool] = {}
         self._call_class: Dict[int, ClassInfo] = {}
+        self._ref_targets: Dict[int, List[FunctionNode]] = {}
         self._fn_by_ast: Dict[int, FunctionNode] = {}
         self._module_funcs: Dict[str, Dict[str, FunctionNode]] = {}
         self._module_classes: Dict[str, Dict[str, str]] = {}
@@ -193,7 +194,7 @@ class CallGraph:
                     qualname=qualname,
                     node=node,
                     class_name=klass.name if klass is not None else None,
-                    is_generator=is_generator(node),
+                    is_generator=node in module.generators,
                     is_nested=scope.function is not None,
                 )
                 self.functions[fn.key] = fn
@@ -226,10 +227,9 @@ class CallGraph:
 
     def _collect_imports(self, module: ModuleInfo) -> None:
         """Map imported names to ("obj"|"module", module-rel-ish, name)."""
-        assert module.tree is not None
         table = self._imports[module.rel]
         package = _package_key(module.rel)
-        for node in ast.walk(module.tree):
+        for node in module.nodes_of(ast.ImportFrom, ast.Import):
             if isinstance(node, ast.ImportFrom):
                 base: Optional[Tuple[str, ...]]
                 if node.level > 0:
@@ -254,7 +254,7 @@ class CallGraph:
                     # `from pkg import mod` may name a submodule; record
                     # both readings, resolution tries object-first.
                     table[name] = ("obj", "/".join(target), alias.name)
-            elif isinstance(node, ast.Import):
+            else:
                 for alias in node.names:
                     dotted = alias.name
                     if dotted == "repro" or dotted.startswith("repro."):
@@ -296,6 +296,8 @@ class CallGraph:
         stack: List[ast.AST] = [stmt]
         while stack:
             node = stack.pop()
+            if not node._fields:  # Load, Store, operators: nothing below
+                continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 # nested defs are walked by _walk_suite via their scope
                 fn = self._fn_by_ast.get(id(node))
@@ -357,6 +359,7 @@ class CallGraph:
                 caller=scope.function, callee=target, module=module,
                 site=node, call=None, kind="ref", sharp=ref_sharp,
             ))
+            self._ref_targets.setdefault(id(node), []).append(target)
 
     # ------------------------------------------------------------------
     # Resolution
@@ -597,6 +600,11 @@ class CallGraph:
 
     def constructed_class(self, call: ast.Call) -> Optional[ClassInfo]:
         return self._call_class.get(id(call))
+
+    def ref_targets(self, site: ast.AST) -> List[FunctionNode]:
+        """Functions a value expression (callback argument, table entry)
+        refers to — the callees of the ref edges recorded at it."""
+        return self._ref_targets.get(id(site), [])
 
     def function_of(self, node: ast.AST) -> Optional[FunctionNode]:
         """The FunctionNode for a def's AST node."""

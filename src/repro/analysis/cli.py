@@ -69,15 +69,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="with --graph: emit GraphViz DOT on stdout",
     )
-    parser.add_argument(
-        "--cache",
-        nargs="?",
-        const="default",
-        default=None,
-        metavar="CACHE_FILE",
-        help="reuse lint results when the tree is unchanged "
-        "(content-hash key; default file tools/lint_cache.json)",
-    )
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -101,23 +92,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if use_baseline and args.baseline != "update":
         baseline = Baseline.load(DEFAULT_BASELINE_PATH)
 
-    cache_path: Optional[pathlib.Path] = None
-    if args.cache is not None:
-        from .cache import DEFAULT_CACHE_PATH
-
-        cache_path = (
-            DEFAULT_CACHE_PATH
-            if args.cache == "default"
-            else pathlib.Path(args.cache)
-        )
-
     try:
-        result = run_lint(
-            src_root,
-            rule_ids=args.rule,
-            baseline=baseline,
-            cache_path=cache_path,
-        )
+        result = run_lint(src_root, rule_ids=args.rule, baseline=baseline)
     except KeyError as err:
         print(f"lint: {err.args[0]}", file=sys.stderr)
         return 2

@@ -22,10 +22,23 @@ from __future__ import annotations
 import ast
 import pathlib
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 __all__ = [
+    "AstIndex",
     "Finding",
     "LintResult",
     "ModuleInfo",
@@ -99,8 +112,70 @@ class Finding:
         }
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+class AstIndex:
+    """One module tree, traversed once, answering what every rule asks.
+
+    ``nodes`` is exactly ``list(ast.walk(tree))``; every bucket
+    :meth:`nodes_of` returns is the ``isinstance`` filter of that list
+    in the same relative order, so a rule that takes the first match,
+    ``break``s after one finding or ``setdefault``s an origin sees what
+    a private ``ast.walk`` would have shown it.  ``parents`` comes out
+    of the same traversal.
+    """
+
+    __slots__ = ("nodes", "parents", "_by_type", "_merged", "_subtrees")
+
+    def __init__(self, tree: ast.AST):
+        nodes: List[ast.AST] = []
+        parents: Dict[ast.AST, ast.AST] = {}
+        by_type: Dict[type, List[ast.AST]] = {}
+        todo = deque([tree])
+        while todo:
+            node = todo.popleft()
+            nodes.append(node)
+            try:
+                by_type[type(node)].append(node)
+            except KeyError:
+                by_type[type(node)] = [node]
+            if node._fields:  # Load, Store, operators: nothing below
+                for child in ast.iter_child_nodes(node):
+                    parents[child] = node
+                    todo.append(child)
+        self.nodes = nodes
+        #: child node -> parent node, for dominance-style walks.
+        self.parents = parents
+        self._by_type = by_type
+        self._merged: Dict[Tuple[type, ...], List[ast.AST]] = {}
+        self._subtrees: Dict[int, List[ast.AST]] = {}
+
+    def nodes_of(self, *types: type) -> List[ast.AST]:
+        """Every node that is an instance of ``types``, in walk order.
+        The list is shared between callers: read it, don't mutate it."""
+        found = self._merged.get(types)
+        if found is None:
+            wanted = {kind for kind in self._by_type if issubclass(kind, types)}
+            if len(wanted) == 1:
+                found = self._by_type[wanted.pop()]
+            else:  # several concrete types: merge their buckets in order
+                found = [node for node in self.nodes if type(node) in wanted]
+            self._merged[types] = found
+        return found
+
+    def subtree(self, root: ast.AST) -> List[ast.AST]:
+        """``list(ast.walk(root))`` for a function or statement a rule
+        inspects as a unit, kept so a second question about the same
+        root costs nothing.  Only roots asked for are remembered."""
+        found = self._subtrees.get(id(root))
+        if found is None:
+            found = self._subtrees[id(root)] = list(ast.walk(root))
+        return found
+
+
 class ModuleInfo:
-    """One parsed source file plus its pragma table."""
+    """One parsed source file plus its pragma table and AST index."""
 
     def __init__(self, path: pathlib.Path, root: pathlib.Path):
         self.path = path
@@ -117,7 +192,6 @@ class ModuleInfo:
             self.error = err
         #: line number -> {rule_id -> reason}; built lazily.
         self._pragmas: Optional[Dict[int, Dict[str, str]]] = None
-        self._parents: Optional[Dict[ast.AST, ast.AST]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -150,17 +224,43 @@ class ModuleInfo:
         return False
 
     # ------------------------------------------------------------------
+    @cached_property
+    def index(self) -> AstIndex:
+        """The module's :class:`AstIndex`, built on first use.  Rules
+        read the tree through it and never ``ast.walk`` a module."""
+        assert self.tree is not None
+        return AstIndex(self.tree)
+
+    def nodes_of(self, *types: type) -> List[ast.AST]:
+        return self.index.nodes_of(*types)
+
+    def subtree(self, root: ast.AST) -> List[ast.AST]:
+        return self.index.subtree(root)
+
     @property
     def parents(self) -> Dict[ast.AST, ast.AST]:
-        """child node -> parent node, for dominance-style walks."""
-        if self._parents is None:
-            table: Dict[ast.AST, ast.AST] = {}
-            assert self.tree is not None
-            for parent in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(parent):
-                    table[child] = parent
-            self._parents = table
-        return self._parents
+        return self.index.parents
+
+    @cached_property
+    def generators(self) -> Set[ast.AST]:
+        """The defs (and lambdas) that yield: each ``yield`` belongs to
+        the nearest def or lambda around it, not to the ones outside."""
+        owners: Set[ast.AST] = set()
+        for node in self.nodes_of(ast.Yield, ast.YieldFrom):
+            owner = self.parents.get(node)
+            while owner is not None and not isinstance(
+                owner, _DEFS + (ast.Lambda,)
+            ):
+                owner = self.parents.get(owner)
+            if owner is not None:
+                owners.add(owner)
+        return owners
+
+    @cached_property
+    def constants(self) -> Dict[str, str]:
+        """Module-level ``NAME = "literal"`` string constants."""
+        assert self.tree is not None
+        return _str_constants(self.tree.body)
 
     def line_at(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -183,6 +283,9 @@ class ModuleInfo:
         )
 
 
+_T = TypeVar("_T")
+
+
 class Tree:
     """Every parsed module under one source root."""
 
@@ -190,7 +293,7 @@ class Tree:
         self.root = root
         self.modules = list(modules)
         self._by_rel = {module.rel: module for module in self.modules}
-        self._callgraph = None  # built lazily, shared by every rule
+        self._derived: Dict[Callable[["Tree"], object], object] = {}
 
     @classmethod
     def load(cls, root: pathlib.Path) -> "Tree":
@@ -208,14 +311,22 @@ class Tree:
     def parsed(self) -> List[ModuleInfo]:
         return [module for module in self.modules if module.tree is not None]
 
+    def derived(self, build: Callable[["Tree"], _T]) -> _T:
+        """``build(self)``, computed on first request and shared: a fact
+        several rules want (the call graph, the RPC registration census,
+        the RNG stream sites) costs one pass however many ask."""
+        try:
+            return self._derived[build]  # type: ignore[return-value]
+        except KeyError:
+            value = self._derived[build] = build(self)
+            return value
+
     def callgraph(self):
         """The whole-tree :class:`~repro.analysis.callgraph.CallGraph`,
         built on first use and shared by every interprocedural rule."""
-        if self._callgraph is None:
-            from .callgraph import CallGraph
+        from .callgraph import CallGraph
 
-            self._callgraph = CallGraph.build(self)
-        return self._callgraph
+        return self.derived(CallGraph.build)
 
 
 # ----------------------------------------------------------------------
@@ -265,15 +376,8 @@ def run_lint(
     src_root: Optional[pathlib.Path] = None,
     rule_ids: Optional[Sequence[str]] = None,
     baseline: Optional["Baseline"] = None,  # noqa: F821 - fwd ref
-    cache_path: Optional[pathlib.Path] = None,
 ) -> LintResult:
-    """Lint every module under ``src_root`` with the selected rules.
-
-    With ``cache_path`` set, a content-hash key over the tree and rule
-    selection is checked first: on a hit the parse/analyze pass is
-    skipped entirely and only the baseline is re-applied (pragmas are
-    content-derived, so cached findings are already post-pragma).
-    """
+    """Lint every module under ``src_root`` with the selected rules."""
     root = (src_root or default_src_root()).resolve()
     selected = all_rules()
     if rule_ids is not None:
@@ -284,23 +388,6 @@ def run_lint(
                 f"unknown rule id(s): {', '.join(sorted(unknown))}"
             )
         selected = [rule for rule in selected if rule.id in wanted]
-
-    key: Optional[str] = None
-    if cache_path is not None:
-        from . import cache as _cache
-
-        key = _cache.cache_key(root, [rule.id for rule in selected])
-        hit = _cache.load_cached(cache_path, key)
-        if hit is not None:
-            kept, suppressed, parse_errors = hit
-            result = LintResult(
-                suppressed=suppressed, parse_errors=parse_errors
-            )
-            if baseline is not None:
-                kept, grandfathered = baseline.filter(kept)
-                result.baselined = grandfathered
-            result.findings = kept
-            return result
 
     tree = Tree.load(root)
     result = LintResult()
@@ -326,10 +413,6 @@ def run_lint(
             continue
         kept.append(finding)
     kept.sort(key=lambda f: (f.rel, f.line, f.rule, f.message))
-    if cache_path is not None and key is not None:
-        from . import cache as _cache
-
-        _cache.store(cache_path, key, result, kept)
     if baseline is not None:
         kept, grandfathered = baseline.filter(kept)
         result.baselined = grandfathered
@@ -351,7 +434,7 @@ def enclosing_function(
 ) -> Optional[ast.AST]:
     current = module.parents.get(node)
     while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(current, _DEFS):
             return current
         current = module.parents.get(current)
     return None
@@ -366,39 +449,11 @@ def enclosing_class(module: ModuleInfo, node: ast.AST) -> Optional[ast.ClassDef]
     return None
 
 
-def is_generator(func: ast.AST) -> bool:
-    """Does this def yield (ignoring nested defs/lambdas/comprehensions)?"""
-    if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return False
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False
-
-
-def module_constants(module_tree: ast.Module) -> Dict[str, str]:
-    """Module-level ``NAME = "literal"`` string constants."""
+def _str_constants(body: Sequence[ast.stmt]) -> Dict[str, str]:
+    """``NAME = "literal"`` string bindings directly in a module or
+    class body."""
     table: Dict[str, str] = {}
-    for node in module_tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            value = literal_str(node.value)
-            if isinstance(target, ast.Name) and value is not None:
-                table[target.id] = value
-    return table
-
-
-def class_constants(klass: ast.ClassDef) -> Dict[str, str]:
-    """Class-level ``NAME = "literal"`` string attributes."""
-    table: Dict[str, str] = {}
-    for node in klass.body:
+    for node in body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             value = literal_str(node.value)
@@ -418,9 +473,8 @@ def resolve_str_arg(
     direct = literal_str(node)
     if direct is not None:
         return direct
-    assert module.tree is not None
     if isinstance(node, ast.Name):
-        value = module_constants(module.tree).get(node.id)
+        value = module.constants.get(node.id)
         if value is not None:
             return value
         func = enclosing_function(module, call_site)
@@ -430,13 +484,13 @@ def resolve_str_arg(
                 return value
         klass = enclosing_class(module, call_site)
         if klass is not None:
-            return class_constants(klass).get(node.id)
+            return _str_constants(klass.body).get(node.id)
         return None
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
         if node.value.id in ("self", "cls"):
             klass = enclosing_class(module, call_site)
             if klass is not None:
-                return class_constants(klass).get(node.attr)
+                return _str_constants(klass.body).get(node.attr)
         return None
     return None
 
@@ -459,8 +513,3 @@ def call_args(call: ast.Call) -> Tuple[List[ast.AST], Dict[str, ast.AST]]:
     return list(call.args), {
         kw.arg: kw.value for kw in call.keywords if kw.arg is not None
     }
-
-
-def in_dirs(module: ModuleInfo, dirs: Set[str]) -> bool:
-    head = module.rel.split("/", 1)[0]
-    return head in dirs

@@ -27,10 +27,19 @@ from __future__ import annotations
 import ast
 import builtins
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .callgraph import CallGraph, FunctionNode, Key
-from .core import dotted_name
+from .core import dotted_name, enclosing_function
 
 __all__ = [
     "exception_escapes",
@@ -39,6 +48,8 @@ __all__ = [
 ]
 
 Origin = Tuple[str, int]  # (module rel, line) of the originating site
+#: (source origin, callees of a resolved call, local name) — one is set
+_Atom = Tuple[Optional[Origin], Sequence[FunctionNode], Optional[str]]
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +111,8 @@ def _header_calls(stmt: ast.stmt) -> List[ast.Call]:
             continue
         if isinstance(node, ast.Call):
             out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
+        if node._fields:  # Load, Store, operators: nothing below
+            stack.extend(ast.iter_child_nodes(node))
     return out
 
 
@@ -173,6 +185,30 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
     """``fn.key -> {exception class name -> origin (rel, line)}`` of
     every exception that can escape the function, transitively."""
     hierarchy = _Hierarchy(graph)
+    #: id(stmt) -> (its nested suites, the callees of the calls in its
+    #: own expressions): the fixpoint re-visits a body many times and
+    #: neither changes between visits.
+    parts: Dict[int, Tuple[List[List[ast.stmt]], List[FunctionNode]]] = {}
+
+    def parts_of(
+        stmt: ast.stmt,
+    ) -> Tuple[List[List[ast.stmt]], List[FunctionNode]]:
+        found = parts.get(id(stmt))
+        if found is None:
+            suites = [
+                value
+                for _field, value in ast.iter_fields(stmt)
+                if isinstance(value, list)
+                and value
+                and isinstance(value[0], ast.stmt)
+            ]
+            callees = [
+                callee
+                for call in _header_calls(stmt)
+                for callee in graph.call_targets(call)
+            ]
+            found = parts[id(stmt)] = (suites, callees)
+        return found
 
     def escapes_of(
         stmts: Iterable[ast.stmt],
@@ -185,6 +221,10 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
         def merge(names: Dict[str, Origin]) -> None:
             for name, origin in names.items():
                 out.setdefault(name, origin)
+
+        def merge_callees(callees: List[FunctionNode]) -> None:
+            for callee in callees:
+                merge(summary_of(callee))  # type: ignore[arg-type]
 
         for stmt in stmts:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -200,8 +240,7 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
                     if name is not None:
                         out.setdefault(name, (rel, stmt.lineno))
                     # calls inside the raise expression can escape too
-                    for call in _header_calls(stmt):
-                        merge(callee_escapes(call, summary_of))
+                    merge_callees(parts_of(stmt)[1])
                 continue
             if isinstance(stmt, ast.Try):
                 body = escapes_of(stmt.body, rel, summary_of, caught_ctx)
@@ -233,26 +272,10 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
                 continue
             # every other statement: recurse into any nested statement
             # suites, then fold in calls from its own expressions
-            for _field, value in ast.iter_fields(stmt):
-                if (
-                    isinstance(value, list)
-                    and value
-                    and isinstance(value[0], ast.stmt)
-                ):
-                    merge(escapes_of(value, rel, summary_of, caught_ctx))
-            for call in _header_calls(stmt):
-                merge(callee_escapes(call, summary_of))
-        return out
-
-    def callee_escapes(
-        call: ast.Call, summary_of: Callable[[FunctionNode], object]
-    ) -> Dict[str, Origin]:
-        out: Dict[str, Origin] = {}
-        for callee in graph.call_targets(call):
-            summary = summary_of(callee)
-            assert isinstance(summary, dict)
-            for name, origin in summary.items():
-                out.setdefault(name, origin)
+            suites, callees = parts_of(stmt)
+            for suite in suites:
+                merge(escapes_of(suite, rel, summary_of, caught_ctx))
+            merge_callees(callees)
         return out
 
     def transfer(
@@ -287,59 +310,82 @@ def tainted_returns(
             for suffix in sources
         )
 
+    #: id(def) -> the assignments and returns of its own body (nested
+    #: defs own theirs), in walk order — the order taint flows in.
+    owned: Dict[int, List[ast.stmt]] = {}
+    for module in graph.tree.parsed():
+        for stmt in module.nodes_of(
+            ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Return
+        ):
+            func = enclosing_function(module, stmt)
+            if func is not None:
+                owned.setdefault(id(func), []).append(stmt)
+
+    #: id(expr) -> what can taint it, in the order the value is read
+    #: (depth-first, last operand first, lambdas excluded): per atom a
+    #: source call's origin, a resolved call's callees, or a local name.
+    atoms: Dict[int, List[_Atom]] = {}
+
+    def atoms_of(expr: ast.AST, rel: str) -> List[_Atom]:
+        found = atoms.get(id(expr))
+        if found is None:
+            found = atoms[id(expr)] = []
+            stack: List[ast.AST] = [expr]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, ast.Lambda):
+                    continue
+                if isinstance(node, ast.Call):
+                    if source_call(node):
+                        found.append(((rel, node.lineno), (), None))
+                        break  # nothing read after a source matters
+                    callees = graph.call_targets(node)
+                    if callees:
+                        found.append((None, callees, None))
+                elif isinstance(node, ast.Name):
+                    found.append((None, (), node.id))
+                    continue  # only its Load/Store context below
+                stack.extend(ast.iter_child_nodes(node))
+        return found
+
     def transfer(
         fn: FunctionNode, summary_of: Callable[[FunctionNode], object]
     ) -> Optional[Origin]:
         tainted_locals: Dict[str, Origin] = {}
 
         def expr_taint(expr: ast.AST) -> Optional[Origin]:
-            stack: List[ast.AST] = [expr]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                    continue
-                if isinstance(node, ast.Call):
-                    if source_call(node):
-                        return (fn.rel, node.lineno)
-                    for callee in graph.call_targets(node):
-                        origin = summary_of(callee)
-                        if origin is not None:
-                            return origin  # type: ignore[return-value]
-                if isinstance(node, ast.Name) and node.id in tainted_locals:
-                    return tainted_locals[node.id]
-                stack.extend(ast.iter_child_nodes(node))
+            for origin, callees, name in atoms_of(expr, fn.rel):
+                if origin is not None:
+                    return origin
+                for callee in callees:
+                    origin = summary_of(callee)  # type: ignore[assignment]
+                    if origin is not None:
+                        return origin
+                if name in tainted_locals:
+                    return tainted_locals[name]
             return None
 
         result: Optional[Origin] = None
-        body = getattr(fn.node, "body", [])
         for _ in range(2):  # second pass settles loop-carried locals
-            stack: List[ast.AST] = list(body)
-            while stack:
-                node = stack.pop(0)
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
+            for stmt in owned.get(id(fn.node), ()):
+                if stmt.value is None:  # bare return / annotation only
                     continue
-                if isinstance(node, (ast.Assign, ast.AnnAssign,
-                                     ast.AugAssign)):
-                    value = node.value
-                    if value is not None:
-                        origin = expr_taint(value)
-                        if origin is not None:
-                            targets = (
-                                node.targets
-                                if isinstance(node, ast.Assign)
-                                else [node.target]
-                            )
-                            for target in targets:
-                                for leaf in ast.walk(target):
-                                    if isinstance(leaf, ast.Name):
-                                        tainted_locals[leaf.id] = origin
-                elif isinstance(node, ast.Return) and node.value is not None:
-                    origin = expr_taint(node.value)
-                    if origin is not None and result is None:
+                origin = expr_taint(stmt.value)
+                if origin is None:
+                    continue
+                if isinstance(stmt, ast.Return):
+                    if result is None:
                         result = origin
-                stack.extend(ast.iter_child_nodes(node))
+                    continue
+                targets = (
+                    stmt.targets
+                    if isinstance(stmt, ast.Assign)
+                    else [stmt.target]
+                )
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Name):
+                            tainted_locals[leaf.id] = origin
         return result
 
     summaries = fixpoint(graph, lambda fn: None, transfer)

@@ -43,10 +43,7 @@ class DiscardedCoroutineRule(Rule):
     def check(self, tree: Tree) -> Iterable[Finding]:
         graph = tree.callgraph()
         for module in tree.parsed():
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in module.nodes_of(ast.Call):
                 targets = graph.call_targets(node)
                 if not targets or not all(t.is_generator for t in targets):
                     continue

@@ -12,7 +12,7 @@ schedule or the network.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import (
     Finding,
@@ -80,10 +80,7 @@ class WallClockRule(Rule):
 
     def check(self, tree: Tree) -> Iterable[Finding]:
         for module in tree.parsed():
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in module.nodes_of(ast.Call):
                 name = dotted_name(node.func)
                 for suffix, what in _WALLCLOCK_SUFFIXES.items():
                     if name == suffix or name.endswith("." + suffix):
@@ -105,8 +102,9 @@ class GlobalRandomRule(Rule):
 
     def check(self, tree: Tree) -> Iterable[Finding]:
         for module in tree.parsed():
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
+            for node in module.nodes_of(
+                ast.Import, ast.ImportFrom, ast.Attribute
+            ):
                 if isinstance(node, ast.Import):
                     for alias in node.names:
                         if alias.name == "random" or alias.name.startswith(
@@ -149,7 +147,7 @@ class RngStreamLiteralRule(Rule):
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
-        for module, call, resolved in _stream_calls(tree):
+        for module, call, resolved in tree.derived(_stream_calls):
             if resolved is None:
                 yield module.finding(
                     self.id,
@@ -168,7 +166,7 @@ class StreamCollisionRule(Rule):
 
     def check(self, tree: Tree) -> Iterable[Finding]:
         sites: Dict[str, List[Tuple[ModuleInfo, ast.Call]]] = {}
-        for module, call, resolved in _stream_calls(tree):
+        for module, call, resolved in tree.derived(_stream_calls):
             if resolved is not None:
                 sites.setdefault(resolved, []).append((module, call))
         for name, uses in sorted(sites.items()):
@@ -187,12 +185,12 @@ class StreamCollisionRule(Rule):
 
 def _stream_calls(
     tree: Tree,
-) -> Iterable[Tuple[ModuleInfo, ast.Call, Optional[str]]]:
+) -> List[Tuple[ModuleInfo, ast.Call, Optional[str]]]:
+    """Every ``<streams>.stream(name)`` site with its resolved name
+    (shared by the two stream rules through ``tree.derived``)."""
+    sites: List[Tuple[ModuleInfo, ast.Call, Optional[str]]] = []
     for module in tree.parsed():
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             func = node.func
             if not (isinstance(func, ast.Attribute) and func.attr == "stream"):
                 continue
@@ -201,7 +199,8 @@ def _stream_calls(
             if tail not in _STREAM_RECEIVERS:
                 continue
             arg = node.args[0] if node.args else None
-            yield module, node, resolve_str_arg(module, node, arg)
+            sites.append((module, node, resolve_str_arg(module, node, arg)))
+    return sites
 
 
 class UnorderedIterRule(Rule):
@@ -213,14 +212,11 @@ class UnorderedIterRule(Rule):
 
     def check(self, tree: Tree) -> Iterable[Finding]:
         for module in tree.parsed():
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.For):
-                    continue
+            for node in module.nodes_of(ast.For):
                 what = _unordered_source(node.iter)
                 if what is None:
                     continue
-                effect = _first_effect(node)
+                effect = _first_effect(module, node)
                 if effect is None:
                     continue
                 yield module.finding(
@@ -260,10 +256,10 @@ def _unordered_source(iter_node: ast.AST) -> Optional[str]:
     return None
 
 
-def _first_effect(loop: ast.For) -> Optional[str]:
+def _first_effect(module: ModuleInfo, loop: ast.For) -> Optional[str]:
     """First effectful call (or yield) inside the loop body, if any."""
     for child in loop.body + loop.orelse:
-        for node in ast.walk(child):
+        for node in module.subtree(child):
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return "yield"
             if isinstance(node, ast.Call):

@@ -66,10 +66,7 @@ def compliant_classes(tree: Tree) -> Set[str]:
     bases: Dict[str, Set[str]] = {}
     seeds: Set[str] = set()
     for module in tree.parsed():
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
+        for node in module.nodes_of(ast.ClassDef):
             base_names = {
                 base.id if isinstance(base, ast.Name) else base.attr
                 for base in node.bases
@@ -96,22 +93,15 @@ def _entry_points(tree: Tree, graph: CallGraph) -> List[FunctionNode]:
         if fn.rel.startswith(_SCOPED_DIRS):
             entries[fn.key] = fn
     # handlers registered anywhere: port.register("name", self._handler)
-    refs: Dict[int, List[FunctionNode]] = {}
-    for edge in graph.edges:
-        if edge.kind == "ref":
-            refs.setdefault(id(edge.site), []).append(edge.callee)
     for module in tree.parsed():
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             func = node.func
             if not (
                 isinstance(func, ast.Attribute) and func.attr == "register"
             ):
                 continue
             for arg in node.args:
-                for handler in refs.get(id(arg), []):
+                for handler in graph.ref_targets(arg):
                     entries[handler.key] = handler
     return [entries[key] for key in sorted(entries)]
 

@@ -57,10 +57,7 @@ class UnguardedEmitRule(Rule):
             head = module.rel.split("/", 1)[0]
             if head in _EXEMPT_DIRS or module.rel in _EXEMPT_FILES:
                 continue
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in module.nodes_of(ast.Call):
                 if not _is_emit_call(node):
                     continue
                 if _is_guarded(module, node):
@@ -72,19 +69,6 @@ class UnguardedEmitRule(Rule):
                     "enabled/None guard; wrap in `if tracer.enabled:` or "
                     "mark `# span-guard: caller`",
                 )
-
-
-def is_emit_line(module: ModuleInfo, lineno: int) -> bool:
-    """Does line ``lineno`` start an emit call?  (Used by the shim.)"""
-    assert module.tree is not None
-    for node in ast.walk(module.tree):
-        if (
-            isinstance(node, ast.Call)
-            and node.lineno == lineno
-            and _is_emit_call(node)
-        ):
-            return True
-    return False
 
 
 def _is_emit_call(call: ast.Call) -> bool:
@@ -119,6 +103,9 @@ def _suite_exits(body: List[ast.stmt]) -> bool:
 
 
 def _is_guarded(module: ModuleInfo, call: ast.Call) -> bool:
+    # Climb the parent chain: ``child`` is the ancestor of the call (or
+    # the call) that hangs directly off ``parent``, so "which of
+    # ``parent``'s suites holds the call" is an identity test on it.
     parents = module.parents
     child: ast.AST = call
     parent: Optional[ast.AST] = parents.get(call)
@@ -146,9 +133,11 @@ def _is_guarded(module: ModuleInfo, call: ast.Call) -> bool:
                 return True
             return False  # stop at the function boundary
         if isinstance(parent, (ast.If, ast.While, ast.For, ast.Try, ast.With)):
-            for suite in _suites_of(parent):
-                if _in_suite(suite, child) and _early_exit_before(suite, child):
-                    return True
+            if any(
+                _early_exit_before(suite, child)
+                for suite in _suites_of(parent)
+            ):
+                return True
         child = parent
         parent = parents.get(parent)
     return False
@@ -165,30 +154,23 @@ def _suites_of(node: ast.AST) -> List[List[ast.stmt]]:
     return suites
 
 
-def _in_suite(suite: List[ast.stmt], node: ast.AST) -> bool:
-    for stmt in suite:
-        if stmt is node or any(child is node for child in ast.walk(stmt)):
-            return True
-    return False
+def _in_suite(suite: List[ast.stmt], child: ast.AST) -> bool:
+    """Is ``child`` — a direct child of the suite's owner — one of the
+    suite's statements?"""
+    return any(stmt is child for stmt in suite)
 
 
-def _early_exit_before(suite: List[ast.stmt], node: ast.AST) -> bool:
+def _early_exit_before(suite: List[ast.stmt], child: ast.AST) -> bool:
     """Is there an `if <guard-test>: return/raise/continue` earlier in
-    this suite than the statement containing ``node``?"""
-    container_index = None
+    this suite than ``child``, the statement holding the call?"""
     for index, stmt in enumerate(suite):
-        if stmt is node or any(child is node for child in ast.walk(stmt)):
-            container_index = index
-            break
-    if container_index is None:
-        return False
-    for stmt in suite[:container_index]:
-        if (
-            isinstance(stmt, ast.If)
-            and _test_is_guard(stmt.test)
-            and _suite_exits(stmt.body)
-        ):
-            return True
+        if stmt is child:
+            return any(
+                isinstance(earlier, ast.If)
+                and _test_is_guard(earlier.test)
+                and _suite_exits(earlier.body)
+                for earlier in suite[:index]
+            )
     return False
 
 
@@ -233,10 +215,7 @@ class SpanCatalogueRule(Rule):
             head = module.rel.split("/", 1)[0]
             if head == "obs":
                 continue  # the layer's own implementation
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in module.nodes_of(ast.Call):
                 if not _is_span_name_site(node):
                     continue
                 problem = self._check_site(module, node)
@@ -347,15 +326,13 @@ def _is_span_name_site(call: ast.Call) -> bool:
 
 
 def _callers_of(module: ModuleInfo, func_name: str) -> List[ast.Call]:
-    assert module.tree is not None
     callers = []
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Call):
-            target = node.func
-            if isinstance(target, ast.Attribute) and target.attr == func_name:
-                callers.append(node)
-            elif isinstance(target, ast.Name) and target.id == func_name:
-                callers.append(node)
+    for node in module.nodes_of(ast.Call):
+        target = node.func
+        if isinstance(target, ast.Attribute) and target.attr == func_name:
+            callers.append(node)
+        elif isinstance(target, ast.Name) and target.id == func_name:
+            callers.append(node)
     return callers
 
 

@@ -37,7 +37,6 @@ from .core import (
     Tree,
     dotted_name,
     enclosing_function,
-    is_generator,
     register_rule,
     resolve_str_arg,
 )
@@ -117,7 +116,8 @@ def _chase_forwarded(
 
 
 def _collect(tree: Tree):
-    """One pass over the tree: registrations, calls, forwarded literals."""
+    """One pass over the tree: registrations, calls, forwarded literals
+    (shared by the four rules below through ``tree.derived``)."""
     graph: CallGraph = tree.callgraph()
     registered: Dict[str, List[_Site]] = {}
     handlers: List[Tuple[ModuleInfo, ast.Call, ast.AST]] = []
@@ -125,10 +125,7 @@ def _collect(tree: Tree):
     unresolved_calls: List[_Site] = []
 
     for module in tree.parsed():
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             target = node.func
             if not isinstance(target, ast.Attribute):
                 continue
@@ -181,7 +178,7 @@ class UnregisteredServiceRule(Rule):
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
-        registered, _, called, unresolved = _collect(tree)
+        registered, _, called, unresolved = tree.derived(_collect)
         for name, sites in sorted(called.items()):
             if name in registered:
                 continue
@@ -209,7 +206,7 @@ class UnusedServiceRule(Rule):
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
-        registered, _, called, _ = _collect(tree)
+        registered, _, called, _ = tree.derived(_collect)
         for name, sites in sorted(registered.items()):
             if name in called:
                 continue
@@ -230,11 +227,12 @@ class HandlerNotGeneratorRule(Rule):
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
-        for module, call, handler in _handler_sites(tree):
+        _, handlers, _, _ = tree.derived(_collect)
+        for module, call, handler in handlers:
             func = _resolve_handler(module, handler)
             if func is None:
                 continue  # can't resolve: don't guess
-            if not is_generator(func):
+            if func not in module.generators:
                 yield module.finding(
                     self.id,
                     call,
@@ -242,11 +240,6 @@ class HandlerNotGeneratorRule(Rule):
                     "function (no yield); the RPC server drives handlers "
                     "with `yield from`",
                 )
-
-
-def _handler_sites(tree: Tree):
-    _, handlers, _, _ = _collect(tree)
-    return handlers
 
 
 #: Method names that mutate their receiver in place.
@@ -263,7 +256,7 @@ def _roots_at_self(node: ast.AST) -> bool:
     return isinstance(node, ast.Name) and node.id == "self"
 
 
-def _mutates_self(func: ast.AST) -> Optional[ast.AST]:
+def _mutates_self(module: ModuleInfo, func: ast.AST) -> Optional[ast.AST]:
     """First statement in ``func`` that mutates ``self`` state, if any.
 
     Catches direct writes (``self.x = ...``, ``self.x[k] = ...``,
@@ -272,7 +265,7 @@ def _mutates_self(func: ast.AST) -> Optional[ast.AST]:
     and yields are fine — an idempotent handler may compute, just not
     leave a mark.
     """
-    for node in ast.walk(func):
+    for node in module.subtree(func):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = (
                 node.targets if isinstance(node, ast.Assign)
@@ -314,7 +307,8 @@ class IdempotentHandlerMutatesRule(Rule):
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
-        for module, call, handler in _handler_sites(tree):
+        _, handlers, _, _ = tree.derived(_collect)
+        for module, call, handler in handlers:
             if not any(
                 kw.arg == "idempotent"
                 and isinstance(kw.value, ast.Constant)
@@ -325,7 +319,7 @@ class IdempotentHandlerMutatesRule(Rule):
             func = _resolve_handler(module, handler)
             if func is None:
                 continue  # can't resolve: don't guess
-            mutation = _mutates_self(func)
+            mutation = _mutates_self(module, func)
             if mutation is not None:
                 yield module.finding(
                     self.id,
@@ -341,7 +335,6 @@ def _resolve_handler(
     module: ModuleInfo, handler: ast.AST
 ) -> Optional[ast.AST]:
     """Find the def a handler expression refers to, if it's local."""
-    assert module.tree is not None
     name: Optional[str] = None
     if isinstance(handler, ast.Attribute):
         name = handler.attr
@@ -349,11 +342,8 @@ def _resolve_handler(
         name = handler.id
     if name is None:
         return None
-    for node in ast.walk(module.tree):
-        if (
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == name
-        ):
+    for node in module.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef):
+        if node.name == name:
             return node
     return None
 

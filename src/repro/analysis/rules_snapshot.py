@@ -29,7 +29,7 @@ snapshot ever captures them.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionNode
 from .core import Finding, ModuleInfo, Rule, Tree, register_rule
@@ -52,7 +52,7 @@ def _is_spawn_call(call: ast.Call) -> Optional[ast.AST]:
     return None
 
 
-def _locals_of(func: ast.AST) -> Set[str]:
+def _locals_of(module: ModuleInfo, func: ast.AST) -> Set[str]:
     """Parameter and locally-assigned names (minus ``global`` decls)."""
     out: Set[str] = set()
     args = getattr(func, "args", None)
@@ -64,7 +64,7 @@ def _locals_of(func: ast.AST) -> Set[str]:
         ):
             out.add(arg.arg)
     declared_global: Set[str] = set()
-    for node in ast.walk(func):
+    for node in module.subtree(func):
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -93,10 +93,6 @@ class SnapshotSafetyRule(Rule):
 
     def check(self, tree: Tree) -> Iterable[Finding]:
         graph = tree.callgraph()
-        refs: Dict[int, List[FunctionNode]] = {}
-        for edge in graph.edges:
-            if edge.kind == "ref":
-                refs.setdefault(id(edge.site), []).append(edge.callee)
         mutables: Dict[str, Dict[str, int]] = {}
         for module in tree.parsed():
             mutables[module.rel] = graph.module_mutable_globals(module)
@@ -104,17 +100,12 @@ class SnapshotSafetyRule(Rule):
         roots: Dict[Tuple[str, str], Tuple[FunctionNode, ModuleInfo,
                                            ast.AST]] = {}
         for module in tree.parsed():
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in module.nodes_of(ast.Call):
                 factory = _is_spawn_call(node)
-                if factory is None:
-                    continue
-                for finding in self._check_factory(
-                    module, graph, refs, node, factory, roots
-                ):
-                    yield finding
+                if factory is not None:
+                    yield from self._check_factory(
+                        module, graph, factory, roots
+                    )
 
         reported: Set[Tuple[str, int, str]] = set()
         for key in sorted(roots):
@@ -126,8 +117,8 @@ class SnapshotSafetyRule(Rule):
                 table = mutables.get(fn.rel, {})
                 if not table:
                     continue
-                shadowed = _locals_of(fn.node)
-                for name_node in ast.walk(fn.node):
+                shadowed = _locals_of(module, fn.node)
+                for name_node in module.subtree(fn.node):
                     if not isinstance(name_node, ast.Name):
                         continue
                     name = name_node.id
@@ -153,8 +144,6 @@ class SnapshotSafetyRule(Rule):
         self,
         module: ModuleInfo,
         graph: CallGraph,
-        refs: Dict[int, List[FunctionNode]],
-        spawn_call: ast.Call,
         factory: ast.AST,
         roots: Dict[Tuple[str, str], Tuple[FunctionNode, ModuleInfo,
                                            ast.AST]],
@@ -168,7 +157,7 @@ class SnapshotSafetyRule(Rule):
                 "functools.partial",
             )
             return
-        targets = refs.get(id(factory), [])
+        targets = graph.ref_targets(factory)
         for target in targets:
             if target.is_nested:
                 yield module.finding(

@@ -93,16 +93,15 @@ class ModuleMutableStateRule(Rule):
             assert module.tree is not None
             for node in module.tree.body:
                 yield from self._check_toplevel(module, node)
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Global):
-                    names = ", ".join(node.names)
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"`global {names}` mutates module scope at "
-                        "runtime; keep per-cluster state in sim.state "
-                        "(StateRegistry)",
-                    )
+            for node in module.nodes_of(ast.Global):
+                names = ", ".join(node.names)
+                yield module.finding(
+                    self.id,
+                    node,
+                    f"`global {names}` mutates module scope at "
+                    "runtime; keep per-cluster state in sim.state "
+                    "(StateRegistry)",
+                )
 
     def _check_toplevel(self, module, node) -> Iterable[Finding]:
         if isinstance(node, ast.Assign):

@@ -61,10 +61,7 @@ class TaintedReturnRule(Rule):
         for module in tree.parsed():
             if _exempt(module):
                 continue
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in module.nodes_of(ast.Call):
                 for callee in graph.call_targets(node):
                     origin = tainted.get(callee.key)
                     if origin is None:

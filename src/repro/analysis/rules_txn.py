@@ -65,10 +65,7 @@ def _step_sites(tree: Tree) -> Iterable[Tuple[ModuleInfo, ast.Call, str]]:
     for module in tree.parsed():
         if not module.rel.startswith("migration/"):
             continue
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes_of(ast.Call):
             func = node.func
             if not isinstance(func, ast.Attribute):
                 continue
@@ -119,22 +116,20 @@ class UndoCoverageRule(Rule):
         for module in tree.parsed():
             if not module.rel.startswith("migration/"):
                 continue
-            assert module.tree is not None
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    if (
-                        isinstance(func, ast.Attribute)
-                        and func.attr == "push_undo"
-                        and node.args
-                    ):
-                        kind = literal_str(node.args[0])
-                        if kind is not None:
-                            pushed.setdefault(kind, []).append((module, node))
-                elif isinstance(node, ast.Compare):
-                    kind = _kind_comparison(node)
+            for node in module.nodes_of(ast.Call):
+                func = node.func
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "push_undo"
+                    and node.args
+                ):
+                    kind = literal_str(node.args[0])
                     if kind is not None:
-                        replayed.setdefault(kind, []).append((module, node))
+                        pushed.setdefault(kind, []).append((module, node))
+            for node in module.nodes_of(ast.Compare):
+                kind = _kind_comparison(node)
+                if kind is not None:
+                    replayed.setdefault(kind, []).append((module, node))
         for kind, sites in sorted(pushed.items()):
             if kind in replayed:
                 continue

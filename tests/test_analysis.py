@@ -9,12 +9,14 @@ file:line finding.
 
 from __future__ import annotations
 
+import ast
 import json
 import pathlib
 import shutil
 import textwrap
 
 from repro.analysis import Baseline, run_lint
+from repro.analysis.core import AstIndex, Tree
 from repro.cli import main as cli_main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -1707,71 +1709,213 @@ def test_snapshot_pragma(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# lint --cache (content-hash result cache)
+# the shared AST index
 # ----------------------------------------------------------------------
-def test_cache_hit_and_invalidation(tmp_path):
+_INDEX_FIXTURE = textwrap.dedent(
+    """\
+    import os
+    from a import b as c
+
+    TABLE = {k: (lambda v: v + 1) for k in range(3)}
+
+
+    class Outer:
+        attr: int = 0
+
+        def method(self, items):
+            total = 0
+            for item in items:
+                try:
+                    total += [x * 2 for x in item if x][0]
+                except (IndexError, KeyError) as err:
+                    def recover(e=err):
+                        return (yield from e.args)
+                    total -= 1
+                else:
+                    total = total if total else None
+                finally:
+                    del item
+            return total
+
+        async def later(self):
+            async with self.lock as held:
+                return await held.get()
+
+
+    def outer():
+        def inner():
+            yield 1
+        return inner, (lambda: (yield))
+    """
+)
+
+
+def _walk_parents(tree):
+    """The parents table as the pre-index builder made it: a second
+    full walk, child -> the last parent that lists it."""
+    table = {}
+    for parent in ast.walk(tree):
+        for child in ast.iter_child_nodes(parent):
+            table[child] = parent
+    return table
+
+
+def _yields(func):
+    """Generator-ness as the pre-index scan decided it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+_BUCKET_KEYS = [
+    (ast.FunctionDef, ast.AsyncFunctionDef),
+    (ast.ImportFrom, ast.Import),
+    (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Return),
+    (ast.stmt,),
+    (ast.expr_context,),
+    (ast.Global,),
+]
+
+
+def _assert_index_matches_walk(index, tree):
+    walked = list(ast.walk(tree))
+    assert index.nodes == walked
+    assert index.parents == _walk_parents(tree)
+    keys = _BUCKET_KEYS + [(kind,) for kind in {type(n) for n in walked}]
+    for key in keys:
+        assert index.nodes_of(*key) == [
+            node for node in walked if isinstance(node, key)
+        ], key
+
+
+def test_ast_index_matches_walk_on_fixture():
+    tree = ast.parse(_INDEX_FIXTURE)
+    index = AstIndex(tree)
+    _assert_index_matches_walk(index, tree)
+    defs = index.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef)
+    # breadth-first: shallower defs first, whatever the source order
+    assert [d.name for d in defs] == [
+        "outer", "method", "later", "inner", "recover"
+    ]
+    method = defs[1]
+    assert index.subtree(method) == list(ast.walk(method))
+    assert index.subtree(method) is index.subtree(method)
+
+
+def test_ast_index_matches_walk_on_live_tree():
+    modules = Tree.load(SRC_REPRO).parsed()
+    assert len(modules) > 50
+    for module in modules:
+        _assert_index_matches_walk(module.index, module.tree)
+        defs = module.nodes_of(ast.FunctionDef, ast.AsyncFunctionDef)
+        assert {d for d in defs if d in module.generators} == {
+            d for d in defs if _yields(d)
+        }, module.rel
+
+
+def test_cold_lint_traversal_budget(monkeypatch):
+    # Every rule reads the shared index: one cold lint may expand each
+    # AST node a handful of times (the index, the call graph's scoped
+    # pass, statement headers in the dataflow), never once per rule.
+    # A host-independent count, so a private `ast.walk` over module
+    # trees cannot creep back in unnoticed (it was 26x before the index).
+    calls = [0]
+    real = ast.iter_child_nodes
+
+    def counting(node):
+        calls[0] += 1
+        return real(node)
+
+    monkeypatch.setattr(ast, "iter_child_nodes", counting)
+    result = run_lint(SRC_REPRO)
+    monkeypatch.undo()
+    assert result.clean
+    nodes = sum(
+        len(module.index.nodes) for module in Tree.load(SRC_REPRO).parsed()
+    )
+    assert calls[0] <= 4 * nodes, (calls[0], nodes)
+
+
+def test_first_match_rules_follow_walk_order(tmp_path):
+    # Walk order is breadth-first: of two candidates the shallower wins
+    # even when it comes later in the file.  The handler lookup and the
+    # taint origin both take the first match in that order.
     root = make_tree(
         tmp_path,
-        {"mod.py": "import time\n\ndef f():\n    return time.time()\n"},
+        {
+            "svc.py": """\
+            import time
+
+
+            class Nested:
+                class Deeper:
+                    def _rpc_get(self, args):
+                        return args
+
+
+            class Service:
+                def install(self, rpc):
+                    rpc.register("svc.get", self._rpc_get)
+
+                def _rpc_get(self, args):
+                    yield args
+
+                def use(self, rpc, dst):
+                    return (yield from rpc.call(dst, "svc.get", None))
+
+
+            def stamp(flag):
+                if flag:
+                    return time.time()
+                return time.monotonic()
+            """,
+            "sim.py": """\
+            from .svc import stamp
+
+
+            def tick(state):
+                state.t = stamp(True)
+            """,
+        },
     )
-    cache_file = tmp_path / "cache.json"
-    first = run_lint(root, cache_path=cache_file)
-    assert [f.rule for f in first.findings] == ["determinism-wallclock"]
-    assert cache_file.is_file()
-
-    # warm hit: identical findings served from the cache
-    cached = json.loads(cache_file.read_text())
-    cached["findings"][0]["message"] = "served from cache"
-    cache_file.write_text(json.dumps(cached))
-    second = run_lint(root, cache_path=cache_file)
-    assert second.findings[0].message == "served from cache"
-
-    # any edit changes the key and invalidates the entry
-    (root / "mod.py").write_text("def f():\n    return 1\n")
-    third = run_lint(root, cache_path=cache_file)
-    assert third.findings == []
-
-
-def test_cache_respects_rule_selection_and_baseline(tmp_path):
-    root = make_tree(
-        tmp_path,
-        {"mod.py": "import time\n\ndef f():\n    return time.time()\n"},
+    result = run_lint(
+        root, rule_ids=["rpc-handler-not-generator", "determinism-taint"]
     )
-    cache_file = tmp_path / "cache.json"
-    full = run_lint(root, cache_path=cache_file)
-    assert len(full.findings) == 1
-
-    # different rule selection -> different key -> no stale reuse
-    other = run_lint(
-        root, rule_ids=["coroutine-protocol"], cache_path=cache_file
-    )
-    assert other.findings == []
-
-    # baseline applies on top of a cache hit
-    warm = run_lint(root, cache_path=cache_file)
-    baseline = Baseline.from_findings(warm.findings)
-    grandfathered = run_lint(root, baseline=baseline, cache_path=cache_file)
-    assert grandfathered.findings == []
-    assert grandfathered.baselined == 1
+    assert rule_ids(result.findings) == ["determinism-taint"]
+    assert "svc.py:24" in result.findings[0].message
 
 
-def test_cli_lint_cache_flag(tmp_path, capsys):
-    root = make_tree(
-        tmp_path,
-        {"mod.py": "def f():\n    return 1\n"},
+def test_live_tree_injected_violation_json_is_exact(tmp_path, capsys):
+    # The machine-readable form of the injected-violation run, pinned
+    # field by field (recorded before the rules moved onto the index).
+    copy = tmp_path / "repro"
+    shutil.copytree(SRC_REPRO, copy)
+    target = copy / "kernel" / "kernel.py"
+    source = target.read_text()
+    target.write_text(
+        source + "\n\nimport time\n\n\ndef _injected():\n    return time.time()\n"
     )
-    cache_file = tmp_path / "cache.json"
-    code = cli_main(
-        ["lint", "--path", str(root), "--cache", str(cache_file)]
-    )
-    assert code == 0
-    assert cache_file.is_file()
-    capsys.readouterr()
-    code = cli_main(
-        ["lint", "--path", str(root), "--cache", str(cache_file)]
-    )
-    assert code == 0
-    assert "lint: clean" in capsys.readouterr().out
+    code = cli_main(["lint", "--path", str(copy), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["baselined"] == 0
+    assert payload["findings"] == [
+        {
+            "rule": "determinism-wallclock",
+            "file": "kernel/kernel.py",
+            "line": len(source.splitlines()) + 7,
+            "message": "time.time() is a wall-clock read; use engine.now "
+            "/ cluster.rng for anything trace-visible",
+            "snippet": "return time.time()",
+        }
+    ]
 
 
 # ----------------------------------------------------------------------

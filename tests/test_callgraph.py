@@ -521,8 +521,9 @@ def test_live_tree_graph_builds_and_is_well_formed():
 def test_dead_code_baseline_in_sync():
     """tools/deadcode_baseline.json must match the live report exactly.
 
-    CI diffs the two; a new unreferenced function means either delete it
-    or add it to the baseline with a reviewed justification.
+    This test is the one check (CI runs it as part of tier-1); a new
+    unreferenced function means either delete it or add it to the
+    baseline with a reviewed justification.
     """
     import json
 
