@@ -126,7 +126,7 @@ class AstIndex:
     of the same traversal.
     """
 
-    __slots__ = ("nodes", "parents", "_by_type", "_merged", "_subtrees")
+    __slots__ = ("nodes", "parents", "_by_type", "_answers", "_subtrees")
 
     def __init__(self, tree: ast.AST):
         nodes: List[ast.AST] = []
@@ -148,29 +148,29 @@ class AstIndex:
         #: child node -> parent node, for dominance-style walks.
         self.parents = parents
         self._by_type = by_type
-        self._merged: Dict[Tuple[type, ...], List[ast.AST]] = {}
-        self._subtrees: Dict[int, List[ast.AST]] = {}
+        self._answers: Dict[Tuple[type, ...], List[ast.AST]] = {}
+        self._subtrees: Dict[ast.AST, List[ast.AST]] = {}
 
     def nodes_of(self, *types: type) -> List[ast.AST]:
         """Every node that is an instance of ``types``, in walk order.
         The list is shared between callers: read it, don't mutate it."""
-        found = self._merged.get(types)
+        found = self._answers.get(types)
         if found is None:
             wanted = {kind for kind in self._by_type if issubclass(kind, types)}
             if len(wanted) == 1:
                 found = self._by_type[wanted.pop()]
-            else:  # several concrete types: merge their buckets in order
+            else:  # several concrete types: their buckets, merged in order
                 found = [node for node in self.nodes if type(node) in wanted]
-            self._merged[types] = found
+            self._answers[types] = found
         return found
 
     def subtree(self, root: ast.AST) -> List[ast.AST]:
         """``list(ast.walk(root))`` for a function or statement a rule
         inspects as a unit, kept so a second question about the same
         root costs nothing.  Only roots asked for are remembered."""
-        found = self._subtrees.get(id(root))
+        found = self._subtrees.get(root)
         if found is None:
-            found = self._subtrees[id(root)] = list(ast.walk(root))
+            found = self._subtrees[root] = list(ast.walk(root))
         return found
 
 
@@ -245,16 +245,10 @@ class ModuleInfo:
     def generators(self) -> Set[ast.AST]:
         """The defs (and lambdas) that yield: each ``yield`` belongs to
         the nearest def or lambda around it, not to the ones outside."""
-        owners: Set[ast.AST] = set()
-        for node in self.nodes_of(ast.Yield, ast.YieldFrom):
-            owner = self.parents.get(node)
-            while owner is not None and not isinstance(
-                owner, _DEFS + (ast.Lambda,)
-            ):
-                owner = self.parents.get(owner)
-            if owner is not None:
-                owners.add(owner)
-        return owners
+        return {
+            _nearest(self, node, _DEFS + (ast.Lambda,))
+            for node in self.nodes_of(ast.Yield, ast.YieldFrom)
+        } - {None}
 
     @cached_property
     def constants(self) -> Dict[str, str]:
@@ -429,24 +423,25 @@ def literal_str(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
+def _nearest(
+    module: ModuleInfo, node: ast.AST, kinds: Tuple[type, ...]
+) -> Optional[ast.AST]:
+    """The closest ancestor of ``node`` that is one of ``kinds``."""
+    parents = module.parents
+    current = parents.get(node)
+    while current is not None and not isinstance(current, kinds):
+        current = parents.get(current)
+    return current
+
+
 def enclosing_function(
     module: ModuleInfo, node: ast.AST
 ) -> Optional[ast.AST]:
-    current = module.parents.get(node)
-    while current is not None:
-        if isinstance(current, _DEFS):
-            return current
-        current = module.parents.get(current)
-    return None
+    return _nearest(module, node, _DEFS)
 
 
 def enclosing_class(module: ModuleInfo, node: ast.AST) -> Optional[ast.ClassDef]:
-    current = module.parents.get(node)
-    while current is not None:
-        if isinstance(current, ast.ClassDef):
-            return current
-        current = module.parents.get(current)
-    return None
+    return _nearest(module, node, (ast.ClassDef,))  # type: ignore[return-value]
 
 
 def _str_constants(body: Sequence[ast.stmt]) -> Dict[str, str]:

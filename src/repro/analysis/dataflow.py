@@ -27,16 +27,7 @@ from __future__ import annotations
 import ast
 import builtins
 from collections import deque
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionNode, Key
 from .core import dotted_name, enclosing_function
@@ -48,8 +39,6 @@ __all__ = [
 ]
 
 Origin = Tuple[str, int]  # (module rel, line) of the originating site
-#: (source origin, callees of a resolved call, local name) — one is set
-_Atom = Tuple[Optional[Origin], Sequence[FunctionNode], Optional[str]]
 
 
 # ----------------------------------------------------------------------
@@ -185,29 +174,27 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
     """``fn.key -> {exception class name -> origin (rel, line)}`` of
     every exception that can escape the function, transitively."""
     hierarchy = _Hierarchy(graph)
-    #: id(stmt) -> (its nested suites, the callees of the calls in its
-    #: own expressions): the fixpoint re-visits a body many times and
+    #: stmt -> (its nested suites, the callees of the calls in its own
+    #: expressions): the fixpoint re-visits a body many times and
     #: neither changes between visits.
-    parts: Dict[int, Tuple[List[List[ast.stmt]], List[FunctionNode]]] = {}
+    parts: Dict[ast.stmt, Tuple[tuple, tuple]] = {}
 
-    def parts_of(
-        stmt: ast.stmt,
-    ) -> Tuple[List[List[ast.stmt]], List[FunctionNode]]:
-        found = parts.get(id(stmt))
+    def parts_of(stmt: ast.stmt) -> Tuple[tuple, tuple]:
+        found = parts.get(stmt)
         if found is None:
-            suites = [
+            suites = tuple(
                 value
                 for _field, value in ast.iter_fields(stmt)
                 if isinstance(value, list)
                 and value
                 and isinstance(value[0], ast.stmt)
-            ]
-            callees = [
+            )
+            callees = tuple(
                 callee
                 for call in _header_calls(stmt)
                 for callee in graph.call_targets(call)
-            ]
-            found = parts[id(stmt)] = (suites, callees)
+            )
+            found = parts[stmt] = (suites, callees)
         return found
 
     def escapes_of(
@@ -222,7 +209,7 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
             for name, origin in names.items():
                 out.setdefault(name, origin)
 
-        def merge_callees(callees: List[FunctionNode]) -> None:
+        def merge_callees(callees: Iterable[FunctionNode]) -> None:
             for callee in callees:
                 merge(summary_of(callee))  # type: ignore[arg-type]
 
@@ -321,15 +308,17 @@ def tainted_returns(
             if func is not None:
                 owned.setdefault(id(func), []).append(stmt)
 
-    #: id(expr) -> what can taint it, in the order the value is read
-    #: (depth-first, last operand first, lambdas excluded): per atom a
-    #: source call's origin, a resolved call's callees, or a local name.
-    atoms: Dict[int, List[_Atom]] = {}
+    #: expr -> what can taint it: the local names and resolved calls
+    #: (their callees) it reads, in reading order (depth-first, last
+    #: operand first, lambdas excluded), up to the first source call,
+    #: whose origin ends the scan.
+    reads: Dict[ast.AST, Tuple[tuple, Optional[Origin]]] = {}
 
-    def atoms_of(expr: ast.AST, rel: str) -> List[_Atom]:
-        found = atoms.get(id(expr))
+    def reads_of(expr: ast.AST, rel: str) -> Tuple[tuple, Optional[Origin]]:
+        found = reads.get(expr)
         if found is None:
-            found = atoms[id(expr)] = []
+            seen: List[object] = []
+            source: Optional[Origin] = None
             stack: List[ast.AST] = [expr]
             while stack:
                 node = stack.pop()
@@ -337,15 +326,16 @@ def tainted_returns(
                     continue
                 if isinstance(node, ast.Call):
                     if source_call(node):
-                        found.append(((rel, node.lineno), (), None))
-                        break  # nothing read after a source matters
+                        source = (rel, node.lineno)
+                        break
                     callees = graph.call_targets(node)
                     if callees:
-                        found.append((None, callees, None))
+                        seen.append(callees)
                 elif isinstance(node, ast.Name):
-                    found.append((None, (), node.id))
+                    seen.append(node.id)
                     continue  # only its Load/Store context below
                 stack.extend(ast.iter_child_nodes(node))
+            found = reads[expr] = (tuple(seen), source)
         return found
 
     def transfer(
@@ -354,16 +344,17 @@ def tainted_returns(
         tainted_locals: Dict[str, Origin] = {}
 
         def expr_taint(expr: ast.AST) -> Optional[Origin]:
-            for origin, callees, name in atoms_of(expr, fn.rel):
-                if origin is not None:
-                    return origin
-                for callee in callees:
-                    origin = summary_of(callee)  # type: ignore[assignment]
+            seen, source = reads_of(expr, fn.rel)
+            for read in seen:
+                if isinstance(read, str):
+                    if read in tainted_locals:
+                        return tainted_locals[read]
+                    continue
+                for callee in read:
+                    origin = summary_of(callee)
                     if origin is not None:
-                        return origin
-                if name in tainted_locals:
-                    return tainted_locals[name]
-            return None
+                        return origin  # type: ignore[return-value]
+            return source
 
         result: Optional[Origin] = None
         for _ in range(2):  # second pass settles loop-carried locals
