@@ -47,11 +47,11 @@ def archive_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:
 
 
 def throughput_row(sim: Any, wall: float) -> Dict[str, Any]:
-    """One timed full-stack run as a ledger row.
+    """One timed full-stack run as a result row.
 
-    ``sim_s_per_wall_s`` is the leaf ``tools/perf_ledger.py`` gates such a
-    row on: ``events_per_s`` *falls* when an optimisation skips events
-    the model never needed while the run itself gets faster.
+    ``sim_s_per_wall_s`` is the leaf to compare such rows on:
+    ``events_per_s`` *falls* when an optimisation skips events the model
+    never needed while the run itself gets faster.
     """
     events = getattr(sim, "events_fired", 0)
     return {

@@ -139,7 +139,7 @@ class CallGraph:
         self._edges_out: Dict[Key, List[CallEdge]] = {}
         self._call_targets: Dict[int, List[FunctionNode]] = {}
         self._call_sharp: Dict[int, bool] = {}
-        self._call_class: Dict[int, ClassInfo] = {}
+        self._class_of_call: Dict[int, ClassInfo] = {}
         self._ref_targets: Dict[int, List[FunctionNode]] = {}
         self._fn_by_ast: Dict[int, FunctionNode] = {}
         self._module_funcs: Dict[str, Dict[str, FunctionNode]] = {}
@@ -285,6 +285,7 @@ class CallGraph:
                     self._module_funcs[module.rel].setdefault(stmt.name, fn)
                 else:
                     scope.nested.setdefault(stmt.name, fn)
+                self._record_decorators(module, stmt, scope)
                 self._walk_suite(module, stmt.body, child, None)
             elif isinstance(stmt, ast.ClassDef):
                 self._walk_suite(module, stmt.body, scope, stmt.name)
@@ -304,6 +305,7 @@ class CallGraph:
                 child = self._scopes.get(id(node))
                 if fn is not None and child is not None:
                     scope.nested.setdefault(node.name, fn)
+                    self._record_decorators(module, node, scope)
                     self._walk_suite(module, node.body, child, None)
                 continue
             if isinstance(node, ast.Lambda):
@@ -331,7 +333,7 @@ class CallGraph:
         self._call_targets[id(call)] = targets
         self._call_sharp[id(call)] = sharp
         if klass is not None:
-            self._call_class[id(call)] = klass
+            self._class_of_call[id(call)] = klass
         caller = scope.function
         for target in targets:
             self.edges.append(CallEdge(
@@ -349,6 +351,15 @@ class CallGraph:
         # reference edges: callables passed as arguments
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             self._record_ref(module, arg, scope)
+
+    def _record_decorators(self, module: ModuleInfo, definition: ast.AST,
+                           scope: _Scope) -> None:
+        """``@name`` and ``@name(...)`` hand the def to ``name``: a ref
+        edge to the decorator, from the scope the def sits in."""
+        for decorator in definition.decorator_list:
+            if isinstance(decorator, ast.Call):
+                decorator = decorator.func
+            self._record_ref(module, decorator, scope)
 
     def _record_ref(self, module: ModuleInfo, node: ast.AST,
                     scope: _Scope) -> None:
@@ -599,7 +610,7 @@ class CallGraph:
         return self._call_sharp.get(id(call), True)
 
     def constructed_class(self, call: ast.Call) -> Optional[ClassInfo]:
-        return self._call_class.get(id(call))
+        return self._class_of_call.get(id(call))
 
     def ref_targets(self, site: ast.AST) -> List[FunctionNode]:
         """Functions a value expression (callback argument, table entry)

@@ -44,9 +44,9 @@ class ForwardingSurrogate:
         self._streams: Dict[Tuple[int, int], Any] = {}
         self._fds: Dict[int, "itertools.count"] = {}
         self.calls_served = 0
-        host.rpc.register(SERVICE, self._rpc_syscall)
+        host.rpc.register(SERVICE, self._rpc_forwarded)
 
-    def _rpc_syscall(self, args: Dict[str, Any]) -> Generator[Effect, None, Any]:
+    def _rpc_forwarded(self, args: Dict[str, Any]) -> Generator[Effect, None, Any]:
         self.calls_served += 1
         op = args["op"]
         job = args["job"]

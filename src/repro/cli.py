@@ -346,32 +346,6 @@ def cmd_critpath(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Longitudinal perf ledger: run benches, append to BENCH_history.json."""
-    import importlib.util
-
-    tools = _find_dir("tools")
-    if tools is None or not (tools / "perf_ledger.py").is_file():
-        print("error: tools/perf_ledger.py not found (run from a source "
-              "checkout)", file=sys.stderr)
-        return 2
-    spec = importlib.util.spec_from_file_location(
-        "perf_ledger", tools / "perf_ledger.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    argv = []
-    if args.smoke:
-        argv.append("--smoke")
-    if args.history:
-        argv.extend(["--history", args.history])
-    if args.slowdown is not None:
-        argv.extend(["--slowdown", str(args.slowdown)])
-    if args.no_gate:
-        argv.append("--no-gate")
-    return module.main(argv)
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos runs + invariant audit (+ optional determinism check)."""
     import json
@@ -572,23 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     critpath.add_argument("--profile", action="store_true",
                           help="attach the engine hot-spot profiler and "
                                "append its per-subsystem event report")
-    perf = sub.add_parser(
-        "perf",
-        help="run benchmarks, append results to the BENCH_history.json "
-             "perf ledger, and gate on regressions",
-    )
-    perf.add_argument("--smoke", action="store_true",
-                      help="small workloads (CI mode); entries are "
-                           "recorded under mode=smoke")
-    perf.add_argument("--history", default=None,
-                      help="ledger path (default BENCH_history.json at "
-                           "the repo root)")
-    perf.add_argument("--slowdown", type=float, default=None,
-                      help="regression gate: fail when a throughput "
-                           "metric drops below best-known/slowdown "
-                           "(default 2.0)")
-    perf.add_argument("--no-gate", action="store_true",
-                      help="append the entry but skip the regression gate")
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection runs with an invariant audit",
@@ -667,7 +624,6 @@ def main(argv: Optional[list] = None) -> int:
         "report": cmd_report,
         "trace": cmd_trace,
         "critpath": cmd_critpath,
-        "perf": cmd_perf,
         "chaos": cmd_chaos,
         "lint": cmd_lint,
     }

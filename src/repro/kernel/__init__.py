@@ -7,7 +7,7 @@ dependent calls, signal routing).
 """
 
 from . import signals
-from .appendix_a import APPENDIX_A, classes_of
+from .appendix_a import APPENDIX_A, CallClass, classes_of
 from .host import Host
 from .kernel import (
     PID_STRIDE,
@@ -18,16 +18,15 @@ from .kernel import (
 )
 from .loadavg import LoadAverage
 from .pcb import ExitStatus, MigrationTicket, Pcb, PendingInstall, ProcState, Vm
-from .process import ExitProcess, Program, UserContext
-from .syscalls import CALL_TABLE, CallClass, call_class
+from .process import KERNEL_CALLS, ExitProcess, Program, UserContext
 
 __all__ = [
     "APPENDIX_A",
-    "CALL_TABLE",
     "CallClass",
     "ExitProcess",
     "ExitStatus",
     "Host",
+    "KERNEL_CALLS",
     "LoadAverage",
     "MigrationTicket",
     "NoSuchProcess",
@@ -40,7 +39,6 @@ __all__ = [
     "SpriteKernel",
     "UserContext",
     "Vm",
-    "call_class",
     "classes_of",
     "home_of_pid",
     "signals",

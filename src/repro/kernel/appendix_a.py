@@ -1,13 +1,14 @@
-"""Appendix A: how every 4.3BSD kernel call is handled for a migrated
-process.
+"""Appendix A as data: where every kernel call runs for a migrated process.
 
 The thesis closes with a call-by-call table ("Because Sprite attempts
 to be compatible with 4.3BSD UNIX ... I list the system calls available
-in 4.3BSD UNIX"); this module reproduces it as data.  Classes:
+in 4.3BSD UNIX").  Sprite achieves transparency by classifying every
+call by *where it must execute* for a remote process (for a process at
+home every call is trivially local):
 
-* ``local``   — handled entirely by the current (remote) kernel; the
-  shared network file system makes most file calls location-
-  independent.
+* ``local``   — location-independent: handled entirely by the current
+  (remote) kernel; the shared network file system makes most file calls
+  location-transparent.
 * ``home``    — forwarded to the home machine, because the result must
   be identical to never having migrated (time, host identity, process
   families, priorities) or because the state lives there.
@@ -18,23 +19,30 @@ in 4.3BSD UNIX"); this module reproduces it as data.  Classes:
   that make no sense in Sprite); processes using them could not
   migrate.
 
-The executable kernel implements the representative subset in
-``syscalls.CALL_TABLE``; this table is the complete reference, used by
-documentation and by tests that check the subset agrees with it.
+This is the only kernel-call table: the ``kernel_call`` gate of
+:mod:`repro.kernel.process` looks every call of the program API up here.
+The forward-everything design of §4.3 (ablation A2) is modelled
+separately, in :mod:`repro.baselines.forwarding`.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from .syscalls import CallClass
+__all__ = ["CallClass", "APPENDIX_A", "classes_of"]
 
-__all__ = ["APPENDIX_A", "classes_of"]
+
+class CallClass:
+    LOCAL = "local"
+    HOME = "home"
+    CREATES_STATE = "creates-state"
+    UNSUPPORTED = "unsupported"
+
 
 _L = CallClass.LOCAL
 _H = CallClass.HOME
 _C = CallClass.CREATES_STATE
-_U = "unsupported"
+_U = CallClass.UNSUPPORTED
 
 #: The 4.3BSD kernel-call inventory with its migration handling.
 APPENDIX_A: Dict[str, str] = {
@@ -86,8 +94,10 @@ APPENDIX_A: Dict[str, str] = {
     "sleep": _L, "pause": _L, "alarm": _L, "times": _H,
     "acct": _H, "reboot": _U, "sigsuspend": _L,
     # -- Sprite-specific -------------------------------------------------
-    "migrate": _H,                   # forwarded home (Appendix A's one
-                                     # exception among Sprite-only calls)
+    # Calls with no UNIX equivalent are handled where the process runs,
+    # with the migrate call the lone exception.
+    "migrate": _H,
+    "pdev_request": _L, "ps": _L,
 }
 
 

@@ -29,7 +29,6 @@ from ..obs.spans import KERNEL_FORWARD
 from ..sim import Cpu, Effect, SimEvent, Simulator, Sleep, Tracer
 from . import signals as sig
 from .pcb import ExitStatus, Pcb, ProcState, Vm
-from .syscalls import CALL_TABLE
 
 __all__ = ["SpriteKernel", "ProcessKilled", "NoSuchProcess", "PID_STRIDE", "home_of_pid"]
 
@@ -40,6 +39,27 @@ PID_STRIDE = 1_000_000
 
 def home_of_pid(pid: int) -> int:
     return pid // PID_STRIDE
+
+
+def _set_pgrp(kernel: "SpriteKernel", pcb: Optional[Pcb], pid: int, args: Any) -> int:
+    if pcb is None:
+        return 0
+    pcb.pgrp = args if args else pid
+    return pcb.pgrp
+
+
+#: The home side of ``proc.home_call``: call -> handler(kernel, the home's
+#: PCB or shadow for ``pid`` (None once reaped), pid, args).
+_HOME_CALLS = {
+    "gettimeofday": lambda kernel, pcb, pid, args: kernel.sim.now,
+    "gethostname": lambda kernel, pcb, pid, args: kernel.node.name,
+    "getpgrp": lambda kernel, pcb, pid, args: pcb.pgrp if pcb else 0,
+    "setpgrp": _set_pgrp,
+    "getrusage": lambda kernel, pcb, pid, args: {
+        "cpu_time": pcb.cpu_time if pcb else 0.0,
+        "migrations": pcb.migrations if pcb else 0,
+    },
+}
 
 
 class ProcessKilled(Exception):
@@ -80,8 +100,6 @@ class SpriteKernel:
         self.tracer = tracer if tracer is not None else lan.tracer
         self.procs: Dict[int, Pcb] = {}
         self._pid_seq = itertools.count(1)
-        #: Kernel-call routing table; the forward-all ablation overrides it.
-        self.call_table: Dict[str, str] = dict(CALL_TABLE)
         #: Set by repro.migration when the host supports migration.
         self.migration: Any = None
         # Statistics.
@@ -415,13 +433,12 @@ class SpriteKernel:
         self._record_zombie(pcb, status)
         return None
 
-    def wait_local(self, pcb: Pcb) -> Generator[Effect, None, ExitStatus]:
-        """Block until some child of ``pcb`` has exited; reap and return it.
-
-        Must run on the home kernel, where the family tree lives.
-        """
-        if not pcb.children:
-            raise NoSuchProcess(f"pid {pcb.pid} has no children to wait for")
+    def _rpc_wait(self, args: Dict[str, Any]) -> Generator[Effect, None, ExitStatus]:
+        """Block until some child of ``args["pid"]`` has exited; reap and
+        return it.  Runs on the home kernel, where the family tree lives."""
+        pcb = self.procs.get(args["pid"])
+        if pcb is None:
+            raise NoSuchProcess(f"pid {args['pid']} unknown at its home")
         while True:
             for child_pid in sorted(pcb.children):
                 child = self.procs.get(child_pid)
@@ -437,36 +454,21 @@ class SpriteKernel:
             pcb.child_event = SimEvent(self.sim, name=f"chld:{pcb.pid}")
             yield pcb.child_event.wait()
 
-    def _rpc_wait(self, args: Dict[str, Any]) -> Generator[Effect, None, ExitStatus]:
-        pcb = self.procs.get(args["pid"])
-        if pcb is None:
-            raise NoSuchProcess(f"pid {args['pid']} unknown at its home")
-        return (yield from self.wait_local(pcb))
-
     # ------------------------------------------------------------------
     # Location-dependent (home-class) calls
     # ------------------------------------------------------------------
-    def do_home_call(
-        self, pcb_or_pid: Any, call: str, args: Any
-    ) -> Generator[Effect, None, Any]:
+    def do_home_call(self, pid: int, call: str, args: Any) -> Generator[Effect, None, Any]:
         """Execute a home-class call *on this kernel* (the home)."""
+        # The two that block or fan out are services of their own.
+        if call == "wait":
+            return (yield from self._rpc_wait(args))
+        if call == "killpg":
+            return (yield from self._rpc_signal_group(args))
         yield from self.cpu.consume(self.params.kernel_call_cpu)
-        pid = pcb_or_pid.pid if isinstance(pcb_or_pid, Pcb) else pcb_or_pid
-        pcb = self.procs.get(pid)
-        if call == "gettimeofday":
-            return self.sim.now
-        if call == "gethostname":
-            return self.node.name
-        if call == "getpgrp":
-            return pcb.pgrp if pcb else 0
-        if call == "setpgrp":
-            if pcb is not None:
-                pcb.pgrp = args if args else pid
-            return pcb.pgrp if pcb else 0
-        if call == "getrusage":
-            return {"cpu_time": pcb.cpu_time if pcb else 0.0,
-                    "migrations": pcb.migrations if pcb else 0}
-        raise NoSuchProcess(f"unknown home call {call!r}")
+        handler = _HOME_CALLS.get(call)
+        if handler is None:
+            raise NoSuchProcess(f"unknown home call {call!r}")
+        return handler(self, self.procs.get(pid), pid, args)
 
     def _rpc_home_call(self, args: Dict[str, Any]) -> Generator[Effect, None, Any]:
         # Keep the shadow's usage roughly current for getrusage at home.
@@ -478,8 +480,13 @@ class SpriteKernel:
     def forward_home(
         self, pcb: Pcb, call: str, args: Any = None
     ) -> Generator[Effect, None, Any]:
-        """Send a home-class call from a remote process to its home."""
+        """Send a home-class call from a remote process to its home (the
+        one place such a call is counted)."""
         self.calls_forwarded_home += 1
+        if call == "wait":  # the child may run for hours
+            return (yield from self.rpc.call(pcb.home, "proc.wait", args, timeout=None))
+        if call == "killpg":
+            return (yield from self.rpc.call(pcb.home, "proc.signal_group", args))
         spans = self.rpc.spans
         started = self.sim.now if spans.enabled else 0.0
         value = yield from self.rpc.call(
@@ -532,8 +539,8 @@ class SpriteKernel:
         yield from self.signal(args["pid"], args["sig"])
         return None
 
-    def signal_group(self, pgrp: int, signum: int) -> Generator[Effect, None, int]:
-        """Deliver a signal to every member of a process group.
+    def _rpc_signal_group(self, args: Dict[str, Any]) -> Generator[Effect, None, int]:
+        """Deliver ``args["sig"]`` to every member of group ``args["pgrp"]``.
 
         Runs on the group's home kernel, which knows the membership
         (shadows included); remote members get theirs forwarded.
@@ -542,14 +549,11 @@ class SpriteKernel:
         members = [
             pcb.pid
             for pcb in self.procs.values()
-            if pcb.pgrp == pgrp and pcb.alive
+            if pcb.pgrp == args["pgrp"] and pcb.alive
         ]
         for pid in members:
-            yield from self.signal(pid, signum)
+            yield from self.signal(pid, args["sig"])
         return len(members)
-
-    def _rpc_signal_group(self, args: Dict[str, Any]) -> Generator[Effect, None, int]:
-        return (yield from self.signal_group(args["pgrp"], args["sig"]))
 
     def post_signal_local(self, pcb: Pcb, signum: int) -> None:
         """Queue a signal on a resident process and preempt it if possible."""

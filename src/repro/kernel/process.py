@@ -24,23 +24,53 @@ charges the new host.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, wraps
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..config import KB, ClusterParams
 from ..fs import BackingFile, OpenMode
 from ..sim import Effect, Interrupted, Sleep, SliceRun, Task, spawn
 from . import signals as sig
+from .appendix_a import APPENDIX_A, CallClass
 from .kernel import NoSuchProcess, ProcessKilled, SpriteKernel
 from .pcb import ExitStatus, Pcb
-from .syscalls import CallClass
 
-__all__ = ["UserContext", "Program", "ExitProcess"]
+__all__ = ["UserContext", "Program", "ExitProcess", "KERNEL_CALLS"]
 
 Program = Callable[..., Generator[Effect, Any, Any]]
 
 #: Signals ignored unless caught (UNIX default-disposition subset).
 _DEFAULT_IGNORE = frozenset({sig.SIGCHLD})
+
+
+#: Every kernel call the program API exposes, by name (filled by the gate).
+KERNEL_CALLS: Dict[str, Callable[..., Generator[Effect, Any, Any]]] = {}
+
+
+def kernel_call(body: Callable[..., Generator[Effect, Any, Any]]):
+    """The one gate every kernel call of :class:`UserContext` goes through.
+
+    At import the method must be classified by Appendix A (``KeyError``
+    if not: a call cannot be added without saying where it runs) and is
+    recorded in :data:`KERNEL_CALLS`.  At run time the body runs right
+    under the gate's frame and ends at a safe point — signals delivered,
+    a migration freeze honoured — so a process can always be frozen
+    within one call; no signal and no ticket costs no generator.
+    """
+    APPENDIX_A[body.__name__]  # KeyError: classify the call in appendix_a.py first
+
+    @wraps(body)
+    def call(self: "UserContext", *args: Any, **kwargs: Any) -> Generator[Effect, Any, Any]:
+        result = yield from body(self, *args, **kwargs)
+        pcb = self.pcb
+        if pcb.pending_signals:
+            self._drain_signals()
+        if pcb.migration_ticket is not None:
+            yield from self._checkpoint()
+        return result
+
+    KERNEL_CALLS[body.__name__] = call
+    return call
 
 
 class ExitProcess(Exception):
@@ -252,8 +282,8 @@ class UserContext:
             finally:
                 cpu.runnable -= 1
                 pcb.interruptible = False
-            # Inline the no-signal, no-freeze checkpoint fast path (the
-            # overwhelmingly common case between runs).
+            # The safe point between runs, spelled as in ``kernel_call``:
+            # no signal and no freeze (the common case) costs no generator.
             if pcb.pending_signals:
                 self._drain_signals()
             if pcb.migration_ticket is not None:
@@ -274,6 +304,7 @@ class UserContext:
         vm.resident = min(vm.size, vm.resident + debt)
         vm.debt_from = None
 
+    @kernel_call
     def sleep(self, duration: float) -> Generator[Effect, None, None]:
         """Block for ``duration`` seconds; interruptible."""
         deadline = self.sim.now + duration
@@ -289,7 +320,6 @@ class UserContext:
             finally:
                 self.pcb.interruptible = False
             yield from self._checkpoint()
-        yield from self._checkpoint()
 
     def use_memory(self, nbytes: int) -> Generator[Effect, None, None]:
         """Grow the address space to ``nbytes`` (creates the backing file)."""
@@ -311,152 +341,141 @@ class UserContext:
         yield from self._checkpoint()
 
     # ------------------------------------------------------------------
-    # Kernel-call plumbing
+    # Home-class calls
     # ------------------------------------------------------------------
-    def _syscall(self, local: Generator) -> Generator[Effect, None, Any]:
-        """Run a kernel call to completion, then hit a safe point."""
-        result = yield from local
-        yield from self._checkpoint()
-        return result
-
-    def _classified(self, name: str, args: Any = None) -> Generator[Effect, None, Any]:
-        """Dispatch a home-class-capable call per the kernel-call table."""
-        kernel = self.kernel
-        klass = kernel.call_table.get(name, CallClass.LOCAL)
-        if self.pcb.is_remote and klass == CallClass.HOME:
-            return (yield from kernel.forward_home(self.pcb, name, args))
-        return (yield from kernel.do_home_call(self.pcb, name, args))
+    def _home_call(self, call: str, args: Any = None) -> Generator[Effect, Any, Any]:
+        """The generator that runs ``call`` where Appendix A puts it:
+        at the home kernel (``args`` is the payload) for a remote
+        process's call of class ``home``, else on this kernel."""
+        kernel, pcb = self.kernel, self.pcb
+        if pcb.is_remote and APPENDIX_A[call] == CallClass.HOME:
+            return kernel.forward_home(pcb, call, args)
+        return kernel.do_home_call(pcb.pid, call, args)
 
     # ------------------------------------------------------------------
     # Identity / time / usage
     # ------------------------------------------------------------------
+    @kernel_call
     def getpid(self) -> Generator[Effect, None, int]:
         yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
         return self.pcb.pid
 
+    @kernel_call
     def getppid(self) -> Generator[Effect, None, int]:
         yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
         return self.pcb.parent_pid
 
-    def gettimeofday(self) -> Generator[Effect, None, float]:
-        return (yield from self._syscall(self._classified("gettimeofday")))
-
-    def gethostname(self) -> Generator[Effect, None, str]:
-        return (yield from self._syscall(self._classified("gethostname")))
-
-    def getrusage(self) -> Generator[Effect, None, Dict[str, Any]]:
-        return (yield from self._syscall(self._classified("getrusage")))
-
-    def getpgrp(self) -> Generator[Effect, None, int]:
-        return (yield from self._syscall(self._classified("getpgrp")))
-
-    def setpgrp(self, pgrp: Optional[int] = None) -> Generator[Effect, None, int]:
-        return (yield from self._syscall(self._classified("setpgrp", pgrp)))
-
-    # ------------------------------------------------------------------
-    # Files (location-independent thanks to the network FS)
-    # ------------------------------------------------------------------
-    def open(self, path: str, mode: int = OpenMode.READ) -> Generator[Effect, None, int]:
-        def impl():
-            full = self._resolve(path)
-            stream = yield from self.kernel.fs.open(full, mode)
-            return self.pcb.new_fd(stream)
-        return (yield from self._syscall(impl()))
-
-    def close(self, fd: int) -> Generator[Effect, None, None]:
-        def impl():
-            stream = self.pcb.streams.pop(fd)
-            yield from self.kernel.fs.close(stream)
-        return (yield from self._syscall(impl()))
-
-    def read(self, fd: int, nbytes: int) -> Generator[Effect, None, int]:
-        def impl():
-            return (yield from self.kernel.fs.read(self.pcb.stream(fd), nbytes))
-        return (yield from self._syscall(impl()))
-
-    def write(self, fd: int, nbytes: int) -> Generator[Effect, None, int]:
-        def impl():
-            return (yield from self.kernel.fs.write(self.pcb.stream(fd), nbytes))
-        return (yield from self._syscall(impl()))
-
-    def lseek(self, fd: int, offset: int) -> Generator[Effect, None, int]:
-        def impl():
-            return (yield from self.kernel.fs.seek(self.pcb.stream(fd), offset))
-        return (yield from self._syscall(impl()))
-
-    def stat(self, path: str) -> Generator[Effect, None, Dict[str, Any]]:
-        def impl():
-            return (yield from self.kernel.fs.stat(self._resolve(path)))
-        return (yield from self._syscall(impl()))
-
-    def unlink(self, path: str) -> Generator[Effect, None, None]:
-        def impl():
-            yield from self.kernel.fs.remove(self._resolve(path))
-        return (yield from self._syscall(impl()))
-
-    def chdir(self, path: str) -> Generator[Effect, None, None]:
-        def impl():
-            yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
-            self.pcb.cwd = self._resolve(path)
-        return (yield from self._syscall(impl()))
-
-    def dup(self, fd: int) -> Generator[Effect, None, int]:
-        """Duplicate a descriptor: both fds share one stream (and
-        therefore one offset), as in UNIX."""
-        def impl():
-            yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
-            stream = self.pcb.stream(fd)
-            stream.refcount += 1
-            return self.pcb.new_fd(stream)
-        return (yield from self._syscall(impl()))
-
-    def dup2(self, fd: int, new_fd: int) -> Generator[Effect, None, int]:
-        """Duplicate ``fd`` onto ``new_fd`` (closing what was there)."""
-        def impl():
-            yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
-            stream = self.pcb.stream(fd)
-            old = self.pcb.streams.get(new_fd)
-            if old is not None and old is not stream:
-                yield from self.kernel.fs.close(old)
-            stream.refcount += 1
-            self.pcb.streams[new_fd] = stream
-            self.pcb.next_fd = max(self.pcb.next_fd, new_fd + 1)
-            return new_fd
-        return (yield from self._syscall(impl()))
-
+    @kernel_call
     def getuid(self) -> Generator[Effect, None, int]:
         yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
         return self.pcb.uid
 
+    @kernel_call
+    def gettimeofday(self) -> Generator[Effect, None, float]:
+        return (yield from self._home_call("gettimeofday"))
+
+    @kernel_call
+    def gethostname(self) -> Generator[Effect, None, str]:
+        return (yield from self._home_call("gethostname"))
+
+    @kernel_call
+    def getrusage(self) -> Generator[Effect, None, Dict[str, Any]]:
+        return (yield from self._home_call("getrusage"))
+
+    @kernel_call
+    def getpgrp(self) -> Generator[Effect, None, int]:
+        return (yield from self._home_call("getpgrp"))
+
+    @kernel_call
+    def setpgrp(self, pgrp: Optional[int] = None) -> Generator[Effect, None, int]:
+        return (yield from self._home_call("setpgrp", pgrp))
+
+    @kernel_call
     def times(self) -> Generator[Effect, None, Dict[str, float]]:
         """Process times, consistent with the home clock (class HOME)."""
-        def impl():
-            elapsed = yield from self._classified("gettimeofday")
-            return {
-                "utime": self.pcb.cpu_time,
-                "elapsed": elapsed - self.pcb.start_time,
-            }
-        return (yield from self._syscall(impl()))
+        elapsed = yield from self._home_call("gettimeofday")
+        return {
+            "utime": self.pcb.cpu_time,
+            "elapsed": elapsed - self.pcb.start_time,
+        }
 
+    # ------------------------------------------------------------------
+    # Files (location-independent thanks to the network FS)
+    # ------------------------------------------------------------------
+    @kernel_call
+    def open(self, path: str, mode: int = OpenMode.READ) -> Generator[Effect, None, int]:
+        stream = yield from self.kernel.fs.open(self._resolve(path), mode)
+        return self.pcb.new_fd(stream)
+
+    @kernel_call
+    def close(self, fd: int) -> Generator[Effect, None, None]:
+        stream = self.pcb.streams.pop(fd)
+        yield from self.kernel.fs.close(stream)
+
+    @kernel_call
+    def read(self, fd: int, nbytes: int) -> Generator[Effect, None, int]:
+        return (yield from self.kernel.fs.read(self.pcb.stream(fd), nbytes))
+
+    @kernel_call
+    def write(self, fd: int, nbytes: int) -> Generator[Effect, None, int]:
+        return (yield from self.kernel.fs.write(self.pcb.stream(fd), nbytes))
+
+    @kernel_call
+    def lseek(self, fd: int, offset: int) -> Generator[Effect, None, int]:
+        return (yield from self.kernel.fs.seek(self.pcb.stream(fd), offset))
+
+    @kernel_call
+    def stat(self, path: str) -> Generator[Effect, None, Dict[str, Any]]:
+        return (yield from self.kernel.fs.stat(self._resolve(path)))
+
+    @kernel_call
+    def unlink(self, path: str) -> Generator[Effect, None, None]:
+        yield from self.kernel.fs.remove(self._resolve(path))
+
+    @kernel_call
+    def chdir(self, path: str) -> Generator[Effect, None, None]:
+        yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
+        self.pcb.cwd = self._resolve(path)
+
+    @kernel_call
+    def dup(self, fd: int) -> Generator[Effect, None, int]:
+        """Duplicate a descriptor: both fds share one stream (and
+        therefore one offset), as in UNIX."""
+        yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
+        stream = self.pcb.stream(fd)
+        stream.refcount += 1
+        return self.pcb.new_fd(stream)
+
+    @kernel_call
+    def dup2(self, fd: int, new_fd: int) -> Generator[Effect, None, int]:
+        """Duplicate ``fd`` onto ``new_fd`` (closing what was there)."""
+        yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
+        stream = self.pcb.stream(fd)
+        old = self.pcb.streams.get(new_fd)
+        if old is not None and old is not stream:
+            yield from self.kernel.fs.close(old)
+        stream.refcount += 1
+        self.pcb.streams[new_fd] = stream
+        self.pcb.next_fd = max(self.pcb.next_fd, new_fd + 1)
+        return new_fd
+
+    @kernel_call
     def pipe(self) -> Generator[Effect, None, Tuple[int, int]]:
         """Create a pipe; returns (read_fd, write_fd).  The buffer lives
         at the I/O server, so endpoints survive migration (ch. 3)."""
-        def impl():
-            read_stream, write_stream = yield from self.kernel.fs.make_pipe()
-            return (self.pcb.new_fd(read_stream), self.pcb.new_fd(write_stream))
-        return (yield from self._syscall(impl()))
+        read_stream, write_stream = yield from self.kernel.fs.make_pipe()
+        return (self.pcb.new_fd(read_stream), self.pcb.new_fd(write_stream))
 
+    @kernel_call
     def pdev_request(
         self, fd: int, message: Any, size: int = 256, reply_size: int = 256
     ) -> Generator[Effect, None, Any]:
-        def impl():
-            return (
-                yield from self.kernel.fs.pdev_request(
-                    self.pcb.stream(fd), message, size=size, reply_size=reply_size,
-                    timeout=None,
-                )
+        return (
+            yield from self.kernel.fs.pdev_request(
+                self.pcb.stream(fd), message, size=size, reply_size=reply_size,
+                timeout=None,
             )
-        return (yield from self._syscall(impl()))
+        )
 
     def _resolve(self, path: str) -> str:
         if path.startswith("/"):
@@ -467,23 +486,23 @@ class UserContext:
     # ------------------------------------------------------------------
     # Family: fork / exec / wait / exit / kill
     # ------------------------------------------------------------------
+    @kernel_call
     def fork(
         self, program: Program, *args: Any, name: Optional[str] = None
     ) -> Generator[Effect, None, int]:
         """Fork a child running ``program`` (fork+function, as the model's
         stand-in for fork's address-space cloning)."""
-        def impl():
-            child_name = name or f"{self.pcb.name}-child"
-            child = yield from self.kernel.fork_bookkeeping(self.pcb, child_name)
-            for fd, stream in self.pcb.streams.items():
-                stream.refcount += 1
-                child.streams[fd] = stream
-            child.next_fd = self.pcb.next_fd
-            child_ctx = UserContext(child, self._kernels)
-            child_ctx.start(program, args)
-            return child.pid
-        return (yield from self._syscall(impl()))
+        child_name = name or f"{self.pcb.name}-child"
+        child = yield from self.kernel.fork_bookkeeping(self.pcb, child_name)
+        for fd, stream in self.pcb.streams.items():
+            stream.refcount += 1
+            child.streams[fd] = stream
+        child.next_fd = self.pcb.next_fd
+        child_ctx = UserContext(child, self._kernels)
+        child_ctx.start(program, args)
+        return child.pid
 
+    @kernel_call
     def exec(
         self,
         program: Program,
@@ -514,6 +533,7 @@ class UserContext:
         pcb.vm.dirty = 0
         if image_path is not None:
             yield from self._load_image(image_path, image_size)
+        # The raise skips the gate's safe point: stop here, in the old image.
         yield from self._checkpoint()
         raise _ExecImage(program, args, name or getattr(program, "__name__", None))
 
@@ -529,19 +549,10 @@ class UserContext:
         finally:
             yield from fs.close(stream)
 
+    @kernel_call
     def wait(self) -> Generator[Effect, None, ExitStatus]:
         """Wait for any child to exit (executes at home, per Appendix A)."""
-        def impl():
-            kernel = self.kernel
-            if not self.pcb.is_remote:
-                return (yield from kernel.wait_local(self.pcb))
-            kernel.calls_forwarded_home += 1
-            return (
-                yield from kernel.rpc.call(
-                    self.pcb.home, "proc.wait", {"pid": self.pcb.pid}, timeout=None
-                )
-            )
-        return (yield from self._syscall(impl()))
+        return (yield from self._home_call("wait", {"pid": self.pcb.pid}))
 
     def wait_all(self) -> Generator[Effect, None, List[ExitStatus]]:
         """Convenience: wait for every live child."""
@@ -551,31 +562,20 @@ class UserContext:
             statuses.append(status)
         return statuses
 
+    @kernel_call
     def exit(self, code: int = 0) -> Generator[Effect, None, None]:
         yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
         raise ExitProcess(code)
 
+    @kernel_call
     def kill(self, pid: int, signum: int = sig.SIGTERM) -> Generator[Effect, None, None]:
-        def impl():
-            yield from self.kernel.signal(pid, signum)
-        return (yield from self._syscall(impl()))
+        yield from self.kernel.signal(pid, signum)
 
+    @kernel_call
     def killpg(self, pgrp: int, signum: int = sig.SIGTERM) -> Generator[Effect, None, int]:
         """Signal a whole process group (executed at the home, which
         knows the membership; class HOME, like kill)."""
-        def impl():
-            kernel = self.kernel
-            if not self.pcb.is_remote:
-                return (yield from kernel.signal_group(pgrp, signum))
-            kernel.calls_forwarded_home += 1
-            return (
-                yield from kernel.rpc.call(
-                    self.pcb.home,
-                    "proc.signal_group",
-                    {"pgrp": pgrp, "sig": signum},
-                )
-            )
-        return (yield from self._syscall(impl()))
+        return (yield from self._home_call("killpg", {"pgrp": pgrp, "sig": signum}))
 
     def catch_signal(self, signum: int) -> None:
         """Register interest in a signal instead of dying from it."""
@@ -587,6 +587,7 @@ class UserContext:
     # ------------------------------------------------------------------
     # Migration
     # ------------------------------------------------------------------
+    @kernel_call
     def migrate(self, target: int) -> Generator[Effect, None, None]:
         """Move this process to ``target`` (self-migration).
 
@@ -600,16 +601,15 @@ class UserContext:
         if pcb.is_remote:
             # Bookkeeping round trip to the home (cost model for the
             # forwarded initiation; the transfer itself is source->target).
-            yield from self.kernel.forward_home(pcb, "gettimeofday")
+            yield from self._home_call("gettimeofday")
         if target == pcb.current:
             return
         yield from manager.migrate_self(pcb, target)
 
+    @kernel_call
     def ps(self, host: Optional[int] = None) -> Generator[Effect, None, List[Dict[str, Any]]]:
         """Process listing of the current (or a named) host."""
-        def impl():
-            if host is None or host == self.pcb.current:
-                yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
-                return self.kernel.ps()
-            return (yield from self.kernel.rpc.call(host, "proc.ps", None))
-        return (yield from self._syscall(impl()))
+        if host is None or host == self.pcb.current:
+            yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
+            return self.kernel.ps()
+        return (yield from self.kernel.rpc.call(host, "proc.ps", None))

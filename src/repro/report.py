@@ -12,12 +12,11 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import pathlib
 from datetime import datetime, timezone
 from typing import List, Optional, Tuple
 
-__all__ = ["collect_report", "render_perf_history", "EXPERIMENT_ORDER"]
+__all__ = ["collect_report", "EXPERIMENT_ORDER"]
 
 #: Presentation order with one-line summaries.
 EXPERIMENT_ORDER: List[Tuple[str, str]] = [
@@ -52,61 +51,6 @@ Regenerate with `pytest benchmarks/ --benchmark-only` followed by
 `python -m repro report`.  Paper-vs-measured commentary lives in
 `EXPERIMENTS.md`; this file is the raw regenerated evaluation.
 """
-
-
-def render_perf_history(history_path: pathlib.Path, limit: int = 10) -> str:
-    """Markdown section summarizing the ``BENCH_history.json`` ledger.
-
-    Shows the trailing ``limit`` entries' headline throughput
-    (``bench_engine`` ``task_resume`` events/s) plus how many metrics
-    each entry recorded, so the report carries the perf trajectory —
-    not just the latest numbers.  Returns "" when there is no ledger.
-    """
-    if not history_path.is_file():
-        return ""
-    try:
-        history = json.loads(history_path.read_text())
-    except ValueError:
-        return ""
-    if not isinstance(history, list) or not history:
-        return ""
-    lines = [
-        "## Perf ledger (BENCH_history.json)\n",
-        f"{len(history)} recorded entr{'y' if len(history) == 1 else 'ies'}; "
-        f"trailing {min(limit, len(history))} shown. Append with "
-        "`python -m repro perf`.\n",
-        "| stamp | commit | mode | task_resume ev/s | metrics |",
-        "|---|---|---|---:|---:|",
-    ]
-    for entry in history[-limit:]:
-        benchmarks = entry.get("benchmarks", {})
-        headline = (
-            benchmarks.get("bench_engine", {})
-            .get("results", {})
-            .get("task_resume", {})
-            .get("events_per_s")
-        )
-        count = 0
-
-        def walk(node) -> None:
-            nonlocal count
-            if isinstance(node, dict):
-                for key, value in node.items():
-                    if key == "events_per_s" and isinstance(
-                        value, (int, float)
-                    ):
-                        count += 1
-                    else:
-                        walk(value)
-
-        walk(benchmarks)
-        shown = f"{headline:,.0f}" if headline is not None else "n/a"
-        lines.append(
-            f"| {entry.get('stamp', '?')} "
-            f"| {str(entry.get('commit', '?'))[:12]} "
-            f"| {entry.get('mode', '?')} | {shown} | {count} |"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def collect_report(
@@ -147,9 +91,6 @@ def collect_report(
             + ", ".join(missing)
             + "\n"
         )
-    perf = render_perf_history(results_dir.parent.parent / "BENCH_history.json")
-    if perf:
-        sections.append(perf)
     text = "\n".join(sections)
     if output is not None:
         output.write_text(text)

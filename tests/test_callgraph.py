@@ -214,6 +214,48 @@ def test_callback_argument_gets_ref_edge(tmp_path):
     assert refs == [("mod.py", "on_done")]
 
 
+def test_decorator_expression_gets_ref_edge(tmp_path):
+    """``@name`` and ``@name(...)`` both reference the decorator, on
+    methods and on nested defs alike."""
+    graph = graph_of(
+        tmp_path,
+        {
+            "mod.py": """\
+            def gate(body):
+                return body
+
+
+            def option(flag):
+                return gate
+
+
+            def unused(body):
+                return body
+
+
+            class Api:
+                @gate
+                def call(self):
+                    return 1
+
+
+            def build():
+                @option(True)
+                def inner():
+                    return 2
+                return inner
+            """,
+        },
+    )
+    dead = graph.unreferenced()
+    assert fn(graph, "mod.py", "gate") not in dead
+    assert fn(graph, "mod.py", "option") not in dead
+    assert fn(graph, "mod.py", "unused") in dead
+    refs = [e for e in graph.edges if e.kind == "ref"]
+    assert {(e.caller.qualname if e.caller else None, e.callee.qualname)
+            for e in refs} >= {(None, "gate"), ("build", "option")}
+
+
 # ----------------------------------------------------------------------
 # handlers registered by string name
 # ----------------------------------------------------------------------

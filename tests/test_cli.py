@@ -145,13 +145,10 @@ def test_critpath_report_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_parser_accepts_critpath_and_perf():
+def test_parser_accepts_critpath():
     parser = build_parser()
     args = parser.parse_args(["critpath", "migration", "--limit", "10",
                               "--profile"])
     assert args.command == "critpath" and args.limit == 10 and args.profile
-    args = parser.parse_args(["perf", "--smoke", "--no-gate",
-                              "--history", "/tmp/h.json"])
-    assert args.command == "perf" and args.smoke and args.no_gate
     with pytest.raises(SystemExit):
         parser.parse_args(["critpath", "not-a-target"])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import SpriteCluster
-from repro.kernel import CALL_TABLE, signals as sig
+from repro.kernel import APPENDIX_A, KERNEL_CALLS, UserContext, signals as sig
 from repro.loadsharing import LoadSharingService, ReExporter
 from repro.sim import Sleep, spawn
 from repro.workloads import Pmake, SourceTree
@@ -166,15 +166,23 @@ def test_three_generation_family_with_migration():
 
 
 def test_call_table_covers_every_usercontext_syscall():
-    """Meta-test: the Appendix-A table names every call the user API
-    can dispatch with location semantics."""
-    for name in (
-        "gettimeofday", "gethostname", "getrusage", "getpgrp", "setpgrp",
-        "open", "close", "read", "write", "lseek", "stat", "unlink",
-        "chdir", "fork", "exec", "exit", "wait", "kill", "sleep",
-        "migrate", "getpid", "getppid",
-    ):
-        assert name in CALL_TABLE, f"{name} missing from Appendix-A table"
+    """Meta-test: every public method of the program API is a kernel
+    call behind the gate — classified by Appendix A, ending at a safe
+    point — or one of a few named helpers that are not kernel calls."""
+    helpers = {
+        "compute", "use_memory", "dirty_memory",   # the program's own work
+        "catch_signal", "signals_seen",            # user-level signal state
+        "wait_all", "start",                       # conveniences over wait / spawn
+    }
+    public = {
+        name for name, value in vars(UserContext).items()
+        if not name.startswith("_") and callable(value)
+    }
+    assert public == set(KERNEL_CALLS) | helpers
+    assert not set(KERNEL_CALLS) & helpers
+    for name, method in KERNEL_CALLS.items():
+        assert name in APPENDIX_A, f"{name} missing from Appendix A"
+        assert vars(UserContext)[name] is method
 
 
 def test_full_stack_day_in_the_life():
@@ -218,23 +226,10 @@ def test_full_stack_day_in_the_life():
         assert host.kernel.foreign_pcbs() == []
 
 
-def test_appendix_a_consistent_with_executable_subset():
-    """The executable CALL_TABLE must agree with the full Appendix A
-    reference for every call both define."""
-    from repro.kernel import APPENDIX_A, CALL_TABLE
-
-    for name, klass in CALL_TABLE.items():
-        assert name in APPENDIX_A, f"{name} absent from Appendix A"
-        assert APPENDIX_A[name] == klass, (
-            f"{name}: executable table says {klass}, "
-            f"Appendix A says {APPENDIX_A[name]}"
-        )
-
-
 def test_appendix_a_shape():
     """Most calls are location-independent — the thesis's key point:
     the shared FS makes forwarding the exception, not the rule."""
-    from repro.kernel import APPENDIX_A, classes_of
+    from repro.kernel import classes_of
 
     histogram = classes_of()
     assert len(APPENDIX_A) >= 90

@@ -530,6 +530,43 @@ def test_kill_during_freeze_delivered_after_resume():
     assert pcb.current == b.address
 
 
+@pytest.mark.parametrize("call", ["getpid", "getppid", "getuid"])
+def test_process_looping_on_a_cheap_call_can_be_frozen(call):
+    """Every kernel call ends at a safe point, the ones that touch
+    nothing but the PCB included: a process that only asks who it is
+    can still be frozen and moved from outside."""
+    cluster = make_cluster(2)
+    a, b = cluster.hosts[0], cluster.hosts[1]
+    calls = {a.address: 0, b.address: 0}
+
+    def job(proc):
+        while proc.now < 1.0:
+            yield from getattr(proc, call)()
+            calls[proc.pcb.current] += 1
+        return proc.pcb.current
+
+    pcb, _ = a.spawn_process(job, name="who-am-i")
+    records, requested_after = [], []
+
+    def driver():
+        yield Sleep(0.5)
+        requested_after.append(calls[a.address])
+        records.append(
+            (yield from cluster.managers[a.address].migrate(pcb, b.address))
+        )
+
+    from repro.sim import spawn
+
+    spawn(cluster.sim, driver(), name="driver")
+    assert cluster.run_until_complete(pcb.task) == b.address
+    assert not records[0].refused
+    # Negotiating with the target takes ~2 ms, a dozen calls; once the
+    # freeze is requested the very next call parks.  (Without a safe
+    # point the loop would run its other 5,000 calls at the source.)
+    assert calls[a.address] - requested_after[0] <= 50
+    assert calls[b.address] > 0
+
+
 # ----------------------------------------------------------------------
 # Transactional abort paths: partial exports, lease expiry, repair
 # ----------------------------------------------------------------------
