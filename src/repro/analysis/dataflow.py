@@ -269,7 +269,13 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
         fn: FunctionNode, summary_of: Callable[[FunctionNode], object]
     ) -> Dict[str, Origin]:
         body = getattr(fn.node, "body", [])
-        return escapes_of(body, fn.rel, summary_of, {})
+        found = escapes_of(body, fn.rel, summary_of, {})
+        # Summaries only gain names, and a name keeps the first origin
+        # found for it: on a call cycle that reaches two raise sites of
+        # one class, "the first in statement order" depends on what the
+        # callees knew at that visit and can flip for ever.
+        found.update(summary_of(fn))  # type: ignore[call-overload]
+        return found
 
     summaries = fixpoint(graph, lambda fn: {}, transfer)
     return {key: dict(value) for key, value in summaries.items()}  # type: ignore[arg-type]

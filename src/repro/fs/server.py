@@ -175,7 +175,7 @@ class FileServer:
         if self._disk_rng.random() < self.params.server_cache_hit_rate:
             return
         duration = self.params.disk_latency + nbytes / self.params.disk_bandwidth
-        yield from self.disk.hold(duration)
+        yield self.disk.hold(duration)
 
     def _callback(
         self, client: int, service: str, args: Any

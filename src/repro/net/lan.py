@@ -8,23 +8,32 @@ file flushes) slow each other down.
 Nodes are registered with the LAN and receive :class:`Packet` objects in
 their inbox channel.  Bulk transfers use :meth:`Lan.transfer`, which
 charges transmission time without materializing per-block packets.
+
+A message is one timed wait.  The medium is a FIFO server whose every
+hold has a known length, so it is a timetable rather than a queue: a
+sender reserves ``[start, start + size/bandwidth)`` with ``start`` the
+later of now and the end of the last reservation, and sleeps once, to
+the end of its wire time plus the propagation latency.  A sender that
+is interrupted or aborted first gives its unused wire time back at that
+instant and the reservations behind it move up (:meth:`Lan._give_back`).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Deque, Dict, Generator, List, Optional
 
 from ..config import ClusterParams
-from ..sim import Channel, Effect, Resource, Simulator, Sleep, Tracer, spawn
+from ..sim import Channel, Effect, Simulator, Sleep, Tracer, spawn
 
 from .errors import HostDownError, NetworkPartitionedError
 
 __all__ = ["Packet", "NetNode", "Lan", "HostDownError", "NetworkPartitionedError"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One message on the wire."""
 
@@ -55,6 +64,49 @@ class NetNode:
         return f"<NetNode {self.name}@{self.address} {'up' if self.up else 'down'}>"
 
 
+class _Wire(Effect):
+    """One message's wait: its wire time on the medium, ``duration``,
+    then ``flight`` seconds of propagation (and fabric delay).
+
+    Binding it reserves the medium and arms the one wake-up, at the
+    delivery instant; the floats are those of sleeping first to the end
+    of the wire time and from there for the flight: ``(start +
+    duration) + flight``.
+    """
+
+    __slots__ = ("lan", "duration", "flight", "start", "end", "_waiter",
+                 "_handle")
+
+    def __init__(self, lan: "Lan", duration: float, flight: float):
+        self.lan = lan
+        self.duration = duration
+        self.flight = flight
+        # start, end, _waiter and _handle are set by bind().
+
+    def bind(self, waiter: Any) -> None:
+        lan = self.lan
+        sim = lan.sim
+        start = sim.now
+        if lan.params.net_shared_medium:
+            timetable = lan._timetable
+            if timetable:
+                lan._settle(start)
+            if lan._free_at > start:
+                start = lan._free_at
+            lan._free_at = start + self.duration
+            timetable.append(self)
+        self._waiter = waiter
+        self.start = start
+        self.end = end = start + self.duration
+        self._handle = sim.schedule_at(end + self.flight, waiter._resume, None)
+
+    def cancel(self, waiter: Any) -> None:
+        self._handle.cancel()
+        lan = self.lan
+        if self.end > lan.sim.now and lan.params.net_shared_medium:
+            lan._give_back(self)
+
+
 class Lan:
     """The shared network segment."""
 
@@ -69,7 +121,14 @@ class Lan:
         self.tracer = tracer if tracer is not None else Tracer()
         self.nodes: Dict[int, NetNode] = {}
         self._addresses = itertools.count(1)
-        self._medium = Resource(sim, capacity=1, name="ethernet")
+        #: The shared medium's timetable: the reservations whose wire
+        #: time ``_busy_time`` does not count yet, in wire order (each
+        #: starts where the one before it ends, or later).  Settled
+        #: lazily: by the next sender, a cancellation, a reader.
+        self._timetable: Deque[_Wire] = deque()
+        #: End of the last reservation: where the next one may start.
+        self._free_at = 0.0
+        self._busy_time = 0.0
         #: Totals for metrics: messages and payload bytes carried.
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -124,8 +183,8 @@ class Lan:
             if verdict is not None:
                 deliver, extra_delay = verdict.deliver, verdict.delay
         packet.send_time = self.sim.now
-        yield from self._occupy_medium(packet.size)
-        yield Sleep(self.params.net_latency + extra_delay)
+        yield _Wire(self, self.transmission_time(packet.size),
+                    self.params.net_latency + extra_delay)
         self.messages_sent += 1
         self.bytes_sent += packet.size
         if self.kind_bytes is not None:
@@ -216,8 +275,8 @@ class Lan:
             # Bulk data rides a retransmitting transport: loss shows up
             # as added delay, a partition as an unreachable peer.
             extra_delay = self.fabric.bulk(src, dst)
-        yield from self._occupy_medium(nbytes)
-        yield Sleep(self.params.net_latency + extra_delay)
+        yield _Wire(self, self.transmission_time(nbytes),
+                    self.params.net_latency + extra_delay)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         if self.kind_bytes is not None:
@@ -234,8 +293,8 @@ class Lan:
         the medium is held once regardless of receiver count)."""
         skip = set(exclude or ())
         skip.add(packet.src)
-        yield from self._occupy_medium(packet.size)
-        yield Sleep(self.params.net_latency)
+        yield _Wire(self, self.transmission_time(packet.size),
+                    self.params.net_latency)
         self.messages_sent += 1
         self.bytes_sent += packet.size
         if self.kind_bytes is not None:
@@ -264,13 +323,42 @@ class Lan:
             )
 
     # ------------------------------------------------------------------
-    def _occupy_medium(self, size: int) -> Generator[Effect, None, None]:
-        duration = self.transmission_time(size)
-        if self.params.net_shared_medium:
-            yield from self._medium.hold(duration)
+    def _settle(self, now: float) -> None:
+        """Count the wire time of every reservation over by ``now``."""
+        timetable = self._timetable
+        while timetable and timetable[0].end <= now:
+            done = timetable.popleft()
+            self._busy_time += done.end - done.start
+
+    def _give_back(self, wire: _Wire) -> None:
+        """``wire``'s sender was cancelled with wire time still ahead of
+        it: the medium is free from now — or, if it had not started,
+        from where it would have — and every reservation behind it moves
+        up and arms its wake-up again."""
+        sim = self.sim
+        free = sim.now
+        self._settle(free)
+        timetable = self._timetable
+        if wire.start > free:
+            free = wire.start
         else:
-            yield Sleep(duration)
+            self._busy_time += free - wire.start  # it was the head
+        index = timetable.index(wire)
+        del timetable[index]
+        for moved in itertools.islice(timetable, index, None):
+            moved.start = free
+            moved.end = free = free + moved.duration
+            moved._handle.cancel()
+            moved._handle = sim.schedule_at(
+                free + moved.flight, moved._waiter._resume, None
+            )
+        self._free_at = free
 
     def utilization(self) -> float:
         """Fraction of time the medium has been busy."""
-        return self._medium.utilization()
+        now = self.sim.now
+        self._settle(now)
+        busy = self._busy_time
+        if self._timetable and self._timetable[0].start < now:
+            busy += now - self._timetable[0].start
+        return busy / now if now > 0 else 0.0

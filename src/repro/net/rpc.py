@@ -39,7 +39,6 @@ from ..sim import (
     Sleep,
     Tracer,
     spawn,
-    with_timeout,
 )
 from .errors import RetryLaterError, RpcError, RpcTimeout
 from .lan import HostDownError, Lan, NetNode, NetworkPartitionedError, Packet
@@ -59,7 +58,13 @@ class Reply:
     size: int = DEFAULT_REPLY_SIZE
 
 
-@dataclass
+#: Name of every reply event.  A reply is triggered in one place,
+#: ``RpcPort._ship_reply``, behind a ``fired`` test, so the only reader
+#: of the name — ``SimEvent``'s "triggered twice" error — is not reached.
+_REPLY = "rpc-reply"
+
+
+@dataclass(slots=True)
 class _Request:
     service: str
     args: Any
@@ -430,7 +435,7 @@ class RpcPort:
         req_id = self._req_seq
         last_error: Optional[BaseException] = None
         for _attempt in range(attempts):
-            reply_event = SimEvent(self.sim, name=f"reply:{service}")
+            reply_event = SimEvent(self.sim, _REPLY)
             request = _Request(
                 service=service,
                 args=args,
@@ -467,7 +472,7 @@ class RpcPort:
                     span.finish(self.sim.now, outcome="ok")
                 return value
             try:
-                value = yield from with_timeout(reply_event.wait(), timeout)
+                value = yield reply_event.wait(timeout)
             except RetryLaterError as err:
                 # Explicit backpressure from the server: back off with
                 # the jittered schedule and try again — never surfaced

@@ -6,7 +6,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Generator, List, Optional
 
 from .engine import EventHandle, Simulator
-from .tasks import Effect, Sleep, _Waiter
+from .tasks import Effect, _Waiter
 
 __all__ = ["Resource", "Cpu", "SliceRun"]
 
@@ -17,11 +17,20 @@ _MIN_HORIZON = 2
 
 
 class Resource:
-    """A counting semaphore with FIFO queueing.
+    """A counting semaphore with FIFO queueing, held for known lengths.
 
-    ``yield resource.acquire()`` blocks until a unit is free; pair it
-    with ``resource.release()`` in a ``try/finally``.  For the common
-    hold-for-a-duration pattern use :meth:`hold`.
+    ``yield resource.hold(dt)`` waits for a unit, keeps it for ``dt``
+    seconds and gives it back.  A grant is not an event: the hold's one
+    timed wake-up is armed at the instant the unit becomes the holder's
+    — in ``bind`` when one is free, in the previous holder's
+    :meth:`release` when it is handed over — and that same event gives
+    the unit back and resumes the task.
+
+    Ties.  An interrupted or aborted holder gives the unit back at the
+    instant of ``interrupt()`` / ``abort()``, not at the throw event
+    that follows in the same instant.  A hold's wake-up takes its
+    sequence number at the grant, so it sorts ahead of any other timer
+    armed later in that instant for the bit-identical float.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
@@ -31,26 +40,27 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self.in_use = 0
-        self._queue: Deque[_Waiter] = deque()
+        self._queue: Deque[Any] = deque()
         #: Cumulative (units x seconds) of busy time, for utilization metrics.
         self.busy_time = 0.0
         self._last_change = 0.0
-        # _Acquire keeps no per-wait state (the waiter itself is the
-        # queue entry), so one shared instance serves every acquire.
-        self._acquire = _Acquire(self)
 
     @property
     def queue_length(self) -> int:
         return len(self._queue)
 
-    def acquire(self) -> Effect:
-        return self._acquire
+    def hold(self, duration: float) -> Effect:
+        """``yield resource.hold(dt)`` — acquire, keep for ``dt``, release."""
+        return _Hold(self, duration)
 
     def release(self) -> None:
+        """Give a unit back; the head of the queue, if any, has it from
+        this instant.  Called by a hold when its time is up or it is
+        cancelled."""
         self._account()
         if self._queue:
-            waiter = self._queue.popleft()
-            self.sim.defer(waiter._resume, None)
+            head = self._queue.popleft()
+            head._handle = self.sim.schedule(head.duration, self._expire, head)
         else:
             if self.in_use <= 0:
                 # double-release is a bug in simulation code, and this
@@ -60,12 +70,21 @@ class Resource:
                 raise ValueError(f"resource {self.name!r} released when free")
             self.in_use -= 1
 
-    def hold(self, duration: float) -> Generator[Effect, None, None]:
-        """``yield from resource.hold(dt)`` — acquire, sleep, release."""
-        yield self.acquire()
-        try:
-            yield Sleep(duration)
-        finally:
+    def _expire(self, hold: "_Hold") -> None:
+        """``hold``'s time is up: give the unit back, resume its task."""
+        hold._handle = None
+        self.release()
+        hold._waiter._resume(None)
+
+    def _withdraw(self, hold: "_Hold") -> None:
+        """``hold``'s task was interrupted or aborted: out of the queue,
+        or — if it held a unit — give it back as of now."""
+        handle = hold._handle
+        if handle is None:
+            self._queue.remove(hold)
+        else:
+            hold._handle = None
+            handle.cancel()
             self.release()
 
     def utilization(self, now: Optional[float] = None) -> float:
@@ -80,24 +99,32 @@ class Resource:
         self._last_change = now
 
 
-class _Acquire(Effect):
-    def __init__(self, resource: Resource):
+class _Hold(Effect):
+    """``resource.hold(dt)``; the queue entry while it waits, the
+    wake-up's target while it holds (``_handle`` is set)."""
+
+    __slots__ = ("resource", "duration", "_waiter", "_handle")
+
+    def __init__(self, resource: Resource, duration: float):
+        if duration < 0:
+            raise ValueError(f"negative hold: {duration}")
         self.resource = resource
+        self.duration = duration
+        self._waiter: Optional[_Waiter] = None
+        self._handle: Optional[EventHandle] = None
 
     def bind(self, waiter: _Waiter) -> None:
         res = self.resource
+        self._waiter = waiter
         if res.in_use < res.capacity and not res._queue:
             res._account()
             res.in_use += 1
-            waiter.sim.defer(waiter._resume, None)
+            self._handle = res.sim.schedule(self.duration, res._expire, self)
         else:
-            res._queue.append(waiter)
+            res._queue.append(self)
 
     def cancel(self, waiter: _Waiter) -> None:
-        try:
-            self.resource._queue.remove(waiter)
-        except ValueError:
-            pass
+        self.resource._withdraw(self)
 
 
 class Cpu:
@@ -125,9 +152,9 @@ class Cpu:
         self.speed = speed
         self.name = name
         #: The single core; public so schedulers with their own slicing
-        #: discipline can contend on it directly (``acquire``/``release``
-        #: /``hold``).  Long compute stretches queue on it as
-        #: :class:`SliceRun` effects and are replayed, not dispatched.
+        #: discipline can contend on it directly (``hold``).  Long compute
+        #: stretches queue on it as :class:`SliceRun` effects and are
+        #: replayed, not dispatched.
         self.core = _Core(self, name)
         #: Number of consumers currently inside consume(); the model
         #: kernel samples this for its load average.
@@ -143,13 +170,10 @@ class Cpu:
         remaining = demand / self.speed
         self.runnable += 1
         try:
+            core = self.core
             while remaining > 1e-12:
                 slice_len = min(self.quantum, remaining)
-                yield self.core.acquire()
-                try:
-                    yield Sleep(slice_len)
-                finally:
-                    self.core.release()
+                yield _CoreHold(core, slice_len)
                 remaining -= slice_len
         finally:
             self.runnable -= 1
@@ -184,8 +208,8 @@ class SliceRun(Effect):
     The consumer sets :attr:`cpu` (and :attr:`eager`) and yields the
     run — that is all: the run queues for the core behind whoever is
     there, holds it one quantum at a time in FIFO rotation with the
-    other runs and with foreign waiters (``Cpu.consume``, plain
-    ``acquire``), and the consumer is resumed when :attr:`remaining` is
+    other runs and with foreign holds (``Cpu.consume``, a plain
+    ``core.hold``), and the consumer is resumed when :attr:`remaining` is
     spent, or at the end of its first quantum if it was ``eager``.
     While ``remaining`` is positive it yields the run again (a migrated
     process sets another ``cpu`` first).  Nothing is dispatched for a
@@ -267,7 +291,7 @@ class _Core(Resource):
 
     * **invariant:** any boundary *may* be materialised as an event and
       none *needs* to be unless a task must run there — a run's demand
-      is spent, a run is ``eager``, or a foreign waiter reaches the head
+      is spent, a run is ``eager``, or a foreign hold reaches the head
       of the queue.  The core arms **one** wake-up (:meth:`_plan`), at
       the first such boundary or at most :attr:`_horizon` boundaries
       ahead, whichever comes first;
@@ -280,11 +304,15 @@ class _Core(Resource):
       ``cpu.total_demand`` and :attr:`busy_time`, and reports every
       run's slices to its ``on_slices``;
     * whatever edits the queue settles first and re-plans after: a new
-      run or foreign waiter appends at the tail, an interrupted run
+      run or foreign hold appends at the tail, an interrupted run
       leaves, a foreign holder releases.  Readers settle through
       :meth:`Cpu.sync`;
     * **tie rule:** a boundary at exactly ``now`` has already passed
-      (``<=``), for every settle and so for every edit and reader.
+      (``<=``), for every settle and so for every edit and reader.  A
+      foreign hold that reaches the head at a boundary has the core from
+      that boundary: whoever settles it arms the hold's wake-up there
+      and then (a grant is not an event; :class:`Resource` has the tie
+      rules that follow from it).
 
     The horizon doubles when a wake-up it bounded fires as planned and
     halves when an edit makes the core plan again before its wake-up
@@ -297,7 +325,6 @@ class _Core(Resource):
     def __init__(self, cpu: Cpu, name: str):
         super().__init__(cpu.sim, capacity=1, name=name)
         self.cpu = cpu
-        self._acquire = _CoreAcquire(self)
         #: The run holding the core, its current quantum having begun at
         #: ``_last_change``; ``None`` when the core is idle or a foreign
         #: holder has it.  Queued runs sit in ``_queue`` with the foreign
@@ -314,6 +341,9 @@ class _Core(Resource):
         #: planned for once, after the last of them.
         self._firing = False
 
+    def hold(self, duration: float) -> Effect:
+        return _CoreHold(self, duration)
+
     def release(self) -> None:
         if self.run is not None or self.in_use <= 0:
             raise ValueError(f"core {self.name!r} released by a non-holder")
@@ -324,6 +354,17 @@ class _Core(Resource):
                 self._replan()
         else:
             self.in_use = 0  # every lone Cpu.consume slice ends here
+
+    def _withdraw(self, hold: "_Hold") -> None:
+        if self.run is None:
+            super()._withdraw(hold)  # the holder, or behind a foreign one
+            return
+        self.settle(self.sim.now)
+        if hold._handle is not None:
+            super()._withdraw(hold)  # a boundary at now gave it the core
+        else:
+            self._queue.remove(hold)
+            self._replan()
 
     def settle(self, now: float) -> None:
         """Replay every quantum boundary at or before ``now``."""
@@ -400,10 +441,12 @@ class _Core(Resource):
                     break
             run = queue.popleft()
             if run.__class__ is not SliceRun:
-                # A foreign waiter holds the core from this boundary
-                # (the instant the wake-up was armed for) until it
-                # releases.
-                self.sim.defer(run._resume, None)
+                # A foreign hold has the core from this boundary (the
+                # instant the wake-up was armed for, so now) for its
+                # duration.
+                run._handle = self.sim.schedule(
+                    run.duration, self._expire, run
+                )
                 run = None
                 break
             remaining = run.remaining
@@ -455,7 +498,9 @@ class _Core(Resource):
         if head.__class__ is SliceRun:
             self.run = head
         else:
-            self.sim.defer(head._resume, None)
+            head._handle = self.sim.schedule(
+                head.duration, self._expire, head
+            )
 
     def _replan(self) -> None:
         if self._firing:
@@ -480,7 +525,7 @@ class _Core(Resource):
         if run is None:
             return
         # The runs whose turns are certain, in rotation order: up to a
-        # foreign waiter (the boundary that gives it the core is real)
+        # foreign hold (the boundary that gives it the core is real)
         # or an eager run (the end of its first quantum is).  ``closed``
         # when neither is there and the rotation goes round.
         rems = [run.remaining]
@@ -544,29 +589,22 @@ class _Core(Resource):
         self._plan()
 
 
-class _CoreAcquire(_Acquire):
-    """``core.acquire()``: a foreign waiter, granted in FIFO order with
-    the slice runs."""
+class _CoreHold(_Hold):
+    """``core.hold(dt)``, and each slice of ``Cpu.consume``: a foreign
+    hold, granted in FIFO order with the slice runs."""
+
+    __slots__ = ()
 
     def bind(self, waiter: _Waiter) -> None:
         core = self.resource
+        self._waiter = waiter
         if core.run is not None:
             core.settle(core.sim.now)  # the rotation so far precedes us
-        # Every Cpu.consume slice comes through here: _Acquire.bind, inline.
         if core.in_use < 1 and not core._queue:
             core._account()
             core.in_use = 1
-            waiter.sim.defer(waiter._resume, None)
+            self._handle = core.sim.schedule(self.duration, core._expire, self)
         else:
-            core._queue.append(waiter)
+            core._queue.append(self)
             if core.run is not None:
                 core._replan()
-
-    def cancel(self, waiter: _Waiter) -> None:
-        core = self.resource
-        if core.run is None:
-            super().cancel(waiter)
-        else:
-            core.settle(core.sim.now)
-            super().cancel(waiter)
-            core._replan()

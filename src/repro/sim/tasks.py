@@ -16,9 +16,16 @@ Example::
     sim.run()
     assert task.result == "done"
 
-The scheduling discipline is: every resumption happens as its own event
-at the current instant, so tasks never re-enter one another and runs are
-deterministic for a fixed seed.
+The scheduling discipline is: a task is only ever resumed from the event
+loop, never from inside another task's step, so tasks never re-enter one
+another and runs are deterministic for a fixed seed.  A wake-up caused
+*by another task* (an event triggered, a task joined, a channel fed) is
+its own event at the current instant.  A wait whose end is known when it
+begins is one timed event and nothing else: ``Sleep``, a
+``Resource.hold`` (the unit is taken at the instant it is free or handed
+over — a grant is not an event — and given back by the same event that
+resumes the holder), a message on the ``Lan``, and the timeout arm of
+``event.wait(timeout=...)``.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ __all__ = [
 ]
 
 TaskGen = Generator["Effect", Any, Any]
+
+#: What a timed wait resumes with when the deadline won:
+#: ``event.wait(timeout=...)`` and :func:`with_timeout`.
+TIMED_OUT = object()
 
 
 class Effect:
@@ -151,11 +162,18 @@ class SimEvent:
         for waiter in waiters:
             self.sim.defer(waiter._throw, exc)
 
-    def wait(self) -> "_EventWait":
-        return _EventWait(self)
+    def wait(self, timeout: Optional[float] = None) -> Effect:
+        """Effect that waits for the event and yields its value — or,
+        given a ``timeout``, :data:`TIMED_OUT` if that many seconds pass
+        first."""
+        if timeout is None:
+            return _EventWait(self)
+        return _TimedWait(self, timeout)
 
 
 class _EventWait(Effect):
+    __slots__ = ("event",)
+
     def __init__(self, event: SimEvent):
         self.event = event
 
@@ -175,7 +193,75 @@ class _EventWait(Effect):
             pass
 
 
+class _TimedWait(Effect, _Waiter):
+    """``event.wait(timeout=t)``: the event's waiter and the deadline's
+    target in one object.
+
+    It is ``first(event.wait(), Sleep(t))`` without the proxies: the
+    same arrangements are made in the same order (park on the event, or
+    defer the resume if it has already fired; then arm the deadline),
+    and whichever fires first revokes the other and resumes the task
+    within the same event — so it takes the same sequence numbers and
+    the schedule cannot tell the two apart.  ``_waiter`` is ``None``
+    once the race is settled.
+    """
+
+    __slots__ = ("event", "timeout", "_waiter", "_handle")
+
+    def __init__(self, event: SimEvent, timeout: float):
+        if timeout < 0:
+            raise ValueError(f"negative timeout: {timeout}")
+        self.event = event
+        self.timeout = timeout
+        self._waiter: Optional[_Waiter] = None
+        self._handle: Optional[EventHandle] = None
+
+    def bind(self, waiter: _Waiter) -> None:
+        event = self.event
+        sim = event.sim
+        self._waiter = waiter
+        if not event._fired:
+            event._waiters.append(self)
+        elif event._exc is not None:
+            sim.defer(self._throw, event._exc)
+        else:
+            sim.defer(self._resume, event._value)
+        self._handle = sim.schedule(self.timeout, self._timed_out)
+
+    def _resume(self, value: Any) -> None:
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            self._handle.cancel()
+            waiter._resume(value)
+
+    def _throw(self, exc: BaseException) -> None:
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            self._handle.cancel()
+            waiter._throw(exc)
+
+    def _timed_out(self) -> None:
+        waiter = self._waiter  # never settled: settling cancels this event
+        self._unpark()
+        waiter._resume(TIMED_OUT)
+
+    def cancel(self, waiter: _Waiter) -> None:
+        self._handle.cancel()
+        self._unpark()
+
+    def _unpark(self) -> None:
+        self._waiter = None
+        try:
+            self.event._waiters.remove(self)
+        except ValueError:
+            pass  # triggered at this very instant: its resume finds us settled
+
+
 class _Join(Effect):
+    __slots__ = ("task",)
+
     def __init__(self, task: "Task"):
         self.task = task
 
@@ -479,6 +565,8 @@ def run_until_complete(sim: Simulator, gen_or_task: Any, name: str = "main") -> 
 class _FirstProxy(_Waiter):
     """Child waiter used by :func:`first` to multiplex effects."""
 
+    __slots__ = ("parent", "sim", "index")
+
     def __init__(self, parent: "_First", index: int):
         self.parent = parent
         self.sim = parent.sim
@@ -492,6 +580,8 @@ class _FirstProxy(_Waiter):
 
 
 class _First(Effect):
+    __slots__ = ("effects", "sim", "_waiter", "_proxies", "_settled")
+
     def __init__(self, effects: List[Effect]):
         if not effects:
             raise ValueError("first() needs at least one effect")
@@ -604,10 +694,6 @@ def all_of(*effects: Effect) -> Effect:
     gather).  Complements :func:`first`.
     """
     return _AllOf(list(effects))
-
-
-#: Sentinel returned by :func:`with_timeout` when the deadline won.
-TIMED_OUT = object()
 
 
 def with_timeout(effect: Effect, timeout: float) -> TaskGen:

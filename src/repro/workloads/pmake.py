@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..config import KB
 from ..fs import OpenMode
 from ..kernel import UserContext
@@ -72,9 +70,17 @@ class SourceTree:
         self.shared_headers = shared_headers
         self.libs = libs
         self.archive_cpu = archive_cpu
-        self.graph = nx.DiGraph()
         self.targets: Dict[str, BuildTarget] = {}
+        #: target -> the targets it waits for.  A target is added after
+        #: all of those (:meth:`_add`), so the graph is acyclic and both
+        #: dicts list the targets dependencies-first.
+        self._deps: Dict[str, List[str]] = {}
         self._build_graph()
+
+    def _add(self, target: BuildTarget, deps: Sequence[str] = ()) -> None:
+        assert all(dep in self._deps for dep in deps), "dependencies first"
+        self.targets[target.name] = target
+        self._deps[target.name] = list(deps)
 
     def _build_graph(self) -> None:
         headers = [
@@ -92,8 +98,7 @@ class SourceTree:
                 read_bytes=self.src_bytes + len(headers) * self.header_bytes,
                 write_bytes=self.obj_bytes,
             )
-            self.targets[target.name] = target
-            self.graph.add_node(target.name)
+            self._add(target)
             objects.append(obj)
         if self.libs > 0:
             link_inputs, link_deps = self._build_archives(objects)
@@ -109,11 +114,7 @@ class SourceTree:
             write_bytes=self.files * self.obj_bytes,
             kind="link",
         )
-        self.targets[link.name] = link
-        self.graph.add_node(link.name)
-        for dep in link_deps:
-            self.graph.add_edge(dep, "link")
-        assert nx.is_directed_acyclic_graph(self.graph)
+        self._add(link, link_deps)
 
     def _build_archives(self, objects: List[str]):
         """Group objects into library archives (the ``ar`` stage)."""
@@ -134,10 +135,7 @@ class SourceTree:
                 write_bytes=len(members) * self.obj_bytes,
                 kind="archive",
             )
-            self.targets[archive.name] = archive
-            self.graph.add_node(archive.name)
-            for member in member_targets:
-                self.graph.add_edge(member, archive.name)
+            self._add(archive, member_targets)
             link_inputs.append(archive_path)
             link_deps.append(archive.name)
         return link_inputs, link_deps
@@ -154,9 +152,8 @@ class SourceTree:
         """Targets whose dependencies are all in ``done``."""
         return [
             name
-            for name in self.graph.nodes
-            if name not in done
-            and all(dep in done for dep in self.graph.predecessors(name))
+            for name, deps in self._deps.items()
+            if name not in done and all(dep in done for dep in deps)
         ]
 
     def out_of_date(self, changed_files: Sequence[str]) -> set:
@@ -172,10 +169,10 @@ class SourceTree:
             for name, target in self.targets.items()
             if changed & set(target.inputs)
         }
-        downstream = set()
-        for name in dirty:
-            downstream |= nx.descendants(self.graph, name)
-        return dirty | downstream
+        for name, deps in self._deps.items():  # dependencies come first
+            if not dirty.isdisjoint(deps):
+                dirty.add(name)
+        return dirty
 
 
 def build_job(

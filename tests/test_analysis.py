@@ -889,6 +889,39 @@ def test_exception_flow_caught_by_hierarchy_ancestor(tmp_path):
     assert findings == []
 
 
+def test_exception_flow_settles_on_a_call_ring(tmp_path):
+    """Three mutually recursive functions that each raise the same
+    builtin after calling the next: every summary is "my callee's
+    origin", so with origins compared the worklist passes the three
+    sites round the ring for ever.  A name keeps the first origin found
+    for it, and the analysis ends, reporting raise sites of the class."""
+    findings = findings_of(
+        tmp_path,
+        {
+            "net/errors.py": _NET_ERRORS,
+            "fs/errors.py": _FS_ERRORS,
+            "net/lan.py": """\
+            def first(n):
+                second(n)
+                raise OSError("one")
+
+
+            def second(n):
+                third(n)
+                raise OSError("two")
+
+
+            def third(n):
+                first(n)
+                raise OSError("three")
+            """,
+        },
+        ["exception-flow"],
+    )
+    assert findings
+    assert all("OSError" in finding.message for finding in findings)
+
+
 def test_exception_flow_handler_reraise_escapes(tmp_path):
     """A bare `raise` inside an except clause re-raises what the
     handler caught, so the exception still escapes."""

@@ -6,10 +6,17 @@ process, or for the processes sharing a core — keeps all the goldens and
 fails only the benchmark.  These bounds make it fail the suite: each is
 about a quarter above what the run costs today, and far below what it
 cost with an event (or two) per quantum.
+
+The same goes for the fixed-cost waits of an RPC — a CPU charge, a
+message, a reply wait — which are one event each: a grant that became
+an event again, or a message that sleeps twice, changes no result.
 """
 
 from repro import SpriteCluster
+from repro.config import ClusterParams
 from repro.faults import build_chaos_base, run_chaos
+from repro.net import Lan, NetNode, Packet, RpcPort
+from repro.sim import Cpu, Simulator, spawn
 
 from . import golden_migration
 
@@ -44,10 +51,67 @@ def test_shared_core_costs_events_per_process_not_per_quantum():
 
 def test_adversarial_chaos_smoke_event_budget():
     # CI's adversarial smoke at seed 0 (the run pinned as
-    # ``adversarial-0``): 4218 events today, 4479 before shared cores
-    # were replayed.
+    # ``adversarial-0``): 3087 events today, 4218 when a grant was an
+    # event and a message two sleeps, 4479 before shared cores were
+    # replayed.
     kwargs = dict(golden_migration.CHAOS_RUNS["adversarial-0"])
     cluster = build_chaos_base(kwargs.pop("seed"), kwargs.pop("workstations")).fork()
     report = run_chaos(base=cluster, **kwargs)
     assert report.fingerprint == golden_migration.load()["chaos"]["adversarial-0"]
-    assert cluster.sim.events_fired <= 4350
+    assert cluster.sim.events_fired <= 3500
+
+
+def _two_ports(sim):
+    params = ClusterParams()
+    lan = Lan(sim, params=params)
+    ports = []
+    for name in ("client", "server"):
+        node = NetNode(sim, name)
+        lan.register(node)
+        ports.append(RpcPort(sim, lan, node, params=params,
+                             cpu=Cpu(sim, quantum=params.cpu_quantum)))
+
+    def null(_args):
+        return None
+        yield
+
+    ports[1].register("null", null)
+    sim.run_until_idle()  # the two server tasks park on their inboxes
+    return lan, ports
+
+
+def _events_of(sim, gen):
+    before = sim.events_fired
+    task = spawn(sim, gen)
+    sim.run_until_idle()
+    assert task.done and task.exception is None
+    return sim.events_fired - before - 1  # less the task's own start
+
+
+def test_null_rpc_event_budget():
+    """One null RPC between two idle hosts: the client's CPU charge,
+    the request on the wire, the server's receive, the handler task's
+    start, its CPU charge, the reply on the wire, the caller's resume.
+    It was 13 when every grant was an event, every message two sleeps
+    and the reply a deferred proxy; the simulated time is the same."""
+    sim = Simulator()
+    _lan, (client, server) = _two_ports(sim)
+
+    def calls(count):
+        for _ in range(count):
+            yield from client.call(server.node.address, "null")
+
+    assert _events_of(sim, calls(1)) <= 8  # 7 today
+    started = sim.now
+    assert _events_of(sim, calls(1000)) <= 8000
+    assert f"{sim.now - started:.6f}" == "2.157317"
+
+
+def test_uncontended_consume_and_message_are_one_event_each():
+    sim = Simulator()
+    lan, (client, server) = _two_ports(sim)
+    a, b = client.node.address, server.node.address
+    assert _events_of(sim, client.cpu.consume(client.cpu.quantum / 4)) == 1
+    assert _events_of(sim, lan.transfer(a, b, 4096)) == 1
+    # ... plus the server task's receive of a packet that is no request.
+    assert _events_of(sim, lan.send(Packet(a, b, "data", None, 256))) == 2

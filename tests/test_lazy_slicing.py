@@ -5,8 +5,9 @@
 takes its round-robin turns there, alone or among the stretches of other
 processes, without an event per quantum — the core replays the rotation
 and dispatches only the boundaries at which a task has something to do.
-The reference below is the loop that replaced — wake at *every* quantum,
-release and re-acquire the core, account the slice — kept here, and only
+The reference below is the loop that replaced — hold the core for one
+quantum at a time, waking at *every* boundary to account the slice and
+queue for the core again — kept here, and only
 here, as a ``UserContext`` subclass.  Each scenario runs twice, once per
 context class, and every observable must be **equal** (``==``, never
 ``approx``): simulated times, CPU accounting, dirty memory, checkpoint
@@ -45,7 +46,8 @@ from repro.kernel import process as process_module
 from repro.kernel import signals as sig
 from repro.kernel.process import UserContext
 from repro.net.rpc import RpcError
-from repro.sim import Effect, Interrupted, Sleep, spawn
+from repro.sim import Interrupted, Sleep, spawn
+from repro.sim.resources import _CoreHold
 
 QUANTUM = 0.01  # ClusterParams.cpu_quantum
 MB = 1 << 20
@@ -54,24 +56,22 @@ MB = 1 << 20
 # ----------------------------------------------------------------------
 # The reference: one wake-up per quantum
 # ----------------------------------------------------------------------
-class _Grant(Effect):
-    """``core.acquire()`` that remembers being cancelled *after* the
-    grant.  ``Resource`` hands a released unit to the head of its queue
-    by a deferred resume; a waiter aborted before that resume arrives (a
-    host crash aborts the holder and, in the same instant, the process
-    it had just handed the core to) never runs again to release it, and
-    the core stays taken for good.  The reference gives it back."""
+class _QuantumHold(_CoreHold):
+    """``core.hold(slice)`` that remembers, when it is interrupted or
+    aborted as the core's holder, how much of the slice it had burned
+    (the core's ``_last_change`` is the instant it was granted)."""
 
-    def __init__(self, core):
-        self.core = core
-        self.granted = False
+    __slots__ = ("burned",)
 
-    def bind(self, waiter):
-        self.core.acquire().bind(waiter)
+    def __init__(self, core, duration):
+        super().__init__(core, duration)
+        self.burned = None
 
     def cancel(self, waiter):
-        self.granted = waiter not in self.core._queue
-        self.core.acquire().cancel(waiter)
+        core = self.resource
+        if self._handle is not None:
+            self.burned = core.sim.now - core._last_change
+        super().cancel(waiter)
 
 
 class PerQuantumContext(UserContext):
@@ -87,7 +87,7 @@ class PerQuantumContext(UserContext):
     quiet = 0
     longest = 0
     _streaks = {}
-    #: Tasks waiting for a core from inside ``compute``.
+    #: Holds yielded from inside ``compute``: queued or holding.
     _waiting = set()
 
     @classmethod
@@ -116,7 +116,6 @@ class PerQuantumContext(UserContext):
             kernel = kernels[pcb.current]
             cpu = kernel.cpu
             core = cpu.core
-            sim = kernel.sim
             slice_len = min(cpu.quantum, remaining / cpu.speed)
             consumed = 0.0
             cpu.runnable += 1
@@ -124,35 +123,27 @@ class PerQuantumContext(UserContext):
             unhurried = (
                 not pcb.pending_signals and pcb.migration_ticket is None
             )
-            grant = _Grant(core)
+            hold = _QuantumHold(core, slice_len)
+            cls._waiting.add(hold)
             try:
-                cls._waiting.add(pcb.task)
-                try:
-                    yield grant
-                except GeneratorExit:
-                    if grant.granted:
-                        core.release()
-                    raise
-                finally:
-                    cls._waiting.discard(pcb.task)
-                started = sim.now
-                try:
-                    yield Sleep(slice_len)
-                    consumed = slice_len * cpu.speed
-                    cls._boundary(core, (
-                        unhurried and remaining - consumed > 1e-9
-                        and (not core._queue
-                             or core._queue[0] in cls._waiting)
-                    ))
-                except Interrupted as intr:
-                    consumed = (sim.now - started) * cpu.speed
-                    cls._boundary(core, False)
-                    self._on_interrupt(intr)
-                finally:
-                    core.release()
+                yield hold
+                consumed = slice_len * cpu.speed
+                # The slice's end gave the core to the head of the
+                # queue: to nobody, or to another compute's hold.
+                cls._boundary(core, (
+                    unhurried and remaining - consumed > 1e-9
+                    and (core.in_use == 0
+                         or any(other._handle is not None
+                                for other in cls._waiting
+                                if other.resource is core))
+                ))
             except Interrupted as intr:
+                if hold.burned is not None:
+                    consumed = hold.burned * cpu.speed
+                    cls._boundary(core, False)
                 self._on_interrupt(intr)
             finally:
+                cls._waiting.discard(hold)
                 cpu.runnable -= 1
                 pcb.interruptible = False
             remaining -= consumed
@@ -252,7 +243,7 @@ def disturbance(cluster, injector, pcbs, event, log):
         yield from hosts[host].cpu.consume(seconds)
     elif kind == "hold":
         host, seconds = args
-        yield from hosts[host].cpu.core.hold(seconds)
+        yield hosts[host].cpu.core.hold(seconds)
     elif kind == "signal":
         pcb = pcbs[args[1] if len(args) > 1 else 0]
         yield from hosts[0].kernel.signal(pcb.pid, args[0])
@@ -549,14 +540,14 @@ def test_reference_and_lazy_contexts_really_differ():
     assert observed["trace_records"] > 0
     assert [entry[1] for entry in observed["log"]] == ["compute", "migrate"]
     _, events = run_scenario(lone, UserContext)
-    assert reference_events - events > 150
+    assert reference_events - events > 75  # of the 100 boundaries
 
     shared = scenario([("compute", 100.0, 2.0e5)], rivals=RIVALS)
     PerQuantumContext.reset()
     _, reference_events = run_scenario(shared, PerQuantumContext)
     assert PerQuantumContext.longest > 40
     _, events = run_scenario(shared, UserContext)
-    assert reference_events - events > 500
+    assert reference_events - events > 200
 
 
 # ----------------------------------------------------------------------

@@ -122,27 +122,25 @@ def test_bounded_channel_conserves_items(items, capacity):
 def test_resource_never_exceeds_capacity(capacity, durations):
     sim = Simulator()
     res = Resource(sim, capacity=capacity)
-    concurrent = [0]
-    peak = [0]
+    in_use_seen = []
 
     def holder(duration):
-        yield res.acquire()
-        concurrent[0] += 1
-        peak[0] = max(peak[0], concurrent[0])
-        try:
-            yield Sleep(duration)
-        finally:
-            concurrent[0] -= 1
-            res.release()
+        yield res.hold(duration)
+        in_use_seen.append(res.in_use)
 
     for duration in durations:
         spawn(sim, holder(duration))
+    sim.run(until=0.005)  # every holder has asked, none is through
+    in_use_seen.append(res.in_use)
+    # Work conservation: with enough demand the resource is saturated.
+    assert res.in_use == min(len(durations), capacity)
+    assert res.queue_length == len(durations) - res.in_use
     sim.run()
-    assert peak[0] <= capacity
-    assert concurrent[0] == 0
-    # Work conservation: with enough demand the resource was saturated.
-    if len(durations) >= capacity:
-        assert peak[0] == capacity
+    assert max(in_use_seen) <= capacity
+    assert res.in_use == 0 and res.queue_length == 0
+    # Every hold had a unit to itself for its whole duration.
+    assert res.busy_time == pytest.approx(sum(durations))
+    assert res.busy_time <= capacity * sim.now * (1 + 1e-9)
 
 
 # ----------------------------------------------------------------------

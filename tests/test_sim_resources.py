@@ -10,21 +10,19 @@ from repro.sim import (
 def test_resource_serializes_holders():
     sim = Simulator()
     res = Resource(sim, capacity=1)
-    spans = []
+    done = []
 
     def holder(label, duration):
-        yield res.acquire()
-        start = sim.now
-        try:
-            yield Sleep(duration)
-        finally:
-            res.release()
-        spans.append((label, start, sim.now))
+        yield res.hold(duration)
+        done.append((label, sim.now))
 
     spawn(sim, holder("a", 2.0))
     spawn(sim, holder("b", 3.0))
+    spawn(sim, holder("c", 0.5))
+    sim.run(until=1.0)
+    assert (res.in_use, res.queue_length) == (1, 2)
     sim.run()
-    assert spans == [("a", 0.0, 2.0), ("b", 2.0, 5.0)]
+    assert done == [("a", 2.0), ("b", 5.0), ("c", 5.5)]  # FIFO, one at a time
 
 
 def test_resource_capacity_two_allows_overlap():
@@ -33,7 +31,7 @@ def test_resource_capacity_two_allows_overlap():
     done = []
 
     def holder(label):
-        yield from res.hold(2.0)
+        yield res.hold(2.0)
         done.append((label, sim.now))
 
     for label in "abc":
@@ -58,11 +56,11 @@ def test_acquire_cancelled_by_interrupt_leaves_queue_clean():
     res = Resource(sim, capacity=1)
 
     def hog():
-        yield from res.hold(10.0)
+        yield res.hold(10.0)
 
     def impatient():
         try:
-            yield res.acquire()
+            yield res.hold(1.0)
         except Interrupted:
             return "gave-up"
 
@@ -72,30 +70,27 @@ def test_acquire_cancelled_by_interrupt_leaves_queue_clean():
     sim.run()
     assert waiter.result == "gave-up"
     assert res.queue_length == 0
+    assert sim.now == 10.0 and res.busy_time == 10.0  # it never held
 
 
 def test_interrupt_between_grant_and_resume_leaves_no_stale_wakeup():
-    """An interrupt that lands after a resource was granted to a waiter
-    but before the waiter resumed is thrown *after* the waiter armed its
-    next wait; that wait must be disarmed, not left to fire into
-    whatever the task waits for later."""
+    """An interrupt that lands in the very instant a unit was handed to
+    a queued hold takes the unit back at once and disarms the hold's
+    wake-up; nothing is left to fire into whatever the task waits for
+    later."""
     sim = Simulator()
     res = Resource(sim, capacity=1)
     log = []
 
     def holder():
-        yield res.acquire()
-        yield Sleep(1.0)
-        res.release()               # grants the waiter: resume deferred
-        waiter.interrupt("poke")    # ... and this lands in between
+        yield res.hold(1.0)         # its end hands the unit to the waiter
+        assert res.in_use == 1 and res.queue_length == 0
+        waiter.interrupt("poke")    # ... and this lands in the same instant
+        assert res.in_use == 0      # given back at interrupt(), not later
 
     def waiting():
         try:
-            yield res.acquire()
-            try:
-                yield Sleep(5.0)    # armed by the grant, then interrupted
-            finally:
-                res.release()
+            yield res.hold(5.0)     # armed by the grant, then interrupted
         except Interrupted as intr:
             log.append(("interrupted", sim.now, intr.cause))
         yield Sleep(10.0)           # must last its full ten seconds
@@ -106,6 +101,15 @@ def test_interrupt_between_grant_and_resume_leaves_no_stale_wakeup():
     sim.run()
     assert log == [("interrupted", 1.0, "poke"), ("woke", 11.0)]
     assert res.in_use == 0 and sim.pending_events == 0
+    assert res.busy_time == 1.0
+
+
+def test_negative_hold_is_an_error():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        Resource(sim).hold(-1.0)
+    with pytest.raises(ValueError):
+        Cpu(sim).core.hold(-1.0)
 
 
 def test_utilization_accounting():
@@ -113,7 +117,7 @@ def test_utilization_accounting():
     res = Resource(sim, capacity=1)
 
     def holder():
-        yield from res.hold(5.0)
+        yield res.hold(5.0)
         yield Sleep(5.0)
 
     spawn(sim, holder())

@@ -278,6 +278,83 @@ def test_with_timeout_returns_sentinel_when_slow():
     assert task.result is True
 
 
+def _timed_wait_scenario(timed_wait, trigger_at, timeout, fail=False,
+                         interrupt_at=None, prefired=False):
+    """One waiter racing an event against a deadline, among bystanders
+    that wake in the same instants; returns everything observable."""
+    sim = Simulator()
+    event = SimEvent(sim, name="reply")
+    log = []
+
+    def waiter():
+        yield Sleep(1.0)
+        try:
+            value = yield from timed_wait(event, timeout)
+        except (RuntimeError, Interrupted) as err:
+            value = repr(err)
+        log.append(("waiter", sim.now, "timeout" if value is TIMED_OUT else value))
+        yield Sleep(10.0)  # a stale wake-up would cut this short
+        log.append(("waiter-slept", sim.now))
+
+    def bystander(label, delay):
+        yield Sleep(delay)
+        log.append((label, sim.now))
+
+    def fire():
+        if fail:
+            event.fail(RuntimeError("boom"))
+        else:
+            event.trigger("value")
+
+    spawn(sim, bystander("before", 1.0 + timeout))
+    if prefired:
+        fire()
+    else:
+        sim.schedule(trigger_at, fire)
+    task = spawn(sim, waiter())
+    spawn(sim, bystander("after", 1.0 + timeout))
+    spawn(sim, bystander("with-trigger", trigger_at))
+    if interrupt_at is not None:
+        sim.schedule(interrupt_at, task.interrupt, "poke")
+    sim.run()
+    assert sim.pending_events == 0 and event._waiters == []
+    return log, sim.now
+
+
+def _old_timed_wait(event, timeout):
+    return (yield from with_timeout(event.wait(), timeout))
+
+
+def _new_timed_wait(event, timeout):
+    return (yield event.wait(timeout=timeout))
+
+
+@pytest.mark.parametrize("case", [
+    dict(trigger_at=2.0, timeout=5.0),                  # the event wins
+    dict(trigger_at=9.0, timeout=5.0),                  # the deadline wins
+    dict(trigger_at=6.0, timeout=5.0),                  # both in one instant
+    dict(trigger_at=2.0, timeout=5.0, fail=True),       # the event fails
+    dict(trigger_at=0.5, timeout=5.0, prefired=True),   # fired beforehand
+    dict(trigger_at=0.5, timeout=0.0, prefired=True),
+    dict(trigger_at=9.0, timeout=0.0),                  # zero deadline
+    dict(trigger_at=9.0, timeout=5.0, interrupt_at=3.0),
+    dict(trigger_at=3.0, timeout=5.0, interrupt_at=3.0),  # poke and trigger tie
+])
+def test_event_wait_with_timeout_is_first_of_wait_and_sleep(case):
+    """``event.wait(timeout=t)`` against ``with_timeout(event.wait(), t)``:
+    same results at the same instants, in the same order among everything
+    else that happens in them."""
+    expected = _timed_wait_scenario(_old_timed_wait, **case)
+    assert _timed_wait_scenario(_new_timed_wait, **case) == expected
+    outcomes = [entry[2] for entry in expected[0] if entry[0] == "waiter"]
+    assert len(outcomes) == 1
+
+
+def test_event_wait_rejects_a_negative_timeout():
+    with pytest.raises(ValueError):
+        SimEvent(Simulator()).wait(timeout=-1.0)
+
+
 def test_yielding_non_effect_fails_task():
     sim = Simulator()
 

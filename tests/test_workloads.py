@@ -1,5 +1,9 @@
 """Tests for the workload models: pmake, simfarm, lifetimes, activity."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -91,6 +95,18 @@ def test_source_tree_graph_shape():
     assert sorted(ready) == [f"compile:f{i}" for i in range(5)]
     done = set(ready)
     assert tree.ready_after(done) == ["link"]
+
+
+def test_importing_workloads_does_not_import_networkx():
+    """The build graph is two dicts; a graph library would be a quarter
+    of every CLI start and benchmark set-up."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = (
+        "import sys; import repro.workloads; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 def make_sharing_cluster(n_hosts, **kwargs):
