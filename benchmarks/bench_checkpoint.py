@@ -20,8 +20,8 @@ curves: frequent checkpoints buy availability at image-write cost,
 rare ones lose more progress per crash, and proactive migration alone
 cannot save a job that was resident at crash time.
 
-Cells fan out over ``SweepRunner`` copy-on-write forks of one warmed
-base cluster.  Determinism is load-bearing and checked on every run:
+Cells fan out over ``SweepRunner`` workers, each cell on its own
+materialization of one warmed base cluster.  Determinism is load-bearing and checked on every run:
 the sweep fingerprint (SHA-256 over every cell's trace fingerprint in
 grid order) must be byte-identical at ``--workers 1`` and
 ``--workers 4``.

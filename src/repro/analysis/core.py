@@ -132,6 +132,7 @@ class AstIndex:
         nodes: List[ast.AST] = []
         parents: Dict[ast.AST, ast.AST] = {}
         by_type: Dict[type, List[ast.AST]] = {}
+        AST = ast.AST
         todo = deque([tree])
         while todo:
             node = todo.popleft()
@@ -140,10 +141,17 @@ class AstIndex:
                 by_type[type(node)].append(node)
             except KeyError:
                 by_type[type(node)] = [node]
-            if node._fields:  # Load, Store, operators: nothing below
-                for child in ast.iter_child_nodes(node):
-                    parents[child] = node
-                    todo.append(child)
+            # ``ast.iter_child_nodes`` inlined: two generators per node less.
+            for name in node._fields:
+                field = getattr(node, name, None)
+                if isinstance(field, AST):
+                    parents[field] = node
+                    todo.append(field)
+                elif isinstance(field, list):
+                    for item in field:
+                        if isinstance(item, AST):
+                            parents[item] = node
+                            todo.append(item)
         self.nodes = nodes
         #: child node -> parent node, for dominance-style walks.
         self.parents = parents

@@ -598,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "evenly-spread subset of this many cells "
                             "(default: all 88)")
     chaos.add_argument("--workers", type=int, default=1,
-                       help="concurrent copy-on-write forked workers for "
+                       help="concurrent forked worker processes for "
                             "chaos runs and crash-matrix cells; "
                             "fingerprints are identical for any value")
     chaos.add_argument("--json", action="store_true",

@@ -247,9 +247,9 @@ def build_matrix_base(seed: int = 0) -> SpriteCluster:
     """The shared per-cell prefix: three traced workstations + images.
 
     Built once per matrix and handed to :class:`SweepRunner`, which
-    forks one copy-on-write child per cell — a child starts from an
-    image identical to a fresh build, so cell traces (and the matrix
-    fingerprint) are the same either way.
+    captures it and materializes the capture for every cell — a cell
+    starts from an image identical to a fresh build, so cell traces
+    (and the matrix fingerprint) are the same either way.
     """
     cluster = SpriteCluster(workstations=3, seed=seed, trace=True)
     cluster.standard_images()
@@ -399,7 +399,8 @@ def run_matrix(
     fault kinds stay represented (from twelve cells up).
 
     The per-cell cluster prefix is built **once** and every cell runs
-    in a copy-on-write fork of it, up to ``workers`` concurrently
+    on its own materialization of it, in one of ``workers`` forked
+    processes that each take a fixed stripe of the cells
     (:class:`~repro.snapshot.SweepRunner`); results merge in cell
     order, so :attr:`MatrixReport.fingerprint` is byte-identical for
     any ``workers`` value.

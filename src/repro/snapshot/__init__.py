@@ -1,11 +1,11 @@
-"""Copy-on-write cluster snapshots and the parallel sweep runner.
+"""Cluster snapshots and the parallel sweep runner.
 
 * :class:`Snapshot` — capture a fully built (not yet run) cluster as
   one deterministic byte string; :meth:`Snapshot.fork` materializes
   independent copies.  See :mod:`repro.snapshot.core`.
 * :class:`SweepRunner` — run many sweep cells from one warmed base,
-  each in a forked copy-on-write child, fanned over up to ``workers``
-  concurrent processes with a deterministic, index-ordered merge.  See
+  each on its own materialization of it, fanned over ``workers``
+  forked processes with a deterministic, index-ordered merge.  See
   :mod:`repro.snapshot.sweep`.
 
 Entry point from a cluster: ``cluster.snapshot()``.  Docs:

@@ -1,35 +1,39 @@
-"""Fan a parameter sweep out over copy-on-write forks of one base.
+"""Fan a parameter sweep out over forked workers of one base.
 
-The sweeps this repo runs — the 88-cell crash matrix, chaos campaigns,
+The sweeps this repo runs — the 132-cell crash matrix, chaos campaigns,
 policy/network parameter grids — all repeat the same expensive prefix:
 build a cluster, install images, wire a load-sharing service, arm the
 fault layer.  :class:`SweepRunner` pays that prefix **once**: the base
-is materialized a single time in the parent process, and every cell
-runs in a forked child that shares the parent's pages copy-on-write
-(``os.fork``), so per-cell setup cost is a small constant regardless
-of how large the base is.  Nothing is pickled per cell except each
-cell's (small) result, shipped back over a pipe.
+is captured as a :class:`~repro.snapshot.Snapshot`, and every cell runs
+on its own materialization of it (0.7 ms for the 14 KB matrix base).
+Nothing is pickled per cell except each cell's (small) result, shipped
+back over a pipe.
 
-Why ``os.fork`` rather than shipping pickled snapshots to a
-``multiprocessing`` pool: materializing a snapshot costs about as much
-as building the cluster from scratch (both walk the same object
-graph), while a kernel-level fork duplicates nothing up front — the
-child *is* the warmed base, instantly.  ``os.fork`` is the same
-primitive under ``multiprocessing``'s default ``fork`` start method;
-driving it directly lets one pool give every cell a pristine COW copy
-of the base (a pool worker that ran a cell in-place would have dirtied
-it for the next cell).
+Why one ``os.fork`` per *worker* rather than per cell: a forked child
+is not free to run in.  Every object it touches has its reference
+count written, which copies the page it lives on; a child that ran
+one matrix cell took ~1,100 minor page faults, and the matrix ran 1.5x
+slower through one fork per cell than on fresh builds in one process
+(``benchmarks/bench_sweep.py``).  So
+:func:`forked_map` forks ``min(workers, count)`` children once, and
+each runs a fixed stripe of the jobs, one after the other.  ``os.fork``
+rather than a ``multiprocessing`` pool because jobs are closures over
+the caller's state and nothing about them is ever pickled.
 
 Determinism contract
 --------------------
-Results come back **indexed by cell position** and are merged in input
-order, and every child starts from the identical parent image, so the
-result list — and any fingerprint derived from it — is byte-identical
-for any ``workers`` count, including the sequential fallback path.
+Child *w* of *W* runs jobs *w, w+W, w+2W, …* in index order, results
+come back **indexed by cell position** and merge in input order, and
+every cell starts from an identical materialization, so the result
+list — and any fingerprint derived from it — is byte-identical for any
+``workers`` count, including the in-process path.  The cells of a
+stripe share a process: state kept at module level would leak from one
+to the next and show as a fingerprint that depends on ``workers``
+(``tests/test_snapshot.py`` pins that it does not).
 
 Portability: on platforms without ``os.fork`` (or with ``cow=False``)
-cells run sequentially in-process, each on a fresh
-:meth:`~repro.snapshot.Snapshot.fork` — same results, no parallelism.
+the same loop runs in-process — same results, no parallelism, and a
+cell's exception propagates as itself.
 """
 
 from __future__ import annotations
@@ -38,21 +42,37 @@ import os
 import pickle
 import select
 import traceback
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import PICKLE_PROTOCOL, Snapshot
 
 __all__ = ["SweepRunner", "SweepError", "forked_map", "forked_map_metrics"]
 
 _CHUNK = 1 << 16
+#: Each outcome crosses the pipe as this many length bytes, then a pickle.
+_PREFIX = 8
 
 
 class SweepError(RuntimeError):
-    """A sweep cell failed; carries the child's formatted traceback."""
+    """Sweep cells failed; names each with its child's traceback or fate."""
 
 
 def _has_fork() -> bool:
     return hasattr(os, "fork")
+
+
+def _run_stripe(job: Callable[[int], Any], stripe: range, write_fd: int) -> None:
+    """Child side: run the stripe's jobs, ship each outcome as produced."""
+    for index in stripe:
+        try:
+            payload = pickle.dumps((True, job(index)), PICKLE_PROTOCOL)
+        except Exception:  # noqa: BLE001 - costs this cell, not the stripe
+            payload = pickle.dumps(
+                (False, traceback.format_exc()), PICKLE_PROTOCOL
+            )
+        payload = len(payload).to_bytes(_PREFIX, "big") + payload
+        while payload:
+            payload = payload[os.write(write_fd, payload):]
 
 
 def forked_map(
@@ -60,68 +80,97 @@ def forked_map(
     count: int,
     workers: int = 1,
 ) -> List[Any]:
-    """Run ``job(i)`` for ``i in range(count)``, each in a forked child.
+    """Run ``job(i)`` for ``i in range(count)`` in forked worker processes.
 
-    At most ``workers`` children run at once.  Each child executes one
-    job against a copy-on-write image of the parent, pickles the return
-    value into a pipe and ``os._exit``\\ s — the parent is never mutated.
-    Results are returned in index order (deterministic for any
-    ``workers``).  A child that raises surfaces as :class:`SweepError`
-    with the child's traceback, after every other child is reaped.
+    ``min(workers, count)`` children are forked, once; child *w* runs
+    jobs *w, w+W, …* in index order, pickling each return value into
+    its pipe as it is produced, and ``os._exit``\\ s — the parent is
+    never mutated.  Results are returned in index order (deterministic
+    for any ``workers``).  A job sees whatever the earlier jobs of its
+    stripe left behind in the process, so it must not rely on a
+    pristine parent image (:class:`SweepRunner` hands each cell a fresh
+    cluster instead).
+
+    A failure costs its own cell: a job that raises, or whose result
+    does not pickle, is reported with its traceback and the stripe goes
+    on; a child that dies takes the cell it was running and those it
+    never reached.  Every other result is still computed and every
+    child reaped before :class:`SweepError` names the failed cells.
     """
     if not _has_fork():  # pragma: no cover - non-POSIX fallback
         return [job(i) for i in range(count)]
-    workers = max(1, workers)
+    workers = min(max(1, workers), count)
     results: List[Any] = [None] * count
-    failures: List[str] = []
-    pending = {}  # read-fd -> [index, pid, buffer]
-    next_index = 0
-    while next_index < count or pending:
-        while next_index < count and len(pending) < workers:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # Child: run one cell against the inherited COW image,
-                # ship the pickled result, and vanish without running
-                # any of the parent's exit machinery.
-                os.close(read_fd)
-                try:
-                    try:
-                        payload = pickle.dumps(
-                            (True, job(next_index)), PICKLE_PROTOCOL
-                        )
-                    except BaseException:  # noqa: BLE001 - report, don't die
-                        payload = pickle.dumps(
-                            (False, traceback.format_exc()), PICKLE_PROTOCOL
-                        )
-                    while payload:
-                        written = os.write(write_fd, payload)
-                        payload = payload[written:]
-                finally:
-                    os._exit(0)
-            os.close(write_fd)
-            pending[read_fd] = [next_index, pid, bytearray()]
-            next_index += 1
-        ready, _, _ = select.select(list(pending), [], [])
-        for fd in ready:
-            chunk = os.read(fd, _CHUNK)
-            if chunk:
-                pending[fd][2] += chunk
-                continue
-            index, pid, buffer = pending.pop(fd)
-            os.close(fd)
-            os.waitpid(pid, 0)
+    failures: Dict[int, str] = {}
+    children: Dict[int, Tuple[int, Any, bytearray]] = {}  # read-fd -> child
+    for worker in range(workers):
+        stripe = range(worker, count, workers)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # Child: never return into the parent's stack or run its
+            # exit machinery; hold no end of a sibling's pipe.
             try:
-                ok, value = pickle.loads(bytes(buffer))
-            except Exception:  # noqa: BLE001 - child died mid-write
-                ok, value = False, f"cell {index}: child produced no result"
-            if ok:
-                results[index] = value
-            else:
-                failures.append(f"cell {index} failed in child:\n{value}")
+                for fd in (read_fd, *children):
+                    os.close(fd)
+                _run_stripe(job, stripe, write_fd)
+            except BaseException:  # noqa: BLE001 - interrupt, exit, dead pipe
+                traceback.print_exc()
+                os._exit(1)
+            os._exit(0)
+        os.close(write_fd)
+        children[read_fd] = (pid, iter(stripe), bytearray())
+    while children:
+        ready, _, _ = select.select(list(children), [], [])
+        for fd in ready:
+            pid, unreported, buffer = children[fd]
+            chunk = os.read(fd, _CHUNK)
+            buffer += chunk
+            while len(buffer) >= _PREFIX:
+                end = _PREFIX + int.from_bytes(buffer[:_PREFIX], "big")
+                if len(buffer) < end:
+                    break
+                ok, value = pickle.loads(buffer[_PREFIX:end])
+                del buffer[:end]
+                index = next(unreported)
+                if ok:
+                    results[index] = value
+                else:
+                    failures[index] = f"cell {index} failed in child:\n{value}"
+            if chunk:
+                continue
+            del children[fd]
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            fate = f"exited with status {code}" if code >= 0 else (
+                f"was killed by signal {-code}")
+            for index in unreported:
+                failures[index] = (
+                    f"cell {index}: child {pid} {fate} before reporting it"
+                )
     if failures:
-        raise SweepError("\n".join(failures))
+        raise SweepError("\n".join(failures[i] for i in sorted(failures)))
     return results
+
+
+def _merge_metrics(pairs: List[Any], who: str) -> Any:
+    """Split ``(value, registry-or-None)`` pairs; fold the registries
+    with :meth:`MetricsRegistry.merge_from` **in cell-index order**."""
+    from ..obs.metrics import MetricsRegistry
+
+    values: List[Any] = []
+    merged = MetricsRegistry()
+    for index, pair in enumerate(pairs):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise SweepError(
+                f"cell {index}: {who} must return "
+                f"(value, MetricsRegistry-or-None), got {type(pair).__name__}"
+            )
+        value, registry = pair
+        values.append(value)
+        if registry is not None:
+            merged.merge_from(registry)
+    return values, merged
 
 
 def forked_map_metrics(
@@ -135,48 +184,33 @@ def forked_map_metrics(
     second element is a :class:`~repro.obs.metrics.MetricsRegistry` (or
     ``None`` for cells with nothing to report).  Each cell's registry
     crosses the fork boundary through the same result pipe as its
-    value; the parent folds them with
-    :meth:`MetricsRegistry.merge_from` **in cell-index order**, so the
+    value; the parent folds them **in cell-index order**, so the
     merged aggregate — counter totals, histogram buckets, series — is
     fingerprint-stable for any ``workers`` count.
 
     Returns ``(values, merged_registry)``.
     """
-    from ..obs.metrics import MetricsRegistry
-
-    pairs = forked_map(job, count, workers)
-    values: List[Any] = []
-    merged = MetricsRegistry()
-    for index, pair in enumerate(pairs):
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise SweepError(
-                f"cell {index}: forked_map_metrics jobs must return "
-                f"(value, MetricsRegistry-or-None), got {type(pair).__name__}"
-            )
-        value, registry = pair
-        values.append(value)
-        if registry is not None:
-            merged.merge_from(registry)
-    return values, merged
+    return _merge_metrics(
+        forked_map(job, count, workers), "forked_map_metrics jobs"
+    )
 
 
 class SweepRunner:
     """Run one cell function over many cells from a shared warm base.
 
-    ``base`` is one of:
+    One rule: **every cell runs on its own materialization of the
+    base**, whichever process it runs in.  ``base`` is one of:
 
-    * a :class:`Snapshot` — materialized **once** (in the parent);
-      every cell's child inherits that image copy-on-write;
-    * a live cluster object — used directly as the parent image (the
-      caller warms it; children fork from it, the parent copy is never
-      touched and stays reusable);
-    * a zero-argument builder callable — called **per cell, in the
-      child**: the fresh-build baseline the forked paths are measured
-      against.
+    * a :class:`Snapshot` — ``fork()``\\ ed per cell;
+    * a live cluster that has not run — captured once, here, as a
+      :class:`Snapshot`; the caller's object is never touched and
+      stays reusable;
+    * a zero-argument builder callable — called per cell: the
+      fresh-build baseline snapshots are measured against.
 
-    ``cell_fn(cluster, cell)`` runs entirely inside the child (so it
-    may be a closure — nothing about it is ever pickled) and must
-    return a picklable value.
+    ``cell_fn(cluster, cell)`` runs inside a worker process (so it may
+    be a closure — nothing about it is ever pickled) and must return a
+    picklable value.
     """
 
     def __init__(
@@ -185,40 +219,15 @@ class SweepRunner:
         workers: int = 1,
         cow: Optional[bool] = None,
     ):
-        self.base = base
         self.workers = max(1, int(workers))
         self.cow = _has_fork() if cow is None else bool(cow)
         if isinstance(base, Snapshot):
-            self._mode = "snapshot"
+            self._fresh = base.fork
         elif callable(base):
-            self._mode = "builder"
+            self._fresh = base
         else:
-            self._mode = "live"
-        self._parent_image: Any = None
+            self._fresh = Snapshot.capture(base).fork
 
-    # ------------------------------------------------------------------
-    def _parent_cluster(self) -> Any:
-        """The warm image children fork from (materialized lazily, once)."""
-        if self._parent_image is None:
-            if self._mode == "snapshot":
-                self._parent_image = self.base.fork()
-            else:  # live
-                self._parent_image = self.base
-        return self._parent_image
-
-    def _fresh(self) -> Any:
-        """A brand-new independent cluster (sequential fallback path)."""
-        if self._mode == "builder":
-            return self.base()
-        if self._mode == "snapshot":
-            return self.base.fork()
-        # Live base without fork isolation: snapshot it once, then
-        # materialize per cell, so cells can't see each other.
-        if not isinstance(self._parent_image, Snapshot):
-            self._parent_image = Snapshot.capture(self.base)
-        return self._parent_image.fork()
-
-    # ------------------------------------------------------------------
     def run(
         self,
         cells: Sequence[Any],
@@ -226,23 +235,14 @@ class SweepRunner:
     ) -> List[Any]:
         """Map ``cell_fn`` over ``cells``; results in input order."""
         cells = list(cells)
-        if not cells:
-            return []
-        if self.cow and _has_fork():
-            if self._mode == "builder":
-                builder = self.base
+        fresh = self._fresh
 
-                def job(index: int) -> Any:
-                    return cell_fn(builder(), cells[index])
+        def job(index: int) -> Any:
+            return cell_fn(fresh(), cells[index])
 
-            else:
-                parent = self._parent_cluster()
-
-                def job(index: int) -> Any:
-                    return cell_fn(parent, cells[index])
-
+        if self.cow:
             return forked_map(job, len(cells), self.workers)
-        return [cell_fn(self._fresh(), cell) for cell in cells]
+        return [job(index) for index in range(len(cells))]
 
     def run_with_metrics(
         self,
@@ -255,22 +255,8 @@ class SweepRunner:
         Returns ``(values, merged_registry)``; per-cell registries are
         folded in cell order (see :func:`forked_map_metrics`), so the
         aggregate is identical for any worker count and for the
-        sequential fallback path.
+        in-process path.
         """
-        from ..obs.metrics import MetricsRegistry
-
-        pairs = self.run(cells, cell_fn)
-        values: List[Any] = []
-        merged = MetricsRegistry()
-        for index, pair in enumerate(pairs):
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                raise SweepError(
-                    f"cell {index}: run_with_metrics cell functions must "
-                    "return (value, MetricsRegistry-or-None), got "
-                    f"{type(pair).__name__}"
-                )
-            value, registry = pair
-            values.append(value)
-            if registry is not None:
-                merged.merge_from(registry)
-        return values, merged
+        return _merge_metrics(
+            self.run(cells, cell_fn), "run_with_metrics cell functions"
+        )

@@ -14,6 +14,10 @@ The contract under test is the one ``docs/snapshots.md`` advertises:
 
 from __future__ import annotations
 
+import gc
+import os
+import re
+
 import pytest
 
 from repro.cluster import SpriteCluster
@@ -25,8 +29,9 @@ from repro.faults import (
     run_matrix,
     trace_fingerprint,
 )
+from repro.faults.crashmatrix import matrix_cells, spread_cells
 from repro.sim import Sleep, SnapshotError, spawn
-from repro.snapshot import Snapshot, SweepError, SweepRunner, forked_map
+from repro.snapshot import SweepError, SweepRunner, forked_map
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +108,33 @@ def test_fork_stream_ids_do_not_drift():
     assert len(fingerprints) == 1
 
 
+def _keeps_attributes_inline(obj) -> bool:
+    """Whether CPython still holds ``obj``'s attributes in the object
+    itself: once ``__dict__`` has been asked for, the dict becomes one
+    of the object's referents and every attribute access goes through
+    it.  The referents are listed *before* this function asks."""
+    referents = gc.get_referents(obj)
+    return not any(referent is obj.__dict__ for referent in referents)
+
+
+def test_materialized_instances_keep_attributes_inline():
+    # Unpickling an instance through ``obj.__dict__`` costs it its
+    # inline attributes, and a cell on such a cluster 20-30 % of its
+    # speed; ``Snapshot.capture`` writes state that ``setattr`` restores.
+    built, fork = build_base(), build_base().snapshot().fork()
+    for pick in (
+        lambda c: c,
+        lambda c: c.lan,
+        lambda c: c.hosts[0],
+        lambda c: c.hosts[0].cpu,
+        lambda c: c.hosts[0].rpc,
+        lambda c: c.managers[c.hosts[0].address],
+    ):
+        assert _keeps_attributes_inline(pick(fork)) == _keeps_attributes_inline(
+            pick(built)
+        ), type(pick(built)).__name__
+
+
 # ----------------------------------------------------------------------
 # Snapshot-after-fault round-trip
 # ----------------------------------------------------------------------
@@ -155,26 +187,37 @@ def _cell_fingerprint(cluster, cell):
 
 
 def test_sweep_runner_matches_sequential_and_workers():
+    # Worker counts that give one stripe, uneven stripes, and more
+    # workers than cells; ``cow=False`` (in-process) is the oracle.
     snapshot = build_base().snapshot()
-    cells = [0, 1, 2, 3]
+    cells = [0, 1, 2, 3, 4]
     sequential = SweepRunner(snapshot, workers=1, cow=False).run(
         cells, _cell_fingerprint
     )
-    forked_serial = SweepRunner(snapshot, workers=1).run(
-        cells, _cell_fingerprint
-    )
-    forked_parallel = SweepRunner(snapshot, workers=4).run(
-        cells, _cell_fingerprint
-    )
-    assert sequential == forked_serial == forked_parallel
+    for workers in (1, 2, 3, 8):
+        assert SweepRunner(snapshot, workers=workers).run(
+            cells, _cell_fingerprint
+        ) == sequential, workers
 
 
 def test_sweep_runner_live_base_stays_reusable():
     base = build_base()
     runner = SweepRunner(base, workers=2)
     first = runner.run([0, 1], _cell_fingerprint)
-    assert base.sim.now == 0.0  # cells ran in forks, not in the parent
+    assert base.sim.now == 0.0  # cells ran on materializations, not on it
     assert runner.run([0, 1], _cell_fingerprint) == first
+
+
+def test_every_cell_of_a_stripe_starts_pristine():
+    def cell_fn(cluster, cell):
+        assert cluster.sim.now == 0.0 and cluster.sim.events_fired == 0
+        return run_workload(cluster, horizon=10.0 + cell)
+
+    base = build_base()
+    cells = [0, 1, 2, 3, 4]
+    in_process = SweepRunner(base, cow=False).run(cells, cell_fn)
+    assert SweepRunner(base, workers=2).run(cells, cell_fn) == in_process
+    assert base.sim.now == 0.0 and base.sim.events_fired == 0
 
 
 def test_sweep_runner_builder_mode():
@@ -195,6 +238,43 @@ def test_forked_map_propagates_child_failures():
         forked_map(job, 3, workers=2)
 
 
+def _unpicklable(index):
+    return lambda: index
+
+
+def _exit_3(index):
+    os._exit(3)
+
+
+@pytest.mark.parametrize(
+    "misbehave, failed, names",
+    [
+        (lambda i: 1 // 0, [3], "ZeroDivisionError: "),
+        (_unpicklable, [3], "pickle"),
+        # A dead child also takes the cell of its stripe it never reached.
+        (_exit_3, [3, 5], "exited with status 3"),
+    ],
+    ids=["raises", "result-does-not-pickle", "child-dies"],
+)
+def test_a_failure_costs_its_own_cell(tmp_path, misbehave, failed, names):
+    def job(index: int):
+        if index == 3:
+            return misbehave(index)
+        (tmp_path / str(index)).touch()
+        return index
+
+    with pytest.raises(SweepError) as raised:
+        forked_map(job, 6, workers=2)  # stripes 0,2,4 and 1,3,5
+    message = str(raised.value)
+    assert [int(n) for n in re.findall(r"^cell (\d+)", message, re.M)] == failed
+    assert names in message
+    assert sorted(int(path.name) for path in tmp_path.iterdir()) == [
+        index for index in range(6) if index not in failed
+    ]
+    with pytest.raises(ChildProcessError):  # every child reaped: no zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
 # ----------------------------------------------------------------------
 # Crash matrix: fingerprint is worker-count-invariant
 # ----------------------------------------------------------------------
@@ -211,3 +291,20 @@ def test_matrix_fingerprint_identical_any_worker_count():
     assert [c.to_dict() for c in one.cells] == [
         c.to_dict() for c in four.cells
     ]
+
+
+def test_matrix_forks_once_per_worker(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    cells = spread_cells(matrix_cells(), 8)
+    assert len(cells) == 8
+    for workers in (2, 1):
+        del forks[:]
+        run_matrix(seed=0, cells=cells, horizon=60.0, workers=workers)
+        assert len(forks) == workers
