@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 from ..config import KB
 from ..fs import OpenMode
@@ -151,7 +151,6 @@ def remote_unix_run(
     program: Program,
     *args: Any,
     image_bytes: int = 256 * KB,
-    name: Optional[str] = None,
 ) -> Generator[Effect, None, Task]:
     """Start ``program`` on ``runner`` under total forwarding.
 
@@ -165,6 +164,6 @@ def remote_unix_run(
     task = spawn(
         home.sim,
         program(ctx, *args),
-        name=name or f"runix:{getattr(program, '__name__', 'job')}",
+        name=f"runix:{getattr(program, '__name__', 'job')}",
     )
     return task

@@ -61,7 +61,6 @@ def run_placement_scenario(
     jobs: int = 5,
     job_cpu: float = 120.0,
     owners_return_after: float = 45.0,
-    seed: int = 0,
 ) -> PlacementOutcome:
     """Run the scenario under one policy and report the outcome.
 
@@ -70,7 +69,7 @@ def run_placement_scenario(
     """
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    cluster = SpriteCluster(workstations=hosts, start_daemons=True, seed=seed)
+    cluster = SpriteCluster(workstations=hosts, start_daemons=True)
     service = LoadSharingService(cluster, architecture="centralized")
     cluster.standard_images()
     if policy == "placement":

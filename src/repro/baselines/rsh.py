@@ -12,7 +12,7 @@ chapters 2 and 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from ..config import KB
 from ..kernel import Host, Program, UserContext
@@ -23,6 +23,8 @@ __all__ = ["RshResult", "rsh_run"]
 #: Connection setup: rsh spawns a remote login-ish session.
 RSH_SETUP_BYTES = 4 * KB
 RSH_SETUP_CPU = 50e-3  # rshd fork/exec and authentication overhead
+#: Output relayed back to the invoking terminal when the command ends.
+RSH_OUTPUT_BYTES = 4 * KB
 
 
 @dataclass
@@ -37,8 +39,6 @@ def rsh_run(
     target: Host,
     program: Program,
     *args: Any,
-    name: Optional[str] = None,
-    output_bytes: int = 4 * KB,
 ) -> Generator[Effect, None, RshResult]:
     """Run ``program`` on ``target`` the rsh way, from ``proc``'s context.
 
@@ -55,9 +55,9 @@ def rsh_run(
     yield from target.cpu.consume(RSH_SETUP_CPU)
     # The command runs as a *native* process of the target host.
     pcb, _ctx = target.spawn_process(
-        program, *args, name=name or f"rsh:{getattr(program, '__name__', 'cmd')}"
+        program, *args, name=f"rsh:{getattr(program, '__name__', 'cmd')}"
     )
     value = yield pcb.task.join()
     # Relay the output back to the invoking terminal.
-    yield from kernel.lan.transfer(target.address, kernel.address, output_bytes)
+    yield from kernel.lan.transfer(target.address, kernel.address, RSH_OUTPUT_BYTES)
     return RshResult(value=value, elapsed=proc.now - started, remote_pid=pcb.pid)

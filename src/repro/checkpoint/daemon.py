@@ -160,7 +160,7 @@ class CheckpointDaemon:
 
         pcb.checkpoint_lock = True
         try:
-            yield from self.host.cpu.consume(params.checkpoint_state_cpu)
+            yield from self.host.cpu.consume(params.migration_state_cpu)
             yield from write_image(
                 self.host.fs, store, image, payload + vm_bytes
             )

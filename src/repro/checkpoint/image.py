@@ -125,7 +125,7 @@ class CheckpointStore:
         """Drop generations beyond the configured bound; returns the
         dropped images so the caller can remove their backing files."""
         generations = self.images.get(key, [])
-        keep = max(1, self.params.checkpoint_generations)
+        keep = self.params.checkpoint_generations
         if len(generations) <= keep:
             return []
         kept = generations[len(generations) - keep:]

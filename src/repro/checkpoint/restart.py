@@ -9,7 +9,7 @@ spawns one restore task per crash to bring each victim back on a
 surviving host from its newest intact image.
 
 Restores pay for what they read: the restart host re-instantiates the
-process state (``checkpoint_state_cpu``), pages the image's restore
+process state (``migration_state_cpu``), pages the image's restore
 bytes back in from the FS backing file, and reopens the image's stream
 references before the restored process runs again.  Restoration reuses
 the *same* :class:`~repro.kernel.pcb.Pcb` object (identity matters:
@@ -121,7 +121,7 @@ class RestartManager:
         started = self.sim.now
         streams = {}
         try:
-            yield from host.cpu.consume(self.service.params.checkpoint_state_cpu)
+            yield from host.cpu.consume(self.service.params.migration_state_cpu)
             yield from read_image(host.fs, image)
             for fd, path, mode in image.stream_refs:
                 streams[fd] = yield from host.fs.open(path, mode)

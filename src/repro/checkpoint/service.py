@@ -72,8 +72,10 @@ class CheckpointService:
     """Cluster-wide checkpoint/restart, zero-cost until used.
 
     Instantiating the service schedules nothing; the per-host daemons
-    spawn on the first :meth:`register` call.  ``interval`` defaults to
-    ``ClusterParams.checkpoint_interval``; ``mode`` is ``"full"`` or
+    spawn on the first :meth:`register` call.  ``interval`` is the
+    checkpoint period in sim seconds — this argument is the one way to
+    choose it; ``None`` means the calibrated
+    ``ClusterParams.checkpoint_interval``.  ``mode`` is ``"full"`` or
     ``"incremental"`` (dirty-page deltas chained on the last full
     image).
     """
@@ -84,7 +86,6 @@ class CheckpointService:
         injector: Optional[Any] = None,
         interval: Optional[float] = None,
         mode: str = "full",
-        root: str = "/ckpt",
     ):
         if mode not in ("full", "incremental"):
             raise ValueError(f"unknown checkpoint mode {mode!r}")
@@ -95,7 +96,7 @@ class CheckpointService:
             else cluster.params.checkpoint_interval
         )
         self.mode = mode
-        self.store = CheckpointStore(cluster.params, root=root)
+        self.store = CheckpointStore(cluster.params)
         self.registry: Dict[int, Registration] = {}
         self.daemons: Dict[int, CheckpointDaemon] = {
             host.address: CheckpointDaemon(self, host)

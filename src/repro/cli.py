@@ -2,8 +2,9 @@
 
 Conveniences for exploring the reproduction from a checkout:
 
-* ``python -m repro info`` — calibration parameters and the Appendix-A
-  kernel-call histogram.
+* ``python -m repro info`` — the 15 settable parameters, the calibration
+  constants with units, the primitives they add up to, and the
+  Appendix-A kernel-call histogram.
 * ``python -m repro demo <name>`` — run one of the example scenarios.
 * ``python -m repro experiment <id>`` — regenerate one paper artifact
   (delegates to the pytest benchmark for that experiment).
@@ -18,7 +19,7 @@ import runpy
 import subprocess
 import sys
 from dataclasses import fields
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 __all__ = ["main"]
 
@@ -70,18 +71,98 @@ def _find_dir(name: str) -> Optional[pathlib.Path]:
     return None
 
 
+#: ``info``'s model table, one row per ``ClusterParams`` name: the unit
+#: it prints in, and who varies it (a field) or the operating point of
+#: the thesis's machine room it stands for (a constant).
+_KNOBS: Tuple[Tuple[str, str, str], ...] = (
+    ("net_latency", "ms", "test_net, test_substrate_edges"),
+    ("net_bandwidth", "KB/s", "S1 bench_network_sweep; test_net, test_calibration"),
+    ("net_shared_medium", "on/off", "test_net, test_hold_discipline (switched vs shared wire)"),
+    ("rpc_cpu_overhead", "ms", "marshalling + dispatch per end; sets the ~2 ms null RPC"),
+    ("rpc_timeout", "s", "test_failures, test_faults, fault_tolerance demo"),
+    ("rpc_retries", "count", "test_failures, test_faults, fault_tolerance demo"),
+    ("rpc_backoff_base", "s", "first retry delay, doubling per attempt"),
+    ("rpc_backoff_cap", "s", "ceiling of the retry delay"),
+    ("rpc_backoff_jitter", "ratio", "test_net, test_faults (0 = lockstep retries)"),
+    ("rpc_dedup_cache", "entries", "exactly-once window per port, always on"),
+    ("net_inbox_capacity", "packets", "test_net (0 = unbounded)"),
+    ("cpu_quantum", "ms", "round-robin scheduler slice"),
+    ("kernel_call_cpu", "ms", "a trivial local kernel call (getpid)"),
+    ("fork_cpu", "ms", "fork bookkeeping, VM copy apart"),
+    ("exec_cpu", "ms", "exec bookkeeping, image load apart"),
+    ("load_sample_period", "s", "load-average sampling tick"),
+    ("load_decay", "s", "load-average decay constant (1-minute average)"),
+    ("page_size", "bytes", "Sun-3 Sprite virtual-memory page"),
+    ("page_handling_cpu", "ms", "prepare or install one page in a transfer"),
+    ("fs_block_size", "bytes", "test_cluster_api, test_substrate_edges"),
+    ("fs_name_lookup_cpu", "ms", "server CPU per open/close/lookup beyond the RPC"),
+    ("fs_block_cpu", "ms", "server CPU per block served"),
+    ("client_block_cpu", "ms", "client CPU per block through its cache"),
+    ("disk_bandwidth", "KB/s", "file-server disk throughput"),
+    ("disk_latency", "ms", "file-server disk access, per operation"),
+    ("server_cache_hit_rate", "ratio", "test_substrate_edges (0 and 1: disk always / never)"),
+    ("client_cache_blocks", "blocks", "client block cache capacity (16 MB)"),
+    ("writeback_period", "s", "Sprite's 30-second delayed write-back"),
+    ("migration_state_cpu", "ms", "package or install the PCB, per end; checkpoints too"),
+    ("migration_state_bytes", "bytes", "machine-independent process state shipped"),
+    ("stream_transfer_bytes", "bytes", "state shipped per open stream"),
+    ("stream_transfer_cpu", "ms", "CPU per open stream transferred"),
+    ("migration_version", "", "test_cluster_api (mismatched kernels refuse, thesis 4.5)"),
+    ("migration_ticket_ttl", "s", "lease on an uncommitted copy and on its reservation"),
+    ("migration_rollback_retries", "count", "attempts per compensating action on abort"),
+    ("migration_txn_journal", "on/off", "P3 bench_faults journal ablation"),
+    ("checkpoint_interval", "s", "period unless CheckpointService(interval=) / run_chaos say"),
+    ("checkpoint_digest_bytes", "bytes", "image trailer that exposes a torn write"),
+    ("checkpoint_generations", "count", "intact images kept per process"),
+    ("idle_load_threshold", "ratio", "a host is idle below this load average ..."),
+    ("idle_input_threshold", "s", "... and with no user input for this long"),
+    ("availability_period", "s", "hosts re-announce availability to migd"),
+    ("eviction_grace", "s", "eviction daemon's poll after the owner returns"),
+    ("migration_max_incoming", "count", "run_chaos(adversarial=), P3, test_faults (0 = no cap)"),
+    ("migration_max_outgoing", "count", "run_chaos(adversarial=), P3, test_faults (0 = no cap)"),
+    ("migd_max_pending", "count", "run_chaos(adversarial=), P3, test_faults (0 = no cap)"),
+    ("heartbeat_period", "s", "failure detector's sampling period"),
+    ("suspicion_threshold", "count", "missed heartbeats before a host is declared dead"),
+    ("suspicion_flap_penalty", "count", "extra misses required per recent flap"),
+    ("suspicion_max_threshold", "count", "cap on the damped threshold"),
+    ("crash_detect_delay", "s", "recovery lag unless FaultInjector(detect_delay=) says"),
+    ("exit_notify_retry", "s", "poll period for an unreachable home kernel"),
+    ("seed", "", "every experiment, benchmark and test"),
+)
+
+_SCALE = {"ms": 1e3, "KB/s": 1 / 1024}
+
+
 def cmd_info(_args: argparse.Namespace) -> int:
     from . import __version__
     from .config import ClusterParams
     from .kernel import APPENDIX_A, classes_of
+    from .validation import measure_calibration
 
     print(f"repro {__version__} — Sprite process migration reproduction")
-    print("\ncalibration (ClusterParams defaults):")
     params = ClusterParams()
-    for field in fields(params):
-        if field.name == "extras":
-            continue
-        print(f"  {field.name:28} = {getattr(params, field.name)}")
+    varies = {field.name for field in fields(params)}
+    names = list(ClusterParams.__annotations__)
+    rows = {name: (unit, note) for name, unit, note in _KNOBS}
+    groups = (
+        ("varies (ClusterParams fields, their defaults, and who moves them)",
+         [name for name in names if name in varies]),
+        ("calibration (constants: Sun-3-class hosts, 10 Mb/s Ethernet)",
+         [name for name in names if name not in varies]),
+    )
+    for title, group in groups:
+        print(f"\n{title}:")
+        for name in group:
+            unit, note = rows[name]
+            value = getattr(params, name)
+            if unit == "on/off":
+                shown = "on" if value else "off"
+            else:
+                shown = f"{value * _SCALE.get(unit, 1):.6g}"
+            print(f"  {name:27} {shown:>8} {unit:8} {note}")
+    print("\nmeasured on a two-node micro-cluster (what the numbers above add up to):")
+    for label, value in measure_calibration(params).rows().items():
+        print(f"  {label:36} {value:g}")
     print(f"\nAppendix A: {len(APPENDIX_A)} kernel calls classified:")
     for klass, count in sorted(classes_of().items()):
         print(f"  {klass:16} {count}")

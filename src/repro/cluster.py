@@ -42,15 +42,12 @@ class ServerHost:
         name: str,
         params: ClusterParams,
         tracer: Tracer,
-        cpu_speed: float = 1.0,
     ):
         self.sim = sim
         self.name = name
         self.node = NetNode(sim, name)
         lan.register(self.node)
-        self.cpu = Cpu(
-            sim, quantum=params.cpu_quantum, speed=cpu_speed, name=f"{name}-cpu"
-        )
+        self.cpu = Cpu(sim, quantum=params.cpu_quantum, name=f"{name}-cpu")
         self.rpc = RpcPort(sim, lan, self.node, cpu=self.cpu, params=params)
         self.server = FileServer(
             sim, lan, self.node, self.rpc, self.cpu, params=params,
@@ -71,7 +68,7 @@ class SpriteCluster:
         workstations: int = 4,
         file_servers: int = 1,
         params: Optional[ClusterParams] = None,
-        seed: int = 0,
+        seed: Optional[int] = None,
         trace: bool = False,
         vm_policy: Union[str, VmPolicy, None] = None,
         start_daemons: bool = True,
@@ -81,10 +78,17 @@ class SpriteCluster:
             raise ValueError("need at least one workstation and one file server")
         if cpu_speeds is not None and len(cpu_speeds) != workstations:
             raise ValueError("cpu_speeds must have one entry per workstation")
-        self.params = params or ClusterParams(seed=seed)
+        if params is None:
+            params = ClusterParams(seed=seed or 0)
+        elif seed is not None and seed != params.seed:
+            raise ValueError(
+                f"SpriteCluster(seed={seed}) disagrees with params.seed="
+                f"{params.seed}; give the seed once"
+            )
+        self.params = params
         self.sim = Simulator()
         self.tracer = Tracer(enabled=trace)
-        self.rng = RandomStreams(seed=self.params.seed if params else seed)
+        self.rng = RandomStreams(seed=params.seed)
         self.lan = Lan(self.sim, params=self.params, tracer=self.tracer)
         self.prefixes = PrefixTable()
         #: address -> kernel, shared by every UserContext for dispatch.

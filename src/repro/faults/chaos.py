@@ -14,7 +14,7 @@ traces, which is how both the golden test and ``python -m repro chaos
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from ..checkpoint import CheckpointService, policy_named
@@ -142,42 +142,7 @@ class ChaosReport:
         return not self.violations
 
     def to_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "workstations": self.workstations,
-            "duration": self.duration,
-            "jobs": self.jobs,
-            "jobs_finished": self.jobs_finished,
-            "jobs_lost": self.jobs_lost,
-            "jobs_ok": self.jobs_ok,
-            "migrations": self.migrations,
-            "refusals": self.refusals,
-            "faults": self.faults,
-            "packets_blocked": self.packets_blocked,
-            "packets_dropped": self.packets_dropped,
-            "policy": self.policy,
-            "checkpoints": self.checkpoints,
-            "restores": self.restores,
-            "torn_images": self.torn_images,
-            "unrecoverable": self.unrecoverable,
-            "availability": self.availability,
-            "goodput": self.goodput,
-            "packets_duplicated": self.packets_duplicated,
-            "packets_reordered": self.packets_reordered,
-            "packets_corrupted": self.packets_corrupted,
-            "checksum_drops": self.checksum_drops,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "dedup_replays": self.dedup_replays,
-            "double_executions": self.double_executions,
-            "inbox_overflows": self.inbox_overflows,
-            "suspicions_declared": self.suspicions_declared,
-            "false_suspicions": self.false_suspicions,
-            "reconciles": self.reconciles,
-            "backpressure_refusals": self.backpressure_refusals,
-            "violations": self.violations,
-            "fingerprint": self.fingerprint,
-            "events": self.events,
-        }
+        return asdict(self)
 
 
 def _chaos_job(proc, index: int, work: float):
@@ -201,7 +166,7 @@ def _chaos_job(proc, index: int, work: float):
     return 0
 
 
-def _chaos_job_resumable(proc, index: int, work: float, memory: int = 0):
+def _chaos_job_resumable(proc, index: int, work: float, memory: int):
     """The chaos job, restart-aware.
 
     Identical workload to :func:`_chaos_job`, but each compute stage is
@@ -248,20 +213,16 @@ def run_chaos(
     seed: int = 0,
     workstations: int = 5,
     duration: float = 120.0,
-    plan: Optional[FaultPlan] = None,
     random_churn: bool = False,
     mtbf: float = 60.0,
     jobs: int = 12,
     job_length: float = 8.0,
-    detect_delay: Optional[float] = None,
-    drain: Optional[float] = None,
     base: Optional[object] = None,
     policy: str = "migrate",
     checkpoint_interval: Optional[float] = None,
     checkpoint_mode: str = "full",
     job_memory: int = 0,
     adversarial: bool = False,
-    detector: Optional[bool] = None,
 ) -> ChaosReport:
     """One full chaos experiment; see the module docstring.
 
@@ -280,12 +241,15 @@ def run_chaos(
     ``adversarial=True`` selects the hostile profile: the
     :func:`adversarial_plan` gauntlet (duplicating / reordering /
     corrupting links on top of the builtin faults), modest migration
-    and migd admission caps so backpressure actually engages, and —
-    unless overridden via ``detector`` — the suspicion-based failure
-    detector in place of the fixed detection delay.
+    and migd admission caps so backpressure actually engages, and the
+    suspicion-based failure detector in place of the fixed detection
+    delay.
+
+    The fault plan is :meth:`FaultPlan.random` churn at ``mtbf`` with
+    ``random_churn``, else the adversarial or builtin gauntlet.
+    ``checkpoint_interval`` is the checkpointing policies' period
+    (``None``: ``ClusterParams.checkpoint_interval``).
     """
-    if detector is None:
-        detector = adversarial
     if base is None:
         cluster = SpriteCluster(
             workstations=workstations, seed=seed, trace=True
@@ -308,20 +272,17 @@ def run_chaos(
             params.migration_max_outgoing = 8
         if params.migd_max_pending == 0:
             params.migd_max_pending = 8
-    if plan is None:
-        if random_churn:
-            plan = FaultPlan.random(
-                cluster.rng, cluster.hosts[1:], duration * 0.8, mtbf=mtbf,
-                adversarial=adversarial,
-            )
-        elif adversarial:
-            plan = adversarial_plan(cluster, duration)
-        else:
-            plan = builtin_plan(cluster, duration)
-    injector = FaultInjector(
-        cluster, plan, service=service, detect_delay=detect_delay
-    ).start()
-    if detector:
+    if random_churn:
+        plan = FaultPlan.random(
+            cluster.rng, cluster.hosts[1:], duration * 0.8, mtbf=mtbf,
+            adversarial=adversarial,
+        )
+    elif adversarial:
+        plan = adversarial_plan(cluster, duration)
+    else:
+        plan = builtin_plan(cluster, duration)
+    injector = FaultInjector(cluster, plan, service=service).start()
+    if adversarial:
         injector.attach_detector()
 
     fault_policy = policy_named(policy)
@@ -396,19 +357,18 @@ def run_chaos(
     # Quiesce: heal the network, reboot the dead, let detection and
     # recovery daemons finish, then audit.
     injector.heal_all()
-    if drain is None:
-        drain = (
-            injector.detect_delay
-            + 3 * cluster.params.availability_period
-            + 2 * job_length
+    drain = (
+        injector.detect_delay
+        + 3 * cluster.params.availability_period
+        + 2 * job_length
+    )
+    if injector.detector is not None:
+        # Suspicion accrual needs up to max_threshold missed beats
+        # before it declares, plus one beat to reconcile after the
+        # heal — give the monitor time to settle.
+        drain += cluster.params.heartbeat_period * (
+            cluster.params.suspicion_max_threshold + 2
         )
-        if injector.detector is not None:
-            # Suspicion accrual needs up to max_threshold missed beats
-            # before it declares, plus one beat to reconcile after the
-            # heal — give the monitor time to settle.
-            drain += cluster.params.heartbeat_period * (
-                cluster.params.suspicion_max_threshold + 2
-            )
     cluster.run(until=duration + drain)
 
     checker = InvariantChecker(cluster, injector)

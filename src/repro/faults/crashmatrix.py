@@ -41,7 +41,7 @@ for the CI smoke.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..cluster import SpriteCluster
@@ -107,17 +107,13 @@ FLAKY_CORRUPT = 0.1
 CELL_HORIZON = 150.0
 
 
-def matrix_cells(
-    steps: Sequence[str] = TXN_STEPS,
-    victims: Sequence[str] = MATRIX_VICTIMS,
-    kinds: Sequence[str] = MATRIX_KINDS,
-) -> List[Tuple[str, str, str]]:
+def matrix_cells() -> List[Tuple[str, str, str]]:
     """Every (step, victim, kind) cell, in deterministic order."""
     return [
         (step, victim, kind)
-        for step in steps
-        for victim in victims
-        for kind in kinds
+        for step in TXN_STEPS
+        for victim in MATRIX_VICTIMS
+        for kind in MATRIX_KINDS
     ]
 
 
@@ -181,18 +177,7 @@ class CellResult:
         )
 
     def to_dict(self) -> Dict:
-        return {
-            "step": self.step,
-            "victim": self.victim,
-            "kind": self.kind,
-            "outcome": self.outcome,
-            "fired_at": self.fired_at,
-            "inactive_at_fault": self.inactive_at_fault,
-            "inactive_at_quiesce": self.inactive_at_quiesce,
-            "in_flight_violations": self.in_flight_violations,
-            "violations": self.violations,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
     def __str__(self) -> str:
         status = "clean" if self.clean else "DIRTY"

@@ -1,7 +1,7 @@
 """Suspicion-based failure detection (deterministic accrual detector).
 
 The injector's original crash reaction was a single fixed delay:
-``crash_host`` sleeps ``crash_detect_delay`` seconds and then the whole
+``crash_host`` sleeps the injector's ``detect_delay`` and then the whole
 cluster acts at once.  That models Sprite's recovery lag but not its
 *mechanism*, and it cannot express the failure modes an adversarial
 network produces: a partitioned host looks exactly like a dead one, a

@@ -49,6 +49,9 @@ class FaultInjector:
     ``service`` is the cluster's :class:`~repro.loadsharing.service.\
 LoadSharingService` (or anything with ``.migd``); without it the migd
     fault kinds are unavailable but everything else works.
+    ``detect_delay`` is how long after a host crash the rest of the
+    cluster acts on it; this argument is the one way to choose it, and
+    ``None`` means the calibrated ten seconds.
     """
 
     def __init__(

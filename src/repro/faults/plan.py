@@ -29,6 +29,11 @@ FAULT_KINDS = (
     "link_clear",
 )
 
+#: :meth:`FaultPlan.random`: mean of the exponential host outage
+#: (seconds) and the ceiling on a link glitch's loss probability.
+MEAN_OUTAGE = 8.0
+MAX_GLITCH_DROP = 0.4
+
 
 @dataclass(frozen=True)
 class FaultAction:
@@ -51,8 +56,8 @@ class FaultAction:
 class FaultPlan:
     """An ordered fault script (builder methods chain)."""
 
-    def __init__(self, actions: Sequence[FaultAction] = ()):
-        self.actions: List[FaultAction] = list(actions)
+    def __init__(self):
+        self.actions: List[FaultAction] = []
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -142,31 +147,28 @@ class FaultPlan:
         hosts: Sequence[Any],
         duration: float,
         mtbf: float = 120.0,
-        mean_outage: float = 8.0,
         link_glitches: int = 0,
-        max_glitch_drop: float = 0.4,
         adversarial: bool = False,
-        stream_name: str = "faults.plan",
     ) -> "FaultPlan":
         """A seeded random churn plan (MOSIX-style: churn is normal).
 
         ``streams`` is a :class:`~repro.sim.RandomStreams`; all draws
-        come from its ``stream_name`` substream, so the same seed always
+        come from its ``faults.plan`` substream, so the same seed always
         yields the same plan.  Each host crashes with exponential
         inter-arrival times (mean ``mtbf``) and reboots after an
-        exponential outage (mean ``mean_outage``); optionally
-        ``link_glitches`` random loss/delay episodes are sprinkled over
-        random host pairs.  With ``adversarial=True`` each glitch also
-        draws duplication, reordering, and corruption probabilities
-        (draws happen only then, so legacy plans consume the identical
-        RNG sequence).
+        exponential outage (mean :data:`MEAN_OUTAGE`); optionally
+        ``link_glitches`` random loss/delay episodes (loss up to
+        :data:`MAX_GLITCH_DROP`) are sprinkled over random host pairs.
+        With ``adversarial=True`` each glitch also draws duplication,
+        reordering, and corruption probabilities (draws happen only
+        then, so legacy plans consume the identical RNG sequence).
         """
-        rng = streams.stream(stream_name)
+        rng = streams.stream("faults.plan")
         plan = cls()
         for host in hosts:
             t = float(rng.exponential(mtbf))
             while t < duration:
-                outage = max(0.1, float(rng.exponential(mean_outage)))
+                outage = max(0.1, float(rng.exponential(MEAN_OUTAGE)))
                 plan.host_outage(round(t, 6), host, round(outage, 6))
                 t += outage + float(rng.exponential(mtbf))
         if link_glitches and len(hosts) >= 2:
@@ -174,7 +176,7 @@ class FaultPlan:
                 i, j = rng.choice(len(hosts), size=2, replace=False)
                 start = float(rng.uniform(0.0, max(duration - 1.0, 0.0)))
                 length = float(rng.uniform(1.0, max(2.0, duration / 8.0)))
-                drop = float(rng.uniform(0.05, max_glitch_drop))
+                drop = float(rng.uniform(0.05, MAX_GLITCH_DROP))
                 delay = float(rng.uniform(0.0, 0.005))
                 a, b = hosts[int(i)], hosts[int(j)]
                 duplicate = reorder = corrupt = 0.0

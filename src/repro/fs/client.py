@@ -16,7 +16,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..config import ClusterParams
 from ..net import Lan, NetNode, RpcPort
-from ..sim import Cpu, Effect, Simulator, Sleep, Tracer, spawn
+from ..sim import Cpu, Effect, Simulator, Sleep, spawn
 from .cache import BlockCache, CacheBlock
 from .errors import AccessError, BadStream
 from .prefix import PrefixTable
@@ -47,7 +47,6 @@ class FsClient:
         cpu: Cpu,
         prefixes: PrefixTable,
         params: Optional[ClusterParams] = None,
-        tracer: Optional[Tracer] = None,
         start_writeback_daemon: bool = True,
     ):
         self.sim = sim
@@ -57,7 +56,7 @@ class FsClient:
         self.cpu = cpu
         self.prefixes = prefixes
         self.params = params or lan.params
-        self.tracer = tracer if tracer is not None else lan.tracer
+        self.tracer = lan.tracer
         self.cache = BlockCache(
             capacity_blocks=self.params.client_cache_blocks,
             block_size=self.params.fs_block_size,

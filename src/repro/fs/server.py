@@ -68,10 +68,8 @@ class ServerFile:
     #: Which clients reference each migrated stream (refcounts).
     stream_refs: Dict[int, Dict[int, int]] = field(default_factory=dict)
 
-    def open_count(self, client: Optional[int] = None) -> int:
-        if client is None:
-            return sum(self.open_readers.values()) + sum(self.open_writers.values())
-        return self.open_readers.get(client, 0) + self.open_writers.get(client, 0)
+    def open_count(self) -> int:
+        return sum(self.open_readers.values()) + sum(self.open_writers.values())
 
     def writer_clients(self) -> Set[int]:
         return set(self.open_writers)

@@ -11,7 +11,6 @@ one stream across hosts, the offset moves to the I/O server and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .protocol import OpenMode
 
@@ -75,7 +74,7 @@ class Stream:
             f"{'shared' if self.shared else 'local'}>"
         )
 
-    def clone_for_transfer(self, offset: Optional[int] = None) -> "Stream":
+    def clone_for_transfer(self) -> "Stream":
         """A copy carrying the same identity, installed on a new host."""
         copy = Stream(
             path=self.path,
@@ -84,7 +83,7 @@ class Stream:
             server=self.server,
             version=self.version,
             size=self.size,
-            offset=self.offset if offset is None else offset,
+            offset=self.offset,
             cacheable=self.cacheable,
             shared=self.shared,
             refcount=1,

@@ -101,9 +101,9 @@ APPENDIX_A: Dict[str, str] = {
 }
 
 
-def classes_of(table: Dict[str, str] = APPENDIX_A) -> Dict[str, int]:
+def classes_of() -> Dict[str, int]:
     """Histogram of handling classes (documentation/reporting helper)."""
     histogram: Dict[str, int] = {}
-    for klass in table.values():
+    for klass in APPENDIX_A.values():
         histogram[klass] = histogram.get(klass, 0) + 1
     return histogram

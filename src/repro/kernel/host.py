@@ -47,7 +47,7 @@ class Host:
         self.cpu = Cpu(
             sim,
             quantum=self.params.cpu_quantum,
-            speed=cpu_speed * self.params.cpu_speed,
+            speed=cpu_speed,
             name=f"{name}-cpu",
         )
         self.rpc = RpcPort(sim, lan, self.node, cpu=self.cpu, params=self.params)

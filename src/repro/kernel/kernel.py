@@ -26,7 +26,7 @@ from ..config import ClusterParams
 from ..fs import FsClient, PdevRegistry
 from ..net import Lan, NetNode, RpcError, RpcPort
 from ..obs.spans import KERNEL_FORWARD
-from ..sim import Cpu, Effect, SimEvent, Simulator, Sleep, Tracer
+from ..sim import Cpu, Effect, SimEvent, Simulator, Sleep
 from . import signals as sig
 from .pcb import ExitStatus, Pcb, ProcState, Vm
 
@@ -87,7 +87,6 @@ class SpriteKernel:
         fs: FsClient,
         pdevs: PdevRegistry,
         params: Optional[ClusterParams] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.lan = lan
@@ -97,7 +96,7 @@ class SpriteKernel:
         self.fs = fs
         self.pdevs = pdevs
         self.params = params or lan.params
-        self.tracer = tracer if tracer is not None else lan.tracer
+        self.tracer = lan.tracer
         self.procs: Dict[int, Pcb] = {}
         self._pid_seq = itertools.count(1)
         #: Set by repro.migration when the host supports migration.
@@ -123,7 +122,6 @@ class SpriteKernel:
         self.rpc.register("proc.home_call", self._rpc_home_call)
         self.rpc.register("proc.signal", self._rpc_signal)
         self.rpc.register("proc.signal_group", self._rpc_signal_group)
-        self.rpc.register("proc.ps", self._rpc_ps)
 
     # ------------------------------------------------------------------
     # Process table primitives
@@ -566,7 +564,3 @@ class SpriteKernel:
             )
         if pcb.task is not None and pcb.interruptible:
             pcb.task.interrupt(("signal", signum))
-
-    def _rpc_ps(self, _args: Any) -> Generator[Effect, None, List[Dict[str, Any]]]:
-        yield from self.cpu.consume(self.params.kernel_call_cpu)
-        return self.ps()

@@ -42,6 +42,10 @@ Program = Callable[..., Generator[Effect, Any, Any]]
 #: Signals ignored unless caught (UNIX default-disposition subset).
 _DEFAULT_IGNORE = frozenset({sig.SIGCHLD})
 
+#: Address-space size after an exec; also what an exec reads when its
+#: image file reports no size.
+EXEC_IMAGE_BYTES = 256 * KB
+
 
 #: Every kernel call the program API exposes, by name (filled by the gate).
 KERNEL_CALLS: Dict[str, Callable[..., Generator[Effect, Any, Any]]] = {}
@@ -509,7 +513,6 @@ class UserContext:
         *args: Any,
         name: Optional[str] = None,
         image_path: Optional[str] = None,
-        image_size: int = 256 * KB,
         arg_bytes: int = 2 * KB,
         host: Optional[int] = None,
     ) -> Generator[Effect, None, None]:
@@ -528,22 +531,22 @@ class UserContext:
                 raise NoSuchProcess("no migration support on this kernel")
             yield from manager.migrate_for_exec(pcb, host, arg_bytes=arg_bytes)
         # The old image is gone; the new one demand-pages from the FS.
-        pcb.vm.size = image_size
+        pcb.vm.size = EXEC_IMAGE_BYTES
         pcb.vm.resident = 0
         pcb.vm.dirty = 0
         if image_path is not None:
-            yield from self._load_image(image_path, image_size)
+            yield from self._load_image(image_path)
         # The raise skips the gate's safe point: stop here, in the old image.
         yield from self._checkpoint()
         raise _ExecImage(program, args, name or getattr(program, "__name__", None))
 
-    def _load_image(self, image_path: str, image_size: int) -> Generator[Effect, None, None]:
+    def _load_image(self, image_path: str) -> Generator[Effect, None, None]:
         """Read the program text through the FS (client caches make
         repeated execs of the same binary cheap, as on real Sprite)."""
         fs = self.kernel.fs
         stream = yield from fs.open(image_path, OpenMode.READ)
         try:
-            nbytes = stream.size or image_size
+            nbytes = stream.size or EXEC_IMAGE_BYTES
             yield from fs.read(stream, nbytes)
             self.pcb.vm.size = max(self.pcb.vm.size, nbytes)
         finally:
@@ -607,9 +610,7 @@ class UserContext:
         yield from manager.migrate_self(pcb, target)
 
     @kernel_call
-    def ps(self, host: Optional[int] = None) -> Generator[Effect, None, List[Dict[str, Any]]]:
-        """Process listing of the current (or a named) host."""
-        if host is None or host == self.pcb.current:
-            yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
-            return self.kernel.ps()
-        return (yield from self.kernel.rpc.call(host, "proc.ps", None))
+    def ps(self) -> Generator[Effect, None, List[Dict[str, Any]]]:
+        """Process listing of the current host."""
+        yield from self.kernel.cpu.consume(self.params.kernel_call_cpu)
+        return self.kernel.ps()

@@ -16,7 +16,7 @@ the shared-state-staleness failure mode the thesis discusses).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, List, Optional, Sequence
+from typing import Generator, Iterable, List, Sequence
 
 from ..kernel import Host
 from ..obs.spans import SELECT_REQUEST, SpanTracer
@@ -84,7 +84,11 @@ class HostSelector:
         return granted
 
 
-def install_accept_hooks(cluster, max_foreign: Optional[int] = 1) -> None:
+#: Concurrent foreign guests a workstation accepts.
+MAX_FOREIGN = 1
+
+
+def install_accept_hooks(cluster) -> None:
     """Give every workstation the thesis's acceptance policy.
 
     A host accepts foreign work while its owner is away and it has room
@@ -94,38 +98,35 @@ def install_accept_hooks(cluster, max_foreign: Optional[int] = 1) -> None:
     selection (is the host offered at all?), not acceptance — a client
     that was granted a host keeps using it for successive jobs, like
     Amoeba's reserved processor pool, until the owner returns.
-    ``max_foreign`` caps concurrent guests (None = unlimited).
+    :data:`MAX_FOREIGN` caps concurrent guests.
     """
     for host in cluster.hosts:
         manager = cluster.managers[host.address]
-        manager.accept_hook = AcceptPolicy(host, manager, max_foreign)
+        manager.accept_hook = AcceptPolicy(host, manager)
 
 
 class AcceptPolicy:
     """The thesis's acceptance criterion as a picklable callable (a
     closure here would make the cluster unsnapshotable)."""
 
-    __slots__ = ("host", "manager", "max_foreign")
+    __slots__ = ("host", "manager")
 
-    def __init__(self, host, manager, max_foreign: Optional[int]):
+    def __init__(self, host, manager):
         self.host = host
         self.manager = manager
-        self.max_foreign = max_foreign
 
     def __call__(self, args) -> bool:
         host, manager = self.host, self.manager
         if host.input_idle_seconds() < host.params.idle_input_threshold:
             return False   # the owner is (or just was) at the console
-        if self.max_foreign is not None:
-            # Count guests already here AND accepted-but-in-flight:
-            # this is the flood-prevention window — concurrent
-            # requesters racing on the same stale snapshot must not
-            # all land here ([BSW89]).
-            committed = (
-                len(host.kernel.foreign_pcbs()) + manager.leases.pending_arrivals
-            )
-            if committed >= self.max_foreign:
-                return False
+        # Count guests already here AND accepted-but-in-flight: this is
+        # the flood-prevention window — concurrent requesters racing on
+        # the same stale snapshot must not all land here ([BSW89]).
+        committed = (
+            len(host.kernel.foreign_pcbs()) + manager.leases.pending_arrivals
+        )
+        if committed >= MAX_FOREIGN:
+            return False
         manager.leases.note_incoming()
         host.loadavg.anticipate_arrivals(1)
         return True

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
-from ..config import KB
 from ..kernel import ExitStatus, Program, UserContext
 from ..migration import MigrationRefused
 from ..sim import Effect
@@ -47,8 +46,6 @@ def _remote_child(
     target: Optional[int],
     name: str,
     image_path: Optional[str],
-    image_size: int,
-    arg_bytes: int,
     fallback_flag: List[bool],
 ) -> Generator[Effect, None, Any]:
     """Child body: exec (remotely when a target was granted)."""
@@ -59,17 +56,13 @@ def _remote_child(
                 *args,
                 name=name,
                 image_path=image_path,
-                image_size=image_size,
-                arg_bytes=arg_bytes,
                 host=target,
             )
         except MigrationRefused:
             # Target got busy between selection and migration (stale
             # information): run at home instead, as mig does.
             fallback_flag.append(True)
-    yield from proc.exec(
-        program, *args, name=name, image_path=image_path, image_size=image_size
-    )
+    yield from proc.exec(program, *args, name=name, image_path=image_path)
 
 
 class MigClient:
@@ -84,11 +77,9 @@ class MigClient:
         self.local_fallbacks = 0
 
     # ------------------------------------------------------------------
-    def acquire_hosts(
-        self, n: int, exclude: Sequence[int] = ()
-    ) -> Generator[Effect, None, List[int]]:
+    def acquire_hosts(self, n: int) -> Generator[Effect, None, List[int]]:
         """Request up to ``n`` idle hosts from the selection facility."""
-        return (yield from self.selector.request(n, exclude=exclude))
+        return (yield from self.selector.request(n))
 
     def release_hosts(self, hosts: Sequence[int]) -> Generator[Effect, None, None]:
         yield from self.selector.release(hosts)
@@ -102,8 +93,6 @@ class MigClient:
         target: Optional[int] = None,
         name: Optional[str] = None,
         image_path: Optional[str] = None,
-        image_size: int = 256 * KB,
-        arg_bytes: int = 2 * KB,
     ) -> Generator[Effect, None, RemoteJob]:
         """Fork+exec ``program`` on ``target`` (or locally when None).
 
@@ -119,8 +108,6 @@ class MigClient:
             target,
             job_name,
             image_path,
-            image_size,
-            arg_bytes,
             fallback_flag,
             name=job_name,
         )
@@ -159,9 +146,7 @@ class MigClient:
         self,
         proc: UserContext,
         programs: Sequence,
-        max_remote: Optional[int] = None,
         image_path: Optional[str] = None,
-        image_size: int = 256 * KB,
         keep_one_local: bool = True,
     ) -> Generator[Effect, None, List[RemoteJob]]:
         """Run a list of ``(program, args, name)`` tuples, fanning out
@@ -172,8 +157,7 @@ class MigClient:
         release everything at the end.
         """
         pending = list(programs)
-        want = len(pending) if max_remote is None else min(max_remote, len(pending))
-        granted = yield from self.acquire_hosts(want)
+        granted = yield from self.acquire_hosts(len(pending))
         free_hosts: List[Optional[int]] = list(granted)
         if keep_one_local:
             free_hosts.append(None)   # the local slot
@@ -186,8 +170,7 @@ class MigClient:
                 program, args, name = pending.pop(0)
                 job = yield from self.launch(
                     proc, program, *args,
-                    target=slot, name=name,
-                    image_path=image_path, image_size=image_size,
+                    target=slot, name=name, image_path=image_path,
                 )
                 launched_jobs.append(job)
                 running += 1

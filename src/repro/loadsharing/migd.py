@@ -210,17 +210,11 @@ class MigdServer:
 class AvailabilityNotifier:
     """Per-host daemon reporting availability to migd through the pdev."""
 
-    def __init__(self, host: Host, start: bool = True):
+    def __init__(self, host: Host):
         self.host = host
         self._stream = None
         self._last_sent: Optional[bool] = None
-        if start:
-            spawn(
-                host.sim,
-                self._loop,
-                name=f"availd:{host.name}",
-                daemon=True,
-            )
+        spawn(host.sim, self._loop, name=f"availd:{host.name}", daemon=True)
 
     def _loop(self) -> Generator[Effect, None, None]:
         period = self.host.params.availability_period

@@ -19,14 +19,16 @@ from ..sim import Effect, Sleep, spawn
 __all__ = ["ReExporter"]
 
 
+#: Small pause before re-exporting, letting the eviction settle.
+REEXPORT_DELAY = 0.5
+
+
 class ReExporter:
     """Pushes evicted processes back onto idle hosts."""
 
-    def __init__(self, cluster: SpriteCluster, service, delay: float = 0.5):
+    def __init__(self, cluster: SpriteCluster, service):
         self.cluster = cluster
         self.service = service
-        #: Small pause before re-exporting, letting the eviction settle.
-        self.delay = delay
         self.reexported = 0
         self.failed = 0
         for evictor in cluster.evictors:
@@ -51,7 +53,7 @@ class ReExporter:
     def _reexport(
         self, home, records: List[MigrationRecord]
     ) -> Generator[Effect, None, None]:
-        yield Sleep(self.delay)
+        yield Sleep(REEXPORT_DELAY)
         selector = self.service.selector_for(home)
         manager = self.cluster.managers[home.address]
         evicted_from = {record.source for record in records}

@@ -42,10 +42,9 @@ LOAD_BOARD_PATH = "/hosts/loadavg"
 class SharedFileBoard:
     """Per-host daemon posting availability into the shared file."""
 
-    def __init__(self, host: Host, start: bool = True):
+    def __init__(self, host: Host):
         self.host = host
-        if start:
-            spawn(host.sim, self._loop, name=f"board:{host.name}", daemon=True)
+        spawn(host.sim, self._loop, name=f"board:{host.name}", daemon=True)
 
     def _loop(self) -> Generator[Effect, None, None]:
         period = self.host.params.availability_period
@@ -150,17 +149,16 @@ class ProbabilisticSelector(HostSelector):
     name = "probabilistic"
     GOSSIP_SERVICE = "sel.gossip"
 
-    def __init__(self, host: Host, fanout: int = 3, start_daemon: bool = True):
+    #: Peers each gossip round sends this host's vector to.
+    FANOUT = 3
+
+    def __init__(self, host: Host):
         super().__init__(host)
-        self.fanout = fanout
         self.vector: Dict[int, _VectorEntry] = {}
         self.peers: List[int] = []          # set by install()
         self.gossip_messages = 0
         host.rpc.register(self.GOSSIP_SERVICE, self._rpc_gossip)
-        if start_daemon:
-            spawn(
-                host.sim, self._gossip_loop, name=f"gossip:{host.name}", daemon=True
-            )
+        spawn(host.sim, self._gossip_loop, name=f"gossip:{host.name}", daemon=True)
 
     def _rpc_gossip(self, args) -> Generator[Effect, None, None]:
         yield from self.host.cpu.consume(self.host.params.kernel_call_cpu)
@@ -190,7 +188,7 @@ class ProbabilisticSelector(HostSelector):
                 self.host.sim.now,
             )
             targets = rng.choice(
-                self.peers, size=min(self.fanout, len(self.peers)), replace=False
+                self.peers, size=min(self.FANOUT, len(self.peers)), replace=False
             )
             payload = {
                 address: (entry.load, entry.available, entry.heard_at)
@@ -277,9 +275,11 @@ class MulticastSelector(HostSelector):
     QUERY_KIND = "sel.query"
     OFFER_SERVICE = "sel.offer"
 
-    def __init__(self, host: Host, response_timeout: float = 0.05):
+    #: How long a requester collects offers (seconds).
+    RESPONSE_TIMEOUT = 0.05
+
+    def __init__(self, host: Host):
         super().__init__(host)
-        self.response_timeout = response_timeout
         self._offers: Optional[Channel] = None
         self.queries_answered = 0
         host.rpc.register(self.OFFER_SERVICE, self._rpc_offer)
@@ -328,7 +328,7 @@ class MulticastSelector(HostSelector):
             )
         )
         picked: List[int] = []
-        deadline = self.host.sim.now + self.response_timeout
+        deadline = self.host.sim.now + self.RESPONSE_TIMEOUT
         while len(picked) < n:
             remaining = deadline - self.host.sim.now
             if remaining <= 0:

@@ -34,8 +34,6 @@ class LoadSharingService:
         self,
         cluster: SpriteCluster,
         architecture: str = "centralized",
-        max_foreign: Optional[int] = 1,
-        start_daemons: bool = True,
     ):
         if architecture not in ARCHITECTURES:
             raise ValueError(
@@ -47,25 +45,23 @@ class LoadSharingService:
         self.migd: Optional[MigdServer] = None
         self.notifiers: List[AvailabilityNotifier] = []
         self.boards: List[SharedFileBoard] = []
-        install_accept_hooks(cluster, max_foreign=max_foreign)
+        install_accept_hooks(cluster)
 
         if architecture == "centralized":
             self.migd = MigdServer(cluster.hosts[0])
             self.migd.start()
             for host in cluster.hosts:
-                self.notifiers.append(
-                    AvailabilityNotifier(host, start=start_daemons)
-                )
+                self.notifiers.append(AvailabilityNotifier(host))
                 self.selectors[host.address] = CentralizedSelector(host)
         elif architecture == "shared-file":
             cluster.add_file(LOAD_BOARD_PATH, payload={})
             for host in cluster.hosts:
-                self.boards.append(SharedFileBoard(host, start=start_daemons))
+                self.boards.append(SharedFileBoard(host))
                 self.selectors[host.address] = SharedFileSelector(host)
         elif architecture == "probabilistic":
             addresses = [host.address for host in cluster.hosts]
             for host in cluster.hosts:
-                selector = ProbabilisticSelector(host, start_daemon=start_daemons)
+                selector = ProbabilisticSelector(host)
                 selector.peers = [a for a in addresses if a != host.address]
                 self.selectors[host.address] = selector
         else:  # multicast

@@ -46,18 +46,12 @@ class EvictionDaemon:
     def __init__(
         self,
         manager: MigrationManager,
-        poll_period: Optional[float] = None,
-        on_evicted: Optional[Callable[[List[MigrationRecord]], None]] = None,
         start: bool = True,
     ):
         self.manager = manager
         self.host = manager.host
-        self.poll_period = (
-            poll_period
-            if poll_period is not None
-            else manager.params.eviction_grace
-        )
-        self.on_evicted = on_evicted
+        self.poll_period = manager.params.eviction_grace
+        self.on_evicted: Optional[Callable[[List[MigrationRecord]], None]] = None
         self.events: List[EvictionEvent] = []
         self.failed_evictions = 0
         self._last_seen_input = float("-inf")

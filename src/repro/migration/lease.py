@@ -69,10 +69,9 @@ class LeaseService:
         #: Accept timestamps of migrations not yet installed; acceptance
         #: policies count these against guest caps (flood prevention,
         #: [BSW89]).  Entries expire so an aborted transfer cannot leak
-        #: a permanent reservation.
+        #: a permanent reservation: each is honoured for as long as the
+        #: ticket it stands for, ``params.migration_ticket_ttl``.
         self._pending_accepts: List[float] = []
-        #: How long an accepted-but-uninstalled reservation is honoured.
-        self.pending_accept_ttl = 30.0
         rpc = self.host.rpc
         rpc.register("mig.negotiate", self._rpc_negotiate)
         rpc.register("mig.install", self._rpc_install)
@@ -112,7 +111,7 @@ class LeaseService:
     @property
     def pending_arrivals(self) -> int:
         """Accepted migrations still in flight (stale entries pruned)."""
-        horizon = self.sim.now - self.pending_accept_ttl
+        horizon = self.sim.now - self.params.migration_ticket_ttl
         self._pending_accepts = [t for t in self._pending_accepts if t > horizon]
         return len(self._pending_accepts)
 

@@ -134,7 +134,6 @@ class MigrationManager(TxnResolver):
         host: Host,
         managers: Dict[int, "MigrationManager"],
         policy: Union[str, VmPolicy, None] = None,
-        accept_hook: Optional[AcceptHook] = None,
     ):
         super().__init__(host)
         self.kernel.migration = self
@@ -143,7 +142,7 @@ class MigrationManager(TxnResolver):
         elif isinstance(policy, str):
             policy = make_policy(policy)
         self.policy: VmPolicy = policy
-        self.accept_hook = accept_hook
+        self.accept_hook: Optional[AcceptHook] = None
         self.records: List[MigrationRecord] = []
         #: Metrics hook, set by ``ClusterObservability.install``; when
         #: ``None`` (the default) no metrics work happens at all.
@@ -213,7 +212,7 @@ class MigrationManager(TxnResolver):
             extra_bytes=arg_bytes,
         ))
 
-    def evict_all_foreign(self, reason: str = "eviction") -> Generator[Effect, None, List[MigrationRecord]]:
+    def evict_all_foreign(self) -> Generator[Effect, None, List[MigrationRecord]]:
         """Send every foreign process home (user reclaimed the host).
 
         Each eviction is its own transaction; one refused victim (home
@@ -225,7 +224,7 @@ class MigrationManager(TxnResolver):
         failures: List[str] = []
         for pcb in victims:
             try:
-                record = yield from self.migrate(pcb, pcb.home, reason=reason)
+                record = yield from self.migrate(pcb, pcb.home, reason="eviction")
             except MigrationAbandoned:
                 raise
             except MigrationRefused as err:

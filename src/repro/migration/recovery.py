@@ -60,9 +60,7 @@ class TxnResolver:
         #: default, so span sites cost one branch each.
         self.spans: SpanTracer = SpanTracer.for_tracer(host.tracer)
         #: Write-ahead journal (persistent: survives host.crash).
-        self.journal = MigrationJournal(
-            host.name, enabled=host.params.migration_txn_journal
-        )
+        self.journal = MigrationJournal(host.params.migration_txn_journal)
         self.journal.bind_clock(SimClock(host.sim))
         #: Aborts whose undo log could not be fully replayed inline
         #: (a background repair task owns the remainder).
@@ -298,7 +296,7 @@ class TxnResolver:
     def _try_undo(
         self, entry: UndoEntry, txn: MigrationTxn
     ) -> Generator[Effect, None, bool]:
-        for attempt in range(max(1, self.params.migration_rollback_retries)):
+        for attempt in range(self.params.migration_rollback_retries):
             self._abandon_if_crashed(txn)
             try:
                 yield from self._undo_one(entry, txn)
@@ -439,7 +437,7 @@ class TxnResolver:
         reply = yield from self._settle(
             txn, txn.target, "mig.resolve",
             {"pid": txn.pid, "ticket": txn.ticket_id},
-            attempts=range(max(1, self.params.migration_rollback_retries)),
+            attempts=range(self.params.migration_rollback_retries),
         )
         if reply is not None and reply.get("known"):
             return bool(reply.get("activated"))

@@ -201,8 +201,7 @@ class MigrationJournal:
     protocol itself runs identically either way.
     """
 
-    def __init__(self, host_name: str = "?", enabled: bool = True):
-        self.host_name = host_name
+    def __init__(self, enabled: bool):
         self.enabled = enabled
         self.entries: List[JournalEntry] = []
         #: Open (not yet finished) transactions by id.

@@ -142,13 +142,13 @@ class PreCopy(VmPolicy):
     The re-dirty rate during a round comes from the process's declared
     ``vm.dirty_rate_hint`` (bytes/second); workloads set it to match
     their behaviour.  Rounds stop when the remainder is under two pages
-    or ``max_rounds`` is hit.
+    or :attr:`MAX_ROUNDS` is hit.
     """
 
     name = "pre-copy"
+    MAX_ROUNDS = 5
 
-    def __init__(self, max_rounds: int = 5):
-        self.max_rounds = max_rounds
+    def __init__(self):
         self._pending_remainder = 0
         self._rounds_done = 0
         self._pre_bytes = 0
@@ -160,7 +160,7 @@ class PreCopy(VmPolicy):
         rounds = 0
         threshold = 2 * manager.params.page_size
         rate = vm.dirty_rate_hint
-        while remaining > 0 and rounds < self.max_rounds:
+        while remaining > 0 and rounds < self.MAX_ROUNDS:
             rounds += 1
             yield from manager.host.cpu.consume(self._page_cpu(manager, remaining))
             start = manager.sim.now

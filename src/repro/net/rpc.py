@@ -37,7 +37,6 @@ from ..sim import (
     SimEvent,
     Simulator,
     Sleep,
-    Tracer,
     spawn,
 )
 from .errors import RetryLaterError, RpcError, RpcTimeout
@@ -133,14 +132,13 @@ class RpcPort:
         node: NetNode,
         cpu: Optional[Cpu] = None,
         params: Optional[ClusterParams] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.lan = lan
         self.node = node
         self.cpu = cpu
         self.params = params or lan.params
-        self.tracer = tracer if tracer is not None else lan.tracer
+        self.tracer = lan.tracer
         self._services: Dict[str, Handler] = {}
         #: Services registered ``idempotent=True`` (dedup opted out).
         self._idempotent: Set[str] = set()
@@ -164,7 +162,7 @@ class RpcPort:
         #: so evicted keys can no longer collide).
         self.double_executions = 0
         self._served_keys: Dict[Tuple[int, int], int] = {}
-        self._audit_cap = max(4 * (self.params.rpc_dedup_cache or 1), 1024)
+        self._audit_cap = 4 * self.params.rpc_dedup_cache
         #: Optional per-service accounting; installed by the obs layer.
         self.stats: Optional[RpcStats] = None
         #: Lazily-seeded RNG for retry jitter (deterministic per port).
@@ -227,11 +225,7 @@ class RpcPort:
         # handler — it is absorbed (first execution still running) or
         # answered from the recorded reply.
         entry: Optional[_DedupEntry] = None
-        if (
-            request.req_id
-            and self.params.rpc_dedup_cache > 0
-            and request.service not in self._idempotent
-        ):
+        if request.req_id and request.service not in self._idempotent:
             key = (request.reply_to, request.req_id)
             entry = self._dedup.get(key)
             if entry is not None:

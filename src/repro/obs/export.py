@@ -142,8 +142,8 @@ def render_span_summary(spans: Sequence[Span]) -> str:
     return "\n".join(lines)
 
 
-def render_flame(spans: Sequence[Span], limit: int = 10) -> str:
-    """Indented tree of the ``limit`` longest root spans."""
+def render_flame(spans: Sequence[Span]) -> str:
+    """Indented tree of the ten longest root spans."""
     finished = [s for s in spans if s.finished]
     children: Dict[int, List[Span]] = {}
     for span in finished:
@@ -152,7 +152,7 @@ def render_flame(spans: Sequence[Span], limit: int = 10) -> str:
     roots = sorted(
         (s for s in finished if s.parent_sid is None),
         key=lambda s: -s.duration,
-    )[:limit]
+    )[:10]
     lines: List[str] = []
 
     def walk(span: Span, depth: int) -> None:

@@ -87,9 +87,9 @@ class Resource:
             handle.cancel()
             self.release()
 
-    def utilization(self, now: Optional[float] = None) -> float:
+    def utilization(self) -> float:
         """Mean fraction of capacity busy since the start of the run."""
-        now = self.sim.now if now is None else now
+        now = self.sim.now
         busy = self.busy_time + self.in_use * (now - self._last_change)
         return busy / (self.capacity * now) if now > 0 else 0.0
 

@@ -63,16 +63,15 @@ class ActivityModel:
         return self.session_mean * (1.0 - busy) / max(busy, 1e-3)
 
     def generate_intervals(
-        self, host_index: int, duration: float, start: float = 0.0
+        self, host_index: int, duration: float
     ) -> List[Tuple[float, float]]:
         """Busy intervals for one host over ``duration`` seconds."""
         rng = np.random.default_rng((self.seed << 16) ^ (host_index * 2654435761 % 2**31))
         intervals: List[Tuple[float, float]] = []
-        t = start + float(rng.exponential(self._gap_mean(start)))
-        end = start + duration
-        while t < end:
+        t = float(rng.exponential(self._gap_mean(0.0)))
+        while t < duration:
             session = float(rng.exponential(self.session_mean))
-            stop = min(t + session, end)
+            stop = min(t + session, duration)
             intervals.append((t, stop))
             t = stop + float(rng.exponential(self._gap_mean(stop)))
         return intervals
@@ -87,24 +86,28 @@ class ActivityModel:
         return busy / (hi - lo) if hi > lo else 0.0
 
 
+#: Seconds :func:`idle_fraction_by_hour` extends each busy interval by.
+IDLE_GRACE = 300.0
+
+
 def idle_fraction_by_hour(
     model: ActivityModel,
     hosts: int,
     days: int,
-    grace: float = 300.0,
 ) -> np.ndarray:
     """Mean fraction of hosts idle for each hour of the day (E9's curve).
 
-    ``grace`` extends each busy interval: a host is 'available' only
-    after the input-idle threshold passes, so short gaps inside a
-    session do not count as idleness (matches the kernel's criterion).
+    :data:`IDLE_GRACE` extends each busy interval: a host is
+    'available' only after the input-idle threshold passes, so short
+    gaps inside a session do not count as idleness (matches the
+    kernel's criterion).
     """
     duration = days * DAY
     hour_busy = np.zeros(24)
     hour_span = np.zeros(24)
     for index in range(hosts):
         intervals = [
-            (start, min(stop + grace, duration))
+            (start, min(stop + IDLE_GRACE, duration))
             for start, stop in model.generate_intervals(index, duration)
         ]
         for day in range(days):
@@ -119,27 +122,17 @@ class ActivityDriver:
     """Replays an activity trace into a live simulation.
 
     During each busy interval the driver marks the user present and
-    injects input every few seconds (defeating the idle-input
-    criterion and triggering eviction of any foreign processes).
+    injects input every :attr:`INPUT_PERIOD` seconds (defeating the
+    idle-input criterion and triggering eviction of any foreign
+    processes).
     """
 
-    def __init__(
-        self,
-        host: Host,
-        intervals: Sequence[Tuple[float, float]],
-        input_period: float = 5.0,
-        start: bool = True,
-    ):
+    INPUT_PERIOD = 5.0
+
+    def __init__(self, host: Host, intervals: Sequence[Tuple[float, float]]):
         self.host = host
         self.intervals = sorted(intervals)
-        self.input_period = input_period
-        if start:
-            spawn(
-                host.sim,
-                self._replay(),
-                name=f"activity:{host.name}",
-                daemon=True,
-            )
+        spawn(host.sim, self._replay(), name=f"activity:{host.name}", daemon=True)
 
     def _replay(self) -> Generator[Effect, None, None]:
         for start, stop in self.intervals:
@@ -148,5 +141,5 @@ class ActivityDriver:
                 yield Sleep(delay)
             while self.host.sim.now < stop:
                 self.host.user_input()
-                yield Sleep(min(self.input_period, max(stop - self.host.sim.now, 0.01)))
+                yield Sleep(min(self.INPUT_PERIOD, max(stop - self.host.sim.now, 0.01)))
             self.host.user_leaves()

@@ -17,7 +17,7 @@ p = 0.99, short mean 0.1515 s, long mean 135 s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -98,9 +98,8 @@ class ZhouLifetimes:
         while True:
             yield self.sample()
 
-    def is_long_running(self, lifetime: float, threshold: Optional[float] = None) -> bool:
+    def is_long_running(self, lifetime: float) -> bool:
         """The thesis's policy cue: only migrate processes expected to
-        live long; having survived ``threshold`` seconds is the signal
+        live long; having survived twice the mean lifetime is the signal
         ([Cab86]: long-lived processes are expected to live longer)."""
-        threshold = 2.0 * self.mean if threshold is None else threshold
-        return lifetime >= threshold
+        return lifetime >= 2.0 * self.mean

@@ -37,21 +37,28 @@ class BuildTarget:
     kind: str = "compile"            # "compile" | "link"
 
 
+#: The binary every build job execs.
+COMPILER_IMAGE = "/bin/cc"
+
+
 class SourceTree:
     """A synthetic program source tree and its build graph."""
+
+    #: Where the tree lives, what an object file weighs, how many
+    #: headers every compile reads, and the CPU of one ``ar`` step.
+    root = "/src/prog"
+    obj_bytes = 20 * KB
+    shared_headers = 3
+    archive_cpu = 1.5
 
     def __init__(
         self,
         files: int = 12,
-        root: str = "/src/prog",
         compile_cpu: float = 8.0,
         link_cpu: float = 4.0,
         src_bytes: int = 24 * KB,
         header_bytes: int = 16 * KB,
-        obj_bytes: int = 20 * KB,
-        shared_headers: int = 3,
         libs: int = 0,
-        archive_cpu: float = 1.5,
     ):
         """``libs > 0`` groups objects into that many library archives
         between the compiles and the link — the deeper dependency chains
@@ -60,16 +67,12 @@ class SourceTree:
             raise ValueError("need at least one source file")
         if libs > files:
             raise ValueError("cannot have more libraries than source files")
-        self.root = root
         self.files = files
         self.compile_cpu = compile_cpu
         self.link_cpu = link_cpu
         self.src_bytes = src_bytes
         self.header_bytes = header_bytes
-        self.obj_bytes = obj_bytes
-        self.shared_headers = shared_headers
         self.libs = libs
-        self.archive_cpu = archive_cpu
         self.targets: Dict[str, BuildTarget] = {}
         #: target -> the targets it waits for.  A target is added after
         #: all of those (:meth:`_add`), so the graph is acyclic and both
@@ -209,13 +212,11 @@ class Pmake:
         tree: SourceTree,
         client: Optional[MigClient] = None,
         max_jobs: int = 4,
-        compiler_image: str = "/bin/cc",
         changed_files: Optional[Sequence[str]] = None,
     ):
         self.tree = tree
         self.client = client
         self.max_jobs = max_jobs
-        self.compiler_image = compiler_image
         #: None = full build; else only the out-of-date subgraph
         #: (incremental rebuild, as make/pmake decide from timestamps).
         self.changed_files = changed_files
@@ -248,8 +249,7 @@ class Pmake:
                 name = ready.pop(0)
                 target = self.tree.targets[name]
                 pid = yield from proc.fork(
-                    _job_wrapper, target, slot, self.compiler_image,
-                    name=name,
+                    _job_wrapper, target, slot, name=name,
                 )
                 running[pid] = (name, slot)
                 if slot is None:
@@ -276,7 +276,6 @@ def _job_wrapper(
     proc: UserContext,
     target: BuildTarget,
     slot: Optional[int],
-    compiler_image: str,
 ) -> Generator[Effect, None, int]:
     """Child: exec the compiler (remotely when a host was granted)."""
     from ..migration import MigrationRefused
@@ -285,10 +284,10 @@ def _job_wrapper(
         try:
             yield from proc.exec(
                 build_job, target, host=slot,
-                image_path=compiler_image, name=f"cc:{target.name}",
+                image_path=COMPILER_IMAGE, name=f"cc:{target.name}",
             )
         except MigrationRefused:
             pass
     yield from proc.exec(
-        build_job, target, image_path=compiler_image, name=f"cc:{target.name}"
+        build_job, target, image_path=COMPILER_IMAGE, name=f"cc:{target.name}"
     )

@@ -68,13 +68,9 @@ class SimFarm:
         client: Optional[MigClient],
         jobs: int = 20,
         cpu_seconds: float = 100.0,
-        simulator_image: str = "/bin/sim",
-        max_hosts: Optional[int] = None,
     ):
         self.client = client
         self.specs = [SimJobSpec(index=i, cpu_seconds=cpu_seconds) for i in range(jobs)]
-        self.simulator_image = simulator_image
-        self.max_hosts = max_hosts
 
     def run(self, proc: UserContext) -> Generator[Effect, None, SimFarmResult]:
         started = proc.now
@@ -94,10 +90,7 @@ class SimFarm:
             (simulation_job, (spec,), f"sim{spec.index}") for spec in self.specs
         ]
         finished = yield from self.client.run_batch(
-            proc,
-            jobs,
-            max_remote=self.max_hosts,
-            image_path=self.simulator_image,
+            proc, jobs, image_path="/bin/sim"
         )
         remote = [job for job in finished if job.target is not None and not job.fell_back_local]
         return SimFarmResult(

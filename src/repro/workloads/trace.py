@@ -76,6 +76,10 @@ def _batch_unit(proc: UserContext, cpu: float) -> Generator[Effect, None, int]:
     return 0
 
 
+#: Seconds between samples of the idle-host fraction.
+SAMPLE_PERIOD = 600.0
+
+
 class UsageSimulation:
     """Owner behaviour + load sharing on a live cluster."""
 
@@ -89,7 +93,6 @@ class UsageSimulation:
         batch_probability: float = 0.02,
         batch_width: int = 4,
         batch_unit_cpu: float = 60.0,
-        sample_period: float = 600.0,
         seed: int = 0,
     ):
         self.cluster = cluster
@@ -100,7 +103,6 @@ class UsageSimulation:
         self.batch_probability = batch_probability
         self.batch_width = batch_width
         self.batch_unit_cpu = batch_unit_cpu
-        self.sample_period = sample_period
         self.lifetimes = ZhouLifetimes(seed=seed ^ 0x5EED)
         self.report = UsageReport(
             duration=duration, hosts=len(cluster.hosts)
@@ -180,6 +182,6 @@ class UsageSimulation:
 
     def _sampler(self) -> Generator[Effect, None, None]:
         while True:
-            yield Sleep(self.sample_period)
+            yield Sleep(SAMPLE_PERIOD)
             idle = sum(1 for host in self.cluster.hosts if host.is_available())
             self.report.idle_samples.append(idle / len(self.cluster.hosts))

@@ -31,6 +31,36 @@ def test_info_prints_calibration_and_appendix(capsys):
     assert "local" in out
 
 
+def test_info_names_every_parameter_once_with_its_unit(capsys):
+    import dataclasses
+
+    from repro.config import ClusterParams
+
+    assert main(["info"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    varies = lines.index(next(l for l in lines if l.startswith("varies")))
+    calibration = lines.index(next(l for l in lines if l.startswith("calibration")))
+    measured = lines.index(next(l for l in lines if l.startswith("measured")))
+    fields = {field.name for field in dataclasses.fields(ClusterParams)}
+    for name in ClusterParams.__annotations__:
+        rows = [n for n, line in enumerate(lines) if line.split()[:1] == [name]]
+        assert len(rows) == 1, (name, rows)
+        (row,) = rows
+        if name in fields:
+            assert varies < row < calibration, name
+        else:
+            assert calibration < row < measured, name
+            unit = lines[row].split()[2]
+            assert unit in ("ms", "s", "KB/s", "bytes", "count", "ratio",
+                            "entries", "blocks"), lines[row]
+    # The measured primitives follow, from validation.measure_calibration.
+    tail = "\n".join(lines[measured:])
+    for label in ("null RPC", "bulk throughput", "local kernel call", "lookup"):
+        assert label in tail
+    for gone in ("checkpoint_state_cpu", "cpu_speed", "extras"):
+        assert gone not in ClusterParams.__annotations__
+
+
 def test_list_names_everything(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

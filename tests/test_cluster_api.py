@@ -72,6 +72,28 @@ def test_custom_params_flow_to_every_layer():
     assert cluster.file_server.params.fs_block_size == 8192
 
 
+def test_seed_given_twice_must_agree():
+    # Neither spelling may silently win: the RNG streams and the RPC
+    # back-off both read ``params.seed``.
+    params = ClusterParams(seed=3)
+    with pytest.raises(ValueError, match=r"seed=7.*params\.seed=3"):
+        SpriteCluster(workstations=1, start_daemons=False, params=params, seed=7)
+    agreed = SpriteCluster(workstations=1, start_daemons=False, params=params, seed=3)
+    assert agreed.params is params
+
+
+def test_seed_has_one_source_of_truth():
+    from repro.snapshot import Snapshot
+
+    assert SpriteCluster(workstations=1, seed=7).params.seed == 7
+    assert SpriteCluster(workstations=1).params.seed == 0
+    by_seed = SpriteCluster(workstations=2, seed=7)
+    by_params = SpriteCluster(workstations=2, params=ClusterParams(seed=7))
+    assert Snapshot.capture(by_seed).digest == Snapshot.capture(by_params).digest
+    other = SpriteCluster(workstations=2, seed=8)
+    assert Snapshot.capture(other).digest != Snapshot.capture(by_seed).digest
+
+
 def test_seed_controls_reproducibility():
     def run_once(seed):
         cluster = SpriteCluster(workstations=2, start_daemons=False, seed=seed)

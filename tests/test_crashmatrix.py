@@ -106,3 +106,26 @@ def test_flaky_file_server_cell_closes_its_journal_txn(step, seed):
     cell = run_cell(step, "fs", "flaky", seed=seed)
     assert cell.outcome != "not-fired"
     assert not [v for v in cell.violations if "leaked-journal-txn" in v]
+
+
+def test_cell_result_json_shape_is_pinned():
+    """``--crash-matrix --json`` is what CI reads the pinned fingerprint
+    from, so its shape is part of the contract: the dataclass's fields,
+    in declaration order, nothing else."""
+    cell = run_cell("frozen", "target", "crash", seed=0)
+    assert list(cell.to_dict().items()) == [
+        ("step", "frozen"),
+        ("victim", "target"),
+        ("kind", "crash"),
+        ("outcome",
+         "refused: target 4 failed during transfer of pid 2000001: "
+         "mig.install on host 4 unreachable after 3 attempt(s): host "
+         "ws2 is down"),
+        ("fired_at", 1.5988268292682937),
+        ("inactive_at_fault", 0),
+        ("inactive_at_quiesce", 0),
+        ("in_flight_violations", []),
+        ("violations", []),
+        ("fingerprint",
+         "a802ab44890fd564b720a6abe8e38c82bb10bf2c50c9eed53b5bdc4ae6e3039c"),
+    ]

@@ -9,7 +9,6 @@ from repro.cli import _CaptureClusters, _trace_builtin_migration
 from repro.obs import (
     EngineProfiler,
     MetricsRegistry,
-    SpanTracer,
     critpath_report,
     migration_critical_paths,
     render_attribution_table,

@@ -4,7 +4,6 @@ import pytest
 
 from repro import SpriteCluster
 from repro.faults import (
-    FaultInjector,
     FaultPlan,
     InvariantChecker,
     LinkFabric,
@@ -381,6 +380,43 @@ def test_chaos_run_is_clean_and_byte_identical():
     other = run_chaos(seed=12, workstations=4, duration=50.0, jobs=5)
     assert other.fingerprint != first.fingerprint
     assert other.violations == []
+
+
+def test_chaos_report_json_shape_is_pinned():
+    """``repro chaos --json`` prints ``to_dict()``: the report's fields
+    in declaration order, nothing else."""
+    report = run_chaos(seed=3, workstations=3, duration=30.0, jobs=3,
+                       job_length=4.0)
+    assert list(report.to_dict().items()) == [
+        ("seed", 3), ("workstations", 3), ("duration", 30.0), ("jobs", 3),
+        ("jobs_finished", 2), ("jobs_lost", 1), ("jobs_ok", 2),
+        ("migrations", 2), ("refusals", 0), ("faults", 9),
+        ("packets_blocked", 0), ("packets_dropped", 0),
+        ("policy", "migrate"), ("checkpoints", 0), ("restores", 0),
+        ("torn_images", 0), ("unrecoverable", 0),
+        ("availability", 0.6666666666666666),
+        ("goodput", 0.12698412698412698),
+        ("packets_duplicated", 0), ("packets_reordered", 0),
+        ("packets_corrupted", 0), ("checksum_drops", 0),
+        ("duplicates_suppressed", 0), ("dedup_replays", 0),
+        ("double_executions", 0), ("inbox_overflows", 0),
+        ("suspicions_declared", 0), ("false_suspicions", 0),
+        ("reconciles", 0), ("backpressure_refusals", 0),
+        ("violations", []),
+        ("fingerprint",
+         "7cc6822823d60ddc5f59aba0ebce05217af31bd95b14c1a0d5f747798b236ed5"),
+        ("events", [
+            "[    3.000000] fault host_crash       host=ws2 address=4 lost=1",
+            "[    5.400000] fault host_reboot      host=ws2 address=4",
+            "[    7.500000] fault partition        groups=[[2, 3]]",
+            "[    9.900000] fault heal             ",
+            "[   12.000000] fault migd_kill        ",
+            "[   13.000000] fault crash_detected   address=4 orphaned=0 reaped=1",
+            "[   13.500000] fault migd_restart     ",
+            "[   15.600000] fault server_crash     server=fs0",
+            "[   17.100000] fault server_restart   server=fs0",
+        ]),
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(golden_migration.CHAOS_RUNS))

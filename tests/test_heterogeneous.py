@@ -5,7 +5,6 @@ import pytest
 from repro import SpriteCluster
 from repro.loadsharing import LoadSharingService
 from repro.loadsharing.migd import MigdServer
-from repro.sim import run_until_complete
 
 
 def test_cpu_speeds_validated():

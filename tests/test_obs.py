@@ -18,7 +18,6 @@ from repro.migration import (
     summarize_records,
 )
 from repro.obs import (
-    ClusterObservability,
     MetricsRegistry,
     MetricsSampler,
     SpanTracer,
