@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics import Series, Table
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Series, Table
 from repro.snapshot import forked_map_metrics
 from repro.workloads import ActivityModel, idle_fraction_by_hour
 

@@ -34,7 +34,8 @@ schedule and trace fingerprint identical, with wall-time overhead under
 ``--max-idle-overhead`` (default 1.05x).
 
 Run standalone (``python benchmarks/bench_checkpoint.py [--smoke]``) or
-via pytest; results are archived as ``P8_checkpoint.json``.
+via pytest; results are written to ``results/P8_checkpoint.json`` (not
+checked in).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro import MB, SpriteCluster
 from repro.baselines import CondorJob, CondorScheduler
 from repro.loadsharing import LoadSharingService, ReExporter
-from repro.metrics import Table
+from repro.obs import Table
 from repro.sim import Sleep, spawn
 
 from common import run_simulated

@@ -9,7 +9,7 @@ backing file.  We sweep dirty VM and count of foreign processes.
 from __future__ import annotations
 
 from repro import MB, SpriteCluster
-from repro.metrics import Series, Table
+from repro.obs import Series, Table
 from repro.sim import Sleep, spawn
 
 from common import run_simulated

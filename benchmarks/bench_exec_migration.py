@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro import KB, SpriteCluster
 from repro.baselines import rsh_run
-from repro.metrics import Table
+from repro.obs import Table
 
 from common import run_simulated
 

@@ -31,13 +31,11 @@ sits above this noisy-CI measurement floor, not above the true cost.
 
 The idle/no-injector wall-time ratio is the headline: in ``--smoke``
 mode the run fails if it exceeds ``--max-overhead`` (default 1.15, i.e.
-the injector must stay within measurement noise).  The archived
-``BENCH_engine.json`` e10_slice numbers are printed for cross-PR
-context when present, but never asserted against — they were measured
-on different hardware.
+the injector must stay within measurement noise).
 
 Run standalone (``python benchmarks/bench_faults.py [--smoke]``) or via
-the pytest entry; results are archived as ``P3_faults.json``.
+the pytest entry; results are written to ``results/P3_faults.json``
+(not checked in).
 """
 
 from __future__ import annotations
@@ -74,9 +72,6 @@ SIZES = {
         "migrations": 48,
     },
 }
-
-#: Archived engine benchmark (repo root) for the informative comparison.
-ENGINE_BASELINE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_engine.json"
 
 
 def _run_e10(
@@ -298,16 +293,6 @@ def render(results: Dict[str, Any], mode: str) -> str:
         f"{chaos['faults']} faults, {chaos['jobs_finished']} jobs finished, "
         f"{chaos['violations']} violations"
     )
-    if mode == "full" and ENGINE_BASELINE.is_file():
-        try:
-            archived = json.loads(ENGINE_BASELINE.read_text())
-            slice_row = archived["after"]["e10_slice"]
-            lines.append(
-                "BENCH_engine.json e10_slice (archived, different hardware): "
-                f"{slice_row['events']:,} events in {slice_row['wall_s']:.3f}s"
-            )
-        except (KeyError, ValueError):
-            pass
     return "\n".join(lines)
 
 

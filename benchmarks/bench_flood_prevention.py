@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro import SpriteCluster
 from repro.loadsharing import LoadSharingService
-from repro.metrics import Table
+from repro.obs import Table
 from repro.sim import run_until_complete, spawn
 
 from common import run_simulated

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro import KB, SpriteCluster
 from repro.baselines import ForwardingSurrogate, remote_unix_run
 from repro.fs import OpenMode
-from repro.metrics import Table
+from repro.obs import Table
 from repro.sim import Sleep, spawn
 
 from common import run_simulated

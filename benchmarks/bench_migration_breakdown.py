@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from repro import MB, SpriteCluster
 from repro.fs import OpenMode
-from repro.metrics import Table
+from repro.obs import Table
 from repro.sim import Sleep, spawn
 
 from common import run_simulated

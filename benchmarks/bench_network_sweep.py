@@ -12,8 +12,7 @@ quantifies where.
 from __future__ import annotations
 
 from repro import MB, ClusterParams, SpriteCluster
-from repro.metrics import Series, Table
-from repro.obs import ClusterObservability
+from repro.obs import ClusterObservability, Series, Table
 from repro.sim import Sleep, spawn
 from repro.snapshot import forked_map_metrics
 

@@ -10,7 +10,7 @@ suffer); Sprite evicts them home (jobs slow down instead).
 from __future__ import annotations
 
 from repro.baselines import run_placement_scenario
-from repro.metrics import Table
+from repro.obs import Table
 
 from common import run_simulated
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro import SpriteCluster
 from repro.loadsharing import LoadSharingService
-from repro.metrics import Series, Table
+from repro.obs import Series, Table
 from repro.workloads import Pmake, SourceTree
 
 from common import run_simulated

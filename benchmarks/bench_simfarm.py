@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro import SpriteCluster
 from repro.loadsharing import LoadSharingService
-from repro.metrics import Table
+from repro.obs import Table
 from repro.workloads import Pmake, SimFarm, SourceTree
 
 from common import run_simulated

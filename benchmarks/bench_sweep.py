@@ -17,8 +17,7 @@ answers is worthless.  Two gates:
   ideal on the cores actually granted.
 
 Run standalone (``python benchmarks/bench_sweep.py [--smoke]``) or via
-pytest; ``--json`` archives machine-readable results (the checked-in
-record of an earlier design lives in ``BENCH_sweep.json``).
+pytest; ``--json`` writes machine-readable results.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro import SpriteCluster
 from repro.loadsharing import LoadSharingService
-from repro.metrics import Table
+from repro.obs import Table
 from repro.workloads import ActivityModel, UsageSimulation
 
 from common import run_simulated

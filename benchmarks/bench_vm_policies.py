@@ -11,9 +11,8 @@ pays only for *dirty* pages at freeze time and leaves nothing behind.
 from __future__ import annotations
 
 from repro import MB, SpriteCluster
-from repro.metrics import Series, Table
 from repro.migration import POLICIES
-from repro.obs import ClusterObservability
+from repro.obs import ClusterObservability, Series, Table
 from repro.sim import Sleep, spawn
 from repro.snapshot import forked_map_metrics
 

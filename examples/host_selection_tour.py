@@ -11,7 +11,7 @@ Run:  python examples/host_selection_tour.py
 
 from repro import SpriteCluster
 from repro.loadsharing import ARCHITECTURES, LoadSharingService
-from repro.metrics import Table
+from repro.obs import Table
 from repro.sim import Sleep, run_until_complete
 
 

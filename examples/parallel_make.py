@@ -12,7 +12,7 @@ Run:  python examples/parallel_make.py
 
 from repro import SpriteCluster
 from repro.loadsharing import LoadSharingService
-from repro.metrics import Table
+from repro.obs import Table
 from repro.workloads import Pmake, SourceTree
 
 

@@ -6,8 +6,9 @@ transactions — are properties of *every* call site, not just the ones a
 test happens to exercise.  This package checks them statically, on the
 AST, so a violating PR fails CI even when no test covers the new code:
 
-* :mod:`.rules_determinism` — no wall-clock or ambient randomness;
-  named RNG substreams; ordered iteration into effectful calls.
+* :mod:`.rules_determinism` — no wall-clock or ambient randomness,
+  directly or laundered through helper returns; named RNG substreams;
+  ordered iteration into effectful calls.
 * :mod:`.rules_observability` — every trace/span emission dominated by
   an ``enabled`` / ``is not None`` guard.
 * :mod:`.rules_rpc` — service names registered and called consistently;
@@ -21,22 +22,19 @@ AST, so a violating PR fails CI even when no test covers the new code:
   counters/caches); per-cluster state lives in ``sim.state``.
 * :mod:`.rules_coroutine` — coroutine calls are driven (`yield from`/
   spawn), never discarded or truth-tested.
-* :mod:`.rules_taint` — wall-clock/entropy taint cannot reach sim code
-  through helper returns.
 * :mod:`.rules_snapshot` — spawn factories are picklable and their
   reachable code touches no module-level mutable state.
 
 The interprocedural rules share one whole-tree call graph
 (:mod:`.callgraph`) and a summary-based dataflow engine
-(:mod:`.dataflow`); see ``python -m repro lint --graph`` for the
-reachability/dead-code report and DOT/JSON dumps.
+(:mod:`.dataflow`); ``python -m repro lint --graph`` is the dead-code
+gate (``--json``: the graph dump).
 
 Run it as ``python -m repro lint``; see ``docs/static-analysis.md`` for
-the rule catalogue, the ``# lint: disable=RULE(reason)`` pragma, and
-the baseline workflow.
+the rule catalogue and the ``# lint: disable=RULE(reason)`` pragma —
+the only suppression: a finding is fixed or carries a reason.
 """
 
-from .baseline import Baseline, DEFAULT_BASELINE_PATH
 from .core import (
     Finding,
     LintResult,
@@ -56,12 +54,9 @@ from . import rules_observability  # noqa: F401
 from . import rules_rpc  # noqa: F401
 from . import rules_snapshot  # noqa: F401
 from . import rules_state  # noqa: F401
-from . import rules_taint  # noqa: F401
 from . import rules_txn  # noqa: F401
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_PATH",
     "Finding",
     "LintResult",
     "ModuleInfo",

@@ -40,9 +40,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .core import ModuleInfo, Tree
+from .core import (
+    ModuleInfo,
+    Tree,
+    call_args,
+    enclosing_function,
+    resolve_str_arg,
+)
 
 __all__ = ["CallEdge", "CallGraph", "ClassInfo", "FunctionNode"]
 
@@ -61,6 +67,11 @@ _FALLBACK_BLOCKLIST = frozenset({
     "appendleft",
 })
 
+#: Trees beside the source root whose code counts as a caller in the
+#: dead-code report.  ``tests/`` is not one: a function only its own
+#: unit test calls is still reported.
+_CALLER_TREES = ("benchmarks", "examples", "tools")
+
 
 @dataclass(frozen=True)
 class FunctionNode:
@@ -76,6 +87,11 @@ class FunctionNode:
     @property
     def key(self) -> Key:
         return (self.rel, self.qualname)
+
+    @property
+    def ident(self) -> str:
+        """``rel::qualname``, the spelling of dumps and the kept list."""
+        return f"{self.rel}::{self.qualname}"
 
     @property
     def name(self) -> str:
@@ -138,7 +154,6 @@ class CallGraph:
         self._edges_in: Dict[Key, List[CallEdge]] = {}
         self._edges_out: Dict[Key, List[CallEdge]] = {}
         self._call_targets: Dict[int, List[FunctionNode]] = {}
-        self._call_sharp: Dict[int, bool] = {}
         self._class_of_call: Dict[int, ClassInfo] = {}
         self._ref_targets: Dict[int, List[FunctionNode]] = {}
         self._fn_by_ast: Dict[int, FunctionNode] = {}
@@ -149,6 +164,7 @@ class CallGraph:
         self._subclasses: Dict[str, Set[str]] = {}
         self._exports: Dict[str, Set[str]] = {}
         self._scopes: Dict[int, _Scope] = {}  # id(func ast) -> scope
+        self._unreferenced: Optional[List[FunctionNode]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -331,7 +347,6 @@ class CallGraph:
             module, call.func, scope
         )
         self._call_targets[id(call)] = targets
-        self._call_sharp[id(call)] = sharp
         if klass is not None:
             self._class_of_call[id(call)] = klass
         caller = scope.function
@@ -404,7 +419,10 @@ class CallGraph:
                 klass = self._enclosing_class(scope)
                 if klass is not None:
                     return self.resolve_method(klass, attr), True, None
-                return [], True, None
+                # a method written outside its class body: its siblings
+                # are the module's functions
+                sibling = self._module_funcs[module.rel].get(attr)
+                return ([sibling] if sibling else []), True, None
             found = self._resolve_scoped_name(module, receiver.id, scope)
             if isinstance(found, ClassInfo):     # Klass.method(...)
                 return self.resolve_method(found.name, attr), True, None
@@ -606,9 +624,6 @@ class CallGraph:
     def call_targets(self, call: ast.Call) -> List[FunctionNode]:
         return self._call_targets.get(id(call), [])
 
-    def call_is_sharp(self, call: ast.Call) -> bool:
-        return self._call_sharp.get(id(call), True)
-
     def constructed_class(self, call: ast.Call) -> Optional[ClassInfo]:
         return self._class_of_call.get(id(call))
 
@@ -617,7 +632,7 @@ class CallGraph:
         refers to — the callees of the ref edges recorded at it."""
         return self._ref_targets.get(id(site), [])
 
-    def function_of(self, node: ast.AST) -> Optional[FunctionNode]:
+    def function_of(self, node: Optional[ast.AST]) -> Optional[FunctionNode]:
         """The FunctionNode for a def's AST node."""
         return self._fn_by_ast.get(id(node))
 
@@ -652,40 +667,66 @@ class CallGraph:
                     queue.append(edge.callee)
         return order
 
-    def module_mutable_globals(self, module: ModuleInfo) -> Dict[str, int]:
-        """Module-level non-constant names bound to mutable containers
-        or counters — *including* pragma-suppressed ones (a deliberate
-        process-wide registry is still unsafe to touch from snapshot
-        factories)."""
-        from .rules_state import _constant_by_convention, _is_counter_call, \
-            _mutable_value
+    def forwarded_args(
+        self, module: ModuleInfo, site: ast.AST, param: str
+    ) -> Optional[List[Tuple[ModuleInfo, ast.Call, ast.AST]]]:
+        """The argument expressions that reach ``param``, a parameter
+        of the function around ``site``, from that function's call
+        sites, as ``(module, call, argument)``; None when ``site`` is
+        in no function or ``param`` is not one of its positional
+        parameters.
 
-        out: Dict[str, int] = {}
-        assert module.tree is not None
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            else:
-                continue
-            if not (_is_counter_call(value) or _mutable_value(value)):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and \
-                        not _constant_by_convention(target.id):
-                    out[target.id] = node.lineno
-        return out
+        A caller that passes one of its *own* parameters on (and gives
+        it no literal default) is a forwarding helper: its call sites
+        are chased instead, to any depth.  A call site that does not
+        pass the parameter is skipped.
+        """
+        found: List[Tuple[ModuleInfo, ast.Call, ast.AST]] = []
+        visited: Set[Tuple[Key, str]] = set()
+
+        def chase(fn: FunctionNode, param: str) -> None:
+            index = _param_index(fn.node, param)
+            if index is None or (fn.key, param) in visited:
+                return
+            visited.add((fn.key, param))
+            for edge in self.edges_in(fn):
+                if edge.call is None:
+                    continue
+                args, kwargs = call_args(edge.call)
+                arg = kwargs.get(
+                    param, args[index] if index < len(args) else None
+                )
+                if arg is None:
+                    continue
+                if (
+                    isinstance(arg, ast.Name)
+                    and edge.caller is not None
+                    and _param_index(edge.caller.node, arg.id) is not None
+                    and resolve_str_arg(edge.module, edge.call, arg) is None
+                ):
+                    chase(edge.caller, arg.id)
+                else:
+                    found.append((edge.module, edge.call, arg))
+
+        fn = self.function_of(enclosing_function(module, site))
+        if fn is None or _param_index(fn.node, param) is None:
+            return None
+        chase(fn, param)
+        return found
 
     # ------------------------------------------------------------------
     # Reports
     # ------------------------------------------------------------------
     def unreferenced(self) -> List[FunctionNode]:
-        """Functions with zero in-edges that look like real dead-code
-        candidates: not dunders, not decorated (properties and the like
-        are reached without a Call), not exported via ``__all__`` —
-        including re-exports, where a package ``__init__`` lists an
-        imported name whose definition lives elsewhere."""
+        """Functions nothing refers to: no in-edge under the linted
+        root and no mention by name in the repository's other caller
+        trees (:data:`_CALLER_TREES`).  Not dunders, not decorated
+        (properties and the like are reached without a Call), not
+        exported via ``__all__`` — including re-exports, where a
+        package ``__init__`` lists an imported name whose definition
+        lives elsewhere."""
+        if self._unreferenced is not None:
+            return self._unreferenced
         exported: Set[Key] = set()
         for rel, names in self._exports.items():
             if rel.endswith("__init__.py"):
@@ -696,6 +737,7 @@ class CallGraph:
                 resolved = self._resolve_exported(module_key, name, set())
                 if isinstance(resolved, FunctionNode):
                     exported.add(resolved.key)
+        attrs, names = self._outside_mentions()
         out: List[FunctionNode] = []
         for key in sorted(self.functions):
             fn = self.functions[key]
@@ -708,8 +750,36 @@ class CallGraph:
                 continue
             if key in exported:
                 continue
+            # the by-name fallback of untyped receivers, from outside
+            if name in attrs or (
+                name in names and fn.class_name is None and not fn.is_nested
+            ):
+                continue
             out.append(fn)
+        self._unreferenced = out
         return out
+
+    def _outside_mentions(self) -> Tuple[Set[str], Set[str]]:
+        """``(attribute names, bare and imported names)`` mentioned in
+        the caller trees beside the source root (``<repo>/src/<pkg>`` or
+        ``<repo>/<pkg>``).  Attribute names minus the fallback blocklist
+        reach methods; bare names reach module-level functions only."""
+        root = self.tree.root
+        repo = root.parents[1] if root.parent.name == "src" else root.parent
+        attrs: Set[str] = set()
+        names: Set[str] = set()
+        for tree_name in _CALLER_TREES:
+            for module in Tree.load(repo / tree_name).parsed():
+                for node in module.nodes_of(
+                    ast.Attribute, ast.Name, ast.ImportFrom
+                ):
+                    if isinstance(node, ast.Attribute):
+                        attrs.add(node.attr)
+                    elif isinstance(node, ast.ImportFrom):
+                        names.update(alias.name for alias in node.names)
+                    elif isinstance(node.ctx, ast.Load):
+                        names.add(node.id)
+        return attrs - _FALLBACK_BLOCKLIST, names
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -729,7 +799,7 @@ class CallGraph:
         """JSON-ready dump (stable ordering) for ``lint --graph --json``."""
         nodes = [
             {
-                "id": f"{fn.rel}::{fn.qualname}",
+                "id": fn.ident,
                 "file": fn.rel,
                 "line": fn.line,
                 "class": fn.class_name,
@@ -741,9 +811,8 @@ class CallGraph:
         edges = sorted(
             {
                 (
-                    f"{e.caller.rel}::{e.caller.qualname}"
-                    if e.caller else f"{e.module.rel}::<module>",
-                    f"{e.callee.rel}::{e.callee.qualname}",
+                    e.caller.ident if e.caller else f"{e.module.rel}::<module>",
+                    e.callee.ident,
                     e.kind,
                     bool(e.sharp),
                 )
@@ -757,32 +826,14 @@ class CallGraph:
                 {"caller": c, "callee": t, "kind": k, "sharp": s}
                 for (c, t, k, s) in edges
             ],
-            "unreferenced": [
-                f"{fn.rel}::{fn.qualname}" for fn in self.unreferenced()
-            ],
+            "unreferenced": [fn.ident for fn in self.unreferenced()],
         }
 
-    def to_dot(self) -> str:
-        """GraphViz dump (call edges solid, ref edges dashed)."""
-        lines = ["digraph callgraph {", "  rankdir=LR;", "  node [shape=box];"]
-        seen: Set[Tuple[str, str, str]] = set()
-        for edge in self.edges:
-            caller = (
-                f"{edge.caller.rel}::{edge.caller.qualname}"
-                if edge.caller else f"{edge.module.rel}::<module>"
-            )
-            callee = f"{edge.callee.rel}::{edge.callee.qualname}"
-            item = (caller, callee, edge.kind)
-            if item in seen:
-                continue
-            seen.add(item)
-            style = ' [style=dashed]' if edge.kind == "ref" else ""
-            lines.append(f'  "{caller}" -> "{callee}"{style};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def render_report(self) -> str:
-        """Human-readable reachability / dead-code report."""
+    def render_report(self, kept: Optional[Mapping[str, str]] = None) -> str:
+        """Human-readable reachability / dead-code report.  ``kept``
+        maps ``rel::qualname`` to the reason an unreferenced function
+        stays; those are listed apart, each with its reason."""
+        kept = kept or {}
         stats = self.stats()
         lines = ["call graph:"]
         for key in (
@@ -792,11 +843,18 @@ class CallGraph:
             lines.append(f"  {key:12} {stats[key]}")
         dead = self.unreferenced()
         lines.append(f"\nunreferenced functions ({len(dead)}) — no call or "
-                     "reference edge anywhere under the linted root")
-        lines.append("(excludes dunders, decorated defs, and __all__ exports;")
-        lines.append(" entries may still be used by tests/benchmarks/examples)")
-        for fn in dead:
-            lines.append(f"  {fn.rel}:{fn.line} {fn.qualname}")
+                     "reference edge under the linted root,")
+        lines.append(f"no mention by name in {'/, '.join(_CALLER_TREES)}/ "
+                     "beside it")
+        lines.append("(excludes dunders, decorated defs, and __all__ exports)")
+        lines.extend(
+            f"  {fn.rel}:{fn.line} {fn.qualname}"
+            for fn in dead if fn.ident not in kept
+        )
+        lines.extend(
+            f"  kept {fn.rel}:{fn.line} {fn.qualname} — {kept[fn.ident]}"
+            for fn in dead if fn.ident in kept
+        )
         return "\n".join(lines)
 
 
@@ -813,6 +871,17 @@ def _dunder_all(module_tree: ast.Module) -> Set[str]:
                     and isinstance(element.value, str)
                 }
     return set()
+
+
+def _param_index(func: ast.AST, name: str) -> Optional[int]:
+    """0-based positional index of a parameter, after self/cls."""
+    params = [arg.arg for arg in func.args.args]  # type: ignore[attr-defined]
+    if params and params[0] in ("self", "cls"):
+        params = params[1:]
+    try:
+        return params.index(name)
+    except ValueError:
+        return None
 
 
 def _package_key(rel: str) -> Tuple[str, ...]:

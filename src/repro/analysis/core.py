@@ -4,7 +4,8 @@ The driver parses every ``*.py`` under one source root into a
 :class:`Tree`, hands the whole tree to each registered :class:`Rule`
 (rules are free to do cross-module analysis — the RPC conformance and
 stream-collision rules depend on it), then filters the findings through
-inline pragmas and the checked-in baseline.
+inline pragmas — the only suppression there is: a finding is fixed or
+carries a reasoned pragma.
 
 Pragma grammar (suppression is per-line, per-rule, never blanket)::
 
@@ -49,6 +50,7 @@ __all__ = [
     "dotted_name",
     "register_rule",
     "run_lint",
+    "suffix_match",
 ]
 
 #: ``# lint: disable=rule-one,rule-two(reason...)``
@@ -80,6 +82,15 @@ def dotted_name(node: ast.AST) -> str:
     return ".".join(reversed(parts))
 
 
+def suffix_match(name: str, suffixes: Iterable[str]) -> Optional[str]:
+    """The first of ``suffixes`` that dotted ``name`` is, or ends with
+    after a dot (``datetime.datetime.now`` matches ``datetime.now``)."""
+    for suffix in suffixes:
+        if name == suffix or name.endswith("." + suffix):
+            return suffix
+    return None
+
+
 @dataclass(frozen=True)
 class Finding:
     """One rule violation at one site."""
@@ -89,16 +100,13 @@ class Finding:
     rel: str                 #: path relative to the lint root (posix)
     line: int
     message: str
-    snippet: str = ""        #: stripped source line, used by the baseline
+    snippet: str = ""        #: stripped source line
 
-    def location(self, repo_root: Optional[pathlib.Path] = None) -> str:
-        shown: str
-        if repo_root is not None:
-            try:
-                shown = self.path.relative_to(repo_root).as_posix()
-            except ValueError:
-                shown = str(self.path)
-        else:
+    def location(self, repo_root: pathlib.Path) -> str:
+        """``file:line``, the file relative to ``repo_root`` if under it."""
+        try:
+            shown = self.path.relative_to(repo_root).as_posix()
+        except ValueError:
             shown = str(self.path)
         return f"{shown}:{self.line}"
 
@@ -198,30 +206,27 @@ class ModuleInfo:
         except SyntaxError as err:
             self.tree = None
             self.error = err
-        #: line number -> {rule_id -> reason}; built lazily.
-        self._pragmas: Optional[Dict[int, Dict[str, str]]] = None
 
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def pragmas(self) -> Dict[int, Dict[str, str]]:
-        if self._pragmas is None:
-            table: Dict[int, Dict[str, str]] = {}
-            for index, line in enumerate(self.lines, start=1):
-                if _SPAN_GUARD.search(line):
-                    table.setdefault(index, {})["obs-unguarded-emit"] = (
-                        "caller holds the guard"
-                    )
-                match = _PRAGMA.search(line)
-                if match is None:
+        """line number -> {rule_id -> reason}."""
+        table: Dict[int, Dict[str, str]] = {}
+        for index, line in enumerate(self.lines, start=1):
+            if _SPAN_GUARD.search(line):
+                table.setdefault(index, {})["obs-unguarded-emit"] = (
+                    "caller holds the guard"
+                )
+            match = _PRAGMA.search(line)
+            if match is None:
+                continue
+            for item in match.group(1).split(","):
+                parsed = _PRAGMA_ITEM.match(item.strip())
+                if parsed is None:
                     continue
-                for item in match.group(1).split(","):
-                    parsed = _PRAGMA_ITEM.match(item.strip())
-                    if parsed is None:
-                        continue
-                    rule, reason = parsed.group(1), parsed.group(2) or ""
-                    table.setdefault(index, {})[rule] = reason
-            self._pragmas = table
-        return self._pragmas
+                rule, reason = parsed.group(1), parsed.group(2) or ""
+                table.setdefault(index, {})[rule] = reason
+        return table
 
     def suppressed(self, rule: str, line: int) -> bool:
         """A pragma on the finding's line, or on the line above it
@@ -366,7 +371,6 @@ def all_rules() -> List[Rule]:
 class LintResult:
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0      #: silenced by inline pragmas
-    baselined: int = 0       #: grandfathered by the baseline file
     parse_errors: List[Finding] = field(default_factory=list)
 
     @property
@@ -377,7 +381,6 @@ class LintResult:
 def run_lint(
     src_root: Optional[pathlib.Path] = None,
     rule_ids: Optional[Sequence[str]] = None,
-    baseline: Optional["Baseline"] = None,  # noqa: F821 - fwd ref
 ) -> LintResult:
     """Lint every module under ``src_root`` with the selected rules."""
     root = (src_root or default_src_root()).resolve()
@@ -415,9 +418,6 @@ def run_lint(
             continue
         kept.append(finding)
     kept.sort(key=lambda f: (f.rel, f.line, f.rule, f.message))
-    if baseline is not None:
-        kept, grandfathered = baseline.filter(kept)
-        result.baselined = grandfathered
     result.findings = kept
     return result
 

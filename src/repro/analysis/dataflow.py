@@ -30,7 +30,7 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionNode, Key
-from .core import dotted_name, enclosing_function
+from .core import dotted_name, enclosing_function, suffix_match
 
 __all__ = [
     "exception_escapes",
@@ -296,13 +296,6 @@ def tainted_returns(
     twice for simple loops) and through calls to tainted functions.
     """
 
-    def source_call(call: ast.Call) -> bool:
-        name = dotted_name(call.func)
-        return any(
-            name == suffix or name.endswith("." + suffix)
-            for suffix in sources
-        )
-
     #: id(def) -> the assignments and returns of its own body (nested
     #: defs own theirs), in walk order — the order taint flows in.
     owned: Dict[int, List[ast.stmt]] = {}
@@ -331,7 +324,7 @@ def tainted_returns(
                 if isinstance(node, ast.Lambda):
                     continue
                 if isinstance(node, ast.Call):
-                    if source_call(node):
+                    if suffix_match(dotted_name(node.func), sources):
                         source = (rel, node.lineno)
                         break
                     callees = graph.call_targets(node)

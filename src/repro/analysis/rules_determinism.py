@@ -7,6 +7,18 @@ under ``src/repro`` consults wall clocks or ambient randomness, all
 randomness flows through named :class:`~repro.sim.random.RandomStreams`
 substreams, and nothing iterates an unordered container into the event
 schedule or the network.
+
+``determinism-wallclock`` and ``determinism-taint`` ask one question of
+one source table (:data:`_WALLCLOCK_SUFFIXES`) at two depths: the first
+flags a *direct* ``time.time()``; the second flags, at the call site
+and naming the source line, every call from simulation code to a
+function whose return value derives from a source through any chain of
+callees (:func:`~repro.analysis.dataflow.tainted_returns`) — a helper
+returning ``time.time()`` would launder it past the direct rule.  A
+``determinism-wallclock`` pragma justifies the source's own use, not
+consuming the value in the simulation: taint flows through pragma'd
+sources.  Host-side callers (``obs/``, ``workloads/``, ``baselines/``,
+the report/CLI surface) may consume real time and are exempt.
 """
 
 from __future__ import annotations
@@ -22,7 +34,9 @@ from .core import (
     dotted_name,
     register_rule,
     resolve_str_arg,
+    suffix_match,
 )
+from .dataflow import tainted_returns
 
 #: call targets (matched by dotted-name suffix) that read wall clocks or
 #: OS entropy — both vary run-to-run and poison trace fingerprints.
@@ -41,6 +55,10 @@ _WALLCLOCK_SUFFIXES = {
     "uuid.uuid1": "host/time-derived UUID",
     "uuid.uuid4": "OS-entropy UUID",
 }
+
+#: callers the taint rule lets consume real time
+_TAINT_EXEMPT_HEADS = {"obs", "workloads", "baselines"}
+_TAINT_EXEMPT_FILES = {"report.py", "cli.py", "__main__.py"}
 
 #: np.random entry points that are fine: explicitly seeded constructors.
 _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "PCG64"}
@@ -82,15 +100,51 @@ class WallClockRule(Rule):
         for module in tree.parsed():
             for node in module.nodes_of(ast.Call):
                 name = dotted_name(node.func)
-                for suffix, what in _WALLCLOCK_SUFFIXES.items():
-                    if name == suffix or name.endswith("." + suffix):
-                        yield module.finding(
-                            self.id,
-                            node,
-                            f"{name}() is a {what}; use engine.now / "
-                            "cluster.rng for anything trace-visible",
-                        )
-                        break
+                suffix = suffix_match(name, _WALLCLOCK_SUFFIXES)
+                if suffix is not None:
+                    yield module.finding(
+                        self.id,
+                        node,
+                        f"{name}() is a {_WALLCLOCK_SUFFIXES[suffix]}; use "
+                        "engine.now / cluster.rng for anything trace-visible",
+                    )
+
+
+class TaintedReturnRule(Rule):
+    id = "determinism-taint"
+    description = (
+        "Simulation code must not consume helper functions whose return "
+        "value derives from wall-clock or ambient entropy, however many "
+        "calls removed from the source."
+    )
+
+    def check(self, tree: Tree) -> Iterable[Finding]:
+        graph = tree.callgraph()
+        tainted = tainted_returns(graph, _WALLCLOCK_SUFFIXES)
+        if not tainted:
+            return
+        for module in tree.parsed():
+            if (
+                module.rel.split("/", 1)[0] in _TAINT_EXEMPT_HEADS
+                or module.rel in _TAINT_EXEMPT_FILES
+            ):
+                continue
+            for node in module.nodes_of(ast.Call):
+                for callee in graph.call_targets(node):
+                    origin = tainted.get(callee.key)
+                    if origin is None:
+                        continue
+                    src_rel, src_line = origin
+                    yield module.finding(
+                        self.id,
+                        node,
+                        f"`{dotted_name(node.func)}(...)` returns a "
+                        "wall-clock/entropy-derived value (source at "
+                        f"{src_rel}:{src_line}); sim code must draw "
+                        "time from the engine and randomness from named "
+                        "rng streams",
+                    )
+                    break  # one finding per call site
 
 
 class GlobalRandomRule(Rule):
@@ -271,6 +325,7 @@ def _first_effect(module: ModuleInfo, loop: ast.For) -> Optional[str]:
 
 
 register_rule(WallClockRule())
+register_rule(TaintedReturnRule())
 register_rule(GlobalRandomRule())
 register_rule(RngStreamLiteralRule())
 register_rule(StreamCollisionRule())

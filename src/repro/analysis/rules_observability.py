@@ -30,7 +30,6 @@ from .core import (
     Tree,
     call_args,
     dotted_name,
-    enclosing_function,
     register_rule,
     resolve_str_arg,
 )
@@ -71,12 +70,15 @@ class UnguardedEmitRule(Rule):
                 )
 
 
-def _is_emit_call(call: ast.Call) -> bool:
+def _is_emit_call(
+    call: ast.Call,
+    attrs: Iterable[str] = _EMIT_ATTRS,
+    receivers: Iterable[str] = _EMIT_RECEIVER_TAILS,
+) -> bool:
     func = call.func
-    if not isinstance(func, ast.Attribute) or func.attr not in _EMIT_ATTRS:
+    if not isinstance(func, ast.Attribute) or func.attr not in attrs:
         return False
-    receiver = dotted_name(func.value)
-    return receiver.rsplit(".", 1)[-1] in _EMIT_RECEIVER_TAILS
+    return dotted_name(func.value).rsplit(".", 1)[-1] in receivers
 
 
 def _test_is_guard(test: ast.AST) -> bool:
@@ -188,9 +190,10 @@ class SpanCatalogueRule(Rule):
     own constants (``MIG_FREEZE``, ``RPC_CALL``, …).
 
     Wrapper functions that forward a ``name`` parameter (e.g. the
-    migration mechanism's ``_span`` helper) are handled by
-    chasing same-module callers one level: the wrapper is clean when
-    every caller passes a catalogued name.
+    migration mechanism's ``_span`` helper) are chased through the call
+    graph (:meth:`CallGraph.forwarded_args`), across modules and
+    through helpers of helpers: the wrapper is clean when every call
+    site that feeds it passes a catalogued name.
     """
 
     id = "obs-span-catalogue"
@@ -218,13 +221,13 @@ class SpanCatalogueRule(Rule):
             for node in module.nodes_of(ast.Call):
                 if not _is_span_name_site(node):
                     continue
-                problem = self._check_site(module, node)
+                problem = self._check_site(tree, module, node)
                 if problem is not None:
                     yield module.finding(self.id, node, problem)
 
     # ------------------------------------------------------------------
     def _check_site(
-        self, module: ModuleInfo, call: ast.Call, chase: bool = True
+        self, tree: Tree, module: ModuleInfo, call: ast.Call
     ) -> Optional[str]:
         """None when the site's name argument is catalogued, else the
         finding message."""
@@ -234,14 +237,29 @@ class SpanCatalogueRule(Rule):
         )
         if name_node is None:
             return "span call without a name argument"
-        return self._check_name_node(module, call, name_node, chase)
+        problem = self._check_name_node(module, call, name_node)
+        if (
+            problem is None
+            or not isinstance(name_node, ast.Name)
+            or resolve_str_arg(module, call, name_node) is not None
+        ):
+            return problem
+        # An unresolvable name that is a parameter of the enclosing
+        # wrapper: judge what its call sites, at any depth, pass in.
+        sites = tree.callgraph().forwarded_args(module, call, name_node.id)
+        if not sites:
+            return problem  # not a parameter, or nothing calls the wrapper
+        for cmodule, csite, carg in sites:
+            problem = self._check_name_node(cmodule, csite, carg)
+            if problem is not None:
+                return (
+                    f"forwarded via `{name_node.id}=...`: {problem} "
+                    f"(caller at {cmodule.rel}:{csite.lineno})"
+                )
+        return None
 
     def _check_name_node(
-        self,
-        module: ModuleInfo,
-        call: ast.Call,
-        name_node: ast.AST,
-        chase: bool,
+        self, module: ModuleInfo, call: ast.Call, name_node: ast.AST
     ) -> Optional[str]:
         # A direct reference to a catalogue constant (imported name or
         # ``spans_module.MIG_FREEZE``-style attribute).
@@ -263,77 +281,16 @@ class SpanCatalogueRule(Rule):
                 "SPAN_CATALOGUE; register it there (and import the "
                 "constant) instead of inlining the string"
             )
-        # A forwarded parameter of the enclosing wrapper function:
-        # clean iff every same-module caller passes a catalogued name.
-        if chase and isinstance(name_node, ast.Name):
-            verdict = self._check_forwarded(module, call, name_node.id)
-            if verdict is not None:
-                return verdict or None
         return (
             f"span name argument `{ast.dump(name_node) if symbol is None else symbol}` "
             "cannot be resolved to a SPAN_CATALOGUE member"
         )
 
-    def _check_forwarded(
-        self, module: ModuleInfo, call: ast.Call, param: str
-    ) -> Optional[str]:
-        """Check a name forwarded through the enclosing function's
-        parameter.  Returns None when this isn't a forwarding situation
-        (fall through to the unresolvable message), "" when every
-        caller is clean, or a finding message."""
-        func = enclosing_function(module, call)
-        if func is None:
-            return None
-        params = [a.arg for a in func.args.posonlyargs + func.args.args]
-        if param not in params:
-            return None
-        index = params.index(param)
-        skip_self = bool(params) and params[0] in ("self", "cls")
-        callers = _callers_of(module, func.name)
-        if not callers:
-            return None
-        for caller in callers:
-            args, kwargs = call_args(caller)
-            if param in kwargs:
-                arg_node: Optional[ast.AST] = kwargs[param]
-            else:
-                position = index - (1 if skip_self else 0)
-                arg_node = args[position] if position < len(args) else None
-            if arg_node is None:
-                return (
-                    f"caller at line {caller.lineno} does not pass "
-                    f"`{param}` positionally or by keyword"
-                )
-            problem = self._check_name_node(module, caller, arg_node, False)
-            if problem is not None:
-                return (
-                    f"forwarded via `{func.name}({param}=...)`: {problem} "
-                    f"(caller at line {caller.lineno})"
-                )
-        return ""
-
 
 def _is_span_name_site(call: ast.Call) -> bool:
     """``<...>.spans.start(...)`` / ``<...>.spans.record(...)`` sites —
     the subset of emit sites where the first argument is a span name."""
-    func = call.func
-    if not isinstance(func, ast.Attribute) or func.attr not in (
-        "start", "record"
-    ):
-        return False
-    receiver = dotted_name(func.value)
-    return receiver.rsplit(".", 1)[-1] == "spans"
-
-
-def _callers_of(module: ModuleInfo, func_name: str) -> List[ast.Call]:
-    callers = []
-    for node in module.nodes_of(ast.Call):
-        target = node.func
-        if isinstance(target, ast.Attribute) and target.attr == func_name:
-            callers.append(node)
-        elif isinstance(target, ast.Name) and target.id == func_name:
-            callers.append(node)
-    return callers
+    return _is_emit_call(call, ("start", "record"), ("spans",))
 
 
 register_rule(UnguardedEmitRule())

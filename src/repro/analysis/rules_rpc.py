@@ -20,23 +20,24 @@ Call-site names are resolved through module constants, class constants
 (``self.GOSSIP_SERVICE``) and forwarding helpers: a function that
 passes one of its own parameters into the service slot of ``.call``
 (e.g. ``FsServer._callback``) has the literals collected from its call
-sites, chased through the call graph to *any* forwarding depth — a
-helper calling a helper calling ``.call`` resolves the same way.
+sites, chased through the call graph to *any* forwarding depth
+(:meth:`CallGraph.forwarded_args`) — a helper calling a helper calling
+``.call`` resolves the same way.  Call sites whose argument is neither
+a resolvable string nor a forwarded parameter are skipped.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .callgraph import CallGraph, FunctionNode
+from .callgraph import CallGraph
 from .core import (
     Finding,
     ModuleInfo,
     Rule,
     Tree,
     dotted_name,
-    enclosing_function,
     register_rule,
     resolve_str_arg,
 )
@@ -57,62 +58,6 @@ def _service_arg(call: ast.Call) -> Optional[ast.AST]:
         if keyword.arg == "service":
             return keyword.value
     return None
-
-
-def _param_index(func: ast.AST, name: str) -> Optional[int]:
-    """0-based positional index of a parameter, after self/cls."""
-    params = [arg.arg for arg in func.args.args]  # type: ignore[union-attr]
-    if params and params[0] in ("self", "cls"):
-        params = params[1:]
-    try:
-        return params.index(name)
-    except ValueError:
-        return None
-
-
-def _chase_forwarded(
-    graph: CallGraph,
-    fn: FunctionNode,
-    param_name: str,
-    visited: Set[Tuple[Tuple[str, str], str]],
-) -> List[Tuple[ModuleInfo, ast.Call, str]]:
-    """Literal service names reaching ``param_name`` of ``fn`` from its
-    call sites, chased through forwarding helpers to any depth.
-
-    Call sites whose argument is neither a resolvable string nor a
-    parameter of *their* enclosing function are skipped conservatively,
-    exactly as the old one-level heuristic did.
-    """
-    results: List[Tuple[ModuleInfo, ast.Call, str]] = []
-    key = (fn.key, param_name)
-    if key in visited:
-        return results
-    visited.add(key)
-    index = _param_index(fn.node, param_name)
-    if index is None:
-        return results
-    for edge in graph.edges_in(fn):
-        if edge.call is None:
-            continue
-        call, module = edge.call, edge.module
-        arg: Optional[ast.AST] = None
-        for keyword in call.keywords:
-            if keyword.arg == param_name:
-                arg = keyword.value
-        if arg is None and index < len(call.args):
-            arg = call.args[index]
-        if arg is None:
-            continue
-        name = resolve_str_arg(module, call, arg)
-        if name is not None:
-            results.append((module, call, name))
-            continue
-        if isinstance(arg, ast.Name) and edge.caller is not None and \
-                _param_index(edge.caller.node, arg.id) is not None:
-            results.extend(
-                _chase_forwarded(graph, edge.caller, arg.id, visited)
-            )
-    return results
 
 
 def _collect(tree: Tree):
@@ -147,25 +92,17 @@ def _collect(tree: Tree):
                 # forwarding helper: the service slot holds one of the
                 # enclosing function's own parameters — collect the
                 # literals its (transitive) call sites pass in.
-                func_ast = (
-                    enclosing_function(module, node)
+                sites = (
+                    graph.forwarded_args(module, node, arg.id)
                     if isinstance(arg, ast.Name) else None
                 )
-                fn = (
-                    graph.function_of(func_ast)
-                    if func_ast is not None else None
-                )
-                if (
-                    fn is not None
-                    and isinstance(arg, ast.Name)
-                    and _param_index(fn.node, arg.id) is not None
-                ):
-                    for cmodule, csite, cname in _chase_forwarded(
-                        graph, fn, arg.id, set()
-                    ):
-                        called.setdefault(cname, []).append((cmodule, csite))
-                else:
+                if sites is None:
                     unresolved_calls.append((module, node))
+                    continue
+                for cmodule, csite, carg in sites:
+                    cname = resolve_str_arg(cmodule, csite, carg)
+                    if cname is not None:
+                        called.setdefault(cname, []).append((cmodule, csite))
 
     return registered, handlers, called, unresolved_calls
 

@@ -33,6 +33,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionNode
 from .core import Finding, ModuleInfo, Rule, Tree, register_rule
+from .rules_state import _constant_by_convention, mutable_globals
 
 __all__ = ["SnapshotSafetyRule"]
 
@@ -93,9 +94,18 @@ class SnapshotSafetyRule(Rule):
 
     def check(self, tree: Tree) -> Iterable[Finding]:
         graph = tree.callgraph()
-        mutables: Dict[str, Dict[str, int]] = {}
-        for module in tree.parsed():
-            mutables[module.rel] = graph.module_mutable_globals(module)
+        #: module -> its mutable globals, *including* pragma-suppressed
+        #: ones (a deliberate process-wide registry is still unsafe to
+        #: touch from a snapshot factory)
+        mutables: Dict[str, Dict[str, int]] = {
+            module.rel: {
+                name: node.lineno
+                for node, names, _what in mutable_globals(module)
+                for name in names
+                if not _constant_by_convention(name)
+            }
+            for module in tree.parsed()
+        }
 
         roots: Dict[Tuple[str, str], Tuple[FunctionNode, ModuleInfo,
                                            ast.AST]] = {}

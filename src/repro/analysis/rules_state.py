@@ -29,11 +29,11 @@ a ``# lint: disable=state-module-mutable(reason)`` pragma.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .core import Finding, Rule, Tree, dotted_name, register_rule
+from .core import Finding, ModuleInfo, Rule, Tree, dotted_name, register_rule
 
-__all__ = ["ModuleMutableStateRule"]
+__all__ = ["ModuleMutableStateRule", "mutable_globals"]
 
 _MUTABLE_CONSTRUCTORS = {
     "dict",
@@ -79,6 +79,26 @@ def _constant_by_convention(name: str) -> bool:
     )
 
 
+def mutable_globals(
+    module: ModuleInfo,
+) -> Iterator[Tuple[ast.stmt, List[str], Optional[str]]]:
+    """Module-level assignments that bind a counter or a mutable
+    container, pragma'd or not: ``(statement, the plain names it binds,
+    what the container is — None for a counter)``."""
+    assert module.tree is not None
+    for node in module.tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        counter = _is_counter_call(value)
+        what = None if counter else _mutable_value(value)
+        if counter or what is not None:
+            yield node, [t.id for t in targets if isinstance(t, ast.Name)], what
+
+
 class ModuleMutableStateRule(Rule):
     id = "state-module-mutable"
     description = (
@@ -90,9 +110,8 @@ class ModuleMutableStateRule(Rule):
 
     def check(self, tree: Tree) -> Iterable[Finding]:
         for module in tree.parsed():
-            assert module.tree is not None
-            for node in module.tree.body:
-                yield from self._check_toplevel(module, node)
+            for node, names, what in mutable_globals(module):
+                yield from self._check_toplevel(module, node, names, what)
             for node in module.nodes_of(ast.Global):
                 names = ", ".join(node.names)
                 yield module.finding(
@@ -103,19 +122,10 @@ class ModuleMutableStateRule(Rule):
                     "(StateRegistry)",
                 )
 
-    def _check_toplevel(self, module, node) -> Iterable[Finding]:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            return
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    def _check_toplevel(self, module, node, names, what) -> Iterable[Finding]:
         if not names:
             return
-        if _is_counter_call(value):
+        if what is None:
             yield module.finding(
                 self.id,
                 node,
@@ -124,9 +134,6 @@ class ModuleMutableStateRule(Rule):
                 "allocate it per cluster via "
                 'sim.state.counter("<component>.<name>")',
             )
-            return
-        what = _mutable_value(value)
-        if what is None:
             return
         flagged = [n for n in names if not _constant_by_convention(n)]
         if not flagged:

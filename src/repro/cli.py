@@ -267,7 +267,7 @@ def _trace_builtin_migration() -> None:
 
     def driver():
         yield Sleep(0.5)
-        manager = cluster.managers[src.address]
+        manager = cluster.manager_of(src)
         yield from manager.migrate(pcb1, dst1.address, reason="offload")
         yield from manager.migrate(pcb2, dst2.address, reason="offload")
 

@@ -173,18 +173,6 @@ class LinkFabric:
     # ------------------------------------------------------------------
     # Queries from the LAN hot paths
     # ------------------------------------------------------------------
-    def unicast(self, src: int, dst: int) -> Tuple[bool, float]:
-        """Compact verdict for one message: ``(deliver, extra_delay)``.
-
-        Raises :class:`NetworkPartitionedError` when no path exists.
-        The draw sequence is identical to :meth:`unicast_effects`, so
-        mixing the two APIs keeps traces reproducible.
-        """
-        verdict = self.unicast_effects(src, dst)
-        if verdict is None:
-            return True, 0.0
-        return verdict.deliver, verdict.delay
-
     def unicast_effects(self, src: int, dst: int) -> Optional[UnicastVerdict]:
         """Full verdict for one message; ``None`` means clean delivery.
 

@@ -8,7 +8,7 @@ multi-server experiments split the tree (e.g. ``/src`` vs ``/tmp``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .errors import FileNotFound
 
@@ -38,9 +38,6 @@ class PrefixTable:
         if best[1] < 0:
             raise FileNotFound(f"no server exports a prefix of {path!r}")
         return best[1]
-
-    def servers(self) -> List[int]:
-        return sorted(set(self._entries.values()))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -514,13 +514,6 @@ class FileServer:
         return {"handle_id": entry.handle_id, "size": entry.size,
                 "epoch": self.epoch}
 
-    def file(self, path: str) -> ServerFile:
-        """Direct (non-RPC) access for tests and metrics."""
-        entry = self.files.get(path)
-        if entry is None:
-            raise FileNotFound(path)
-        return entry
-
     def add_file(self, path: str, size: int = 0, payload: Any = None) -> ServerFile:
         """Populate the namespace without RPC traffic (workload setup)."""
         entry = self.files.get(path)

@@ -210,13 +210,6 @@ class SpriteKernel:
             and p.home != self.address
         ]
 
-    def resident_pcbs(self) -> List[Pcb]:
-        return [
-            p
-            for p in self.procs.values()
-            if p.state == ProcState.RUNNING and p.current == self.address
-        ]
-
     def ps(self) -> List[Dict[str, Any]]:
         """Process listing as seen on this host (includes shadows —
         migration is invisible to `ps`, per the transparency goal)."""

@@ -101,7 +101,7 @@ def install_accept_hooks(cluster) -> None:
     :data:`MAX_FOREIGN` caps concurrent guests.
     """
     for host in cluster.hosts:
-        manager = cluster.managers[host.address]
+        manager = cluster.manager_of(host)
         manager.accept_hook = AcceptPolicy(host, manager)
 
 

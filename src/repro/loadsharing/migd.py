@@ -203,9 +203,6 @@ class MigdServer:
             info.assigned_to = None
 
     # ------------------------------------------------------------------
-    def idle_count(self) -> int:
-        return sum(1 for info in self.hosts.values() if info.available)
-
 
 class AvailabilityNotifier:
     """Per-host daemon reporting availability to migd through the pdev."""

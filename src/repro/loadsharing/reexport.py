@@ -55,7 +55,7 @@ class ReExporter:
     ) -> Generator[Effect, None, None]:
         yield Sleep(REEXPORT_DELAY)
         selector = self.service.selector_for(home)
-        manager = self.cluster.managers[home.address]
+        manager = self.cluster.manager_of(home)
         evicted_from = {record.source for record in records}
         for record in records:
             pcb = home.kernel.procs.get(record.pid)

@@ -157,9 +157,6 @@ class Lan:
         self.nodes[node.address] = node
         return node.address
 
-    def node(self, address: int) -> NetNode:
-        return self.nodes[address]
-
     def transmission_time(self, size: int) -> float:
         return size / self.params.net_bandwidth
 

@@ -7,6 +7,8 @@ Layered on :mod:`repro.sim.trace`'s flat record stream:
   selection, eviction, and RPC.
 * :mod:`.metrics` — per-host/cluster counters, gauges, and
   histogram-backed timers with a sim-time sampler.
+* :mod:`.tables`  — :class:`Table` / :class:`Series`, the paper-style
+  result rendering every benchmark prints.
 * :mod:`.export`  — JSONL and Chrome trace-event exporters, text
   summary/flame views, and span-derived migration breakdowns.
 * :mod:`.install` — :class:`ClusterObservability`, the one-call wiring
@@ -38,7 +40,14 @@ from .export import (
     trace_to_jsonl,
 )
 from .install import ClusterObservability
-from .metrics import Counter, Gauge, MetricsRegistry, MetricsSampler, Timer
+from .metrics import (
+    Counter,
+    Gauge,
+    LatencyHistogram,
+    MetricsRegistry,
+    MetricsSampler,
+    Timer,
+)
 from .profile import EngineProfiler
 from .spans import (
     CKPT_CHECKPOINT,
@@ -68,6 +77,7 @@ from .spans import (
     Span,
     SpanTracer,
 )
+from .tables import Series, Table
 
 __all__ = [
     "CKPT_CHECKPOINT",
@@ -98,10 +108,13 @@ __all__ = [
     "Counter",
     "EngineProfiler",
     "Gauge",
+    "LatencyHistogram",
     "MetricsRegistry",
     "MetricsSampler",
+    "Series",
     "Span",
     "SpanTracer",
+    "Table",
     "Timer",
     "critpath_report",
     "migration_breakdowns",

@@ -131,9 +131,6 @@ class PhaseCritPath:
     seconds: float
     parts: List[Attribution] = field(default_factory=list)
 
-    def parts_total(self) -> float:
-        return sum(p.seconds for p in self.parts)
-
 
 @dataclass
 class MigrationCritPath:

@@ -25,7 +25,7 @@ import json
 import pathlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from ..metrics.histogram import LatencyHistogram
+from .metrics import LatencyHistogram
 from ..sim.trace import TraceRecord
 from .spans import Span
 

@@ -10,8 +10,10 @@ module is the registry those numbers live in:
 * :class:`Gauge` — last-value-wins instantaneous readings (load
   averages, queue depths).
 * :class:`Timer` — duration accumulators backed by
-  :class:`~repro.metrics.histogram.LatencyHistogram`, so percentile
-  summaries come out without storing every sample.
+  :class:`LatencyHistogram` (geometric buckets, microseconds to hours:
+  percentiles are approximate within one bucket width — plenty for
+  shape comparisons), so percentile summaries come out without storing
+  every sample.
 * :class:`MetricsSampler` — polls registered probes on a sim-time
   interval and appends ``(time, value)`` points to the registry's time
   series, the shape the utilization plots consume.
@@ -23,11 +25,17 @@ load-average daemon's bare-callback pattern (no task frame per tick).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import math
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..metrics.histogram import LatencyHistogram
-
-__all__ = ["Counter", "Gauge", "Timer", "MetricsRegistry", "MetricsSampler"]
+__all__ = [
+    "Counter",
+    "Gauge",
+    "LatencyHistogram",
+    "Timer",
+    "MetricsRegistry",
+    "MetricsSampler",
+]
 
 #: Registry key: (metric name, host address or None for cluster-wide).
 Key = Tuple[str, Optional[int]]
@@ -59,6 +67,95 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
+
+
+class LatencyHistogram:
+    """Geometric-bucket histogram over positive durations (seconds)."""
+
+    def __init__(self, min_value: float = 1e-6, factor: float = 1.5):
+        if min_value <= 0 or factor <= 1:
+            raise ValueError("need min_value > 0 and factor > 1")
+        self.min_value = min_value
+        self.factor = factor
+        self._counts: Dict[int, int] = {}
+        self.count = 0
+        self.total = 0.0
+        self.max_value = 0.0
+
+    # ------------------------------------------------------------------
+    def _bucket(self, value: float) -> int:
+        if value <= self.min_value:
+            return 0
+        return 1 + int(math.log(value / self.min_value) / math.log(self.factor))
+
+    def _bucket_upper(self, index: int) -> float:
+        return self.min_value * (self.factor ** index)
+
+    def add(self, value: float) -> None:
+        if value < 0:
+            raise ValueError(f"negative duration: {value}")
+        index = self._bucket(value)
+        self._counts[index] = self._counts.get(index, 0) + 1
+        self.count += 1
+        self.total += value
+        self.max_value = max(self.max_value, value)
+
+    # ------------------------------------------------------------------
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def percentile(self, q: float) -> float:
+        """Approximate q-th percentile (0 < q <= 100)."""
+        if not 0 < q <= 100:
+            raise ValueError("percentile must be in (0, 100]")
+        if self.count == 0:
+            return 0.0
+        target = math.ceil(self.count * q / 100.0)
+        seen = 0
+        for index in sorted(self._counts):
+            seen += self._counts[index]
+            if seen >= target:
+                return min(self._bucket_upper(index), self.max_value)
+        return self.max_value
+
+    def summary(self) -> Dict[str, float]:
+        return {
+            "count": self.count,
+            "mean": self.mean,
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
+            "max": self.max_value,
+        }
+
+    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
+        """In-place merge (buckets must match)."""
+        if (other.min_value, other.factor) != (self.min_value, self.factor):
+            raise ValueError("cannot merge histograms with different buckets")
+        for index, count in other._counts.items():
+            self._counts[index] = self._counts.get(index, 0) + count
+        self.count += other.count
+        self.total += other.total
+        self.max_value = max(self.max_value, other.max_value)
+        return self
+
+    @classmethod
+    def merge_all(
+        cls, histograms: Iterable["LatencyHistogram"]
+    ) -> "LatencyHistogram":
+        """A fresh histogram holding the union of ``histograms``.
+
+        Used for cluster-wide rollups of per-host timers; the inputs
+        are left untouched.  An empty iterable yields an empty
+        histogram with default buckets.
+        """
+        merged = None
+        for histogram in histograms:
+            if merged is None:
+                merged = cls(histogram.min_value, histogram.factor)
+            merged.merge(histogram)
+        return merged if merged is not None else cls()
 
 
 class Timer:
@@ -125,12 +222,6 @@ class MetricsRegistry:
             timer.histogram
             for (n, _h), timer in self.timers.items()
             if n == name
-        )
-
-    def hosts_of(self, name: str) -> List[int]:
-        """Host labels under which ``name`` has counter entries."""
-        return sorted(
-            h for (n, h) in self.counters if n == name and h is not None
         )
 
     # ------------------------------------------------------------------

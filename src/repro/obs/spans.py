@@ -170,10 +170,6 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def child(self, name: str, t: Optional[float] = None, **attrs: Any) -> "Span":
-        """Open a child span (same source)."""
-        return self.tracer.start(name, self.source, parent=self, t=t, **attrs)
-
     def finish(self, t: Optional[float] = None, **attrs: Any) -> "Span":
         """Close the span at time ``t`` (idempotent)."""
         if self.end is None:
@@ -299,23 +295,6 @@ class SpanTracer:
                 dur=span.end - span.start,
                 **span.attrs,
             )
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def named(self, name: str) -> List[Span]:
-        return [s for s in self.finished if s.name == name]
-
-    def roots(self) -> List[Span]:
-        return [s for s in self.finished if s.parent_sid is None]
-
-    def children_of(self, span: Span) -> List[Span]:
-        sid = span.sid
-        return [s for s in self.finished if s.parent_sid == sid]
-
-    def clear(self) -> None:
-        self.open.clear()
-        self.finished.clear()
 
     def __len__(self) -> int:
         return len(self.finished)

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .random import RandomStreams
 from .resources import Cpu, Resource, SliceRun
-from .state import Cell, Counter, StateRegistry
+from .state import Counter, StateRegistry
 from .tasks import (
     TIMED_OUT,
     Effect,
@@ -35,7 +35,6 @@ from .tasks import (
 from .trace import TraceRecord, Tracer
 
 __all__ = [
-    "Cell",
     "Channel",
     "ChannelClosed",
     "Counter",

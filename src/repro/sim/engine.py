@@ -427,11 +427,3 @@ class Simulator:
         return (len(self._heap) - self._heap_cancelled
                 + len(self._ready) - self._ready_cancelled)
 
-    def _pending_events_slow(self) -> int:
-        """O(n) recount of :attr:`pending_events`; tests assert they agree."""
-        heap_live = sum(1 for _t, _s, h in self._heap if not h.cancelled)
-        ready_live = sum(
-            1 for entry in self._ready
-            if entry[2] is None or not entry[2].cancelled
-        )
-        return heap_live + ready_live

@@ -1,7 +1,7 @@
 """Per-run mutable state registry.
 
 Every piece of mutable state that belongs to *one simulated run* — id
-allocators, sequence counters, scratch cells — must live on the run's
+allocators, sequence counters — must live on the run's
 :class:`StateRegistry` (reachable as ``sim.state``) rather than at
 module level.  Module-level state leaks across clusters built in the
 same process (PR 4 had to reset the stream-id counter by hand to keep
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-__all__ = ["Cell", "Counter", "StateRegistry"]
+__all__ = ["Counter", "StateRegistry"]
 
 
 class Counter:
@@ -48,32 +48,15 @@ class Counter:
         self.value += 1
         return value
 
-    def peek(self) -> int:
-        """The id the next ``next()`` will hand out."""
-        return self.value
-
     def __repr__(self) -> str:
         return f"<Counter {self.name} next={self.value}>"
-
-
-class Cell:
-    """A named box around one mutable value (scalar or container)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value: Any = None):
-        self.name = name
-        self.value = value
-
-    def __repr__(self) -> str:
-        return f"<Cell {self.name} value={self.value!r}>"
 
 
 class StateRegistry:
     """All run-scoped mutable state, by name; one per :class:`Simulator`.
 
     The registry is deliberately dumb — a dict of named
-    :class:`Counter`/:class:`Cell` entries — so that pickling the
+    :class:`Counter` entries — so that pickling the
     simulator captures every registered piece of state with no
     per-subsystem special cases.
     """
@@ -87,24 +70,7 @@ class StateRegistry:
         """Get-or-create the named counter (``start`` applies on create)."""
         entry = self._entries.get(name)
         if entry is None:
-            entry = Counter(name, start=start)
-            self._entries[name] = entry
-        elif not isinstance(entry, Counter):
-            raise TypeError(
-                f"state entry {name!r} is {type(entry).__name__}, not Counter"
-            )
-        return entry
-
-    def cell(self, name: str, value: Any = None) -> Cell:
-        """Get-or-create the named cell (``value`` applies on create)."""
-        entry = self._entries.get(name)
-        if entry is None:
-            entry = Cell(name, value=value)
-            self._entries[name] = entry
-        elif not isinstance(entry, Cell):
-            raise TypeError(
-                f"state entry {name!r} is {type(entry).__name__}, not Cell"
-            )
+            entry = self._entries[name] = Counter(name, start=start)
         return entry
 
     def get(self, name: str) -> Any:

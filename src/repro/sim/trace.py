@@ -12,14 +12,10 @@ stream; the tracer itself stays allocation-free when disabled.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["TraceRecord", "Tracer"]
-
-_TIME_OF = attrgetter("time")
 
 
 @dataclass(frozen=True)
@@ -44,9 +40,8 @@ class Tracer:
     When ``kinds`` is set, the filter is applied **at emit time**: a
     record whose kind is not in the set is dropped before it is stored
     *and* before the ``sink`` sees it — attaching a sink mid-run does
-    not bypass the filter.  Consequently every query helper
-    (:meth:`of_kind`, :meth:`between`, ``len``) operates on the
-    *retained* records only; ask :meth:`accepts` to distinguish "no
+    not bypass the filter.  Consequently ``records``, :meth:`between`
+    and ``len`` see the *retained* records only; ``kinds`` tells "no
     such events happened" from "that kind is filtered out".
     """
 
@@ -59,10 +54,6 @@ class Tracer:
         #: dropped by the ``kinds`` filter never reach the sink.
         self.sink: Optional[Callable[[TraceRecord], None]] = None
 
-    def accepts(self, kind: str) -> bool:
-        """Would a record of ``kind`` be retained by this tracer?"""
-        return self.kinds is None or kind in self.kinds
-
     def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
         if not self.enabled:
             return
@@ -73,25 +64,13 @@ class Tracer:
         if self.sink is not None:
             self.sink(record)
 
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """Retained records of ``kind`` (always empty for filtered kinds)."""
-        return [r for r in self.records if r.kind == kind]
-
     def between(self, start: float, end: float) -> List[TraceRecord]:
-        """Retained records with ``start <= time <= end`` (inclusive).
-
-        Emit order is monotone in simulated time (components always
-        stamp records with the simulator's current clock), so
-        ``records`` is time-sorted and this is a binary search plus a
-        slice rather than a full scan.
-        """
-        records = self.records
-        lo = bisect_left(records, start, key=_TIME_OF)
-        hi = bisect_right(records, end, key=_TIME_OF)
-        return records[lo:hi]
-
-    def clear(self) -> None:
-        self.records.clear()
+        """Retained records with ``start <= time <= end`` (inclusive),
+        in emit order.  A scan, not a bisection: ``records`` is not
+        time-sorted — a span mirrored into the trace is stamped with
+        its *end* time when it is stored, which can precede the record
+        before it."""
+        return [r for r in self.records if start <= r.time <= end]
 
     def __len__(self) -> int:
         return len(self.records)

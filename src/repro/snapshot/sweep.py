@@ -153,26 +153,6 @@ def forked_map(
     return results
 
 
-def _merge_metrics(pairs: List[Any], who: str) -> Any:
-    """Split ``(value, registry-or-None)`` pairs; fold the registries
-    with :meth:`MetricsRegistry.merge_from` **in cell-index order**."""
-    from ..obs.metrics import MetricsRegistry
-
-    values: List[Any] = []
-    merged = MetricsRegistry()
-    for index, pair in enumerate(pairs):
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise SweepError(
-                f"cell {index}: {who} must return "
-                f"(value, MetricsRegistry-or-None), got {type(pair).__name__}"
-            )
-        value, registry = pair
-        values.append(value)
-        if registry is not None:
-            merged.merge_from(registry)
-    return values, merged
-
-
 def forked_map_metrics(
     job: Callable[[int], Any],
     count: int,
@@ -184,15 +164,28 @@ def forked_map_metrics(
     second element is a :class:`~repro.obs.metrics.MetricsRegistry` (or
     ``None`` for cells with nothing to report).  Each cell's registry
     crosses the fork boundary through the same result pipe as its
-    value; the parent folds them **in cell-index order**, so the
+    value; the parent folds them with
+    :meth:`MetricsRegistry.merge_from` **in cell-index order**, so the
     merged aggregate — counter totals, histogram buckets, series — is
     fingerprint-stable for any ``workers`` count.
 
     Returns ``(values, merged_registry)``.
     """
-    return _merge_metrics(
-        forked_map(job, count, workers), "forked_map_metrics jobs"
-    )
+    from ..obs.metrics import MetricsRegistry
+
+    values: List[Any] = []
+    merged = MetricsRegistry()
+    for index, pair in enumerate(forked_map(job, count, workers)):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise SweepError(
+                f"cell {index}: forked_map_metrics jobs must return "
+                f"(value, MetricsRegistry-or-None), got {type(pair).__name__}"
+            )
+        value, registry = pair
+        values.append(value)
+        if registry is not None:
+            merged.merge_from(registry)
+    return values, merged
 
 
 class SweepRunner:
@@ -244,19 +237,3 @@ class SweepRunner:
             return forked_map(job, len(cells), self.workers)
         return [job(index) for index in range(len(cells))]
 
-    def run_with_metrics(
-        self,
-        cells: Sequence[Any],
-        cell_fn: Callable[[Any, Any], Any],
-    ) -> Any:
-        """Like :meth:`run`, for cell functions returning
-        ``(value, MetricsRegistry-or-None)``.
-
-        Returns ``(values, merged_registry)``; per-cell registries are
-        folded in cell order (see :func:`forked_map_metrics`), so the
-        aggregate is identical for any worker count and for the
-        in-process path.
-        """
-        return _merge_metrics(
-            self.run(cells, cell_fn), "run_with_metrics cell functions"
-        )

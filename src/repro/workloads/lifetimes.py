@@ -88,18 +88,6 @@ class ZhouLifetimes:
             return float(self._rng.exponential(self.short_mean))
         return float(self._rng.exponential(self.long_mean))
 
-    def sample_many(self, n: int) -> np.ndarray:
-        choices = self._rng.random(n) < self.p_short
-        short = self._rng.exponential(self.short_mean, size=n)
-        long_ = self._rng.exponential(self.long_mean, size=n)
-        return np.where(choices, short, long_)
-
     def stream(self) -> Iterator[float]:
         while True:
             yield self.sample()
-
-    def is_long_running(self, lifetime: float) -> bool:
-        """The thesis's policy cue: only migrate processes expected to
-        live long; having survived twice the mean lifetime is the signal
-        ([Cab86]: long-lived processes are expected to live longer)."""
-        return lifetime >= 2.0 * self.mean

@@ -183,5 +183,5 @@ class UsageSimulation:
     def _sampler(self) -> Generator[Effect, None, None]:
         while True:
             yield Sleep(SAMPLE_PERIOD)
-            idle = sum(1 for host in self.cluster.hosts if host.is_available())
+            idle = len(self.cluster.idle_hosts())
             self.report.idle_samples.append(idle / len(self.cluster.hosts))

@@ -1,9 +1,8 @@
 """Tests for the AST invariant linter (``repro.analysis``).
 
 Each rule gets fixture snippets for the positive (finding), negative
-(clean) and pragma (suppressed) paths; the baseline path is covered via
-:class:`repro.analysis.Baseline`.  Live-tree tests assert the shipped
-tree is lint-clean and that an injected violation fails with a
+(clean) and pragma (suppressed) paths.  Live-tree tests assert the
+shipped tree is lint-clean and that an injected violation fails with a
 file:line finding.
 """
 
@@ -15,7 +14,9 @@ import pathlib
 import shutil
 import textwrap
 
-from repro.analysis import Baseline, run_lint
+import pytest
+
+from repro.analysis import run_lint
 from repro.analysis.core import AstIndex, Tree
 from repro.cli import main as cli_main
 
@@ -1081,66 +1082,6 @@ def test_module_state_pragma(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def test_baseline_filters_known_findings(tmp_path):
-    files = {
-        "mod.py": """\
-        import time
-
-        def stamp():
-            return time.time()
-        """
-    }
-    root = make_tree(tmp_path, files)
-    first = run_lint(root, rule_ids=["determinism-wallclock"])
-    assert len(first.findings) == 1
-
-    baseline = Baseline.from_findings(first.findings)
-    second = run_lint(
-        root, rule_ids=["determinism-wallclock"], baseline=baseline
-    )
-    assert second.findings == []
-    assert second.baselined == 1
-
-
-def test_baseline_does_not_absorb_new_duplicates(tmp_path):
-    files = {
-        "mod.py": """\
-        import time
-
-        def stamp():
-            return time.time()
-        """
-    }
-    root = make_tree(tmp_path, files)
-    baseline = Baseline.from_findings(
-        run_lint(root, rule_ids=["determinism-wallclock"]).findings
-    )
-    # add a second, new violation: the baseline must not cover it
-    (root / "mod2.py").write_text(
-        "import time\n\ndef stamp2():\n    return time.time()\n"
-    )
-    result = run_lint(
-        root, rule_ids=["determinism-wallclock"], baseline=baseline
-    )
-    assert len(result.findings) == 1
-    assert result.findings[0].rel == "mod2.py"
-    assert result.baselined == 1
-
-
-def test_baseline_round_trips_through_json(tmp_path):
-    files = {"mod.py": "import time\nt = time.time()\n"}
-    root = make_tree(tmp_path, files)
-    findings = run_lint(root, rule_ids=["determinism-wallclock"]).findings
-    baseline = Baseline.from_findings(findings)
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    assert loaded.entries == baseline.entries
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_lint_fixture_tree_exit_codes(tmp_path, capsys):
@@ -1300,6 +1241,39 @@ def test_span_catalogue_forwarded_param(tmp_path):
         ["obs-span-catalogue"],
     )
     assert good == []
+
+
+def test_span_catalogue_forwarded_through_two_helpers_in_two_modules(tmp_path):
+    # `phase` has a clean caller in its own module; the uncatalogued
+    # name reaches it from another module, through `relay`.  The chase
+    # runs on the call graph, so module and depth do not matter.
+    files = {
+        "a.py": """\
+        from repro.obs.spans import MIG_FREEZE
+
+        def phase(obs, name, t):
+            return obs.spans.start(name, "mig:ws0", t=t)
+
+        def local(obs):
+            phase(obs, MIG_FREEZE, 0.0)
+        """,
+        "b.py": """\
+        from .a import phase
+
+        def relay(obs, label):
+            return phase(obs, label, 1.0)
+
+        def run(obs):
+            relay(obs, "not.registered")
+        """,
+    }
+    bad = findings_of(tmp_path, files, ["obs-span-catalogue"])
+    assert [(f.rel, f.line) for f in bad] == [("a.py", 4)]
+    assert "not.registered" in bad[0].message
+    assert "caller at b.py:7" in bad[0].message
+
+    files["b.py"] = files["b.py"].replace('"not.registered"', '"mig.freeze"')
+    assert findings_of(tmp_path, files, ["obs-span-catalogue"]) == []
 
 
 def test_span_catalogue_exempts_obs_layer(tmp_path):
@@ -1938,7 +1912,6 @@ def test_live_tree_injected_violation_json_is_exact(tmp_path, capsys):
     code = cli_main(["lint", "--path", str(copy), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert payload["baselined"] == 0
     assert payload["findings"] == [
         {
             "rule": "determinism-wallclock",
@@ -1974,10 +1947,16 @@ def test_cli_lint_graph_report(tmp_path, capsys):
     )
     code = cli_main(["lint", "--path", str(root), "--graph"])
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == 1        # report mode is a gate: orphans fail it
     assert "call graph:" in out
     assert "mod.py:5 unused" in out
     assert "mod.py:1 used" not in out
+    assert "2 unreferenced function(s) not kept" in out
+
+    (root / "mod.py").write_text(
+        '__all__ = ["main"]\n\n\ndef main():\n    return 1\n'
+    )
+    assert cli_main(["lint", "--path", str(root), "--graph"]) == 0
 
 
 def test_cli_lint_graph_json_and_dot(tmp_path, capsys):
@@ -2006,8 +1985,9 @@ def test_cli_lint_graph_json_and_dot(tmp_path, capsys):
     } in payload["edges"]
     assert "mod.py::callee" not in payload["unreferenced"]
 
-    code = cli_main(["lint", "--path", str(root), "--graph", "--dot"])
-    dot = capsys.readouterr().out
-    assert code == 0
-    assert dot.startswith("digraph callgraph {")
-    assert '"mod.py::caller" -> "mod.py::callee"' in dot
+    # the dump is not a gate (`caller` is an orphan), and JSON is the
+    # only dump format: --dot is gone
+    assert "mod.py::caller" in payload["unreferenced"]
+    with pytest.raises(SystemExit) as usage:
+        cli_main(["lint", "--path", str(root), "--graph", "--dot"])
+    assert usage.value.code == 2

@@ -16,7 +16,7 @@ from repro.obs import (
     run_critical_path,
 )
 from repro.sim import Simulator, Sleep, spawn
-from repro.snapshot import SweepRunner, forked_map_metrics
+from repro.snapshot import forked_map_metrics
 from repro.snapshot.sweep import SweepError
 
 
@@ -45,7 +45,7 @@ def test_attribution_partitions_every_migration_exactly():
         )
         for phase in row.phases:
             if phase.parts:
-                assert phase.parts_total() == pytest.approx(
+                assert sum(p.seconds for p in phase.parts) == pytest.approx(
                     phase.seconds, abs=1e-12
                 )
                 # Every phase ends with its (self) remainder, >= 0.
@@ -225,13 +225,3 @@ def test_forked_map_metrics_snapshot_is_worker_invariant():
 def test_forked_map_metrics_rejects_bare_values():
     with pytest.raises(SweepError):
         forked_map_metrics(lambda i: i, 3, workers=1)
-
-
-def test_sweep_runner_run_with_metrics():
-    runner = SweepRunner(lambda: object(), cow=False)
-    values, metrics = runner.run_with_metrics(
-        [0, 1, 2], lambda _base, cell: _cell_job(cell)
-    )
-    assert values == [0, 1, 4]
-    assert metrics.total("cell.runs") == 3
-    assert metrics.merged_timer("cell.value").count == 3

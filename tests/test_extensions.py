@@ -5,7 +5,7 @@ import pytest
 
 from repro import SpriteCluster
 from repro.loadsharing import CachingSelector, LoadSharingService
-from repro.metrics import LatencyHistogram
+from repro.obs import LatencyHistogram
 from repro.sim import (
     SimEvent,
     Simulator,
@@ -80,9 +80,15 @@ def test_all_of_join_tasks():
 # ----------------------------------------------------------------------
 # LatencyHistogram
 # ----------------------------------------------------------------------
-def test_histogram_summary_shape():
+def histogram_of(samples):
     hist = LatencyHistogram()
-    hist.extend([0.001] * 90 + [0.1] * 9 + [2.0])
+    for sample in samples:
+        hist.add(sample)
+    return hist
+
+
+def test_histogram_summary_shape():
+    hist = histogram_of([0.001] * 90 + [0.1] * 9 + [2.0])
     summary = hist.summary()
     assert summary["count"] == 100
     assert summary["p50"] <= summary["p95"] <= summary["p99"] <= summary["max"]
@@ -101,9 +107,7 @@ def test_histogram_percentile_bounds():
 
 
 def test_histogram_merge():
-    a, b = LatencyHistogram(), LatencyHistogram()
-    a.extend([0.01, 0.02])
-    b.extend([1.0])
+    a, b = histogram_of([0.01, 0.02]), histogram_of([1.0])
     a.merge(b)
     assert a.count == 3
     assert a.max_value == 1.0
@@ -214,7 +218,7 @@ def test_env_inherited_and_survives_migration():
 
     def driver():
         yield Sleep(0.5)
-        kids = [p for p in a.kernel.resident_pcbs() if p.name == "kid"]
+        kids = [p for p in a.kernel.procs.values() if p.name == "kid"]
         if kids:
             yield from cluster.managers[a.address].migrate(kids[0], b.address)
 

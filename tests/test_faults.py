@@ -83,21 +83,22 @@ def test_random_plan_is_seed_deterministic():
 # ----------------------------------------------------------------------
 def test_fabric_partition_and_links():
     fabric = LinkFabric()
-    assert fabric.unicast(1, 2) == (True, 0.0)
+    assert fabric.unicast_effects(1, 2) is None     # clean delivery
     fabric.partition([[1], [2]])
     with pytest.raises(NetworkPartitionedError):
-        fabric.unicast(1, 2)
+        fabric.unicast_effects(1, 2)
     with pytest.raises(NetworkPartitionedError):
         fabric.bulk(1, 2)
     assert not fabric.multicast(1, 2)
     # Unlisted addresses share the residual group: 3 and 4 still talk.
-    assert fabric.unicast(3, 4) == (True, 0.0)
+    assert fabric.unicast_effects(3, 4) is None
     fabric.heal()
     fabric.set_link(1, 2, drop=0.0, delay=0.25)
-    assert fabric.unicast(2, 1) == (True, 0.25)     # undirected
+    verdict = fabric.unicast_effects(2, 1)          # undirected
+    assert (verdict.deliver, verdict.delay) == (True, 0.25)
     assert fabric.bulk(1, 2) == 0.25
     fabric.clear_link(1, 2)
-    assert fabric.unicast(1, 2) == (True, 0.0)
+    assert fabric.unicast_effects(1, 2) is None
     with pytest.raises(ValueError):
         fabric.set_link(1, 2, drop=1.5)
 
@@ -106,7 +107,7 @@ def test_fabric_drops_are_seed_deterministic():
     def draws(seed):
         fabric = LinkFabric(rng=RandomStreams(seed=seed).stream("faults.net"))
         fabric.set_link(1, 2, drop=0.5)
-        return [fabric.unicast(1, 2)[0] for _ in range(64)]
+        return [fabric.unicast_effects(1, 2).deliver for _ in range(64)]
 
     assert draws(3) == draws(3)
     assert draws(3) != draws(4)

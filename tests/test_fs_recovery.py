@@ -26,14 +26,14 @@ def test_reopen_restores_open_counts():
         stream = yield from fs.open("/f", OpenMode.READ_WRITE)
         cluster.server.crash()
         cluster.server.restart()
-        assert cluster.server.file("/f").open_count() == 0   # state lost
+        assert cluster.server.files["/f"].open_count() == 0   # state lost
         reopened = yield from fs.recover(cluster.server_host.address)
         yield from fs.close(stream)
         return reopened
 
     assert cluster.run(scenario()) == 1
     # Close after recovery balanced the restored count.
-    assert cluster.server.file("/f").open_count() == 0
+    assert cluster.server.files["/f"].open_count() == 0
 
 
 def test_recovery_reflushes_dirty_data():

@@ -575,7 +575,7 @@ def test_cancelled_sender_on_an_unshared_medium_just_stops():
 
 def test_down_destination_still_raises_after_the_one_wait():
     sim, params, lan, (a, b, _c) = _three_node_lan()
-    lan.node(b).up = False
+    lan.nodes[b].up = False
 
     def sender():
         try:

@@ -73,7 +73,7 @@ def test_killpg_reaches_migrated_member():
     def driver():
         yield Sleep(1.0)
         victims = [
-            p for p in a.kernel.resident_pcbs() if p.name.startswith("m")
+            p for p in a.kernel.procs.values() if p.name.startswith("m")
         ]
         yield from cluster.managers[a.address].migrate(victims[0], b.address)
 
@@ -157,7 +157,7 @@ def test_three_generation_family_with_migration():
 
     def driver():
         yield Sleep(1.0)
-        kids = [p for p in a.kernel.resident_pcbs() if p.name == "child"]
+        kids = [p for p in a.kernel.procs.values() if p.name == "child"]
         yield from cluster.managers[a.address].migrate(kids[0], b.address)
 
     spawn(cluster.sim, driver(), name="driver")

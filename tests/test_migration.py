@@ -632,7 +632,7 @@ def test_partial_stream_export_failure_rolls_back_exported_streams():
     assert manager.rollback_incomplete == 0
     server = cluster.server_hosts[0].server
     for path in ("/a", "/b"):
-        for refs in server.file(path).stream_refs.values():
+        for refs in server.files[path].stream_refs.values():
             assert b.address not in refs
 
 

@@ -7,7 +7,7 @@ from repro import SpriteCluster
 from repro.config import ClusterParams
 from repro.fs import AccessError, BadStream, OpenMode
 from repro.kernel import LoadAverage
-from repro.metrics import Series, Table
+from repro.obs import Series, Table
 from repro.sim import (
     Cpu,
     Simulator,
@@ -35,7 +35,7 @@ def test_tracer_filters_by_kind():
     tracer.emit(1.0, "x", "keep", n=1)
     tracer.emit(2.0, "x", "drop", n=2)
     assert len(tracer) == 1
-    assert tracer.of_kind("keep")[0].detail == {"n": 1}
+    assert tracer.records[0].detail == {"n": 1}
 
 
 def test_tracer_sink_called_per_record():
@@ -52,7 +52,7 @@ def test_tracer_between_and_clear():
     for t in (1.0, 2.0, 3.0):
         tracer.emit(t, "s", "k")
     assert len(list(tracer.between(1.5, 3.0))) == 2
-    tracer.clear()
+    tracer.records.clear()
     assert len(tracer) == 0
 
 
@@ -239,7 +239,7 @@ def test_fork_shared_stream_closes_once():
         assert not stream.closed
         yield from fs.close(stream)   # second holder: real close
         assert stream.closed
-        return cluster.server.file("/f").open_count()
+        return cluster.server.files["/f"].open_count()
 
     assert cluster.run(scenario()) == 0
 

@@ -51,6 +51,23 @@ def test_between_matches_linear_scan():
         assert tracer.between(start, end) == expected, (start, end)
 
 
+def test_between_matches_linear_scan_over_mirrored_spans():
+    # A born-finished span is mirrored into the trace when it is
+    # stored, stamped with its *end* time — which can precede the
+    # record before it, so `records` is not time-sorted (a bisection
+    # returned [3.0, 2.0] for the window [0, 2.5] here).
+    tracer = Tracer(enabled=True)
+    spans = SpanTracer(tracer)
+    spans.enabled = True
+    tracer.emit(3.0, "src", "tick")
+    spans.record("mig.freeze", "mig:ws0", 1.0, 2.0)
+    tracer.emit(4.0, "src", "tick")
+    assert [r.time for r in tracer.records] == [3.0, 2.0, 4.0]
+    for start, end in [(0.0, 2.5), (2.5, 3.5), (1.5, 3.0), (3.5, 9.0)]:
+        expected = [r for r in tracer.records if start <= r.time <= end]
+        assert tracer.between(start, end) == expected, (start, end)
+
+
 def test_between_is_inclusive_and_returns_list():
     tracer = _filled_tracer([1.0, 2.0, 3.0])
     got = tracer.between(1.0, 2.0)
@@ -70,10 +87,7 @@ def test_kinds_filter_applies_at_emit_and_to_sink():
     # retained records.
     assert [r.kind for r in tracer.records] == ["keep", "keep"]
     assert [r.kind for r in seen] == ["keep", "keep"]
-    assert tracer.of_kind("drop") == []
     assert [r.time for r in tracer.between(0.0, 9.0)] == [1.0, 3.0]
-    assert tracer.accepts("keep") and not tracer.accepts("drop")
-    assert Tracer().accepts("anything")
 
 
 def test_disabled_tracer_stores_nothing():
@@ -95,14 +109,13 @@ def test_span_start_finish_and_parents():
     spans = SpanTracer(Tracer())
     spans.enabled = True
     root = spans.start("work", "host", t=1.0, pid=7)
-    child = root.child("step", t=1.5)
+    child = spans.start("step", "host", parent=root, t=1.5)
     child.finish(t=2.0)
     root.finish(t=3.0)
     assert root.duration == pytest.approx(2.0)
     assert child.parent_sid == root.sid
-    assert spans.children_of(root) == [child]
-    assert spans.roots() == [root]
-    assert spans.named("step") == [child]
+    assert spans.finished == [child, root]
+    assert root.parent_sid is None
     assert not spans.open
 
 
@@ -153,7 +166,6 @@ def test_registry_counters_gauges_timers():
     registry.counter("mig.started", 2).inc()
     assert registry.counter("mig.started", 1).value == 3
     assert registry.total("mig.started") == 4
-    assert registry.hosts_of("mig.started") == [1, 2]
     registry.gauge("load", 1).set(2.5)
     assert registry.gauge("load", 1).value == 2.5
     registry.timer("freeze", 1).observe(0.1)
@@ -388,7 +400,7 @@ def test_refused_migration_gets_refused_root_span():
     spawn(cluster.sim, driver(), name="driver")
     cluster.run_until_complete(pcb.task)
     assert failures
-    roots = obs.spans.named("mig.migrate")
+    roots = [s for s in obs.spans.finished if s.name == "mig.migrate"]
     assert len(roots) == 1
     assert roots[0].attrs["refused"] is True
     assert roots[0].finished
@@ -421,7 +433,7 @@ def test_eviction_span_and_metrics():
     assert len(daemon.events) == 1
     event = daemon.events[0]
     assert event.victims == 1
-    reclaim = obs.spans.named("evict.reclaim")
+    reclaim = [s for s in obs.spans.finished if s.name == "evict.reclaim"]
     assert len(reclaim) == 1
     assert reclaim[0].duration == pytest.approx(event.reclaim_seconds)
     assert obs.registry.counter("evict.events", dst.address).value == 1

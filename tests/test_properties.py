@@ -10,7 +10,7 @@ from repro.fs import BlockCache, PrefixTable
 from repro.fs.errors import FileNotFound
 from repro.fs.protocol import OpenMode
 from repro.kernel import PID_STRIDE, home_of_pid
-from repro.metrics import Table
+from repro.obs import Table
 from repro.sim import Channel, Resource, Simulator, Sleep, spawn
 from repro.workloads import ActivityModel, fit_hyperexponential
 

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.metrics import LatencyHistogram
+from repro.obs import LatencyHistogram
 from repro.sim import Simulator, Sleep, all_of, spawn
+
+
+def histogram_of(samples):
+    hist = LatencyHistogram()
+    for sample in samples:
+        hist.add(sample)
+    return hist
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=3600.0),
                 min_size=1, max_size=200))
 def test_histogram_percentiles_monotone_and_bounded(samples):
-    hist = LatencyHistogram()
-    hist.extend(samples)
+    hist = histogram_of(samples)
     p50, p95, p99 = (hist.percentile(q) for q in (50, 95, 99))
     assert p50 <= p95 <= p99 <= hist.max_value
     assert hist.count == len(samples)
@@ -27,13 +33,9 @@ def test_histogram_percentiles_monotone_and_bounded(samples):
        st.lists(st.floats(min_value=1e-6, max_value=100.0),
                 min_size=1, max_size=50))
 def test_histogram_merge_equals_combined(first_samples, second_samples):
-    merged = LatencyHistogram()
-    merged.extend(first_samples)
-    other = LatencyHistogram()
-    other.extend(second_samples)
-    merged.merge(other)
-    combined = LatencyHistogram()
-    combined.extend(first_samples + second_samples)
+    merged = histogram_of(first_samples)
+    merged.merge(histogram_of(second_samples))
+    combined = histogram_of(first_samples + second_samples)
     assert merged.count == combined.count
     assert merged.percentile(95) == combined.percentile(95)
     assert merged.max_value == combined.max_value

@@ -213,6 +213,17 @@ def test_detached_task_failure_surfaces_in_run():
 # Fast-path internals: ready queue, defer, schedule_many, compaction,
 # O(1) pending_events accounting.
 # ----------------------------------------------------------------------
+def _recount_pending(sim):
+    """O(n) recount of ``Simulator.pending_events``, the reference its
+    O(1) bookkeeping is held to."""
+    heap_live = sum(1 for _t, _s, h in sim._heap if not h.cancelled)
+    ready_live = sum(
+        1 for entry in sim._ready
+        if entry[2] is None or not entry[2].cancelled
+    )
+    return heap_live + ready_live
+
+
 def test_pending_events_counter_matches_slow_recount():
     sim = Simulator()
     handles = []
@@ -221,14 +232,14 @@ def test_pending_events_counter_matches_slow_recount():
     for i in range(10):
         handles.append(sim.call_soon(lambda: None))
     sim.defer(lambda: None)
-    assert sim.pending_events == 31 == sim._pending_events_slow()
+    assert sim.pending_events == 31 == _recount_pending(sim)
     for handle in handles[::3]:
         handle.cancel()
-    assert sim.pending_events == sim._pending_events_slow()
+    assert sim.pending_events == _recount_pending(sim)
     sim.run(until=5.0)
-    assert sim.pending_events == sim._pending_events_slow()
+    assert sim.pending_events == _recount_pending(sim)
     sim.run()
-    assert sim.pending_events == 0 == sim._pending_events_slow()
+    assert sim.pending_events == 0 == _recount_pending(sim)
 
 
 def test_defer_keeps_fifo_order_with_call_soon_and_schedule_zero():
@@ -298,7 +309,7 @@ def test_cancel_call_soon_handle():
     handle.cancel()
     sim.run()
     assert fired == ["y"]
-    assert sim.pending_events == 0 == sim._pending_events_slow()
+    assert sim.pending_events == 0 == _recount_pending(sim)
 
 
 def test_events_fired_counts_dispatches_not_cancellations():
@@ -331,7 +342,7 @@ def test_timeout_churn_keeps_heap_bounded():
     # Without compaction 10k corpses would sit in the heap; with it the
     # heap never holds more than a small constant of live entries.
     assert len(sim._heap) < 200
-    assert sim.pending_events == 0 == sim._pending_events_slow()
+    assert sim.pending_events == 0 == _recount_pending(sim)
 
 
 def test_cancelled_closure_is_not_pinned_by_heap_corpse():
@@ -389,7 +400,7 @@ def test_late_cancel_after_fire_does_not_corrupt_accounting():
     sim.schedule(3.0, fired.append, "y")
     sim.run()
     assert fired == ["x", "y"]
-    assert sim.pending_events == 0 == sim._pending_events_slow()
+    assert sim.pending_events == 0 == _recount_pending(sim)
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +473,7 @@ def _by_step(sim, task):
     while sim.step():
         fired += 1
         assert sim.events_fired == fired
-        assert sim.pending_events == sim._pending_events_slow()
+        assert sim.pending_events == _recount_pending(sim)
     assert sim.events_fired == fired
 
 
@@ -484,7 +495,7 @@ def test_every_driver_dispatches_the_same_sequence(profiled):
         profiler = EngineProfiler().install(sim) if profiled else None
         log, task = _parity_scenario(sim)
         drive(sim, task)
-        assert sim.pending_events == 0 == sim._pending_events_slow()
+        assert sim.pending_events == 0 == _recount_pending(sim)
         assert task.result == "ok"
         if profiler is not None:
             assert profiler.events == sim.events_fired
