@@ -20,8 +20,8 @@ curves: frequent checkpoints buy availability at image-write cost,
 rare ones lose more progress per crash, and proactive migration alone
 cannot save a job that was resident at crash time.
 
-Cells fan out over ``SweepRunner`` workers, each cell on its own
-materialization of one warmed base cluster.  Determinism is load-bearing and checked on every run:
+Cells fan out over ``forked_map`` workers, each cell building its own
+cluster.  Determinism is load-bearing and checked on every run:
 the sweep fingerprint (SHA-256 over every cell's trace fingerprint in
 grid order) must be byte-identical at ``--workers 1`` and
 ``--workers 4``.
@@ -112,24 +112,24 @@ def _build_grid(sizes: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def _run_sweep(
-    sizes: Dict[str, Any], workers: int, base: Any = None
-) -> Tuple[List[Dict[str, Any]], str, Any]:
-    """Run the grid; returns (cell rows, sweep fingerprint, base)."""
-    from repro.faults.chaos import build_chaos_base, run_chaos
-    from repro.snapshot import SweepRunner
+    sizes: Dict[str, Any], workers: int
+) -> Tuple[List[Dict[str, Any]], str]:
+    """Run the grid; returns (cell rows, sweep fingerprint)."""
+    from repro.faults.chaos import run_chaos
+    from repro.snapshot import forked_map
 
-    if base is None:
-        base = build_chaos_base(seed=0, workstations=sizes["hosts"])
     grid = _build_grid(sizes)
 
-    def cell_fn(cluster, cell):
+    def cell_job(index):
+        cell = grid[index]
         report = run_chaos(
+            seed=0,
+            workstations=sizes["hosts"],
             duration=sizes["duration"],
             random_churn=True,
             mtbf=cell["mtbf"],
             jobs=sizes["jobs"],
             job_length=sizes["job_length"],
-            base=cluster,
             policy=cell["policy"],
             checkpoint_interval=cell["interval"],
             job_memory=cell["memory"],
@@ -149,14 +149,14 @@ def _run_sweep(
             "fingerprint": report.fingerprint,
         }
 
-    rows = SweepRunner(base, workers=workers).run(grid, cell_fn)
+    rows = forked_map(cell_job, len(grid), workers)
     payload = "\n".join(
         f"{row['policy']}|{row['mtbf']}|{row['interval']}|{row['memory']}"
         f"|{row['fingerprint']}"
         for row in rows
     )
     fingerprint = hashlib.sha256(payload.encode()).hexdigest()
-    return rows, fingerprint, base
+    return rows, fingerprint
 
 
 # ----------------------------------------------------------------------
@@ -167,17 +167,9 @@ def _run_gauntlet(idle_service: bool) -> Callable[[], Any]:
     never registered) CheckpointService attached before the run."""
 
     def build_and_run():
-        from repro.faults.chaos import run_chaos
+        from repro.faults.chaos import build_chaos_base, run_chaos
 
-        from repro.cluster import SpriteCluster
-        from repro.loadsharing import LoadSharingService
-
-        cluster = SpriteCluster(
-            workstations=IDLE_PIN["hosts"], seed=IDLE_PIN["seed"], trace=True
-        )
-        cluster.standard_images()
-        service = LoadSharingService(cluster, architecture="centralized")
-        cluster.extras = {"service": service}
+        cluster = build_chaos_base(IDLE_PIN["seed"], IDLE_PIN["hosts"]).fork()
         if idle_service:
             from repro.checkpoint import CheckpointService
 
@@ -242,9 +234,9 @@ def _idle_overhead(repeats: int) -> Dict[str, Any]:
 def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Any]:
     sizes = SIZES["smoke" if smoke else "full"]
 
-    rows, fingerprint, base = _run_sweep(sizes, workers=1)
-    rows_parallel, fingerprint_parallel, _ = _run_sweep(
-        sizes, workers=sizes["workers_check"], base=base
+    rows, fingerprint = _run_sweep(sizes, workers=1)
+    rows_parallel, fingerprint_parallel = _run_sweep(
+        sizes, workers=sizes["workers_check"]
     )
     assert fingerprint_parallel == fingerprint, (
         f"sweep nondeterministic across worker counts: "

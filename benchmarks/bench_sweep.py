@@ -1,18 +1,18 @@
-"""P2 — Sweep runner: what a user waits for when running the matrix.
+"""P2 — Sweep cost: what a user waits for when running the matrix.
 
-The crash matrix of :mod:`repro.faults.crashmatrix`, fresh-sequential
-(build a cluster per cell, in this process — the pre-snapshot code
-path) against ``run_matrix`` at ``--workers`` 1 and 4, best of five
-walls each, with the byte-identical ``MatrixReport.fingerprint``
-checked across all of them, because a parallel sweep that changes
-answers is worthless.  Two gates:
+The crash matrix of :mod:`repro.faults.crashmatrix`, every cell run
+with ``run_cell`` in this process, against ``run_matrix`` (every cell
+through ``forked_map``) at ``--workers`` 1 and 4, best of five walls
+each.  Every cell builds its own cluster in all three.  Three gates:
 
-* **The harness must not cost more than it saves** — ``workers=1``
-  (one forked worker, a snapshot materialized per cell) takes at most
-  1.15x the fresh sequential wall.  One fork per cell failed this at
-  1.5x: every cell's child re-paid ~1,100 minor page faults, which
-  the children's ``ru_minflt`` per cell, recorded beside the walls,
-  shows (26 per cell over the full matrix now).
+* **The harness costs next to nothing** — ``workers=1`` (one forked
+  worker running every cell) takes at most 1.15x the in-process wall.
+  One fork per cell failed this at 1.5x: every cell's child re-paid
+  ~1,100 minor page faults, which the children's ``ru_minflt`` per
+  cell, recorded beside the walls, shows.
+* **Identical answers** — the ``MatrixReport.fingerprint`` is the same
+  in all three, because a parallel sweep that changes answers is
+  worthless.
 * **Parallel speedup** (full mode) — ``workers=4`` reaches 0.75 of the
   ideal on the cores actually granted.
 
@@ -52,7 +52,7 @@ MATRIX_CELLS = {"full": None, "smoke": 24}
 ROUNDS = 5
 
 #: The gate: one forked worker may cost at most this multiple of
-#: running the same cells on fresh builds in-process.
+#: running the same cells in-process.
 WORKERS1_WALL_CEILING = 1.15
 
 #: Full-mode parallel gate: workers=4 must reach this fraction of the
@@ -69,9 +69,9 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_matrix_fresh(seed: int, cells) -> MatrixReport:
-    """The pre-snapshot baseline: build a fresh cluster per cell,
-    sequentially, in this process (exactly the old ``run_matrix``)."""
+def run_matrix_in_process(seed: int, cells) -> MatrixReport:
+    """The baseline: every cell with ``run_cell``, one after another, in
+    this process."""
     report = MatrixReport(seed=seed)
     for step, victim, kind in cells:
         report.cells.append(run_cell(step, victim, kind, seed=seed))
@@ -85,9 +85,9 @@ def _children_minflt() -> int:
 def measure_matrix(max_cells: Optional[int]) -> Dict[str, Any]:
     cells = spread_cells(matrix_cells(), max_cells)
     modes = {
-        "fresh_sequential": lambda: run_matrix_fresh(seed=0, cells=cells),
-        "fork_workers1": lambda: run_matrix(seed=0, cells=cells, workers=1),
-        "fork_workers4": lambda: run_matrix(seed=0, cells=cells, workers=4),
+        "in_process": lambda: run_matrix_in_process(seed=0, cells=cells),
+        "workers1": lambda: run_matrix(seed=0, cells=cells, workers=1),
+        "workers4": lambda: run_matrix(seed=0, cells=cells, workers=4),
     }
     walls = {mode: float("inf") for mode in modes}
     minflt: Dict[str, int] = {}
@@ -103,17 +103,17 @@ def measure_matrix(max_cells: Optional[int]) -> Dict[str, Any]:
 
     return {
         "cells": len(cells),
-        "fresh_sequential_s": round(walls["fresh_sequential"], 3),
-        "fork_workers1_s": round(walls["fork_workers1"], 3),
-        "fork_workers4_s": round(walls["fork_workers4"], 3),
-        "workers1_vs_fresh": round(
-            walls["fork_workers1"] / walls["fresh_sequential"], 3),
+        "in_process_s": round(walls["in_process"], 3),
+        "workers1_s": round(walls["workers1"], 3),
+        "workers4_s": round(walls["workers4"], 3),
+        "workers1_vs_in_process": round(
+            walls["workers1"] / walls["in_process"], 3),
         "speedup_workers4": round(
-            walls["fresh_sequential"] / walls["fork_workers4"], 2),
+            walls["in_process"] / walls["workers4"], 2),
         "minflt_per_cell_workers1": round(
-            minflt["fork_workers1"] / len(cells)),
+            minflt["workers1"] / len(cells)),
         "minflt_per_cell_workers4": round(
-            minflt["fork_workers4"] / len(cells)),
+            minflt["workers4"] / len(cells)),
         "fingerprints": fingerprints,
         "fingerprints_identical": len(set(fingerprints.values())) == 1,
     }
@@ -132,15 +132,15 @@ def run_all(smoke: bool = False) -> Dict[str, Any]:
 def render(results: Dict[str, Any], mode: str) -> str:
     matrix = results["matrix"]
     lines = [
-        f"P2: sweep runner ({mode} sizes, {results['cpu_count']} core(s))",
+        f"P2: sweep cost ({mode} sizes, {results['cpu_count']} core(s))",
         f"crash matrix ({matrix['cells']} cells, best of {ROUNDS}):",
-        f"  fresh sequential       {matrix['fresh_sequential_s']:8.3f} s",
-        f"  forked, workers=1      {matrix['fork_workers1_s']:8.3f} s"
-        f"   ({matrix['workers1_vs_fresh']:.2f}x fresh, gate <= "
+        f"  in-process             {matrix['in_process_s']:8.3f} s",
+        f"  forked, workers=1      {matrix['workers1_s']:8.3f} s"
+        f"   ({matrix['workers1_vs_in_process']:.2f}x in-process, gate <= "
         f"{WORKERS1_WALL_CEILING}x; "
         f"{matrix['minflt_per_cell_workers1']} child page faults/cell)",
-        f"  forked, workers=4      {matrix['fork_workers4_s']:8.3f} s"
-        f"   ({matrix['speedup_workers4']:.2f}x vs fresh; "
+        f"  forked, workers=4      {matrix['workers4_s']:8.3f} s"
+        f"   ({matrix['speedup_workers4']:.2f}x vs in-process; "
         f"{matrix['minflt_per_cell_workers4']} child page faults/cell)",
         f"  fingerprints identical: {matrix['fingerprints_identical']}",
     ]
@@ -150,10 +150,10 @@ def render(results: Dict[str, Any], mode: str) -> str:
 def check(results: Dict[str, Any], smoke: bool) -> list:
     failures = []
     matrix = results["matrix"]
-    if matrix["workers1_vs_fresh"] > WORKERS1_WALL_CEILING:
+    if matrix["workers1_vs_in_process"] > WORKERS1_WALL_CEILING:
         failures.append(
-            f"forked workers=1 wall {matrix['workers1_vs_fresh']:.2f}x fresh "
-            f"sequential exceeds the {WORKERS1_WALL_CEILING}x ceiling"
+            f"forked workers=1 wall {matrix['workers1_vs_in_process']:.2f}x "
+            f"in-process exceeds the {WORKERS1_WALL_CEILING}x ceiling"
         )
     if not matrix["fingerprints_identical"]:
         failures.append(
@@ -201,7 +201,7 @@ def main(argv: Optional[list] = None) -> int:
     return 1 if failures else 0
 
 
-def test_sweep_runner(benchmark, archive):
+def test_sweep_cost(benchmark, archive):
     """pytest-benchmark entry point (smoke sizes)."""
     results = run_simulated(benchmark, lambda: run_all(smoke=True))
     archive("P2_sweep", render(results, "smoke"))

@@ -22,8 +22,6 @@ AST, so a violating PR fails CI even when no test covers the new code:
   counters/caches); per-cluster state lives in ``sim.state``.
 * :mod:`.rules_coroutine` — coroutine calls are driven (`yield from`/
   spawn), never discarded or truth-tested.
-* :mod:`.rules_snapshot` — spawn factories are picklable and their
-  reachable code touches no module-level mutable state.
 
 The interprocedural rules share one whole-tree call graph
 (:mod:`.callgraph`) and a summary-based dataflow engine
@@ -52,7 +50,6 @@ from . import rules_determinism  # noqa: F401
 from . import rules_exceptions  # noqa: F401
 from . import rules_observability  # noqa: F401
 from . import rules_rpc  # noqa: F401
-from . import rules_snapshot  # noqa: F401
 from . import rules_state  # noqa: F401
 from . import rules_txn  # noqa: F401
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .core import (
     ModuleInfo,
@@ -154,7 +154,6 @@ class CallGraph:
         self._edges_in: Dict[Key, List[CallEdge]] = {}
         self._edges_out: Dict[Key, List[CallEdge]] = {}
         self._call_targets: Dict[int, List[FunctionNode]] = {}
-        self._class_of_call: Dict[int, ClassInfo] = {}
         self._ref_targets: Dict[int, List[FunctionNode]] = {}
         self._fn_by_ast: Dict[int, FunctionNode] = {}
         self._module_funcs: Dict[str, Dict[str, FunctionNode]] = {}
@@ -347,8 +346,6 @@ class CallGraph:
             module, call.func, scope
         )
         self._call_targets[id(call)] = targets
-        if klass is not None:
-            self._class_of_call[id(call)] = klass
         caller = scope.function
         for target in targets:
             self.edges.append(CallEdge(
@@ -624,9 +621,6 @@ class CallGraph:
     def call_targets(self, call: ast.Call) -> List[FunctionNode]:
         return self._call_targets.get(id(call), [])
 
-    def constructed_class(self, call: ast.Call) -> Optional[ClassInfo]:
-        return self._class_of_call.get(id(call))
-
     def ref_targets(self, site: ast.AST) -> List[FunctionNode]:
         """Functions a value expression (callback argument, table entry)
         refers to — the callees of the ref edges recorded at it."""
@@ -650,22 +644,6 @@ class CallGraph:
                 seen.add(edge.caller.key)
                 out.append(edge.caller)
         return out
-
-    def reachable_from(self, roots: Iterable[FunctionNode]) -> List[FunctionNode]:
-        """Transitive closure over call+ref out-edges, roots included."""
-        seen: Set[Key] = set()
-        order: List[FunctionNode] = []
-        queue = list(roots)
-        while queue:
-            fn = queue.pop(0)
-            if fn.key in seen:
-                continue
-            seen.add(fn.key)
-            order.append(fn)
-            for edge in self.edges_out(fn):
-                if edge.callee.key not in seen:
-                    queue.append(edge.callee)
-        return order
 
     def forwarded_args(
         self, module: ModuleInfo, site: ast.AST, param: str

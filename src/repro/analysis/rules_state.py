@@ -3,8 +3,8 @@
 A process-wide counter or cache at module level outlives any one
 cluster: the second cluster built in the same interpreter starts from
 wherever the first one left the state, so ids drift, fixed-seed traces
-stop being byte-identical, and snapshot forks diverge from fresh
-builds.  That exact bug shipped once as ``fs/streams.py``'s global
+stop being byte-identical, and a sweep's fingerprint comes to depend on
+how many cells each worker process ran before.  That exact bug shipped once as ``fs/streams.py``'s global
 stream-id ``itertools.count`` (papered over with a manual reset in the
 cluster constructor) — now every cluster draws ids from its own
 :class:`~repro.sim.StateRegistry` (``sim.state``), and this rule keeps
@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .core import Finding, ModuleInfo, Rule, Tree, dotted_name, register_rule
 
-__all__ = ["ModuleMutableStateRule", "mutable_globals"]
+__all__ = ["ModuleMutableStateRule"]
 
 _MUTABLE_CONSTRUCTORS = {
     "dict",
@@ -83,8 +83,8 @@ def mutable_globals(
     module: ModuleInfo,
 ) -> Iterator[Tuple[ast.stmt, List[str], Optional[str]]]:
     """Module-level assignments that bind a counter or a mutable
-    container, pragma'd or not: ``(statement, the plain names it binds,
-    what the container is — None for a counter)``."""
+    container: ``(statement, the plain names it binds, what the
+    container is — None for a counter)``."""
     assert module.tree is not None
     for node in module.tree.body:
         if isinstance(node, ast.Assign):
@@ -143,7 +143,7 @@ class ModuleMutableStateRule(Rule):
             node,
             f"module-level `{flagged[0]}` binds {what}: mutable "
             "process-wide state outlives any one cluster and breaks "
-            "fork-equals-fresh determinism; move it into sim.state, "
+            "fixed-seed determinism; move it into sim.state, "
             "onto an instance, or rename ALL_CAPS if truly constant",
         )
 

@@ -431,8 +431,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos runs + invariant audit (+ optional determinism check)."""
     import json
 
-    from .faults import build_chaos_base, run_chaos
-    from .snapshot import SweepRunner
+    from .faults import run_chaos
+    from .snapshot import forked_map
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if args.crash_matrix:
@@ -440,19 +440,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     reports = []
     failed = False
     for seed in seeds:
-        # Build-and-warm once per seed; every run is a fork of that
-        # base (two forks when verifying determinism), fanned over
-        # --workers concurrent child processes.
-        base = build_chaos_base(seed=seed, workstations=args.hosts)
-        runs = 2 if args.verify_determinism else 1
-
-        def chaos_cell(cluster, _run_index):
+        # Every run builds its own cluster (twice over when verifying
+        # determinism), fanned over --workers forked processes.
+        def chaos_run(_run_index, seed=seed):
             return run_chaos(
+                seed=seed,
+                workstations=args.hosts,
                 duration=args.duration,
                 random_churn=args.churn,
                 mtbf=args.mtbf,
                 jobs=args.jobs,
-                base=cluster,
                 policy=args.policy,
                 checkpoint_interval=args.checkpoint_interval,
                 checkpoint_mode=args.checkpoint_mode,
@@ -460,9 +457,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 adversarial=args.adversarial,
             )
 
-        pair = SweepRunner(base, workers=args.workers).run(
-            list(range(runs)), chaos_cell
-        )
+        runs = 2 if args.verify_determinism else 1
+        pair = forked_map(chaos_run, runs, args.workers)
         report = pair[0]
         reports.append(report)
         if args.verify_determinism:
@@ -671,13 +667,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "byte-identical trace fingerprints")
     chaos.add_argument("--crash-matrix", action="store_true",
                        help="run the migration-transaction crash matrix "
-                            "({source,target,home,fs} x {crash,partition} "
-                            "x every txn step boundary) instead of the "
-                            "workload gauntlet")
+                            "({source,target,home,fs} x "
+                            "{crash,partition,flaky} x every txn step "
+                            "boundary) instead of the workload gauntlet")
     chaos.add_argument("--cells", type=int, default=None,
                        help="with --crash-matrix: bound the run to an "
                             "evenly-spread subset of this many cells "
-                            "(default: all 88)")
+                            "(default: all 132)")
     chaos.add_argument("--workers", type=int, default=1,
                        help="concurrent forked worker processes for "
                             "chaos runs and crash-matrix cells; "

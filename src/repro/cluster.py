@@ -241,17 +241,3 @@ class SpriteCluster:
         for host in self.hosts:
             host.cpu.sync()  # count computes still in flight to now
         return sum(host.cpu.total_demand for host in self.hosts)
-
-    # ------------------------------------------------------------------
-    # Snapshot / fork
-    # ------------------------------------------------------------------
-    def snapshot(self, **extras: Any):
-        """Capture this (fully built, not yet run) cluster as a
-        :class:`~repro.snapshot.Snapshot`; ``snapshot().fork()`` yields
-        independent copies.  Companion objects passed as keyword
-        arguments (e.g. ``service=...``) are captured in the same
-        pickle and come back as ``fork.extras[name]``.  See
-        ``docs/snapshots.md``."""
-        from .snapshot import Snapshot
-
-        return Snapshot.capture(self, extras=extras or None)

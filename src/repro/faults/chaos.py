@@ -194,19 +194,21 @@ def _chaos_job_resumable(proc, index: int, work: float, memory: int):
     return 0
 
 
-def build_chaos_base(seed: int = 0, workstations: int = 5) -> Snapshot:
-    """Build-and-warm the chaos cluster once, captured for forking.
-
-    The returned :class:`~repro.snapshot.Snapshot` carries the traced
-    cluster *and* its centralized load-sharing service (as the
-    ``service`` extra, so a fork's selectors still point at the fork's
-    own hosts).  ``run_chaos(base=...)`` accepts the snapshot or any
-    fork of it; every fork replays byte-identically.
-    """
+def _build_chaos_cluster(seed: int, workstations: int) -> SpriteCluster:
+    """The traced chaos cluster, its images installed, with its
+    centralized load-sharing service as ``cluster.extras["service"]``."""
     cluster = SpriteCluster(workstations=workstations, seed=seed, trace=True)
     cluster.standard_images()
     service = LoadSharingService(cluster, architecture="centralized")
-    return cluster.snapshot(service=service)
+    cluster.extras = {"service": service}
+    return cluster
+
+
+def build_chaos_base(seed: int = 0, workstations: int = 5) -> Snapshot:
+    """The recipe for :func:`run_chaos`'s cluster: every ``fork()`` is
+    a fresh build, which ``run_chaos(base=...)`` takes in place of
+    building its own."""
+    return Snapshot(_build_chaos_cluster, seed, workstations)
 
 
 def run_chaos(
@@ -217,7 +219,7 @@ def run_chaos(
     mtbf: float = 60.0,
     jobs: int = 12,
     job_length: float = 8.0,
-    base: Optional[object] = None,
+    base: Optional[SpriteCluster] = None,
     policy: str = "migrate",
     checkpoint_interval: Optional[float] = None,
     checkpoint_mode: str = "full",
@@ -226,11 +228,11 @@ def run_chaos(
 ) -> ChaosReport:
     """One full chaos experiment; see the module docstring.
 
-    ``base`` skips the build-and-warm prefix: pass the
-    :class:`~repro.snapshot.Snapshot` from :func:`build_chaos_base`
-    (forked internally) or an already-forked cluster from it.  The
-    report's ``seed``/``workstations`` then come from the base cluster
-    itself, so the caller can't mislabel a run.
+    ``base`` is a cluster built beforehand, a fork of
+    :func:`build_chaos_base` (or any never-run cluster with a
+    ``service`` in its ``extras``); without one the run builds its own.
+    The report's ``seed``/``workstations`` then come from the base
+    cluster itself, so the caller can't mislabel a run.
 
     ``policy`` selects the fault-tolerance strategy (``migrate`` /
     ``checkpoint`` / ``hybrid``, see :mod:`repro.checkpoint`).  The
@@ -250,17 +252,10 @@ def run_chaos(
     ``checkpoint_interval`` is the checkpointing policies' period
     (``None``: ``ClusterParams.checkpoint_interval``).
     """
-    if base is None:
-        cluster = SpriteCluster(
-            workstations=workstations, seed=seed, trace=True
-        )
-        cluster.standard_images()
-        service = LoadSharingService(cluster, architecture="centralized")
-    else:
-        cluster = base.fork() if isinstance(base, Snapshot) else base
-        service = cluster.extras["service"]
-        seed = cluster.params.seed
-        workstations = len(cluster.hosts)
+    cluster = _build_chaos_cluster(seed, workstations) if base is None else base
+    service = cluster.extras["service"]
+    seed = cluster.params.seed
+    workstations = len(cluster.hosts)
     if adversarial:
         # Engage the admission caps (the cluster's params object is
         # shared by every host, so this configures them all).  Only

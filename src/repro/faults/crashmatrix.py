@@ -34,8 +34,10 @@ byte-identical trace — :func:`run_matrix` fingerprints every cell and
 the golden test runs the matrix twice and compares.
 
 ``python -m repro chaos --crash-matrix`` runs the matrix from the
-command line; ``--cells N`` bounds it to every ``ceil(132/N)``-th cell
-for the CI smoke.
+command line; ``--cells N`` bounds it to the ``N`` cells
+:func:`spread_cells` picks, spread over the steps with every victim
+and every fault kind represented from twelve cells up, for the CI
+smoke.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from ..cluster import SpriteCluster
 from ..fs import OpenMode
 from ..migration import TXN_STEPS, MigrationAbandoned, MigrationRefused
 from ..sim import Effect, Sleep, spawn
-from ..snapshot import SweepRunner
+from ..snapshot import sweep
 from .injector import FaultInjector
 from .invariants import InvariantChecker
 from .chaos import trace_fingerprint
@@ -229,12 +231,10 @@ def _victim_program(proc, scratch: str):
 
 
 def build_matrix_base(seed: int = 0) -> SpriteCluster:
-    """The shared per-cell prefix: three traced workstations + images.
+    """A cell's cluster: three traced workstations + images.
 
-    Built once per matrix and handed to :class:`SweepRunner`, which
-    captures it and materializes the capture for every cell — a cell
-    starts from an image identical to a fresh build, so cell traces
-    (and the matrix fingerprint) are the same either way.
+    Every cell builds its own, so a cell's trace depends on nothing but
+    its seed and its (step, victim, kind).
     """
     cluster = SpriteCluster(workstations=3, seed=seed, trace=True)
     cluster.standard_images()
@@ -247,14 +247,9 @@ def run_cell(
     kind: str,
     seed: int = 0,
     horizon: float = CELL_HORIZON,
-    cluster: Optional[SpriteCluster] = None,
 ) -> CellResult:
-    """Run one matrix cell; see the module docstring.
-
-    ``cluster`` is an optional pre-built (never run) base — normally a
-    fork handed in by :func:`run_matrix`; when omitted the cell builds
-    its own via :func:`build_matrix_base`.
-    """
+    """Run one matrix cell on a cluster it builds; see the module
+    docstring."""
     if step not in TXN_STEPS:
         raise ValueError(f"unknown txn step {step!r}")
     if victim not in MATRIX_VICTIMS:
@@ -263,8 +258,7 @@ def run_cell(
         raise ValueError(f"unknown fault kind {kind!r}")
 
     result = CellResult(step=step, victim=victim, kind=kind)
-    if cluster is None:
-        cluster = build_matrix_base(seed)
+    cluster = build_matrix_base(seed)
     injector = FaultInjector(cluster)
     checker = InvariantChecker(cluster, injector)
     home, source, target = cluster.hosts[0], cluster.hosts[1], cluster.hosts[2]
@@ -383,24 +377,22 @@ def run_matrix(
     breadth: :func:`spread_cells` picks the subset, so all victims and
     fault kinds stay represented (from twelve cells up).
 
-    The per-cell cluster prefix is built **once** and every cell runs
-    on its own materialization of it, in one of ``workers`` forked
-    processes that each take a fixed stripe of the cells
-    (:class:`~repro.snapshot.SweepRunner`); results merge in cell
-    order, so :attr:`MatrixReport.fingerprint` is byte-identical for
-    any ``workers`` value.
+    Every cell builds its own cluster and runs in one of ``workers``
+    forked processes that each take a fixed stripe of the cells
+    (:func:`~repro.snapshot.forked_map`); results merge in cell order,
+    so :attr:`MatrixReport.fingerprint` is byte-identical for any
+    ``workers`` value.
     """
     if cells is None:
         cells = matrix_cells()
     cells = spread_cells(cells, max_cells)
     report = MatrixReport(seed=seed)
 
-    def cell_fn(cluster: SpriteCluster, cell: Tuple[str, str, str]) -> CellResult:
-        step, victim, kind = cell
-        return run_cell(
-            step, victim, kind, seed=seed, horizon=horizon, cluster=cluster
-        )
+    def job(index: int) -> CellResult:
+        step, victim, kind = cells[index]
+        return run_cell(step, victim, kind, seed=seed, horizon=horizon)
 
-    runner = SweepRunner(build_matrix_base(seed), workers=workers)
-    report.cells = runner.run(cells, cell_fn)
+    # Looked up at call time, so a wrapper installed on the module
+    # attribute (benchmarks/perf/trace.py) sees every sweep.
+    report.cells = sweep.forked_map(job, len(cells), workers)
     return report

@@ -20,8 +20,7 @@ __all__ = ["Stream", "STREAM_ID_COUNTER"]
 #: Stream ids are only meaningful within one cluster; allocating them
 #: from the run's :class:`~repro.sim.StateRegistry` (rather than a
 #: module-level counter, as before PR 6) means a fixed seed yields
-#: identical ids no matter how many clusters the process built, and a
-#: snapshot carries the allocator along with everything else.
+#: identical ids no matter how many clusters the process built.
 STREAM_ID_COUNTER = "fs.stream_ids"
 
 

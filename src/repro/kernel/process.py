@@ -132,8 +132,6 @@ class UserContext:
     # ------------------------------------------------------------------
     def start(self, program: Program, args: Tuple[Any, ...] = ()) -> Task:
         """Spawn the task that runs ``program`` under this context."""
-        # partial (not a closure) so a not-yet-started process pickles
-        # into a snapshot whenever ``program`` itself does.
         task = spawn(
             self.sim,
             partial(self._run, program, args),

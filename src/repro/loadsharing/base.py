@@ -106,8 +106,8 @@ def install_accept_hooks(cluster) -> None:
 
 
 class AcceptPolicy:
-    """The thesis's acceptance criterion as a picklable callable (a
-    closure here would make the cluster unsnapshotable)."""
+    """The thesis's acceptance criterion, installed as a migration
+    manager's ``accept_hook``."""
 
     __slots__ = ("host", "manager")
 

@@ -67,8 +67,7 @@ class MigdServer:
         )
 
     def _register_and_serve(self, proc):
-        """The server program (a bound method, so an armed-but-unstarted
-        migd survives snapshot/fork)."""
+        """The server program."""
         # Register /hosts/migd -> this host in the shared namespace.
         yield from proc.kernel.rpc.call(
             proc.kernel.fs.prefixes.route(MIGD_PATH),

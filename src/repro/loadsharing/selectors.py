@@ -241,11 +241,10 @@ class ProbabilisticSelector(HostSelector):
 # Multicast (§6.3.4, V)
 # ----------------------------------------------------------------------
 class _QueryFallback:
-    """Picklable RPC-fallback chain link for :class:`MulticastSelector`.
+    """RPC-fallback chain link for :class:`MulticastSelector`.
 
-    A closure here would make the host unsnapshotable; this tiny object
-    carries the same two references (the selector and whatever fallback
-    was installed before it) explicitly.
+    Answers the selector's query packets and hands every other packet
+    to whatever fallback was installed before it.
     """
 
     __slots__ = ("selector", "previous")

@@ -52,7 +52,7 @@ def stream_bytes(params: Any, count: int) -> int:
 
 
 def _bound_program(program: Any, args: Tuple[Any, ...], proc: Any) -> Any:
-    """Module-level trampoline so factories pickle into snapshots."""
+    """What a :func:`spawn_factory` partial runs: ``program(proc, *args)``."""
     return program(proc, *args)
 
 
@@ -61,8 +61,6 @@ def spawn_factory(program: Any, *args: Any) -> Any:
 
     The result is itself a program taking only the :class:`UserContext`
     — ``UserContext.start(factory)`` re-runs the original program with
-    its original arguments.  Built from :func:`functools.partial` (not
-    a closure) so a checkpointed factory pickles whenever ``program``
-    does, mirroring how ``UserContext.start`` packages its driver.
+    its original arguments.
     """
     return partial(_bound_program, program, tuple(args))

@@ -60,7 +60,7 @@ class TxnState(enum.Enum):
 
 #: Every journaled step boundary, in protocol order.  The crash matrix
 #: iterates exactly this tuple: {source, target, home, FS server} x
-#: {crash, partition} x each boundary below.
+#: {crash, partition, flaky} x each boundary below.
 TXN_STEPS = (
     "negotiated",        # mig.negotiate accepted, ticket issued
     "frozen",            # process parked at its safe point
@@ -183,8 +183,7 @@ class MigrationTxn:
 
 
 def _zero_clock() -> float:
-    """Default journal clock before a simulator is bound (picklable,
-    unlike the ``lambda: 0.0`` it replaced)."""
+    """Default journal clock before a simulator is bound."""
     return 0.0
 
 

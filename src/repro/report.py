@@ -38,7 +38,7 @@ EXPERIMENT_ORDER: List[Tuple[str, str]] = [
     ("S1_network_sweep", "Network-speed sensitivity (extension)"),
     ("S2_assignment_caching", "Host-assignment caching (ch. 9 future work)"),
     ("P1_engine", "Engine throughput microbenchmarks (infrastructure)"),
-    ("P2_sweep", "Snapshot/fork sweep runner cost model (infrastructure)"),
+    ("P2_sweep", "Sweep cost: forked workers vs in-process (infrastructure)"),
     ("P3_faults", "Fault-injection overhead + chaos gauntlet (infrastructure)"),
     ("P8_checkpoint", "Migration vs checkpoint/restart tradeoff study"),
 ]

@@ -127,11 +127,10 @@ class _ReadyHandle(EventHandle):
 
 
 class SimClock:
-    """A picklable callable reading one simulator's current time.
+    """A callable reading one simulator's current time.
 
     Components that need a clock handle (e.g. the migration journal)
-    hold one of these instead of a ``lambda: sim.now`` closure, which
-    a snapshot could not serialize.
+    hold one of these.
     """
 
     __slots__ = ("sim",)
@@ -193,8 +192,7 @@ class Simulator:
         #: that :meth:`run` can detect deadlock.
         self.live_tasks: int = 0
         #: Run-scoped mutable state (id allocators etc.); see
-        #: :mod:`repro.sim.state`.  Snapshots capture it with the rest
-        #: of the simulator.
+        #: :mod:`repro.sim.state`.
         self.state = StateRegistry()
         #: Optional hot-spot profiler (:class:`repro.obs.profile.
         #: EngineProfiler`).  ``None`` by default; the event loop reads

@@ -43,9 +43,8 @@ class ChannelClosed(SimError):
 
 
 class SnapshotError(SimError):
-    """Raised when run state cannot be captured by ``repro.snapshot``.
+    """Raised when a :class:`~repro.sim.Task` cannot be pickled.
 
-    The message names the offending object (typically a task whose
-    generator has already started, or one spawned from a bare generator
-    with no restart factory) and how to make it snapshotable.
+    The message names the task (one whose generator has already
+    started, or one spawned from a bare generator with no factory).
     """

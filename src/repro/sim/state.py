@@ -5,10 +5,9 @@ allocators, sequence counters — must live on the run's
 :class:`StateRegistry` (reachable as ``sim.state``) rather than at
 module level.  Module-level state leaks across clusters built in the
 same process (PR 4 had to reset the stream-id counter by hand to keep
-crash-matrix traces byte-identical) and is invisible to
-:mod:`repro.snapshot`, which can only capture what hangs off the
-cluster object graph.  The ``module-state`` lint rule
-(:mod:`repro.analysis.rules_state`) enforces this discipline
+crash-matrix traces byte-identical), and a sweep worker builds one
+cluster per cell, one after another.  The ``state-module-mutable``
+lint rule (:mod:`repro.analysis.rules_state`) enforces this discipline
 statically.
 
 Usage::
@@ -30,9 +29,8 @@ __all__ = ["Counter", "StateRegistry"]
 
 
 class Counter:
-    """A picklable, restartable integer allocator (replaces
-    ``itertools.count`` for id allocation: same protocol, but its value
-    is inspectable and survives snapshot/fork)."""
+    """A restartable integer allocator (replaces ``itertools.count``
+    for id allocation: same protocol, but its value is inspectable)."""
 
     __slots__ = ("name", "value")
 
@@ -56,9 +54,7 @@ class StateRegistry:
     """All run-scoped mutable state, by name; one per :class:`Simulator`.
 
     The registry is deliberately dumb — a dict of named
-    :class:`Counter` entries — so that pickling the
-    simulator captures every registered piece of state with no
-    per-subsystem special cases.
+    :class:`Counter` entries, no per-subsystem special cases.
     """
 
     __slots__ = ("_entries",)

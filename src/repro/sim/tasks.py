@@ -315,11 +315,11 @@ class Task(_Waiter):
         self.name = name
         self.daemon = daemon
         self._gen = gen
-        #: Zero-argument callable that recreates ``gen`` from scratch.
-        #: A task whose generator has not started yet and that carries a
-        #: factory can be serialized by ``repro.snapshot`` — the
-        #: generator itself cannot be pickled, but "call the factory
-        #: again on restore" is equivalent for an unstarted task.
+        #: Zero-argument callable that recreates ``gen`` from scratch;
+        #: :meth:`__setstate__` calls it, since a generator cannot be
+        #: pickled.  Nothing in ``repro`` pickles a task any more; the
+        #: pair stays while ``benchmarks/perf/trace.py`` patches
+        #: ``Task.__setstate__``.
         self._factory = factory
         self._pending: Optional[Effect] = None
         self._joiners: List[_Waiter] = []
@@ -334,7 +334,7 @@ class Task(_Waiter):
         state = "done" if self.done else ("waiting" if self._pending else "ready")
         return f"<Task {self.name} {state}>"
 
-    # -- snapshot support ------------------------------------------------
+    # -- pickling (see ``_factory``) ---------------------------------------
     def __getstate__(self) -> dict:
         if not self.done:
             if not inspect.isgenerator(self._gen):
@@ -530,9 +530,7 @@ def spawn(
 
     ``gen`` is either an already-created generator (the classic form) or
     a zero-argument coroutine *function*, which is called here and kept
-    as the task's restart factory.  Prefer the function form for daemons
-    that exist before the simulator first runs: it is what lets
-    ``repro.snapshot`` capture and rebuild them.
+    as the task's factory (``Task._factory``).
     """
     factory = None
     if callable(gen) and not hasattr(gen, "send"):

@@ -1,25 +1,21 @@
-"""Cluster snapshots and the parallel sweep runner.
+"""The parallel sweep primitive, and a cluster recipe.
 
-* :class:`Snapshot` — capture a fully built (not yet run) cluster as
-  one deterministic byte string; :meth:`Snapshot.fork` materializes
-  independent copies.  See :mod:`repro.snapshot.core`.
-* :class:`SweepRunner` — run many sweep cells from one warmed base,
-  each on its own materialization of it, fanned over ``workers``
-  forked processes with a deterministic, index-ordered merge.  See
-  :mod:`repro.snapshot.sweep`.
+* :func:`forked_map` — run ``job(i)`` for every cell of a sweep, fanned
+  over ``workers`` forked processes with a deterministic, index-ordered
+  merge; :func:`forked_map_metrics` also folds per-cell metrics.  A
+  sweep job builds its own cluster.  See :mod:`repro.snapshot.sweep`.
+* :class:`Snapshot` — a build function and its arguments; ``fork()``
+  builds one cluster.  See :mod:`repro.snapshot.core`.
 
-Entry point from a cluster: ``cluster.snapshot()``.  Docs:
-``docs/snapshots.md``.
+Docs: ``docs/sweeps.md``.
 """
 
-from .core import PICKLE_PROTOCOL, Snapshot
-from .sweep import SweepError, SweepRunner, forked_map, forked_map_metrics
+from .core import Snapshot
+from .sweep import SweepError, forked_map, forked_map_metrics
 
 __all__ = [
-    "PICKLE_PROTOCOL",
     "Snapshot",
     "SweepError",
-    "SweepRunner",
     "forked_map",
     "forked_map_metrics",
 ]

@@ -1,39 +1,37 @@
-"""Fan a parameter sweep out over forked workers of one base.
+"""Fan a parameter sweep out over forked worker processes.
 
 The sweeps this repo runs — the 132-cell crash matrix, chaos campaigns,
-policy/network parameter grids — all repeat the same expensive prefix:
-build a cluster, install images, wire a load-sharing service, arm the
-fault layer.  :class:`SweepRunner` pays that prefix **once**: the base
-is captured as a :class:`~repro.snapshot.Snapshot`, and every cell runs
-on its own materialization of it (0.7 ms for the 14 KB matrix base).
-Nothing is pickled per cell except each cell's (small) result, shipped
-back over a pipe.
+policy/network parameter grids — are each a job per cell, and every
+job builds its own cluster: a build is cheaper than unpickling a
+captured one (``docs/sweeps.md``, "Cost"), so a cell costs what its own
+simulation costs.  Nothing crosses a process boundary but each cell's
+(small) result, pickled back over a pipe.
 
 Why one ``os.fork`` per *worker* rather than per cell: a forked child
 is not free to run in.  Every object it touches has its reference
 count written, which copies the page it lives on; a child that ran
 one matrix cell took ~1,100 minor page faults, and the matrix ran 1.5x
-slower through one fork per cell than on fresh builds in one process
-(``benchmarks/bench_sweep.py``).  So
-:func:`forked_map` forks ``min(workers, count)`` children once, and
-each runs a fixed stripe of the jobs, one after the other.  ``os.fork``
-rather than a ``multiprocessing`` pool because jobs are closures over
-the caller's state and nothing about them is ever pickled.
+slower through one fork per cell than in one process
+(``benchmarks/bench_sweep.py``).  So :func:`forked_map` forks
+``min(workers, count)`` children once, and each runs a fixed stripe of
+the jobs, one after the other.  ``os.fork`` rather than a
+``multiprocessing`` pool because jobs are closures over the caller's
+state and nothing about them is ever pickled.
 
 Determinism contract
 --------------------
 Child *w* of *W* runs jobs *w, w+W, w+2W, …* in index order, results
 come back **indexed by cell position** and merge in input order, and
-every cell starts from an identical materialization, so the result
+every cell builds its cluster from its own arguments, so the result
 list — and any fingerprint derived from it — is byte-identical for any
 ``workers`` count, including the in-process path.  The cells of a
 stripe share a process: state kept at module level would leak from one
 to the next and show as a fingerprint that depends on ``workers``
 (``tests/test_snapshot.py`` pins that it does not).
 
-Portability: on platforms without ``os.fork`` (or with ``cow=False``)
-the same loop runs in-process — same results, no parallelism, and a
-cell's exception propagates as itself.
+Portability: on platforms without ``os.fork`` the same loop runs
+in-process — same results, no parallelism, and a cell's exception
+propagates as itself.
 """
 
 from __future__ import annotations
@@ -42,12 +40,12 @@ import os
 import pickle
 import select
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from .core import PICKLE_PROTOCOL, Snapshot
+__all__ = ["SweepError", "forked_map", "forked_map_metrics"]
 
-__all__ = ["SweepRunner", "SweepError", "forked_map", "forked_map_metrics"]
-
+#: One pinned protocol for every result crossing the pipe.
+PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _CHUNK = 1 << 16
 #: Each outcome crosses the pipe as this many length bytes, then a pickle.
 _PREFIX = 8
@@ -88,8 +86,7 @@ def forked_map(
     never mutated.  Results are returned in index order (deterministic
     for any ``workers``).  A job sees whatever the earlier jobs of its
     stripe left behind in the process, so it must not rely on a
-    pristine parent image (:class:`SweepRunner` hands each cell a fresh
-    cluster instead).
+    pristine parent image: it builds the cluster it runs on.
 
     A failure costs its own cell: a job that raises, or whose result
     does not pickle, is reported with its traceback and the stripe goes
@@ -186,54 +183,3 @@ def forked_map_metrics(
         if registry is not None:
             merged.merge_from(registry)
     return values, merged
-
-
-class SweepRunner:
-    """Run one cell function over many cells from a shared warm base.
-
-    One rule: **every cell runs on its own materialization of the
-    base**, whichever process it runs in.  ``base`` is one of:
-
-    * a :class:`Snapshot` — ``fork()``\\ ed per cell;
-    * a live cluster that has not run — captured once, here, as a
-      :class:`Snapshot`; the caller's object is never touched and
-      stays reusable;
-    * a zero-argument builder callable — called per cell: the
-      fresh-build baseline snapshots are measured against.
-
-    ``cell_fn(cluster, cell)`` runs inside a worker process (so it may
-    be a closure — nothing about it is ever pickled) and must return a
-    picklable value.
-    """
-
-    def __init__(
-        self,
-        base: Any,
-        workers: int = 1,
-        cow: Optional[bool] = None,
-    ):
-        self.workers = max(1, int(workers))
-        self.cow = _has_fork() if cow is None else bool(cow)
-        if isinstance(base, Snapshot):
-            self._fresh = base.fork
-        elif callable(base):
-            self._fresh = base
-        else:
-            self._fresh = Snapshot.capture(base).fork
-
-    def run(
-        self,
-        cells: Sequence[Any],
-        cell_fn: Callable[[Any, Any], Any],
-    ) -> List[Any]:
-        """Map ``cell_fn`` over ``cells``; results in input order."""
-        cells = list(cells)
-        fresh = self._fresh
-
-        def job(index: int) -> Any:
-            return cell_fn(fresh(), cells[index])
-
-        if self.cow:
-            return forked_map(job, len(cells), self.workers)
-        return [job(index) for index in range(len(cells))]
-

@@ -1139,7 +1139,6 @@ def test_cli_lint_list_rules(capsys):
         "exception-flow",
         "coroutine-protocol",
         "determinism-taint",
-        "snapshot-safety",
     ):
         assert rule in out
 
@@ -1568,149 +1567,6 @@ def test_taint_pragma_at_call_site(tmp_path):
         },
     )
     result = run_lint(root, rule_ids=["determinism-taint"])
-    assert result.findings == []
-    assert result.suppressed == 1
-
-
-# ----------------------------------------------------------------------
-# snapshot-safety
-# ----------------------------------------------------------------------
-def test_snapshot_lambda_factory_positive(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "sim/boot.py": """\
-            def install(sim, spawn):
-                spawn(sim, lambda: None)
-            """
-        },
-        ["snapshot-safety"],
-    )
-    assert rule_ids(findings) == ["snapshot-safety"]
-    assert "lambda" in findings[0].message
-
-
-def test_snapshot_nested_closure_factory_positive(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "sim/boot.py": """\
-            def install(sim, spawn):
-                def worker():
-                    yield 1
-
-                spawn(sim, worker)
-            """
-        },
-        ["snapshot-safety"],
-    )
-    assert rule_ids(findings) == ["snapshot-safety"]
-    assert "nested" in findings[0].message
-
-
-def test_snapshot_reachable_mutable_global_positive(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "kernel/registry.py": """\
-            # lint: disable=state-module-mutable(deliberate registry)
-            _SEEN = []
-            SEEN = {"a": 1}
-            seen_cache = []
-
-
-            def record(x):
-                seen_cache.append(x)
-            """,
-            "sim/boot.py": """\
-            from ..kernel.registry import record
-
-
-            def worker():
-                record(1)
-                yield 1
-
-
-            def install(sim, spawn):
-                spawn(sim, worker)
-            """,
-        },
-        ["snapshot-safety"],
-    )
-    assert rule_ids(findings) == ["snapshot-safety"]
-    assert findings[0].rel == "kernel/registry.py"
-    assert "seen_cache" in findings[0].message
-    assert "worker" in findings[0].message or "record" in findings[0].message
-
-
-def test_snapshot_negative_clean_factory_and_immediate_gen(tmp_path):
-    findings = findings_of(
-        tmp_path,
-        {
-            "sim/boot.py": """\
-            def worker():
-                yield 1
-
-
-            def other(sim):
-                yield 2
-
-
-            def install(sim, spawn):
-                spawn(sim, worker)
-                spawn(sim, other(sim))
-            """
-        },
-        ["snapshot-safety"],
-    )
-    assert findings == []
-
-
-def test_snapshot_partial_factory_payload_checked(tmp_path):
-    # partial(fn, ...) factories root the reachability at fn
-    findings = findings_of(
-        tmp_path,
-        {
-            "kernel/registry.py": """\
-            ids = []
-
-
-            def bump(x):
-                ids.append(x)
-            """,
-            "sim/boot.py": """\
-            from functools import partial
-
-            from ..kernel.registry import bump
-
-
-            def program(arg):
-                bump(arg)
-                yield 1
-
-
-            def install(sim, spawn):
-                spawn(sim, partial(program, 7))
-            """,
-        },
-        ["snapshot-safety"],
-    )
-    assert rule_ids(findings) == ["snapshot-safety"]
-    assert "ids" in findings[0].message
-
-
-def test_snapshot_pragma(tmp_path):
-    root = make_tree(
-        tmp_path,
-        {
-            "sim/boot.py": """\
-            def install(sim, spawn):
-                # lint: disable=snapshot-safety(test-only scaffold, never snapshotted)
-                spawn(sim, lambda: None)
-            """
-        },
-    )
-    result = run_lint(root, rule_ids=["snapshot-safety"])
     assert result.findings == []
     assert result.suppressed == 1
 

@@ -17,6 +17,16 @@ def test_parser_accepts_all_subcommands():
     assert parser.parse_args(["experiment", "E5"]).id == "E5"
 
 
+def test_chaos_help_describes_the_crash_matrix(capsys):
+    from repro.faults.crashmatrix import MATRIX_KINDS, matrix_cells
+
+    with pytest.raises(SystemExit):
+        main(["chaos", "--help"])
+    out = " ".join(capsys.readouterr().out.split())  # undo line wrapping
+    assert f"all {len(matrix_cells())}" in out
+    assert "{" + ",".join(MATRIX_KINDS) + "}" in out
+
+
 def test_parser_rejects_unknown_demo():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -83,15 +83,22 @@ def test_seed_given_twice_must_agree():
 
 
 def test_seed_has_one_source_of_truth():
-    from repro.snapshot import Snapshot
+    def seeded(cluster):
+        # The cluster's RNG streams and each port's RPC back-off jitter
+        # both read ``params.seed``.
+        return (
+            cluster.params,
+            cluster.rng.stream("probe").random(),
+            [host.rpc.retry_backoff(3) for host in cluster.hosts],
+        )
 
     assert SpriteCluster(workstations=1, seed=7).params.seed == 7
     assert SpriteCluster(workstations=1).params.seed == 0
     by_seed = SpriteCluster(workstations=2, seed=7)
     by_params = SpriteCluster(workstations=2, params=ClusterParams(seed=7))
-    assert Snapshot.capture(by_seed).digest == Snapshot.capture(by_params).digest
+    assert seeded(by_seed) == seeded(by_params)
     other = SpriteCluster(workstations=2, seed=8)
-    assert Snapshot.capture(other).digest != Snapshot.capture(by_seed).digest
+    assert seeded(other) != seeded(SpriteCluster(workstations=2, seed=7))
 
 
 def test_seed_controls_reproducibility():

@@ -1,20 +1,20 @@
-"""Tests for ``repro.snapshot``: COW cluster forks and the sweep runner.
+"""Tests for ``repro.snapshot``: sweeps whose cells build their clusters.
 
-The contract under test is the one ``docs/snapshots.md`` advertises:
+The contract under test is the one ``docs/sweeps.md`` advertises:
 
-* a fork is indistinguishable from a freshly built cluster — same
-  workload, same seed, byte-identical trace fingerprint;
-* forks are independent of the base, the original, and each other;
-* a base with a fault plan and injector armed *before* the snapshot
-  round-trips: the forked run replays the faults byte-identically;
-* a cluster that has already run cannot be captured (clear error);
-* the parallel sweep merge is deterministic: the crash-matrix
-  fingerprint is identical for ``workers=1`` and ``workers=4``.
+* a recipe's fork is a fresh build — same workload, same seed,
+  byte-identical trace fingerprint — and shares nothing with its
+  siblings;
+* building any number of clusters in one process shifts no id counter;
+* ``forked_map`` returns the in-process results for any worker count,
+  hands every cell of a stripe a pristine cluster, charges a failure
+  to its own cell only, and forks once per worker;
+* a sweep cell builds its own cluster, and the crash-matrix fingerprint
+  is identical for ``workers=1`` and ``workers=4``.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import re
 
@@ -22,16 +22,14 @@ import pytest
 
 from repro.cluster import SpriteCluster
 from repro.faults import (
-    FaultInjector,
-    FaultPlan,
     build_chaos_base,
     run_chaos,
     run_matrix,
     trace_fingerprint,
 )
-from repro.faults.crashmatrix import matrix_cells, spread_cells
-from repro.sim import Sleep, SnapshotError, spawn
-from repro.snapshot import SweepError, SweepRunner, forked_map
+from repro.faults.crashmatrix import matrix_cells, run_cell, spread_cells
+from repro.sim import Sleep, spawn
+from repro.snapshot import Snapshot, SweepError, forked_map, sweep
 
 
 # ----------------------------------------------------------------------
@@ -65,167 +63,94 @@ def run_workload(cluster: SpriteCluster, horizon: float = 30.0) -> str:
 
 
 # ----------------------------------------------------------------------
-# Fork-equals-fresh golden
+# A recipe's fork is a fresh build
 # ----------------------------------------------------------------------
 def test_fork_equals_fresh_golden():
     fresh = run_workload(build_base())
-    forked = run_workload(build_base().snapshot().fork())
+    forked = run_workload(Snapshot(build_base, 7).fork())
     assert forked == fresh
 
 
 def test_fork_is_deterministic_across_forks():
-    snapshot = build_base().snapshot()
-    assert run_workload(snapshot.fork()) == run_workload(snapshot.fork())
+    recipe = Snapshot(build_base)
+    assert run_workload(recipe.fork()) == run_workload(recipe.fork())
 
 
-def test_snapshot_digest_is_stable():
-    assert build_base().snapshot().digest == build_base().snapshot().digest
-
-
-# ----------------------------------------------------------------------
-# Fork independence
-# ----------------------------------------------------------------------
 def test_fork_independent_of_original_and_siblings():
-    original = build_base()
-    snapshot = original.snapshot()
-    first = snapshot.fork()
-    run_workload(first)  # dirty the first fork thoroughly
-    # The original and a later sibling are untouched by the first
-    # fork's run: both still replay the workload byte-identically.
-    sibling_fp = run_workload(snapshot.fork())
-    original_fp = run_workload(original)
-    assert sibling_fp == original_fp
-    assert first.sim.now > 0.0 and snapshot.fork().sim.now == 0.0
+    recipe = Snapshot(build_base)
+    first = recipe.fork()
+    first_fp = run_workload(first)  # dirty the first fork thoroughly
+    # A later sibling is untouched by the first fork's run: it starts
+    # at time zero and replays the workload byte-identically.
+    sibling = recipe.fork()
+    assert sibling is not first and sibling.sim is not first.sim
+    assert first.sim.now > 0.0 and sibling.sim.now == 0.0
+    assert run_workload(sibling) == first_fp
 
 
 def test_fork_stream_ids_do_not_drift():
-    # Per-cluster id state (satellite of the snapshot work): building
-    # or forking any number of clusters in one process must not shift
-    # id counters — that was the old module-global stream-id bug.
-    fingerprints = {run_workload(build_base()) for _ in range(2)}
-    snapshot = build_base().snapshot()
-    fingerprints.add(run_workload(snapshot.fork()))
-    assert len(fingerprints) == 1
-
-
-def _keeps_attributes_inline(obj) -> bool:
-    """Whether CPython still holds ``obj``'s attributes in the object
-    itself: once ``__dict__`` has been asked for, the dict becomes one
-    of the object's referents and every attribute access goes through
-    it.  The referents are listed *before* this function asks."""
-    referents = gc.get_referents(obj)
-    return not any(referent is obj.__dict__ for referent in referents)
-
-
-def test_materialized_instances_keep_attributes_inline():
-    # Unpickling an instance through ``obj.__dict__`` costs it its
-    # inline attributes, and a cell on such a cluster 20-30 % of its
-    # speed; ``Snapshot.capture`` writes state that ``setattr`` restores.
-    built, fork = build_base(), build_base().snapshot().fork()
-    for pick in (
-        lambda c: c,
-        lambda c: c.lan,
-        lambda c: c.hosts[0],
-        lambda c: c.hosts[0].cpu,
-        lambda c: c.hosts[0].rpc,
-        lambda c: c.managers[c.hosts[0].address],
-    ):
-        assert _keeps_attributes_inline(pick(fork)) == _keeps_attributes_inline(
-            pick(built)
-        ), type(pick(built)).__name__
-
-
-# ----------------------------------------------------------------------
-# Snapshot-after-fault round-trip
-# ----------------------------------------------------------------------
-def test_snapshot_with_armed_faults_round_trips():
-    def armed(seed: int = 3) -> SpriteCluster:
-        cluster = build_base(seed)
-        plan = FaultPlan()
-        plan.host_outage(4.0, cluster.hosts[2], 6.0)
-        plan.partition(12.0, [cluster.hosts[0].address])
-        plan.heal(16.0)
-        FaultInjector(cluster, plan).start()
-        return cluster
-
-    fresh = run_workload(armed())
-    forked = run_workload(armed().snapshot().fork())
-    assert forked == fresh
+    # Per-cluster id state: building any number of clusters in one
+    # process must not shift id counters — that was the old
+    # module-global stream-id bug.
+    assert run_workload(build_base()) == run_workload(build_base())
 
 
 def test_chaos_base_round_trips_with_service_extra():
-    snapshot = build_chaos_base(seed=1, workstations=3)
-    assert snapshot.meta["extras"] == ["service"]
-    a = run_chaos(duration=20.0, jobs=3, base=snapshot)
-    b = run_chaos(duration=20.0, jobs=3, base=snapshot.fork())
-    assert a.fingerprint == b.fingerprint
-    assert a.seed == 1 and a.workstations == 3
+    recipe = build_chaos_base(seed=1, workstations=3)
+    cluster = recipe.fork()
+    service = cluster.extras["service"]
+    assert service.cluster is cluster
+    forked = run_chaos(duration=20.0, jobs=3, base=cluster)
+    built = run_chaos(seed=1, workstations=3, duration=20.0, jobs=3)
+    assert forked.fingerprint == built.fingerprint
+    assert forked.to_dict() == built.to_dict()
+    assert forked.seed == 1 and forked.workstations == 3
 
 
 # ----------------------------------------------------------------------
-# Capture preflight
+# forked_map
 # ----------------------------------------------------------------------
-def test_snapshot_of_run_cluster_raises():
-    cluster = build_base()
-    cluster.run(until=1.0)  # daemons are now half-run generators
-    with pytest.raises(SnapshotError):
-        cluster.snapshot()
-
-
-def test_snapshot_error_names_unpicklable_state():
-    cluster = build_base()
-    cluster.hosts[0].rpc.fallback = lambda packet: None
-    with pytest.raises(SnapshotError, match="not snapshotable"):
-        cluster.snapshot()
-
-
-# ----------------------------------------------------------------------
-# Sweep runner
-# ----------------------------------------------------------------------
-def _cell_fingerprint(cluster, cell):
-    return run_workload(cluster, horizon=10.0 + cell)
+def _cell_fingerprint(index: int) -> str:
+    return run_workload(build_base(), horizon=10.0 + index)
 
 
 def test_sweep_runner_matches_sequential_and_workers():
     # Worker counts that give one stripe, uneven stripes, and more
-    # workers than cells; ``cow=False`` (in-process) is the oracle.
-    snapshot = build_base().snapshot()
-    cells = [0, 1, 2, 3, 4]
-    sequential = SweepRunner(snapshot, workers=1, cow=False).run(
-        cells, _cell_fingerprint
-    )
+    # workers than cells; the in-process loop is the oracle.
+    sequential = [_cell_fingerprint(index) for index in range(5)]
     for workers in (1, 2, 3, 8):
-        assert SweepRunner(snapshot, workers=workers).run(
-            cells, _cell_fingerprint
-        ) == sequential, workers
+        assert forked_map(_cell_fingerprint, 5, workers) == sequential, workers
 
 
 def test_sweep_runner_live_base_stays_reusable():
-    base = build_base()
-    runner = SweepRunner(base, workers=2)
-    first = runner.run([0, 1], _cell_fingerprint)
-    assert base.sim.now == 0.0  # cells ran on materializations, not on it
-    assert runner.run([0, 1], _cell_fingerprint) == first
+    # Nothing a sweep runs touches the parent: the same sweep twice
+    # gives the same results, and a recipe is never consumed.
+    recipe = Snapshot(build_base)
+
+    def job(index: int) -> str:
+        return run_workload(recipe.fork(), horizon=10.0 + index)
+
+    first = forked_map(job, 2, 2)
+    assert forked_map(job, 2, 2) == first
 
 
 def test_every_cell_of_a_stripe_starts_pristine():
-    def cell_fn(cluster, cell):
+    def job(index: int) -> str:
+        cluster = build_base()
         assert cluster.sim.now == 0.0 and cluster.sim.events_fired == 0
-        return run_workload(cluster, horizon=10.0 + cell)
+        return run_workload(cluster, horizon=10.0 + index)
 
-    base = build_base()
-    cells = [0, 1, 2, 3, 4]
-    in_process = SweepRunner(base, cow=False).run(cells, cell_fn)
-    assert SweepRunner(base, workers=2).run(cells, cell_fn) == in_process
-    assert base.sim.now == 0.0 and base.sim.events_fired == 0
+    in_process = [job(index) for index in range(5)]
+    assert forked_map(job, 5, 2) == in_process
 
 
 def test_sweep_runner_builder_mode():
-    assert SweepRunner(build_base, workers=2).run(
-        [0, 1], _cell_fingerprint
-    ) == SweepRunner(build_base().snapshot(), workers=2).run(
-        [0, 1], _cell_fingerprint
-    )
+    # run_matrix's forked cells equal run_cell called in this process.
+    cells = spread_cells(matrix_cells(), 3)
+    matrix = run_matrix(seed=0, cells=cells, horizon=60.0, workers=2)
+    assert [c.to_dict() for c in matrix.cells] == [
+        run_cell(*cell, seed=0, horizon=60.0).to_dict() for cell in cells
+    ]
 
 
 def test_forked_map_propagates_child_failures():
@@ -276,8 +201,26 @@ def test_a_failure_costs_its_own_cell(tmp_path, misbehave, failed, names):
 
 
 # ----------------------------------------------------------------------
-# Crash matrix: fingerprint is worker-count-invariant
+# Crash matrix: a cell builds its cluster; fingerprint is worker-invariant
 # ----------------------------------------------------------------------
+def test_a_sweep_cell_builds_its_cluster(monkeypatch):
+    # In-process (no fork), so every construction is counted here.
+    monkeypatch.setattr(sweep, "_has_fork", lambda: False)
+    built = []
+    real_init = SpriteCluster.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpriteCluster, "__init__", counting_init)
+    cells = spread_cells(matrix_cells(), 6)
+    assert len(cells) == 6
+    report = run_matrix(seed=0, cells=cells, horizon=60.0)
+    assert len(report.cells) == 6
+    assert len(built) == 6
+
+
 def test_matrix_fingerprint_identical_any_worker_count():
     cells = [
         ("negotiated", "source", "crash"),
