@@ -12,6 +12,8 @@ message, a reply wait — which are one event each: a grant that became
 an event again, or a message that sleeps twice, changes no result.
 """
 
+import time
+
 from repro import SpriteCluster
 from repro.config import ClusterParams
 from repro.faults import build_chaos_base, run_chaos
@@ -47,6 +49,33 @@ def test_shared_core_costs_events_per_process_not_per_quantum():
     # 1200 quanta among four processes: 19 events today, 2406 when a
     # contended quantum cost a grant and a boundary wake-up.
     assert _compute_events(4, 3.0) <= 24
+
+
+def test_long_computes_replay_in_closed_form():
+    """Ten million quanta, alone or in a rotation of four, replayed as
+    whole rounds: a wake-up per doubling of the horizon and no walk over
+    the quanta between them.  Walking them one by one, in ``_plan`` and
+    again in ``settle``, cost seconds of wall for these events, not
+    milliseconds."""
+    for processes, seconds, events, cpu_time in (
+        (1, 100_000.0, 26, 99999.99999999999),
+        (4, 25_000.0, 32, 24999.999999999996),
+    ):
+        cluster = SpriteCluster(workstations=1, start_daemons=False)
+
+        def job(proc):
+            yield from proc.compute(seconds)
+            return 0
+
+        pcbs = [
+            cluster.hosts[0].spawn_process(job, name=f"job{i}")[0]
+            for i in range(processes)
+        ]
+        started = time.perf_counter()
+        cluster.sim.run_until_idle()
+        assert time.perf_counter() - started < 0.25
+        assert cluster.sim.events_fired == events
+        assert [pcb.cpu_time for pcb in pcbs] == [cpu_time] * processes
 
 
 def test_adversarial_chaos_smoke_event_budget():

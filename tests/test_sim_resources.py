@@ -1,10 +1,14 @@
 """Unit tests for resources and the round-robin CPU model."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim import (
     Cpu, Interrupted, Resource, Simulator, Sleep, SliceRun, spawn,
 )
+from repro.sim.resources import _repeat_add
+
+from .test_lazy_slicing import QUANTUM, SPEEDS
 
 
 def test_resource_serializes_holders():
@@ -238,6 +242,45 @@ def test_cpu_rejects_negative_demand():
     spawn(sim, job(), name="bad")
     with pytest.raises(ValueError):
         sim.run()
+
+
+# ----------------------------------------------------------------------
+# Repeated addition in closed form
+# ----------------------------------------------------------------------
+#: Where a core's floats start a jump: nothing yet, a binade edge, the
+#: binade [1/64, 1/32) in which 0.01 is an odd multiple of half an ulp,
+#: and anything up to twelve days of seconds.
+STARTS = st.one_of(
+    st.just(0.0),
+    st.integers(-12, 20).map(lambda e: 2.0 ** e),
+    st.floats(1 / 64, 1 / 32, exclude_max=True),
+    st.floats(0.0, 1e6),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    x=STARTS,
+    c=st.builds(lambda speed, sign: sign * QUANTUM * speed,
+                SPEEDS, st.sampled_from([1.0, -1.0])),
+    n=st.integers(0, 10 ** 5),
+    tally=st.none() | STARTS,
+)
+# Three steps down to exactly 1.0, where the fourth sum, 0.48 ulp below
+# it, rounds on the finer grid of the binade underneath.
+@example(x=1.0 + 3 * (1.5 - (1.5 - 0.005)), c=-0.005, n=4, tally=None)
+def test_repeat_add_is_the_sequential_loop_bit_for_bit(x, c, n, tally):
+    """``_repeat_add`` returns exactly what ``n`` additions one by one
+    return — also across binade edges, through zero and in the tie
+    binade — and its tally what adding each step's increment returns."""
+    y, total = x, tally
+    for _ in range(n):
+        nxt = y + c
+        if total is not None:
+            total += nxt - y
+        y = nxt
+    expected = y if tally is None else (y, total)
+    assert _repeat_add(x, c, n, tally) == expected
 
 
 # ----------------------------------------------------------------------
