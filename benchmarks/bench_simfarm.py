@@ -26,9 +26,6 @@ def run_farm():
         start_daemons=True,
         params=None,
     )
-    # Coarser quantum: 40 long jobs don't need 10 ms scheduling fidelity.
-    for host in cluster.hosts:
-        host.cpu.quantum = 0.25
     service = LoadSharingService(cluster, architecture="centralized")
     cluster.standard_images()
     cluster.run(until=45.0)

@@ -24,8 +24,6 @@ DURATION = 8 * 3600.0     # one working day, compressed
 
 def run_window():
     cluster = SpriteCluster(workstations=HOSTS, start_daemons=True, seed=3)
-    for host in cluster.hosts:
-        host.cpu.quantum = 0.25     # coarse scheduling for the long window
     service = LoadSharingService(cluster, architecture="centralized")
     cluster.standard_images()
     usage = UsageSimulation(
