@@ -1,16 +1,17 @@
 """Observability guard rule.
 
-The tracing layer's contract (PR 2) is zero cost when disabled: every
-``tracer.emit`` / ``spans.start`` / ``spans.record`` call site must be
-dominated by a cheap enabled-check so a disabled run never builds event
-payloads.  A guard counts wherever it actually dominates the call, not
-just within a few source lines of it.
+The tracing layer's contract is zero cost when disabled: every
+``tracer.emit`` / ``tracer.start_span`` / ``tracer.record_span`` call
+site must be dominated by a cheap enabled-check so a disabled run never
+builds event payloads or spans.  A guard counts wherever it actually
+dominates the call, not just within a few source lines of it.
 
 A call is considered guarded when, inside its enclosing function:
 
-* an ancestor ``if``/``elif``/``while`` test mentions ``.enabled`` or
-  an ``is (not) None`` comparison, or a boolean expression short-
-  circuits on one (``tracer.enabled and tracer.emit(...)``), or
+* an ancestor ``if``/``elif``/``while`` test mentions ``.enabled``,
+  ``.spans_enabled`` or an ``is (not) None`` comparison, or a boolean
+  expression short-circuits on one (``tracer.enabled and
+  tracer.emit(...)``), or
 * an earlier same-suite ``if`` with such a test ends in
   ``return``/``raise``/``continue`` (early-exit guard).
 
@@ -35,9 +36,11 @@ from .core import (
 )
 
 #: method names whose call sites need a guard (matched on attribute
-#: access, any receiver: ``self.tracer.emit``, ``host.spans.record`` …)
-_EMIT_ATTRS = {"emit", "start", "record"}
-_EMIT_RECEIVER_TAILS = {"tracer", "spans"}
+#: access, any receiver ending in ``tracer``: ``self.tracer.emit``,
+#: ``host.tracer.record_span`` …)
+_EMIT_ATTRS = {"emit", "start_span", "record_span"}
+#: the tracer's two switches: records and spans
+_GUARD_ATTRS = {"enabled", "spans_enabled"}
 
 #: trees that *implement* the tracing layer are exempt, as in the old tool
 _EXEMPT_DIRS = {"obs"}
@@ -65,26 +68,23 @@ class UnguardedEmitRule(Rule):
                     self.id,
                     node,
                     f"{dotted_name(node.func)}() is not dominated by an "
-                    "enabled/None guard; wrap in `if tracer.enabled:` or "
-                    "mark `# span-guard: caller`",
+                    "enabled/None guard; wrap in `if tracer.enabled:` "
+                    "(`if tracer.spans_enabled:` for spans) or mark "
+                    "`# span-guard: caller`",
                 )
 
 
-def _is_emit_call(
-    call: ast.Call,
-    attrs: Iterable[str] = _EMIT_ATTRS,
-    receivers: Iterable[str] = _EMIT_RECEIVER_TAILS,
-) -> bool:
+def _is_emit_call(call: ast.Call, attrs: Iterable[str] = _EMIT_ATTRS) -> bool:
     func = call.func
     if not isinstance(func, ast.Attribute) or func.attr not in attrs:
         return False
-    return dotted_name(func.value).rsplit(".", 1)[-1] in receivers
+    return dotted_name(func.value).rsplit(".", 1)[-1] == "tracer"
 
 
 def _test_is_guard(test: ast.AST) -> bool:
     """Does this condition check enabledness or non-None-ness?"""
     for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and node.attr == "enabled":
+        if isinstance(node, ast.Attribute) and node.attr in _GUARD_ATTRS:
             return True
         if isinstance(node, ast.Compare) and any(
             isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
@@ -183,11 +183,11 @@ class SpanCatalogueRule(Rule):
     migration breakdowns key on exact span-name strings; a site that
     invents (or typos) a name silently drops out of every analysis.
     This rule requires the ``name`` argument at each
-    ``spans.start(...)`` / ``spans.record(...)`` call site to resolve
-    to a member of :data:`repro.obs.spans.SPAN_CATALOGUE` — either as
-    a resolvable string (literal / constant / parameter default) whose
-    value is catalogued, or as a reference to one of the catalogue's
-    own constants (``MIG_FREEZE``, ``RPC_CALL``, …).
+    ``tracer.start_span(...)`` / ``tracer.record_span(...)`` call site
+    to resolve to a member of :data:`repro.obs.spans.SPAN_CATALOGUE` —
+    either as a resolvable string (literal / constant / parameter
+    default) whose value is catalogued, or as a reference to one of the
+    catalogue's own constants (``MIG_FREEZE``, ``RPC_CALL``, …).
 
     Wrapper functions that forward a ``name`` parameter (e.g. the
     migration mechanism's ``_span`` helper) are chased through the call
@@ -288,9 +288,9 @@ class SpanCatalogueRule(Rule):
 
 
 def _is_span_name_site(call: ast.Call) -> bool:
-    """``<...>.spans.start(...)`` / ``<...>.spans.record(...)`` sites —
-    the subset of emit sites where the first argument is a span name."""
-    return _is_emit_call(call, ("start", "record"), ("spans",))
+    """``<...>.tracer.start_span(...)`` / ``<...>.tracer.record_span(...)``
+    sites — the emit sites whose first argument is a span name."""
+    return _is_emit_call(call, ("start_span", "record_span"))
 
 
 register_rule(UnguardedEmitRule())

@@ -30,7 +30,7 @@ from typing import Any, Generator, Optional
 
 from ..kernel import Pcb, ProcState
 from ..migration.packaging import PACKAGE_EXCEPTIONS
-from ..obs import CKPT_CHECKPOINT, CKPT_WRITE, SpanTracer
+from ..obs import CKPT_CHECKPOINT, CKPT_WRITE
 from ..sim import Effect, Sleep, spawn
 from .image import CheckpointImage, image_payload, write_image
 
@@ -64,7 +64,6 @@ class CheckpointDaemon:
         self.sim = host.sim
         self.params = host.params
         self.tracer = host.tracer
-        self.spans = SpanTracer.for_tracer(host.tracer)
         #: Statistics, aggregated by the service for reports.
         self.checkpoints = 0
         self.incrementals = 0
@@ -193,12 +192,12 @@ class CheckpointDaemon:
 
         now = self.sim.now
         source = f"ckptd:{self.host.name}"
-        if self.spans.enabled:
-            root = self.spans.record(
+        if self.tracer.spans_enabled:
+            root = self.tracer.record_span(
                 CKPT_CHECKPOINT, source, started, now,
                 pid=pcb.pid, seq=image.seq, mode=image.mode,
             )
-            self.spans.record(
+            self.tracer.record_span(
                 CKPT_WRITE, source, started, now, parent=root,
                 bytes=image.image_bytes,
             )

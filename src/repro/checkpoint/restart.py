@@ -31,7 +31,7 @@ from typing import Any, Generator, List, Optional
 
 from ..kernel import Pcb, UserContext, Vm
 from ..migration.packaging import PACKAGE_EXCEPTIONS
-from ..obs import CKPT_RESTORE, SpanTracer
+from ..obs import CKPT_RESTORE
 from ..sim import Effect, spawn
 from .image import read_image
 
@@ -46,7 +46,6 @@ class RestartManager:
         self.cluster = service.cluster
         self.sim = service.cluster.sim
         self.tracer = service.cluster.tracer
-        self.spans = SpanTracer.for_tracer(self.tracer)
         #: Statistics for reports and tests.
         self.restores = 0
         self.torn_skipped = 0
@@ -160,8 +159,8 @@ class RestartManager:
 
         self.restores += 1
         now = self.sim.now
-        if self.spans.enabled:
-            self.spans.record(
+        if self.tracer.spans_enabled:
+            self.tracer.record_span(
                 CKPT_RESTORE, f"ckpt-restart:{host.name}", started, now,
                 pid=pid, seq=image.seq, host=host.address,
                 bytes=image.restore_bytes,

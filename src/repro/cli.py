@@ -322,8 +322,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     records = [r for cluster, _obs in capture.captured
                for r in cluster.tracer.records]
-    spans = [s for _cluster, obs in capture.captured
-             for s in obs.spans.finished]
+    spans = [s for cluster, _obs in capture.captured
+             for s in cluster.tracer.finished_spans]
 
     # Filters ----------------------------------------------------------
     # A filter that matches nothing is almost always a typo (wrong host
@@ -406,8 +406,8 @@ def cmd_critpath(args: argparse.Namespace) -> int:
         print("error: the workload never built a SpriteCluster; nothing "
               "to analyze", file=sys.stderr)
         return 1
-    spans = [s for _cluster, obs in capture.captured
-             for s in obs.spans.finished]
+    spans = [s for cluster, _obs in capture.captured
+             for s in cluster.tracer.finished_spans]
     report = critpath_report(spans, limit=args.limit)
     if args.profile:
         from .obs import EngineProfiler

@@ -97,7 +97,6 @@ class FailureDetector:
         self.reconciles = 0
         self.false_suspicions = 0
         self.reconciled_kills = 0
-        self.spans = injector.spans
         self._suspect_spans: Dict[int, Any] = {}
         self._task = None
 
@@ -172,8 +171,9 @@ class FailureDetector:
         """Suspicion crossed the threshold: run the survivor reaction."""
         watch.declared = True
         self.declared += 1
-        if self.spans.enabled:
-            self._suspect_spans[host.address] = self.spans.start(
+        tracer = self.cluster.tracer
+        if tracer.spans_enabled:
+            self._suspect_spans[host.address] = tracer.start_span(
                 FAULT_SUSPECT, f"host:{host.name}",
                 t=self.cluster.sim.now, address=host.address,
                 misses=watch.suspicion, threshold=watch.threshold,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Set
 
 from ..kernel import Host
-from ..obs import FAULT_OUTAGE, SpanTracer
+from ..obs import FAULT_OUTAGE
 from ..sim import Effect, Sleep, spawn
 from .fabric import LinkFabric
 from .plan import FaultAction, FaultPlan
@@ -73,7 +73,6 @@ LoadSharingService` (or anything with ``.migd``); without it the migd
             rng=cluster.rng.stream("faults.net"), tracer=cluster.tracer
         )
         cluster.lan.fabric = self.fabric
-        self.spans = SpanTracer.for_tracer(cluster.tracer)
         #: Everything the injector did, in order.
         self.log: List[FaultEvent] = []
         #: PCBs that were executing on a host when it crashed.
@@ -180,8 +179,9 @@ LoadSharingService` (or anything with ``.migd``); without it the migd
         lost = host.crash()
         self.lost_processes.extend(lost)
         self.crashed_hosts.add(host.address)
-        if self.spans.enabled:
-            self._outage_spans[host.address] = self.spans.start(
+        tracer = self.cluster.tracer
+        if tracer.spans_enabled:
+            self._outage_spans[host.address] = tracer.start_span(
                 FAULT_OUTAGE, f"host:{host.name}", t=self.cluster.sim.now,
                 address=host.address,
             )

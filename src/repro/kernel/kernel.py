@@ -478,16 +478,16 @@ class SpriteKernel:
             return (yield from self.rpc.call(pcb.home, "proc.wait", args, timeout=None))
         if call == "killpg":
             return (yield from self.rpc.call(pcb.home, "proc.signal_group", args))
-        spans = self.rpc.spans
-        started = self.sim.now if spans.enabled else 0.0
+        tracer = self.tracer
+        started = self.sim.now if tracer.spans_enabled else 0.0
         value = yield from self.rpc.call(
             pcb.home,
             "proc.home_call",
             {"pid": pcb.pid, "call": call, "args": args,
              "cpu_time": pcb.cpu_time},
         )
-        if spans.enabled:
-            spans.record(
+        if tracer.spans_enabled:
+            tracer.record_span(
                 KERNEL_FORWARD,
                 f"kern:{self.node.name}",
                 started,

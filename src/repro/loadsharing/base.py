@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Iterable, List, Sequence
 
 from ..kernel import Host
-from ..obs.spans import SELECT_REQUEST, SpanTracer
+from ..obs.spans import SELECT_REQUEST
 from ..sim import Effect
 
 __all__ = ["AcceptPolicy", "SelectorMetrics", "HostSelector", "install_accept_hooks"]
@@ -47,7 +47,6 @@ class HostSelector:
     def __init__(self, host: Host):
         self.host = host
         self.metrics = SelectorMetrics()
-        self.spans = SpanTracer.for_tracer(host.tracer)
 
     def request(
         self, n: int = 1, exclude: Sequence[int] = ()
@@ -71,9 +70,9 @@ class HostSelector:
             self.metrics.granted += len(granted)
         else:
             self.metrics.denied += 1
-        spans = self.spans
-        if spans.enabled:
-            spans.record(
+        tracer = self.host.tracer
+        if tracer.spans_enabled:
+            tracer.record_span(
                 SELECT_REQUEST,
                 f"select:{self.host.name}",
                 started,

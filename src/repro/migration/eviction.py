@@ -93,9 +93,9 @@ class EvictionDaemon:
             records=records,
         )
         self.events.append(event)
-        spans = self.manager.spans
-        if spans.enabled:
-            spans.record(
+        tracer = self.host.tracer
+        if tracer.spans_enabled:
+            tracer.record_span(
                 EVICT_RECLAIM,
                 f"evict:{self.host.name}",
                 started,

@@ -61,9 +61,8 @@ from ..obs.spans import (
     MIG_VM_PRE,
     MIG_VM_TRANSFER,
     MIG_WAIT_SAFE_POINT,
-    Span,
 )
-from ..sim import Effect, SimEvent, Sleep, first
+from ..sim import Effect, SimEvent, Sleep, Span, first
 from .lease import LeaseService
 from .packaging import state_bytes, stream_bytes, stream_manifest
 from .recovery import MigrationAbandoned, MigrationRefused, TxnResolver
@@ -353,10 +352,10 @@ class MigrationManager(TxnResolver):
     # ------------------------------------------------------------------
     def _root_span(self, record: MigrationRecord) -> Optional[Span]:
         """Open the ``mig.migrate`` root span for one migration."""
-        spans = self.spans
-        if not spans.enabled:
+        tracer = self.host.tracer
+        if not tracer.spans_enabled:
             return None
-        return spans.start(
+        return tracer.start_span(
             MIG_MIGRATE,
             f"mig:{self.host.name}",
             t=record.started,
@@ -382,8 +381,8 @@ class MigrationManager(TxnResolver):
             end = self.sim.now
         root = txn.root
         if root is not None:
-            self.spans.record(name, root.source, start, end, parent=root,
-                              **attrs)
+            self.host.tracer.record_span(name, root.source, start, end,
+                                         parent=root, **attrs)
         return end
 
     def _emit_freeze_phases(self, txn: MigrationTxn) -> None:

@@ -31,7 +31,7 @@ from ..config import ClusterParams
 from ..fs.errors import FsError
 from ..kernel import Host, Pcb, ProcState, SpriteKernel
 from ..net import NetworkPartitionedError, RetryLaterError, RpcError, RpcTimeout
-from ..obs.spans import MIG_UPDATE_HOME, SpanTracer
+from ..obs.spans import MIG_UPDATE_HOME
 from ..sim import Effect, SimClock, Sleep, spawn
 from .txn import MigrationJournal, MigrationTxn, TxnState, UndoEntry
 
@@ -56,9 +56,6 @@ class TxnResolver:
     def __init__(self, host: Host):
         self.host = host
         self.kernel: SpriteKernel = host.kernel
-        #: Span tracer shared cluster-wide (one per Tracer); disabled by
-        #: default, so span sites cost one branch each.
-        self.spans: SpanTracer = SpanTracer.for_tracer(host.tracer)
         #: Write-ahead journal (persistent: survives host.crash).
         self.journal = MigrationJournal(host.params.migration_txn_journal)
         self.journal.bind_clock(SimClock(host.sim))
@@ -241,8 +238,8 @@ class TxnResolver:
         )
         root = txn.root
         if root is not None:
-            self.spans.record(MIG_UPDATE_HOME, root.source, started,
-                              self.sim.now, parent=root, home=home)
+            self.host.tracer.record_span(MIG_UPDATE_HOME, root.source, started,
+                                         self.sim.now, parent=root, home=home)
 
     def _close_lease(self, txn: MigrationTxn) -> Generator[Effect, None, None]:
         """``closed``: drop the target's lease record.  Retried until it

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ..config import ClusterParams
-from ..obs.spans import RPC_CALL, RPC_SERVE, SpanTracer
+from ..obs.spans import RPC_CALL, RPC_SERVE
 from ..sim import (
     TIMED_OUT,
     ChannelClosed,
@@ -167,8 +167,6 @@ class RpcPort:
         self.stats: Optional[RpcStats] = None
         #: Lazily-seeded RNG for retry jitter (deterministic per port).
         self._backoff_rng = None
-        #: Cluster-wide span tracer (disabled by default).
-        self.spans = SpanTracer.for_tracer(self.tracer)
         self._server_task = spawn(
             sim, self._serve, name=f"rpc-server:{node.name}", daemon=True
         )
@@ -249,8 +247,8 @@ class RpcPort:
             if len(self._dedup) > self.params.rpc_dedup_cache:
                 self._dedup.pop(next(iter(self._dedup)))
         span = None
-        if self.spans.enabled:
-            span = self.spans.start(
+        if self.tracer.spans_enabled:
+            span = self.tracer.start_span(
                 RPC_SERVE, f"rpc:{self.node.name}", t=self.sim.now,
                 service=request.service, client=request.reply_to,
                 caller_sid=request.caller_sid,
@@ -359,13 +357,15 @@ class RpcPort:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
-    def _retry_backoff(self, attempt: int) -> float:
+    def retry_backoff(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (0-based): jittered exponential.
 
         Base doubles per attempt up to ``params.rpc_backoff_cap``; the
         jitter factor comes from a per-port RNG seeded from
         ``params.seed`` and the node name, so runs are reproducible but
         callers that lost the same host do not retry in lockstep.
+        Callers running their own retry loops (e.g. migration rollback)
+        use it too, so every retrier on a host shares one jitter stream.
         """
         params = self.params
         # 2.0 ** 1024 overflows; every unbounded retry loop gets here
@@ -390,12 +390,6 @@ class RpcPort:
             delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
         return delay
 
-    def retry_backoff(self, attempt: int) -> float:
-        """Public jittered-backoff schedule for callers running their own
-        retry loops (e.g. migration rollback) so every retrier on a host
-        shares one deterministic jitter stream."""
-        return self._retry_backoff(attempt)
-
     def call(
         self,
         dst: int,
@@ -418,8 +412,8 @@ class RpcPort:
         if self.cpu is not None:
             yield from self.cpu.consume(self.params.rpc_cpu_overhead)
         span = None
-        if self.spans.enabled:
-            span = self.spans.start(
+        if self.tracer.spans_enabled:
+            span = self.tracer.start_span(
                 RPC_CALL, f"rpc:{self.node.name}", t=self.sim.now,
                 dst=dst, service=service, bytes=size,
             )
@@ -458,7 +452,7 @@ class RpcPort:
             except HostDownError as err:
                 last_error = err
                 if _attempt + 1 < attempts:
-                    yield Sleep(self._retry_backoff(_attempt))
+                    yield Sleep(self.retry_backoff(_attempt))
                 continue
             if timeout is None:
                 value = yield reply_event.wait()
@@ -473,14 +467,14 @@ class RpcPort:
                 # as a timeout or host death unless retries exhaust.
                 last_error = err
                 if _attempt + 1 < attempts:
-                    yield Sleep(self._retry_backoff(_attempt))
+                    yield Sleep(self.retry_backoff(_attempt))
                 continue
             if value is TIMED_OUT:
                 last_error = RpcTimeout(
                     f"{service} on host {dst} timed out after {timeout}s"
                 )
                 if _attempt + 1 < attempts:
-                    yield Sleep(self._retry_backoff(_attempt))
+                    yield Sleep(self.retry_backoff(_attempt))
                 continue
             if span is not None:
                 span.finish(self.sim.now, outcome="ok", attempts=_attempt + 1)

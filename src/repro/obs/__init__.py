@@ -1,10 +1,10 @@
 """Cluster-wide observability: spans, metrics, trace export.
 
-Layered on :mod:`repro.sim.trace`'s flat record stream:
+Layered on the cluster's one :class:`~repro.sim.trace.Tracer`, which
+holds both the flat records and the sim-time spans:
 
-* :mod:`.spans`   — sim-time :class:`Span`/:class:`SpanTracer` with
-  parent links, instrumented through the migration lifecycle, host
-  selection, eviction, and RPC.
+* :mod:`.spans`   — the span-name catalogue: the migration lifecycle,
+  host selection, eviction, RPC, faults and checkpoints.
 * :mod:`.metrics` — per-host/cluster counters, gauges, and
   histogram-backed timers with a sim-time sampler.
 * :mod:`.tables`  — :class:`Table` / :class:`Series`, the paper-style
@@ -20,9 +20,10 @@ Layered on :mod:`repro.sim.trace`'s flat record stream:
   events per task source / subsystem (opt-in ``Simulator.profiler``).
 
 Everything is opt-in and zero-cost when off: instrumentation sites are
-guarded by ``enabled`` flags or ``is not None`` hooks, statically
-checked by the ``obs-unguarded-emit`` lint rule.  See
-``docs/observability.md`` for the span taxonomy and metric names.
+guarded by the tracer's ``enabled`` / ``spans_enabled`` switches or by
+``is not None`` hooks, statically checked by the ``obs-unguarded-emit``
+lint rule.  See ``docs/observability.md`` for the span taxonomy and
+metric names.
 """
 
 from .critpath import (
@@ -73,9 +74,6 @@ from .spans import (
     RPC_SERVE,
     SELECT_REQUEST,
     SPAN_CATALOGUE,
-    SPAN_KIND,
-    Span,
-    SpanTracer,
 )
 from .tables import Series, Table
 
@@ -103,7 +101,6 @@ __all__ = [
     "RPC_SERVE",
     "SELECT_REQUEST",
     "SPAN_CATALOGUE",
-    "SPAN_KIND",
     "ClusterObservability",
     "Counter",
     "EngineProfiler",
@@ -112,8 +109,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSampler",
     "Series",
-    "Span",
-    "SpanTracer",
     "Table",
     "Timer",
     "critpath_report",

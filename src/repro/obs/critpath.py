@@ -35,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..sim.trace import Span
 from .export import MIGRATION_PHASES
-from .spans import MIG_MIGRATE, RPC_CALL, RPC_SERVE, Span
+from .spans import MIG_MIGRATE, RPC_CALL, RPC_SERVE
 
 __all__ = [
     "Attribution",

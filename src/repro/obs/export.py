@@ -25,9 +25,16 @@ import json
 import pathlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from ..sim.trace import Span, TraceRecord
 from .metrics import LatencyHistogram
-from ..sim.trace import TraceRecord
-from .spans import Span
+from .spans import (
+    MIG_COMMIT,
+    MIG_FREEZE,
+    MIG_MIGRATE,
+    MIG_NEGOTIATE,
+    MIG_VM_PRE,
+    MIG_WAIT_SAFE_POINT,
+)
 
 __all__ = [
     "trace_to_jsonl",
@@ -176,8 +183,8 @@ def render_flame(spans: Sequence[Span]) -> str:
 # Span-derived migration breakdowns
 # ----------------------------------------------------------------------
 #: Phase spans that partition a ``mig.migrate`` root contiguously.
-MIGRATION_PHASES = ("mig.negotiate", "mig.vm_pre", "mig.wait_safe_point",
-                    "mig.freeze", "mig.commit")
+MIGRATION_PHASES = (MIG_NEGOTIATE, MIG_VM_PRE, MIG_WAIT_SAFE_POINT,
+                    MIG_FREEZE, MIG_COMMIT)
 
 
 def migration_breakdowns(spans: Sequence[Span]) -> List[Dict[str, Any]]:
@@ -197,7 +204,7 @@ def migration_breakdowns(spans: Sequence[Span]) -> List[Dict[str, Any]]:
         if span.parent_sid is not None and span.finished:
             by_parent.setdefault(span.parent_sid, []).append(span)
     for root in spans:
-        if root.name != "mig.migrate" or not root.finished:
+        if root.name != MIG_MIGRATE or not root.finished:
             continue
         row: Dict[str, Any] = {
             "pid": root.attrs.get("pid"),

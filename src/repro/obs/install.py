@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .metrics import MetricsRegistry, MetricsSampler
-from .spans import SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster import SpriteCluster
@@ -28,7 +27,6 @@ class ClusterObservability:
 
     def __init__(self, cluster: "SpriteCluster"):
         self.cluster = cluster
-        self.spans = SpanTracer.for_tracer(cluster.tracer)
         self.registry = MetricsRegistry()
         self.sampler: Optional[MetricsSampler] = None
 
@@ -43,10 +41,12 @@ class ClusterObservability:
     ) -> "ClusterObservability":
         """Wire a cluster for observation.
 
-        ``spans``        — enable span collection (cluster-wide switch).
-        ``trace``        — also enable the flat tracer, so spans and the
-                           existing event records are mirrored into
-                           ``cluster.tracer.records``.
+        ``spans``        — turn on ``cluster.tracer.spans_enabled``, so
+                           spans collect in
+                           ``cluster.tracer.finished_spans``.
+        ``trace``        — also enable the flat records, so spans are
+                           mirrored into ``cluster.tracer.records`` next
+                           to the existing event records.
         ``sample_period``— if set, start a :class:`MetricsSampler` on
                            that sim-time interval (per-host load,
                            forwarded calls, RPC and LAN traffic).  Like
@@ -64,8 +64,7 @@ class ClusterObservability:
         if trace:
             cluster.tracer.enabled = True
         if spans:
-            obs.spans.enabled = True
-        obs.spans.clock = lambda: cluster.sim.now
+            cluster.tracer.spans_enabled = True
         for manager in cluster.managers.values():
             manager.obs = obs
         for host in cluster.hosts:
@@ -159,7 +158,7 @@ class ClusterObservability:
             "registry": self.registry.snapshot(),
             "rpc_by_service": self.rpc_by_service(),
             "lan_by_kind": self.lan_by_kind(),
-            "spans": len(self.spans.finished),
+            "spans": len(self.cluster.tracer.finished_spans),
             "samples": self.sampler.samples_taken if self.sampler else 0,
         }
 

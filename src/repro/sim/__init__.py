@@ -4,7 +4,8 @@ This package is the substrate for the whole reproduction: a clock and
 event queue (:mod:`.engine`), generator-coroutine tasks and effects
 (:mod:`.tasks`), channels (:mod:`.channels`), contended resources and a
 round-robin CPU model (:mod:`.resources`), named random substreams
-(:mod:`.random`), and structured tracing (:mod:`.trace`).
+(:mod:`.random`), and structured tracing, records and spans
+(:mod:`.trace`).
 """
 
 from .channels import Channel
@@ -32,7 +33,7 @@ from .tasks import (
     spawn,
     with_timeout,
 )
-from .trace import TraceRecord, Tracer
+from .trace import Span, TraceRecord, Tracer
 
 __all__ = [
     "Channel",
@@ -52,6 +53,7 @@ __all__ = [
     "Sleep",
     "SliceRun",
     "SnapshotError",
+    "Span",
     "StateRegistry",
     "Task",
     "TaskFailed",

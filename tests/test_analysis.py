@@ -309,7 +309,7 @@ def test_unguarded_emit_guarded_forms(tmp_path):
 
                 def none_check(self, root):
                     if root is not None:
-                        self.spans.record(root, "none")
+                        self.tracer.record_span(root, "none")
 
                 def short_circuit(self):
                     self.tracer.enabled and self.tracer.emit(1.0, "m", "sc")
@@ -328,13 +328,34 @@ def test_unguarded_emit_caller_pragma(tmp_path):
             class Manager:
                 def helper(self):
                     # span-guard: caller
-                    self.spans.record(1.0, "mgr")
+                    self.tracer.record_span(1.0, "mgr")
             """
         },
     )
     result = run_lint(root, rule_ids=["obs-unguarded-emit"])
     assert result.findings == []
     assert result.suppressed == 1
+
+
+def test_unguarded_span_call_positive(tmp_path):
+    # Span calls on the tracer need a guard too, and the span switch
+    # counts as one.
+    findings = findings_of(
+        tmp_path,
+        {
+            "mod.py": """\
+            class Manager:
+                def work(self):
+                    self.tracer.record_span("mig.freeze", "mgr", 0.0, 1.0)
+
+                def guarded(self):
+                    if self.tracer.spans_enabled:
+                        self.tracer.start_span("mig.freeze", "mgr", 0.0)
+            """
+        },
+        ["obs-unguarded-emit"],
+    )
+    assert [(f.rule, f.line) for f in findings] == [("obs-unguarded-emit", 3)]
 
 
 def test_unguarded_emit_window_false_negative_closed(tmp_path):
@@ -1178,7 +1199,7 @@ def test_span_catalogue_positive_inline_string(tmp_path):
         {
             "mech.py": """\
             def go(self):
-                span = self.spans.start("mig.bogus_phase", "mig:ws0")
+                span = self.tracer.start_span("mig.bogus_phase", "mig:ws0", 0.0)
                 span.finish(1.0)
             """
         },
@@ -1195,9 +1216,9 @@ def test_span_catalogue_negative_constant_and_literal(tmp_path):
             "mech.py": """\
             from repro.obs.spans import MIG_FREEZE
 
-            def go(self, obs):
-                obs.spans.start(MIG_FREEZE, "mig:ws0")
-                obs.spans.record("rpc.call", "rpc:ws0", 0.0, 1.0)
+            def go(self, host):
+                host.tracer.start_span(MIG_FREEZE, "mig:ws0", 0.0)
+                host.tracer.record_span("rpc.call", "rpc:ws0", 0.0, 1.0)
             """
         },
         ["obs-span-catalogue"],
@@ -1213,7 +1234,7 @@ def test_span_catalogue_forwarded_param(tmp_path):
         {
             "mech.py": """\
             def _phase(self, name, t):
-                return self.spans.start(name, "mig:ws0", t=t)
+                return self.tracer.start_span(name, "mig:ws0", t=t)
 
             def run(self):
                 self._phase("not.registered", 0.0)
@@ -1231,7 +1252,7 @@ def test_span_catalogue_forwarded_param(tmp_path):
             from repro.obs.spans import MIG_FREEZE
 
             def _phase(self, name, t):
-                return self.spans.start(name, "mig:ws0", t=t)
+                return self.tracer.start_span(name, "mig:ws0", t=t)
 
             def run(self):
                 self._phase(MIG_FREEZE, 0.0)
@@ -1250,20 +1271,20 @@ def test_span_catalogue_forwarded_through_two_helpers_in_two_modules(tmp_path):
         "a.py": """\
         from repro.obs.spans import MIG_FREEZE
 
-        def phase(obs, name, t):
-            return obs.spans.start(name, "mig:ws0", t=t)
+        def phase(host, name, t):
+            return host.tracer.start_span(name, "mig:ws0", t=t)
 
-        def local(obs):
-            phase(obs, MIG_FREEZE, 0.0)
+        def local(host):
+            phase(host, MIG_FREEZE, 0.0)
         """,
         "b.py": """\
         from .a import phase
 
-        def relay(obs, label):
-            return phase(obs, label, 1.0)
+        def relay(host, label):
+            return phase(host, label, 1.0)
 
-        def run(obs):
-            relay(obs, "not.registered")
+        def run(host):
+            relay(host, "not.registered")
         """,
     }
     bad = findings_of(tmp_path, files, ["obs-span-catalogue"])
@@ -1281,7 +1302,7 @@ def test_span_catalogue_exempts_obs_layer(tmp_path):
         {
             "obs/impl.py": """\
             def go(self):
-                self.spans.start("anything.goes", "x:ws0")
+                self.tracer.start_span("anything.goes", "x:ws0", 0.0)
             """
         },
         ["obs-span-catalogue"],

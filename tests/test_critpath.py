@@ -28,8 +28,8 @@ def _captured_spans(profile=False):
     with capture:
         _trace_builtin_migration()
     assert len(capture.captured) == 1
-    cluster, obs = capture.captured[0]
-    return cluster, list(obs.spans.finished)
+    cluster, _obs = capture.captured[0]
+    return cluster, list(cluster.tracer.finished_spans)
 
 
 def test_attribution_partitions_every_migration_exactly():
@@ -84,8 +84,8 @@ def test_attribution_matches_migration_records():
         spawn(cluster.sim, driver(), name="driver")
         cluster.run_until_complete(pcb.task)
 
-    _cluster, obs = capture.captured[0]
-    rows = migration_critical_paths(list(obs.spans.finished))
+    assert capture.captured[0][0] is cluster
+    rows = migration_critical_paths(list(cluster.tracer.finished_spans))
     assert len(rows) == 1 and len(records) == 1
     assert rows[0].total == pytest.approx(records[0].total_time, rel=1e-9)
     assert rows[0].pid == records[0].pid

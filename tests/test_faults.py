@@ -123,14 +123,14 @@ def test_rpc_backoff_deterministic_and_capped():
     cluster_b = SpriteCluster(workstations=2, start_daemons=False)
     port_a = cluster_a.hosts[0].rpc
     port_b = cluster_b.hosts[0].rpc
-    seq_a = [port_a._retry_backoff(i) for i in range(8)]
-    seq_b = [port_b._retry_backoff(i) for i in range(8)]
+    seq_a = [port_a.retry_backoff(i) for i in range(8)]
+    seq_b = [port_b.retry_backoff(i) for i in range(8)]
     assert seq_a == seq_b           # same seed, same node -> same jitter
     params = cluster_a.params
     ceiling = params.rpc_backoff_cap * (1.0 + params.rpc_backoff_jitter)
     assert all(0.0 < d <= ceiling for d in seq_a)
     # Different nodes decorrelate (no retry lockstep).
-    other = [cluster_a.hosts[1].rpc._retry_backoff(i) for i in range(8)]
+    other = [cluster_a.hosts[1].rpc.retry_backoff(i) for i in range(8)]
     assert other != seq_a
 
 

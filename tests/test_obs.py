@@ -20,7 +20,6 @@ from repro.migration import (
 from repro.obs import (
     MetricsRegistry,
     MetricsSampler,
-    SpanTracer,
     migration_breakdowns,
     render_flame,
     render_span_summary,
@@ -57,10 +56,9 @@ def test_between_matches_linear_scan_over_mirrored_spans():
     # record before it, so `records` is not time-sorted (a bisection
     # returned [3.0, 2.0] for the window [0, 2.5] here).
     tracer = Tracer(enabled=True)
-    spans = SpanTracer(tracer)
-    spans.enabled = True
+    tracer.spans_enabled = True
     tracer.emit(3.0, "src", "tick")
-    spans.record("mig.freeze", "mig:ws0", 1.0, 2.0)
+    tracer.record_span("mig.freeze", "mig:ws0", 1.0, 2.0)
     tracer.emit(4.0, "src", "tick")
     assert [r.time for r in tracer.records] == [3.0, 2.0, 4.0]
     for start, end in [(0.0, 2.5), (2.5, 3.5), (1.5, 3.0), (3.5, 9.0)]:
@@ -99,61 +97,62 @@ def test_disabled_tracer_stores_nothing():
 # ----------------------------------------------------------------------
 # Spans
 # ----------------------------------------------------------------------
-def test_span_tracer_is_cached_per_tracer():
+def test_span_ids_are_per_tracer():
     tracer = Tracer()
-    assert SpanTracer.for_tracer(tracer) is SpanTracer.for_tracer(tracer)
-    assert SpanTracer.for_tracer(Tracer()) is not SpanTracer.for_tracer(tracer)
+    first = tracer.record_span("work", "host", 0.0, 1.0)
+    second = tracer.record_span("work", "host", 1.0, 2.0)
+    other = Tracer().record_span("work", "host", 0.0, 1.0)
+    assert (first.sid, second.sid, other.sid) == (1, 2, 1)
+    assert first.tracer is tracer and other.tracer is not tracer
 
 
 def test_span_start_finish_and_parents():
-    spans = SpanTracer(Tracer())
-    spans.enabled = True
-    root = spans.start("work", "host", t=1.0, pid=7)
-    child = spans.start("step", "host", parent=root, t=1.5)
+    tracer = Tracer()
+    tracer.spans_enabled = True
+    root = tracer.start_span("work", "host", t=1.0, pid=7)
+    child = tracer.start_span("step", "host", parent=root, t=1.5)
     child.finish(t=2.0)
     root.finish(t=3.0)
     assert root.duration == pytest.approx(2.0)
     assert child.parent_sid == root.sid
-    assert spans.finished == [child, root]
+    assert tracer.finished_spans == [child, root]
     assert root.parent_sid is None
-    assert not spans.open
+    assert not tracer.open_spans
 
 
 def test_span_record_is_born_finished():
-    spans = SpanTracer(Tracer())
-    span = spans.record("phase", "host", 1.0, 4.0, why="x")
+    tracer = Tracer()
+    span = tracer.record_span("phase", "host", 1.0, 4.0, why="x")
     assert span.finished and span.duration == pytest.approx(3.0)
-    assert not spans.open
+    assert not tracer.open_spans
 
 
 def test_span_finish_rejects_negative_duration():
-    spans = SpanTracer(Tracer())
-    span = spans.start("work", "host", t=5.0)
+    tracer = Tracer()
+    span = tracer.start_span("work", "host", t=5.0)
     with pytest.raises(ValueError):
         span.finish(t=4.0)
 
 
 def test_spans_mirror_into_tracer_only_when_tracer_enabled():
     tracer = Tracer(enabled=True)
-    spans = SpanTracer(tracer)
-    spans.record("phase", "host", 0.0, 1.0)
+    tracer.record_span("phase", "host", 0.0, 1.0)
     assert [r.kind for r in tracer.records] == ["span"]
     assert tracer.records[0].detail["dur"] == pytest.approx(1.0)
 
     silent = Tracer()  # disabled
-    spans2 = SpanTracer(silent)
-    spans2.record("phase", "host", 0.0, 1.0)
+    silent.record_span("phase", "host", 0.0, 1.0)
     assert len(silent) == 0
-    assert len(spans2) == 1  # span itself is still kept
+    assert len(silent.finished_spans) == 1  # span itself is still kept
 
 
 def test_enabling_tracer_does_not_enable_spans():
-    """PR 1's golden fixed-seed trace must not change when only the
-    flat tracer is on: span emission needs its own switch."""
+    """A fixed-seed trace must not change when only the flat records
+    are on: span emission needs its own switch."""
     cluster = SpriteCluster(workstations=2, start_daemons=False)
     cluster.tracer.enabled = True
-    assert not cluster.managers[cluster.hosts[0].address].spans.enabled
-    assert not cluster.hosts[0].rpc.spans.enabled
+    assert not cluster.tracer.spans_enabled
+    assert cluster.hosts[0].rpc.tracer is cluster.tracer
 
 
 # ----------------------------------------------------------------------
@@ -199,19 +198,19 @@ def test_sampler_records_time_series():
 # Exporters
 # ----------------------------------------------------------------------
 def _sample_spans():
-    spans = SpanTracer(Tracer())
-    root = spans.record("mig.migrate", "mig:ws0", 0.0, 1.0, pid=1,
-                        src=2, dst=3, reason="test")
-    spans.record("mig.negotiate", "mig:ws0", 0.0, 0.25, parent=root)
-    spans.record("mig.freeze", "mig:ws0", 0.25, 1.0, parent=root)
-    spans.record("rpc.call", "rpc:ws1", 0.1, 0.2, service="x")
-    return spans
+    tracer = Tracer()
+    root = tracer.record_span("mig.migrate", "mig:ws0", 0.0, 1.0, pid=1,
+                              src=2, dst=3, reason="test")
+    tracer.record_span("mig.negotiate", "mig:ws0", 0.0, 0.25, parent=root)
+    tracer.record_span("mig.freeze", "mig:ws0", 0.25, 1.0, parent=root)
+    tracer.record_span("rpc.call", "rpc:ws1", 0.1, 0.2, service="x")
+    return tracer.finished_spans
 
 
 def test_chrome_trace_shape(tmp_path):
     spans = _sample_spans()
     path = tmp_path / "trace_chrome.json"
-    doc = spans_to_chrome_trace(spans.finished, path)
+    doc = spans_to_chrome_trace(spans, path)
     reloaded = json.loads(path.read_text())
     assert reloaded == doc
     events = doc["traceEvents"]
@@ -235,24 +234,26 @@ def test_chrome_trace_empty(tmp_path):
 
 
 def test_chrome_trace_skips_unfinished_spans():
-    spans = SpanTracer(Tracer())
-    spans.enabled = True
-    done = spans.start("rpc.call", "rpc:ws0", t=0.0)
+    tracer = Tracer()
+    tracer.spans_enabled = True
+    done = tracer.start_span("rpc.call", "rpc:ws0", t=0.0)
     done.finish(1.0)
-    live = spans.start("mig.migrate", "mig:ws0", t=0.5)  # open at quiesce
-    doc = spans_to_chrome_trace(spans.finished + list(spans.open.values()))
+    live = tracer.start_span("mig.migrate", "mig:ws0", t=0.5)  # open at quiesce
+    doc = spans_to_chrome_trace(
+        tracer.finished_spans + list(tracer.open_spans.values())
+    )
     assert not live.finished
     names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
     assert names == ["rpc.call"]
-    # And the unfinished span never reaches .finished either.
-    assert [s.name for s in spans.finished] == ["rpc.call"]
+    # And the unfinished span never reaches .finished_spans either.
+    assert [s.name for s in tracer.finished_spans] == ["rpc.call"]
 
 
 def test_chrome_trace_overlapping_same_name_spans_one_host():
-    spans = SpanTracer(Tracer())
-    first = spans.record("rpc.call", "rpc:ws0", 0.0, 2.0, service="a")
-    second = spans.record("rpc.call", "rpc:ws0", 1.0, 3.0, service="b")
-    doc = spans_to_chrome_trace(spans.finished)
+    tracer = Tracer()
+    first = tracer.record_span("rpc.call", "rpc:ws0", 0.0, 2.0, service="a")
+    second = tracer.record_span("rpc.call", "rpc:ws0", 1.0, 3.0, service="b")
+    doc = spans_to_chrome_trace(tracer.finished_spans)
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     metas = [e for e in doc["traceEvents"] if e["ph"] == "M"]
     # One process row, both complete events preserved with distinct
@@ -278,9 +279,9 @@ def test_jsonl_roundtrip(tmp_path):
 
 def test_text_views_render():
     spans = _sample_spans()
-    summary = render_span_summary(spans.finished)
+    summary = render_span_summary(spans)
     assert "mig.migrate" in summary and "count" in summary
-    flame = render_flame(spans.finished)
+    flame = render_flame(spans)
     assert flame.index("mig.migrate") < flame.index("mig.negotiate")
     assert "  mig.negotiate" in flame  # indented under the root
     assert render_flame([]) == "(no finished spans)"
@@ -315,8 +316,8 @@ def _migrate_once(observed=True):
 
 
 def test_migration_spans_partition_total_time():
-    _cluster, obs, record = _migrate_once()
-    rows = migration_breakdowns(obs.spans.finished)
+    cluster, _obs, record = _migrate_once()
+    rows = migration_breakdowns(cluster.tracer.finished_spans)
     assert len(rows) == 1
     row = rows[0]
     assert row["pid"] == record.pid
@@ -338,17 +339,17 @@ def test_migration_spans_partition_total_time():
     assert row["started"] == record.started
     assert row["ended"] == record.ended
     # Lifecycle sub-steps exist under the root.
-    names = {s.name for s in obs.spans.finished}
+    names = {s.name for s in cluster.tracer.finished_spans}
     assert {"mig.migrate", "mig.negotiate", "mig.wait_safe_point",
             "mig.freeze", "mig.commit", "mig.commit_rpc", "mig.state_pack",
             "mig.streams", "mig.install", "rpc.call", "rpc.serve"} <= names
 
 
 def test_migration_spans_are_deterministic():
-    _c1, obs1, _r1 = _migrate_once()
-    _c2, obs2, _r2 = _migrate_once()
-    key = lambda spans: [(s.name, s.start, s.end) for s in spans.finished]
-    assert key(obs1.spans) == key(obs2.spans)
+    c1, _obs1, _r1 = _migrate_once()
+    c2, _obs2, _r2 = _migrate_once()
+    key = lambda c: [(s.name, s.start, s.end) for s in c.tracer.finished_spans]
+    assert key(c1) == key(c2)
 
 
 def test_migration_metrics_counters_and_timers():
@@ -371,8 +372,8 @@ def test_unobserved_cluster_collects_nothing():
     cluster, _obs, _record = _migrate_once(observed=False)
     manager = cluster.managers[cluster.hosts[0].address]
     assert manager.obs is None
-    assert not manager.spans.enabled
-    assert len(manager.spans) == 0
+    assert not cluster.tracer.spans_enabled
+    assert len(cluster.tracer.finished_spans) == 0
     assert cluster.hosts[0].rpc.stats is None
     assert cluster.lan.kind_bytes is None
     assert len(cluster.tracer) == 0
@@ -400,7 +401,8 @@ def test_refused_migration_gets_refused_root_span():
     spawn(cluster.sim, driver(), name="driver")
     cluster.run_until_complete(pcb.task)
     assert failures
-    roots = [s for s in obs.spans.finished if s.name == "mig.migrate"]
+    roots = [s for s in cluster.tracer.finished_spans
+             if s.name == "mig.migrate"]
     assert len(roots) == 1
     assert roots[0].attrs["refused"] is True
     assert roots[0].finished
@@ -433,7 +435,8 @@ def test_eviction_span_and_metrics():
     assert len(daemon.events) == 1
     event = daemon.events[0]
     assert event.victims == 1
-    reclaim = [s for s in obs.spans.finished if s.name == "evict.reclaim"]
+    reclaim = [s for s in cluster.tracer.finished_spans
+               if s.name == "evict.reclaim"]
     assert len(reclaim) == 1
     assert reclaim[0].duration == pytest.approx(event.reclaim_seconds)
     assert obs.registry.counter("evict.events", dst.address).value == 1
@@ -487,7 +490,7 @@ def test_refusal_reasons_counts_and_defaults():
 def test_chrome_trace_validator(tmp_path):
     spans = _sample_spans()
     good = tmp_path / "good.json"
-    spans_to_chrome_trace(spans.finished, good)
+    spans_to_chrome_trace(spans, good)
     validator = REPO_ROOT / "tools" / "validate_chrome_trace.py"
     ok = subprocess.run([sys.executable, str(validator), str(good)],
                         capture_output=True, text=True)
