@@ -4,14 +4,16 @@
 migration`` run the CLI's built-in two-migration scenario
 (``cli._trace_builtin_migration``) inside ``cli._CaptureClusters``,
 which installs ``ClusterObservability`` with spans and the flat tracer
-both on.  This test runs both commands and pins the sha256 of their
-three outputs:
+both on.  This test runs both commands and pins the sha256 of four of their
+outputs:
 
 * ``trace.jsonl`` — ``trace_to_jsonl(records)``, every flat record and
   every mirrored ``kind="span"`` record;
 * ``trace_chrome.json`` re-serialised as
   ``json.dumps(spans_to_chrome_trace(spans), sort_keys=True)``;
-* the ``critpath`` report — ``critpath_report(spans)``.
+* the ``critpath`` report — ``critpath_report(spans)``;
+* ``metrics.json`` as written — the merged ``MetricsRegistry``
+  snapshot with the per-service RPC and per-kind LAN counts.
 
 The golden test in ``test_engine_determinism.py`` runs with spans off,
 and ``test_obs.py`` only compares two runs with each other, so this is
@@ -40,6 +42,8 @@ PINNED = {
         "b95d0746549f082afbef35dcb4d95c86c97cbcfa78dcf0e31123e455ceb887d1",
     "critpath_report":
         "c1bfe38f7eec1a094790f7e6438c763011163dfd7f7d6712ca43d3851ff8fcc2",
+    "metrics_json":
+        "a1f3a698da4cb76924e6973bf4d3c948c65b851d02d4222b29664b327dd85324",
 }
 
 
@@ -62,6 +66,7 @@ def observed_digests() -> dict:
             "trace_jsonl": _sha256((out / "trace.jsonl").read_text()),
             "chrome_trace": _sha256(json.dumps(chrome, sort_keys=True)),
             "critpath_report": _sha256(report[:-1]),
+            "metrics_json": _sha256((out / "metrics.json").read_text()),
         }
 
 
