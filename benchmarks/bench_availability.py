@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import MetricsRegistry, Series, Table
-from repro.snapshot import forked_map_metrics
+from repro.snapshot import forked_map
 from repro.workloads import ActivityModel, idle_fraction_by_hour
 
 from common import run_simulated, sweep_workers
@@ -53,10 +53,9 @@ def build_artifacts():
         return (weekday, weekend), registry
 
     weekday_busy, weekend_busy = [], []
-    pairs, metrics = forked_map_metrics(
-        host_busy, HOSTS, workers=sweep_workers()
-    )
-    for weekday, weekend in pairs:
+    outcomes = forked_map(host_busy, HOSTS, workers=sweep_workers())
+    metrics = MetricsRegistry.merge_all(registry for _p, registry in outcomes)
+    for (weekday, weekend), _registry in outcomes:
         weekday_busy.extend(weekday)
         weekend_busy.extend(weekend)
     table = Table(

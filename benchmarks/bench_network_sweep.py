@@ -12,9 +12,9 @@ quantifies where.
 from __future__ import annotations
 
 from repro import MB, ClusterParams, SpriteCluster
-from repro.obs import ClusterObservability, Series, Table
+from repro.obs import ClusterObservability, MetricsRegistry, Series, Table
 from repro.sim import Sleep, spawn
-from repro.snapshot import forked_map_metrics
+from repro.snapshot import forked_map
 
 from common import run_simulated, sweep_workers
 
@@ -48,7 +48,7 @@ def migrate_at_bandwidth(policy: str, mbytes_per_second: float):
     spawn(cluster.sim, driver(), name="driver")
     cluster.run_until_complete(pcb.task)
     # The scalar plus the cell's metrics registry cross the pipe; the
-    # parent folds the registries in cell order (forked_map_metrics).
+    # parent folds the registries in cell order (MetricsRegistry.merge_all).
     return records[0].freeze_time, obs.registry
 
 
@@ -74,11 +74,12 @@ def build_artifacts():
     # One forked child per (policy, bandwidth) cell; deterministic
     # index-ordered merge (repro.snapshot's sweep primitive), including
     # the merged per-cell metrics registries.
-    freezes, metrics = forked_map_metrics(
+    outcomes = forked_map(
         lambda i: migrate_at_bandwidth(*cells[i]), len(cells),
         workers=sweep_workers(),
     )
-    by_cell = dict(zip(cells, freezes))
+    by_cell = {cell: freeze for cell, (freeze, _r) in zip(cells, outcomes)}
+    metrics = MetricsRegistry.merge_all(registry for _f, registry in outcomes)
     results = {}
     for bandwidth in BANDWIDTHS_MBPS:
         flush = by_cell[("flush-to-server", bandwidth)]

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro import MB, SpriteCluster
 from repro.migration import POLICIES
-from repro.obs import ClusterObservability, Series, Table
+from repro.obs import ClusterObservability, MetricsRegistry, Series, Table
 from repro.sim import Sleep, spawn
-from repro.snapshot import forked_map_metrics
+from repro.snapshot import forked_map
 
 from common import run_simulated, sweep_workers
 
@@ -51,7 +51,7 @@ def migrate_with_policy(policy_name: str, vm_mb: int):
     record = records[0]
     # The scalars the figure/table need, plus the cell's full metrics
     # registry — both cross the child's pipe; the parent merges the
-    # registries in cell order (forked_map_metrics).
+    # registries in cell order (MetricsRegistry.merge_all).
     return {
         "freeze_time": record.freeze_time,
         "bytes_total": record.vm.bytes_total,
@@ -81,10 +81,12 @@ def build_artifacts():
     # artifacts byte-identical to the old sequential loop.  Each cell
     # also ships its metrics registry back through the result pipe;
     # the merged aggregate is fingerprint-stable for any worker count.
-    results, metrics = forked_map_metrics(
+    outcomes = forked_map(
         lambda i: migrate_with_policy(*cells[i]), len(cells),
         workers=sweep_workers(),
     )
+    results = [record for record, _registry in outcomes]
+    metrics = MetricsRegistry.merge_all(registry for _r, registry in outcomes)
     last = {}
     for (policy_name, vm_mb), record in zip(cells, results):
         figure.add_point(policy_name, vm_mb, record["freeze_time"])

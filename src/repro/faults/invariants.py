@@ -333,9 +333,7 @@ class InvariantChecker:
             if not manager.host.node.up:
                 continue
             for lease in manager.leases.held():
-                if (lease.status == "installed"
-                        and lease.install is not None
-                        and now <= lease.expires):
+                if lease.status == "installed" and now <= lease.expires:
                     inactive += 1
                     inactive_pids.setdefault(lease.pid, []).append(address)
         if expected_pids is None:

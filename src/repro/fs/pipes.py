@@ -44,7 +44,6 @@ class _PipeState:
     #: Events for blocked server-side handlers.
     readable: Optional[SimEvent] = None
     writable: Optional[SimEvent] = None
-    bytes_through: int = 0
 
 
 class PipeService:
@@ -125,7 +124,6 @@ class PipeService:
                 continue
             chunk = min(room, nbytes - written)
             state.buffered += chunk
-            state.bytes_through += chunk
             written += chunk
             self._wake_readers(state)
         return written

@@ -7,7 +7,7 @@ protocol and keeps handlers honest about what crosses the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = [
@@ -134,4 +134,3 @@ class PdevRequest:
     connection_id: int
     message: Any = None
     size: int = 256
-    extra: dict = field(default_factory=dict)

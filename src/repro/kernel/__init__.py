@@ -17,7 +17,7 @@ from .kernel import (
     home_of_pid,
 )
 from .loadavg import LoadAverage
-from .pcb import ExitStatus, MigrationTicket, Pcb, PendingInstall, ProcState, Vm
+from .pcb import ExitStatus, MigrationTicket, Pcb, ProcState, Vm
 from .process import KERNEL_CALLS, ExitProcess, Program, UserContext
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "NoSuchProcess",
     "PID_STRIDE",
     "Pcb",
-    "PendingInstall",
     "ProcState",
     "ProcessKilled",
     "Program",

@@ -22,8 +22,7 @@ from ..fs import BackingFile, Stream
 from ..sim import SimEvent
 
 __all__ = [
-    "ProcState", "Vm", "Pcb", "MigrationTicket", "PendingInstall",
-    "ExitStatus",
+    "ProcState", "Vm", "Pcb", "MigrationTicket", "ExitStatus",
 ]
 
 
@@ -92,45 +91,15 @@ class ExitStatus:
 class MigrationTicket:
     """Handshake between a kernel migrating a process and the process task.
 
-    Since the transactional protocol, the ticket also carries the
-    *target-issued lease*: at negotiation the target hands out a
-    ``ticket_id`` with an expiry; the inactive copy it installs is held
-    under that lease, and reaped if no ``mig.commit`` arrives before
-    ``expires``.
+    The source's driver sets ``pcb.migration_ticket``; the process fires
+    ``parked`` at its next safe point and waits on ``resume``.  Every
+    other fact about the transfer lives once, on the source's
+    :class:`~repro.migration.txn.MigrationTxn` and the target's
+    :class:`~repro.migration.lease.TicketLease`.
     """
 
-    target: int                     # LAN address of the destination host
-    reason: str                     # "exec" | "manual" | "eviction" | ...
-    parked: SimEvent = None         # type: ignore[assignment] - process reached freeze point
-    resume: SimEvent = None         # type: ignore[assignment] - transfer done, continue
-    #: Target-issued lease: id + absolute expiry (0 until negotiated).
-    ticket_id: int = 0
-    expires: float = 0.0
-    #: Filled by the migration mechanism for metrics.
-    freeze_started: float = 0.0
-    freeze_ended: float = 0.0
-
-
-@dataclass
-class PendingInstall:
-    """An *inactive* migrated-in process held by a target kernel.
-
-    Everything ``mig.install`` shipped sits here — outside the process
-    table, never runnable — until the source's ``mig.commit`` activates
-    it.  The travelling :class:`Pcb` is deliberately left untouched: if
-    the transaction aborts, the source resumes the process with no
-    target-side mutation to undo.
-    """
-
-    pid: int
-    ticket_id: int
-    pcb: "Pcb" = None               # type: ignore[assignment]
-    #: fd -> stream copies already imported into the target's FsClient.
-    streams: Dict[int, Stream] = field(default_factory=dict)
-    expires: float = 0.0
-    #: Guest memory reserved under the lease (reclaimed on reap/abort).
-    reserved_bytes: int = 0
-    cpu_time: float = 0.0
+    parked: SimEvent                # process reached its freeze point
+    resume: SimEvent                # transfer done (or aborted), continue
 
 
 @dataclass

@@ -196,7 +196,6 @@ class UserContext:
         self._drain_signals()
         ticket = self.pcb.migration_ticket
         if ticket is not None:
-            ticket.freeze_started = self.sim.now
             ticket.parked.trigger()
             yield ticket.resume.wait()
             self._drain_signals()

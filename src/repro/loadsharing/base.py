@@ -28,9 +28,6 @@ __all__ = ["AcceptPolicy", "SelectorMetrics", "HostSelector", "install_accept_ho
 @dataclass
 class SelectorMetrics:
     requests: int = 0
-    granted: int = 0
-    denied: int = 0
-    releases: int = 0
     conflicts: int = 0
     #: Per-request wall-clock latency samples (seconds).
     latencies: List[float] = field(default_factory=list)
@@ -66,10 +63,6 @@ class HostSelector:
 
     def _timed_request_end(self, started: float, granted: List[int]) -> List[int]:
         self.metrics.latencies.append(self.host.sim.now - started)
-        if granted:
-            self.metrics.granted += len(granted)
-        else:
-            self.metrics.denied += 1
         tracer = self.host.tracer
         if tracer.spans_enabled:
             tracer.record_span(

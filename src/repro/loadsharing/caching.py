@@ -75,7 +75,6 @@ class CachingSelector(HostSelector):
         now = self.host.sim.now
         for address in addresses:
             self._cache.append(_CachedHost(address=address, cached_at=now))
-        self.metrics.releases += len(self._cache)
         yield from self._expire()
 
     def flush(self) -> Generator[Effect, None, None]:

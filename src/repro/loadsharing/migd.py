@@ -32,11 +32,9 @@ MIGD_PATH = "/hosts/migd"
 class _HostInfo:
     address: int
     load: float = 0.0
-    input_idle: float = 0.0
     available: bool = False
     assigned_to: Optional[int] = None
     idle_since: float = 0.0
-    last_update: float = 0.0
     #: Relative hardware speed (ch. 6: configuration is a selection
     #: criterion when several hosts are available).
     speed: float = 1.0
@@ -117,9 +115,7 @@ class MigdServer:
         info = self.hosts.setdefault(address, _HostInfo(address=address))
         was_available = info.available
         info.load = message["load"]
-        info.input_idle = message["input_idle"]
         info.available = message["available"]
-        info.last_update = message["time"]
         info.speed = message.get("speed", 1.0)
         if info.available and not was_available:
             info.idle_since = message["time"]
@@ -307,7 +303,6 @@ class CentralizedSelector(HostSelector):
         addresses = list(addresses)
         if not addresses:
             return
-        self.metrics.releases += len(addresses)
         yield from self._exchange(
             {"op": "release", "client": self.host.address, "hosts": addresses}
         )

@@ -111,7 +111,6 @@ class SharedFileSelector(HostSelector):
         addresses = list(addresses)
         if not addresses:
             return
-        self.metrics.releases += len(addresses)
         board = yield from self.host.fs.payload_read(LOAD_BOARD_PATH)
         if not board:
             return
@@ -233,7 +232,6 @@ class ProbabilisticSelector(HostSelector):
         return self._timed_request_end(started, picked)
 
     def release(self, addresses: Iterable[int]) -> Generator[Effect, None, None]:
-        self.metrics.releases += len(list(addresses))
         yield from self.host.cpu.consume(self.host.params.kernel_call_cpu)
 
 
@@ -345,5 +343,4 @@ class MulticastSelector(HostSelector):
 
     def release(self, addresses: Iterable[int]) -> Generator[Effect, None, None]:
         # Stateless design: nothing to release.
-        self.metrics.releases += len(list(addresses))
         yield from self.host.cpu.consume(self.host.params.kernel_call_cpu)

@@ -102,8 +102,6 @@ class EvictionDaemon:
                 self.host.sim.now,
                 victims=event.victims,
             )
-        if self.manager.obs is not None:
-            self.manager.obs.on_eviction(event)
         if self.host.tracer.enabled:
             self.host.tracer.emit(
                 self.host.sim.now,

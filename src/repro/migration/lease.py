@@ -19,10 +19,11 @@ treat silence as abort-or-resolve, never as success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple
 
-from ..kernel import Pcb, PendingInstall
+from ..fs import Stream
+from ..kernel import Pcb
 from ..net import RetryLaterError
 from ..sim import Effect, Sleep, spawn
 from .packaging import PACKAGE_EXCEPTIONS
@@ -38,18 +39,27 @@ class TicketLease:
     """Target-side record of one issued migration ticket.
 
     Held by the :class:`LeaseService` from ``mig.negotiate`` until
-    ``mig.close`` / ``mig.release`` / lease expiry.  ``install`` holds
-    the inactive copy between ``mig.install`` and the commit point.
+    ``mig.close`` / ``mig.release`` / lease expiry.  While ``status`` is
+    ``"installed"`` the lease holds the *inactive* copy ``mig.install``
+    shipped — ``pcb`` and ``streams`` — outside the process table, never
+    runnable, until the source's ``mig.commit`` activates it.  The
+    travelling :class:`Pcb` is deliberately left untouched: if the
+    transaction aborts, the source resumes the process with no
+    target-side mutation to undo.
     """
 
     pid: int
     ticket_id: int
     expires: float
+    #: Guest memory reserved under the lease (freed on activation,
+    #: reap, release or close).
     reserved_bytes: int = 0
     #: issued -> installing -> installed -> activated -> closed
     #: (or released / reaped on the abort paths).
     status: str = "issued"
-    install: Optional[PendingInstall] = None
+    pcb: Optional[Pcb] = None
+    #: fd -> stream copies already imported into the target's FsClient.
+    streams: Dict[int, Stream] = field(default_factory=dict)
 
 
 class LeaseService:
@@ -200,17 +210,17 @@ class LeaseService:
         records go."""
         self._tickets.pop(key, None)
         self._free_reservation(lease)
-        if lease.install is not None:
-            self._discard(lease.install)
-            lease.install = None
+        if lease.status == "installed":
+            self._discard(lease.streams)
+        lease.pcb, lease.streams = None, {}
         lease.status = status
         self._trace(f"ticket-{status}", pid=lease.pid, ticket=lease.ticket_id,
                     **why)
 
-    def _discard(self, pending: PendingInstall) -> None:
+    def _discard(self, streams: Dict[int, Stream]) -> None:
         """Drop the stream references an abandoned install imported."""
-        for fd in sorted(pending.streams):
-            self.host.fs.forget_stream(pending.streams[fd])
+        for fd in sorted(streams):
+            self.host.fs.forget_stream(streams[fd])
 
     def _free_reservation(self, lease: TicketLease) -> None:
         self.reserved_bytes = max(0, self.reserved_bytes - lease.reserved_bytes)
@@ -229,7 +239,7 @@ class LeaseService:
         The travelling PCB is deliberately not touched and nothing
         enters the process table: until ``mig.commit`` the source's
         copy is the process, and an abort has nothing here to undo
-        beyond dropping the :class:`PendingInstall`.
+        beyond dropping the lease's imported streams.
         """
         epoch = self.manager.crash_epoch
         pcb: Pcb = payload["pcb"]
@@ -249,32 +259,25 @@ class LeaseService:
             return {"installed": False, "why": "ticket expired"}
         lease.status = "installing"
         yield from self.host.cpu.consume(self.params.migration_state_cpu)
-        pending = PendingInstall(
-            pid=pcb.pid,
-            ticket_id=lease.ticket_id,
-            pcb=pcb,
-            expires=lease.expires,
-            reserved_bytes=lease.reserved_bytes,
-            cpu_time=payload.get("cpu_time", 0.0),
-        )
+        streams: Dict[int, Stream] = {}
         failure = None
         for fd, state in payload["streams"]:
             try:
-                pending.streams[fd] = yield from self.host.fs.import_stream(state)
+                streams[fd] = yield from self.host.fs.import_stream(state)
             except PACKAGE_EXCEPTIONS as err:
                 failure = err
                 break
         # Re-validate after the yields: the host may have crashed (and
         # even rebooted) or the reaper may have fired mid-install.
         if self._crashed_since(epoch) or self._tickets.get(key) is not lease:
-            self._discard(pending)
+            self._discard(streams)
             return {"installed": False, "why": "lease lost during install"}
         if failure is not None:
-            self._discard(pending)
+            self._discard(streams)
             lease.status = "issued"
             return {"installed": False, "why": f"stream import failed: {failure}"}
-        pending.expires = self._renewed(lease)
-        lease.install = pending
+        self._renewed(lease)
+        lease.pcb, lease.streams = pcb, streams
         lease.status = "installed"
         self._trace("installed", pid=pcb.pid, ticket=lease.ticket_id)
         return {"installed": True, "expires": lease.expires}
@@ -297,24 +300,25 @@ class LeaseService:
                     "why": "unknown or expired ticket"}
         if lease.status == "activated":
             return {"activated": True, "duplicate": True}
-        if lease.status != "installed" or lease.install is None:
+        if lease.status != "installed":
             return {"activated": False,
                     "why": f"ticket is {lease.status}: nothing installed"}
         if self.sim.now >= lease.expires:
             self._drop(key, lease, "reaped", why="expired-at-commit")
             return {"activated": False, "why": "ticket expired"}
-        pending = lease.install
-        pcb = pending.pcb
+        pcb = lease.pcb
         if pcb.task is not None and pcb.task.done:
             self._drop(key, lease, "reaped", why="process-died")
             return {"activated": False, "why": "process died before commit"}
         # --- activation: atomic (no yields until the return) ---
         self.host.kernel.install_pcb(pcb)
-        pcb.streams = dict(pending.streams)
+        pcb.streams = dict(lease.streams)
         if pcb.vm.backing is not None:
             pcb.vm.backing = pcb.vm.backing.handoff(self.host.fs)
         self._free_reservation(lease)
-        lease.install = None
+        # The lease outlives activation (until mig.close or its reaper
+        # wakes); it must not keep the process's state alive meanwhile.
+        lease.pcb, lease.streams = None, {}
         lease.status = "activated"
         self._trace("activated", pid=pcb.pid, ticket=lease.ticket_id)
         return {"activated": True}

@@ -7,10 +7,12 @@ point* and an undo log:
 
 1. **Negotiate** (``negotiated``) with the target kernel: migration
    *version numbers* must match (§4.5) and the target's acceptance
-   policy must agree.  Acceptance issues a leased
-   :class:`~repro.kernel.MigrationTicket` — the target reserves guest
-   memory under it and reaps everything if no commit arrives before the
-   lease expires (:mod:`repro.migration.lease`, the target side).
+   policy must agree.  Acceptance issues a
+   :class:`~repro.migration.lease.TicketLease` — the target reserves
+   guest memory under it and reaps everything if no commit arrives
+   before the lease expires (:mod:`repro.migration.lease`, the target
+   side).  The source keeps its side of the same facts on the
+   :class:`~repro.migration.txn.MigrationTxn`: one record per side.
 2. **Freeze** (``frozen``) the process at a safe point (between compute
    quanta or at kernel-call boundaries; in-flight kernel calls drain
    first).
@@ -20,8 +22,8 @@ point* and an undo log:
    ``streams_exported``, ``shipped``): the machine-independent PCB, then
    each open stream via the file system's export/import protocol (each
    export preceded by an intent entry in the undo log).  ``mig.install``
-   leaves the copy **inactive** at the target, held in a
-   :class:`~repro.kernel.PendingInstall` outside the process table.
+   leaves the copy **inactive** at the target, held on its
+   ``TicketLease`` (status ``installed``) outside the process table.
 5. **Commit** (``commit_sent``, ``committed``): the source's
    ``mig.commit`` RPC is the commit point.  Before it the source's copy
    is the process: every failure leaves through one exit,
@@ -142,10 +144,10 @@ class MigrationManager(TxnResolver):
             policy = make_policy(policy)
         self.policy: VmPolicy = policy
         self.accept_hook: Optional[AcceptHook] = None
+        #: Every finished migration this host drove, in completion
+        #: order; ``ClusterObservability.registry`` folds its ``mig.*``
+        #: metrics from this list when read.
         self.records: List[MigrationRecord] = []
-        #: Metrics hook, set by ``ClusterObservability.install``; when
-        #: ``None`` (the default) no metrics work happens at all.
-        self.obs: Optional[Any] = None
         #: Overload backpressure: in-flight outgoing migrations (capped
         #: by ``params.migration_max_outgoing`` when > 0) and how often
         #: the cap refused one.
@@ -317,8 +319,6 @@ class MigrationManager(TxnResolver):
                 self._emit_freeze_phases(txn)
             record.ended = self.sim.now
             self.records.append(record)
-            if self.obs is not None:
-                self.obs.on_migration(record)
             if root is not None:
                 root.finish(record.ended, streams=record.streams_moved)
             return record
@@ -416,8 +416,6 @@ class MigrationManager(TxnResolver):
         record.ended = self.sim.now
         record.detail["refusal"] = why
         self.records.append(record)
-        if self.obs is not None:
-            self.obs.on_migration(record)
         if root is not None:
             root.annotate(refused=True, why=why).finish(record.ended)
         raise MigrationRefused(message)
@@ -481,12 +479,8 @@ class MigrationManager(TxnResolver):
         pcb, target, record = txn.pcb, txn.target, txn.record
         negotiated_at = self.sim.now
         ticket = MigrationTicket(
-            target=target,
-            reason=txn.reason,
             parked=SimEvent(self.sim, f"parked:{pcb.pid}"),
             resume=SimEvent(self.sim, f"resume:{pcb.pid}"),
-            ticket_id=txn.ticket_id,
-            expires=txn.expires,
         )
         try:
             pre_bytes = yield from self.policy.pre_freeze(self, pcb, target)
@@ -624,7 +618,7 @@ class MigrationManager(TxnResolver):
             reply = yield from self.host.rpc.call(
                 target, "mig.install",
                 {"pcb": pcb, "pid": pcb.pid, "ticket": txn.ticket_id,
-                 "streams": stream_states, "cpu_time": pcb.cpu_time},
+                 "streams": stream_states},
                 size=wire_bytes,
             )
         except RpcError as err:

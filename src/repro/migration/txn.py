@@ -10,8 +10,8 @@ through a small state machine,
           +-----------+----------+------> ABORTED
 
 with a *single commit point* — the source's ``mig.commit`` RPC.  Before
-the commit the target holds the process **inactive** under a leased
-:class:`~repro.kernel.MigrationTicket` (crash anywhere → the target
+the commit the target holds the process **inactive** on its
+:class:`~repro.migration.lease.TicketLease` (crash anywhere → the target
 reaps the inactive copy when the lease expires, the source resumes or
 dies with its own copy; never two runnable copies).  After the commit
 the target's copy is the process (crash at the source → its shadow and

@@ -1,11 +1,16 @@
 """One-call observability wiring for a :class:`SpriteCluster`.
 
-:meth:`ClusterObservability.install` flips the span switch, hands every
-migration manager a metrics hook, attaches per-service RPC accounting
-and per-kind LAN byte accounting, and (optionally) starts a sim-time
-sampler feeding per-host load/forwarding/traffic time series.  All of
-it is opt-in: an uninstalled cluster carries only ``None`` attributes
-and disabled flags, so the PR-1 zero-cost property holds.
+:meth:`ClusterObservability.install` flips the span switch, attaches
+per-service RPC accounting and per-kind LAN byte accounting, and
+(optionally) starts a sim-time sampler feeding per-host
+load/forwarding/traffic time series.  All of it is opt-in: an
+uninstalled cluster carries only ``None`` attributes and disabled
+flags, so the PR-1 zero-cost property holds.
+
+The ``mig.*`` and ``evict.*`` metrics need no hook at all: the
+migration managers and eviction daemons already keep one record per
+migration and per eviction, and :attr:`ClusterObservability.registry`
+folds those records into counters and timers each time it is read.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from .metrics import MetricsRegistry, MetricsSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster import SpriteCluster
-    from ..migration.eviction import EvictionEvent
     from ..migration.mechanism import MigrationRecord
 
 __all__ = ["ClusterObservability"]
@@ -27,7 +31,6 @@ class ClusterObservability:
 
     def __init__(self, cluster: "SpriteCluster"):
         self.cluster = cluster
-        self.registry = MetricsRegistry()
         self.sampler: Optional[MetricsSampler] = None
 
     # ------------------------------------------------------------------
@@ -65,8 +68,6 @@ class ClusterObservability:
             cluster.tracer.enabled = True
         if spans:
             cluster.tracer.spans_enabled = True
-        for manager in cluster.managers.values():
-            manager.obs = obs
         for host in cluster.hosts:
             host.rpc.stats = RpcStats()
         for server_host in cluster.server_hosts:
@@ -74,7 +75,7 @@ class ClusterObservability:
         cluster.lan.kind_bytes = {}
         if sample_period is not None:
             obs.sampler = sampler = MetricsSampler(
-                cluster.sim, obs.registry, period=sample_period
+                cluster.sim, MetricsRegistry(), period=sample_period
             )
             for host in cluster.hosts:
                 address = host.address
@@ -95,31 +96,46 @@ class ClusterObservability:
         return obs
 
     # ------------------------------------------------------------------
-    # Event hooks (called by the instrumented layers when installed)
+    # Metrics, folded from the records when read
     # ------------------------------------------------------------------
-    def on_migration(self, record: "MigrationRecord") -> None:
-        registry = self.registry
-        host = record.source
-        registry.counter("mig.started", host).inc()
-        if record.refused:
-            registry.counter("mig.refused", host).inc()
-            return
-        registry.counter("mig.completed", host).inc()
-        registry.timer("mig.total", host).observe(record.total_time)
-        registry.timer("mig.freeze", host).observe(record.freeze_time)
-        registry.counter("mig.state_bytes", host).inc(
-            record.state_bytes + record.stream_bytes
-        )
-        if record.vm is not None:
-            registry.counter("mig.vm_bytes", host).inc(record.vm.bytes_total)
+    @property
+    def registry(self) -> MetricsRegistry:
+        """A fresh :class:`MetricsRegistry`: the sampler's series, then
+        ``mig.*`` folded from each manager's ``records`` and ``evict.*``
+        from each ``cluster.evictors[i].events``.
 
-    def on_eviction(self, event: "EvictionEvent") -> None:
-        registry = self.registry
-        registry.counter("evict.events", event.host).inc()
-        registry.counter("evict.victims", event.host).inc(event.victims)
-        registry.timer("evict.reclaim", event.host).observe(
-            event.reclaim_seconds
-        )
+        Each list is folded in its own (completion) order, and every
+        timer is keyed by the one host whose list feeds it, so each
+        timer adds its samples in the order they happened.
+        """
+        registry = MetricsRegistry()
+        if self.sampler is not None:
+            registry.merge_from(self.sampler.registry)
+        for manager in self.cluster.managers.values():
+            for record in manager.records:
+                host = record.source
+                registry.counter("mig.started", host).inc()
+                if record.refused:
+                    registry.counter("mig.refused", host).inc()
+                    continue
+                registry.counter("mig.completed", host).inc()
+                registry.timer("mig.total", host).observe(record.total_time)
+                registry.timer("mig.freeze", host).observe(record.freeze_time)
+                registry.counter("mig.state_bytes", host).inc(
+                    record.state_bytes + record.stream_bytes
+                )
+                if record.vm is not None:
+                    registry.counter("mig.vm_bytes", host).inc(
+                        record.vm.bytes_total
+                    )
+        for evictor in self.cluster.evictors:
+            for event in evictor.events:
+                registry.counter("evict.events", event.host).inc()
+                registry.counter("evict.victims", event.host).inc(event.victims)
+                registry.timer("evict.reclaim", event.host).observe(
+                    event.reclaim_seconds
+                )
+        return registry
 
     # ------------------------------------------------------------------
     # Cluster-wide rollups

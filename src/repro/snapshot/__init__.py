@@ -2,8 +2,9 @@
 
 * :func:`forked_map` — run ``job(i)`` for every cell of a sweep, fanned
   over ``workers`` forked processes with a deterministic, index-ordered
-  merge; :func:`forked_map_metrics` also folds per-cell metrics.  A
-  sweep job builds its own cluster.  See :mod:`repro.snapshot.sweep`.
+  merge (a job returning per-cell registries folds them with
+  ``MetricsRegistry.merge_all``).  A sweep job builds its own cluster.
+  See :mod:`repro.snapshot.sweep`.
 * :class:`Snapshot` — a build function and its arguments; ``fork()``
   builds one cluster.  See :mod:`repro.snapshot.core`.
 
@@ -11,11 +12,10 @@ Docs: ``docs/sweeps.md``.
 """
 
 from .core import Snapshot
-from .sweep import SweepError, forked_map, forked_map_metrics
+from .sweep import SweepError, forked_map
 
 __all__ = [
     "Snapshot",
     "SweepError",
     "forked_map",
-    "forked_map_metrics",
 ]

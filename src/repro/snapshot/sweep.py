@@ -42,7 +42,7 @@ import select
 import traceback
 from typing import Any, Callable, Dict, List, Tuple
 
-__all__ = ["SweepError", "forked_map", "forked_map_metrics"]
+__all__ = ["SweepError", "forked_map"]
 
 #: One pinned protocol for every result crossing the pipe.
 PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -149,37 +149,3 @@ def forked_map(
         raise SweepError("\n".join(failures[i] for i in sorted(failures)))
     return results
 
-
-def forked_map_metrics(
-    job: Callable[[int], Any],
-    count: int,
-    workers: int = 1,
-) -> Any:
-    """:func:`forked_map` for jobs that also produce per-cell metrics.
-
-    ``job(i)`` must return ``(value, registry_or_none)`` where the
-    second element is a :class:`~repro.obs.metrics.MetricsRegistry` (or
-    ``None`` for cells with nothing to report).  Each cell's registry
-    crosses the fork boundary through the same result pipe as its
-    value; the parent folds them with
-    :meth:`MetricsRegistry.merge_from` **in cell-index order**, so the
-    merged aggregate — counter totals, histogram buckets, series — is
-    fingerprint-stable for any ``workers`` count.
-
-    Returns ``(values, merged_registry)``.
-    """
-    from ..obs.metrics import MetricsRegistry
-
-    values: List[Any] = []
-    merged = MetricsRegistry()
-    for index, pair in enumerate(forked_map(job, count, workers)):
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise SweepError(
-                f"cell {index}: forked_map_metrics jobs must return "
-                f"(value, MetricsRegistry-or-None), got {type(pair).__name__}"
-            )
-        value, registry = pair
-        values.append(value)
-        if registry is not None:
-            merged.merge_from(registry)
-    return values, merged

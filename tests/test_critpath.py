@@ -1,6 +1,6 @@
 """Critical-path attribution, engine profiler, and sweep metrics
-merging (the `repro.obs.critpath` / `.profile` layer plus the
-`forked_map_metrics` pipe)."""
+merging (the `repro.obs.critpath` / `.profile` layer plus per-cell
+registries folded through `forked_map` and `MetricsRegistry.merge_all`)."""
 
 import pytest
 
@@ -16,8 +16,7 @@ from repro.obs import (
     run_critical_path,
 )
 from repro.sim import Simulator, Sleep, spawn
-from repro.snapshot import forked_map_metrics
-from repro.snapshot.sweep import SweepError
+from repro.snapshot import forked_map
 
 
 # ----------------------------------------------------------------------
@@ -208,20 +207,21 @@ def _cell_job(index):
     return index * index, registry
 
 
-def test_forked_map_metrics_merges_in_index_order():
+def _swept_metrics(workers):
+    outcomes = forked_map(_cell_job, 6, workers=workers)
+    values = [value for value, _registry in outcomes]
+    return values, MetricsRegistry.merge_all(r for _v, r in outcomes)
+
+
+def test_forked_map_merges_cell_metrics_in_index_order():
     for workers in (1, 4):
-        values, metrics = forked_map_metrics(_cell_job, 6, workers=workers)
+        values, metrics = _swept_metrics(workers)
         assert values == [i * i for i in range(6)]
         assert metrics.total("cell.runs") == 6
         assert metrics.merged_timer("cell.value").count == 6
 
 
-def test_forked_map_metrics_snapshot_is_worker_invariant():
-    _v1, m1 = forked_map_metrics(_cell_job, 6, workers=1)
-    _v4, m4 = forked_map_metrics(_cell_job, 6, workers=4)
+def test_merged_cell_metrics_are_worker_invariant():
+    _v1, m1 = _swept_metrics(1)
+    _v4, m4 = _swept_metrics(4)
     assert m1.snapshot() == m4.snapshot()
-
-
-def test_forked_map_metrics_rejects_bare_values():
-    with pytest.raises(SweepError):
-        forked_map_metrics(lambda i: i, 3, workers=1)

@@ -679,7 +679,7 @@ def test_aborted_transfer_ticket_expires_and_reclaims_reservation():
     # The inactive copy is leased and its memory reserved...
     (lease,) = dst_manager.leases.held()
     assert lease.status == "installed"
-    assert lease.install is not None
+    assert lease.pcb is pcb
     assert dst_manager.leases.reserved_bytes == 1 << 20
     expires = lease.expires
     ticket_id = lease.ticket_id
@@ -699,7 +699,7 @@ def test_aborted_transfer_ticket_expires_and_reclaims_reservation():
         reply = yield from c.rpc.call(
             b.address, "mig.install",
             {"pcb": pcb, "pid": pcb.pid, "ticket": ticket_id,
-             "streams": [], "cpu_time": 0.0},
+             "streams": []},
         )
         replies.append(reply)
 

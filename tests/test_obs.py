@@ -11,7 +11,6 @@ import pytest
 from repro import SpriteCluster
 from repro.fs import OpenMode
 from repro.migration import (
-    EvictionDaemon,
     MigrationRecord,
     MigrationRefused,
     refusal_reasons,
@@ -361,6 +360,8 @@ def test_migration_metrics_counters_and_timers():
     freeze = registry.timer("mig.freeze", record.source).histogram
     assert freeze.count == 1
     assert freeze.total == pytest.approx(record.freeze_time)
+    # The registry is folded from the records on every read.
+    assert obs.registry.snapshot() == registry.snapshot()
     rpc = obs.rpc_by_service()
     assert rpc["mig.install"]["calls"] == 1
     assert rpc["mig.negotiate"]["served"] == 1
@@ -368,10 +369,18 @@ def test_migration_metrics_counters_and_timers():
     json.dumps(obs.snapshot())
 
 
+def test_registry_folds_records_made_before_install():
+    """``mig.*`` is read from ``manager.records``, not collected by a
+    hook, so a migration finished before ``observability()`` counts."""
+    cluster, _obs, record = _migrate_once(observed=False)
+    registry = cluster.observability().registry
+    assert registry.counter("mig.completed", record.source).value == 1
+    freeze = registry.timer("mig.freeze", record.source).histogram
+    assert freeze.total == record.freeze_time
+
+
 def test_unobserved_cluster_collects_nothing():
     cluster, _obs, _record = _migrate_once(observed=False)
-    manager = cluster.managers[cluster.hosts[0].address]
-    assert manager.obs is None
     assert not cluster.tracer.spans_enabled
     assert len(cluster.tracer.finished_spans) == 0
     assert cluster.hosts[0].rpc.stats is None
@@ -414,11 +423,11 @@ def test_refused_migration_gets_refused_root_span():
 
 def test_eviction_span_and_metrics():
     cluster, obs, record = _migrate_once()
-    dst_manager = cluster.managers[record.target]
-    daemon = EvictionDaemon(dst_manager, start=False)
     # The job already finished, so re-plant a foreign process: migrate a
-    # fresh one over, then reclaim the host.
+    # fresh one over, then reclaim the host through its own daemon.
     src, dst = cluster.hosts[0], cluster.hosts[1]
+    assert record.target == dst.address
+    daemon = cluster.evictors[1]
 
     def job(proc):
         yield from proc.compute(5.0)
