@@ -9,21 +9,22 @@ newest intact image on a surviving host.
 
 The image format deliberately reuses the migration transaction's
 process-packaging discipline (:mod:`repro.migration.packaging`): the
-same machine-independent state bytes, the same per-stream references,
-the same zero-arg spawn factory — a checkpoint is "a migration whose
-target is a file".
+same machine-independent state bytes and the same per-stream
+references — a checkpoint is "a migration whose target is a file".
 
 Components:
 
 * :mod:`.image`   — :class:`CheckpointImage` (digest-sealed, torn-write
   detectable) and the generation-bounded :class:`CheckpointStore`.
-* :mod:`.daemon`  — per-host :class:`CheckpointDaemon`, full and
-  incremental (dirty-page) modes, lazily spawned.
+* :mod:`.service` — :class:`CheckpointService`: the registry, one
+  lazily spawned sweep task per host, full and incremental (dirty-page)
+  modes, and the statistics.
 * :mod:`.restart` — :class:`RestartManager`, driven by the fault
   injector's crash detection.
-* :mod:`.service` — :class:`CheckpointService` wiring plus the
-  :class:`FaultPolicy` triple (``migrate`` / ``checkpoint`` /
-  ``hybrid``) the tradeoff study compares.
+
+The fault policies the tradeoff study compares (``migrate`` /
+``checkpoint`` / ``hybrid``) are chosen by
+:func:`repro.faults.run_chaos`.
 
 Zero-cost when off: constructing nothing schedules nothing, and every
 hook this package installs elsewhere (``injector.restart``,
@@ -32,21 +33,16 @@ hook this package installs elsewhere (``injector.restart``,
 runs are byte-identical to a build without this package.
 """
 
-from .daemon import CheckpointDaemon, Registration
 from .image import CheckpointImage, CheckpointStore, read_image, write_image
 from .restart import RestartManager
-from .service import CheckpointService, FaultPolicy, POLICIES, policy_named
+from .service import CheckpointService, Registration
 
 __all__ = [
-    "CheckpointDaemon",
     "CheckpointImage",
     "CheckpointService",
     "CheckpointStore",
-    "FaultPolicy",
-    "POLICIES",
     "Registration",
     "RestartManager",
-    "policy_named",
     "read_image",
     "write_image",
 ]

@@ -1,12 +1,12 @@
 """Checkpoint images and the per-cluster image store.
 
 A :class:`CheckpointImage` is the migration install payload, made
-durable: the same machine-independent state bytes, per-stream
-references, and zero-arg spawn factory the migration transaction ships
-over the wire (:mod:`repro.migration.packaging`), written to an FS
-backing file instead of a peer kernel.  Because backing files live on
-file servers, an image survives the crash of the host that wrote it —
-that is the entire point.
+durable: the same machine-independent state bytes and per-stream
+references the migration transaction ships over the wire
+(:mod:`repro.migration.packaging`), written to an FS backing file
+instead of a peer kernel.  Because backing files live on file servers,
+an image survives the crash of the host that wrote it — that is the
+entire point.
 
 Atomicity is by *digest*, not by locking: an image is ``begin()``-ed
 unsealed, its bytes are paged out, and only a completed write is
@@ -16,7 +16,7 @@ unsealed, its bytes are paged out, and only a completed write is
 previous generation.  ``repro.checkpoint`` never restores from an
 unsealed or mismatched image.
 
-The store is keyed by an integer (pid for the daemon, job id for the
+The store is keyed by an integer (pid for the service, job id for the
 Condor baseline) and bounds storage to
 ``ClusterParams.checkpoint_generations`` images per key.
 """
@@ -28,13 +28,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..fs import BackingFile
-from ..migration.packaging import state_bytes, stream_bytes, stream_manifest
 from ..sim import Effect
 
 __all__ = [
     "CheckpointImage",
     "CheckpointStore",
-    "image_payload",
     "read_image",
     "write_image",
 ]
@@ -55,7 +53,6 @@ class CheckpointImage:
     restore_bytes: int = 0      #: bytes a restore must read (base chain
                                 #: plus this image's delta)
     vm_size: int = 0            #: address-space size at checkpoint time
-    factory: Any = None         #: zero-arg spawn factory (packaging)
     #: ``(fd, path, mode)`` per open stream, reopened on restore.
     stream_refs: Tuple[Tuple[int, str, int], ...] = ()
     base_seq: int = -1          #: full image this delta chains from
@@ -137,20 +134,6 @@ class CheckpointStore:
         dropped = [im for im in older if im.seq not in needed]
         self.images[key] = bases + kept
         return dropped
-
-    def drop(self, key: int) -> None:
-        """Forget every image for ``key`` (process exited cleanly)."""
-        self.images.pop(key, None)
-
-
-def image_payload(params: Any, pcb: Any) -> Tuple[int, Tuple[Tuple[int, str, int], ...]]:
-    """Non-VM payload of a checkpoint of ``pcb``: the byte count and the
-    stream references, priced exactly as migration prices the same state
-    (shared packaging discipline — one module, two callers)."""
-    manifest = stream_manifest(pcb)
-    nbytes = state_bytes(params) + stream_bytes(params, len(manifest))
-    refs = tuple((fd, stream.path, stream.mode) for fd, stream in manifest)
-    return nbytes, refs
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,10 @@ references before the restored process runs again.  Restoration reuses
 the *same* :class:`~repro.kernel.pcb.Pcb` object (identity matters:
 parents hold its shared ``exit_event``), banks the image's CPU progress
 in ``pcb.cpu_time``/``pcb.restored_progress``, and starts a fresh task
-from the image's spawn factory.  Torn images — digest mismatch from a
-write the crash interrupted — are counted and skipped; with no intact
-image at all the process stays lost (exactly a process that was never
-checkpointed).
+running the registered program with its registered arguments.  Torn
+images — digest mismatch from a write the crash interrupted — are
+counted and skipped; with no intact image at all the process stays lost
+(exactly a process that was never checkpointed).
 
 A double crash (restart host dies too) needs no special machinery: the
 next ``host_lost`` sweep sees the restored task aborted again and
@@ -151,7 +151,9 @@ class RestartManager:
         pcb.cpu_time = image.progress
         pcb.restored_progress = image.progress
         host.kernel.install_pcb(pcb)
-        UserContext(pcb, self.cluster.kernels).start(image.factory)
+        UserContext(pcb, self.cluster.kernels).start(
+            registration.program, registration.args
+        )
         # The old base's backing file died with its host: the first
         # post-restore checkpoint must be a fresh full image.
         registration.base = None

@@ -645,9 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--mtbf", type=float, default=60.0,
                        help="mean time between host crashes (--churn)")
     chaos.add_argument("--policy", default="migrate",
-                       choices=["migrate", "proactive-migrate",
-                                "checkpoint", "checkpoint-restart",
-                                "hybrid"],
+                       choices=["migrate", "checkpoint", "hybrid"],
                        help="fault-tolerance policy: proactive "
                             "migration (default, today's behaviour), "
                             "checkpoint/restart, or both")

@@ -30,6 +30,7 @@ the exact same instruction path as before this package existed.
 """
 
 from .chaos import (
+    FAULT_POLICIES,
     ChaosReport,
     adversarial_plan,
     build_chaos_base,
@@ -55,6 +56,7 @@ from .plan import FAULT_KINDS, FaultAction, FaultPlan
 
 __all__ = [
     "FAULT_KINDS",
+    "FAULT_POLICIES",
     "MATRIX_KINDS",
     "MATRIX_VICTIMS",
     "CellResult",

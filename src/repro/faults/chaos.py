@@ -17,7 +17,7 @@ import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from ..checkpoint import CheckpointService, policy_named
+from ..checkpoint import CheckpointService
 from ..cluster import SpriteCluster
 from ..fs import OpenMode
 from ..kernel import ProcState
@@ -29,6 +29,7 @@ from .invariants import InvariantChecker
 from .plan import FaultPlan
 
 __all__ = [
+    "FAULT_POLICIES",
     "ChaosReport",
     "adversarial_plan",
     "build_chaos_base",
@@ -36,6 +37,18 @@ __all__ = [
     "trace_fingerprint",
     "builtin_plan",
 ]
+
+#: What the cluster does about failures (thesis §1.3 motivates migration
+#: partly *as* a fault-tolerance mechanism; checkpoint/restart is the
+#: classic alternative, cf. Condor):
+#:
+#: * ``migrate``    — proactive migration only: the orchestrator moves
+#:   processes off hosts; a crash loses whatever was resident.
+#: * ``checkpoint`` — periodic checkpoint/restart only: no proactive
+#:   moves, crashed processes restart from their last intact image.
+#: * ``hybrid``     — both: migration for load, checkpoints as the crash
+#:   backstop.
+FAULT_POLICIES = ("migrate", "checkpoint", "hybrid")
 
 
 def trace_fingerprint(tracer) -> str:
@@ -145,36 +158,20 @@ class ChaosReport:
         return asdict(self)
 
 
-def _chaos_job(proc, index: int, work: float):
+def _chaos_job(proc, index: int, work: float, memory: int):
     """A defensive batch job: compute, write a scratch file, compute.
 
     Infrastructure failures surface as exceptions from kernel calls;
     the job retries nothing and just reports failure — surviving *or*
     dying cleanly are both legal outcomes the invariant checker can
     account for.
-    """
-    try:
-        yield from proc.compute(work * 0.4)
-        fd = yield from proc.open(
-            f"/tmp/chaos-{index}", OpenMode.WRITE | OpenMode.CREATE
-        )
-        yield from proc.write(fd, 4096)
-        yield from proc.close(fd)
-        yield from proc.compute(work * 0.6)
-    except Exception:  # noqa: BLE001 - any infra failure = nonzero exit
-        return 1
-    return 0
 
-
-def _chaos_job_resumable(proc, index: int, work: float, memory: int):
-    """The chaos job, restart-aware.
-
-    Identical workload to :func:`_chaos_job`, but each compute stage is
-    guarded on ``pcb.cpu_time`` so a process restored from a checkpoint
-    (which banks the image's CPU progress into ``cpu_time``) skips the
-    work its image already paid for and re-runs only the remainder.
-    The file write is idempotent and simply re-executed.  ``memory``
-    sizes the address space, which sizes the checkpoint images.
+    The job is restart-aware: each compute stage is guarded on
+    ``pcb.cpu_time`` so a process restored from a checkpoint (which
+    banks the image's CPU progress into ``cpu_time``) skips the work
+    its image already paid for and re-runs only the remainder.  The
+    file write is idempotent and simply re-executed.  ``memory`` sizes
+    the address space, which sizes the checkpoint images.
     """
     pcb = proc.pcb
     try:
@@ -234,8 +231,8 @@ def run_chaos(
     The report's ``seed``/``workstations`` then come from the base
     cluster itself, so the caller can't mislabel a run.
 
-    ``policy`` selects the fault-tolerance strategy (``migrate`` /
-    ``checkpoint`` / ``hybrid``, see :mod:`repro.checkpoint`).  The
+    ``policy`` selects the fault-tolerance strategy, one of
+    :data:`FAULT_POLICIES` (anything else raises ``ValueError``).  The
     default ``migrate`` path constructs no checkpoint machinery at all
     and stays byte-identical to a build without it.  ``job_memory``
     sizes each job's address space (hence its checkpoint images).
@@ -252,6 +249,10 @@ def run_chaos(
     ``checkpoint_interval`` is the checkpointing policies' period
     (``None``: ``ClusterParams.checkpoint_interval``).
     """
+    if policy not in FAULT_POLICIES:
+        raise ValueError(
+            f"unknown fault policy {policy!r} (choose from {FAULT_POLICIES})"
+        )
     cluster = _build_chaos_cluster(seed, workstations) if base is None else base
     service = cluster.extras["service"]
     seed = cluster.params.seed
@@ -280,17 +281,12 @@ def run_chaos(
     if adversarial:
         injector.attach_detector()
 
-    fault_policy = policy_named(policy)
     checkpoints: Optional[CheckpointService] = None
-    if fault_policy.checkpointing:
+    if policy != "migrate":
         checkpoints = CheckpointService(
             cluster, injector=injector,
             interval=checkpoint_interval, mode=checkpoint_mode,
         )
-    # The plain job keeps the checkpoint-off trace byte-identical to a
-    # build without repro.checkpoint; the resumable variant is needed
-    # whenever restores can happen (or images should have a VM payload).
-    resumable = fault_policy.checkpointing or job_memory > 0
 
     # --- workload: jobs launched from the first two hosts, spread out
     # over the run, plus an orchestrator that load-shares them.
@@ -301,21 +297,13 @@ def run_chaos(
         for index in range(jobs):
             home = cluster.hosts[index % min(2, len(cluster.hosts))]
             if home.node.up:
-                if resumable:
-                    pcb, _ctx = home.spawn_process(
-                        _chaos_job_resumable, index, job_length, job_memory,
-                        name=f"chaos-{index}",
-                    )
-                else:
-                    pcb, _ctx = home.spawn_process(
-                        _chaos_job, index, job_length, name=f"chaos-{index}"
-                    )
+                args = (index, job_length, job_memory)
+                pcb, _ctx = home.spawn_process(
+                    _chaos_job, *args, name=f"chaos-{index}"
+                )
                 launched.append(pcb)
                 if checkpoints is not None:
-                    checkpoints.register(
-                        pcb, _chaos_job_resumable,
-                        index, job_length, job_memory,
-                    )
+                    checkpoints.register(pcb, _chaos_job, *args)
             yield Sleep(gap)
 
     def orchestrator():
@@ -344,7 +332,7 @@ def run_chaos(
                     pass
 
     spawn(cluster.sim, launcher(), name="chaos-launcher", daemon=True)
-    if fault_policy.proactive_migration:
+    if policy != "checkpoint":
         spawn(cluster.sim, orchestrator(), name="chaos-orchestrator",
               daemon=True)
 
@@ -403,7 +391,7 @@ def run_chaos(
         faults=len(injector.log),
         packets_blocked=injector.fabric.blocked,
         packets_dropped=injector.fabric.dropped,
-        policy=fault_policy.name,
+        policy=policy,
         checkpoints=ckpt_stats.get("checkpoints", 0),
         restores=ckpt_stats.get("restores", 0),
         torn_images=(

@@ -2,9 +2,8 @@
 
 Packaging a process for the wire and packaging it for a checkpoint
 image are the same discipline (thesis §4.5: per-module encapsulation of
-process state): walk the open streams in a deterministic order, account
-for machine-independent state plus per-stream references, and rebuild
-the process on the other side from a zero-argument spawn factory.  The
+process state): walk the open streams in a deterministic order and
+account for machine-independent state plus per-stream references.  The
 pieces of that discipline both the migration transaction
 (:mod:`repro.migration.mechanism`) and the checkpoint subsystem
 (:mod:`repro.checkpoint`) need live here, so the two cannot drift apart.
@@ -12,7 +11,6 @@ pieces of that discipline both the migration transaction
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, List, Tuple
 
 from ..fs.errors import FsError
@@ -20,7 +18,6 @@ from ..net.errors import RpcError
 
 __all__ = [
     "PACKAGE_EXCEPTIONS",
-    "spawn_factory",
     "state_bytes",
     "stream_bytes",
     "stream_manifest",
@@ -49,18 +46,3 @@ def state_bytes(params: Any, extra_bytes: int = 0) -> int:
 def stream_bytes(params: Any, count: int) -> int:
     """Bytes of per-stream reference state for ``count`` streams."""
     return count * params.stream_transfer_bytes
-
-
-def _bound_program(program: Any, args: Tuple[Any, ...], proc: Any) -> Any:
-    """What a :func:`spawn_factory` partial runs: ``program(proc, *args)``."""
-    return program(proc, *args)
-
-
-def spawn_factory(program: Any, *args: Any) -> Any:
-    """Bind ``program(*args)`` into a restartable spawn factory.
-
-    The result is itself a program taking only the :class:`UserContext`
-    — ``UserContext.start(factory)`` re-runs the original program with
-    its original arguments.
-    """
-    return partial(_bound_program, program, tuple(args))

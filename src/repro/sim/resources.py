@@ -248,7 +248,7 @@ class Cpu:
         a boundary at exactly now has passed.  Everything that edits
         the core's queue settles by itself before it does; the readers
         are :meth:`utilization`, :meth:`consume`, ``SpriteKernel.ps``,
-        ``CheckpointDaemon.checkpoint_one``, ``UsageSimulation.finalize``
+        ``CheckpointService.checkpoint_one``, ``UsageSimulation.finalize``
         and ``SpriteCluster.total_cpu_seconds``.
         """
         core = self.core

@@ -1,14 +1,11 @@
-"""repro.checkpoint: images, daemons, restart, policies, determinism."""
+"""repro.checkpoint: images, sweeps, restart, policies, determinism."""
 
 import pytest
 
 from repro import SpriteCluster
-from repro.checkpoint import (
-    CheckpointService,
-    POLICIES,
-    policy_named,
-)
-from repro.faults import InvariantChecker, run_chaos
+from repro.checkpoint import CheckpointService
+from repro.cli import build_parser
+from repro.faults import FAULT_POLICIES, InvariantChecker, run_chaos
 from repro.migration import MigrationRefused
 from repro.sim import Sleep, run_until_complete, spawn
 
@@ -106,17 +103,6 @@ def test_incremental_images_chain_on_full_base():
     # trimmed tail (plus the base the tail chains on).
     assert service.stats()["incrementals"] >= len(deltas)
     assert images[0] is base
-
-
-def test_clean_exit_unregisters_and_drops_images():
-    cluster, injector, service = build()
-    pcb = protect(service, cluster.hosts[0], worker, 4.0)
-    cluster.run(until=10.0)
-    assert pcb.task.done and pcb.task.result == 0
-    service.unregister(pcb.pid)
-    assert service.store.latest_intact(pcb.pid) is None
-    assert service.accounted_pids() == set()
-    InvariantChecker(cluster, injector).assert_clean(expected_pids=[pcb.pid])
 
 
 # ----------------------------------------------------------------------
@@ -267,17 +253,16 @@ def test_daemon_skips_process_holding_migration_ticket():
     a = cluster.hosts[0]
     pcb = protect(service, a, worker, 30.0)
     cluster.run(until=1.0)
-    daemon = service.daemons[a.address]
     before = len(service.store.images.get(pcb.pid, []))
 
     pcb.migration_ticket = object()     # migration owns the state
-    taken = run_until_complete(cluster.sim, daemon.sweep(), name="sweep")
+    taken = run_until_complete(cluster.sim, service.sweep(a), name="sweep")
     assert taken == 0
-    assert daemon.skipped_migrating == 1
+    assert service.skipped_migrating == 1
     assert len(service.store.images.get(pcb.pid, [])) == before
 
     pcb.migration_ticket = None         # released -> next sweep images it
-    taken = run_until_complete(cluster.sim, daemon.sweep(), name="sweep")
+    taken = run_until_complete(cluster.sim, service.sweep(a), name="sweep")
     assert taken == 1
     assert not pcb.checkpoint_lock      # lock never leaks past the write
     assert len(service.store.images[pcb.pid]) == before + 1
@@ -286,15 +271,16 @@ def test_daemon_skips_process_holding_migration_ticket():
 # ----------------------------------------------------------------------
 # Policies and chaos determinism
 # ----------------------------------------------------------------------
-def test_policy_names_and_aliases():
-    assert policy_named("migrate") is POLICIES["migrate"]
-    assert policy_named("proactive-migrate") is POLICIES["migrate"]
-    assert policy_named("checkpoint-restart") is POLICIES["checkpoint"]
-    assert policy_named("hybrid").proactive_migration
-    assert policy_named("hybrid").checkpointing
-    assert not policy_named("checkpoint").proactive_migration
-    with pytest.raises(KeyError):
-        policy_named("pray")
+def test_unknown_fault_policy_raises():
+    with pytest.raises(ValueError, match="pray"):
+        run_chaos(policy="pray")
+    # The CLI offers exactly the policies run_chaos accepts.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["chaos", "--policy", "checkpoint-restart"])
+    for policy in FAULT_POLICIES:
+        assert build_parser().parse_args(
+            ["chaos", "--policy", policy]
+        ).policy == policy
 
 
 def test_chaos_with_checkpointing_off_matches_golden():
