@@ -21,14 +21,6 @@ in three configurations:
   so the cost of an actual fault storm is on record next to the idle
   numbers.
 
-A second ablation pins the migration transaction journal (PR 4): the
-same fault-free migration-churn workload with
-``migration_txn_journal`` on vs off must produce an *identical* event
-schedule (the journal is bookkeeping, never a scheduling participant —
-this is the strict pin) and stay within ``--max-journal-overhead``
-wall time.  The measured cost is ~1.005x; the default ceiling (1.05)
-sits above this noisy-CI measurement floor, not above the true cost.
-
 The idle/no-injector wall-time ratio is the headline: in ``--smoke``
 mode the run fails if it exceeds ``--max-overhead`` (default 1.15, i.e.
 the injector must stay within measurement noise).
@@ -63,14 +55,8 @@ except ImportError:  # imported as benchmarks.bench_faults
 #: The e10 sizes match ``bench_engine.SIZES`` so the ``no_injector``
 #: row is directly comparable with the archived engine numbers.
 SIZES = {
-    "full": {
-        "hosts": 6, "duration": 2 * 3600.0, "chaos_duration": 120.0,
-        "migrations": 64,
-    },
-    "smoke": {
-        "hosts": 3, "duration": 600.0, "chaos_duration": 60.0,
-        "migrations": 48,
-    },
+    "full": {"hosts": 6, "duration": 2 * 3600.0, "chaos_duration": 120.0},
+    "smoke": {"hosts": 3, "duration": 600.0, "chaos_duration": 60.0},
 }
 
 
@@ -123,51 +109,6 @@ def _run_e10(
     return build_and_run
 
 
-def _run_migration_churn(migrations: int, journal: bool) -> Callable[[], Any]:
-    """Fault-free migration ping-pong: one process with an open stream,
-    migrated back and forth ``migrations`` times while it computes and
-    writes.  The only variable is the write-ahead journal flag."""
-
-    def build_and_run():
-        from repro import SpriteCluster
-        from repro.config import ClusterParams
-        from repro.fs import OpenMode
-        from repro.sim import Sleep, spawn
-
-        params = ClusterParams(seed=5, migration_txn_journal=journal)
-        cluster = SpriteCluster(workstations=3, params=params)
-        cluster.standard_images()
-        a, b = cluster.hosts[0], cluster.hosts[1]
-
-        def job(proc):
-            fd = yield from proc.open(
-                "/bench-churn", OpenMode.WRITE | OpenMode.CREATE
-            )
-            for _ in range(migrations * 6):
-                yield from proc.compute(0.5)
-                yield from proc.write(fd, 256)
-            yield from proc.close(fd)
-            return 0
-
-        pcb, _ = a.spawn_process(job, name="churn")
-
-        def driver():
-            yield Sleep(0.5)
-            here, there = a, b
-            for _ in range(migrations):
-                yield from cluster.managers[here.address].migrate(
-                    pcb, there.address, reason="bench"
-                )
-                here, there = there, here
-                yield Sleep(1.0)
-
-        spawn(cluster.sim, driver(), name="bench-driver")
-        cluster.run_until_complete(pcb.task)
-        return cluster.sim
-
-    return build_and_run
-
-
 def _measure(build_and_run: Callable[[], Any]) -> Tuple[float, Any]:
     start = time.perf_counter()
     sim = build_and_run()
@@ -217,37 +158,6 @@ def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Any]:
         results["idle_injector"]["wall_s"] / results["no_injector"]["wall_s"], 4
     )
 
-    # Migration-txn-journal ablation: journaling is pure bookkeeping, so
-    # it must never perturb the event schedule of a fault-free run.
-    # The 2% wall-time pin is far below ambient scheduler noise for a
-    # sequential best-of-N, so the two configurations are sampled
-    # *interleaved* (on, off, on, off, ...): both see the same noise
-    # environment and the min-of-N ratio converges on the true cost.
-    migrations = sizes["migrations"]
-    _measure(_run_migration_churn(max(migrations // 4, 4), True))
-    on_build = _run_migration_churn(migrations, True)
-    off_build = _run_migration_churn(migrations, False)
-    on_walls, off_walls = [], []
-    for _ in range(max(repeats, 3) * 4):
-        wall, on_sim = _measure(on_build)
-        on_walls.append(wall)
-        wall, off_sim = _measure(off_build)
-        off_walls.append(wall)
-    journal_on = throughput_row(on_sim, min(on_walls))
-    journal_off = throughput_row(off_sim, min(off_walls))
-    assert journal_on["events"] == journal_off["events"], (
-        "txn journal changed the event schedule: "
-        f"{journal_on['events']} != {journal_off['events']}"
-    )
-    results["txn_journal"] = {
-        "migrations": migrations,
-        "journal_on": journal_on,
-        "journal_off": journal_off,
-        "overhead_ratio": round(
-            journal_on["wall_s"] / journal_off["wall_s"], 4
-        ),
-    }
-
     from repro.faults import run_chaos
 
     start = time.perf_counter()
@@ -276,17 +186,6 @@ def render(results: Dict[str, Any], mode: str) -> str:
             f"{row['events_per_s']:>12,.0f}"
         )
     lines.append(f"idle-injector overhead: {results['overhead_ratio']:.3f}x")
-    txn = results["txn_journal"]
-    for name in ("journal_on", "journal_off"):
-        row = txn[name]
-        lines.append(
-            f"{name:<16} {row['events']:>10,.0f} {row['wall_s']:>10.3f} "
-            f"{row['events_per_s']:>12,.0f}"
-        )
-    lines.append(
-        f"txn-journal overhead ({txn['migrations']} migrations, identical "
-        f"schedule): {txn['overhead_ratio']:.3f}x"
-    )
     chaos = results["chaos_smoke"]
     lines.append(
         f"chaos gauntlet (informative): {chaos['wall_s']:.3f}s wall, "
@@ -314,12 +213,6 @@ def main(argv: Optional[list] = None) -> int:
         help="smoke mode fails if idle-injector/no-injector wall ratio "
         "exceeds this",
     )
-    parser.add_argument(
-        "--max-journal-overhead", type=float, default=1.05,
-        help="smoke mode fails if the journal-on/journal-off wall ratio "
-        "for fault-free migrations exceeds this (true cost ~1.005x; the "
-        "ceiling allows for shared-runner timing noise)",
-    )
     args = parser.parse_args(argv)
     mode = "smoke" if args.smoke else "full"
     results = run_all(smoke=args.smoke, repeats=args.repeats)
@@ -334,14 +227,6 @@ def main(argv: Optional[list] = None) -> int:
         print(
             f"FAIL: idle injector overhead {results['overhead_ratio']:.3f}x "
             f"exceeds ceiling {args.max_overhead:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    journal_ratio = results["txn_journal"]["overhead_ratio"]
-    if args.smoke and journal_ratio > args.max_journal_overhead:
-        print(
-            f"FAIL: txn-journal overhead {journal_ratio:.3f}x exceeds "
-            f"ceiling {args.max_journal_overhead:.2f}x",
             file=sys.stderr,
         )
         return 1
@@ -364,8 +249,6 @@ def test_faults_overhead(benchmark, archive):
     archive_json("P3_faults", {"mode": "smoke", "results": results})
     assert results["no_injector"]["events"] > 0
     assert results["chaos_smoke"]["violations"] == 0
-    txn = results["txn_journal"]
-    assert txn["journal_on"]["events"] == txn["journal_off"]["events"]
 
 
 if __name__ == "__main__":

@@ -110,7 +110,6 @@ _KNOBS: Tuple[Tuple[str, str, str], ...] = (
     ("migration_version", "", "test_cluster_api (mismatched kernels refuse, thesis 4.5)"),
     ("migration_ticket_ttl", "s", "lease on an uncommitted copy and on its reservation"),
     ("migration_rollback_retries", "count", "attempts per compensating action on abort"),
-    ("migration_txn_journal", "on/off", "P3 bench_faults journal ablation"),
     ("checkpoint_interval", "s", "period unless CheckpointService(interval=) / run_chaos say"),
     ("checkpoint_digest_bytes", "bytes", "image trailer that exposes a torn write"),
     ("checkpoint_generations", "count", "intact images kept per process"),

@@ -1,10 +1,10 @@
-"""Cluster-wide parameters: fifteen settings and the calibration behind them.
+"""Cluster-wide parameters: fourteen settings and the calibration behind them.
 
 One :class:`ClusterParams` instance flows to every subsystem.  Its
 *fields* are the axes something in this repository actually varies: the
 network (latency, bandwidth, shared or switched medium, inbox
 capacity), the RPC retry schedule, the file-system block size and
-server cache hit rate, the migration protocol version, journal and
+server cache hit rate, the migration protocol version, the
 backpressure caps, and the seed.  S1 (``bench_network_sweep``) sweeps
 the bandwidth; the fault benchmarks and tests move the rest.
 
@@ -40,7 +40,7 @@ __all__ = ["ClusterParams", "KB", "MB", "MS", "US"]
 
 @dataclass
 class ClusterParams:
-    """The simulated Sprite cluster: 15 settable fields, the rest constants.
+    """The simulated Sprite cluster: 14 settable fields, the rest constants.
 
     A plain annotation is a field — a test, benchmark or experiment
     sets it.  A ``ClassVar`` is calibration: read it as
@@ -142,10 +142,6 @@ class ClusterParams:
     #: RPC schedule); exhausting them hands the remainder to a
     #: background repair task and bumps ``rollback_incomplete``.
     migration_rollback_retries: ClassVar[int] = 4
-    #: Ablation knob for benchmarks: disable the migration write-ahead
-    #: journal (protocol unchanged; recovery and the crash matrix
-    #: require it on).
-    migration_txn_journal: bool = True
 
     # --- checkpointing ----------------------------------------------------
     #: Period between checkpoints of a registered process (seconds of

@@ -237,7 +237,7 @@ class InvariantChecker:
                 violations.append(Violation(
                     "leaked-journal-txn",
                     {"host": address, "txn": txn.txn_id, "pid": txn.pid,
-                     "state": txn.state.name,
+                     "step": txn.steps[-1] if txn.steps else None,
                      "rollback_pending": txn.rollback_pending},
                 ))
         return violations

@@ -5,7 +5,7 @@
 packaging, open-stream hand-off, home-shadow maintenance) as a crash-
 consistent transaction, :mod:`.lease` the target side (leased tickets,
 inactive installs, activation at the commit point); :mod:`.txn` holds
-the journal and state machine behind that single commit point.
+the journal and step ladder behind that single commit point.
 :mod:`.vm` provides the four virtual-memory transfer policies of
 §4.2.1.  :mod:`.eviction` reclaims workstations for returning users.
 :mod:`.stats` aggregates telemetry.
@@ -28,10 +28,8 @@ from .stats import (
 )
 from .txn import (
     TXN_STEPS,
-    JournalEntry,
     MigrationJournal,
     MigrationTxn,
-    TxnState,
     UndoEntry,
 )
 from .vm import (
@@ -51,7 +49,6 @@ __all__ = [
     "EvictionEvent",
     "FlushToServer",
     "FullCopy",
-    "JournalEntry",
     "LeaseService",
     "MigrationAbandoned",
     "MigrationJournal",
@@ -63,7 +60,6 @@ __all__ = [
     "PreCopy",
     "TXN_STEPS",
     "TicketLease",
-    "TxnState",
     "UndoEntry",
     "VmOutcome",
     "VmPolicy",

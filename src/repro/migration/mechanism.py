@@ -68,7 +68,7 @@ from ..sim import Effect, SimEvent, Sleep, Span, first
 from .lease import LeaseService
 from .packaging import state_bytes, stream_bytes, stream_manifest
 from .recovery import MigrationAbandoned, MigrationRefused, TxnResolver
-from .txn import MigrationTxn, TxnState
+from .txn import MigrationTxn
 from .vm import FlushToServer, VmOutcome, VmPolicy, make_policy
 
 __all__ = [
@@ -301,7 +301,6 @@ class MigrationManager(TxnResolver):
                 ticket = yield from self._park(txn)
             else:
                 record.freeze_started = self.sim.now
-            txn.advance(TxnState.FROZEN)
             self._journal_step(txn, "frozen")
             if skip_vm:
                 yield from self._discard_address_space(txn)
@@ -461,7 +460,7 @@ class MigrationManager(TxnResolver):
         self._abandon_if_crashed(txn)
         if not answer.get("accept"):
             # Nothing to undo yet: no lease was issued.
-            txn.finish()
+            self.journal.finish(txn)
             self._refuse(
                 txn.record,
                 txn.root,
@@ -471,7 +470,7 @@ class MigrationManager(TxnResolver):
         txn.ticket_id = int(answer.get("ticket", 0))
         txn.expires = float(answer.get("expires", 0.0))
         txn.push_undo("ticket", ticket=txn.ticket_id)
-        self._journal_step(txn, "negotiated", ticket=txn.ticket_id)
+        self._journal_step(txn, "negotiated")
 
     def _park(self, txn: MigrationTxn) -> Generator[Effect, None, MigrationTicket]:
         """Pre-copy while the process keeps running, then ask it to park
@@ -603,7 +602,7 @@ class MigrationManager(TxnResolver):
         record.streams_moved = len(stream_states)
         record.stream_bytes = stream_bytes(params, len(stream_states))
         record.state_bytes = state_bytes(params, extra_bytes)
-        self._journal_step(txn, "streams_exported", count=record.streams_moved)
+        self._journal_step(txn, "streams_exported")
         started = self._span(txn, MIG_STREAMS, started,
                              count=record.streams_moved)
         # -- ship the state; the target installs it *inactive* ---------------
@@ -639,7 +638,6 @@ class MigrationManager(TxnResolver):
                 f"target {target} refused to install pid {pcb.pid}: {why}",
             )
         txn.expires = max(txn.expires, float(reply.get("expires", 0.0)))
-        txn.advance(TxnState.SHIPPED)
         self._journal_step(txn, "shipped")
         self._span(txn, MIG_INSTALL, started, bytes=wire_bytes)
 
@@ -665,11 +663,10 @@ class MigrationManager(TxnResolver):
         if outcome == "lost":
             # The commit landed and then the target died (already
             # detected): the process is gone — record its death.
-            txn.advance(TxnState.COMMITTED)
             record.detail["lost_after_commit"] = True
             self.journal.committed += 1
             yield from self._write_off(txn)
-            txn.finish()
+            self.journal.finish(txn)
             self._refuse(
                 record,
                 txn.root,
@@ -678,7 +675,6 @@ class MigrationManager(TxnResolver):
             )
         # -- committed: the target's copy is the process ----------------------
         self._journal_step(txn, "committed")
-        txn.advance(TxnState.COMMITTED)
         self._span(txn, MIG_COMMIT_RPC, record.commit_started)
         yield from self._post_commit(txn)
         self.journal.committed += 1

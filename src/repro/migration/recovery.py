@@ -32,8 +32,8 @@ from ..fs.errors import FsError
 from ..kernel import Host, Pcb, ProcState, SpriteKernel
 from ..net import NetworkPartitionedError, RetryLaterError, RpcError, RpcTimeout
 from ..obs.spans import MIG_UPDATE_HOME
-from ..sim import Effect, SimClock, Sleep, spawn
-from .txn import MigrationJournal, MigrationTxn, TxnState, UndoEntry
+from ..sim import Effect, Sleep, spawn
+from .txn import MigrationJournal, MigrationTxn, UndoEntry
 
 __all__ = ["MigrationAbandoned", "MigrationRefused", "TxnResolver"]
 
@@ -57,8 +57,7 @@ class TxnResolver:
         self.host = host
         self.kernel: SpriteKernel = host.kernel
         #: Write-ahead journal (persistent: survives host.crash).
-        self.journal = MigrationJournal(host.params.migration_txn_journal)
-        self.journal.bind_clock(SimClock(host.sim))
+        self.journal = MigrationJournal()
         #: Aborts whose undo log could not be fully replayed inline
         #: (a background repair task owns the remainder).
         self.rollback_incomplete = 0
@@ -98,8 +97,6 @@ class TxnResolver:
 
     def on_reboot(self) -> None:
         """Replay the journal: resolve every transaction left open."""
-        if not self.journal.enabled:
-            return
         txns = self.journal.open_txns()
         if not txns:
             return
@@ -129,12 +126,10 @@ class TxnResolver:
                 f"(txn {txn.txn_id})"
             )
 
-    def _journal_step(self, txn: MigrationTxn, name: str, **detail: Any) -> None:
+    def _journal_step(self, txn: MigrationTxn, name: str) -> None:
         """Journal a step, then notice if the crash-matrix hook (which
         fires synchronously inside ``journal.log``) crashed this host."""
-        if txn.recovering:
-            detail["recovered"] = True
-        txn.step(name, **detail)
+        self.journal.log(txn, name)
         self._abandon_if_crashed(txn)
 
     # ------------------------------------------------------------------
@@ -201,7 +196,7 @@ class TxnResolver:
         if not txn.did("closed"):
             yield from self._close_lease(txn)
             self._journal_step(txn, "closed")
-        txn.finish()
+        self.journal.finish(txn)
 
     def _detach(self, txn: MigrationTxn) -> None:
         """``detached``: the source's copy gives way to the target's —
@@ -265,8 +260,8 @@ class TxnResolver:
         (:meth:`_undo_one`)."""
         if not txn.recovering:
             self._abandon_if_crashed(txn)
-        if txn.state is not TxnState.ABORTED:
-            txn.advance(TxnState.ABORTED)
+        if not txn.aborted:
+            txn.aborted = True
             self.journal.aborted += 1
         ok = True
         for entry in txn.pending_undo():
@@ -277,7 +272,7 @@ class TxnResolver:
             self.journal.recovered += 1
             self._trace("txn-recovered", txn=txn.txn_id, outcome="aborted")
         if ok:
-            txn.finish()
+            self.journal.finish(txn)
             return
         txn.rollback_pending = True
         self.rollback_incomplete += 1
@@ -369,7 +364,7 @@ class TxnResolver:
             pending = txn.pending_undo()
             if not pending:
                 txn.rollback_pending = False
-                txn.finish()
+                self.journal.finish(txn)
                 self._trace("rollback-repaired", txn=txn.txn_id)
                 return
             progressed = False
@@ -413,8 +408,8 @@ class TxnResolver:
         """Finish what the journal says was started: a transaction whose
         commit activated resumes the post-commit duties where the
         journal stops; any other is aborted."""
-        if txn.state is TxnState.COMMITTED and txn.did("closed"):
-            txn.finish()
+        if txn.did("closed"):
+            self.journal.finish(txn)
             return
         activated = txn.did("committed")
         if not activated and txn.did("commit_sent"):
@@ -422,7 +417,6 @@ class TxnResolver:
         if not activated:
             yield from self._abort(txn)
             return
-        txn.advance(TxnState.COMMITTED)
         self._journal_step(txn, "committed")
         yield from self._post_commit(txn)
         self.journal.recovered += 1

@@ -2,14 +2,10 @@
 
 The thesis promises that a migration either completes or leaves the
 process running untouched at the source.  This module makes that
-promise explicit: every migration is a :class:`MigrationTxn` driven
-through a small state machine,
-
-    NEGOTIATED --> FROZEN --> SHIPPED --> COMMITTED
-         \\           \\          \\
-          +-----------+----------+------> ABORTED
-
-with a *single commit point* — the source's ``mig.commit`` RPC.  Before
+promise explicit: every migration is a :class:`MigrationTxn` walked down
+the ``TXN_STEPS`` ladder, with a *single commit point* — the source's
+``mig.commit`` RPC.  The steps journaled so far are the one record of
+how far a transaction got.  Before
 the commit the target holds the process **inactive** on its
 :class:`~repro.migration.lease.TicketLease` (crash anywhere → the target
 reaps the inactive copy when the lease expires, the source resumes or
@@ -34,28 +30,15 @@ step boundary of the protocol.
 from __future__ import annotations
 
 import dataclasses
-import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
-    "TxnState",
     "TXN_STEPS",
-    "JournalEntry",
     "UndoEntry",
     "MigrationTxn",
     "MigrationJournal",
 ]
-
-
-class TxnState(enum.Enum):
-    """Lifecycle of one migration transaction."""
-
-    NEGOTIATED = "negotiated"   # target accepted; lease (ticket) issued
-    FROZEN = "frozen"           # process parked at a safe point
-    SHIPPED = "shipped"         # inactive copy resident at the target
-    COMMITTED = "committed"     # target activated; the copy there is IT
-    ABORTED = "aborted"         # undo log replayed (or being replayed)
 
 
 #: Every journaled step boundary, in protocol order.  The crash matrix
@@ -76,20 +59,6 @@ TXN_STEPS = (
 )
 
 _STEP_INDEX = {name: i for i, name in enumerate(TXN_STEPS)}
-
-
-@dataclass(frozen=True)
-class JournalEntry:
-    """One journaled step of one transaction."""
-
-    time: float
-    txn_id: str
-    step: str
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        parts = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
-        return f"[{self.time:12.6f}] txn {self.txn_id} {self.step:<16} {parts}"
 
 
 @dataclass
@@ -120,18 +89,18 @@ class MigrationTxn:
     pcb: Any = None
     ticket_id: int = 0
     expires: float = 0.0
-    state: TxnState = TxnState.NEGOTIATED
-    #: Steps journaled so far, in order (idempotent: logged once).
+    #: Steps journaled so far, in order (idempotent: logged once) — the
+    #: only record of how far the transaction got.
     steps: List[str] = field(default_factory=list)
     undo: List[UndoEntry] = field(default_factory=list)
-    started: float = 0.0
     #: True once nothing remains to do or undo; only then may the
     #: journal forget the transaction ("no leaked journal entries").
     finished: bool = False
     #: An abort exhausted its rollback retries; a background repair
     #: task owns the remaining undo entries.
     rollback_pending: bool = False
-    journal: Optional["MigrationJournal"] = None
+    #: The abort path has started (counted once in ``journal.aborted``).
+    aborted: bool = False
     # -- volatile state of the task driving the transaction ------------
     #: The source's crash epoch when the driving task took ownership; a
     #: task whose epoch no longer matches must stop touching the txn.
@@ -141,24 +110,10 @@ class MigrationTxn:
     record: Any = None
     root: Any = None
     #: Reboot-time recovery is driving: the source's process table and
-    #: the process itself died with the crash, and every step journaled
-    #: from here on is marked ``recovered``.
+    #: the process itself died with the crash.
     recovering: bool = False
 
     # ------------------------------------------------------------------
-    def advance(self, state: TxnState) -> None:
-        self.state = state
-
-    def step(self, name: str, **detail: Any) -> None:
-        """Journal one step boundary (idempotent: re-logging is a no-op)."""
-        if name in self.steps:
-            return
-        if name not in _STEP_INDEX:
-            raise ValueError(f"unknown txn step {name!r}")
-        self.steps.append(name)
-        if self.journal is not None:
-            self.journal.log(self, name, detail)
-
     def did(self, name: str) -> bool:
         return name in self.steps
 
@@ -176,16 +131,6 @@ class MigrationTxn:
         """The commit may have been delivered but was never acked."""
         return self.did("commit_sent") and not self.did("committed")
 
-    def finish(self) -> None:
-        self.finished = True
-        if self.journal is not None:
-            self.journal.forget(self)
-
-
-def _zero_clock() -> float:
-    """Default journal clock before a simulator is bound."""
-    return 0.0
-
 
 class MigrationJournal:
     """Per-host migration write-ahead journal.
@@ -193,16 +138,11 @@ class MigrationJournal:
     Modeled as *persistent* storage: the object lives on the (never
     reconstructed) :class:`~repro.migration.MigrationManager`, so —
     unlike the kernel's process table — it survives ``host.crash`` and
-    is what reboot-time recovery replays.
-
-    ``enabled=False`` is a benchmark-only ablation (no entries, no open
-    transactions, no recovery) used to pin the journal's overhead; the
-    protocol itself runs identically either way.
+    is what reboot-time recovery replays.  It holds the open
+    transactions, each carrying its own journaled steps and undo log.
     """
 
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.entries: List[JournalEntry] = []
+    def __init__(self) -> None:
         #: Open (not yet finished) transactions by id.
         self.txns: Dict[str, MigrationTxn] = {}
         self._seq = 0
@@ -214,12 +154,8 @@ class MigrationJournal:
         self.committed = 0
         self.aborted = 0
         self.recovered = 0
-        self._now: Callable[[], float] = _zero_clock
 
     # ------------------------------------------------------------------
-    def bind_clock(self, now: Callable[[], float]) -> None:
-        self._now = now
-
     def begin(
         self, pcb: Any, source: int, target: int, reason: str
     ) -> MigrationTxn:
@@ -232,24 +168,24 @@ class MigrationJournal:
             home=pcb.home,
             reason=reason,
             pcb=pcb,
-            started=self._now(),
-            journal=self if self.enabled else None,
         )
         self.begun += 1
-        if self.enabled:
-            self.txns[txn.txn_id] = txn
+        self.txns[txn.txn_id] = txn
         return txn
 
-    def log(self, txn: MigrationTxn, step: str, detail: Dict[str, Any]) -> None:
-        if not self.enabled:
+    def log(self, txn: MigrationTxn, step: str) -> None:
+        """Journal one step boundary (idempotent: re-logging is a no-op)."""
+        if step in txn.steps:
             return
-        self.entries.append(
-            JournalEntry(self._now(), txn.txn_id, step, dict(detail))
-        )
+        if step not in _STEP_INDEX:
+            raise ValueError(f"unknown txn step {step!r}")
+        txn.steps.append(step)
         if self.on_step is not None:
             self.on_step(txn, step)
 
-    def forget(self, txn: MigrationTxn) -> None:
+    def finish(self, txn: MigrationTxn) -> None:
+        """Nothing remains to do or undo: forget the transaction."""
+        txn.finished = True
         self.txns.pop(txn.txn_id, None)
 
     def reopen(self, txn: MigrationTxn, epoch: int) -> MigrationTxn:

@@ -9,7 +9,7 @@ round-robin CPU model (:mod:`.resources`), named random substreams
 """
 
 from .channels import Channel
-from .engine import EventHandle, SimClock, Simulator
+from .engine import EventHandle, Simulator
 from .errors import (
     ChannelClosed,
     Interrupted,
@@ -45,7 +45,6 @@ __all__ = [
     "Interrupted",
     "RandomStreams",
     "Resource",
-    "SimClock",
     "SimError",
     "SimEvent",
     "SimulationDeadlock",

@@ -46,7 +46,7 @@ from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 from .errors import SimulationDeadlock
 from .state import StateRegistry
 
-__all__ = ["SimClock", "Simulator", "EventHandle"]
+__all__ = ["Simulator", "EventHandle"]
 
 #: Compaction is pointless below this heap size; above it, a heap more
 #: than half full of cancelled corpses is rebuilt.
@@ -124,22 +124,6 @@ class _ReadyHandle(EventHandle):
         if sim is not None:
             self.sim = None
             sim._ready_cancelled += 1
-
-
-class SimClock:
-    """A callable reading one simulator's current time.
-
-    Components that need a clock handle (e.g. the migration journal)
-    hold one of these.
-    """
-
-    __slots__ = ("sim",)
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-
-    def __call__(self) -> float:
-        return self.sim.now
 
 
 class Simulator:

@@ -801,7 +801,8 @@ def test_ring_whose_freeze_request_races_a_core_grant(monkeypatch):
 # ----------------------------------------------------------------------
 def _run_entry_point(entry, accept=True):
     """Move a process from host 0 to host 1 through one of the three
-    public entry points; returns (cluster, pcb, what the mover saw)."""
+    public entry points; returns (cluster, pcb, what the mover saw, the
+    steps the source journaled)."""
     from repro.sim import spawn
 
     cluster = make_cluster()
@@ -809,6 +810,10 @@ def _run_entry_point(entry, accept=True):
     if not accept:
         cluster.managers[dst.address].accept_hook = lambda args: False
     seen = []
+    journaled = []
+    cluster.managers[src.address].journal.on_step = (
+        lambda txn, step: journaled.append(step)
+    )
 
     def after_exec(proc):
         yield from proc.compute(1.0)
@@ -838,7 +843,7 @@ def _run_entry_point(entry, accept=True):
     if entry == "migrate":
         spawn(cluster.sim, outside(), name="driver")
     cluster.run_until_complete(pcb.task)
-    return cluster, pcb, seen
+    return cluster, pcb, seen, journaled
 
 
 ENTRY_POINTS = ["migrate", "migrate_self", "migrate_for_exec"]
@@ -848,11 +853,11 @@ ENTRY_POINTS = ["migrate", "migrate_self", "migrate_for_exec"]
 def test_every_entry_point_journals_the_whole_ladder_once(entry):
     from repro.migration import TXN_STEPS
 
-    cluster, pcb, seen = _run_entry_point(entry)
+    cluster, pcb, seen, journaled = _run_entry_point(entry)
     src, dst = cluster.hosts[0], cluster.hosts[1]
     manager = cluster.managers[src.address]
     assert seen == [] and pcb.current == dst.address
-    assert [e.step for e in manager.journal.entries] == list(TXN_STEPS)
+    assert journaled == list(TXN_STEPS)
     assert manager.journal.open_txns() == []
     (record,) = manager.records
     assert not record.refused and record.reason == {
@@ -863,11 +868,11 @@ def test_every_entry_point_journals_the_whole_ladder_once(entry):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_entry_point_refused_at_negotiate_leaves_nothing_open(entry):
-    cluster, pcb, seen = _run_entry_point(entry, accept=False)
+    cluster, pcb, seen, journaled = _run_entry_point(entry, accept=False)
     src, dst = cluster.hosts[0], cluster.hosts[1]
     manager = cluster.managers[src.address]
     assert seen == ["refused"] and pcb.current == src.address
-    assert manager.journal.entries == []
+    assert journaled == []
     assert manager.journal.open_txns() == []
     (record,) = manager.records
     assert record.refused
@@ -891,10 +896,11 @@ def _end_state_after_source_crash(crash_after):
         return 0
 
     pcb, _ = home.spawn_process(job, name="job")
+    journaled = []
 
     def crash_source(txn, step):
-        if step == crash_after:
-            manager.journal.on_step = None
+        journaled.append(step)
+        if step == crash_after:  # each step is journaled once
             a.crash()
 
     def reboot():
@@ -904,22 +910,20 @@ def _end_state_after_source_crash(crash_after):
     def driver():
         yield Sleep(0.5)
         yield from cluster.managers[home.address].migrate(pcb, a.address)
-        mark = len(manager.journal.entries)
         manager.journal.on_step = crash_source
         try:
             yield from manager.migrate(pcb, b.address)
-            outcome = "migrated"
+            return "migrated"
         except MigrationAbandoned:
-            outcome = "abandoned"
             spawn(cluster.sim, reboot(), name="reboot")
-        return outcome, mark
+            return "abandoned"
 
     task = spawn(cluster.sim, driver(), name="driver")
     cluster.run(until=30.0)
-    outcome, mark = task.result
+    outcome = task.result
     shadow = home.kernel.procs[pcb.pid]
     return outcome, {
-        "steps": [e.step for e in manager.journal.entries[mark:]],
+        "steps": journaled,
         "open": manager.journal.open_txns(),
         "shadow": (shadow.state.name, shadow.current),
         "runs_at": pcb.current,
