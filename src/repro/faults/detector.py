@@ -20,9 +20,13 @@ stays deterministic:
   at ``suspicion_threshold`` consecutive misses the host is *declared*
   dead and the survivors run the exact same reaction the fixed-delay
   path drives (:meth:`FaultInjector.notify_peers`);
+* a heartbeat under a new crash epoch declares the host at once: it
+  crashed and rebooted inside the suspicion window, and its old
+  incarnation is as dead as one that stayed down;
 * a declared-dead host whose heartbeats resume triggers an explicit
   **reconcile** instead of split-brain: stale foreign processes whose
-  home already wrote them off are killed on the returning host, the
+  home already wrote them off are killed on the returning host, its
+  shadows of processes the survivors orphan-killed are reaped, the
   host's file-server state is re-driven through the idempotent reopen
   protocol, and the event is counted as a *false* suspicion when the
   host never actually crashed in between;
@@ -149,10 +153,16 @@ class FailureDetector:
             for host in self.cluster.hosts:
                 watch = self.watch(host.address)
                 if self._heartbeat_ok(host):
+                    epoch = self._crash_epoch(host)
+                    if not watch.declared and epoch != watch.epoch_seen:
+                        # A new incarnation answers: the host crashed and
+                        # rebooted inside the suspicion window.  The old
+                        # one is dead, so declare it now.
+                        self._declare(host, watch)
                     if watch.declared:
                         yield from self._reconcile(host, watch)
                     watch.suspicion = 0
-                    watch.epoch_seen = self._crash_epoch(host)
+                    watch.epoch_seen = epoch
                     continue
                 watch.suspicion += 1
                 if watch.suspicion == 1 or watch.declared:
@@ -188,7 +198,8 @@ class FailureDetector:
         The survivors already wrote its work off; the returning host
         must not keep running copies the rest of the cluster has
         replaced or reaped (split-brain).  Kill the stale foreign
-        processes, re-drive file-server recovery, and raise the host's
+        processes, reap the shadows whose process the survivors killed,
+        re-drive file-server recovery, and raise the host's
         declaration threshold so a flapping host stops triggering the
         full reaction on every blip.
         """
@@ -205,6 +216,7 @@ class FailureDetector:
             self.false_suspicions += 1
         killed = self._kill_disowned(host)
         self.reconciled_kills += killed
+        self._reap_dangling_shadows(host)
         span = self._suspect_spans.pop(host.address, None)
         if span is not None:
             span.finish(t=self.cluster.sim.now, false_suspicion=false_suspicion,
@@ -254,6 +266,24 @@ class FailureDetector:
             kernel.procs.pop(pcb.pid, None)
             killed += 1
         return killed
+
+    def _reap_dangling_shadows(self, host) -> None:
+        """Reap the returning host's shadows whose process runs nowhere.
+
+        While the host was declared dead, the survivors orphan-killed the
+        processes it is home to; the shadows it kept of them would
+        otherwise point at copies that are gone for ever.
+        """
+        running = {
+            pid
+            for kernel in self.cluster.kernels.values()
+            for pid, pcb in kernel.procs.items()
+            if pcb.state == ProcState.RUNNING and pcb.current == kernel.address
+        }
+        kernel = host.kernel
+        for pcb in sorted(kernel.procs.values(), key=lambda p: p.pid):
+            if pcb.state == ProcState.MIGRATED and pcb.pid not in running:
+                kernel.reap_shadow(pcb)
 
     # ------------------------------------------------------------------
     def _crash_epoch(self, host) -> int:

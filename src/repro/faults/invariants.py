@@ -5,8 +5,8 @@ After any run — scripted plan, random churn, or a hand-driven test —
 
 * **Process conservation**: no pid is RUNNING on two kernels at once;
   every resident process thinks it is where its kernel thinks it is;
-  every shadow PCB points at a host that actually runs (or ran, before
-  crashing) its process.
+  every shadow PCB points at a host that actually runs its process, or
+  at one whose latest crash the cluster has not detected yet.
 * **Migration ledger**: records have sane timestamps, never migrate a
   process onto the host it left from in the same hop, and the refusal
   flags agree with the per-reason refusal tally.
@@ -87,6 +87,29 @@ class InvariantChecker:
             return set()
         return set(self.injector.crashed_hosts)
 
+    def _awaiting_detection(self) -> Set[int]:
+        """Hosts whose latest crash the cluster has not detected yet but
+        still will: the host is down (suspicion is accruing) or, without
+        a failure detector, the fixed detection delay is still running.
+        A host that is back up and answering heartbeats has no pending
+        detection — the detector declares a fast reboot at once."""
+        injector = self.injector
+        if injector is None:
+            return set()
+        crashed_at: Dict[int, float] = {}
+        for event in injector.log:
+            if event.kind == "host_crash":
+                crashed_at[event.detail["address"]] = event.time
+            elif event.kind == "crash_detected":
+                crashed_at.pop(event.detail["address"], None)
+        now = self.cluster.sim.now
+        return {
+            address for address, when in crashed_at.items()
+            if not self.cluster.kernels[address].node.up
+            or (injector.detector is None
+                and now < when + injector.detect_delay)
+        }
+
     def _checkpointed_pids(self) -> Set[int]:
         """Pids whose state survives in an intact checkpoint image
         (``cluster.checkpoints`` is set by
@@ -100,7 +123,7 @@ class InvariantChecker:
 
     def _check_placement(self) -> List[Violation]:
         violations: List[Violation] = []
-        crashed = self._crashed_hosts()
+        awaiting = self._awaiting_detection()
         running_at: Dict[int, List[int]] = {}
         for address in sorted(self.cluster.kernels):
             kernel = self.cluster.kernels[address]
@@ -123,11 +146,10 @@ class InvariantChecker:
             for pid, pcb in sorted(kernel.procs.items()):
                 if pcb.state != ProcState.MIGRATED:
                     continue
-                # A shadow may dangle only because its execution host
-                # crashed and detection has not fired yet; a host that
-                # never crashed must actually run the process.
+                # A shadow may dangle only while the crash of its
+                # execution host awaits detection; detection reaps it.
                 remote = pcb.current
-                if remote not in running_at.get(pid, []) and remote not in crashed:
+                if remote not in running_at.get(pid, []) and remote not in awaiting:
                     violations.append(Violation(
                         "dangling-shadow",
                         {"pid": pid, "home": address, "remote": remote},

@@ -287,13 +287,7 @@ class SpriteKernel:
                 self.procs.pop(pcb.pid, None)
                 orphaned += 1
             elif pcb.state == ProcState.MIGRATED and pcb.current == address:
-                status = ExitStatus(
-                    pid=pcb.pid,
-                    code=128 + sig.SIGKILL,
-                    cpu_time=pcb.cpu_time,
-                    exit_host=address,
-                )
-                self._record_zombie(pcb, status)
+                self.reap_shadow(pcb)
                 reaped += 1
         if self.migration is not None:
             self.migration.peer_crashed(address)
@@ -303,6 +297,18 @@ class SpriteKernel:
                 peer=address, orphaned=orphaned, reaped=reaped,
             )
         return {"orphaned": orphaned, "reaped": reaped}
+
+    def reap_shadow(self, pcb: Pcb) -> None:
+        """Record a crash exit for a shadow whose process died where it
+        ran (``pcb.current``), so waiting parents unblock instead of
+        hanging on a copy that will never report an exit."""
+        status = ExitStatus(
+            pid=pcb.pid,
+            code=128 + sig.SIGKILL,
+            cpu_time=pcb.cpu_time,
+            exit_host=pcb.current,
+        )
+        self._record_zombie(pcb, status)
 
     # ------------------------------------------------------------------
     # Family bookkeeping (fork / exit / wait), home-centric

@@ -533,6 +533,94 @@ def test_detector_false_suspicion_on_partition_and_flap_damping():
     InvariantChecker(cluster, injector).assert_clean()
 
 
+def _migrated_under_detector():
+    """ws0's job migrated to ws1, with the suspicion detector attached;
+    returns (cluster, injector, ws0, ws1, the job's pcb)."""
+    cluster = SpriteCluster(workstations=3, start_daemons=True)
+    injector = cluster.faults()
+    injector.attach_detector()
+    ws0, ws1 = cluster.host_by_name("ws0"), cluster.host_by_name("ws1")
+
+    def job(proc):
+        yield from proc.compute(300.0)
+        return 0
+
+    pcb, _ = ws0.spawn_process(job, name="job")
+
+    def driver():
+        yield Sleep(1.0)
+        yield from cluster.managers[ws0.address].migrate(pcb, ws1.address)
+
+    spawn(cluster.sim, driver(), name="driver")
+    cluster.run(until=5.0)
+    assert pcb.current == ws1.address
+    return cluster, injector, ws0, ws1, pcb
+
+
+def _fast_reboot(cluster, injector, ws1):
+    """Crash ws1 and bring it back well inside the suspicion window
+    (three missed beats of two seconds)."""
+    injector.crash_host(ws1)
+    cluster.run(until=cluster.sim.now + 3.0)
+    injector.reboot_host(ws1)
+    cluster.run(until=60.0)
+
+
+def test_detector_declares_a_host_that_reboots_inside_the_suspicion_window():
+    """Its heartbeats resume before three are missed, but under a new
+    crash epoch: the old incarnation is dead, so the survivors must
+    react — here, the home reaps the shadow of the process ws1 lost."""
+    cluster, injector, ws0, ws1, pcb = _migrated_under_detector()
+    _fast_reboot(cluster, injector, ws1)
+    detected = [e for e in injector.log if e.kind == "crash_detected"]
+    assert [e.detail["address"] for e in detected] == [ws1.address]
+    assert injector.detector.stats()["false_suspicions"] == 0
+    shadow = ws0.kernel.procs[pcb.pid]
+    assert shadow.state == ProcState.ZOMBIE
+    assert shadow.exit_status.code == 128 + sig.SIGKILL
+    InvariantChecker(cluster, injector).assert_clean()
+
+
+def test_checker_flags_the_shadow_an_undeclared_fast_reboot_leaves(monkeypatch):
+    """A crash excuses a dangling shadow only while its detection is
+    still due.  A detector that never declares the fast reboot leaves a
+    MIGRATED shadow pointing at a host that is up again: flagged."""
+    from repro.faults.detector import FailureDetector
+
+    monkeypatch.setattr(FailureDetector, "_declare", lambda *args: None)
+    cluster, injector, ws0, ws1, pcb = _migrated_under_detector()
+    injector.crash_host(ws1)
+    cluster.run(until=cluster.sim.now + 1.0)
+    # ws1 is down: suspicion is accruing, the shadow may dangle.
+    assert InvariantChecker(cluster, injector).check() == []
+    injector.reboot_host(ws1)
+    cluster.run(until=60.0)
+    assert ws0.kernel.procs[pcb.pid].state == ProcState.MIGRATED
+    violations = InvariantChecker(cluster, injector).check()
+    assert [(v.kind, v.detail) for v in violations] == [(
+        "dangling-shadow",
+        {"pid": pcb.pid, "home": ws0.address, "remote": ws1.address},
+    )]
+
+
+def test_reconcile_reaps_the_shadow_of_a_process_orphaned_while_home_was_away():
+    """Partitioning the home away gets it declared dead, and ws1 then
+    orphan-kills the home's process.  When the home's heartbeats resume
+    the reconcile must reap the shadow it still keeps of that process."""
+    cluster, injector, ws0, ws1, pcb = _migrated_under_detector()
+    injector.partition([ws0.address])
+    cluster.run(until=cluster.sim.now + 12.0)
+    injector.heal()
+    cluster.run(until=60.0)
+    detector = injector.detector
+    assert (detector.declared, detector.false_suspicions) == (1, 1)
+    assert pcb.pid not in ws1.kernel.procs
+    shadow = ws0.kernel.procs[pcb.pid]
+    assert shadow.state == ProcState.ZOMBIE
+    assert shadow.exit_status.exit_host == ws1.address
+    InvariantChecker(cluster, injector).assert_clean()
+
+
 # ----------------------------------------------------------------------
 # Overload backpressure
 # ----------------------------------------------------------------------
