@@ -26,7 +26,7 @@ exactly one runnable copy cluster-wide, inactive lease-held copies
 allowed — and after a quiesce period long enough for every lease TTL,
 retry loop, recovery and repair daemon to drain, it runs the full
 quiesced audit: nothing lost, nothing duplicated, no leaked tickets,
-stream references or journal entries.
+stream references or open journal transactions.
 
 Determinism is part of the contract: a cell draws no randomness beyond
 the cluster seed, so a fixed seed and a fixed cell list reproduce a

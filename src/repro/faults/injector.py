@@ -77,8 +77,8 @@ LoadSharingService` (or anything with ``.migd``); without it the migd
         self.log: List[FaultEvent] = []
         #: PCBs that were executing on a host when it crashed.
         self.lost_processes: List[Any] = []
-        #: Addresses that have ever crashed (invariant checker uses this
-        #: to excuse dangling shadows and lost pids).
+        #: Addresses that have ever crashed (the invariant checker uses
+        #: this to excuse lost pids).
         self.crashed_hosts: Set[int] = set()
         self.orphaned = 0
         self.reaped = 0
