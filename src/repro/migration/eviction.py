@@ -13,9 +13,9 @@ mechanics are :meth:`MigrationManager.evict_all_foreign`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
-from ..sim import Effect, Sleep, spawn
+from ..sim import Effect, spawn
 from ..obs.spans import EVICT_RECLAIM
 from .mechanism import MigrationManager, MigrationRecord
 
@@ -37,6 +37,13 @@ class EvictionEvent:
 
 class EvictionDaemon:
     """Watches a host and evicts foreign processes when its user returns.
+
+    Every ``poll_period`` it asks the thesis's question — has the owner
+    come back while foreign processes run here?  A poll is a bare
+    callback that re-arms itself; the ``evictiond`` task sits parked on
+    it and is resumed, within the poll's event, only when the answer is
+    yes, to run the eviction, after which it parks on the next poll.
+    An idle host's daemon task therefore runs once, at its start.
 
     ``on_evicted`` (if set) is called with each batch of migration
     records — the load-sharing layer uses it to re-home or re-export
@@ -66,13 +73,12 @@ class EvictionDaemon:
     # ------------------------------------------------------------------
     def _watch(self) -> Generator[Effect, None, None]:
         while True:
-            yield Sleep(self.poll_period)
-            if self._user_returned() and self.manager.kernel.foreign_pcbs():
-                try:
-                    yield from self.evict_now()
-                except Exception:  # noqa: BLE001 - keep watching; a home
-                    # may be temporarily unreachable, retry next period.
-                    self.failed_evictions += 1
+            yield _Poll(self)
+            try:
+                yield from self.evict_now()
+            except Exception:  # noqa: BLE001 - keep watching; a home
+                # may be temporarily unreachable, retry next period.
+                self.failed_evictions += 1
 
     def _user_returned(self) -> bool:
         newer = self.host.last_input > self._last_seen_input
@@ -113,3 +119,38 @@ class EvictionDaemon:
         if self.on_evicted is not None and records:
             self.on_evicted(records)
         return event
+
+
+class _Poll(Effect):
+    """What the ``evictiond`` task waits on: polls every ``poll_period``,
+    each one timed event that resumes the task only if it must evict.
+
+    The first poll is armed when the task yields this, and each poll
+    that finds nothing to do arms the next, so every poll takes its
+    sequence number where a ``Sleep(poll_period)`` in the task's loop
+    would have taken it."""
+
+    __slots__ = ("daemon", "_waiter", "_handle")
+
+    def __init__(self, daemon: EvictionDaemon):
+        self.daemon = daemon
+        # _waiter and _handle are set by bind().
+
+    def bind(self, waiter: Any) -> None:
+        self._waiter = waiter
+        self._arm()
+
+    def _arm(self) -> None:
+        self._handle = self._waiter.sim.schedule(
+            self.daemon.poll_period, self._poll
+        )
+
+    def _poll(self) -> None:
+        daemon = self.daemon
+        if daemon._user_returned() and daemon.manager.kernel.foreign_pcbs():
+            self._waiter._resume(None)
+        else:
+            self._arm()
+
+    def cancel(self, waiter: Any) -> None:
+        self._handle.cancel()

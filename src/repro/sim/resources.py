@@ -354,14 +354,22 @@ class _Core(Resource):
       of the queue.  The core arms **one** wake-up (:meth:`_plan`), at
       the first such boundary or at most :attr:`_horizon` boundaries
       ahead, whichever comes first;
-    * :meth:`settle` is the only place slice accounting happens.  It
-      replays the boundaries at or before ``now`` in rotation order with
-      the floats of the recurrence per-quantum slicing runs
+    * :meth:`settle` is the only place slice accounting is published.
+      It replays the boundaries at or before ``now`` in rotation order
+      with the floats of the recurrence per-quantum slicing runs
       (``t += min(quantum, remaining / speed)``, addition by addition —
       never ``start + k * quantum``, which differs in the last bit) and
       the same additions into each ``account.cpu_time``,
       ``cpu.total_demand`` and :attr:`busy_time`, and reports every
       run's slices to its ``on_slices``;
+    * **a lone stretch is replayed once:** when the holder is the whole
+      rotation and its demand is spent inside the horizon, the plan's
+      walk to that boundary carries the same additions and is kept
+      (``_kept``); the settle that reaches the wake-up publishes it
+      instead of replaying the quanta again — if the run, its account
+      and the core's published floats are still the very objects the
+      plan started from.  Any other settle, a reader's before the
+      wake-up included, walks;
     * **whole rounds:** in a *closed* rotation (no eager run, no foreign
       hold queued; a lone run is a rotation of one) :meth:`settle` and
       :meth:`_plan` replay whole rounds that certainly end at or before
@@ -414,6 +422,13 @@ class _Core(Resource):
         #: True while the wake-up resumes consumers: their edits are
         #: planned for once, after the last of them.
         self._firing = False
+        #: A lone run's walk to the boundary where its demand is spent,
+        #: kept by :meth:`_plan` for the settle that reaches it: ``(wake,
+        #: run, start, end, whole_quanta, tail)``, ``start`` and ``end``
+        #: being ``(remaining, cpu_time, total_demand, busy_time,
+        #: boundary)`` before and after it, ``tail`` the last, shorter
+        #: slice's charge (``None`` if the last slice was whole).
+        self._kept: Optional[tuple] = None
 
     def hold(self, duration: float) -> Effect:
         return _CoreHold(self, duration)
@@ -454,6 +469,32 @@ class _Core(Resource):
         if boundary + (step if step < quantum else quantum) > now:
             return
         whole = quantum * speed
+        kept = self._kept
+        if kept is not None and now >= kept[0]:
+            # The plan walked this run to the boundary where it is spent;
+            # publish that walk if nothing it started from has moved.
+            _, kept_run, start, end, quanta, tail = kept
+            account = run._account
+            if (kept_run is run and not run.eager and not self._queue
+                    and start[0] is remaining
+                    and start[1] is account.cpu_time
+                    and start[2] is cpu.total_demand
+                    and start[3] is self.busy_time
+                    and start[4] is boundary):
+                self._kept = None
+                (run.remaining, account.cpu_time, cpu.total_demand,
+                 self.busy_time, self._last_change) = end
+                self.run = None
+                self.in_use = 0
+                self._due.append(run)
+                if run._on_slices is not None:
+                    quanta += run._slices
+                    run._slices = 0
+                    if quanta:
+                        run._on_slices(quanta, whole)
+                    if tail is not None:
+                        run._on_slices(1, tail)
+                return
         ample = 2.0 * whole  # demand for a whole quantum, without dividing
         queue = self._queue
         demand = cpu.total_demand
@@ -627,6 +668,7 @@ class _Core(Resource):
         """Arm the wake-up: at the first boundary where a task must run,
         at most ``_horizon`` boundaries ahead.  The core is settled."""
         self._handle = None
+        self._kept = None
         sim = self.sim
         if self._due:
             # Settled by a reader at the very instant of the wake-up.
@@ -660,6 +702,12 @@ class _Core(Resource):
         wake = self._last_change
         last = len(rems) - 1
         lone = closed and not last  # the holder is the whole rotation
+        if lone:
+            # The walk also does settle()'s accounting, so that the
+            # wake-up that finds the run spent publishes it (``_kept``).
+            start = (rems[0], run._account.cpu_time, cpu.total_demand,
+                     self.busy_time, wake)
+            _, cpu_time, demand, busy, _ = start
         planned = 0
         if closed and horizon >= _JUMP_QUANTA:
             # Whole rounds in one step, as in settle().
@@ -669,22 +717,41 @@ class _Core(Resource):
                     (rem - ample) / (whole + rem * 2.0 ** -53)) - 2)
             if rounds * len(rems) >= _JUMP_QUANTA:
                 planned = rounds * len(rems)
-                wake = _repeat_add(wake, quantum, planned)
+                if lone:
+                    wake, busy = _repeat_add(wake, quantum, planned, busy)
+                    demand = _repeat_add(demand, whole, planned)
+                    cpu_time = _repeat_add(cpu_time, whole, planned)
+                else:
+                    wake = _repeat_add(wake, quantum, planned)
                 rems = [_repeat_add(rem, -whole, rounds) for rem in rems]
         remaining = rems[0]
         turn = 0
+        tail = None
         while planned < horizon:
             planned += 1
             # min(quantum, remaining / speed), here as in settle()
             if remaining > ample or not remaining / speed < quantum:
-                wake += quantum
-                remaining -= whole
+                nxt = wake + quantum
+                consumed = whole
             else:
                 step = remaining / speed
-                wake += step
-                remaining -= step * speed
+                nxt = wake + step
+                consumed = tail = step * speed
+            remaining -= consumed
+            if lone:
+                cpu_time += consumed
+                demand += consumed
+                busy += nxt - wake
+            wake = nxt
             if not remaining > 1e-9:
-                break  # this run's demand is spent at ``wake``
+                # This run's demand is spent at ``wake``.
+                if lone:
+                    self._kept = (
+                        wake, run, start,
+                        (remaining, cpu_time, demand, busy, wake),
+                        planned if tail is None else planned - 1, tail,
+                    )
+                break
             if lone:
                 continue
             rems[turn] = remaining

@@ -47,7 +47,7 @@ from repro.kernel import signals as sig
 from repro.kernel.process import UserContext
 from repro.net.rpc import RpcError
 from repro.sim import Interrupted, Sleep, spawn
-from repro.sim.resources import _CoreHold
+from repro.sim.resources import _Core, _CoreHold
 
 QUANTUM = 0.01  # ClusterParams.cpu_quantum
 MB = 1 << 20
@@ -264,6 +264,46 @@ def disturbance(cluster, injector, pcbs, event, log):
         host = hosts[args[0]]
         log.append(("ps", cluster.sim.now, host.kernel.ps(),
                     host.cpu.utilization()))
+    elif kind == "land":
+        yield from _land(cluster, pcbs[0], log, *args)
+
+
+def _land(cluster, pcb, log, demand, back, reader):
+    """Bring ``reader`` (``"ps"`` of host 0, or ``"sweep"``: the checkpoint
+    service's sweep of host 0) to host 0's core at exactly the boundary
+    where process 0's lone first compute of ``demand`` quanta is spent
+    (``back`` = 0: the core's planned wake-up) or ``back`` quanta before
+    it.  The reader's event is armed in the middle of the quantum before
+    that boundary, so, as for ``boundary`` arrivals, it is younger than
+    the reference's timer for the boundary and than the core's wake-up."""
+    sim = cluster.sim
+    host = cluster.hosts[0]
+    cpu = host.cpu
+    cpu.sync()
+    # The per-quantum recurrence from the last boundary, with what is
+    # left of the demand after the whole quanta on the books.
+    whole = QUANTUM * cpu.speed
+    remaining, done = demand * QUANTUM, 0.0
+    while done < pcb.cpu_time:
+        done += whole
+        remaining -= whole
+    assert done == pcb.cpu_time
+    ahead = [cpu.core._last_change]
+    while remaining > 1e-9:
+        consumed = min(QUANTUM, remaining / cpu.speed)
+        ahead.append(ahead[-1] + consumed)
+        remaining -= consumed * cpu.speed
+    target, before = ahead[-1 - back], ahead[-2 - back]
+    assert before > sim.now
+    yield Sleep((before + target) / 2 - sim.now)
+
+    def read():
+        if reader == "ps":
+            log.append(("landed", sim.now, host.kernel.ps(), cpu.utilization()))
+        else:
+            spawn(sim, cluster.checkpoints.sweep(host))
+
+    sim.schedule_at(target, read)
 
 
 def readings(cluster, pcbs):
@@ -548,6 +588,25 @@ FIFTH_RIVAL = [("compute", 500.0, 0.0)]
                   rivals=LONG_RIVALS + (FIFTH_RIVAL,), speeds=(1.25, 0.5),
                   events=[(460.5, "crash", 0)],
                   checkpoint=(200.0, "incremental")))
+# A lone compute's last plan is kept and published by its wake-up: a
+# reader lands exactly on that wake-up or one quantum before it (which
+# makes the wake-up walk), and a caught signal, a fatal one and a ps hit
+# the stretch the plan walked.
+@example(scenario([("compute", 200.0, 2.0e5)],
+                  events=[(60.3, "land", 200.0, 0, "ps")]))
+@example(scenario([("compute", 200.0, 2.0e5)],
+                  events=[(60.3, "land", 200.0, 1, "ps")]))
+@example(scenario([("compute", 200.0, 2.0e5)], speeds=(1.25, 0.5),
+                  checkpoint=(3000.0, "incremental"),
+                  events=[(60.3, "land", 200.0, 0, "sweep")]))
+@example(scenario([("compute", 200.0, 2.0e5)],
+                  checkpoint=(3000.0, "full"),
+                  events=[(60.3, "land", 200.0, 1, "sweep")]))
+@example(scenario([("compute", 200.0, 2.0e5)],
+                  events=[(160.4, "signal", sig.SIGUSR1),
+                          (170.6, "ps", 0)]))
+@example(scenario([("compute", 200.0, 2.0e5)],
+                  events=[(160.4, "signal", sig.SIGTERM)]))
 def test_lazy_slicing_matches_the_per_quantum_reference(scenario):
     assert_same_simulation(scenario)
 
@@ -572,6 +631,55 @@ def test_reference_and_lazy_contexts_really_differ():
     assert PerQuantumContext.longest > 40
     _, events = run_scenario(shared, UserContext)
     assert reference_events - events > 200
+
+
+class _CountingQuantum(float):
+    """A quantum that counts the boundaries computed from it: the core
+    walks a quantum with one ``boundary + quantum``."""
+
+    added = 0
+
+    def __radd__(self, other):
+        _CountingQuantum.added += 1
+        return float.__radd__(self, other)
+
+
+def test_a_lone_computes_wake_up_replays_no_quanta():
+    """The plan that arms a lone compute's wake-up where its demand is
+    spent walks the quanta up to it once; the settle at that wake-up
+    publishes the walk instead of walking them again (its one addition
+    is the check that a boundary has passed), and the run still equals
+    the per-quantum reference."""
+    calls = []
+
+    def spy(method):
+        def counted(core, *args):
+            cpu = core.cpu
+            quantum = cpu.quantum
+            cpu.quantum = _CountingQuantum(quantum)
+            _CountingQuantum.added = 0
+            held = core.run is not None
+            try:
+                method(core, *args)
+            finally:
+                cpu.quantum = quantum
+            calls.append((method.__name__, _CountingQuantum.added,
+                          held and core.run is None))
+        return counted
+
+    lone = scenario([("compute", 100.0, 2.0e5)])
+    with mock.patch.object(_Core, "settle", spy(_Core.settle)), \
+            mock.patch.object(_Core, "_plan", spy(_Core._plan)):
+        run_scenario(lone, UserContext)
+    # The horizon doubles from two: plans of 2, 4, ..., 32 quanta, then
+    # one that walks the last 38 slices: 37 whole quanta, one addition
+    # each, and a shorter last slice (the demand's rounding leaves one).
+    (spent,) = [i for i, (name, _, done) in enumerate(calls)
+                if name == "settle" and done]
+    assert calls[spent][1] <= 1
+    plans = [added for name, added, _ in calls[:spent] if name == "_plan"]
+    assert plans == [2, 4, 8, 16, 32, 37]
+    assert_same_simulation(lone)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,17 @@
 """Tests for the migration mechanism: transparency, policies, eviction."""
 
+from collections import Counter
+from unittest import mock
+
 import pytest
 
 from repro import SpriteCluster
+from repro import cluster as cluster_module
+from repro.faults import trace_fingerprint
 from repro.fs import OpenMode
 from repro.kernel import signals as sig
-from repro.migration import MigrationRefused
-from repro.sim import Sleep
+from repro.migration import EvictionDaemon, MigrationRefused
+from repro.sim import Sleep, Task
 
 
 def make_cluster(n=3, **kwargs):
@@ -467,6 +472,84 @@ def test_eviction_daemon_triggers_on_user_input():
     final = cluster.run_until_complete(pcb.task)
     assert final == a.address
     assert len(cluster.evictors[1].events) == 1
+
+
+class SleepingEvictionDaemon(EvictionDaemon):
+    """The reference: the daemon's task sleeps one poll period, wakes
+    and asks, at every poll."""
+
+    def _watch(self):
+        while True:
+            yield Sleep(self.poll_period)
+            if self._user_returned() and self.manager.kernel.foreign_pcbs():
+                try:
+                    yield from self.evict_now()
+                except Exception:  # noqa: BLE001 - as the daemon does
+                    self.failed_evictions += 1
+
+
+def _owner_returns(daemon_cls):
+    """100 s of a three-host cluster with every daemon running: a job
+    migrates from ws0 to ws1 at 0.5 s and ws1's owner types at about
+    5.3 s.  Returns what an observer sees and how often each
+    ``evictiond`` task was resumed."""
+    from repro.sim import spawn
+
+    resumes = Counter()
+    step = Task._step
+
+    def counted(task, *args, **kwargs):
+        if task.name.startswith("evictiond:"):
+            resumes[task.name] += 1
+        return step(task, *args, **kwargs)
+
+    with mock.patch.object(cluster_module, "EvictionDaemon", daemon_cls), \
+            mock.patch.object(Task, "_step", counted):
+        cluster = SpriteCluster(workstations=3, start_daemons=True, trace=True)
+        a, b = cluster.hosts[0], cluster.hosts[1]
+
+        def job(proc):
+            yield from proc.compute(30.0)
+            return proc.pcb.current
+
+        pcb, _ = a.spawn_process(job, name="job")
+
+        def owner():
+            yield Sleep(0.5)
+            yield from cluster.managers[a.address].migrate(pcb, b.address)
+            yield Sleep(5.3 - cluster.sim.now)
+            b.user_input()
+
+        spawn(cluster.sim, owner(), name="owner")
+        cluster.run(until=100.0)
+    observed = {
+        "evictions": [(e.time, e.victims, e.reclaim_seconds)
+                      for e in cluster.evictors[1].events],
+        "where": (pcb.state, pcb.current, pcb.cpu_time),
+        "trace": trace_fingerprint(cluster.tracer),
+        "events": cluster.sim.events_fired,
+    }
+    return observed, resumes
+
+
+def test_eviction_polls_without_resuming_the_daemon_task():
+    """A poll that finds nothing to do resumes no task: over 100 s the
+    idle hosts' ``evictiond`` tasks run once, at their start, where the
+    reference's ran at every one of 100 polls.  The owner's return is
+    still seen by the first poll after the input, at 6 s, and the run is
+    the reference's event for event."""
+    observed, resumes = _owner_returns(EvictionDaemon)
+    expected, reference_resumes = _owner_returns(SleepingEvictionDaemon)
+    assert observed == expected
+    assert [e[:2] for e in observed["evictions"]] == [(6.0, 1)]
+    assert resumes["evictiond:ws0"] == resumes["evictiond:ws2"] == 1
+    assert reference_resumes["evictiond:ws0"] == 101
+    # ws1 polls at 1, 2, ..., 6 s, evicts in under a second and polls
+    # again a period after that: 99 polls in all.  Both tasks ran at
+    # their start and through the eviction; the reference's also ran at
+    # the 98 polls that found nothing to do.
+    assert 0.0 < observed["evictions"][0][2] < 1.0
+    assert reference_resumes["evictiond:ws1"] - resumes["evictiond:ws1"] == 98
 
 
 def test_migration_record_stream_count():
