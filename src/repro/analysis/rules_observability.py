@@ -50,8 +50,9 @@ _EXEMPT_FILES = {"sim/trace.py"}
 class UnguardedEmitRule(Rule):
     id = "obs-unguarded-emit"
     description = (
-        "tracer.emit / spans.start / spans.record must be dominated by "
-        "an `enabled` / `is not None` guard in the enclosing function."
+        "tracer.emit / tracer.start_span / tracer.record_span must be "
+        "dominated by an `enabled` / `is not None` guard in the enclosing "
+        "function."
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
@@ -198,8 +199,9 @@ class SpanCatalogueRule(Rule):
 
     id = "obs-span-catalogue"
     description = (
-        "span names at spans.start/spans.record sites must resolve to "
-        "a repro.obs.spans.SPAN_CATALOGUE member (constant or literal)."
+        "span names at tracer.start_span / tracer.record_span sites must "
+        "resolve to a repro.obs.spans.SPAN_CATALOGUE member (constant or "
+        "literal)."
     )
 
     def __init__(self) -> None:

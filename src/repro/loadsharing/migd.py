@@ -2,11 +2,12 @@
 
 The conclusion of chapter 6: a central, user-level server reached
 through a pseudo-device wins on almost every axis.  Each workstation
-runs a small notifier that reports availability transitions; clients
-open ``/hosts/migd`` and send request/release messages.  The server
-keeps global state, so it can hand out each idle host exactly once,
-allocate fairly when demand exceeds supply, and tell a dispossessed
-client when its host is reclaimed.
+runs a small notifier that sends migd its availability, load and input
+idle time every availability period, whether or not they changed;
+clients open ``/hosts/migd`` and send request/release messages.  The
+server keeps global state, so it can hand out each idle host exactly
+once, allocate fairly when demand exceeds supply, and tell a
+dispossessed client when its host is reclaimed.
 
 ``migd`` runs as an ordinary user process on its home host — exactly as
 in Sprite, where crashing migd never takes the kernel with it; restart
@@ -200,12 +201,12 @@ class MigdServer:
     # ------------------------------------------------------------------
 
 class AvailabilityNotifier:
-    """Per-host daemon reporting availability to migd through the pdev."""
+    """Per-host daemon that sends migd an update through the pdev every
+    ``availability_period`` (5 s), whether or not anything changed."""
 
     def __init__(self, host: Host):
         self.host = host
         self._stream = None
-        self._last_sent: Optional[bool] = None
         spawn(host.sim, self._loop, name=f"availd:{host.name}", daemon=True)
 
     def _loop(self) -> Generator[Effect, None, None]:
@@ -243,7 +244,6 @@ class AvailabilityNotifier:
             },
             timeout=2.0,
         )
-        self._last_sent = available
 
 
 class CentralizedSelector(HostSelector):
