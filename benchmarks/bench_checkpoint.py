@@ -23,30 +23,30 @@ cannot save a job that was resident at crash time.
 Cells fan out over ``forked_map`` workers, each cell building its own
 cluster.  Determinism is load-bearing and checked on every run:
 the sweep fingerprint (SHA-256 over every cell's trace fingerprint in
-grid order) must be byte-identical at ``--workers 1`` and
-``--workers 4``.
+grid order) must be byte-identical at ``workers=1`` and ``workers=4``.
 
 The other pinned promise is **zero cost when off**: a ``migrate``-policy
 run constructs no checkpoint machinery, and even an instantiated-but-
 unused :class:`~repro.checkpoint.CheckpointService` (nothing
 registered, so no daemon ever spawns) must leave the gauntlet's event
-schedule and trace fingerprint identical, with wall-time overhead under
-``--max-idle-overhead`` (default 1.05x).
+schedule and trace fingerprint identical, with wall-time overhead at
+smoke sizes under ``MAX_IDLE_OVERHEAD`` (1.05x; the two configurations
+are timed interleaved, with ``common.interleaved_best``).
 
-Run standalone (``python benchmarks/bench_checkpoint.py [--smoke]``) or
-via pytest; results are written to ``results/P8_checkpoint.json`` (not
-checked in).
+``python -m repro experiment P8`` (and CI's ``pytest benchmarks``) runs
+the smoke sweep under every gate; ``python benchmarks/bench_checkpoint.py``
+runs the full sweep.  The archive ``results/P8_checkpoint.txt`` holds
+only deterministic lines (the sweep, both fingerprints, the idle event
+count); walls, rates and the overhead ratio go to stdout and to the
+gitignored ``results/P8_checkpoint.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import pathlib
 import sys
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 if __package__ is None or __package__ == "":
     _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -54,10 +54,12 @@ if __package__ is None or __package__ == "":
         sys.path.insert(0, str(_SRC))
 
 try:
-    from common import archive_json, run_simulated, throughput_row
+    from common import (
+        interleaved_best, publish_walls, run_simulated, throughput_row,
+    )
 except ImportError:  # imported as benchmarks.bench_checkpoint
     from .common import (  # type: ignore
-        archive_json, run_simulated, throughput_row,
+        interleaved_best, publish_walls, run_simulated, throughput_row,
     )
 
 KB = 1024
@@ -84,6 +86,13 @@ SIZES = {
 
 #: The gauntlet the idle-overhead pin times (small, fault-rich).
 IDLE_PIN = {"seed": 11, "hosts": 4, "duration": 50.0, "jobs": 5}
+
+#: Interleaved timed rounds of the idle pin: the ratio gate is tight and
+#: the true cost is ~1.00x, so the best-of-N needs room to converge.
+IDLE_ROUNDS = 6
+
+#: Smoke-mode ceiling on the idle-service/no-service wall ratio.
+MAX_IDLE_OVERHEAD = 1.05
 
 
 # ----------------------------------------------------------------------
@@ -183,36 +192,16 @@ def _run_gauntlet(idle_service: bool) -> Callable[[], Any]:
     return build_and_run
 
 
-def _timed_row(build_and_run: Callable[[], Any], repeats: int) -> Dict[str, Any]:
-    walls = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        sim, report = build_and_run()
-        walls.append(time.perf_counter() - start)
-    return {**throughput_row(sim, min(walls)), "fingerprint": report.fingerprint}
-
-
-def _idle_overhead(repeats: int) -> Dict[str, Any]:
-    """Interleaved best-of-N so both configurations see the same noise
-    environment (same discipline as the P3 journal ablation)."""
-    none_build = _run_gauntlet(False)
-    idle_build = _run_gauntlet(True)
-    none_build()  # warm-up, untimed
-    none_walls: List[float] = []
-    idle_walls: List[float] = []
-    # 2N interleaved samples: the ratio gate is tight (1.05x) and the
-    # true cost is ~1.00x, so the min-of-N needs room to converge.
-    for _ in range(max(repeats, 3) * 2):
-        start = time.perf_counter()
-        none_sim, none_report = none_build()
-        none_walls.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        idle_sim, idle_report = idle_build()
-        idle_walls.append(time.perf_counter() - start)
-    none_row = {**throughput_row(none_sim, min(none_walls)),
-                "fingerprint": none_report.fingerprint}
-    idle_row = {**throughput_row(idle_sim, min(idle_walls)),
-                "fingerprint": idle_report.fingerprint}
+def _idle_overhead() -> Dict[str, Any]:
+    timed = interleaved_best(
+        {"no_service": _run_gauntlet(False), "idle_service": _run_gauntlet(True)},
+        IDLE_ROUNDS,
+    )
+    rows = {
+        name: {**throughput_row(sim, wall), "fingerprint": report.fingerprint}
+        for name, (wall, (sim, report)) in timed.items()
+    }
+    none_row, idle_row = rows["no_service"], rows["idle_service"]
     assert idle_row["events"] == none_row["events"], (
         "idle CheckpointService changed the event schedule: "
         f"{idle_row['events']} != {none_row['events']}"
@@ -221,8 +210,7 @@ def _idle_overhead(repeats: int) -> Dict[str, Any]:
         "idle CheckpointService changed the trace fingerprint"
     )
     return {
-        "no_service": none_row,
-        "idle_service": idle_row,
+        **rows,
         "overhead_ratio": round(idle_row["wall_s"] / none_row["wall_s"], 4),
         "identical_schedule": True,
     }
@@ -231,7 +219,7 @@ def _idle_overhead(repeats: int) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Any]:
+def run_all(smoke: bool = False) -> Dict[str, Any]:
     sizes = SIZES["smoke" if smoke else "full"]
 
     rows, fingerprint = _run_sweep(sizes, workers=1)
@@ -250,7 +238,7 @@ def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Any]:
             "fingerprint": fingerprint,
             "workers_verified": [1, sizes["workers_check"]],
         },
-        "idle_overhead": _idle_overhead(repeats),
+        "idle_overhead": _idle_overhead(),
         "violations": sum(row["violations"] for row in rows),
     }
     return results
@@ -277,59 +265,34 @@ def render(results: Dict[str, Any], mode: str) -> str:
         f"sweep fingerprint {results['sweep']['fingerprint'][:16]} "
         f"(byte-identical at workers={workers[0]} and workers={workers[1]})"
     )
-    idle = results["idle_overhead"]
+    idle = results["idle_overhead"]["no_service"]
     lines.append(
-        f"zero-cost-when-off: idle service overhead "
-        f"{idle['overhead_ratio']:.3f}x, identical schedule "
-        f"({idle['no_service']['events']:,} events, fingerprint "
-        f"{idle['no_service']['fingerprint'][:16]})"
+        f"zero-cost-when-off: idle service leaves the schedule identical "
+        f"({idle['events']:,} events, fingerprint {idle['fingerprint'][:16]})"
     )
     lines.append(f"invariant violations across all cells: {results['violations']}")
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small sweep + idle-overhead ceiling check (CI mode)",
+def render_walls(results: Dict[str, Any]) -> str:
+    idle = results["idle_overhead"]
+    return (
+        f"P8 walls (best of {IDLE_ROUNDS}, interleaved; not archived): "
+        f"no service {idle['no_service']['wall_s']:.3f}s, idle service "
+        f"{idle['idle_service']['wall_s']:.3f}s, overhead "
+        f"{idle['overhead_ratio']:.3f}x"
     )
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed repetitions for the idle-overhead pin (best-of)",
-    )
-    parser.add_argument(
-        "--json", type=pathlib.Path, default=None,
-        help="also write results to this path "
-             "(default: results/P8_checkpoint.json)",
-    )
-    parser.add_argument(
-        "--max-idle-overhead", type=float, default=1.05,
-        help="smoke mode fails if the idle-service/no-service wall "
-             "ratio exceeds this (the subsystem must be free when off)",
-    )
-    args = parser.parse_args(argv)
-    mode = "smoke" if args.smoke else "full"
-    results = run_all(smoke=args.smoke, repeats=args.repeats)
-    print(render(results, mode))
-    payload = {"mode": mode, "results": results}
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"[wrote {args.json}]")
-    else:
-        print(f"[wrote {archive_json('P8_checkpoint', payload)}]")
+
+
+def main() -> int:
+    """The full sweep; writes ``results/P8_checkpoint.json``."""
+    results = run_all()
+    print(render(results, "full"))
+    publish_walls("P8_checkpoint", "full", results, render_walls(results))
     if results["violations"]:
         print(
             f"FAIL: {results['violations']} invariant violation(s) across "
             f"sweep cells",
-            file=sys.stderr,
-        )
-        return 1
-    ratio = results["idle_overhead"]["overhead_ratio"]
-    if args.smoke and ratio > args.max_idle_overhead:
-        print(
-            f"FAIL: idle checkpoint-service overhead {ratio:.3f}x exceeds "
-            f"ceiling {args.max_idle_overhead:.2f}x",
             file=sys.stderr,
         )
         return 1
@@ -338,14 +301,19 @@ def main(argv: Optional[list] = None) -> int:
 
 def test_checkpoint_tradeoff(benchmark, archive):
     """pytest-benchmark entry point (``python -m repro experiment P8``)."""
-    results = run_simulated(benchmark, lambda: run_all(smoke=True, repeats=3))
+    results = run_simulated(benchmark, lambda: run_all(smoke=True))
     archive("P8_checkpoint", render(results, "smoke"))
-    archive_json("P8_checkpoint", {"mode": "smoke", "results": results})
+    publish_walls("P8_checkpoint", "smoke", results, render_walls(results))
     assert results["violations"] == 0
     assert results["idle_overhead"]["identical_schedule"]
     rows = results["sweep"]["cells"]
     assert {row["policy"] for row in rows} == {"migrate", "checkpoint", "hybrid"}
     assert any(row["checkpoints"] > 0 for row in rows)
+    ratio = results["idle_overhead"]["overhead_ratio"]
+    assert ratio <= MAX_IDLE_OVERHEAD, (
+        f"idle checkpoint-service overhead {ratio:.3f}x exceeds the "
+        f"{MAX_IDLE_OVERHEAD:.2f}x ceiling"
+    )
 
 
 if __name__ == "__main__":

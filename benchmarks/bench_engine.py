@@ -17,20 +17,20 @@ that cost down on five workloads:
   core: the round-robin rotation the core replays instead of
   dispatching.
 
-Run standalone (``python benchmarks/bench_engine.py [--smoke]``) or via
-``python -m repro experiment P1``.  Results are archived as rendered
-text plus machine-readable JSON so the events/sec trajectory is tracked
-from PR to PR; ``--smoke`` doubles as a CI throughput floor check.
+``python -m repro experiment P1`` (and CI's ``pytest benchmarks``) runs
+the smoke sizes and fails if ``task_resume`` drops below ``MIN_EPS``
+events/s; ``python benchmarks/bench_engine.py`` runs the full sizes.
+The archive ``results/P1_engine.txt`` holds only the deterministic
+event counts and simulated seconds; walls and rates go to stdout and to
+the gitignored ``results/P1_engine.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict
 
 if __package__ is None or __package__ == "":
     _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -40,9 +40,9 @@ if __package__ is None or __package__ == "":
 from repro.sim import Channel, Simulator, Sleep, spawn
 
 try:
-    from common import archive_json, run_simulated
+    from common import publish_walls, run_simulated
 except ImportError:  # imported as benchmarks.bench_engine
-    from .common import archive_json, run_simulated  # type: ignore
+    from .common import publish_walls, run_simulated  # type: ignore
 
 #: Workload sizes: full mode for trend numbers, smoke mode for CI.
 SIZES = {
@@ -72,38 +72,12 @@ SIZES = {
 FULL_STACK = frozenset({"e10_slice", "contended_slice"})
 
 
-# ----------------------------------------------------------------------
-# Event accounting that works on engines with and without a native
-# ``events_fired`` counter (the counted run is separate from the timed
-# run, so instrumentation never skews the wall-clock numbers).
-# ----------------------------------------------------------------------
-def _count_dispatches(build_and_run: Callable[[], Simulator]) -> int:
-    sim = build_and_run()
-    native = getattr(sim, "events_fired", None)
-    if native is not None:
-        return native
-    counted = [0]
-    original_step = Simulator.step
+#: Walls are the best of this many timed runs.
+REPEATS = 3
 
-    def counting_step(self) -> bool:
-        fired = original_step(self)
-        if fired:
-            counted[0] += 1
-        return fired
-
-    Simulator.step = counting_step  # type: ignore[method-assign]
-    try:
-        build_and_run()
-    finally:
-        Simulator.step = original_step  # type: ignore[method-assign]
-    return counted[0]
-
-
-def _measure(build_and_run: Callable[[], Simulator]) -> Tuple[float, float]:
-    start = time.perf_counter()
-    sim = build_and_run()
-    wall = time.perf_counter() - start
-    return wall, sim.now
+#: Smoke-mode floor: ``task_resume`` must dispatch at least this many
+#: events per wall second.
+MIN_EPS = 20_000.0
 
 
 # ----------------------------------------------------------------------
@@ -234,91 +208,70 @@ def _workloads(sizes: Dict[str, Any]) -> Dict[str, Callable[[], Simulator]]:
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Dict[str, float]]:
-    """Run every workload; report best-of-``repeats`` wall time."""
+def run_all(smoke: bool = False) -> Dict[str, Dict[str, float]]:
+    """Run every workload; report best-of-``REPEATS`` wall time."""
     sizes = SIZES["smoke" if smoke else "full"]
     results: Dict[str, Dict[str, float]] = {}
     for name, build_and_run in _workloads(sizes).items():
         walls = []
-        sim_s = 0.0
-        for _ in range(repeats):
-            wall, sim_s = _measure(build_and_run)
-            walls.append(wall)
-        events = _count_dispatches(build_and_run)
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            sim = build_and_run()
+            walls.append(time.perf_counter() - start)
         wall = min(walls)
         results[name] = {
-            "events": events,
+            "events": sim.events_fired,
             "wall_s": round(wall, 6),
-            "sim_s": round(sim_s, 6),
-            "events_per_s": round(events / wall) if wall > 0 else 0.0,
+            "sim_s": round(sim.now, 6),
+            "events_per_s": round(sim.events_fired / wall),
         }
         if name in FULL_STACK:
-            results[name]["sim_s_per_wall_s"] = (
-                round(sim_s / wall, 1) if wall > 0 else 0.0
-            )
+            results[name]["sim_s_per_wall_s"] = round(sim.now / wall, 1)
     return results
 
 
 def render(results: Dict[str, Dict[str, float]], mode: str) -> str:
+    """The archived, deterministic lines: events and simulated seconds."""
     lines = [
-        f"P1: engine throughput ({mode} sizes, best-of-N wall time)",
-        f"{'workload':<20} {'events':>10} {'wall_s':>10} {'events/s':>12}",
+        f"P1: engine throughput ({mode} sizes)",
+        f"{'workload':<20} {'events':>10} {'sim_s':>12}",
     ]
     for name, row in results.items():
-        line = (
-            f"{name:<20} {row['events']:>10,.0f} {row['wall_s']:>10.3f} "
-            f"{row['events_per_s']:>12,.0f}"
-        )
+        lines.append(f"{name:<20} {row['events']:>10,.0f} {row['sim_s']:>12.3f}")
+    return "\n".join(lines)
+
+
+def render_walls(results: Dict[str, Dict[str, float]]) -> str:
+    lines = [
+        f"P1 walls (best of {REPEATS}; not archived)",
+        f"{'workload':<20} {'wall_s':>10} {'events/s':>12}",
+    ]
+    for name, row in results.items():
+        line = f"{name:<20} {row['wall_s']:>10.3f} {row['events_per_s']:>12,.0f}"
         if "sim_s_per_wall_s" in row:
             line += f"   {row['sim_s_per_wall_s']:,.0f} sim s per wall s"
         lines.append(line)
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small sizes + throughput floor check (CI mode)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="timed repetitions (best-of)"
-    )
-    parser.add_argument(
-        "--json", type=pathlib.Path, default=None,
-        help="also write results to this path (default: results/P1_engine.json)",
-    )
-    parser.add_argument(
-        "--min-eps", type=float, default=20_000.0,
-        help="smoke mode fails if task_resume events/s drops below this",
-    )
-    args = parser.parse_args(argv)
-    mode = "smoke" if args.smoke else "full"
-    results = run_all(smoke=args.smoke, repeats=args.repeats)
-    print(render(results, mode))
-    payload = {"mode": mode, "results": results}
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"[wrote {args.json}]")
-    else:
-        print(f"[wrote {archive_json('P1_engine', payload)}]")
-    if args.smoke and results["task_resume"]["events_per_s"] < args.min_eps:
-        print(
-            f"FAIL: task_resume {results['task_resume']['events_per_s']:,.0f} "
-            f"events/s below floor {args.min_eps:,.0f}",
-            file=sys.stderr,
-        )
-        return 1
+def main() -> int:
+    """Full sizes; prints the tables and writes ``results/P1_engine.json``."""
+    results = run_all()
+    print(render(results, "full"))
+    publish_walls("P1_engine", "full", results, render_walls(results))
     return 0
 
 
 def test_engine_throughput(benchmark, archive):
     """pytest-benchmark entry point (``python -m repro experiment P1``)."""
-    results = run_simulated(benchmark, lambda: run_all(smoke=True, repeats=1))
+    results = run_simulated(benchmark, lambda: run_all(smoke=True))
     archive("P1_engine", render(results, "smoke"))
-    archive_json("P1_engine", {"mode": "smoke", "results": results})
-    for row in results.values():
-        assert row["events"] > 0 and row["wall_s"] > 0
+    publish_walls("P1_engine", "smoke", results, render_walls(results))
+    assert all(row["events"] > 0 for row in results.values())
+    assert results["task_resume"]["events_per_s"] >= MIN_EPS, (
+        f"task_resume {results['task_resume']['events_per_s']:,.0f} events/s "
+        f"below the {MIN_EPS:,.0f} floor"
+    )
 
 
 if __name__ == "__main__":

@@ -21,23 +21,25 @@ in three configurations:
   so the cost of an actual fault storm is on record next to the idle
   numbers.
 
-The idle/no-injector wall-time ratio is the headline: in ``--smoke``
-mode the run fails if it exceeds ``--max-overhead`` (default 1.15, i.e.
-the injector must stay within measurement noise).
+The idle/no-injector wall-time ratio is the headline.  The three
+configurations are timed interleaved after a warm-up
+(``common.interleaved_best``), and at smoke sizes the ratio may not
+exceed ``MAX_OVERHEAD`` (1.15x: the injector must stay within
+measurement noise).
 
-Run standalone (``python benchmarks/bench_faults.py [--smoke]``) or via
-the pytest entry; results are written to ``results/P3_faults.json``
-(not checked in).
+``python -m repro experiment P3`` (and CI's ``pytest benchmarks``) runs
+the smoke sizes under that gate; ``python benchmarks/bench_faults.py``
+runs the full sizes.  The archive ``results/P3_faults.txt`` holds only
+event counts and the gauntlet's outcome; walls, rates and the ratio go
+to stdout and to the gitignored ``results/P3_faults.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict
 
 if __package__ is None or __package__ == "":
     _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -45,10 +47,12 @@ if __package__ is None or __package__ == "":
         sys.path.insert(0, str(_SRC))
 
 try:
-    from common import archive_json, run_simulated, throughput_row
+    from common import (
+        interleaved_best, publish_walls, run_simulated, throughput_row,
+    )
 except ImportError:  # imported as benchmarks.bench_faults
     from .common import (  # type: ignore
-        archive_json, run_simulated, throughput_row,
+        interleaved_best, publish_walls, run_simulated, throughput_row,
     )
 
 #: Workload sizes: full mode for trend numbers, smoke mode for CI.
@@ -58,6 +62,13 @@ SIZES = {
     "full": {"hosts": 6, "duration": 2 * 3600.0, "chaos_duration": 120.0},
     "smoke": {"hosts": 3, "duration": 600.0, "chaos_duration": 60.0},
 }
+
+#: Interleaved timed rounds per configuration; walls are the best.
+#: A smoke run takes ~25 ms, so ten rounds of three cost under a second.
+ROUNDS = 10
+
+#: Smoke-mode ceiling on the idle-injector/no-injector wall ratio.
+MAX_OVERHEAD = 1.15
 
 
 def _run_e10(
@@ -109,38 +120,19 @@ def _run_e10(
     return build_and_run
 
 
-def _measure(build_and_run: Callable[[], Any]) -> Tuple[float, Any]:
-    start = time.perf_counter()
-    sim = build_and_run()
-    wall = time.perf_counter() - start
-    return wall, sim
-
-
-def _timed_row(build_and_run: Callable[[], Any], repeats: int) -> Dict[str, float]:
-    walls = []
-    for _ in range(repeats):
-        wall, sim = _measure(build_and_run)
-        walls.append(wall)
-    return throughput_row(sim, min(walls))
-
-
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Any]:
+def run_all(smoke: bool = False) -> Dict[str, Any]:
     sizes = SIZES["smoke" if smoke else "full"]
     hosts, duration = sizes["hosts"], sizes["duration"]
-
-    # One untimed warm-up so import/allocation costs don't land on
-    # whichever configuration happens to run first (visible at repeats=1).
-    _measure(_run_e10(hosts, min(duration, 120.0), False))
-
+    timed = interleaved_best({
+        "no_injector": _run_e10(hosts, duration, False),
+        "idle_injector": _run_e10(hosts, duration, True),
+        "capped_injector": _run_e10(hosts, duration, True, with_caps=True),
+    }, ROUNDS)
     results: Dict[str, Any] = {
-        "no_injector": _timed_row(_run_e10(hosts, duration, False), repeats),
-        "idle_injector": _timed_row(_run_e10(hosts, duration, True), repeats),
-        "capped_injector": _timed_row(
-            _run_e10(hosts, duration, True, with_caps=True), repeats
-        ),
+        name: throughput_row(sim, wall) for name, (wall, sim) in timed.items()
     }
     # An idle fabric must not perturb the simulation itself: no RNG
     # draws, no extra delays, so the event count is identical.
@@ -175,61 +167,42 @@ def run_all(smoke: bool = False, repeats: int = 3) -> Dict[str, Any]:
 
 
 def render(results: Dict[str, Any], mode: str) -> str:
+    """The archived, deterministic lines."""
     lines = [
-        f"P3: fault-injection overhead ({mode} sizes, best-of-N wall time)",
-        f"{'configuration':<16} {'events':>10} {'wall_s':>10} {'events/s':>12}",
+        f"P3: fault-injection overhead ({mode} sizes)",
+        f"{'configuration':<16} {'events':>10}",
     ]
     for name in ("no_injector", "idle_injector", "capped_injector"):
-        row = results[name]
-        lines.append(
-            f"{name:<16} {row['events']:>10,.0f} {row['wall_s']:>10.3f} "
-            f"{row['events_per_s']:>12,.0f}"
-        )
-    lines.append(f"idle-injector overhead: {results['overhead_ratio']:.3f}x")
+        lines.append(f"{name:<16} {results[name]['events']:>10,.0f}")
     chaos = results["chaos_smoke"]
     lines.append(
-        f"chaos gauntlet (informative): {chaos['wall_s']:.3f}s wall, "
-        f"{chaos['faults']} faults, {chaos['jobs_finished']} jobs finished, "
+        f"chaos gauntlet: {chaos['faults']} faults, "
+        f"{chaos['jobs_finished']} jobs finished, "
         f"{chaos['violations']} violations"
     )
     return "\n".join(lines)
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small sizes + overhead ceiling check (CI mode)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="timed repetitions (best-of)"
-    )
-    parser.add_argument(
-        "--json", type=pathlib.Path, default=None,
-        help="also write results to this path (default: results/P3_faults.json)",
-    )
-    parser.add_argument(
-        "--max-overhead", type=float, default=1.15,
-        help="smoke mode fails if idle-injector/no-injector wall ratio "
-        "exceeds this",
-    )
-    args = parser.parse_args(argv)
-    mode = "smoke" if args.smoke else "full"
-    results = run_all(smoke=args.smoke, repeats=args.repeats)
-    print(render(results, mode))
-    payload = {"mode": mode, "results": results}
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"[wrote {args.json}]")
-    else:
-        print(f"[wrote {archive_json('P3_faults', payload)}]")
-    if args.smoke and results["overhead_ratio"] > args.max_overhead:
-        print(
-            f"FAIL: idle injector overhead {results['overhead_ratio']:.3f}x "
-            f"exceeds ceiling {args.max_overhead:.2f}x",
-            file=sys.stderr,
+def render_walls(results: Dict[str, Any]) -> str:
+    lines = [
+        f"P3 walls (best of {ROUNDS}, interleaved; not archived)",
+        f"{'configuration':<16} {'wall_s':>10} {'events/s':>12}",
+    ]
+    for name in ("no_injector", "idle_injector", "capped_injector"):
+        row = results[name]
+        lines.append(
+            f"{name:<16} {row['wall_s']:>10.3f} {row['events_per_s']:>12,.0f}"
         )
-        return 1
+    lines.append(f"idle-injector overhead: {results['overhead_ratio']:.3f}x")
+    lines.append(f"chaos gauntlet: {results['chaos_smoke']['wall_s']:.3f}s wall")
+    return "\n".join(lines)
+
+
+def main() -> int:
+    """Full sizes; writes ``results/P3_faults.json``."""
+    results = run_all()
+    print(render(results, "full"))
+    publish_walls("P3_faults", "full", results, render_walls(results))
     if results["chaos_smoke"]["violations"]:
         print(
             f"FAIL: chaos gauntlet reported "
@@ -242,13 +215,15 @@ def main(argv: Optional[list] = None) -> int:
 
 def test_faults_overhead(benchmark, archive):
     """pytest-benchmark entry point (``python -m repro experiment P3``)."""
-    # Best-of-3 even under pytest: the smoke runs are ~30 ms each, and
-    # single measurements at that scale are dominated by scheduler noise.
-    results = run_simulated(benchmark, lambda: run_all(smoke=True, repeats=3))
+    results = run_simulated(benchmark, lambda: run_all(smoke=True))
     archive("P3_faults", render(results, "smoke"))
-    archive_json("P3_faults", {"mode": "smoke", "results": results})
+    publish_walls("P3_faults", "smoke", results, render_walls(results))
     assert results["no_injector"]["events"] > 0
     assert results["chaos_smoke"]["violations"] == 0
+    assert results["overhead_ratio"] <= MAX_OVERHEAD, (
+        f"idle injector overhead {results['overhead_ratio']:.3f}x exceeds "
+        f"the {MAX_OVERHEAD:.2f}x ceiling"
+    )
 
 
 if __name__ == "__main__":

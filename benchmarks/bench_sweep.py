@@ -2,7 +2,7 @@
 
 The crash matrix of :mod:`repro.faults.crashmatrix`, every cell run
 with ``run_cell`` in this process, against ``run_matrix`` (every cell
-through ``forked_map``) at ``--workers`` 1 and 4, best of five walls
+through ``forked_map``) at ``workers`` 1 and 4, best of five walls
 each.  Every cell builds its own cluster in all three.  Three gates:
 
 * **The harness costs next to nothing** — ``workers=1`` (one forked
@@ -16,14 +16,16 @@ each.  Every cell builds its own cluster in all three.  Three gates:
 * **Parallel speedup** (full mode) — ``workers=4`` reaches 0.75 of the
   ideal on the cores actually granted.
 
-Run standalone (``python benchmarks/bench_sweep.py [--smoke]``) or via
-pytest; ``--json`` writes machine-readable results.
+``python -m repro experiment P2`` (and CI's ``pytest benchmarks``) runs
+24 cells under the first two gates; ``python benchmarks/bench_sweep.py``
+runs all 132 under all three.  The archive ``results/P2_sweep.txt``
+holds only the cell count and the fingerprint; walls, ratios, page
+faults and the core count go to stdout and to the gitignored
+``results/P2_sweep.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import pathlib
 import resource
@@ -42,7 +44,7 @@ from repro.faults.crashmatrix import (  # noqa: E402
     spread_cells,
 )
 
-from common import archive_json, run_simulated  # noqa: E402
+from common import publish_walls, run_simulated  # noqa: E402
 
 #: Cells per mode (``None``: all 132).
 MATRIX_CELLS = {"full": None, "smoke": 24}
@@ -130,10 +132,22 @@ def run_all(smoke: bool = False) -> Dict[str, Any]:
 
 
 def render(results: Dict[str, Any], mode: str) -> str:
+    """The archived, deterministic lines."""
     matrix = results["matrix"]
-    lines = [
-        f"P2: sweep cost ({mode} sizes, {results['cpu_count']} core(s))",
-        f"crash matrix ({matrix['cells']} cells, best of {ROUNDS}):",
+    return "\n".join([
+        f"P2: sweep cost ({mode} sizes)",
+        f"crash matrix ({matrix['cells']} cells): in-process, forked "
+        "workers=1 and forked workers=4",
+        f"  fingerprint {matrix['fingerprints']['in_process'][:16]}, "
+        f"identical in all three: {matrix['fingerprints_identical']}",
+    ])
+
+
+def render_walls(results: Dict[str, Any]) -> str:
+    matrix = results["matrix"]
+    return "\n".join([
+        f"P2 walls (best of {ROUNDS}, {results['cpu_count']} core(s); "
+        "not archived)",
         f"  in-process             {matrix['in_process_s']:8.3f} s",
         f"  forked, workers=1      {matrix['workers1_s']:8.3f} s"
         f"   ({matrix['workers1_vs_in_process']:.2f}x in-process, gate <= "
@@ -142,9 +156,7 @@ def render(results: Dict[str, Any], mode: str) -> str:
         f"  forked, workers=4      {matrix['workers4_s']:8.3f} s"
         f"   ({matrix['speedup_workers4']:.2f}x vs in-process; "
         f"{matrix['minflt_per_cell_workers4']} child page faults/cell)",
-        f"  fingerprints identical: {matrix['fingerprints_identical']}",
-    ]
-    return "\n".join(lines)
+    ])
 
 
 def check(results: Dict[str, Any], smoke: bool) -> list:
@@ -172,30 +184,12 @@ def check(results: Dict[str, Any], smoke: bool) -> list:
     return failures
 
 
-def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="24 cells; wall and determinism gates only (CI mode)",
-    )
-    parser.add_argument(
-        "--json", type=pathlib.Path, default=None,
-        help="also write results to this path "
-             "(default: results/P2_sweep.json)",
-    )
-    args = parser.parse_args(argv)
-    mode = "smoke" if args.smoke else "full"
-    results = run_all(smoke=args.smoke)
-    print(render(results, mode))
-    payload = {"mode": mode, "results": results}
-    if args.json is not None:
-        args.json.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        print(f"[wrote {args.json}]")
-    else:
-        print(f"[wrote {archive_json('P2_sweep', payload)}]")
-    failures = check(results, smoke=args.smoke)
+def main() -> int:
+    """All 132 cells and all three gates; writes ``results/P2_sweep.json``."""
+    results = run_all()
+    print(render(results, "full"))
+    publish_walls("P2_sweep", "full", results, render_walls(results))
+    failures = check(results, smoke=False)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -205,6 +199,7 @@ def test_sweep_cost(benchmark, archive):
     """pytest-benchmark entry point (smoke sizes)."""
     results = run_simulated(benchmark, lambda: run_all(smoke=True))
     archive("P2_sweep", render(results, "smoke"))
+    publish_walls("P2_sweep", "smoke", results, render_walls(results))
     assert check(results, smoke=True) == []
 
 

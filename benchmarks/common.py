@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Any, Dict
+import time
+from typing import Any, Callable, Dict, Tuple
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -44,6 +45,40 @@ def archive_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def publish_walls(name: str, mode: str, results: Dict[str, Any], walls: str) -> None:
+    """Print a bench's wall-clock lines and write all its figures to
+    ``results/<name>.json``.
+
+    Walls, rates, wall ratios, page faults and core counts vary from run
+    to run and host to host, so they go to stdout and to this gitignored
+    JSON; the ``<name>.txt`` archive holds only deterministic lines.
+    """
+    print(walls)
+    print(f"[wrote {archive_json(name, {'mode': mode, 'results': results})}]")
+
+
+def interleaved_best(
+    runs: Dict[str, Callable[[], Any]], rounds: int
+) -> Dict[str, Tuple[float, Any]]:
+    """Best wall and last result of each of ``runs``, timed in turn.
+
+    One untimed warm-up of each run, then ``rounds`` rounds that run
+    each configuration once, so every configuration sees the same slow
+    spells of the host: a ratio of two of these walls measures the
+    configurations rather than the order they ran in.
+    """
+    for run in runs.values():
+        run()
+    best = {name: float("inf") for name in runs}
+    last: Dict[str, Any] = {}
+    for _ in range(rounds):
+        for name, run in runs.items():
+            start = time.perf_counter()
+            last[name] = run()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return {name: (best[name], last[name]) for name in runs}
 
 
 def throughput_row(sim: Any, wall: float) -> Dict[str, Any]:

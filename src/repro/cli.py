@@ -21,6 +21,8 @@ import sys
 from dataclasses import fields
 from typing import Dict, Optional, Tuple
 
+from .report import EXPERIMENTS, collect_report
+
 __all__ = ["main"]
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -35,30 +37,8 @@ DEMOS: Dict[str, str] = {
     "checkpoint": "checkpoint_restart_demo.py",
 }
 
-EXPERIMENTS: Dict[str, str] = {
-    "E1": "bench_migration_breakdown.py",
-    "E2": "bench_vm_policies.py",
-    "E3": "bench_forwarding.py",
-    "A2": "bench_forwarding.py",
-    "E4": "bench_exec_migration.py",
-    "E5": "bench_pmake_speedup.py",
-    "E6": "bench_simfarm.py",
-    "E7": "bench_host_selection.py",
-    "A1": "bench_host_selection.py",
-    "E8": "bench_eviction.py",
-    "E9": "bench_availability.py",
-    "E10": "bench_usage_month.py",
-    "E11": "bench_placement_vs_migration.py",
-    "E12": "bench_distributed_selection.py",
-    "A3": "bench_flood_prevention.py",
-    "B1": "bench_condor_comparison.py",
-    "S1": "bench_network_sweep.py",
-    "S2": "bench_assignment_caching.py",
-    "P1": "bench_engine.py",
-    "P2": "bench_sweep.py",
-    "P3": "bench_faults.py",
-    "P8": "bench_checkpoint.py",
-}
+#: Experiment id -> its bench file, from the one table in ``report``.
+_BENCHES: Dict[str, str] = {row.id: row.bench for row in EXPERIMENTS}
 
 
 def _find_dir(name: str) -> Optional[pathlib.Path]:
@@ -170,7 +150,7 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 def cmd_list(_args: argparse.Namespace) -> int:
     print("demos:        " + " ".join(sorted(DEMOS)))
-    print("experiments:  " + " ".join(sorted(EXPERIMENTS)))
+    print("experiments:  " + " ".join(sorted(_BENCHES)))
     return 0
 
 
@@ -187,8 +167,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_report(_args: argparse.Namespace) -> int:
-    from .report import collect_report
-
     benchmarks = _find_dir("benchmarks")
     if benchmarks is None:
         print("error: benchmarks/ not found (run from a source checkout)",
@@ -308,7 +286,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             import pytest
 
             code = pytest.main(
-                [str(benchmarks / EXPERIMENTS[args.target]),
+                [str(benchmarks / _BENCHES[args.target]),
                  "--benchmark-only", "-q", "-x"]
             )
             if code != 0:
@@ -553,7 +531,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print("error: benchmarks/ not found (run from a source checkout)",
               file=sys.stderr)
         return 2
-    target = benchmarks / EXPERIMENTS[args.id]
+    target = benchmarks / _BENCHES[args.id]
     command = [
         sys.executable, "-m", "pytest", str(target),
         "--benchmark-only", "-q", "-s",
@@ -579,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="run an example scenario")
     demo.add_argument("name", choices=sorted(DEMOS))
     experiment = sub.add_parser("experiment", help="regenerate a paper artifact")
-    experiment.add_argument("id", choices=sorted(EXPERIMENTS))
+    experiment.add_argument("id", choices=sorted(_BENCHES))
     sub.add_parser("report", help="stitch benchmark artifacts into one report")
     trace = sub.add_parser(
         "trace",
@@ -587,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "target",
-        choices=["migration"] + sorted(DEMOS) + sorted(EXPERIMENTS),
+        choices=["migration"] + sorted(DEMOS) + sorted(_BENCHES),
         help="'migration' (builtin fixed scenario), a demo, or an experiment",
     )
     trace.add_argument("--out", default=None,

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import pathlib
 
 import pytest
 
-from repro.cli import DEMOS, EXPERIMENTS, build_parser, main
+from repro.cli import DEMOS, build_parser, main
+from repro.report import EXPERIMENTS
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -15,6 +17,20 @@ def test_parser_accepts_all_subcommands():
     assert parser.parse_args(["list"]).command == "list"
     assert parser.parse_args(["demo", "quickstart"]).name == "quickstart"
     assert parser.parse_args(["experiment", "E5"]).id == "E5"
+
+
+def test_experiment_and_trace_accept_exactly_the_table_ids():
+    ids = {row.id for row in EXPERIMENTS}
+    assert len(ids) == len(EXPERIMENTS) == 22 and {"A1", "A2"} <= ids
+    (commands,) = (action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+    def choices(command, dest):
+        (arg,) = (a for a in commands.choices[command]._actions if a.dest == dest)
+        return set(arg.choices)
+
+    assert choices("experiment", "id") == ids
+    assert choices("trace", "target") == ids | set(DEMOS) | {"migration"}
 
 
 def test_chaos_help_describes_the_crash_matrix(capsys):
@@ -76,8 +92,8 @@ def test_list_names_everything(capsys):
     out = capsys.readouterr().out
     for name in DEMOS:
         assert name in out
-    for exp_id in EXPERIMENTS:
-        assert exp_id in out
+    for row in EXPERIMENTS:
+        assert row.id in out
 
 
 def test_every_demo_script_exists():
@@ -86,8 +102,8 @@ def test_every_demo_script_exists():
 
 
 def test_every_experiment_bench_exists():
-    for script in EXPERIMENTS.values():
-        assert (REPO_ROOT / "benchmarks" / script).is_file(), script
+    for row in EXPERIMENTS:
+        assert (REPO_ROOT / "benchmarks" / row.bench).is_file(), row.bench
 
 
 def test_demo_runs_quickstart(capsys):

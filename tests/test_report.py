@@ -2,9 +2,7 @@
 
 import pathlib
 
-import pytest
-
-from repro.report import EXPERIMENT_ORDER, collect_report
+from repro.report import EXPERIMENTS, collect_report
 
 
 def test_report_includes_present_artifacts(tmp_path):
@@ -23,8 +21,8 @@ def test_report_lists_missing_artifacts(tmp_path):
     results.mkdir()
     text = collect_report(results, stamp="TEST")
     assert "Missing artifacts" in text
-    for name, _summary in EXPERIMENT_ORDER:
-        assert name in text
+    for row in EXPERIMENTS:
+        assert row.archive in text
 
 
 def test_report_surfaces_unindexed_artifacts(tmp_path):
@@ -46,10 +44,20 @@ def test_report_writes_output_file(tmp_path):
 
 
 def test_report_order_matches_results_dir():
-    """Every archived artifact from a real bench run is indexed."""
+    """Every row's archive is committed, and every archive has a row."""
     results = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results"
-    if not results.is_dir():
-        pytest.skip("benchmarks not yet run")
-    indexed = {name for name, _ in EXPERIMENT_ORDER}
+    indexed = {row.archive for row in EXPERIMENTS}
     actual = {p.stem for p in results.glob("*.txt")}
-    assert actual <= indexed, f"unindexed artifacts: {actual - indexed}"
+    assert actual == indexed, (
+        f"unindexed: {actual - indexed}; missing: {indexed - actual}"
+    )
+
+
+def test_archive_shared_by_two_rows_is_reported_once(tmp_path):
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "E3_forwarding.txt").write_text("E3 AND A2")
+    text = collect_report(results, stamp="TEST")
+    assert text.count("E3 AND A2") == 1
+    assert "## E3_forwarding — Kernel-call costs local vs remote; " \
+        "Forward-everything ablation" in text
