@@ -27,7 +27,7 @@ from .fs.pipes import PipeService
 from .kernel import Host, Program, SpriteKernel
 from .migration import EvictionDaemon, MigrationManager, VmPolicy
 from .net import Lan, NetNode, RpcPort
-from .sim import Cpu, RandomStreams, Simulator, Tracer, run_until_complete
+from .sim import Cpu, RandomStreams, Simulator, Ticker, Tracer, run_until_complete
 
 __all__ = ["SpriteCluster", "ServerHost"]
 
@@ -129,13 +129,13 @@ class SpriteCluster:
             evictor = EvictionDaemon(manager, start=start_daemons)
             self.hosts.append(host)
             self.evictors.append(evictor)
+        #: Samples every host's load in one event a second; each
+        #: evictiond's first poll joins it when it can (``_Poll.bind``).
+        self.ticker = Ticker(self.sim, self.params.load_sample_period)
+        for evictor in self.evictors:
+            evictor.ticker = self.ticker
         if start_daemons:
-            # One bulk event batch starts every per-second load sampler.
-            from .kernel.loadavg import LoadAverage
-
-            LoadAverage.start_batched(
-                self.sim, [host.loadavg for host in self.hosts]
-            )
+            self.ticker.start(host.loadavg.sample for host in self.hosts)
 
     # ------------------------------------------------------------------
     @property

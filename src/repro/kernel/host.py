@@ -60,9 +60,8 @@ class Host:
             sim, lan, self.node, self.cpu, self.rpc, self.fs, self.pdevs,
             params=self.params,
         )
-        # The cluster starts every host's sampler itself, with one
-        # LoadAverage.start_batched call.
-        self.loadavg = LoadAverage(sim, self.cpu, self.params)
+        # The cluster's Ticker samples every host's load in one event.
+        self.loadavg = LoadAverage(self.cpu, self.params)
         self._kernels = kernels
         kernels[self.node.address] = self.kernel
         #: Simulated time of the last keyboard/mouse input (-inf = never).

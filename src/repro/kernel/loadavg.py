@@ -6,7 +6,7 @@ import math
 from typing import Optional
 
 from ..config import ClusterParams
-from ..sim import Cpu, Simulator
+from ..sim import Cpu
 
 __all__ = ["LoadAverage"]
 
@@ -22,11 +22,9 @@ class LoadAverage:
 
     def __init__(
         self,
-        sim: Simulator,
         cpu: Cpu,
         params: Optional[ClusterParams] = None,
     ):
-        self.sim = sim
         self.cpu = cpu
         self.params = params or ClusterParams()
         self.value = 0.0
@@ -36,33 +34,13 @@ class LoadAverage:
             -self.params.load_sample_period / self.params.load_decay
         )
 
-    # The sampler is the highest-frequency periodic activity in a cluster
-    # (one event per host per simulated second), so it runs as a bare
-    # self-rescheduling callback rather than a coroutine task: no
-    # generator frame, no Effect binding per tick.
-    def _tick(self) -> None:
-        self.sample()
-        self.sim.schedule(self.params.load_sample_period, self._tick)
-
-    @staticmethod
-    def start_batched(sim: Simulator, loadavgs: "list[LoadAverage]") -> None:
-        """Start the periodic tick of a group of samplers (the only way
-        a sampler starts ticking).
-
-        The cluster starts every host's per-second tick in a single
-        ``schedule_many`` instead of one startup event per host.  All
-        samplers must share the same ``load_sample_period``.
-        """
-        if not loadavgs:
-            return
-        period = loadavgs[0].params.load_sample_period
-        sim.schedule_many(period, [(la._tick, ()) for la in loadavgs])
-
-    def sample(self) -> float:
+    def sample(self) -> None:
+        """Fold in the runnable count; every ``load_sample_period``, as a
+        member of the cluster's :class:`~repro.sim.Ticker` (which keeps a
+        member that returns a false value)."""
         runnable = self.cpu.runnable
         self.value = self.value * self._alpha + runnable * (1.0 - self._alpha)
         self.bias *= self._alpha
-        return self.value
 
     @property
     def effective(self) -> float:

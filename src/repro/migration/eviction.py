@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
-from ..sim import Effect, spawn
+from ..sim import Effect, EventHandle, Ticker, spawn
 from ..obs.spans import EVICT_RECLAIM
 from .mechanism import MigrationManager, MigrationRecord
 
@@ -40,10 +40,13 @@ class EvictionDaemon:
 
     Every ``poll_period`` it asks the thesis's question — has the owner
     come back while foreign processes run here?  A poll is a bare
-    callback that re-arms itself; the ``evictiond`` task sits parked on
+    callback, not a task resume: the ``evictiond`` task sits parked on
     it and is resumed, within the poll's event, only when the answer is
     yes, to run the eviction, after which it parks on the next poll.
-    An idle host's daemon task therefore runs once, at its start.
+    An idle host's daemon task therefore runs once, at its start.  In a
+    :class:`~repro.cluster.SpriteCluster` an idle host's polls ride the
+    cluster's ``ticker`` with the load samplers, so an idle cluster's
+    polls and samples cost one event a second between them.
 
     ``on_evicted`` (if set) is called with each batch of migration
     records — the load-sharing layer uses it to re-home or re-export
@@ -59,6 +62,10 @@ class EvictionDaemon:
         self.host = manager.host
         self.poll_period = manager.params.eviction_grace
         self.on_evicted: Optional[Callable[[List[MigrationRecord]], None]] = None
+        #: The cluster's ticker, which a poll joins when it exactly can
+        #: (set by :class:`~repro.cluster.SpriteCluster`); ``None`` arms
+        #: every poll on a timer of its own.
+        self.ticker: Optional[Ticker] = None
         self.events: List[EvictionEvent] = []
         self.failed_evictions = 0
         self._last_seen_input = float("-inf")
@@ -123,34 +130,55 @@ class EvictionDaemon:
 
 class _Poll(Effect):
     """What the ``evictiond`` task waits on: polls every ``poll_period``,
-    each one timed event that resumes the task only if it must evict.
+    each of which resumes the task only if it must evict.
 
-    The first poll is armed when the task yields this, and each poll
-    that finds nothing to do arms the next, so every poll takes its
+    A poll that finds nothing to do re-arms, so every poll takes its
     sequence number where a ``Sleep(poll_period)`` in the task's loop
-    would have taken it."""
+    would have taken it.  It re-arms as a member of the daemon's
+    ``ticker`` if :meth:`Ticker.join` accepts it when bound (the first
+    poll of a cluster's daemon does, at start), else on its own timer.
+    A poll that resumes the task leaves the ticker."""
 
     __slots__ = ("daemon", "_waiter", "_handle")
 
     def __init__(self, daemon: EvictionDaemon):
         self.daemon = daemon
-        # _waiter and _handle are set by bind().
+        self._handle: Optional[EventHandle] = None
+        # _waiter is set by bind() and dropped by cancel().
 
     def bind(self, waiter: Any) -> None:
         self._waiter = waiter
-        self._arm()
+        ticker = self.daemon.ticker
+        if ticker is None or not self._join(ticker):
+            self._arm()
+
+    def _join(self, ticker: Ticker) -> bool:
+        # A typed receiver: ``join`` is on the call graph's by-name
+        # fallback blocklist, so an untyped ``ticker.join`` has no edge.
+        return ticker.join(self._member, self.daemon.poll_period)
 
     def _arm(self) -> None:
         self._handle = self._waiter.sim.schedule(
             self.daemon.poll_period, self._poll
         )
 
-    def _poll(self) -> None:
+    def _evicts(self) -> bool:
+        """One poll: resume the task, and say so, if it must evict."""
         daemon = self.daemon
         if daemon._user_returned() and daemon.manager.kernel.foreign_pcbs():
             self._waiter._resume(None)
-        else:
+            return True
+        return False
+
+    def _poll(self) -> None:
+        if not self._evicts():
             self._arm()
 
+    def _member(self) -> bool:
+        """The ticker's call: true (leave) once cancelled or evicting."""
+        return self._waiter is None or self._evicts()
+
     def cancel(self, waiter: Any) -> None:
-        self._handle.cancel()
+        if self._handle is not None:
+            self._handle.cancel()
+        self._waiter = None

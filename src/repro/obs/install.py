@@ -53,7 +53,7 @@ class ClusterObservability:
         ``sample_period``— if set, start a :class:`MetricsSampler` on
                            that sim-time interval (per-host load,
                            forwarded calls, RPC and LAN traffic).  Like
-                           the load-average daemons, a running sampler
+                           the cluster's ticker, a running sampler
                            keeps the event queue non-empty: drive the
                            sim with ``run(until=...)`` or
                            ``run_until_complete``.

@@ -19,8 +19,8 @@ module is the registry those numbers live in:
   series, the shape the utilization plots consume.
 
 The registry is pure bookkeeping: nothing here schedules events or
-touches the simulation except the sampler, which follows the
-load-average daemon's bare-callback pattern (no task frame per tick).
+touches the simulation except the sampler, a bare self-rescheduling
+callback (no task frame per tick).
 """
 
 from __future__ import annotations
@@ -296,11 +296,11 @@ class MetricsRegistry:
 class MetricsSampler:
     """Polls probes into the registry's time series on a sim interval.
 
-    Follows :class:`repro.kernel.loadavg.LoadAverage`'s pattern: a bare
-    self-rescheduling callback, so each tick is one event with no task
-    frame.  Like the load sampler, it keeps the event queue non-empty
-    forever — drive bounded runs with ``run(until=...)`` or
-    ``run_until_complete``, never an unbounded ``run()``.
+    A bare self-rescheduling callback, so each tick is one event with
+    no task frame.  Like the cluster's ticker (load samples and eviction
+    polls), it keeps the event queue non-empty forever — drive bounded
+    runs with ``run(until=...)`` or ``run_until_complete``, never an
+    unbounded ``run()``.
     """
 
     def __init__(self, sim: Any, registry: MetricsRegistry, period: float = 5.0):

@@ -9,7 +9,7 @@ round-robin CPU model (:mod:`.resources`), named random substreams
 """
 
 from .channels import Channel
-from .engine import EventHandle, Simulator
+from .engine import EventHandle, Simulator, Ticker
 from .errors import (
     ChannelClosed,
     Interrupted,
@@ -56,6 +56,7 @@ __all__ = [
     "StateRegistry",
     "Task",
     "TaskFailed",
+    "Ticker",
     "TIMED_OUT",
     "TraceRecord",
     "Tracer",

@@ -30,7 +30,9 @@ Design notes
   bounded in memory.
 * :meth:`Simulator.defer` is the allocation-free fast path for wakeups
   that are never cancelled; :meth:`Simulator.schedule_many` amortizes
-  bulk fan-out (broadcast delivery, batched periodic ticks).
+  bulk fan-out (broadcast delivery, an event's many waiters).
+* A :class:`Ticker` fires periodic callbacks that fall due back to back
+  as one event, in the order their own timers would have fired them.
 
 Invariants a future C-accelerated queue must keep are documented in
 ``docs/architecture.md`` ("Event-loop fast paths").
@@ -46,7 +48,7 @@ from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 from .errors import SimulationDeadlock
 from .state import StateRegistry
 
-__all__ = ["Simulator", "EventHandle"]
+__all__ = ["Simulator", "EventHandle", "Ticker"]
 
 #: Compaction is pointless below this heap size; above it, a heap more
 #: than half full of cancelled corpses is rebuilt.
@@ -409,3 +411,82 @@ class Simulator:
         return (len(self._heap) - self._heap_cancelled
                 + len(self._ready) - self._ready_cancelled)
 
+
+class Ticker:
+    """Periodic callbacks that fall due together, fired as one event.
+
+    Each member is a zero-argument callable fired every ``period``
+    seconds; a member that returns true leaves.  A member's re-arm
+    takes the sequence number its own ``schedule(period, fn)`` would
+    have taken after it ran, and members whose numbers follow one
+    another — nothing was queued between their re-arms — share one
+    event at the first one's ``(time, seq)``.  Firing them as one event
+    is therefore exact: a member that stays and schedules nothing (a
+    load sample, a poll with nothing to do) joins the run before it,
+    and one that schedules something starts a new run behind what it
+    scheduled, where its own timer would have been.
+    """
+
+    __slots__ = ("sim", "period", "_run", "_run_time", "_run_seq", "_last")
+
+    def __init__(self, sim: Simulator, period: float):
+        if period <= 0:
+            raise ValueError(f"ticker period must be positive (got {period})")
+        self.sim = sim
+        self.period = period
+        #: The run armed last: its members, instant and event ``seq``,
+        #: and the sequence number its last member took.
+        self._run: Optional[List[Callable[[], Any]]] = None
+        self._run_time = 0.0
+        self._run_seq = -1
+        self._last = -1
+
+    def start(self, members: Iterable[Callable[[], Any]]) -> None:
+        """Fire ``members``, in order, one period from now and every
+        period after (as many ``schedule(period, fn)`` calls would)."""
+        time = self.sim.now + self.period
+        for fn in members:
+            self._add(fn, time, next(self.sim._seq))
+
+    def join(self, fn: Callable[[], Any], period: float) -> bool:
+        """Make ``fn`` a member if that fires it exactly where
+        ``schedule(period, fn)`` now would: at the instant of the run
+        armed last, with nothing else queued for that instant behind it.
+        Returns whether it joined; if not, the caller arms its own timer.
+        The check scans the heap once, so join at set-up, not per event."""
+        sim = self.sim
+        time = sim.now + period
+        if period != self.period or self._run is None or time != self._run_time:
+            return False
+        seq = self._run_seq
+        for entry in sim._heap:
+            if entry[0] == time and entry[1] > seq and not entry[2].cancelled:
+                return False
+        self._run.append(fn)
+        self._last = next(sim._seq)
+        return True
+
+    def _add(self, fn: Callable[[], Any], time: float, seq: int) -> None:
+        """Re-arm ``fn`` at ``(time, seq)``: in the run armed last if
+        ``seq`` follows its last member's, else in a new run."""
+        run = self._run
+        if run is None or seq != self._last + 1 or time != self._run_time:
+            run = []
+            sim = self.sim
+            heapq.heappush(
+                sim._heap, (time, seq, EventHandle(time, self._fire, (run,), sim))
+            )
+            self._run = run
+            self._run_time = time
+            self._run_seq = seq
+        run.append(fn)
+        self._last = seq
+
+    def _fire(self, members: List[Callable[[], Any]]) -> None:
+        sim = self.sim
+        time = sim.now + self.period
+        seq = sim._seq
+        add = self._add
+        for fn in members:
+            if not fn():
+                add(fn, time, next(seq))

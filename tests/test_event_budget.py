@@ -10,6 +10,9 @@ cost with an event (or two) per quantum.
 The same goes for the fixed-cost waits of an RPC — a CPU charge, a
 message, a reply wait — which are one event each: a grant that became
 an event again, or a message that sleeps twice, changes no result.
+And for an idle cluster's load samples and eviction polls, which fire
+as one event a second between them: a timer per sampler and per poll
+again changes nothing but the count.
 """
 
 import time
@@ -76,6 +79,15 @@ def test_long_computes_replay_in_closed_form():
         assert time.perf_counter() - started < 0.25
         assert cluster.sim.events_fired == events
         assert [pcb.cpu_time for pcb in pcbs] == [cpu_time] * processes
+
+
+def test_idle_cluster_costs_an_event_a_second():
+    # 785 today: 600 ticks plus the start-up and the write-back
+    # daemons' timers.  9785 with a timer per host for its load sample
+    # and another for its eviction poll.
+    cluster = SpriteCluster(workstations=8)
+    cluster.run(until=600.0)
+    assert cluster.sim.events_fired <= 1000
 
 
 def test_adversarial_chaos_smoke_event_budget():

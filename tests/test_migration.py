@@ -488,6 +488,127 @@ class SleepingEvictionDaemon(EvictionDaemon):
                     self.failed_evictions += 1
 
 
+class PerHostTimers:
+    """The reference for the cluster's :class:`~repro.sim.Ticker`: every
+    member on a self-rescheduling timer of its own, all started by one
+    ``schedule_many``, and no poll ever joins (each arms its own timer)."""
+
+    def __init__(self, sim, period):
+        self.sim = sim
+        self.period = period
+
+    def start(self, members):
+        self.sim.schedule_many(
+            self.period, [(self._tick, (fn,)) for fn in members]
+        )
+
+    def _tick(self, fn):
+        if not fn():
+            self.sim.schedule(self.period, self._tick, fn)
+
+    def join(self, fn, period):
+        return False
+
+
+def _outcome(cluster):
+    """What an observer of a run sees, floats compared bit for bit."""
+    return {
+        "trace": trace_fingerprint(cluster.tracer),
+        "load": [(host.loadavg.value.hex(), host.loadavg.bias.hex())
+                 for host in cluster.hosts],
+        "evictions": [event for evictor in cluster.evictors
+                      for event in evictor.events],
+        "where": sorted(
+            (address, pid, pcb.state.name, pcb.current, pcb.cpu_time.hex())
+            for address, kernel in cluster.kernels.items()
+            for pid, pcb in kernel.procs.items()
+        ),
+    }
+
+
+def _split_window(timers, sample_period=None):
+    """60 s of eight hosts: jobs from ws0 and ws1 migrate to ws3 and
+    ws5 at 0.5 s, and those owners come back at 5.3 s and 12.7 s, so
+    each eviction takes a poll out of the middle of the ticker's run.
+    With ``sample_period`` a metrics sampler is armed after the ticker
+    and before any poll binds."""
+    from repro.sim import spawn
+
+    with mock.patch.object(cluster_module, "Ticker", timers):
+        cluster = SpriteCluster(workstations=8, start_daemons=True, trace=True)
+    if sample_period is not None:
+        cluster.observability(sample_period=sample_period)
+    hosts = cluster.hosts
+
+    def job(proc):
+        yield from proc.compute(30.0)
+        return proc.pcb.current
+
+    pcbs = [hosts[i].spawn_process(job, name=f"job{i}")[0] for i in (0, 1)]
+
+    def owners():
+        yield Sleep(0.5)
+        for pcb, target in zip(pcbs, (hosts[3], hosts[5])):
+            yield from cluster.managers[pcb.current].migrate(pcb, target.address)
+        yield Sleep(5.3 - cluster.sim.now)
+        hosts[3].user_input()
+        yield Sleep(12.7 - cluster.sim.now)
+        hosts[5].user_input()
+
+    spawn(cluster.sim, owners(), name="owners")
+    cluster.run(until=60.0)
+    assert [len(evictor.events) for evictor in cluster.evictors] == \
+        [0, 0, 0, 1, 0, 1, 0, 0]
+    return cluster
+
+
+def _placement_baseline(timers):
+    """E11's placement baseline, traced: ``poll_period = 1e12``."""
+    from repro.baselines import placement
+
+    clusters = []
+
+    def traced(**kwargs):
+        clusters.append(SpriteCluster(trace=True, **kwargs))
+        return clusters[-1]
+
+    with mock.patch.object(placement, "SpriteCluster", traced), \
+            mock.patch.object(cluster_module, "Ticker", timers):
+        placement.run_placement_scenario("placement")
+    return clusters[0]
+
+
+@pytest.mark.parametrize("scenario, saved", [
+    # Eight samples a second cost one event, not eight: 7 x 60.  The
+    # six idle hosts' polls fire in it too (6 x 60), and so do ws3's
+    # first 6 and ws5's first 13; the polls after an eviction keep
+    # timers of their own.  Each split costs one event, for the second
+    # after it, before the run is whole again.
+    ("split", 7 * 60 + 6 * 60 + 6 + 13 - 2),
+    # The sampler is queued behind the ticker at the first instant, so
+    # every poll keeps its own timer: only the samples are batched.
+    ("sampled", 7 * 60),
+    # Polls every 1e12 s never join; six samplers share one event for
+    # the 168 s the batch runs.
+    ("placement", 5 * 168),
+])
+def test_ticker_is_exact_against_per_host_timers(scenario, saved):
+    """One event a second for the whole cluster changes nothing but the
+    event count: the same trace, load averages, evictions and final
+    placement as a timer per sampler and per poll."""
+    from repro.sim import Ticker
+
+    build = {
+        "split": _split_window,
+        "sampled": lambda timers: _split_window(timers, sample_period=1.0),
+        "placement": _placement_baseline,
+    }[scenario]
+    ticked = build(Ticker)
+    timed = build(PerHostTimers)
+    assert _outcome(ticked) == _outcome(timed)
+    assert timed.sim.events_fired - ticked.sim.events_fired == saved
+
+
 def _owner_returns(daemon_cls):
     """100 s of a three-host cluster with every daemon running: a job
     migrates from ws0 to ws1 at 0.5 s and ws1's owner types at about
@@ -537,10 +658,15 @@ def test_eviction_polls_without_resuming_the_daemon_task():
     idle hosts' ``evictiond`` tasks run once, at their start, where the
     reference's ran at every one of 100 polls.  The owner's return is
     still seen by the first poll after the input, at 6 s, and the run is
-    the reference's event for event."""
+    the reference's in all it shows.  Only its event count differs: the
+    polls that ride the cluster's ticker cost no event of their own."""
     observed, resumes = _owner_returns(EvictionDaemon)
     expected, reference_resumes = _owner_returns(SleepingEvictionDaemon)
+    events, reference_events = observed.pop("events"), expected.pop("events")
     assert observed == expected
+    # ws0's and ws2's 100 polls and ws1's first 6 fire in the ticker's
+    # event; ws1's eviction splits its run for one second.
+    assert reference_events - events == 2 * 100 + 6 - 1
     assert [e[:2] for e in observed["evictions"]] == [(6.0, 1)]
     assert resumes["evictiond:ws0"] == resumes["evictiond:ws2"] == 1
     assert reference_resumes["evictiond:ws0"] == 101

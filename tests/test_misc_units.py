@@ -121,7 +121,7 @@ def test_table_show_prints(capsys):
 def test_loadavg_decays_toward_runnable_count():
     sim = Simulator()
     cpu = Cpu(sim)
-    load = LoadAverage(sim, cpu, ClusterParams())
+    load = LoadAverage(cpu, ClusterParams())
     cpu.runnable = 2
     for _ in range(600):
         load.sample()
@@ -135,7 +135,7 @@ def test_loadavg_decays_toward_runnable_count():
 def test_loadavg_bias_decays():
     sim = Simulator()
     cpu = Cpu(sim)
-    load = LoadAverage(sim, cpu, ClusterParams())
+    load = LoadAverage(cpu, ClusterParams())
     load.anticipate_arrivals(2)
     assert load.effective == pytest.approx(2.0)
     for _ in range(600):

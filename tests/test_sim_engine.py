@@ -9,6 +9,7 @@ from repro.sim import (
     Simulator,
     SimulationDeadlock,
     Sleep,
+    Ticker,
     run_until_complete,
     spawn,
 )
@@ -556,3 +557,66 @@ def test_run_until_complete_raises_when_the_queue_drains_first():
     with pytest.raises(SimError, match="drained before task 'stuck'"):
         run_until_complete(sim, waiter(), name="stuck")
     assert sim.now == 1.0
+
+
+def _ticks(ticked):
+    """Seven members fired every second for 6 s, with a Ticker or with a
+    self-rescheduling timer each.  ``b`` schedules an event for the next
+    tick at 2 s, ``d`` leaves at 3 s, ``f`` joins at the start and ``g``
+    tries to once an event is queued behind the run."""
+    sim = Simulator()
+    log = []
+
+    def member(name, side_at=None, leave_at=None):
+        def fn():
+            log.append((sim.now, name))
+            if sim.now == side_at:
+                sim.schedule(1.0, log.append, (sim.now + 1.0, f"{name}-side"))
+            return sim.now == leave_at
+        return fn
+
+    def timer(fn):
+        if not fn():
+            sim.schedule(1.0, timer, fn)
+
+    members = [member("a"), member("b", side_at=2.0), member("c"),
+               member("d", leave_at=3.0), member("e")]
+    f, g = member("f"), member("g")
+    ticker = Ticker(sim, 1.0)
+    if ticked:
+        ticker.start(members)
+        assert ticker.join(f, 1.0)
+    else:
+        sim.schedule_many(1.0, [(timer, (fn,)) for fn in members + [f]])
+    sim.schedule(1.0, log.append, (1.0, "x"))
+    if not (ticked and ticker.join(g, 1.0)):
+        sim.schedule(1.0, timer, g)
+    sim.run(until=6.0)
+    return log, sim.events_fired
+
+
+def test_ticker_fires_in_the_order_of_separate_timers():
+    """A run of members is one event and fires them where their own
+    timers would: ``b`` re-arms behind the side event it scheduled, so
+    the run splits there for the second at 3 s and is whole again at
+    4 s, and ``g``, refused, fires after ``x`` on its own timer."""
+    ticked, events = _ticks(True)
+    timed, timed_events = _ticks(False)
+    assert ticked == timed
+    assert [name for t, name in ticked if t == 3.0] == \
+        ["a", "b-side", "b", "c", "d", "e", "f", "g"]
+    # 6 members' timers for 6 s, less d's 3 after it left, become one
+    # event a second plus one more at 3 s.
+    assert timed_events - events == (6 * 6 - 3) - (6 + 1)
+
+
+def test_ticker_refuses_a_member_of_another_period_or_instant():
+    sim = Simulator()
+    ticker = Ticker(sim, 1.0)
+    assert not ticker.join(lambda: None, 1.0)      # nothing armed yet
+    ticker.start([lambda: None])
+    assert not ticker.join(lambda: None, 2.0)
+    sim.run(until=0.5)
+    assert not ticker.join(lambda: None, 1.0)      # due at 1.5, not 1.0
+    with pytest.raises(ValueError):
+        Ticker(sim, 0.0)
