@@ -57,7 +57,11 @@ class BlockCache:
         ]
 
     def dirty_bytes(self, path: Optional[str] = None) -> int:
-        return len(self.dirty_blocks(path)) * self.block_size
+        """Bytes of the dirty blocks cached for ``path`` (any path if
+        ``None``), read from the per-path counts without a walk."""
+        if path is None:
+            return sum(self._dirty.values()) * self.block_size
+        return self._dirty.get(path, 0) * self.block_size
 
     # ------------------------------------------------------------------
     def lookup_range(

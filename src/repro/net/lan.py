@@ -23,10 +23,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from typing import Any, Deque, Dict, Generator, List, Optional
 
 from ..config import ClusterParams
-from ..sim import Channel, Effect, Simulator, Sleep, Tracer, spawn
+from ..sim import Channel, Effect, EventHandle, Simulator, Sleep, Tracer, spawn
 
 from .errors import HostDownError, NetworkPartitionedError
 
@@ -98,7 +99,14 @@ class _Wire(Effect):
         self._waiter = waiter
         self.start = start
         self.end = end = start + self.duration
-        self._handle = sim.schedule_at(end + self.flight, waiter._resume, None)
+        time = end + self.flight
+        if time > sim.now:
+            # The wake-up is its own heap entry, as ``schedule_at``
+            # would push it.
+            self._handle = handle = EventHandle(time, waiter._resume, (None,), sim)
+            heappush(sim._heap, (time, next(sim._seq), handle))
+        else:
+            self._handle = sim.schedule_at(time, waiter._resume, None)
 
     def cancel(self, waiter: Any) -> None:
         self._handle.cancel()
@@ -180,8 +188,9 @@ class Lan:
             if verdict is not None:
                 deliver, extra_delay = verdict.deliver, verdict.delay
         packet.send_time = self.sim.now
-        yield _Wire(self, self.transmission_time(packet.size),
-                    self.params.net_latency + extra_delay)
+        params = self.params
+        yield _Wire(self, packet.size / params.net_bandwidth,
+                    params.net_latency + extra_delay)
         self.messages_sent += 1
         self.bytes_sent += packet.size
         if self.kind_bytes is not None:
@@ -272,8 +281,9 @@ class Lan:
             # Bulk data rides a retransmitting transport: loss shows up
             # as added delay, a partition as an unreachable peer.
             extra_delay = self.fabric.bulk(src, dst)
-        yield _Wire(self, self.transmission_time(nbytes),
-                    self.params.net_latency + extra_delay)
+        params = self.params
+        yield _Wire(self, nbytes / params.net_bandwidth,
+                    params.net_latency + extra_delay)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         if self.kind_bytes is not None:

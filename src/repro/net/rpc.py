@@ -29,16 +29,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ..config import ClusterParams
 from ..obs.spans import RPC_CALL, RPC_SERVE
-from ..sim import (
-    TIMED_OUT,
-    ChannelClosed,
-    Cpu,
-    Effect,
-    SimEvent,
-    Simulator,
-    Sleep,
-    spawn,
-)
+from ..sim import TIMED_OUT, Cpu, Effect, SimEvent, Simulator, Sleep, Task
+from ..sim.tasks import _Waiter
 from .errors import RetryLaterError, RpcError, RpcTimeout
 from .lan import HostDownError, Lan, NetNode, NetworkPartitionedError, Packet
 
@@ -122,6 +114,58 @@ class RpcStats:
         self.reply_bytes[service] = self.reply_bytes.get(service, 0) + nbytes
 
 
+class _Receiver(_Waiter):
+    """A port's receive loop: a waiter parked on its inbox's ``get``
+    effect, with no task around it.
+
+    It makes the ``defer`` calls of a daemon task looping on
+    ``inbox.get()``, in that task's order, so the schedule cannot tell
+    the two apart: its start is one deferred event, as a task's first
+    resume is; each packet it is handed is dispatched (a handler task
+    spawned, a checksum drop counted, the fallback called) before it
+    parks again; and a closed inbox ends it.  ``name`` is such a task's,
+    for the engine profiler.  It is not counted in ``sim.live_tasks``.
+    """
+
+    __slots__ = ("port", "sim", "name", "_get")
+
+    def __init__(self, port: "RpcPort"):
+        self.port = port
+        self.sim = port.sim
+        self.name = f"rpc-server:{port.node.name}"
+        self._get = port.node.inbox.get()
+        self.sim.defer(self._listen)
+
+    def _listen(self) -> None:
+        self._get.bind(self)
+
+    def _resume(self, packet: Packet) -> None:
+        port = self.port
+        if packet.corrupt:
+            # The kernel verifies the payload checksum before dispatch;
+            # a damaged packet is counted and discarded (the sender
+            # retries by timeout).
+            port.checksum_failures += 1
+            if port.tracer.enabled:
+                port.tracer.emit(
+                    self.sim.now, f"rpc:{port.node.name}",
+                    "checksum-drop", src=packet.src, msg=packet.kind,
+                )
+        elif packet.kind == "rpc-request" and isinstance(packet.payload, _Request):
+            request = packet.payload
+            name = port._handler_names.get(request.service)
+            if name is None:
+                name = f"rpc:{request.service}@{port.node.name}"
+                port._handler_names[request.service] = name
+            Task(self.sim, port._handle(request), name, True)
+        elif port.fallback is not None:
+            port.fallback(packet)
+        self._get.bind(self)
+
+    def _throw(self, exc: BaseException) -> None:
+        pass  # the inbox closed (ChannelClosed): stop receiving
+
+
 class RpcPort:
     """One host's RPC endpoint: server dispatch plus client calls."""
 
@@ -167,9 +211,9 @@ class RpcPort:
         self.stats: Optional[RpcStats] = None
         #: Lazily-seeded RNG for retry jitter (deterministic per port).
         self._backoff_rng = None
-        self._server_task = spawn(
-            sim, self._serve, name=f"rpc-server:{node.name}", daemon=True
-        )
+        #: Handler task names, per service.
+        self._handler_names: Dict[str, str] = {}
+        _Receiver(self)
 
     # ------------------------------------------------------------------
     # Server side
@@ -190,33 +234,6 @@ class RpcPort:
             self._idempotent.add(service)
         else:
             self._idempotent.discard(service)
-
-    def _serve(self) -> Generator[Effect, None, None]:
-        while True:
-            try:
-                packet = yield self.node.inbox.get()
-            except ChannelClosed:
-                return
-            if packet.corrupt:
-                # The kernel verifies the payload checksum before
-                # dispatch; a damaged packet is counted and discarded
-                # (the sender retries by timeout).
-                self.checksum_failures += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        self.sim.now, f"rpc:{self.node.name}",
-                        "checksum-drop", src=packet.src, msg=packet.kind,
-                    )
-                continue
-            if packet.kind == "rpc-request" and isinstance(packet.payload, _Request):
-                spawn(
-                    self.sim,
-                    self._handle(packet.payload),
-                    name=f"rpc:{packet.payload.service}@{self.node.name}",
-                    daemon=True,
-                )
-            elif self.fallback is not None:
-                self.fallback(packet)
 
     def _handle(self, request: _Request) -> Generator[Effect, None, None]:
         # Exactly-once: a duplicate of a known request never reaches the
@@ -424,22 +441,12 @@ class RpcPort:
         last_error: Optional[BaseException] = None
         for _attempt in range(attempts):
             reply_event = SimEvent(self.sim, _REPLY)
+            # Positional: keywords cost more to bind, once per attempt.
             request = _Request(
-                service=service,
-                args=args,
-                reply_event=reply_event,
-                reply_to=self.node.address,
-                reply_size_hint=reply_size,
-                caller_sid=span.sid if span is not None else None,
-                req_id=req_id,
+                service, args, reply_event, self.node.address, reply_size,
+                span.sid if span is not None else None, req_id,
             )
-            packet = Packet(
-                src=self.node.address,
-                dst=dst,
-                kind="rpc-request",
-                payload=request,
-                size=size,
-            )
+            packet = Packet(self.node.address, dst, "rpc-request", request, size)
             self.calls_made += 1
             if self.stats is not None:
                 self.stats.on_call(service, size)

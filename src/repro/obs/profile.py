@@ -8,7 +8,8 @@ partitioning makes sense.  :class:`EngineProfiler` hooks the
 attributes every dispatched event three ways:
 
 * **event kind** — the callback's qualified name (``Task._resume``,
-  ``Channel._deliver``, …): what the engine is mechanically doing;
+  ``_Core._expire``, ``_Receiver._resume`` — a port's receive loop —
+  …): what the engine is mechanically doing;
 * **task source** — the ``name`` of the bound object the callback
   belongs to, when it has one (``rpc-server:ws3``, ``kernel:ws0``):
   which component asked for it;

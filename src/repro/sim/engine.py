@@ -107,8 +107,11 @@ class EventHandle:
         self.args = ()
         sim = self.sim
         if sim is not None:
+            # Count the corpse; compact when the heap is mostly dead.
             self.sim = None
-            sim._heap_handle_cancelled()
+            sim._heap_cancelled += 1
+            if sim._heap_cancelled * 2 > len(sim._heap) >= _COMPACT_MIN:
+                sim._compact()
 
 
 class _ReadyHandle(EventHandle):
@@ -385,13 +388,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _heap_handle_cancelled(self) -> None:
-        """Heap-handle cancel hook: count the corpse, compact when mostly dead."""
-        self._heap_cancelled += 1
-        heap = self._heap
-        if len(heap) >= _COMPACT_MIN and self._heap_cancelled * 2 > len(heap):
-            self._compact()
-
     def _compact(self) -> None:
         """Rebuild the heap without cancelled corpses.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from math import ulp
 from typing import Any, Callable, Deque, Generator, List, Optional
 
@@ -224,12 +225,14 @@ class Cpu:
         """Charge ``demand`` CPU-seconds, sharing the core fairly."""
         if demand < 0:
             raise ValueError(f"negative CPU demand: {demand}")
-        self.sync()  # the rotation's quanta so far precede this charge
+        core = self.core
+        if core.run is not None:
+            # ``sync``: the rotation's quanta so far precede this charge.
+            core.settle(self.sim.now)
         self.total_demand += demand
         remaining = demand / self.speed
         self.runnable += 1
         try:
-            core = self.core
             while remaining > 1e-12:
                 slice_len = min(self.quantum, remaining)
                 yield _CoreHold(core, slice_len)
@@ -442,7 +445,36 @@ class _Core(Resource):
             if self.run is not None:
                 self._replan()
         else:
-            self.in_use = 0  # every lone Cpu.consume slice ends here
+            self.in_use = 0
+
+    def _expire(self, hold: "_Hold") -> None:
+        queue = self._queue
+        if (self.run is not None or self.in_use != 1
+                or queue and queue[0].__class__ is SliceRun):
+            super()._expire(hold)
+            return
+        # ``release`` by a foreign holder, inline, when the core goes
+        # idle or to another foreign hold: every ``Cpu.consume`` slice
+        # ends here.
+        hold._handle = None
+        sim = self.sim
+        now = sim.now
+        self.busy_time += now - self._last_change  # ``_account``, one unit
+        self._last_change = now
+        if not queue:
+            self.in_use = 0
+        else:
+            head = queue.popleft()
+            duration = head.duration
+            if duration > 0.0:
+                time = now + duration
+                head._handle = handle = EventHandle(
+                    time, self._expire, (head,), sim
+                )
+                heappush(sim._heap, (time, next(sim._seq), handle))
+            else:
+                head._handle = sim.schedule(duration, self._expire, head)
+        hold._waiter._resume(None)
 
     def _withdraw(self, hold: "_Hold") -> None:
         if self.run is None:
@@ -791,9 +823,21 @@ class _CoreHold(_Hold):
         if core.run is not None:
             core.settle(core.sim.now)  # the rotation so far precedes us
         if core.in_use < 1 and not core._queue:
-            core._account()
+            # ``_account``, ``schedule`` and the grant, inline: an idle
+            # core adds no busy time, and a positive hold is its own
+            # heap entry, as ``schedule`` would push it.
+            sim = core.sim
+            now = core._last_change = sim.now
             core.in_use = 1
-            self._handle = core.sim.schedule(self.duration, core._expire, self)
+            duration = self.duration
+            if duration > 0.0:
+                time = now + duration
+                self._handle = handle = EventHandle(
+                    time, core._expire, (self,), sim
+                )
+                heappush(sim._heap, (time, next(sim._seq), handle))
+            else:
+                self._handle = sim.schedule(duration, core._expire, self)
         else:
             core._queue.append(self)
             if core.run is not None:

@@ -31,6 +31,7 @@ resumes the holder), a message on the ``Lan``, and the timeout arm of
 from __future__ import annotations
 
 import inspect
+from heapq import heappush
 from typing import Any, Callable, Generator, List, Optional
 
 from .engine import EventHandle, Simulator
@@ -226,7 +227,14 @@ class _TimedWait(Effect, _Waiter):
             sim.defer(self._throw, event._exc)
         else:
             sim.defer(self._resume, event._value)
-        self._handle = sim.schedule(self.timeout, self._timed_out)
+        if self.timeout > 0.0:
+            # The deadline is its own heap entry, as ``schedule`` would
+            # push it.
+            time = sim.now + self.timeout
+            self._handle = handle = EventHandle(time, self._timed_out, (), sim)
+            heappush(sim._heap, (time, next(sim._seq), handle))
+        else:
+            self._handle = sim.schedule(self.timeout, self._timed_out)
 
     def _resume(self, value: Any) -> None:
         waiter = self._waiter
@@ -374,9 +382,35 @@ class Task(_Waiter):
         self._pending = None
         if self._interrupt_pending is not None:
             exc, self._interrupt_pending = self._interrupt_pending, None
-            self._step(exc=exc)
+            self._step(exc)
+            return
+        # The generator step and ``_park``, inline: this is the hottest
+        # call of a run.
+        try:
+            effect = self._gen.send(value)
+        except BaseException as stop:  # noqa: BLE001 - must capture task failure
+            self._finish(stop)
+            return
+        if effect.__class__ is Sleep:
+            self._pending = effect
+            sim = self.sim
+            if effect.delay == 0.0:
+                sim._ready.append(
+                    (sim.now, next(sim._seq), None, self._sleep_fire, (effect,))
+                )
+            else:
+                time = sim.now + effect.delay
+                effect._handle = handle = EventHandle(
+                    time, self._resume, (None,), sim
+                )
+                heappush(sim._heap, (time, next(sim._seq), handle))
+        elif isinstance(effect, Effect):
+            self._pending = effect
+            effect.bind(self)
         else:
-            self._step(value=value)
+            self._finish(TypeError(
+                f"task {self.name!r} yielded {effect!r}, not an Effect"
+            ))
 
     def _throw(self, exc: BaseException) -> None:
         if self.done:
@@ -388,89 +422,78 @@ class Task(_Waiter):
             # armed a new wait.  Disarm it, or its stale wake-up would
             # later resume the task out of some unrelated wait.
             pending.cancel(self)
-        self._step(exc=exc)
+        self._step(exc)
 
     def _sleep_fire(self, effect: "Sleep") -> None:
-        # Wakeup target for the inline Sleep(0) path in _step: a merged
-        # Sleep._fire + Task._resume with one less call per resume.
-        if effect._cancelled or self.done:
-            return
-        self._pending = None
-        if self._interrupt_pending is not None:
-            exc, self._interrupt_pending = self._interrupt_pending, None
-            self._step(exc=exc)
-        else:
-            self._step(None)
+        # Wake-up target of the inline ``Sleep(0)``: the task is the
+        # bound object, so the engine profiler names it as the source.
+        if not effect._cancelled:
+            self._resume(None)
 
     # -- execution ---------------------------------------------------------
-    def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+    def _step(self, exc: BaseException) -> None:
+        """Throw ``exc`` into the generator and park on what it yields."""
         try:
-            if exc is not None:
-                effect = self._gen.throw(exc)
-            else:
-                effect = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(result=stop.value)
-        except Interrupted as interrupted:
-            # An uncaught interrupt is a normal way to kill a task.
-            self._finish(interrupt=interrupted)
-        except BaseException as error:  # noqa: BLE001 - must capture task failure
-            self._finish(error=error)
-        else:
-            # Sleep is by far the most-yielded effect; binding it inline
+            effect = self._gen.throw(exc)
+        except BaseException as stop:  # noqa: BLE001 - must capture task failure
+            self._finish(stop)
+            return
+        self._park(effect)
+
+    def _park(self, effect: Any) -> None:
+        """Wait on ``effect``, the generator's latest yield."""
+        if effect.__class__ is Sleep:
+            # Sleep is by far the most-yielded effect; binding it here
             # (rather than through Effect.bind) keeps the resume loop to
-            # a minimum of Python calls.
-            if effect.__class__ is Sleep:
-                self._pending = effect
-                sim = self.sim
-                if effect.delay == 0.0:
-                    sim._ready.append(
-                        (sim.now, next(sim._seq), None, self._sleep_fire, (effect,))
-                    )
-                else:
-                    effect._handle = sim.schedule(
-                        effect.delay, self._resume, None
-                    )
-                return
-            if not isinstance(effect, Effect):
-                self._finish(
-                    error=TypeError(
-                        f"task {self.name!r} yielded {effect!r}, not an Effect"
-                    )
+            # a minimum of Python calls.  A timed sleep pushes its own
+            # heap entry, as ``sim.schedule`` would.
+            self._pending = effect
+            sim = self.sim
+            if effect.delay == 0.0:
+                sim._ready.append(
+                    (sim.now, next(sim._seq), None, self._sleep_fire, (effect,))
                 )
-                return
+            else:
+                time = sim.now + effect.delay
+                effect._handle = handle = EventHandle(
+                    time, self._resume, (None,), sim
+                )
+                heappush(sim._heap, (time, next(sim._seq), handle))
+        elif isinstance(effect, Effect):
             self._pending = effect
             effect.bind(self)
+        else:
+            self._finish(TypeError(
+                f"task {self.name!r} yielded {effect!r}, not an Effect"
+            ))
 
-    def _finish(
-        self,
-        result: Any = None,
-        error: Optional[BaseException] = None,
-        interrupt: Optional[Interrupted] = None,
-    ) -> None:
+    def _finish(self, stop: BaseException) -> None:
+        """The generator is done: ``stop`` is its ``StopIteration``, an
+        uncaught :class:`Interrupted` (a normal way to kill a task) or
+        the error it failed with."""
         self.done = True
         self.sim.live_tasks -= 1
         self._gen.close()
-        if interrupt is not None:
+        if isinstance(stop, Interrupted):
             # Dying from an interrupt is not a failure; joiners see the
             # interrupt cause as the result.
-            self.result = interrupt.cause
+            self.result = stop.cause
             joiners, self._joiners = self._joiners, []
             for joiner in joiners:
                 self.sim.defer(joiner._resume, self.result)
             return
-        self.exception = error
-        self.result = result
         joiners, self._joiners = self._joiners, []
-        if error is not None:
+        if not isinstance(stop, StopIteration):
+            self.exception = stop
             if joiners:
                 for joiner in joiners:
-                    self.sim.defer(joiner._throw, TaskFailed(self.name, error))
+                    self.sim.defer(joiner._throw, TaskFailed(self.name, stop))
             elif not self.daemon:
-                self.sim.failures.append(error)
-        else:
-            for joiner in joiners:
-                self.sim.defer(joiner._resume, result)
+                self.sim.failures.append(stop)
+            return
+        self.result = result = stop.value
+        for joiner in joiners:
+            self.sim.defer(joiner._resume, result)
 
     # -- public API ----------------------------------------------------
     def join(self) -> Effect:
@@ -516,7 +539,7 @@ class Task(_Waiter):
         if pending is not None:
             pending.cancel(self)
         self._interrupt_pending = None
-        self._finish(interrupt=Interrupted(cause))
+        self._finish(Interrupted(cause))
         return True
 
 

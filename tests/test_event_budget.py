@@ -117,7 +117,7 @@ def _two_ports(sim):
         yield
 
     ports[1].register("null", null)
-    sim.run_until_idle()  # the two server tasks park on their inboxes
+    sim.run_until_idle()  # the two ports' receive loops park on their inboxes
     return lan, ports
 
 
@@ -131,8 +131,9 @@ def _events_of(sim, gen):
 
 def test_null_rpc_event_budget():
     """One null RPC between two idle hosts: the client's CPU charge,
-    the request on the wire, the server's receive, the handler task's
-    start, its CPU charge, the reply on the wire, the caller's resume.
+    the request on the wire, the server port's receive (a waiter parked
+    on its inbox, not a task), the handler task's start, its CPU charge,
+    the reply on the wire, the caller's resume.
     It was 13 when every grant was an event, every message two sleeps
     and the reply a deferred proxy; the simulated time is the same."""
     sim = Simulator()
@@ -154,5 +155,5 @@ def test_uncontended_consume_and_message_are_one_event_each():
     a, b = client.node.address, server.node.address
     assert _events_of(sim, client.cpu.consume(client.cpu.quantum / 4)) == 1
     assert _events_of(sim, lan.transfer(a, b, 4096)) == 1
-    # ... plus the server task's receive of a packet that is no request.
+    # ... plus the server port's receive of a packet that is no request.
     assert _events_of(sim, lan.send(Packet(a, b, "data", None, 256))) == 2

@@ -1,8 +1,10 @@
 """Unit tests for the client block cache."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fs import BlockCache
 
@@ -159,3 +161,58 @@ def test_dirty_blocks_does_not_scan_for_a_clean_file():
     assert cache.take_dirty("/a") == []
     cache.clean(scanned)
     assert cache.dirty_blocks() == []
+
+
+# ----------------------------------------------------------------------
+# The per-path dirty counts against a full scan
+# ----------------------------------------------------------------------
+_PATHS = ("/a", "/b", "/c")
+_path = st.sampled_from(_PATHS)
+_cache_op = st.one_of(
+    # install: path, first block, blocks, dirty (evicts when it overflows)
+    st.tuples(st.just("install"), _path, st.integers(0, 5),
+              st.integers(1, 4), st.booleans()),
+    # clean the blocks handed out so far, from this index on
+    st.tuples(st.just("clean"), st.integers(0, 8)),
+    st.tuples(st.just("take_dirty"), _path),
+    st.tuples(st.just("drop_file"), _path),
+    st.tuples(st.just("drop_all")),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.lists(_cache_op, max_size=40))
+@example(2, [("install", "/a", 0, 2, True), ("install", "/b", 0, 1, False),
+             ("clean", 0), ("install", "/a", 0, 1, True)])
+@example(3, [("install", "/a", 0, 3, True), ("take_dirty", "/a"),
+             ("install", "/a", 1, 1, True), ("drop_file", "/a"),
+             ("clean", 0), ("install", "/b", 0, 4, True), ("drop_all",)])
+def test_dirty_counts_equal_a_full_scan(capacity, operations):
+    """After any sequence of installs (evicting ones among them),
+    cleans of blocks handed out earlier (evicted, taken, or already
+    stale), ``take_dirty``, ``drop_file`` and ``drop_all``, the per-path
+    dirty counts are what a walk of the whole LRU counts, and so is
+    ``dirty_bytes``."""
+    block = 4096
+    cache = BlockCache(capacity_blocks=capacity, block_size=block)
+    handed_out = []
+    for step, (kind, *args) in enumerate(operations):
+        if kind == "install":
+            path, first, blocks, dirty = args
+            handed_out += cache.install_range(
+                path, 1, first * block, blocks * block, dirty=dirty,
+                now=float(step),
+            )
+        elif kind == "clean":
+            cache.clean(handed_out[args[0]:])
+        elif kind == "take_dirty":
+            handed_out += cache.take_dirty(args[0])
+        elif kind == "drop_file":
+            cache.drop_file(args[0])
+        else:
+            cache.drop_all()
+        scan = Counter(b.path for b in cache._blocks.values() if b.dirty)
+        assert cache._dirty == dict(scan)
+        for path in _PATHS:
+            assert cache.dirty_bytes(path) == scan[path] * block
+        assert cache.dirty_bytes() == sum(scan.values()) * block

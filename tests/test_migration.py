@@ -617,15 +617,20 @@ def _owner_returns(daemon_cls):
     from repro.sim import spawn
 
     resumes = Counter()
-    step = Task._step
 
-    def counted(task, *args, **kwargs):
-        if task.name.startswith("evictiond:"):
-            resumes[task.name] += 1
-        return step(task, *args, **kwargs)
+    def counting(entry):
+        # A task's generator runs once per call of either entry point
+        # that finds the task not done (``_sleep_fire`` goes through
+        # ``_resume``).
+        def counted(task, *args):
+            if not task.done and task.name.startswith("evictiond:"):
+                resumes[task.name] += 1
+            return entry(task, *args)
+        return counted
 
     with mock.patch.object(cluster_module, "EvictionDaemon", daemon_cls), \
-            mock.patch.object(Task, "_step", counted):
+            mock.patch.object(Task, "_resume", counting(Task._resume)), \
+            mock.patch.object(Task, "_throw", counting(Task._throw)):
         cluster = SpriteCluster(workstations=3, start_daemons=True, trace=True)
         a, b = cluster.hosts[0], cluster.hosts[1]
 

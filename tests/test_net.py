@@ -1,10 +1,13 @@
 """Unit tests for the LAN model and RPC layer."""
 
+from unittest import mock
+
 import pytest
 
 from repro.config import ClusterParams
 from repro.net import HostDownError, Lan, NetNode, Packet, Reply, RpcPort, RpcTimeout
-from repro.sim import Cpu, Simulator, Sleep, spawn
+from repro.net import rpc as rpc_module
+from repro.sim import ChannelClosed, Cpu, Simulator, Sleep, spawn
 
 
 def make_lan(sim, **overrides):
@@ -523,3 +526,155 @@ def test_retry_backoff_survives_unbounded_attempt_counts():
     assert port.retry_backoff(0) == lan.params.rpc_backoff_base
     assert port.retry_backoff(5000) == cap
     assert port.retry_backoff(1023) == port.retry_backoff(1024) == cap
+
+
+# ----------------------------------------------------------------------
+# The receive waiter against the receive task it replaced
+# ----------------------------------------------------------------------
+class _TaskServedPort(RpcPort):
+    """The reference: a port whose receive loop is a daemon task parked
+    on the inbox, not a waiter."""
+
+    def __init__(self, *args, **kwargs):
+        with mock.patch.object(rpc_module, "_Receiver", lambda port: None):
+            super().__init__(*args, **kwargs)
+        spawn(self.sim, self._serve, name=f"rpc-server:{self.node.name}",
+              daemon=True)
+
+    def _serve(self):
+        while True:
+            try:
+                packet = yield self.node.inbox.get()
+            except ChannelClosed:
+                return
+            if packet.corrupt:
+                self.checksum_failures += 1
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        self.sim.now, f"rpc:{self.node.name}",
+                        "checksum-drop", src=packet.src, msg=packet.kind,
+                    )
+                continue
+            if (packet.kind == "rpc-request"
+                    and isinstance(packet.payload, rpc_module._Request)):
+                spawn(
+                    self.sim,
+                    self._handle(packet.payload),
+                    name=f"rpc:{packet.payload.service}@{self.node.name}",
+                    daemon=True,
+                )
+            elif self.fallback is not None:
+                self.fallback(packet)
+
+
+def _receive_outcome(port_cls, scenario):
+    """Five clients call one server at the same instant, just after a
+    stray packet for the port's fallback reaches it, so the requests
+    wait in its inbox while the stray is dispatched.  Returns what an
+    observer sees of the run."""
+    from repro.faults import LinkFabric, trace_fingerprint
+    from repro.obs.profile import EngineProfiler
+    from repro.sim import Tracer
+
+    sim = Simulator()
+    profiler = EngineProfiler().install(sim)
+    params = ClusterParams().clone(
+        net_shared_medium=False, rpc_timeout=0.05,
+        net_inbox_capacity=2 if scenario == "overflow" else 0,
+    )
+    lan = Lan(sim, params=params, tracer=Tracer(enabled=True))
+    server_node = make_node(sim, lan, "server")
+    # No CPU on the server port: a handler runs at its task's start,
+    # where it notes the next sequence number, so a receive loop that
+    # deferred anything in another order would show.
+    server = port_cls(sim, lan, server_node)
+    server_cpu = Cpu(sim, name="server-cpu")
+    starts = []
+    clients = []
+    for i in range(5):
+        node = make_node(sim, lan, f"client{i}")
+        clients.append(port_cls(sim, lan, node, cpu=Cpu(sim, name=f"cpu{i}")))
+    if scenario == "corrupt":
+        fabric = LinkFabric(rng=_ScriptedRng([0.0, 0.9]))
+        fabric.set_link(clients[2].node.address, server_node.address,
+                        corrupt=0.5)
+        lan.fabric = fabric
+    seen = []
+
+    def fallback(packet):
+        seen.append((sim.now, packet.payload, len(server_node.inbox)))
+        if scenario == "crash":
+            # The host crashes with the five requests in its inbox: they
+            # are lost with it, and it is back 0.2 s later.
+            server_node.up = False
+            while server_node.inbox.try_get()[0]:
+                pass
+            spawn(sim, reboot(), name="reboot")
+
+    def reboot():
+        yield Sleep(0.2)
+        server_node.up = True
+
+    server.fallback = fallback
+
+    def echo(args):
+        starts.append((args, sim.now, repr(sim._seq)))
+        yield from server_cpu.consume(0.001)
+        return ("echo", args, sim.now)
+
+    server.register("echo", echo)
+
+    def stray():
+        # Charged like a call, so it is on the wire with the requests,
+        # and ahead of them.
+        yield from Cpu(sim, name="stray-cpu").consume(params.rpc_cpu_overhead)
+        yield from lan.send(Packet(clients[0].node.address,
+                                   server_node.address, "stray", "hi", 256))
+
+    def caller(port, i):
+        try:
+            return (yield from port.call(server_node.address, "echo", i))
+        except RpcTimeout as err:
+            return ("timeout", str(err))
+
+    spawn(sim, stray())
+    tasks = [spawn(sim, caller(port, i)) for i, port in enumerate(clients)]
+    sim.run_until_idle()
+    if scenario == "closed":
+        # The receiver is parked on an empty inbox when it closes.
+        server_node.inbox.close()
+        sim.run_until_idle()
+    return {
+        "trace": trace_fingerprint(lan.tracer),
+        "replies": [task.result for task in tasks],
+        "fallback": seen,
+        "starts": starts,
+        "events": sim.events_fired,
+        "sources": profiler.by_source,
+        "served": server.calls_served,
+        "checksum": server.checksum_failures,
+        "overflows": lan.inbox_overflows,
+        "now": sim.now,
+    }
+
+
+@pytest.mark.parametrize("scenario", ["burst", "corrupt", "overflow",
+                                      "crash", "closed"])
+def test_receive_waiter_is_exact_against_the_receive_task(scenario):
+    """A port's receive loop parked on its inbox makes the task's
+    ``defer`` calls in the task's order: the same trace, replies,
+    fallback calls, event count and per-source event counts as the
+    task it replaced."""
+    waiter = _receive_outcome(RpcPort, scenario)
+    task = _receive_outcome(_TaskServedPort, scenario)
+    assert waiter == task
+    # Each scenario did what it says.
+    (_t, _payload, buffered), = waiter["fallback"]
+    assert buffered == (2 if scenario == "overflow" else 5)
+    assert waiter["served"] == 5
+    assert waiter["checksum"] == (scenario == "corrupt")
+    assert waiter["overflows"] == (3 if scenario == "overflow" else 0)
+    late = [reply[2] > 0.05 for reply in waiter["replies"]]
+    assert late == {"corrupt": [False, False, True, False, False],
+                    "overflow": [False, False, True, True, True],
+                    "crash": [True] * 5}.get(scenario, [False] * 5)
