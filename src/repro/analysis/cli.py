@@ -13,7 +13,7 @@ import json
 import pathlib
 import sys
 
-from .core import Tree, all_rules, default_src_root, run_lint
+from .core import Tree, all_rules, collector_paused, default_src_root, run_lint
 
 __all__ = ["add_arguments", "cmd_lint"]
 
@@ -107,21 +107,24 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace, src_root: pathlib.Path) -> int:
-    """``lint --graph``: call-graph dump, or the dead-code gate."""
-    graph = Tree.load(src_root).callgraph()
-    if args.json:
-        print(json.dumps(graph.to_dict(), indent=2))
-        return 0
-    # Fixture trees (--path) never consult the repository's kept list.
-    kept = (
-        json.loads(KEPT_PATH.read_text())["unreferenced"]
-        if args.path is None else {}
-    )
-    print(graph.render_report(kept))
-    unkept = [fn for fn in graph.unreferenced() if fn.ident not in kept]
-    if unkept:
-        print(
-            f"\n{len(unkept)} unreferenced function(s) not kept: delete, "
-            f"give a caller, or add to {KEPT_PATH.name} with a reason."
+    """``lint --graph``: call-graph dump, or the dead-code gate.  The
+    caller trees load here too, so the collector is paused as for a
+    lint (:func:`~repro.analysis.core.collector_paused`)."""
+    with collector_paused():
+        graph = Tree.load(src_root).callgraph()
+        if args.json:
+            print(json.dumps(graph.to_dict(), indent=2))
+            return 0
+        # Fixture trees (--path) never consult the repository's kept list.
+        kept = (
+            json.loads(KEPT_PATH.read_text())["unreferenced"]
+            if args.path is None else {}
         )
-    return 1 if unkept else 0
+        print(graph.render_report(kept))
+        unkept = [fn for fn in graph.unreferenced() if fn.ident not in kept]
+        if unkept:
+            print(
+                f"\n{len(unkept)} unreferenced function(s) not kept: delete, "
+                f"give a caller, or add to {KEPT_PATH.name} with a reason."
+            )
+        return 1 if unkept else 0

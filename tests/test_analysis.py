@@ -9,6 +9,8 @@ file:line finding.
 from __future__ import annotations
 
 import ast
+import contextlib
+import gc
 import json
 import pathlib
 import shutil
@@ -16,7 +18,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis import run_lint
+from repro.analysis import cli as analysis_cli
+from repro.analysis import core, run_lint
 from repro.analysis.core import AstIndex, Tree
 from repro.cli import main as cli_main
 
@@ -1868,3 +1871,115 @@ def test_cli_lint_graph_json_and_dot(tmp_path, capsys):
     with pytest.raises(SystemExit) as usage:
         cli_main(["lint", "--path", str(root), "--graph", "--dot"])
     assert usage.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# the collector is paused for a lint
+# ----------------------------------------------------------------------
+_PAUSE_FIXTURE = {
+    "mod.py": """\
+    import random
+    import time
+
+    _seen = {}
+
+
+    def stamp():
+        return time.time()
+
+
+    def roll():
+        return random.random()
+
+
+    def unused():
+        return 2
+
+
+    def client(rpc, dst):
+        return (yield from rpc.call(dst, "svc.missing", None))
+    """,
+}
+
+
+def _lint_outputs(root, capsys):
+    result = run_lint(root)
+    code = cli_main(["lint", "--path", str(root), "--graph", "--json"])
+    assert code == 0
+    return result.findings, result.suppressed, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_lint_and_graph_leave_the_collector_as_found(tmp_path, capsys, enabled):
+    root = make_tree(tmp_path, _PAUSE_FIXTURE)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        run_lint(root)
+        assert gc.isenabled() is enabled
+        cli_main(["lint", "--path", str(root), "--graph"])
+        assert gc.isenabled() is enabled
+        cli_main(["lint", "--path", str(root), "--graph", "--json"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+class _RaisingRule(core.Rule):
+    id = "test-raises"
+    description = "records whether the collector runs, then raises"
+
+    def __init__(self):
+        self.seen = []
+
+    def check(self, tree):
+        self.seen.append(gc.isenabled())
+        raise RuntimeError("rule failed")
+
+
+def test_a_raising_rule_or_graph_restores_the_collector(tmp_path, monkeypatch):
+    root = make_tree(tmp_path, _PAUSE_FIXTURE)
+    rule = _RaisingRule()
+    monkeypatch.setitem(core._REGISTRY, rule.id, rule)
+
+    def raising_callgraph(tree):
+        rule.seen.append(gc.isenabled())
+        raise RuntimeError("graph failed")
+
+    monkeypatch.setattr(core.Tree, "callgraph", raising_callgraph)
+    was = gc.isenabled()
+    try:
+        gc.enable()
+        with pytest.raises(RuntimeError, match="rule failed"):
+            run_lint(root, rule_ids=[rule.id])
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="graph failed"):
+            cli_main(["lint", "--path", str(root), "--graph"])
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert rule.seen == [False, False]   # paused while they ran
+
+
+def test_pausing_the_collector_changes_no_output(tmp_path, capsys, monkeypatch):
+    root = make_tree(tmp_path, _PAUSE_FIXTURE)
+    paused = _lint_outputs(root, capsys)
+    assert {finding.rule for finding in paused[0]} == {
+        "determinism-global-random", "determinism-wallclock",
+        "rpc-unregistered-service", "state-module-mutable",
+    }
+    assert "mod.py::unused" in paused[2]["unreferenced"]
+
+    @contextlib.contextmanager
+    def running():
+        yield
+
+    monkeypatch.setattr(core, "collector_paused", running)
+    monkeypatch.setattr(analysis_cli, "collector_paused", running)
+    threshold = gc.get_threshold()
+    gc.set_threshold(50)        # collections do fall during this run
+    try:
+        assert _lint_outputs(root, capsys) == paused
+    finally:
+        gc.set_threshold(*threshold)
