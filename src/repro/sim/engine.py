@@ -43,10 +43,15 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple,
+)
 
 from .errors import SimulationDeadlock
 from .state import StateRegistry
+
+if TYPE_CHECKING:
+    from .tasks import Task
 
 __all__ = ["Simulator", "EventHandle", "Ticker"]
 
@@ -57,6 +62,9 @@ _COMPACT_MIN = 64
 
 #: ``until`` of a run with no time bound.
 _FOREVER = float("inf")
+
+#: A deadlock report names this many blocked tasks, the oldest first.
+_NAMED_BLOCKED = 5
 
 
 def _noop(*_args: Any) -> None:
@@ -150,7 +158,7 @@ class Simulator:
         "events_fired",
         "heap_compactions",
         "failures",
-        "live_tasks",
+        "_tasks",
         "state",
         "profiler",
     )
@@ -177,9 +185,12 @@ class Simulator:
         #: re-raised by :meth:`run` so failures never pass silently.
         #: Mutated in place (never rebound): the event loop aliases it.
         self.failures: List[BaseException] = []
-        #: Number of live (unfinished) tasks; maintained by tasks.py so
-        #: that :meth:`run` can detect deadlock.
-        self.live_tasks: int = 0
+        #: Every unfinished task, in spawn order: a ``Task`` joins in its
+        #: constructor and leaves when it finishes.  Holding them means a
+        #: task parked on a wake-up that never comes is never cyclic
+        #: garbage, so no collection closes its generator (running its
+        #: ``finally`` blocks) at whatever instant it happens to fall.
+        self._tasks: Dict["Task", None] = {}
         #: Run-scoped mutable state (id allocators etc.); see
         #: :mod:`repro.sim.state`.
         self.state = StateRegistry()
@@ -358,9 +369,15 @@ class Simulator:
         """
         if until is None:
             self._dispatch()
-            if self.live_tasks > 0:
+            blocked = self._tasks
+            if blocked:
+                names = ", ".join(
+                    task.name for task in itertools.islice(blocked, _NAMED_BLOCKED)
+                )
+                more = len(blocked) - _NAMED_BLOCKED
                 raise SimulationDeadlock(
-                    f"event queue drained with {self.live_tasks} task(s) still blocked"
+                    f"event queue drained with {len(blocked)} task(s) still "
+                    f"blocked: {names}" + (f" and {more} more" if more > 0 else "")
                 )
         else:
             self._dispatch(until)
@@ -388,6 +405,11 @@ class Simulator:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
+    @property
+    def live_tasks(self) -> int:
+        """Number of unfinished tasks: the task registry's length."""
+        return len(self._tasks)
+
     def _compact(self) -> None:
         """Rebuild the heap without cancelled corpses.
 

@@ -335,7 +335,7 @@ class Task(_Waiter):
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self._interrupt_pending: Optional[Interrupted] = None
-        sim.live_tasks += 1
+        sim._tasks[self] = None
         sim.defer(self._resume, None)
 
     def __repr__(self) -> str:
@@ -472,7 +472,7 @@ class Task(_Waiter):
         uncaught :class:`Interrupted` (a normal way to kill a task) or
         the error it failed with."""
         self.done = True
-        self.sim.live_tasks -= 1
+        del self.sim._tasks[self]
         self._gen.close()
         if isinstance(stop, Interrupted):
             # Dying from an interrupt is not a failure; joiners see the

@@ -136,6 +136,26 @@ def test_deadlock_detection():
         sim.run()
 
 
+def test_deadlock_names_the_oldest_blocked_tasks():
+    sim = Simulator()
+
+    def stuck(sim):
+        yield SimEvent(sim, "never").wait()
+
+    def quick():
+        yield Sleep(1.0)
+
+    spawn(sim, quick(), name="quick")
+    for index in range(7):
+        spawn(sim, stuck(sim), name=f"stuck-{index}")
+    with pytest.raises(SimulationDeadlock) as raised:
+        sim.run()
+    assert str(raised.value) == (
+        "event queue drained with 7 task(s) still blocked: "
+        "stuck-0, stuck-1, stuck-2, stuck-3, stuck-4 and 2 more"
+    )
+
+
 def test_run_until_tolerates_blocked_tasks():
     sim = Simulator()
 
