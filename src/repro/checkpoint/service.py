@@ -22,7 +22,7 @@ dirtied since the last *full* image (differential deltas), so a
 restore reads exactly the base plus the newest intact delta.
 
 Mutual exclusion with migration is two-sided: a sweep skips a process
-holding a migration ticket, and ``MigrationMechanism._check_eligible``
+holding a migration ticket, and ``MigrationManager._check_eligible``
 refuses a process whose ``checkpoint_lock`` is set.
 
 A host crash mid-write surfaces as an ``RpcError`` from the backing

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from math import ulp
-from typing import Any, Callable, Deque, Generator, List, Optional
+from math import inf, ulp
+from sys import maxsize
+from typing import Any, Callable, Deque, Generator, Optional
 
 from .engine import EventHandle, Simulator
 from .tasks import Effect, _Waiter
@@ -285,14 +286,14 @@ class SliceRun(Effect):
     consumed nothing.
 
     ``account`` is the consumer's ledger: any object with a float
-    ``cpu_time`` attribute (a process control block).  ``on_slices(n,
-    consumed)``, if given, is told of every ``n`` consecutive slices of
-    ``consumed`` CPU-seconds each, in slice order.
+    ``cpu_time`` attribute (a process control block), no other run's.
+    ``on_slices(n, consumed)``, if given, is told of every ``n``
+    consecutive slices of ``consumed`` CPU-seconds each, in slice order.
     """
 
     __slots__ = (
-        "remaining", "cpu", "eager", "_account", "_on_slices", "_slices",
-        "_partial", "_waiter",
+        "remaining", "cpu", "eager", "_account", "_on_slices", "_partial",
+        "_waiter",
     )
 
     def __init__(
@@ -313,8 +314,6 @@ class SliceRun(Effect):
         self.eager = False
         self._account = account
         self._on_slices = on_slices
-        #: Whole quanta settled and not yet reported to ``on_slices``.
-        self._slices = 0
         self._partial = 0.0
         self._waiter: Optional[_Waiter] = None
 
@@ -353,38 +352,47 @@ class _Core(Resource):
 
     * **invariant:** any boundary *may* be materialised as an event and
       none *needs* to be unless a task must run there — a run's demand
-      is spent, a run is ``eager``, or a foreign hold reaches the head
-      of the queue.  The core arms **one** wake-up (:meth:`_plan`), at
-      the first such boundary or at most :attr:`_horizon` boundaries
-      ahead, whichever comes first;
+      is spent, an ``eager`` run ends its first quantum, or a foreign
+      hold reaches the head of the queue;
+    * **one walker:** :meth:`_walk` replays the rotation from the
+      published state, in rotation order, with the floats of the
+      recurrence per-quantum slicing runs (``t += min(quantum,
+      remaining / speed)``, addition by addition — never ``start + k *
+      quantum``, which differs in the last bit) and the same additions
+      into each run's ``remaining`` and ``account.cpu_time``, into
+      ``cpu.total_demand`` and into :attr:`busy_time`.  It publishes
+      nothing and stops at whichever comes first: a time limit, a
+      boundary-count limit, or the first boundary where a task must run;
     * :meth:`settle` is the only place slice accounting is published.
-      It replays the boundaries at or before ``now`` in rotation order
-      with the floats of the recurrence per-quantum slicing runs
-      (``t += min(quantum, remaining / speed)``, addition by addition —
-      never ``start + k * quantum``, which differs in the last bit) and
-      the same additions into each ``account.cpu_time``,
-      ``cpu.total_demand`` and :attr:`busy_time`, and reports every
-      run's slices to its ``on_slices``;
-    * **a lone stretch is replayed once:** when the holder is the whole
-      rotation and its demand is spent inside the horizon, the plan's
-      walk to that boundary carries the same additions and is kept
-      (``_kept``); the settle that reaches the wake-up publishes it
-      instead of replaying the quanta again — if the run, its account
-      and the core's published floats are still the very objects the
-      plan started from.  Any other settle, a reader's before the
-      wake-up included, walks;
+      It walks to ``now`` and publishes the end state — each run's
+      slices go to its ``on_slices`` — and, if the walk stopped where a
+      task must run, hands the core over at that boundary: the run to
+      :attr:`_due`, or the foreign hold at the head its grant.  Such a
+      boundary is never behind ``now``, because the wake-up is armed on
+      it, so one walk is all a settle needs;
+    * :meth:`_plan` walks at most :attr:`_horizon` boundaries and arms
+      the core's **one** wake-up on the end boundary.  It keeps the walk
+      (``_kept``), and the settle at that wake-up publishes it instead of
+      walking the same quanta again, if the core's published boundary,
+      ``total_demand`` and busy time are still the floats the walk
+      started from.  The runs' own numbers cannot have moved without
+      them: a settle that publishes moves the boundary and drops the
+      kept walk, every edit of the queue plans again, and the one write
+      from outside, :meth:`SliceRun.charge_partial`, moves
+      ``total_demand``.  Any other settle, a reader's before the wake-up
+      included, walks;
     * **whole rounds:** in a *closed* rotation (no eager run, no foreign
-      hold queued; a lone run is a rotation of one) :meth:`settle` and
-      :meth:`_plan` replay whole rounds that certainly end at or before
-      ``now`` (inside the horizon) in one step when there are at least
-      ``_JUMP_QUANTA`` quanta of them, and leave every run more than two
-      whole quanta above ``ample``: :func:`_repeat_add` gives each sum
-      exactly the float the additions one by one give.  A whole round
-      is a whole quantum, the same ``whole``, for every run in turn, so
-      after it each run is back in its place in the queue, and how the
-      round's additions interleave between runs changes no sum.  The
-      per-quantum loop still replays the last round or two, and stays
-      the only code that compares with ``now``, ``ample`` and ``1e-9``;
+      hold queued; a lone run is a rotation of one) the walker replays
+      whole rounds that certainly end inside both limits in one step
+      when there are at least ``_JUMP_QUANTA`` quanta of them, and
+      leaves every run more than two whole quanta above ``ample``:
+      :func:`_repeat_add` gives each sum exactly the float the additions
+      one by one give.  A whole round is a whole quantum, the same
+      ``whole``, for every run in turn, so after it each run is back in
+      its place in the queue, and how the round's additions interleave
+      between runs changes no sum.  The per-quantum loop still replays
+      the last round or two, and stays the only code that compares with
+      the time limit, ``ample`` and ``1e-9``;
     * whatever edits the queue settles first and re-plans after: a new
       run or foreign hold appends at the tail, an interrupted run
       leaves, a foreign holder releases.  Readers settle through
@@ -399,8 +407,8 @@ class _Core(Resource):
     The horizon doubles when a wake-up it bounded fires as planned and
     halves when an edit makes the core plan again before its wake-up
     fired, so an undisturbed stretch of ``n`` quanta costs about
-    ``log2(n)`` wake-ups.  Each plan or settle costs at most one round
-    jump, two :func:`_repeat_add` calls per run (O(1) per binade
+    ``log2(n)`` wake-ups, each walked once.  A walk costs at most one
+    round jump, two :func:`_repeat_add` calls per run (O(1) per binade
     crossed), plus the quanta too few to jump replayed one by one — not
     the quanta themselves.  The horizon belongs to the core, not to
     a run: a process that computes in many short stretches does not
@@ -425,12 +433,8 @@ class _Core(Resource):
         #: True while the wake-up resumes consumers: their edits are
         #: planned for once, after the last of them.
         self._firing = False
-        #: A lone run's walk to the boundary where its demand is spent,
-        #: kept by :meth:`_plan` for the settle that reaches it: ``(wake,
-        #: run, start, end, whole_quanta, tail)``, ``start`` and ``end``
-        #: being ``(remaining, cpu_time, total_demand, busy_time,
-        #: boundary)`` before and after it, ``tail`` the last, shorter
-        #: slice's charge (``None`` if the last slice was whole).
+        #: The armed wake-up's walk, kept by :meth:`_plan` for the settle
+        #: that reaches it (what :meth:`_walk` returned).
         self._kept: Optional[tuple] = None
 
     def hold(self, duration: float) -> Effect:
@@ -488,161 +492,169 @@ class _Core(Resource):
             self._replan()
 
     def settle(self, now: float) -> None:
-        """Replay every quantum boundary at or before ``now``."""
+        """Publish every quantum boundary at or before ``now``."""
         run = self.run
         if run is None:
             return
         cpu = self.cpu
         quantum = cpu.quantum
-        speed = cpu.speed
-        boundary = self._last_change
-        remaining = run.remaining
-        step = remaining / speed
-        if boundary + (step if step < quantum else quantum) > now:
+        step = run.remaining / cpu.speed
+        if self._last_change + (step if step < quantum else quantum) > now:
             return
-        whole = quantum * speed
-        kept = self._kept
-        if kept is not None and now >= kept[0]:
-            # The plan walked this run to the boundary where it is spent;
-            # publish that walk if nothing it started from has moved.
-            _, kept_run, start, end, quanta, tail = kept
-            account = run._account
-            if (kept_run is run and not run.eager and not self._queue
-                    and start[0] is remaining
-                    and start[1] is account.cpu_time
-                    and start[2] is cpu.total_demand
-                    and start[3] is self.busy_time
-                    and start[4] is boundary):
-                self._kept = None
-                (run.remaining, account.cpu_time, cpu.total_demand,
-                 self.busy_time, self._last_change) = end
-                self.run = None
-                self.in_use = 0
-                self._due.append(run)
-                if run._on_slices is not None:
-                    quanta += run._slices
-                    run._slices = 0
-                    if quanta:
-                        run._on_slices(quanta, whole)
-                    if tail is not None:
-                        run._on_slices(1, tail)
-                return
-        ample = 2.0 * whole  # demand for a whole quantum, without dividing
+        end = self._kept
+        self._kept = None
+        if (end is None or end[0] != now or end[10]
+                != (self._last_change, cpu.total_demand, self.busy_time)):
+            end = self._walk(now, maxsize)
+        # else the wake-up's own walk, from the very state it started from
+        (self._last_change, cpu.total_demand, self.busy_time, walked, runs,
+         rems, times, turn, stop, tail, _) = end
+        for index, run in enumerate(runs):
+            if index == walked:
+                break  # this run and those after it had no quantum
+            run.remaining = rems[index]
+            run._account.cpu_time = times[index]
+            report = run._on_slices
+            if report is not None:
+                # Boundary k of the walk (from 0) ended a slice of
+                # runs[k % len(runs)]; the tail, if any, is the last.
+                slices = len(range(index, walked - (tail is not None),
+                                   len(runs)))
+                if slices:
+                    report(slices, quantum * cpu.speed)
+                if tail is not None and index == turn:
+                    report(1, tail)
         queue = self._queue
+        if turn:
+            queue.appendleft(self.run)
+            queue.rotate(-turn)
+            self.run = queue.popleft()
+        if stop:
+            run = self.run
+            if run.remaining > 1e-9 and not run.eager:
+                queue.append(run)  # behind the foreign hold now at the head
+            else:
+                self._due.append(run)
+            self._hand_over()
+
+    def _walk(self, until: float, limit: int) -> tuple:
+        """Walk the rotation from the published state, publishing
+        nothing: to the last boundary at or before ``until``, to at most
+        ``limit`` boundaries, or to the first boundary where a task must
+        run (``stop``), whichever comes first.
+
+        Returns ``(boundary, total_demand, busy_time, walked, runs,
+        remaining, cpu_time, turn, stop, tail, start)``: the end boundary
+        and the core's floats there, how many boundaries were walked, the
+        runs whose turns are certain in rotation order (the holder
+        first) with their ``remaining`` and ``cpu_time`` at the end, the
+        index of the run that holds the core there (or whose quantum
+        ended there, if ``stop``), the charge of the last slice if it was
+        a demand's last, shorter one (``None`` otherwise), and the
+        published floats the walk started from.
+        """
+        # The runs whose turns are certain: up to a foreign hold (the
+        # boundary that gives it the core is real) or an eager run (the
+        # end of its first quantum is).  ``closed`` when neither is
+        # there and the rotation goes round.
+        run = self.run
+        runs = [run]
+        rems = [run.remaining]
+        times = [run._account.cpu_time]
+        closed = not run.eager
+        if closed:
+            for entry in self._queue:
+                if entry.__class__ is not SliceRun:
+                    closed = False
+                    break
+                runs.append(entry)
+                rems.append(entry.remaining)
+                times.append(entry._account.cpu_time)
+                if entry.eager:
+                    closed = False
+                    break
+        cpu = self.cpu
+        boundary = self._last_change
         demand = cpu.total_demand
         busy = self.busy_time
-        touched: List[SliceRun] = []  # runs with whole quanta to report
-        if now - boundary > _JUMP_QUANTA * quantum and not run.eager:
-            # Whole rounds of a closed rotation (no eager run, no foreign
-            # hold) in one step, ending a round or more before now and
-            # leaving every run more than two whole quanta above ample;
-            # the loop below replays the boundaries that are left.
-            # ``x * 2 ** -53`` bounds the rounding of one addition near x.
-            rotation = [run]
-            for entry in queue:
-                if entry.__class__ is not SliceRun or entry.eager:
-                    break
-                rotation.append(entry)
+        start = (boundary, demand, busy)
+        quantum = cpu.quantum
+        speed = cpu.speed
+        whole = quantum * speed
+        ample = 2.0 * whole  # demand for a whole quantum, without dividing
+        size = len(runs)
+        walked = 0
+        if (closed and limit >= _JUMP_QUANTA
+                and until - boundary > _JUMP_QUANTA * quantum):
+            # Whole rounds in one step, ending a round or more before
+            # ``until`` and leaving every run more than two whole quanta
+            # above ample; the loop below replays the boundaries that are
+            # left.  ``x * 2 ** -53`` bounds the rounding of one addition
+            # near x.
+            rounds = limit // size
+            if until < inf:
+                rounds = min(rounds, int(
+                    (until - boundary)
+                    / (size * (quantum + until * 2.0 ** -53))) - 1)
+            for rem in rems:
+                rounds = min(rounds, int(
+                    (rem - ample) / (whole + rem * 2.0 ** -53)) - 2)
+            if rounds * size >= _JUMP_QUANTA:
+                walked = rounds * size
+                boundary, busy = _repeat_add(boundary, quantum, walked, busy)
+                demand = _repeat_add(demand, whole, walked)
+                for index in range(size):
+                    rems[index] = _repeat_add(rems[index], -whole, rounds)
+                    times[index] = _repeat_add(times[index], whole, rounds)
+        # The holder's state lives in locals; a run keeps the core for
+        # quanta in a row only when it is the whole rotation.
+        last = size - 1
+        shared = last or not closed
+        turn = 0
+        remaining = rems[0]
+        cpu_time = times[0]
+        stop = False
+        tail = None
+        for walked in range(walked, limit):  # boundaries walked so far
+            if remaining > ample or not remaining / speed < quantum:
+                nxt = boundary + quantum
+                consumed = whole
             else:
-                size = len(rotation)
-                rounds = int((now - boundary)
-                             / (size * (quantum + now * 2.0 ** -53))) - 1
-                for entry in rotation:
-                    rem = entry.remaining
-                    rounds = min(rounds, int(
-                        (rem - ample) / (whole + rem * 2.0 ** -53)) - 2)
-                if rounds * size >= _JUMP_QUANTA:
-                    quanta = rounds * size
-                    boundary, busy = _repeat_add(
-                        boundary, quantum, quanta, busy
-                    )
-                    demand = _repeat_add(demand, whole, quanta)
-                    for entry in rotation:
-                        entry.remaining = _repeat_add(
-                            entry.remaining, -whole, rounds
-                        )
-                        account = entry._account
-                        account.cpu_time = _repeat_add(
-                            account.cpu_time, whole, rounds
-                        )
-                        if entry._on_slices is not None:
-                            if not entry._slices:
-                                touched.append(entry)
-                            entry._slices += rounds
-                    remaining = run.remaining
-        while True:
-            # The holder's state lives in locals for as many quanta in a
-            # row as it has the core (more than one only when it is the
-            # whole rotation) and is stored when the core changes hands.
-            account = run._account
-            cpu_time = account.cpu_time
-            eager = run.eager
-            shared = eager or bool(queue)  # one quantum, then the next
-            slices = 0  # whole quanta of this turn, not yet reported
-            passed = True  # the turn ends at a boundary at or before now
-            while True:
-                if remaining > ample or not remaining / speed < quantum:
-                    nxt = boundary + quantum
-                    if nxt > now:
-                        passed = False
-                        break
-                    consumed = whole
-                    slices += 1
+                # The demand's last, shorter slice.
+                step = remaining / speed
+                nxt = boundary + step
+                consumed = tail = step * speed
+            if nxt > until:
+                tail = None
+                break
+            remaining -= consumed
+            cpu_time += consumed
+            demand += consumed
+            busy += nxt - boundary
+            boundary = nxt
+            if not remaining > 1e-9:
+                stop = True  # this run's demand is spent
+                break
+            if shared:
+                rems[turn] = remaining
+                times[turn] = cpu_time
+                if turn < last:
+                    turn += 1
+                elif closed:
+                    turn = 0
                 else:
-                    # The demand's last, shorter slice.
-                    step = remaining / speed
-                    nxt = boundary + step
-                    if nxt > now:
-                        passed = False
-                        break
-                    consumed = step * speed
-                    if run._on_slices is not None:
-                        if run._slices or slices:
-                            run._on_slices(run._slices + slices, whole)
-                            run._slices = slices = 0
-                        run._on_slices(1, consumed)
-                remaining -= consumed
-                cpu_time += consumed
-                demand += consumed
-                busy += nxt - boundary
-                boundary = nxt
-                if shared or not remaining > 1e-9:
-                    break
-            run.remaining = remaining
-            account.cpu_time = cpu_time
-            if slices and run._on_slices is not None:
-                if not run._slices:
-                    touched.append(run)
-                run._slices += slices
-            if not passed:
-                break
-            if remaining > 1e-9 and not eager:
-                queue.append(run)
-            else:
-                self._due.append(run)
-                if not queue:
-                    run = None
-                    self.in_use = 0
-                    break
-            run = queue.popleft()
-            if run.__class__ is not SliceRun:
-                # A foreign hold has the core from this boundary (the
-                # instant the wake-up was armed for, so now) for its
-                # duration.
-                run._handle = self.sim.schedule(
-                    run.duration, self._expire, run
-                )
-                run = None
-                break
-            remaining = run.remaining
-        self.run = run
-        cpu.total_demand = demand
-        self.busy_time = busy
-        self._last_change = boundary
-        for run in touched:
-            if run._slices:
-                run._on_slices(run._slices, whole)
-                run._slices = 0
+                    stop = True  # an eager run's first quantum, or a
+                    break        # foreign hold at the head of the queue
+                remaining = rems[turn]
+                cpu_time = times[turn]
+        else:
+            walked = limit
+        if stop:
+            walked += 1
+        rems[turn] = remaining
+        times[turn] = cpu_time
+        return (boundary, demand, busy, walked, runs, rems, times, turn,
+                stop, tail, start)
 
     # -- edits: settle, change the queue, plan again ---------------------
     def _enter(self, run: SliceRun) -> None:
@@ -698,104 +710,19 @@ class _Core(Resource):
 
     def _plan(self) -> None:
         """Arm the wake-up: at the first boundary where a task must run,
-        at most ``_horizon`` boundaries ahead.  The core is settled."""
-        self._handle = None
-        self._kept = None
-        sim = self.sim
+        at most ``_horizon`` boundaries ahead, keeping the walk to it.
+        The core is settled."""
+        self._handle = self._kept = None
         if self._due:
             # Settled by a reader at the very instant of the wake-up.
             self._planned = 0
-            self._handle = sim.call_soon(self._fire)
+            self._handle = self.sim.call_soon(self._fire)
             return
-        run = self.run
-        if run is None:
+        if self.run is None:
             return
-        # The runs whose turns are certain, in rotation order: up to a
-        # foreign hold (the boundary that gives it the core is real)
-        # or an eager run (the end of its first quantum is).  ``closed``
-        # when neither is there and the rotation goes round.
-        rems = [run.remaining]
-        closed = not run.eager
-        if closed:
-            for entry in self._queue:
-                if entry.__class__ is not SliceRun:
-                    closed = False
-                    break
-                rems.append(entry.remaining)
-                if entry.eager:
-                    closed = False
-                    break
-        cpu = self.cpu
-        quantum = cpu.quantum
-        speed = cpu.speed
-        whole = quantum * speed
-        ample = 2.0 * whole
-        horizon = self._horizon
-        wake = self._last_change
-        last = len(rems) - 1
-        lone = closed and not last  # the holder is the whole rotation
-        if lone:
-            # The walk also does settle()'s accounting, so that the
-            # wake-up that finds the run spent publishes it (``_kept``).
-            start = (rems[0], run._account.cpu_time, cpu.total_demand,
-                     self.busy_time, wake)
-            _, cpu_time, demand, busy, _ = start
-        planned = 0
-        if closed and horizon >= _JUMP_QUANTA:
-            # Whole rounds in one step, as in settle().
-            rounds = horizon // len(rems)
-            for rem in rems:
-                rounds = min(rounds, int(
-                    (rem - ample) / (whole + rem * 2.0 ** -53)) - 2)
-            if rounds * len(rems) >= _JUMP_QUANTA:
-                planned = rounds * len(rems)
-                if lone:
-                    wake, busy = _repeat_add(wake, quantum, planned, busy)
-                    demand = _repeat_add(demand, whole, planned)
-                    cpu_time = _repeat_add(cpu_time, whole, planned)
-                else:
-                    wake = _repeat_add(wake, quantum, planned)
-                rems = [_repeat_add(rem, -whole, rounds) for rem in rems]
-        remaining = rems[0]
-        turn = 0
-        tail = None
-        while planned < horizon:
-            planned += 1
-            # min(quantum, remaining / speed), here as in settle()
-            if remaining > ample or not remaining / speed < quantum:
-                nxt = wake + quantum
-                consumed = whole
-            else:
-                step = remaining / speed
-                nxt = wake + step
-                consumed = tail = step * speed
-            remaining -= consumed
-            if lone:
-                cpu_time += consumed
-                demand += consumed
-                busy += nxt - wake
-            wake = nxt
-            if not remaining > 1e-9:
-                # This run's demand is spent at ``wake``.
-                if lone:
-                    self._kept = (
-                        wake, run, start,
-                        (remaining, cpu_time, demand, busy, wake),
-                        planned if tail is None else planned - 1, tail,
-                    )
-                break
-            if lone:
-                continue
-            rems[turn] = remaining
-            if turn < last:
-                turn += 1
-            elif closed:
-                turn = 0
-            else:
-                break
-            remaining = rems[turn]
-        self._planned = planned
-        self._handle = sim.schedule_at(wake, self._fire)
+        self._kept = end = self._walk(inf, self._horizon)
+        self._planned = end[3]
+        self._handle = self.sim.schedule_at(end[0], self._fire)
 
     def _fire(self) -> None:
         """The wake-up: settle, resume who has business now, plan on."""

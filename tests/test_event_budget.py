@@ -57,9 +57,8 @@ def test_shared_core_costs_events_per_process_not_per_quantum():
 def test_long_computes_replay_in_closed_form():
     """Ten million quanta, alone or in a rotation of four, replayed as
     whole rounds: a wake-up per doubling of the horizon and no walk over
-    the quanta between them.  Walking them one by one, in ``_plan`` and
-    again in ``settle``, cost seconds of wall for these events, not
-    milliseconds."""
+    the quanta between them.  Walking them one by one cost seconds of
+    wall for these events, not milliseconds."""
     for processes, seconds, events, cpu_time in (
         (1, 100_000.0, 26, 99999.99999999999),
         (4, 25_000.0, 32, 24999.999999999996),

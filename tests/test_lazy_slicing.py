@@ -32,6 +32,7 @@ within the quantum.
 """
 
 from contextlib import ExitStack
+from functools import wraps
 from unittest import mock
 
 import pytest
@@ -46,7 +47,7 @@ from repro.kernel import process as process_module
 from repro.kernel import signals as sig
 from repro.kernel.process import UserContext
 from repro.net.rpc import RpcError
-from repro.sim import Interrupted, Sleep, spawn
+from repro.sim import Interrupted, SliceRun, Sleep, spawn
 from repro.sim.resources import _Core, _CoreHold
 
 QUANTUM = 0.01  # ClusterParams.cpu_quantum
@@ -157,6 +158,43 @@ class PerQuantumContext(UserContext):
                 self._drain_signals()
             if pcb.migration_ticket is not None:
                 yield from self._checkpoint()
+
+
+# ----------------------------------------------------------------------
+# Every settle stops where a task must run
+# ----------------------------------------------------------------------
+@pytest.fixture(autouse=True, scope="module")
+def settle_spy():
+    """Check every ``_Core.settle(now)`` of this module's scenarios.
+    Afterwards the holder's next boundary is after ``now``; and a settle
+    that handed the core over where a task must run (a run to ``_due``,
+    or a foreign hold its grant) did so at ``now``, so it walked no
+    boundary past that one.  The core walks once per settle and stops at
+    the first such boundary: this is what makes one walk enough.
+
+    Yields the counts of the settles it saw and of those hand-overs."""
+    seen = {"all": 0, "handed": 0}
+    settle = _Core.settle
+
+    @wraps(settle)
+    def checked(core, now):
+        due = len(core._due)
+        holds = [entry for entry in core._queue
+                 if entry.__class__ is not SliceRun]
+        settle(core, now)
+        seen["all"] += 1
+        run = core.run
+        if run is not None:
+            cpu = core.cpu
+            step = min(float(cpu.quantum), run.remaining / cpu.speed)
+            assert core._last_change + step > now
+        if (len(core._due) > due
+                or any(hold._handle is not None for hold in holds)):
+            seen["handed"] += 1
+            assert core._last_change == now
+
+    with mock.patch.object(_Core, "settle", checked):
+        yield seen
 
 
 # ----------------------------------------------------------------------
@@ -611,11 +649,12 @@ def test_lazy_slicing_matches_the_per_quantum_reference(scenario):
     assert_same_simulation(scenario)
 
 
-def test_reference_and_lazy_contexts_really_differ():
+def test_reference_and_lazy_contexts_really_differ(settle_spy):
     """Guard the harness itself: the patched class is the one that runs,
     the trace compared is not empty, the reference counts its quiet
     boundaries, and the lazy run needs far fewer events — of a lone 1 s
-    compute, and of a core four processes share."""
+    compute, and of a core four processes share, where the settle spy
+    sees runs spent mid-rotation."""
     lone = scenario([("compute", 100.0, 0.0), ("migrate", 1)])
     PerQuantumContext.reset()
     observed, reference_events = run_scenario(lone, PerQuantumContext)
@@ -629,8 +668,10 @@ def test_reference_and_lazy_contexts_really_differ():
     PerQuantumContext.reset()
     _, reference_events = run_scenario(shared, PerQuantumContext)
     assert PerQuantumContext.longest > 40
+    handed = settle_spy["handed"]
     _, events = run_scenario(shared, UserContext)
     assert reference_events - events > 200
+    assert settle_spy["handed"] > handed
 
 
 class _CountingQuantum(float):
@@ -647,9 +688,10 @@ class _CountingQuantum(float):
 def test_a_lone_computes_wake_up_replays_no_quanta():
     """The plan that arms a lone compute's wake-up where its demand is
     spent walks the quanta up to it once; the settle at that wake-up
-    publishes the walk instead of walking them again (its one addition
-    is the check that a boundary has passed), and the run still equals
-    the per-quantum reference."""
+    publishes the walk instead of walking them again (at most one
+    addition: the check that a boundary has passed), and the run still
+    equals the per-quantum reference.  So does the wake-up at which the
+    first run of a closed rotation of four is spent."""
     calls = []
 
     def spy(method):
@@ -658,28 +700,43 @@ def test_a_lone_computes_wake_up_replays_no_quanta():
             quantum = cpu.quantum
             cpu.quantum = _CountingQuantum(quantum)
             _CountingQuantum.added = 0
-            held = core.run is not None
+            due = len(core._due)
             try:
                 method(core, *args)
             finally:
                 cpu.quantum = quantum
             calls.append((method.__name__, _CountingQuantum.added,
-                          held and core.run is None))
+                          len(core._due) > due))
         return counted
 
+    def spent_at(case):
+        """Indices in ``calls`` of the settles at which a run is spent."""
+        calls.clear()
+        with mock.patch.object(_Core, "settle", spy(_Core.settle)), \
+                mock.patch.object(_Core, "_plan", spy(_Core._plan)):
+            run_scenario(case, UserContext)
+        return [i for i, (name, _, done) in enumerate(calls)
+                if name == "settle" and done]
+
     lone = scenario([("compute", 100.0, 2.0e5)])
-    with mock.patch.object(_Core, "settle", spy(_Core.settle)), \
-            mock.patch.object(_Core, "_plan", spy(_Core._plan)):
-        run_scenario(lone, UserContext)
     # The horizon doubles from two: plans of 2, 4, ..., 32 quanta, then
     # one that walks the last 38 slices: 37 whole quanta, one addition
     # each, and a shorter last slice (the demand's rounding leaves one).
-    (spent,) = [i for i, (name, _, done) in enumerate(calls)
-                if name == "settle" and done]
+    (spent,) = spent_at(lone)
     assert calls[spent][1] <= 1
     plans = [added for name, added, _ in calls[:spent] if name == "_plan"]
     assert plans == [2, 4, 8, 16, 32, 37]
     assert_same_simulation(lone)
+
+    four = scenario([("compute", 100.0, 2.0e5)], rivals=(
+        [("compute", 61.7, 0.0)], [("compute", 40.3, 2.0e5)],
+        [("compute", 80.5, 3.3e6)],
+    ))
+    first = spent_at(four)[0]
+    assert calls[first][1] <= 1
+    assert sum(added for name, added, _ in calls[:first]
+               if name == "_plan") > 100  # the plans walked the rotation
+    assert_same_simulation(four)
 
 
 # ----------------------------------------------------------------------
