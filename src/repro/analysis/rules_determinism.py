@@ -72,7 +72,6 @@ _STREAM_RECEIVERS = {"rng", "streams", "random_streams"}
 #: schedule or onto the wire.
 _EFFECT_SUFFIXES = {
     "schedule",
-    "schedule_many",
     "defer",
     "send",
     "broadcast",
@@ -80,7 +79,6 @@ _EFFECT_SUFFIXES = {
     "call",
     "spawn",
     "try_put",
-    "try_put_batch",
     "put",
     "trigger",
     "fail",

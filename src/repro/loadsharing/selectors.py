@@ -22,7 +22,7 @@ from typing import Dict, Generator, Iterable, List, Optional, Sequence
 
 from ..kernel import Host
 from ..net import Packet
-from ..sim import Channel, Effect, Sleep, TIMED_OUT, spawn, with_timeout
+from ..sim import Channel, Effect, Sleep, first, spawn
 from .base import HostSelector
 
 __all__ = [
@@ -330,8 +330,8 @@ class MulticastSelector(HostSelector):
             remaining = deadline - self.host.sim.now
             if remaining <= 0:
                 break
-            offer = yield from with_timeout(self._offers.get(), remaining)
-            if offer is TIMED_OUT:
+            index, offer = yield first(self._offers.get(), Sleep(remaining))
+            if index == 1:
                 break
             if offer["query"] != query_id:
                 continue  # late answer to an earlier query

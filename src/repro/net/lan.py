@@ -309,10 +309,6 @@ class Lan:
                 self.kind_bytes.get(packet.kind, 0) + packet.size
             )
         packet.send_time = self.sim.now
-        # Fan the receiver wakeups out through one bulk scheduling call:
-        # the buffer/wakeup bookkeeping stays per-channel and synchronous,
-        # so the delivery order matches per-receiver try_put exactly.
-        wakeups: List[Any] = []
         fabric = self.fabric
         for address, node in sorted(self.nodes.items()):
             if address in skip or not node.up:
@@ -321,9 +317,7 @@ class Lan:
                 continue
             copy = Packet(packet.src, address, packet.kind, packet.payload, packet.size)
             copy.send_time = packet.send_time
-            node.inbox.try_put_batch(copy, wakeups)
-        if wakeups:
-            self.sim.schedule_many(0.0, wakeups)
+            node.inbox.try_put(copy)
         if self.tracer.enabled:
             self.tracer.emit(
                 self.sim.now, "lan", "broadcast", src=packet.src, msg=packet.kind

@@ -24,14 +24,12 @@ from .state import Counter, StateRegistry
 from .tasks import (
     TIMED_OUT,
     Effect,
-    all_of,
     SimEvent,
     Sleep,
     Task,
     first,
     run_until_complete,
     spawn,
-    with_timeout,
 )
 from .trace import Span, TraceRecord, Tracer
 
@@ -60,9 +58,7 @@ __all__ = [
     "TIMED_OUT",
     "TraceRecord",
     "Tracer",
-    "all_of",
     "first",
     "run_until_complete",
     "spawn",
-    "with_timeout",
 ]

@@ -65,27 +65,6 @@ class Channel:
             return True
         return False
 
-    def try_put_batch(self, item: Any, wakeups: list) -> bool:
-        """Like :meth:`try_put`, but collect the getter wakeup into ``wakeups``.
-
-        Bulk senders (LAN broadcast) deliver to many channels at one
-        instant: each call appends at most one ``(fn, args)`` pair, and
-        the caller flushes them with a single
-        ``sim.schedule_many(0.0, wakeups)``.  As long as nothing else is
-        scheduled between the first call and the flush, the wakeup order
-        is identical to per-channel :meth:`try_put`.
-        """
-        if self._closed:
-            raise ChannelClosed(f"channel {self.name!r} is closed")
-        if self._getters:
-            getter = self._getters.popleft()
-            wakeups.append((getter._resume, (item,)))
-            return True
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            return True
-        return False
-
     def try_get(self) -> Tuple[bool, Any]:
         """Non-blocking get; returns ``(ok, item)``."""
         if self._items:
@@ -116,9 +95,8 @@ class Channel:
     def _drain_getters(self) -> None:
         if self._getters:
             error = ChannelClosed(f"channel {self.name!r} is closed")
-            self.sim.schedule_many(
-                0.0, [(getter._throw, (error,)) for getter in self._getters]
-            )
+            for getter in self._getters:
+                self.sim.defer(getter._throw, error)
             self._getters.clear()
 
 

@@ -29,8 +29,8 @@ Design notes
   ordering is unaffected) — long runs with heavy timeout churn stay
   bounded in memory.
 * :meth:`Simulator.defer` is the allocation-free fast path for wakeups
-  that are never cancelled; :meth:`Simulator.schedule_many` amortizes
-  bulk fan-out (broadcast delivery, an event's many waiters).
+  that are never cancelled; a fan-out (broadcast delivery, an event's
+  many waiters) is one ``defer`` per wake-up, in order.
 * A :class:`Ticker` fires periodic callbacks that fall due back to back
   as one event, in the order their own timers would have fired them.
 
@@ -252,38 +252,6 @@ class Simulator:
         settled flags) and never cancel the scheduled callback itself.
         """
         self._ready.append((self.now, next(self._seq), None, fn, args))
-
-    def schedule_many(
-        self,
-        delay: float,
-        calls: Iterable[Tuple[Callable[..., None], Tuple[Any, ...]]],
-    ) -> int:
-        """Bulk-schedule ``(fn, args)`` pairs after ``delay`` seconds.
-
-        Fire-and-forget (no handles are returned): broadcast fan-out and
-        batched periodic ticks use this to amortize per-event costs.
-        FIFO order of ``calls`` is preserved exactly as if each had been
-        scheduled individually, so determinism is unaffected.  Returns
-        the number of events scheduled.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        seq = self._seq
-        count = 0
-        if delay == 0.0:
-            now = self.now
-            append = self._ready.append
-            for fn, args in calls:
-                append((now, next(seq), None, fn, args))
-                count += 1
-        else:
-            time = self.now + delay
-            heap = self._heap
-            push = heapq.heappush
-            for fn, args in calls:
-                push(heap, (time, next(seq), EventHandle(time, fn, args, self)))
-                count += 1
-        return count
 
     # ------------------------------------------------------------------
     # Execution

@@ -39,21 +39,18 @@ from .errors import Interrupted, SimError, SnapshotError, TaskFailed
 
 __all__ = [
     "Effect",
-    "all_of",
     "Sleep",
     "SimEvent",
     "Task",
     "spawn",
     "first",
     "run_until_complete",
-    "with_timeout",
     "TIMED_OUT",
 ]
 
 TaskGen = Generator["Effect", Any, Any]
 
-#: What a timed wait resumes with when the deadline won:
-#: ``event.wait(timeout=...)`` and :func:`with_timeout`.
+#: What ``event.wait(timeout=...)`` resumes with when the deadline won.
 TIMED_OUT = object()
 
 
@@ -146,13 +143,8 @@ class SimEvent:
         self._fired = True
         self._value = value
         waiters, self._waiters = self._waiters, []
-        if len(waiters) > 1:
-            self.sim.schedule_many(
-                0.0, [(waiter._resume, (value,)) for waiter in waiters]
-            )
-        else:
-            for waiter in waiters:
-                self.sim.defer(waiter._resume, value)
+        for waiter in waiters:
+            self.sim.defer(waiter._resume, value)
 
     def fail(self, exc: BaseException) -> None:
         if self._fired:
@@ -376,22 +368,31 @@ class Task(_Waiter):
             self._gen = self._factory()
 
     # -- waiter protocol -------------------------------------------------
-    def _resume(self, value: Any) -> None:
+    def _resume(self, value: Any, exc: Optional[BaseException] = None) -> None:
+        """Step the generator and park on what it yields.
+
+        The step sends ``value``, or throws ``exc`` (from :meth:`_throw`)
+        or else a pending interrupt.  This is the hottest call of a run,
+        so the park is inline.
+        """
         if self.done:
             return
         self._pending = None
-        if self._interrupt_pending is not None:
+        if self._interrupt_pending is not None and exc is None:
             exc, self._interrupt_pending = self._interrupt_pending, None
-            self._step(exc)
-            return
-        # The generator step and ``_park``, inline: this is the hottest
-        # call of a run.
         try:
-            effect = self._gen.send(value)
+            if exc is None:
+                effect = self._gen.send(value)
+            else:
+                effect = self._gen.throw(exc)
         except BaseException as stop:  # noqa: BLE001 - must capture task failure
             self._finish(stop)
             return
         if effect.__class__ is Sleep:
+            # Sleep is by far the most-yielded effect; binding it here
+            # (rather than through Effect.bind) saves Python calls.  A
+            # timed sleep pushes its own heap entry, as ``sim.schedule``
+            # would.
             self._pending = effect
             sim = self.sim
             if effect.delay == 0.0:
@@ -422,7 +423,7 @@ class Task(_Waiter):
             # armed a new wait.  Disarm it, or its stale wake-up would
             # later resume the task out of some unrelated wait.
             pending.cancel(self)
-        self._step(exc)
+        self._resume(None, exc)
 
     def _sleep_fire(self, effect: "Sleep") -> None:
         # Wake-up target of the inline ``Sleep(0)``: the task is the
@@ -431,42 +432,6 @@ class Task(_Waiter):
             self._resume(None)
 
     # -- execution ---------------------------------------------------------
-    def _step(self, exc: BaseException) -> None:
-        """Throw ``exc`` into the generator and park on what it yields."""
-        try:
-            effect = self._gen.throw(exc)
-        except BaseException as stop:  # noqa: BLE001 - must capture task failure
-            self._finish(stop)
-            return
-        self._park(effect)
-
-    def _park(self, effect: Any) -> None:
-        """Wait on ``effect``, the generator's latest yield."""
-        if effect.__class__ is Sleep:
-            # Sleep is by far the most-yielded effect; binding it here
-            # (rather than through Effect.bind) keeps the resume loop to
-            # a minimum of Python calls.  A timed sleep pushes its own
-            # heap entry, as ``sim.schedule`` would.
-            self._pending = effect
-            sim = self.sim
-            if effect.delay == 0.0:
-                sim._ready.append(
-                    (sim.now, next(sim._seq), None, self._sleep_fire, (effect,))
-                )
-            else:
-                time = sim.now + effect.delay
-                effect._handle = handle = EventHandle(
-                    time, self._resume, (None,), sim
-                )
-                heappush(sim._heap, (time, next(sim._seq), handle))
-        elif isinstance(effect, Effect):
-            self._pending = effect
-            effect.bind(self)
-        else:
-            self._finish(TypeError(
-                f"task {self.name!r} yielded {effect!r}, not an Effect"
-            ))
-
     def _finish(self, stop: BaseException) -> None:
         """The generator is done: ``stop`` is its ``StopIteration``, an
         uncaught :class:`Interrupted` (a normal way to kill a task) or
@@ -649,75 +614,3 @@ def first(*effects: Effect) -> Effect:
     cancelled.  The race is settled at most once.
     """
     return _First(list(effects))
-
-
-class _AllOfProxy(_Waiter):
-    def __init__(self, parent: "_AllOf", index: int):
-        self.parent = parent
-        self.sim = parent.sim
-        self.index = index
-
-    def _resume(self, value: Any) -> None:
-        self.parent._child_done(self.index, value=value)
-
-    def _throw(self, exc: BaseException) -> None:
-        self.parent._child_done(self.index, exc=exc)
-
-
-class _AllOf(Effect):
-    def __init__(self, effects: List[Effect]):
-        if not effects:
-            raise ValueError("all_of() needs at least one effect")
-        self.effects = effects
-        self.sim: Optional[Simulator] = None
-        self._waiter: Optional[_Waiter] = None
-        self._results: List[Any] = [None] * len(effects)
-        self._remaining = len(effects)
-        self._failed = False
-        self._proxies: List[_AllOfProxy] = []
-
-    def bind(self, waiter: _Waiter) -> None:
-        self.sim = waiter.sim
-        self._waiter = waiter
-        self._proxies = [_AllOfProxy(self, i) for i in range(len(self.effects))]
-        for effect, proxy in zip(self.effects, self._proxies):
-            effect.bind(proxy)
-
-    def cancel(self, waiter: _Waiter) -> None:
-        self._failed = True
-        for effect, proxy in zip(self.effects, self._proxies):
-            effect.cancel(proxy)
-
-    def _child_done(
-        self, index: int, value: Any = None, exc: Optional[BaseException] = None
-    ) -> None:
-        if self._failed:
-            return
-        if exc is not None:
-            self._failed = True
-            for i, (effect, proxy) in enumerate(zip(self.effects, self._proxies)):
-                if i != index:
-                    effect.cancel(proxy)
-            assert self._waiter is not None
-            self._waiter._throw(exc)
-            return
-        self._results[index] = value
-        self._remaining -= 1
-        if self._remaining == 0:
-            assert self._waiter is not None
-            self._waiter._resume(list(self._results))
-
-
-def all_of(*effects: Effect) -> Effect:
-    """Wait for every effect; resumes with their results in order.
-
-    The first failure cancels the rest and propagates (fail-fast
-    gather).  Complements :func:`first`.
-    """
-    return _AllOf(list(effects))
-
-
-def with_timeout(effect: Effect, timeout: float) -> TaskGen:
-    """``yield from with_timeout(eff, t)`` — result of ``eff`` or TIMED_OUT."""
-    index, value = yield first(effect, Sleep(timeout))
-    return TIMED_OUT if index == 1 else value

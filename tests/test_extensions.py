@@ -1,5 +1,5 @@
-"""Tests for the extension features: all_of, histograms, assignment
-caching, and environment variables."""
+"""Tests for the extension features: histograms, assignment caching,
+and environment variables."""
 
 import pytest
 
@@ -7,74 +7,11 @@ from repro import SpriteCluster
 from repro.loadsharing import CachingSelector, LoadSharingService
 from repro.obs import LatencyHistogram
 from repro.sim import (
-    SimEvent,
     Simulator,
     Sleep,
-    all_of,
     run_until_complete,
     spawn,
 )
-
-
-# ----------------------------------------------------------------------
-# all_of
-# ----------------------------------------------------------------------
-def test_all_of_gathers_results_in_order():
-    sim = Simulator()
-    e1, e2 = SimEvent(sim), SimEvent(sim)
-
-    def waiter():
-        results = yield all_of(e1.wait(), e2.wait(), Sleep(1.0))
-        return (results, sim.now)
-
-    task = spawn(sim, waiter())
-    sim.schedule(3.0, e1.trigger, "one")
-    sim.schedule(2.0, e2.trigger, "two")
-    sim.run()
-    results, when = task.result
-    assert results == ["one", "two", None]
-    assert when == 3.0      # waits for the slowest
-
-
-def test_all_of_fail_fast():
-    sim = Simulator()
-    event = SimEvent(sim)
-
-    def waiter():
-        try:
-            yield all_of(event.wait(), Sleep(100.0))
-        except RuntimeError as err:
-            return (str(err), sim.now)
-
-    task = spawn(sim, waiter())
-    sim.schedule(1.0, event.fail, RuntimeError("boom"))
-    sim.run(until=5.0)
-    message, when = task.result
-    assert message == "boom"
-    assert when == 1.0      # the 100s sleep was cancelled
-
-
-def test_all_of_needs_effects():
-    with pytest.raises(ValueError):
-        all_of()
-
-
-def test_all_of_join_tasks():
-    sim = Simulator()
-
-    def worker(duration, value):
-        yield Sleep(duration)
-        return value
-
-    tasks = [spawn(sim, worker(float(i + 1), i * 10)) for i in range(3)]
-
-    def boss():
-        results = yield all_of(*(t.join() for t in tasks))
-        return results
-
-    boss_task = spawn(sim, boss())
-    sim.run()
-    assert boss_task.result == [0, 10, 20]
 
 
 # ----------------------------------------------------------------------

@@ -490,17 +490,16 @@ class SleepingEvictionDaemon(EvictionDaemon):
 
 class PerHostTimers:
     """The reference for the cluster's :class:`~repro.sim.Ticker`: every
-    member on a self-rescheduling timer of its own, all started by one
-    ``schedule_many``, and no poll ever joins (each arms its own timer)."""
+    member on a self-rescheduling timer of its own, started in member
+    order, and no poll ever joins (each arms its own timer)."""
 
     def __init__(self, sim, period):
         self.sim = sim
         self.period = period
 
     def start(self, members):
-        self.sim.schedule_many(
-            self.period, [(self._tick, (fn,)) for fn in members]
-        )
+        for fn in members:
+            self.sim.schedule(self.period, self._tick, fn)
 
     def _tick(self, fn):
         if not fn():
@@ -619,9 +618,9 @@ def _owner_returns(daemon_cls):
     resumes = Counter()
 
     def counting(entry):
-        # A task's generator runs once per call of either entry point
-        # that finds the task not done (``_sleep_fire`` goes through
-        # ``_resume``).
+        # A task's generator runs once per call of ``_resume`` that
+        # finds the task not done (``_throw`` and ``_sleep_fire`` go
+        # through it).
         def counted(task, *args):
             if not task.done and task.name.startswith("evictiond:"):
                 resumes[task.name] += 1
@@ -629,8 +628,7 @@ def _owner_returns(daemon_cls):
         return counted
 
     with mock.patch.object(cluster_module, "EvictionDaemon", daemon_cls), \
-            mock.patch.object(Task, "_resume", counting(Task._resume)), \
-            mock.patch.object(Task, "_throw", counting(Task._throw)):
+            mock.patch.object(Task, "_resume", counting(Task._resume)):
         cluster = SpriteCluster(workstations=3, start_daemons=True, trace=True)
         a, b = cluster.hosts[0], cluster.hosts[1]
 

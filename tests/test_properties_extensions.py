@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import LatencyHistogram
-from repro.sim import Simulator, Sleep, all_of, spawn
+from repro.sim import Sleep
 
 
 def histogram_of(samples):
@@ -39,21 +39,6 @@ def test_histogram_merge_equals_combined(first_samples, second_samples):
     assert merged.count == combined.count
     assert merged.percentile(95) == combined.percentile(95)
     assert merged.max_value == combined.max_value
-
-
-@given(st.lists(st.floats(min_value=0.01, max_value=20.0),
-                min_size=1, max_size=8))
-@settings(max_examples=30, deadline=None)
-def test_all_of_completes_at_slowest(durations):
-    sim = Simulator()
-
-    def waiter():
-        yield all_of(*(Sleep(d) for d in durations))
-        return sim.now
-
-    task = spawn(sim, waiter())
-    sim.run()
-    assert task.result == pytest.approx(max(durations), rel=1e-9)
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())

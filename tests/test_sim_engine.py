@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.config import ClusterParams
+from repro.net import Lan, NetNode, Packet
 from repro.obs.profile import EngineProfiler
 from repro.sim import (
+    Channel,
+    ChannelClosed,
     SimError,
     SimEvent,
     Simulator,
@@ -231,7 +235,7 @@ def test_detached_task_failure_surfaces_in_run():
 
 
 # ----------------------------------------------------------------------
-# Fast-path internals: ready queue, defer, schedule_many, compaction,
+# Fast-path internals: ready queue, defer, fan-out order, compaction,
 # O(1) pending_events accounting.
 # ----------------------------------------------------------------------
 def _recount_pending(sim):
@@ -293,33 +297,68 @@ def test_ready_events_interleave_with_same_time_heap_events():
     assert sim.now == 3.0
 
 
-def test_schedule_many_zero_delay_preserves_order():
+def _fan_out(source):
+    """Four waiters parked on one wake-up ``source`` are woken at 1 s by
+    a task that queues a ``call_soon`` just before the wake-up and one
+    just after.  Returns ``(time, what)`` for everything that ran."""
     sim = Simulator()
-    order = []
-    sim.call_soon(order.append, "before")
-    count = sim.schedule_many(0.0, [(order.append, (i,)) for i in range(5)])
-    sim.call_soon(order.append, "after")
-    assert count == 5
+    log = []
+    if source == "trigger":
+        event = SimEvent(sim)
+        parks = [event.wait] * 4
+
+        def wake():
+            event.trigger()
+            yield from ()
+    elif source == "close":
+        channel = Channel(sim)
+        parks = [channel.get] * 4
+
+        def wake():
+            channel.close()
+            yield from ()
+    else:
+        # No wire time: the broadcast delivers at the instant it is sent.
+        lan = Lan(sim, ClusterParams(net_latency=0.0))
+        nodes = [NetNode(sim, f"n{i}") for i in range(5)]
+        for node in nodes:
+            lan.register(node)
+        parks = [node.inbox.get for node in nodes[1:]]
+
+        def wake():
+            yield from lan.broadcast(
+                Packet(nodes[0].address, 0, "hello", None, 0)
+            )
+
+    def waiter(i, park):
+        try:
+            yield park()
+        except ChannelClosed:
+            pass
+        log.append((sim.now, i))
+
+    def waker():
+        yield Sleep(1.0)
+        sim.call_soon(log.append, (sim.now, "before"))
+        yield from wake()
+        sim.call_soon(log.append, (sim.now, "after"))
+
+    for i, park in enumerate(parks):
+        spawn(sim, waiter(i, park))
+    spawn(sim, waker())
     sim.run()
-    assert order == ["before", 0, 1, 2, 3, 4, "after"]
+    return log
 
 
-def test_schedule_many_timed_matches_individual_schedules():
-    sim_a, sim_b = Simulator(), Simulator()
-    order_a, order_b = [], []
-    sim_a.schedule(2.0, order_a.append, "x")
-    sim_a.schedule_many(1.0, [(order_a.append, (i,)) for i in range(3)])
-    sim_b.schedule(2.0, order_b.append, "x")
-    for i in range(3):
-        sim_b.schedule(1.0, order_b.append, i)
-    assert sim_a.run() == sim_b.run()
-    assert order_a == order_b == [0, 1, 2, "x"]
-
-
-def test_schedule_many_rejects_negative_delay():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.schedule_many(-1.0, [(print, ())])
+@pytest.mark.parametrize("source", ["trigger", "close", "broadcast"])
+def test_fan_out_wakes_waiters_in_registration_order(source):
+    """An event's waiters, a closed channel's parked getters and a
+    broadcast's parked receivers resume one ready event each, in the
+    order they registered, behind what was queued before the wake-up
+    and ahead of what is queued after it."""
+    assert _fan_out(source) == [
+        (1.0, "before"), (1.0, 0), (1.0, 1), (1.0, 2), (1.0, 3), (1.0, "after"),
+    ]
 
 
 def test_cancel_call_soon_handle():
@@ -607,7 +646,8 @@ def _ticks(ticked):
         ticker.start(members)
         assert ticker.join(f, 1.0)
     else:
-        sim.schedule_many(1.0, [(timer, (fn,)) for fn in members + [f]])
+        for fn in members + [f]:
+            sim.schedule(1.0, timer, fn)
     sim.schedule(1.0, log.append, (1.0, "x"))
     if not (ticked and ticker.join(g, 1.0)):
         sim.schedule(1.0, timer, g)

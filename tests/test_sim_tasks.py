@@ -11,7 +11,6 @@ from repro.sim import (
     TaskFailed,
     first,
     spawn,
-    with_timeout,
 )
 
 
@@ -251,33 +250,6 @@ def test_first_sleep_wins():
     assert task.result == 0
 
 
-def test_with_timeout_returns_value_when_fast():
-    sim = Simulator()
-    event = SimEvent(sim)
-
-    def waiter():
-        value = yield from with_timeout(event.wait(), timeout=10.0)
-        return value
-
-    task = spawn(sim, waiter())
-    sim.schedule(1.0, event.trigger, "fast")
-    sim.run()
-    assert task.result == "fast"
-
-
-def test_with_timeout_returns_sentinel_when_slow():
-    sim = Simulator()
-    event = SimEvent(sim)
-
-    def waiter():
-        value = yield from with_timeout(event.wait(), timeout=2.0)
-        return value is TIMED_OUT
-
-    task = spawn(sim, waiter())
-    sim.run(until=100.0)
-    assert task.result is True
-
-
 def _timed_wait_scenario(timed_wait, trigger_at, timeout, fail=False,
                          interrupt_at=None, prefired=False):
     """One waiter racing an event against a deadline, among bystanders
@@ -321,8 +293,9 @@ def _timed_wait_scenario(timed_wait, trigger_at, timeout, fail=False,
     return log, sim.now
 
 
-def _old_timed_wait(event, timeout):
-    return (yield from with_timeout(event.wait(), timeout))
+def _first_timed_wait(event, timeout):
+    index, value = yield first(event.wait(), Sleep(timeout))
+    return TIMED_OUT if index == 1 else value
 
 
 def _new_timed_wait(event, timeout):
@@ -341,10 +314,10 @@ def _new_timed_wait(event, timeout):
     dict(trigger_at=3.0, timeout=5.0, interrupt_at=3.0),  # poke and trigger tie
 ])
 def test_event_wait_with_timeout_is_first_of_wait_and_sleep(case):
-    """``event.wait(timeout=t)`` against ``with_timeout(event.wait(), t)``:
+    """``event.wait(timeout=t)`` against ``first(event.wait(), Sleep(t))``:
     same results at the same instants, in the same order among everything
     else that happens in them."""
-    expected = _timed_wait_scenario(_old_timed_wait, **case)
+    expected = _timed_wait_scenario(_first_timed_wait, **case)
     assert _timed_wait_scenario(_new_timed_wait, **case) == expected
     outcomes = [entry[2] for entry in expected[0] if entry[0] == "waiter"]
     assert len(outcomes) == 1
@@ -403,39 +376,35 @@ def test_many_tasks_complete_deterministically():
     assert finish_order == expected
 
 
-def test_first_of_all_of_composition():
-    """Combinators nest: race a gather against a deadline."""
-    from repro.sim import all_of
-
+def test_first_of_first_composition():
+    """Combinators nest: race an inner race against a deadline.  The
+    inner winner's ``(index, value)`` is the outer winner's value, and
+    every loser is disarmed."""
     sim = Simulator()
-    fast_a, fast_b = SimEvent(sim), SimEvent(sim)
+    slow, fast = SimEvent(sim), SimEvent(sim)
 
     def racer():
         index, value = yield first(
-            all_of(fast_a.wait(), fast_b.wait()),
+            first(slow.wait(), fast.wait()),
             Sleep(10.0),
         )
         return (index, value, sim.now)
 
     task = spawn(sim, racer())
-    sim.schedule(1.0, fast_a.trigger, "a")
-    sim.schedule(2.0, fast_b.trigger, "b")
+    sim.schedule(2.0, slow.trigger, "slow")
+    sim.schedule(1.0, fast.trigger, "fast")
     sim.run(until=20.0)
-    index, value, when = task.result
-    assert index == 0
-    assert value == ["a", "b"]
-    assert when == 2.0
+    assert task.result == (0, (1, "fast"), 1.0)
+    assert slow._waiters == [] and sim.pending_events == 0
 
 
-def test_first_of_all_of_deadline_wins():
-    from repro.sim import all_of
-
+def test_first_of_first_deadline_wins():
     sim = Simulator()
     never = SimEvent(sim)
 
     def racer():
         index, _value = yield first(
-            all_of(never.wait(), Sleep(1.0)),
+            first(never.wait(), Sleep(5.0)),
             Sleep(3.0),
         )
         return (index, sim.now)
@@ -443,3 +412,4 @@ def test_first_of_all_of_deadline_wins():
     task = spawn(sim, racer())
     sim.run(until=10.0)
     assert task.result == (1, 3.0)
+    assert never._waiters == [] and sim.pending_events == 0
