@@ -22,7 +22,7 @@ DAYS = 28
 
 def build_artifacts():
     model = ActivityModel(seed=11)
-    by_hour = idle_fraction_by_hour(model, hosts=HOSTS, days=DAYS)
+    by_hour = np.asarray(idle_fraction_by_hour(model, hosts=HOSTS, days=DAYS))
     figure = Series(
         title="E9: fraction of hosts idle vs hour of day "
               "(paper: 65-70% by day, ~80% nights/weekends)",

@@ -60,9 +60,6 @@ _WALLCLOCK_SUFFIXES = {
 _TAINT_EXEMPT_HEADS = {"obs", "workloads", "baselines"}
 _TAINT_EXEMPT_FILES = {"report.py", "cli.py", "__main__.py"}
 
-#: np.random entry points that are fine: explicitly seeded constructors.
-_NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "PCG64"}
-
 #: receiver names whose ``.stream(name)`` method is the sanctioned RNG
 #: substream accessor (RandomStreams instances around the tree).
 _STREAM_RECEIVERS = {"rng", "streams", "random_streams"}
@@ -148,8 +145,8 @@ class TaintedReturnRule(Rule):
 class GlobalRandomRule(Rule):
     id = "determinism-global-random"
     description = (
-        "No stdlib `random` module and no ambient numpy global RNG; "
-        "randomness must come from seeded generators."
+        "No stdlib `random` module and no numpy.random, seeded or not; "
+        "randomness must come from repro.sim.random's streams."
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
@@ -158,37 +155,40 @@ class GlobalRandomRule(Rule):
                 ast.Import, ast.ImportFrom, ast.Attribute
             ):
                 if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        if alias.name == "random" or alias.name.startswith(
-                            "random."
-                        ):
-                            yield module.finding(
-                                self.id,
-                                node,
-                                "stdlib `random` is globally seeded state; "
-                                "use cluster.rng.stream(name)",
-                            )
+                    names = [alias.name for alias in node.names]
                 elif isinstance(node, ast.ImportFrom):
                     # level > 0 is a relative import (e.g. sim/.random)
-                    if node.module == "random" and node.level == 0:
+                    if node.level > 0:
+                        continue
+                    names = [node.module or ""] + [
+                        f"numpy.{alias.name}"
+                        for alias in node.names
+                        if node.module == "numpy"
+                    ]
+                else:
+                    name = dotted_name(node)
+                    if name.startswith(("np.random.", "numpy.random.")):
+                        yield self._numpy(module, node, name)
+                    continue
+                for name in names:
+                    if name == "random" or name.startswith("random."):
                         yield module.finding(
                             self.id,
                             node,
                             "stdlib `random` is globally seeded state; "
                             "use cluster.rng.stream(name)",
                         )
-                elif isinstance(node, ast.Attribute):
-                    name = dotted_name(node)
-                    if (
-                        name.startswith(("np.random.", "numpy.random."))
-                        and name.rsplit(".", 1)[1] not in _NP_RANDOM_OK
-                    ):
-                        yield module.finding(
-                            self.id,
-                            node,
-                            f"{name} uses numpy's ambient global RNG; "
-                            "construct via np.random.default_rng(seed)",
-                        )
+                    elif name == "numpy.random" or name.startswith("numpy.random."):
+                        yield self._numpy(module, node, name)
+
+    def _numpy(self, module: ModuleInfo, node: ast.AST, name: str) -> Finding:
+        return module.finding(
+            self.id,
+            node,
+            f"{name} is numpy's RNG, which the runtime does not import; "
+            "draw from repro.sim.random (cluster.rng.stream(name), or "
+            "Rng(seed))",
+        )
 
 
 class RngStreamLiteralRule(Rule):

@@ -25,9 +25,9 @@ Semantics, by traffic class:
 * **broadcast** (``Lan.broadcast``): receivers behind a partition or a
   per-receiver loss draw simply miss the message.
 
-All randomness comes from a ``numpy`` generator handed in by the
-caller (the injector passes ``cluster.rng.stream("faults.net")``), so
-a fixed seed reproduces the exact same drop pattern.
+All randomness comes from a seeded :class:`~repro.sim.random.Rng`
+handed in by the caller (the injector passes
+``cluster.rng.stream("faults.net")``), so a fixed seed reproduces the exact same drop pattern.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from ..net.lan import NetworkPartitionedError
 from ..sim import Tracer
+from ..sim.random import Rng
 
 __all__ = ["LinkFabric", "LinkState", "UnicastVerdict"]
 
@@ -85,9 +86,7 @@ class LinkFabric:
 
     def __init__(self, rng=None, tracer: Optional[Tracer] = None):
         if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng(0)
+            rng = Rng(0)
         self.rng = rng
         self.tracer = tracer if tracer is not None else Tracer()
         #: address -> partition group id; ``None`` means fully connected.
@@ -197,14 +196,14 @@ class LinkFabric:
         # sequence (golden traces stay byte-identical).
         if link.reorder > 0.0 and self.rng.random() < link.reorder:
             self.reordered += 1
-            verdict.delay += float(self.rng.uniform(0.0, link.reorder_window))
+            verdict.delay += self.rng.uniform(0.0, link.reorder_window)
         if link.corrupt > 0.0 and self.rng.random() < link.corrupt:
             self.corrupted += 1
             verdict.corrupt = True
         if link.duplicate > 0.0 and self.rng.random() < link.duplicate:
             self.duplicated += 1
             verdict.duplicates = 1
-            verdict.dup_delay = float(self.rng.uniform(0.0, link.reorder_window))
+            verdict.dup_delay = self.rng.uniform(0.0, link.reorder_window)
             if link.corrupt > 0.0 and self.rng.random() < link.corrupt:
                 self.corrupted += 1
                 verdict.dup_corrupt = True

@@ -166,24 +166,24 @@ class FaultPlan:
         rng = streams.stream("faults.plan")
         plan = cls()
         for host in hosts:
-            t = float(rng.exponential(mtbf))
+            t = rng.exponential(mtbf)
             while t < duration:
-                outage = max(0.1, float(rng.exponential(MEAN_OUTAGE)))
+                outage = max(0.1, rng.exponential(MEAN_OUTAGE))
                 plan.host_outage(round(t, 6), host, round(outage, 6))
-                t += outage + float(rng.exponential(mtbf))
+                t += outage + rng.exponential(mtbf)
         if link_glitches and len(hosts) >= 2:
             for _ in range(link_glitches):
                 i, j = rng.choice(len(hosts), size=2, replace=False)
-                start = float(rng.uniform(0.0, max(duration - 1.0, 0.0)))
-                length = float(rng.uniform(1.0, max(2.0, duration / 8.0)))
-                drop = float(rng.uniform(0.05, MAX_GLITCH_DROP))
-                delay = float(rng.uniform(0.0, 0.005))
-                a, b = hosts[int(i)], hosts[int(j)]
+                start = rng.uniform(0.0, max(duration - 1.0, 0.0))
+                length = rng.uniform(1.0, max(2.0, duration / 8.0))
+                drop = rng.uniform(0.05, MAX_GLITCH_DROP)
+                delay = rng.uniform(0.0, 0.005)
+                a, b = hosts[i], hosts[j]
                 duplicate = reorder = corrupt = 0.0
                 if adversarial:
-                    duplicate = round(float(rng.uniform(0.0, 0.3)), 6)
-                    reorder = round(float(rng.uniform(0.0, 0.3)), 6)
-                    corrupt = round(float(rng.uniform(0.0, 0.15)), 6)
+                    duplicate = round(rng.uniform(0.0, 0.3), 6)
+                    reorder = round(rng.uniform(0.0, 0.3), 6)
+                    corrupt = round(rng.uniform(0.0, 0.15), 6)
                 plan.link(round(start, 6), a, b, drop=round(drop, 6),
                           delay=round(delay, 6), duplicate=duplicate,
                           reorder=reorder, corrupt=corrupt)

@@ -26,6 +26,7 @@ from typing import Any, Dict, Generator, Optional, Set
 
 from ..config import ClusterParams
 from ..sim import Cpu, Effect, Resource, Simulator, Tracer
+from ..sim.random import Rng
 from ..net import Lan, NetNode, Reply, RpcPort
 from .errors import FileNotFound
 from .protocol import (
@@ -167,9 +168,7 @@ class FileServer:
     def _disk_read(self, nbytes: int) -> Generator[Effect, None, None]:
         """Charge a disk read for the fraction missing the server cache."""
         if self._disk_rng is None:
-            import numpy as np
-
-            self._disk_rng = np.random.default_rng(self.params.seed ^ 0xD15C)
+            self._disk_rng = Rng(self.params.seed ^ 0xD15C)
         if self._disk_rng.random() < self.params.server_cache_hit_rate:
             return
         duration = self.params.disk_latency + nbytes / self.params.disk_bandwidth

@@ -23,6 +23,7 @@ from typing import Dict, Generator, Iterable, List, Optional, Sequence
 from ..kernel import Host
 from ..net import Packet
 from ..sim import Channel, Effect, Sleep, first, spawn
+from ..sim.random import Rng
 from .base import HostSelector
 
 __all__ = [
@@ -176,9 +177,7 @@ class ProbabilisticSelector(HostSelector):
             if not self.peers:
                 continue
             if rng is None:
-                import numpy as np
-
-                rng = np.random.default_rng(
+                rng = Rng(
                     self.host.params.seed ^ (self.host.address << 8)
                 )
             self.vector[self.host.address] = _VectorEntry(
@@ -193,7 +192,7 @@ class ProbabilisticSelector(HostSelector):
                 address: (entry.load, entry.available, entry.heard_at)
                 for address, entry in self.vector.items()
             }
-            for target in sorted(int(t) for t in targets):
+            for target in sorted(targets):
                 self.gossip_messages += 1
                 try:
                     yield from self.host.rpc.call(

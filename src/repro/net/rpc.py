@@ -24,12 +24,14 @@ the cache is spared), which the ``rpc-idempotency`` lint rule audits.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from ..config import ClusterParams
 from ..obs.spans import RPC_CALL, RPC_SERVE
 from ..sim import TIMED_OUT, Cpu, Effect, SimEvent, Simulator, Sleep, Task
+from ..sim.random import Rng
 from ..sim.tasks import _Waiter
 from .errors import RetryLaterError, RpcError, RpcTimeout
 from .lan import HostDownError, Lan, NetNode, NetworkPartitionedError, Packet
@@ -395,11 +397,7 @@ class RpcPort:
         if jitter > 0.0:
             rng = self._backoff_rng
             if rng is None:
-                import zlib
-
-                import numpy as np
-
-                rng = np.random.default_rng(
+                rng = Rng(
                     (params.seed << 32)
                     ^ zlib.crc32(f"rpc-backoff:{self.node.name}".encode())
                 )

@@ -10,8 +10,8 @@ and day of week.
 Two consumers:
 
 * :meth:`ActivityModel.generate_intervals` produces the busy intervals
-  analytically (pure numpy) for long horizons — benchmark E9 computes
-  idle fractions from these without running the event loop.
+  directly for long horizons — benchmark E9 computes idle fractions
+  from these without running the event loop.
 * :class:`ActivityDriver` replays a trace into a live simulation,
   injecting ``user_input()`` events that drive availability and
   eviction for the end-to-end experiments (E10).
@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Sequence, Tuple
 
-import numpy as np
-
 from ..kernel import Host
 from ..sim import Effect, Sleep, spawn
+from ..sim.random import Rng
 
 __all__ = ["ActivityModel", "ActivityDriver", "idle_fraction_by_hour"]
 
@@ -66,14 +65,14 @@ class ActivityModel:
         self, host_index: int, duration: float
     ) -> List[Tuple[float, float]]:
         """Busy intervals for one host over ``duration`` seconds."""
-        rng = np.random.default_rng((self.seed << 16) ^ (host_index * 2654435761 % 2**31))
+        rng = Rng((self.seed << 16) ^ (host_index * 2654435761 % 2**31))
         intervals: List[Tuple[float, float]] = []
-        t = float(rng.exponential(self._gap_mean(0.0)))
+        t = rng.exponential(self._gap_mean(0.0))
         while t < duration:
-            session = float(rng.exponential(self.session_mean))
+            session = rng.exponential(self.session_mean)
             stop = min(t + session, duration)
             intervals.append((t, stop))
-            t = stop + float(rng.exponential(self._gap_mean(stop)))
+            t = stop + rng.exponential(self._gap_mean(stop))
         return intervals
 
     def busy_fraction(
@@ -94,7 +93,7 @@ def idle_fraction_by_hour(
     model: ActivityModel,
     hosts: int,
     days: int,
-) -> np.ndarray:
+) -> List[float]:
     """Mean fraction of hosts idle for each hour of the day (E9's curve).
 
     :data:`IDLE_GRACE` extends each busy interval: a host is
@@ -103,8 +102,8 @@ def idle_fraction_by_hour(
     kernel's criterion).
     """
     duration = days * DAY
-    hour_busy = np.zeros(24)
-    hour_span = np.zeros(24)
+    hour_busy = [0.0] * 24
+    hour_span = [0.0] * 24
     for index in range(hosts):
         intervals = [
             (start, min(stop + IDLE_GRACE, duration))
@@ -115,7 +114,7 @@ def idle_fraction_by_hour(
                 window = (day * DAY + hour * 3600.0, day * DAY + (hour + 1) * 3600.0)
                 hour_busy[hour] += model.busy_fraction(intervals, window)
                 hour_span[hour] += 1.0
-    return 1.0 - hour_busy / np.maximum(hour_span, 1.0)
+    return [1.0 - busy / max(span, 1.0) for busy, span in zip(hour_busy, hour_span)]
 
 
 class ActivityDriver:

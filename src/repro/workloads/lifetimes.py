@@ -16,10 +16,11 @@ p = 0.99, short mean 0.1515 s, long mean 135 s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
+from ..sim.random import Rng
 
 __all__ = ["ZhouLifetimes", "fit_hyperexponential"]
 
@@ -61,11 +62,11 @@ def fit_hyperexponential(
     disc = coeff_b * coeff_b - 4.0 * coeff_a * coeff_c
     if disc < 0:
         raise ValueError("moments not attainable with this mix probability")
-    m2 = (-coeff_b + np.sqrt(disc)) / (2.0 * coeff_a)
+    m2 = (-coeff_b + math.sqrt(disc)) / (2.0 * coeff_a)
     m1 = (mean - q * m2) / p
     if m1 <= 0:
         raise ValueError("moments not attainable with this mix probability")
-    return float(p), float(m1), float(m2)
+    return p, m1, m2
 
 
 @dataclass
@@ -81,12 +82,12 @@ class ZhouLifetimes:
         self.p_short, self.short_mean, self.long_mean = fit_hyperexponential(
             self.mean, self.std, self.p_short
         )
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = Rng(self.seed)
 
     def sample(self) -> float:
         if self._rng.random() < self.p_short:
-            return float(self._rng.exponential(self.short_mean))
-        return float(self._rng.exponential(self.long_mean))
+            return self._rng.exponential(self.short_mean)
+        return self._rng.exponential(self.long_mean)
 
     def stream(self) -> Iterator[float]:
         while True:

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-import numpy as np
-
 from ..cluster import SpriteCluster
 from ..kernel import Host, UserContext
 from ..loadsharing import LoadSharingService
 from ..migration import records_by_reason
+from ..migration.stats import mean
 from ..sim import Effect, Sleep, spawn
+from ..sim.random import Rng
 from .activity import ActivityDriver, ActivityModel
 from .lifetimes import ZhouLifetimes
 
@@ -48,7 +48,7 @@ class UsageReport:
 
     @property
     def mean_idle_fraction(self) -> float:
-        return float(np.mean(self.idle_samples)) if self.idle_samples else 0.0
+        return mean(self.idle_samples) if self.idle_samples else 0.0
 
     def rows(self) -> Dict[str, float]:
         return {
@@ -107,7 +107,7 @@ class UsageSimulation:
         self.report = UsageReport(
             duration=duration, hosts=len(cluster.hosts)
         )
-        self._rng = np.random.default_rng(seed ^ 0xACE)
+        self._rng = Rng(seed ^ 0xACE)
 
     # ------------------------------------------------------------------
     def install(self) -> None:
@@ -146,15 +146,15 @@ class UsageSimulation:
 
     # ------------------------------------------------------------------
     def _owner_loop(self, host: Host, index: int) -> Generator[Effect, None, None]:
-        rng = np.random.default_rng((self._rng.integers(2**31) + index) % 2**31)
+        rng = Rng((self._rng.integers(2**31) + index) % 2**31)
         client = self.service.mig_client(host)
         while True:
-            yield Sleep(float(rng.exponential(self.think_time)))
+            yield Sleep(rng.exponential(self.think_time))
             if not host.user_present:
                 continue
             if rng.random() < self.batch_probability:
                 self.report.batches += 1
-                width = int(rng.integers(2, self.batch_width + 1))
+                width = rng.integers(2, self.batch_width + 1)
                 self.report.batch_jobs += width
                 pcb, _ = host.spawn_process(
                     self._batch_coordinator_program(client, width, rng),
@@ -167,7 +167,7 @@ class UsageSimulation:
 
     def _batch_coordinator_program(self, client, width: int, rng):
         unit_cpus = [
-            float(rng.exponential(self.batch_unit_cpu)) for _ in range(width)
+            rng.exponential(self.batch_unit_cpu) for _ in range(width)
         ]
 
         def coordinator(proc):

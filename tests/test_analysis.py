@@ -131,15 +131,36 @@ def test_global_random_negative(tmp_path):
             "pkg/__init__.py": "from .random import RandomStreams\n",
             "pkg/random.py": "class RandomStreams:\n    pass\n",
             "pkg/use.py": """\
-            import numpy as np
+            from .random import Rng
 
             def make(seed):
-                return np.random.default_rng(seed)
+                return Rng(seed)
             """,
         },
         ["determinism-global-random"],
     )
     assert findings == []
+
+
+def test_global_random_flags_seeded_numpy_constructors(tmp_path):
+    # The runtime draws from repro.sim.random alone: a seeded numpy
+    # generator is a finding too, however it is reached.
+    findings = findings_of(
+        tmp_path,
+        {
+            "mod.py": """\
+            import numpy as np
+            from numpy.random import default_rng
+            from numpy import random as npr
+
+            def make(seed):
+                return np.random.default_rng(seed)
+            """
+        },
+        ["determinism-global-random"],
+    )
+    assert [finding.line for finding in findings] == [2, 3, 6]
+    assert all("repro.sim.random" in finding.message for finding in findings)
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +173,20 @@ def test_rng_stream_positive(tmp_path):
             "mod.py": """\
             def draw(rng, name):
                 return rng.stream(name).random()
+            """
+        },
+        ["determinism-rng-stream"],
+    )
+    assert rule_ids(findings) == ["determinism-rng-stream"]
+
+
+def test_rng_stream_positive_streams_receiver(tmp_path):
+    findings = findings_of(
+        tmp_path,
+        {
+            "mod.py": """\
+            def draw(streams, index):
+                return streams.stream(f"mod.{index}").random()
             """
         },
         ["determinism-rng-stream"],

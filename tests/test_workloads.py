@@ -63,7 +63,7 @@ def test_activity_intervals_ordered_and_bounded():
 
 def test_activity_day_busier_than_night():
     model = ActivityModel(seed=2)
-    fractions = idle_fraction_by_hour(model, hosts=12, days=5)
+    fractions = np.asarray(idle_fraction_by_hour(model, hosts=12, days=5))
     day = fractions[10:17].mean()     # 10:00-17:00
     night = np.concatenate([fractions[:6], fractions[22:]]).mean()
     assert night > day
