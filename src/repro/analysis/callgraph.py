@@ -67,6 +67,13 @@ _FALLBACK_BLOCKLIST = frozenset({
     "appendleft",
 })
 
+#: What :meth:`CallGraph._walk_expr_calls` acts on (a lambda's body
+#: is skipped, so it need not be looked for).
+_EXPR_WALK_TYPES = (
+    ast.Call, ast.Dict, ast.List, ast.Tuple, ast.Set, ast.Return,
+    ast.Assign, ast.AnnAssign, ast.FunctionDef, ast.AsyncFunctionDef,
+)
+
 #: Trees beside the source root whose code counts as a caller in the
 #: dead-code report.  ``tests/`` is not one: a function only its own
 #: unit test calls is still reported.
@@ -309,11 +316,13 @@ class CallGraph:
 
     def _walk_expr_calls(self, module: ModuleInfo, stmt: ast.stmt,
                          scope: _Scope) -> None:
-        stack: List[ast.AST] = [stmt]
+        # Only subtrees holding a node handled below are expanded: the
+        # same nodes are met in the same order, without the Names,
+        # Constants and operators around them.
+        wanted = module.index.holding(*_EXPR_WALK_TYPES).__contains__
+        stack: List[ast.AST] = [stmt] if wanted(stmt) else []
         while stack:
             node = stack.pop()
-            if not node._fields:  # Load, Store, operators: nothing below
-                continue
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 # nested defs are walked by _walk_suite via their scope
                 fn = self._fn_by_ast.get(id(node))
@@ -338,7 +347,7 @@ class CallGraph:
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
                     and node.value is not None:
                 self._record_ref(module, node.value, scope)
-            stack.extend(ast.iter_child_nodes(node))
+            stack.extend(filter(wanted, ast.iter_child_nodes(node)))
 
     def _record_call(self, module: ModuleInfo, call: ast.Call,
                      scope: _Scope) -> None:

@@ -135,10 +135,11 @@ class AstIndex:
     in the same relative order, so a rule that takes the first match,
     ``break``s after one finding or ``setdefault``s an origin sees what
     a private ``ast.walk`` would have shown it.  ``parents`` comes out
-    of the same traversal.
+    of the same traversal, and :meth:`holding` climbs it.
     """
 
-    __slots__ = ("nodes", "parents", "_by_type", "_answers", "_subtrees")
+    __slots__ = ("nodes", "parents", "_by_type", "_answers", "_holding",
+                 "_subtrees")
 
     def __init__(self, tree: ast.AST):
         nodes: List[ast.AST] = []
@@ -169,6 +170,7 @@ class AstIndex:
         self.parents = parents
         self._by_type = by_type
         self._answers: Dict[Tuple[type, ...], List[ast.AST]] = {}
+        self._holding: Dict[Tuple[type, ...], Set[ast.AST]] = {}
         self._subtrees: Dict[ast.AST, List[ast.AST]] = {}
 
     def nodes_of(self, *types: type) -> List[ast.AST]:
@@ -182,6 +184,24 @@ class AstIndex:
             else:  # several concrete types: their buckets, merged in order
                 found = [node for node in self.nodes if type(node) in wanted]
             self._answers[types] = found
+        return found
+
+    def holding(self, *types: type) -> Set[ast.AST]:
+        """Every node whose subtree (itself included) holds an instance
+        of ``types``: a walk looking for them pushes only children in
+        this set and still meets every match, in the same order.
+        Shared between callers like :meth:`nodes_of`."""
+        found = self._holding.get(types)
+        if found is None:
+            found = self._holding[types] = set()
+            parents = self.parents
+            for kind, bucket in self._by_type.items():
+                if not issubclass(kind, types):
+                    continue
+                for node in bucket:
+                    while node is not None and node not in found:
+                        found.add(node)
+                        node = parents.get(node)
         return found
 
     def subtree(self, root: ast.AST) -> List[ast.AST]:
@@ -201,7 +221,6 @@ class ModuleInfo:
         self.path = path
         self.rel = path.relative_to(root).as_posix()
         self.source = path.read_text()
-        self.lines = self.source.splitlines()
         self.error: Optional[SyntaxError] = None
         try:
             self.tree: Optional[ast.Module] = ast.parse(
@@ -212,6 +231,12 @@ class ModuleInfo:
             self.error = err
 
     # ------------------------------------------------------------------
+    @cached_property
+    def lines(self) -> List[str]:
+        """The source split into lines, only for the few modules whose
+        pragmas or finding snippets are read."""
+        return self.source.splitlines()
+
     @cached_property
     def pragmas(self) -> Dict[int, Dict[str, str]]:
         """line number -> {rule_id -> reason}."""

@@ -81,27 +81,31 @@ def fixpoint(
     return summaries
 
 
-def _header_calls(stmt: ast.stmt) -> List[ast.Call]:
+def _header_calls(stmt: ast.stmt, holding: Set[ast.AST]) -> List[ast.Call]:
     """Calls in the expressions a statement *directly* owns — its test,
-    iterable, targets, value — but not in nested statement bodies (those
-    are walked recursively, so try/except filtering stays correct) and
-    not in nested defs or lambdas (their effects belong to the nested
-    function's own summary)."""
+    iterable, targets, value, a ``case``'s pattern and guard — but not
+    in nested statement bodies (those are walked recursively, so
+    try/except filtering stays correct) and not in lambdas (their
+    calls run when the lambda is called).  ``holding`` is the module's
+    ``index.holding(ast.Call)``: nothing outside it is expanded."""
+    if stmt not in holding:
+        return []
+    roots: List[Optional[ast.AST]] = []
+    for child in ast.iter_child_nodes(stmt):
+        if isinstance(child, ast.match_case):  # its body is a suite
+            roots += (child.pattern, child.guard)
+        elif not isinstance(child, (ast.stmt, ast.ExceptHandler)):
+            roots.append(child)
+    wanted = holding.__contains__
     out: List[ast.Call] = []
-    stack: List[ast.AST] = [
-        child
-        for child in ast.iter_child_nodes(stmt)
-        if not isinstance(child, (ast.stmt, ast.ExceptHandler))
-    ]
+    stack = list(filter(wanted, roots))
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
+        if isinstance(node, ast.Lambda):
             continue
         if isinstance(node, ast.Call):
             out.append(node)
-        if node._fields:  # Load, Store, operators: nothing below
-            stack.extend(ast.iter_child_nodes(node))
+        stack.extend(filter(wanted, ast.iter_child_nodes(node)))
     return out
 
 
@@ -179,19 +183,23 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
     #: neither changes between visits.
     parts: Dict[ast.stmt, Tuple[tuple, tuple]] = {}
 
-    def parts_of(stmt: ast.stmt) -> Tuple[tuple, tuple]:
+    def parts_of(stmt: ast.stmt, rel: str) -> Tuple[tuple, tuple]:
         found = parts.get(stmt)
         if found is None:
-            suites = tuple(
-                value
-                for _field, value in ast.iter_fields(stmt)
-                if isinstance(value, list)
-                and value
-                and isinstance(value[0], ast.stmt)
-            )
+            if isinstance(stmt, ast.Match):
+                suites = tuple(case.body for case in stmt.cases)
+            else:
+                suites = tuple(
+                    value
+                    for _field, value in ast.iter_fields(stmt)
+                    if isinstance(value, list)
+                    and value
+                    and isinstance(value[0], ast.stmt)
+                )
+            holding = graph.tree.module(rel).index.holding(ast.Call)
             callees = tuple(
                 callee
-                for call in _header_calls(stmt)
+                for call in _header_calls(stmt, holding)
                 for callee in graph.call_targets(call)
             )
             found = parts[stmt] = (suites, callees)
@@ -227,9 +235,9 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
                     if name is not None:
                         out.setdefault(name, (rel, stmt.lineno))
                     # calls inside the raise expression can escape too
-                    merge_callees(parts_of(stmt)[1])
+                    merge_callees(parts_of(stmt, rel)[1])
                 continue
-            if isinstance(stmt, ast.Try):
+            if isinstance(stmt, (ast.Try, ast.TryStar)):
                 body = escapes_of(stmt.body, rel, summary_of, caught_ctx)
                 survived = dict(body)
                 for handler in stmt.handlers:
@@ -259,7 +267,7 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
                 continue
             # every other statement: recurse into any nested statement
             # suites, then fold in calls from its own expressions
-            suites, callees = parts_of(stmt)
+            suites, callees = parts_of(stmt, rel)
             for suite in suites:
                 merge(escapes_of(suite, rel, summary_of, caught_ctx))
             merge_callees(callees)
