@@ -14,8 +14,7 @@ Pragma grammar (suppression is per-line, per-rule, never blanket)::
 
 A pragma suppresses matching findings on its own line and on the line
 directly below it (for statements too long to share a line with their
-justification).  ``# span-guard: caller`` is kept as a legacy alias for
-``# lint: disable=obs-unguarded-emit(caller holds the guard)``.
+justification).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
 #: ``# lint: disable=rule-one,rule-two(reason...)``
 _PRAGMA = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,()\- .:'\"/]+)")
 _PRAGMA_ITEM = re.compile(r"([a-z0-9-]+)(?:\(([^)]*)\))?")
-_SPAN_GUARD = re.compile(r"#\s*span-guard:\s*caller")
 
 
 def default_src_root() -> pathlib.Path:
@@ -179,7 +177,9 @@ class AstIndex:
         found = self._answers.get(types)
         if found is None:
             wanted = {kind for kind in self._by_type if issubclass(kind, types)}
-            if len(wanted) == 1:
+            if not wanted:  # the module has none: nothing to scan for
+                found = []
+            elif len(wanted) == 1:
                 found = self._by_type[wanted.pop()]
             else:  # several concrete types: their buckets, merged in order
                 found = [node for node in self.nodes if type(node) in wanted]
@@ -242,10 +242,6 @@ class ModuleInfo:
         """line number -> {rule_id -> reason}."""
         table: Dict[int, Dict[str, str]] = {}
         for index, line in enumerate(self.lines, start=1):
-            if _SPAN_GUARD.search(line):
-                table.setdefault(index, {})["obs-unguarded-emit"] = (
-                    "caller holds the guard"
-                )
             match = _PRAGMA.search(line)
             if match is None:
                 continue

@@ -12,11 +12,13 @@ A call is considered guarded when, inside its enclosing function:
   ``.spans_enabled`` or an ``is (not) None`` comparison, or a boolean
   expression short-circuits on one (``tracer.enabled and
   tracer.emit(...)``), or
-* an earlier same-suite ``if`` with such a test ends in
-  ``return``/``raise``/``continue`` (early-exit guard).
+* an earlier ``if`` with such a test, in the same suite (a function,
+  ``if``/loop/``with`` body, ``try`` clause, ``except`` handler or
+  ``case`` body), ends in ``return``/``raise``/``continue``/``break``
+  (early-exit guard).
 
-Sites that emit on behalf of callers carry ``# span-guard: caller``
-(an alias for ``# lint: disable=obs-unguarded-emit``).
+Sites that emit on behalf of callers carry
+``# lint: disable=obs-unguarded-emit(<reason>)``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class UnguardedEmitRule(Rule):
                     f"{dotted_name(node.func)}() is not dominated by an "
                     "enabled/None guard; wrap in `if tracer.enabled:` "
                     "(`if tracer.spans_enabled:` for spans) or mark "
-                    "`# span-guard: caller`",
+                    "`# lint: disable=obs-unguarded-emit(<reason>)`",
                 )
 
 
@@ -135,26 +137,24 @@ def _is_guarded(module: ModuleInfo, call: ast.Call) -> bool:
             if _early_exit_before(parent.body, child):
                 return True
             return False  # stop at the function boundary
-        if isinstance(parent, (ast.If, ast.While, ast.For, ast.Try, ast.With)):
-            if any(
-                _early_exit_before(suite, child)
-                for suite in _suites_of(parent)
-            ):
-                return True
+        if any(
+            _early_exit_before(suite, child) for suite in _suites_of(parent)
+        ):
+            return True
         child = parent
         parent = parents.get(parent)
     return False
 
 
 def _suites_of(node: ast.AST) -> List[List[ast.stmt]]:
-    suites: List[List[ast.stmt]] = []
-    for attr in ("body", "orelse", "finalbody"):
-        suite = getattr(node, attr, None)
-        if suite:
-            suites.append(suite)
-    for handler in getattr(node, "handlers", []) or []:
-        suites.append(handler.body)
-    return suites
+    """Every statement list hanging directly off ``node``: the body and
+    ``else`` of an ``if`` or loop, the clauses of a ``try``, the body of
+    an ``except`` handler or of a ``case``."""
+    suites = (getattr(node, name, None) for name in node._fields)
+    return [
+        suite for suite in suites
+        if isinstance(suite, list) and suite and isinstance(suite[0], ast.stmt)
+    ]
 
 
 def _in_suite(suite: List[ast.stmt], child: ast.AST) -> bool:
@@ -180,9 +180,9 @@ def _early_exit_before(suite: List[ast.stmt], child: ast.AST) -> bool:
 class SpanCatalogueRule(Rule):
     """Span names must come from the registered catalogue.
 
-    Critical-path attribution (:mod:`repro.obs.critpath`) and the
-    migration breakdowns key on exact span-name strings; a site that
-    invents (or typos) a name silently drops out of every analysis.
+    Critical-path attribution (:mod:`repro.obs.critpath`) keys on
+    exact span-name strings; a site that invents (or typos) a name
+    silently drops out of every analysis.
     This rule requires the ``name`` argument at each
     ``tracer.start_span(...)`` / ``tracer.record_span(...)`` call site
     to resolve to a member of :data:`repro.obs.spans.SPAN_CATALOGUE` —

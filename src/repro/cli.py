@@ -186,12 +186,11 @@ def cmd_report(_args: argparse.Namespace) -> int:
 class _CaptureClusters:
     """Context manager that wraps ``SpriteCluster.__init__`` so every
     cluster a traced workload builds comes up with observability
-    installed (spans + tracer on, metrics hooks attached)."""
+    installed (spans + tracer on, metrics hooks attached) and a
+    counts-only engine profiler on its simulator."""
 
-    def __init__(self, sample_period: Optional[float] = None,
-                 profile: bool = False):
+    def __init__(self, sample_period: Optional[float] = None):
         self.sample_period = sample_period
-        self.profile = profile
         self.captured: list = []
 
     def __enter__(self) -> "_CaptureClusters":
@@ -202,15 +201,13 @@ class _CaptureClusters:
         original = self._original
         captured = self.captured
         period = self.sample_period
-        profile = self.profile
 
         def patched(cluster, *cargs, **ckwargs):
             original(cluster, *cargs, **ckwargs)
             obs = ClusterObservability.install(
                 cluster, spans=True, trace=True, sample_period=period
             )
-            if profile:
-                EngineProfiler().install(cluster.sim)
+            EngineProfiler().install(cluster.sim)
             captured.append((cluster, obs))
 
         SpriteCluster.__init__ = patched
@@ -255,7 +252,9 @@ def _trace_builtin_migration() -> None:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from .obs import (
-        migration_breakdowns,
+        EngineProfiler,
+        critpath_report,
+        migration_critical_paths,
         render_flame,
         render_span_summary,
         spans_to_chrome_trace,
@@ -341,66 +340,33 @@ def cmd_trace(args: argparse.Namespace) -> int:
     (out_dir / "metrics.json").write_text(
         json.dumps(snapshots, indent=1, sort_keys=True) + "\n"
     )
+    (out_dir / "critpath.txt").write_text(critpath_report(spans))
+    profile = EngineProfiler()
+    for cluster, _obs in capture.captured:
+        profile.merge_from(cluster.sim.profiler)
     summary = render_span_summary(spans)
     flame = render_flame(spans)
-    (out_dir / "summary.txt").write_text(summary + "\n\n" + flame + "\n")
+    (out_dir / "summary.txt").write_text(
+        summary + "\n\n" + flame + "\n\n" + profile.render() + "\n"
+    )
 
     # Console report ---------------------------------------------------
     print(f"captured {len(capture.captured)} cluster(s), "
           f"{len(records)} trace records, {len(spans)} spans")
     print(f"\n{summary}\n")
-    breakdowns = migration_breakdowns(spans)
-    if breakdowns:
+    rows = migration_critical_paths(spans)
+    if rows:
         print("migrations:")
-        for row in breakdowns:
-            status = "refused" if row["refused"] else "ok"
-            print(f"  pid {row['pid']} {row['source']}→{row['target']} "
-                  f"({row['reason']}, {status}): total {row['total']:.4f}s "
-                  f"freeze {row['freeze']:.4f}s")
+        for row in rows:
+            status = "refused" if row.refused else "ok"
+            freeze = next(p.seconds for p in row.phases if p.phase == "freeze")
+            print(f"  pid {row.pid} {row.source}→{row.target} "
+                  f"({row.reason}, {status}): "
+                  f"total {row.ended - row.started:.4f}s "
+                  f"freeze {freeze:.4f}s")
         print()
-    print(f"wrote trace.jsonl, trace_chrome.json, metrics.json, summary.txt "
-          f"to {out_dir}/")
-    return 0
-
-
-def cmd_critpath(args: argparse.Namespace) -> int:
-    """Causal critical-path analysis of a traced workload."""
-    from .obs import critpath_report
-
-    capture = _CaptureClusters(profile=args.profile)
-    with capture:
-        if args.target == "migration":
-            _trace_builtin_migration()
-        else:
-            examples = _find_dir("examples")
-            if examples is None:
-                print("error: examples/ not found (run from a source "
-                      "checkout)", file=sys.stderr)
-                return 2
-            runpy.run_path(str(examples / DEMOS[args.target]),
-                           run_name="__main__")
-    if not capture.captured:
-        print("error: the workload never built a SpriteCluster; nothing "
-              "to analyze", file=sys.stderr)
-        return 1
-    spans = [s for cluster, _obs in capture.captured
-             for s in cluster.tracer.finished_spans]
-    report = critpath_report(spans, limit=args.limit)
-    if args.profile:
-        from .obs import EngineProfiler
-
-        merged = EngineProfiler()
-        for cluster, _obs in capture.captured:
-            profiler = cluster.sim.profiler
-            if profiler is not None:
-                merged.merge_from(profiler)
-        report += "\n\n" + merged.render()
-    print(report)
-    if args.out:
-        out_path = pathlib.Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(report + "\n")
-        print(f"\nwrote {out_path}", file=sys.stderr)
+    print(f"wrote trace.jsonl, trace_chrome.json, metrics.json, summary.txt, "
+          f"critpath.txt to {out_dir}/")
     return 0
 
 
@@ -561,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("report", help="stitch benchmark artifacts into one report")
     trace = sub.add_parser(
         "trace",
-        help="run a workload with spans+metrics on and export the trace",
+        help="run a workload with spans, metrics and the engine profiler "
+             "on; export the trace, critical-path attribution and profile",
     )
     trace.add_argument(
         "target",
@@ -583,23 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metrics sampling period in sim seconds "
                             "(off by default: a sampler keeps the event "
                             "queue non-empty)")
-    critpath = sub.add_parser(
-        "critpath",
-        help="causal critical-path analysis: per-migration latency "
-             "attribution and the whole-run critical path",
-    )
-    critpath.add_argument(
-        "target",
-        choices=["migration"] + sorted(DEMOS),
-        help="'migration' (builtin fixed scenario) or a demo",
-    )
-    critpath.add_argument("--out", default=None,
-                          help="also write the report to this file")
-    critpath.add_argument("--limit", type=int, default=40,
-                          help="max critical-path segments to print")
-    critpath.add_argument("--profile", action="store_true",
-                          help="attach the engine hot-spot profiler and "
-                               "append its per-subsystem event report")
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection runs with an invariant audit",
@@ -675,7 +625,6 @@ def main(argv: Optional[list] = None) -> int:
         "experiment": cmd_experiment,
         "report": cmd_report,
         "trace": cmd_trace,
-        "critpath": cmd_critpath,
         "chaos": cmd_chaos,
         "lint": cmd_lint,
     }

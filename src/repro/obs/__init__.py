@@ -9,13 +9,14 @@ holds both the flat records and the sim-time spans:
   histogram-backed timers with a sim-time sampler.
 * :mod:`.tables`  — :class:`Table` / :class:`Series`, the paper-style
   result rendering every benchmark prints.
-* :mod:`.export`  — JSONL and Chrome trace-event exporters, text
-  summary/flame views, and span-derived migration breakdowns.
+* :mod:`.export`  — JSONL and Chrome trace-event exporters and the text
+  summary/flame views.
 * :mod:`.install` — :class:`ClusterObservability`, the one-call wiring
   for a :class:`~repro.cluster.SpriteCluster` (also reachable as
   ``cluster.observability()``).
 * :mod:`.critpath` — causal critical-path analysis: per-migration
-  latency attribution tables and whole-run critical-path profiles.
+  phase timings with their latency attribution, and whole-run
+  critical-path profiles.
 * :mod:`.profile` — engine hot-spot profiler attributing dispatched
   events per task source / subsystem (opt-in ``Simulator.profiler``).
 
@@ -34,7 +35,6 @@ from .critpath import (
     run_critical_path,
 )
 from .export import (
-    migration_breakdowns,
     render_flame,
     render_span_summary,
     spans_to_chrome_trace,
@@ -112,7 +112,6 @@ __all__ = [
     "Table",
     "Timer",
     "critpath_report",
-    "migration_breakdowns",
     "migration_critical_paths",
     "render_attribution_table",
     "render_flame",

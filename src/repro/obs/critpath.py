@@ -23,21 +23,29 @@ Attribution contract
 --------------------
 :func:`migration_critical_paths` emits one row per ``mig.migrate``
 root.  The row's phases are the contiguous phase children (see
-:data:`~repro.obs.export.MIGRATION_PHASES`), so their durations
-partition ``MigrationRecord.total_time``; within each phase, part
-seconds plus the explicit ``(self)`` remainder sum *exactly* to the
-phase duration by construction (the remainder is computed as the
-difference).
+:data:`MIGRATION_PHASES`), so their durations partition
+``MigrationRecord.total_time``; within each phase, part seconds plus
+the explicit ``(self)`` remainder sum *exactly* to the phase duration
+by construction (the remainder is computed as the difference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim.trace import Span
-from .export import MIGRATION_PHASES
-from .spans import MIG_MIGRATE, RPC_CALL, RPC_SERVE
+from ..sim.trace import Span, Tracer
+from .spans import (
+    MIG_COMMIT,
+    MIG_FREEZE,
+    MIG_MIGRATE,
+    MIG_NEGOTIATE,
+    MIG_VM_PRE,
+    MIG_WAIT_SAFE_POINT,
+    RPC_CALL,
+    RPC_SERVE,
+)
 
 __all__ = [
     "Attribution",
@@ -53,26 +61,43 @@ __all__ = [
     "critpath_report",
 ]
 
+#: A span's identity: its tracer (one per cluster) and its id there.
+SpanId = Tuple[Tracer, int]
+
+#: Phase spans that partition a ``mig.migrate`` root contiguously.
+MIGRATION_PHASES = (MIG_NEGOTIATE, MIG_VM_PRE, MIG_WAIT_SAFE_POINT,
+                    MIG_FREEZE, MIG_COMMIT)
+
 
 # ----------------------------------------------------------------------
 # Graph index
 # ----------------------------------------------------------------------
 class SpanIndex:
-    """Finished spans indexed by sid, parent link, and RPC causal edge."""
+    """Finished spans indexed by id, parent link, and RPC causal edge.
+
+    Span ids count per tracer, so spans captured from several clusters
+    repeat them; every key is a :data:`SpanId`.
+    """
 
     def __init__(self, spans: Sequence[Span]):
         self.spans: List[Span] = [s for s in spans if s.finished]
-        self.by_sid: Dict[int, Span] = {s.sid: s for s in self.spans}
-        self.children: Dict[int, List[Span]] = {}
-        #: caller ``rpc.call`` sid -> the ``rpc.serve`` spans it caused.
-        self.serves: Dict[int, List[Span]] = {}
+        self.by_id: Dict[SpanId, Span] = {
+            (s.tracer, s.sid): s for s in self.spans
+        }
+        self.children: Dict[SpanId, List[Span]] = {}
+        #: caller ``rpc.call`` id -> the ``rpc.serve`` spans it caused.
+        self.serves: Dict[SpanId, List[Span]] = {}
         for span in self.spans:
             if span.parent_sid is not None:
-                self.children.setdefault(span.parent_sid, []).append(span)
+                self.children.setdefault(
+                    (span.tracer, span.parent_sid), []
+                ).append(span)
             if span.name == RPC_SERVE:
                 caller = span.attrs.get("caller_sid")
                 if caller is not None:
-                    self.serves.setdefault(caller, []).append(span)
+                    self.serves.setdefault(
+                        (span.tracer, caller), []
+                    ).append(span)
         for kids in self.children.values():
             kids.sort(key=lambda s: (s.start, s.sid))
         for kids in self.serves.values():
@@ -83,11 +108,11 @@ class SpanIndex:
         """The causal parent: the span's parent link, or — for an
         ``rpc.serve`` span — the ``rpc.call`` that caused it."""
         if span.parent_sid is not None:
-            return self.by_sid.get(span.parent_sid)
+            return self.by_id.get((span.tracer, span.parent_sid))
         if span.name == RPC_SERVE:
             caller = span.attrs.get("caller_sid")
             if caller is not None:
-                return self.by_sid.get(caller)
+                return self.by_id.get((span.tracer, caller))
         return None
 
     def depth(self, span: Span) -> int:
@@ -102,11 +127,13 @@ class SpanIndex:
             depth += 1
         return depth
 
-    def calls_from(self, host: str) -> List[Span]:
-        """``rpc.call`` spans originating on ``host`` (by node name)."""
-        source = f"rpc:{host}"
+    def calls_from(self, root: Span) -> List[Span]:
+        """``rpc.call`` spans of ``root``'s cluster originating on its
+        host (by node name)."""
+        source = "rpc:" + root.source.split(":", 1)[-1]
         return [s for s in self.spans
-                if s.name == RPC_CALL and s.source == source]
+                if s.name == RPC_CALL and s.source == source
+                and s.tracer is root.tracer]
 
 
 # ----------------------------------------------------------------------
@@ -199,7 +226,9 @@ def _rpc_detail(
     index: SpanIndex, call: Span
 ) -> Tuple[float, str]:
     """Server-side seconds and a rendered detail for one ``rpc.call``."""
-    serve_seconds = sum(s.duration for s in index.serves.get(call.sid, ()))
+    serve_seconds = sum(
+        s.duration for s in index.serves.get((call.tracer, call.sid), ())
+    )
     outcome = call.attrs.get("outcome", "?")
     dst = call.attrs.get("dst")
     if serve_seconds > 0.0:
@@ -228,11 +257,10 @@ def migration_critical_paths(spans: Sequence[Span]) -> List[MigrationCritPath]:
         (s for s in index.spans if s.name == MIG_MIGRATE),
         key=lambda s: (s.start, s.sid),
     ):
-        host = root.source.split(":", 1)[-1]
-        kids = index.children.get(root.sid, [])
+        kids = index.children.get((root.tracer, root.sid), [])
         phase_spans = {s.name: s for s in kids if s.name in MIGRATION_PHASES}
         substeps = [s for s in kids if s.name not in MIGRATION_PHASES]
-        host_calls = index.calls_from(host)
+        host_calls = index.calls_from(root)
         row = MigrationCritPath(
             pid=root.attrs.get("pid"),
             source=root.attrs.get("src"),
@@ -335,25 +363,33 @@ def run_critical_path(spans: Sequence[Span]) -> List[CritSegment]:
     Returns maximal constant-winner segments covering the run's extent
     (first span start to last span end), including explicit ``(idle)``
     segments where no span was active.  Deterministic: ties break by
-    depth, then latest start, then highest sid.
+    depth, then latest start, then highest sid, then the first listed.
     """
     index = SpanIndex(spans)
-    if not index.spans:
+    finished = index.spans
+    if not finished:
         return []
-    depths = {s.sid: index.depth(s) for s in index.spans}
-    bounds = sorted({b for s in index.spans for b in (s.start, s.end)})
+    depths = [index.depth(s) for s in finished]
+    bounds = sorted({b for s in finished for b in (s.start, s.end)})
+    # Every end is a bound, so a span covers the elementary interval
+    # ``[left, right]`` exactly when ``start <= left < end``.  The spans
+    # that have started wait on a heap, highest rank on top and the
+    # first listed winning a tie; one that has ended leaves when it
+    # reaches the top.
+    by_start = sorted(range(len(finished)), key=lambda i: finished[i].start)
+    started = 0
+    active: List[Tuple[int, float, int, int]] = []
     segments: List[CritSegment] = []
     for left, right in zip(bounds, bounds[1:]):
-        if right <= left:
-            continue
-        winner: Optional[Span] = None
-        winner_rank: Optional[Tuple[int, float, int]] = None
-        for span in index.spans:
-            if span.start <= left and span.end >= right:
-                rank = (depths[span.sid], span.start, span.sid)
-                if winner_rank is None or rank > winner_rank:
-                    winner_rank = rank
-                    winner = span
+        while (started < len(by_start)
+               and finished[by_start[started]].start <= left):
+            i = by_start[started]
+            span = finished[i]
+            heappush(active, (-depths[i], -span.start, -span.sid, i))
+            started += 1
+        while active and finished[active[0][3]].end <= left:
+            heappop(active)
+        winner = finished[active[0][3]] if active else None
         if winner is None:
             label, source = "(idle)", "-"
         else:
@@ -383,6 +419,10 @@ def critical_path_profile(
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
+#: Critical-path segments listed after the rollup table.
+_SEGMENTS = 40
+
+
 def render_attribution_table(rows: Sequence[MigrationCritPath]) -> str:
     """The paper-style per-migration latency attribution table."""
     count = len(rows)
@@ -424,22 +464,20 @@ def render_attribution_table(rows: Sequence[MigrationCritPath]) -> str:
     return "\n".join(lines).rstrip("\n")
 
 
-def render_run_path(
-    segments: Sequence[CritSegment], limit: int = 40
-) -> str:
-    """Rollup table plus the first ``limit`` critical-path segments."""
+def render_run_path(segments: Sequence[CritSegment]) -> str:
+    """Rollup table plus the first critical-path segments."""
     lines = ["critical-path profile (whole run):",
              f"  {'span':<24} {'crit_s':>10} {'segments':>9}"]
     for name, seconds, count in critical_path_profile(segments):
         lines.append(f"  {name:<24} {seconds:>10.6f} {count:>9}")
     lines.append("")
-    lines.append(f"critical-path segments (first {limit}):")
-    for segment in list(segments)[:limit]:
+    lines.append(f"critical-path segments (first {_SEGMENTS}):")
+    for segment in list(segments)[:_SEGMENTS]:
         lines.append(
             f"  {segment.start:>12.6f} .. {segment.end:>12.6f} "
             f"{segment.seconds:>10.6f}s  {segment.label} [{segment.source}]"
         )
-    dropped = max(0, len(segments) - limit)
+    dropped = max(0, len(segments) - _SEGMENTS)
     if dropped:
         lines.append(f"  ... {dropped} more segment(s) not shown")
     if not segments:
@@ -447,13 +485,13 @@ def render_run_path(
     return "\n".join(lines)
 
 
-def critpath_report(spans: Sequence[Span], limit: int = 40) -> str:
+def critpath_report(spans: Sequence[Span]) -> str:
     """The full deterministic report: attribution tables + run path."""
     rows = migration_critical_paths(spans)
     segments = run_critical_path(spans)
     return (
         render_attribution_table(rows)
         + "\n\n"
-        + render_run_path(segments, limit=limit)
+        + render_run_path(segments)
         + "\n"
     )

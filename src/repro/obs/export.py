@@ -13,35 +13,22 @@ Three consumers, three formats:
 * **Text** — an aggregate summary table (count/total/mean/p95 per span
   name) and an indented flame view of the slowest roots, for terminals
   and CI logs.
-
-Plus :func:`migration_breakdowns`, which reconstructs per-migration
-phase timings purely from spans — the check that ``MigrationRecord``'s
-hand-maintained fields and the span stream agree.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..sim.trace import Span, TraceRecord
+from ..sim.trace import Span, TraceRecord, Tracer
 from .metrics import LatencyHistogram
-from .spans import (
-    MIG_COMMIT,
-    MIG_FREEZE,
-    MIG_MIGRATE,
-    MIG_NEGOTIATE,
-    MIG_VM_PRE,
-    MIG_WAIT_SAFE_POINT,
-)
 
 __all__ = [
     "trace_to_jsonl",
     "spans_to_chrome_trace",
     "render_span_summary",
     "render_flame",
-    "migration_breakdowns",
 ]
 
 Pathish = Union[str, pathlib.Path]
@@ -150,12 +137,13 @@ def render_span_summary(spans: Sequence[Span]) -> str:
 
 
 def render_flame(spans: Sequence[Span]) -> str:
-    """Indented tree of the ten longest root spans."""
+    """Indented tree of the ten longest root spans.  Span ids count per
+    tracer, so a child is looked up under its tracer and parent id."""
     finished = [s for s in spans if s.finished]
-    children: Dict[int, List[Span]] = {}
+    children: Dict[Tuple[Tracer, int], List[Span]] = {}
     for span in finished:
         if span.parent_sid is not None:
-            children.setdefault(span.parent_sid, []).append(span)
+            children.setdefault((span.tracer, span.parent_sid), []).append(span)
     roots = sorted(
         (s for s in finished if s.parent_sid is None),
         key=lambda s: -s.duration,
@@ -169,7 +157,8 @@ def render_flame(spans: Sequence[Span]) -> str:
             f"{indent}{span.name:<{max(1, 30 - 2 * depth)}} "
             f"{span.duration * 1e3:>9.2f} ms  [{span.source}] {attrs}".rstrip()
         )
-        for kid in sorted(children.get(span.sid, ()), key=lambda s: s.start):
+        kids = children.get((span.tracer, span.sid), ())
+        for kid in sorted(kids, key=lambda s: s.start):
             walk(kid, depth + 1)
 
     for root in roots:
@@ -177,53 +166,3 @@ def render_flame(spans: Sequence[Span]) -> str:
     if not lines:
         lines.append("(no finished spans)")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Span-derived migration breakdowns
-# ----------------------------------------------------------------------
-#: Phase spans that partition a ``mig.migrate`` root contiguously.
-MIGRATION_PHASES = (MIG_NEGOTIATE, MIG_VM_PRE, MIG_WAIT_SAFE_POINT,
-                    MIG_FREEZE, MIG_COMMIT)
-
-
-def migration_breakdowns(spans: Sequence[Span]) -> List[Dict[str, Any]]:
-    """Per-migration phase timings reconstructed purely from spans.
-
-    Each ``mig.migrate`` root yields one row with the phase durations
-    (zero for phases the variant skips — exec migration has no VM
-    phase), ``total`` (the root's extent) and ``phase_sum`` (the sum of
-    its phase children).  For completed migrations the phases are
-    contiguous by construction, so ``phase_sum == total`` and ``total``
-    equals the corresponding ``MigrationRecord.total_time``; the test
-    suite holds the mechanism to that.
-    """
-    rows: List[Dict[str, Any]] = []
-    by_parent: Dict[int, List[Span]] = {}
-    for span in spans:
-        if span.parent_sid is not None and span.finished:
-            by_parent.setdefault(span.parent_sid, []).append(span)
-    for root in spans:
-        if root.name != MIG_MIGRATE or not root.finished:
-            continue
-        row: Dict[str, Any] = {
-            "pid": root.attrs.get("pid"),
-            "source": root.attrs.get("src"),
-            "target": root.attrs.get("dst"),
-            "reason": root.attrs.get("reason"),
-            "refused": bool(root.attrs.get("refused", False)),
-            "started": root.start,
-            "ended": root.end,
-            "total": root.duration,
-        }
-        phase_sum = 0.0
-        phases = {s.name: s for s in by_parent.get(root.sid, ())}
-        for name in MIGRATION_PHASES:
-            phase = phases.get(name)
-            duration = phase.duration if phase is not None else 0.0
-            row[name.split(".", 1)[1]] = duration
-            phase_sum += duration
-        row["phase_sum"] = phase_sum
-        rows.append(row)
-    rows.sort(key=lambda r: r["started"])
-    return rows

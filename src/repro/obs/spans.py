@@ -38,8 +38,8 @@ __all__ = [
 # Span-name catalogue
 # ----------------------------------------------------------------------
 # Every span the library emits is named here, once.  Downstream
-# analysis — the critical-path attribution in :mod:`.critpath`, the
-# migration breakdowns in :mod:`.export` — keys on these strings, so a
+# analysis — the per-migration phase timings and critical-path
+# attribution in :mod:`.critpath` — keys on these strings, so a
 # silently drifting phase name would corrupt attribution without
 # failing any single-layer test.  The ``obs-span-catalogue`` lint rule
 # (``python -m repro lint``) requires span names at

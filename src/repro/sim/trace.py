@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["SPAN_KIND", "Span", "TraceRecord", "Tracer"]
 
@@ -98,27 +98,11 @@ class Span:
 
 
 class Tracer:
-    """Collects trace records, optionally filtered by kind, and spans.
+    """Collects trace records and spans."""
 
-    Filter semantics
-    ----------------
-    When ``kinds`` is set, the filter is applied **at emit time**: a
-    record whose kind is not in the set is dropped before it is stored
-    *and* before the ``sink`` sees it — attaching a sink mid-run does
-    not bypass the filter.  Consequently ``records``, :meth:`between`
-    and ``len`` see the *retained* records only; ``kinds`` tells "no
-    such events happened" from "that kind is filtered out".  Spans are
-    kept whatever the filter; only their mirrored records obey it.
-    """
-
-    def __init__(self, enabled: bool = False, kinds: Optional[List[str]] = None):
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self.kinds = set(kinds) if kinds else None
         self.records: List[TraceRecord] = []
-        #: Optional sink called with each *retained* record as it is
-        #: emitted (e.g. ``print`` for live example output).  Records
-        #: dropped by the ``kinds`` filter never reach the sink.
-        self.sink: Optional[Callable[[TraceRecord], None]] = None
         #: The span switch, independent of ``enabled``; span sites guard
         #: on it, so a run with it off never allocates a span.
         self.spans_enabled = False
@@ -127,17 +111,11 @@ class Tracer:
         self._span_seq = itertools.count(1)
 
     def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        if self.kinds is not None and kind not in self.kinds:
-            return
-        record = TraceRecord(time, source, kind, detail)
-        self.records.append(record)
-        if self.sink is not None:
-            self.sink(record)
+        if self.enabled:
+            self.records.append(TraceRecord(time, source, kind, detail))
 
     def between(self, start: float, end: float) -> List[TraceRecord]:
-        """Retained records with ``start <= time <= end`` (inclusive),
+        """Records with ``start <= time <= end`` (inclusive),
         in emit order.  A scan, not a bisection: ``records`` is not
         time-sorted — a span mirrored into the trace is stamped with
         its *end* time when it is stored, which can precede the record

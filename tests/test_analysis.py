@@ -360,6 +360,70 @@ def test_unguarded_emit_guarded_forms(tmp_path):
     assert findings == []
 
 
+def test_unguarded_emit_early_exit_in_handler_and_case_bodies(tmp_path):
+    # An early exit guards the rest of its own suite, and an `except`
+    # handler's or a `case`'s body is a suite like any other.
+    findings = findings_of(
+        tmp_path,
+        {
+            "mod.py": """\
+            class Manager:
+                def handler(self):
+                    try:
+                        self.work()
+                    except ValueError:
+                        if not self.tracer.enabled:
+                            return
+                        self.tracer.emit(1.0, "mgr", "except")
+
+                def group_handler(self):
+                    try:
+                        self.work()
+                    except* ValueError:
+                        if not self.tracer.enabled:
+                            return
+                        self.tracer.emit(1.0, "mgr", "except*")
+
+                def case(self, code):
+                    match code:
+                        case 1:
+                            if not self.tracer.enabled:
+                                return
+                            self.tracer.emit(1.0, "mgr", "case")
+            """
+        },
+        ["obs-unguarded-emit"],
+    )
+    assert findings == []
+
+
+def test_unguarded_emit_in_case_body_and_after_guarded_block(tmp_path):
+    findings = findings_of(
+        tmp_path,
+        {
+            "mod.py": """\
+            class Manager:
+                def case(self, code):
+                    match code:
+                        case 1:
+                            self.tracer.emit(1.0, "mgr", "case")
+
+                def after_block(self, busy):
+                    if busy:
+                        if not self.tracer.enabled:
+                            return
+                        busy = False
+                    self.tracer.emit(1.0, "mgr", "after")
+            """
+        },
+        ["obs-unguarded-emit"],
+    )
+    assert [(f.rule, f.line) for f in findings] == [
+        ("obs-unguarded-emit", 5),
+        ("obs-unguarded-emit", 12),
+    ]
+
+
 def test_unguarded_emit_caller_pragma(tmp_path):
     root = make_tree(
         tmp_path,
@@ -367,7 +431,7 @@ def test_unguarded_emit_caller_pragma(tmp_path):
             "mod.py": """\
             class Manager:
                 def helper(self):
-                    # span-guard: caller
+                    # lint: disable=obs-unguarded-emit(caller holds the guard)
                     self.tracer.record_span(1.0, "mgr")
             """
         },
@@ -1829,6 +1893,29 @@ def test_ast_index_matches_walk_on_fixture():
     method = defs[1]
     assert index.subtree(method) == list(ast.walk(method))
     assert index.subtree(method) is index.subtree(method)
+
+
+class _Unscannable(list):
+    def __iter__(self):
+        raise AssertionError("nodes_of scanned the module")
+
+
+def test_nodes_of_scans_only_for_several_present_types():
+    tree = ast.parse(_INDEX_FIXTURE)
+    walked = list(ast.walk(tree))
+    index = AstIndex(tree)
+    index.nodes = _Unscannable()
+    # Absent types and a single present type come from the buckets.
+    for key in [(ast.Global,), (ast.Nonlocal, ast.Global), (ast.Call,),
+                (ast.Lambda,)]:
+        assert index.nodes_of(*key) == [
+            node for node in walked if isinstance(node, key)
+        ], key
+    # Several present types merge in walk order, which takes the scan.
+    key = (ast.FunctionDef, ast.AsyncFunctionDef)
+    assert AstIndex(tree).nodes_of(*key) == [
+        node for node in walked if isinstance(node, key)
+    ]
 
 
 def test_ast_index_matches_walk_on_live_tree():

@@ -17,6 +17,9 @@ def test_parser_accepts_all_subcommands():
     assert parser.parse_args(["list"]).command == "list"
     assert parser.parse_args(["demo", "quickstart"]).name == "quickstart"
     assert parser.parse_args(["experiment", "E5"]).id == "E5"
+    # Critical-path attribution is part of `trace`, not a command.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["critpath", "migration"])
 
 
 def test_experiment_and_trace_accept_exactly_the_table_ids():
@@ -135,7 +138,7 @@ def test_trace_migration_writes_artifacts(tmp_path, capsys):
     assert "migrations:" in printed
     assert "mig.migrate" in printed
     for name in ("trace.jsonl", "trace_chrome.json", "metrics.json",
-                 "summary.txt"):
+                 "summary.txt", "critpath.txt"):
         assert (out / name).stat().st_size > 0, name
     import json
 
@@ -175,36 +178,28 @@ def test_trace_unmatched_filters_fail_loudly(tmp_path, capsys):
         assert not out.exists(), "no artifacts on filter error"
 
 
-def test_critpath_migration_prints_attribution(tmp_path, capsys):
-    out = tmp_path / "critpath.txt"
-    assert main(["critpath", "migration", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert "critical-path attribution (2 migrations):" in printed
-    assert "= freeze" in printed
-    assert "critical-path profile (whole run):" in printed
-    assert out.read_text() in printed or printed.startswith(
-        out.read_text()[:40]
-    )
+def test_trace_writes_critpath_attribution(tmp_path):
+    out = tmp_path / "trace"
+    assert main(["trace", "migration", "--out", str(out)]) == 0
+    report = (out / "critpath.txt").read_text()
+    assert "critical-path attribution (2 migrations):" in report
+    assert "= freeze" in report
+    assert "critical-path profile (whole run):" in report
 
 
-def test_critpath_profile_flag_appends_engine_profile(capsys):
-    assert main(["critpath", "migration", "--profile"]) == 0
-    printed = capsys.readouterr().out
-    assert "engine profile:" in printed
-    assert "by subsystem (shard candidates)" in printed
+def test_trace_summary_ends_with_engine_profile(tmp_path):
+    out = tmp_path / "trace"
+    assert main(["trace", "migration", "--out", str(out)]) == 0
+    summary = (out / "summary.txt").read_text()
+    assert "engine profile:" in summary
+    assert "by subsystem (shard candidates)" in summary
+    # After the span summary and the flame view.
+    assert summary.index("mig.migrate") < summary.index("engine profile:")
 
 
-def test_critpath_report_is_deterministic(capsys):
-    assert main(["critpath", "migration"]) == 0
-    first = capsys.readouterr().out
-    assert main(["critpath", "migration"]) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_parser_accepts_critpath():
-    parser = build_parser()
-    args = parser.parse_args(["critpath", "migration", "--limit", "10",
-                              "--profile"])
-    assert args.command == "critpath" and args.limit == 10 and args.profile
-    with pytest.raises(SystemExit):
-        parser.parse_args(["critpath", "not-a-target"])
+def test_critpath_report_is_deterministic(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["trace", "migration", "--out", str(first)]) == 0
+    assert main(["trace", "migration", "--out", str(second)]) == 0
+    for name in ("critpath.txt", "summary.txt"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()

@@ -12,9 +12,11 @@ from repro.obs import (
     critpath_report,
     migration_critical_paths,
     render_attribution_table,
+    render_flame,
     render_run_path,
     run_critical_path,
 )
+from repro.obs.critpath import SpanIndex
 from repro.sim import Simulator, Sleep, spawn
 from repro.snapshot import forked_map
 
@@ -22,8 +24,8 @@ from repro.snapshot import forked_map
 # ----------------------------------------------------------------------
 # Builtin scenario capture
 # ----------------------------------------------------------------------
-def _captured_spans(profile=False):
-    capture = _CaptureClusters(profile=profile)
+def _captured_spans():
+    capture = _CaptureClusters()
     with capture:
         _trace_builtin_migration()
     assert len(capture.captured) == 1
@@ -112,6 +114,56 @@ def test_run_critical_path_covers_run_without_overlap():
     assert any(s.label == "rpc.serve" for s in segments)
 
 
+def test_spans_of_two_clusters_keep_to_their_own_cluster():
+    # Span ids count per cluster, so two captures repeat every id: each
+    # migration's attribution, and each root's flame subtree, must come
+    # from its own cluster alone.
+    _cluster, spans = _captured_spans()
+    _other, other = _captured_spans()
+    one = migration_critical_paths(spans)
+    both = migration_critical_paths(spans + other)
+    assert [render_attribution_table([row]) for row in both] == [
+        render_attribution_table([row]) for row in one for _ in (1, 2)
+    ]
+    mig = [s for s in spans if s.name.startswith("mig.")]
+    mig_other = [s for s in other if s.name.startswith("mig.")]
+    lines = render_flame(mig).splitlines()
+    roots = [i for i, line in enumerate(lines) if not line.startswith(" ")]
+    assert roots == [0, 11]
+    first, second = lines[:11], lines[11:]
+    assert render_flame(mig + mig_other).splitlines() == (
+        first + first + second + second
+    )
+
+
+def test_run_critical_path_matches_brute_force():
+    # Two captures stand for two clusters: their span ids collide, so
+    # ties between equal ranks are decided by list order.
+    _cluster, spans = _captured_spans()
+    _other, other = _captured_spans()
+    for subset in (spans, spans + other[::2], spans[::2], spans[1::3]):
+        index = SpanIndex(subset)
+        bounds = sorted({b for s in index.spans for b in (s.start, s.end)})
+        expected = []
+        for left, right in zip(bounds, bounds[1:]):
+            winner = None
+            for span in index.spans:
+                if span.start <= left and span.end >= right and (
+                    winner is None
+                    or (index.depth(span), span.start, span.sid)
+                    > (index.depth(winner), winner.start, winner.sid)
+                ):
+                    winner = span
+            label = "(idle)" if winner is None else winner.name
+            source = "-" if winner is None else winner.source
+            if expected and expected[-1][2:] == [label, source]:
+                expected[-1][1] = right
+            else:
+                expected.append([left, right, label, source])
+        assert [[g.start, g.end, g.label, g.source]
+                for g in run_critical_path(subset)] == expected
+
+
 def test_render_empty_inputs():
     assert "(no migrations in trace)" in render_attribution_table([])
     assert "(no finished spans)" in render_run_path([])
@@ -171,26 +223,23 @@ def test_profiler_counts_are_deterministic():
 
 def test_profiler_render_and_merge():
     sim = Simulator()
-    profiler = EngineProfiler(timing=True)
-    profiler.install(sim)
+    profiler = EngineProfiler().install(sim)
     _pingpong(sim)
-    EngineProfiler.uninstall(sim)
-    assert sim.profiler is None
 
     merged = EngineProfiler()
     merged.merge_from(profiler)
     merged.merge_from(profiler)
     assert merged.events == 2 * profiler.events
 
-    text = profiler.render(include_wall=True)
+    text = profiler.render()
     assert "engine profile:" in text
     assert "by subsystem (shard candidates)" in text
     # Task sources bucket by host prefix ("ws1:ticker" -> "ws").
     assert "ws" in profiler.by_subsystem
 
 
-def test_cli_profile_flag_attributes_subsystems():
-    cluster, _spans = _captured_spans(profile=True)
+def test_capture_profiles_every_cluster():
+    cluster, _spans = _captured_spans()
     profiler = cluster.sim.profiler
     assert profiler is not None
     assert profiler.events == cluster.sim.events_fired

@@ -30,23 +30,6 @@ def test_tracer_disabled_records_nothing():
     assert len(tracer) == 0
 
 
-def test_tracer_filters_by_kind():
-    tracer = Tracer(enabled=True, kinds=["keep"])
-    tracer.emit(1.0, "x", "keep", n=1)
-    tracer.emit(2.0, "x", "drop", n=2)
-    assert len(tracer) == 1
-    assert tracer.records[0].detail == {"n": 1}
-
-
-def test_tracer_sink_called_per_record():
-    seen = []
-    tracer = Tracer(enabled=True)
-    tracer.sink = seen.append
-    tracer.emit(1.0, "a", "k")
-    tracer.emit(2.0, "b", "k")
-    assert [r.source for r in seen] == ["a", "b"]
-
-
 def test_tracer_between_and_clear():
     tracer = Tracer(enabled=True)
     for t in (1.0, 2.0, 3.0):

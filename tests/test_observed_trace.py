@@ -1,17 +1,16 @@
 """Fixed-seed pin of the observed path: spans and flat trace together.
 
-``python -m repro trace migration`` and ``python -m repro critpath
-migration`` run the CLI's built-in two-migration scenario
-(``cli._trace_builtin_migration``) inside ``cli._CaptureClusters``,
-which installs ``ClusterObservability`` with spans and the flat tracer
-both on.  This test runs both commands and pins the sha256 of four of their
-outputs:
+``python -m repro trace migration`` runs the CLI's built-in
+two-migration scenario (``cli._trace_builtin_migration``) inside
+``cli._CaptureClusters``, which installs ``ClusterObservability`` with
+spans and the flat tracer both on, and a counts-only engine profiler.
+This test runs the command and pins the sha256 of four of its outputs:
 
 * ``trace.jsonl`` — ``trace_to_jsonl(records)``, every flat record and
   every mirrored ``kind="span"`` record;
 * ``trace_chrome.json`` re-serialised as
   ``json.dumps(spans_to_chrome_trace(spans), sort_keys=True)``;
-* the ``critpath`` report — ``critpath_report(spans)``;
+* ``critpath.txt`` as written — ``critpath_report(spans)``;
 * ``metrics.json`` as written — the merged ``MetricsRegistry``
   snapshot with the per-service RPC and per-kind LAN counts.
 
@@ -57,15 +56,11 @@ def observed_digests() -> dict:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli_main(["trace", "migration", "--out", str(out)]) == 0
-            assert cli_main(["critpath", "migration",
-                             "--out", str(out / "critpath.txt")]) == 0
         chrome = json.loads((out / "trace_chrome.json").read_text())
-        report = (out / "critpath.txt").read_text()
-        assert report.endswith("\n")
         return {
             "trace_jsonl": _sha256((out / "trace.jsonl").read_text()),
             "chrome_trace": _sha256(json.dumps(chrome, sort_keys=True)),
-            "critpath_report": _sha256(report[:-1]),
+            "critpath_report": _sha256((out / "critpath.txt").read_text()),
             "metrics_json": _sha256((out / "metrics.json").read_text()),
         }
 
