@@ -31,8 +31,10 @@ by construction (the remainder is computed as the difference).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.trace import Span, Tracer
@@ -87,6 +89,8 @@ class SpanIndex:
         self.children: Dict[SpanId, List[Span]] = {}
         #: caller ``rpc.call`` id -> the ``rpc.serve`` spans it caused.
         self.serves: Dict[SpanId, List[Span]] = {}
+        #: ``(tracer, source)`` -> the ``rpc.call`` spans issued there.
+        self.calls: Dict[Tuple[Tracer, str], List[Span]] = {}
         for span in self.spans:
             if span.parent_sid is not None:
                 self.children.setdefault(
@@ -98,10 +102,22 @@ class SpanIndex:
                     self.serves.setdefault(
                         (span.tracer, caller), []
                     ).append(span)
+            elif span.name == RPC_CALL:
+                self.calls.setdefault(
+                    (span.tracer, span.source), []
+                ).append(span)
         for kids in self.children.values():
             kids.sort(key=lambda s: (s.start, s.sid))
         for kids in self.serves.values():
             kids.sort(key=lambda s: (s.start, s.sid))
+        #: ``calls`` key -> its calls' positions by start, those starts
+        #: and the running maximum of their ends: a window is two bisections.
+        self._windows: Dict[Tuple[Tracer, str], Tuple[list, list, list]] = {}
+        for key, calls in self.calls.items():
+            starts = [call.start for call in calls]
+            order = sorted(range(len(calls)), key=starts.__getitem__)
+            ends = list(accumulate([calls[i].end for i in order], max))
+            self._windows[key] = (order, [starts[i] for i in order], ends)
 
     # ------------------------------------------------------------------
     def effective_parent(self, span: Span) -> Optional[Span]:
@@ -129,11 +145,20 @@ class SpanIndex:
 
     def calls_from(self, root: Span) -> List[Span]:
         """``rpc.call`` spans of ``root``'s cluster originating on its
-        host (by node name)."""
-        source = "rpc:" + root.source.split(":", 1)[-1]
-        return [s for s in self.spans
-                if s.name == RPC_CALL and s.source == source
-                and s.tracer is root.tracer]
+        host (by node name) that touch ``root``'s extent, in span order.
+
+        No other call can overlap a migration's phases or sub-steps: the
+        mechanism records them inside the root's extent.
+        """
+        key = (root.tracer, "rpc:" + root.source.split(":", 1)[-1])
+        calls = self.calls.get(key, [])
+        order, starts, ends = self._windows.get(key, ([], [], []))
+        # ``ends`` never falls, so every call before the first bisection
+        # ended before the root began; every one from the second starts
+        # after the root ended.
+        lo, hi = root.start, root.end
+        window = order[bisect_left(ends, lo):bisect_right(starts, hi)]
+        return [calls[i] for i in sorted(window) if calls[i].end >= lo]
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +375,8 @@ class CritSegment:
     end: float
     label: str      #: span name, or ``(idle)`` when nothing was active
     source: str
+    #: The cluster's number, in the order its first span is listed.
+    cluster: int = 0
 
     @property
     def seconds(self) -> float:
@@ -360,44 +387,51 @@ def run_critical_path(spans: Sequence[Span]) -> List[CritSegment]:
     """The run's critical path: at every instant, the causally deepest
     active span (parent links + RPC edges).
 
-    Returns maximal constant-winner segments covering the run's extent
-    (first span start to last span end), including explicit ``(idle)``
-    segments where no span was active.  Deterministic: ties break by
-    depth, then latest start, then highest sid, then the first listed.
+    Every cluster's clock starts at 0, so each tracer's spans get a path
+    of their own, numbered in ``cluster`` and listed in that order.  A
+    path is the maximal constant-winner segments covering its cluster's
+    extent (first span start to last span end), including explicit
+    ``(idle)`` segments where no span was active.  Deterministic: ties
+    break by depth, then latest start, then highest sid, then the first
+    listed.
     """
     index = SpanIndex(spans)
-    finished = index.spans
-    if not finished:
-        return []
-    depths = [index.depth(s) for s in finished]
-    bounds = sorted({b for s in finished for b in (s.start, s.end)})
-    # Every end is a bound, so a span covers the elementary interval
-    # ``[left, right]`` exactly when ``start <= left < end``.  The spans
-    # that have started wait on a heap, highest rank on top and the
-    # first listed winning a tie; one that has ended leaves when it
-    # reaches the top.
-    by_start = sorted(range(len(finished)), key=lambda i: finished[i].start)
-    started = 0
-    active: List[Tuple[int, float, int, int]] = []
+    clusters: Dict[Tracer, List[Span]] = {}
+    for span in index.spans:
+        clusters.setdefault(span.tracer, []).append(span)
     segments: List[CritSegment] = []
-    for left, right in zip(bounds, bounds[1:]):
-        while (started < len(by_start)
-               and finished[by_start[started]].start <= left):
-            i = by_start[started]
-            span = finished[i]
-            heappush(active, (-depths[i], -span.start, -span.sid, i))
-            started += 1
-        while active and finished[active[0][3]].end <= left:
-            heappop(active)
-        winner = finished[active[0][3]] if active else None
-        if winner is None:
-            label, source = "(idle)", "-"
-        else:
-            label, source = winner.name, winner.source
-        if segments and segments[-1].label == label and segments[-1].source == source:
-            segments[-1].end = right
-        else:
-            segments.append(CritSegment(left, right, label, source))
+    for cluster, finished in enumerate(clusters.values()):
+        depths = [index.depth(s) for s in finished]
+        bounds = sorted({b for s in finished for b in (s.start, s.end)})
+        # Every end is a bound, so a span covers the elementary interval
+        # ``[left, right]`` exactly when ``start <= left < end``.  The
+        # spans that have started wait on a heap, highest rank on top
+        # and the first listed winning a tie; one that has ended leaves
+        # when it reaches the top.
+        by_start = sorted(range(len(finished)),
+                          key=[s.start for s in finished].__getitem__)
+        started = 0
+        active: List[Tuple[int, float, int, int]] = []
+        path: List[CritSegment] = []
+        for left, right in zip(bounds, bounds[1:]):
+            while (started < len(by_start)
+                   and finished[by_start[started]].start <= left):
+                i = by_start[started]
+                span = finished[i]
+                heappush(active, (-depths[i], -span.start, -span.sid, i))
+                started += 1
+            while active and finished[active[0][3]].end <= left:
+                heappop(active)
+            winner = finished[active[0][3]] if active else None
+            if winner is None:
+                label, source = "(idle)", "-"
+            else:
+                label, source = winner.name, winner.source
+            if path and path[-1].label == label and path[-1].source == source:
+                path[-1].end = right
+            else:
+                path.append(CritSegment(left, right, label, source, cluster))
+        segments.extend(path)
     return segments
 
 
@@ -465,17 +499,24 @@ def render_attribution_table(rows: Sequence[MigrationCritPath]) -> str:
 
 
 def render_run_path(segments: Sequence[CritSegment]) -> str:
-    """Rollup table plus the first critical-path segments."""
-    lines = ["critical-path profile (whole run):",
+    """Rollup table plus the first critical-path segments; with several
+    clusters the rollup sums their paths and each segment names its
+    cluster."""
+    clusters = len({segment.cluster for segment in segments})
+    extent = ("whole run" if clusters <= 1
+              else f"{clusters} clusters, each on its own clock")
+    lines = [f"critical-path profile ({extent}):",
              f"  {'span':<24} {'crit_s':>10} {'segments':>9}"]
     for name, seconds, count in critical_path_profile(segments):
         lines.append(f"  {name:<24} {seconds:>10.6f} {count:>9}")
     lines.append("")
     lines.append(f"critical-path segments (first {_SEGMENTS}):")
     for segment in list(segments)[:_SEGMENTS]:
+        where = (segment.source if clusters <= 1
+                 else f"cluster {segment.cluster} {segment.source}")
         lines.append(
             f"  {segment.start:>12.6f} .. {segment.end:>12.6f} "
-            f"{segment.seconds:>10.6f}s  {segment.label} [{segment.source}]"
+            f"{segment.seconds:>10.6f}s  {segment.label} [{where}]"
         )
     dropped = max(0, len(segments) - _SEGMENTS)
     if dropped:

@@ -18,6 +18,7 @@ from repro.obs import (
 )
 from repro.obs.critpath import SpanIndex
 from repro.sim import Simulator, Sleep, spawn
+from repro.sim.trace import Tracer
 from repro.snapshot import forked_map
 
 
@@ -134,34 +135,91 @@ def test_spans_of_two_clusters_keep_to_their_own_cluster():
     assert render_flame(mig + mig_other).splitlines() == (
         first + first + second + second
     )
+    # Each cluster's clock starts at 0: the run path is one per cluster,
+    # numbered in list order, never one path over both.
+    path = [(g.start, g.end, g.label, g.source)
+            for g in run_critical_path(spans)]
+    paths = run_critical_path(spans + other)
+    assert [(g.start, g.end, g.label, g.source) for g in paths] == path + path
+    assert [g.cluster for g in paths] == [0] * len(path) + [1] * len(path)
+    text = render_run_path(paths)
+    assert text.startswith(
+        "critical-path profile (2 clusters, each on its own clock):"
+    )
+    assert "[cluster 0 " in text
+    assert "[cluster" not in render_run_path(run_critical_path(spans))
+
+
+def test_calls_from_matches_brute_force():
+    _cluster, spans = _captured_spans()
+    _other, other = _captured_spans()
+    index = SpanIndex(spans + other)
+    calls = [s for s in index.spans if s.name == "rpc.call"]
+    roots = [s for s in index.spans if s.name == "mig.migrate"]
+    assert len(roots) == 4
+    for root in roots:
+        # The window rests on every phase and sub-step lying inside it.
+        kids = index.children[(root.tracer, root.sid)]
+        assert all(root.start <= k.start and k.end <= root.end for k in kids)
+        source = "rpc:" + root.source.split(":", 1)[-1]
+        assert index.calls_from(root) == [
+            s for s in calls
+            if s.tracer is root.tracer and s.source == source
+            and s.end >= root.start and s.start <= root.end
+        ]
+    # Calls listed out of start order, one long call that hides an
+    # earlier end from the bisection, and one that starts as the root
+    # ends: the window keeps list order and exactly the calls touching
+    # the root.
+    tracer = Tracer()
+    root = tracer.record_span("mig.migrate", "mig:ws1", 5.0, 6.0)
+    made = {name: tracer.record_span("rpc.call", "rpc:ws1", start, end)
+            for name, start, end in (("inside", 5.5, 5.7), ("before", 3.0, 4.0),
+                                     ("long", 0.0, 10.0), ("early", 1.0, 2.0),
+                                     ("at_end", 6.0, 7.0), ("after", 7.0, 8.0))}
+    tracer.record_span("rpc.call", "rpc:ws2", 5.5, 5.7)
+    got = SpanIndex(tracer.finished_spans).calls_from(root)
+    assert got == [made["inside"], made["long"], made["at_end"]]
 
 
 def test_run_critical_path_matches_brute_force():
-    # Two captures stand for two clusters: their span ids collide, so
-    # ties between equal ranks are decided by list order.
+    # Two captures stand for two clusters: each gets its own path, in
+    # the order its first span is listed.
     _cluster, spans = _captured_spans()
     _other, other = _captured_spans()
-    for subset in (spans, spans + other[::2], spans[::2], spans[1::3]):
+    for subset in (spans, spans + other[::2], other[1::2] + spans[::3],
+                   spans[::2], spans[1::3]):
         index = SpanIndex(subset)
-        bounds = sorted({b for s in index.spans for b in (s.start, s.end)})
-        expected = []
-        for left, right in zip(bounds, bounds[1:]):
-            winner = None
-            for span in index.spans:
-                if span.start <= left and span.end >= right and (
-                    winner is None
-                    or (index.depth(span), span.start, span.sid)
-                    > (index.depth(winner), winner.start, winner.sid)
-                ):
-                    winner = span
-            label = "(idle)" if winner is None else winner.name
-            source = "-" if winner is None else winner.source
-            if expected and expected[-1][2:] == [label, source]:
-                expected[-1][1] = right
-            else:
-                expected.append([left, right, label, source])
-        assert [[g.start, g.end, g.label, g.source]
-                for g in run_critical_path(subset)] == expected
+        clusters = {}
+        for span in index.spans:
+            clusters.setdefault(span.tracer, []).append(span)
+        assert [[g.cluster, g.start, g.end, g.label, g.source]
+                for g in run_critical_path(subset)] == [
+            [number] + segment
+            for number, finished in enumerate(clusters.values())
+            for segment in _brute_force_path(index, finished)
+        ]
+
+
+def _brute_force_path(index, finished):
+    bounds = sorted({b for s in finished for b in (s.start, s.end)})
+    expected = []
+    for left, right in zip(bounds, bounds[1:]):
+        winner = None
+        for span in finished:
+            if span.start <= left and span.end >= right and (
+                winner is None
+                or (index.depth(span), span.start, span.sid)
+                > (index.depth(winner), winner.start, winner.sid)
+            ):
+                winner = span
+        label = "(idle)" if winner is None else winner.name
+        source = "-" if winner is None else winner.source
+        if expected and expected[-1][2:] == [label, source]:
+            expected[-1][1] = right
+        else:
+            expected.append([left, right, label, source])
+    return expected
 
 
 def test_render_empty_inputs():
