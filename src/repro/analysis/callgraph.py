@@ -47,6 +47,7 @@ from .core import (
     Tree,
     call_args,
     enclosing_function,
+    enclosing_statement,
     resolve_str_arg,
 )
 
@@ -161,6 +162,7 @@ class CallGraph:
         self._edges_in: Dict[Key, List[CallEdge]] = {}
         self._edges_out: Dict[Key, List[CallEdge]] = {}
         self._call_targets: Dict[int, List[FunctionNode]] = {}
+        self._stmt_calls: Dict[ast.stmt, List[ast.Call]] = {}
         self._ref_targets: Dict[int, List[FunctionNode]] = {}
         self._fn_by_ast: Dict[int, FunctionNode] = {}
         self._module_funcs: Dict[str, Dict[str, FunctionNode]] = {}
@@ -336,6 +338,9 @@ class CallGraph:
                 continue
             if isinstance(node, ast.Call):
                 self._record_call(module, node, scope)
+                owner = scope.function and enclosing_statement(module, node)
+                if owner is not None:
+                    self._stmt_calls.setdefault(owner, []).append(node)
             elif isinstance(node, ast.Dict):
                 for value in node.values:
                     self._record_ref(module, value, scope)
@@ -629,6 +634,12 @@ class CallGraph:
     # ------------------------------------------------------------------
     def call_targets(self, call: ast.Call) -> List[FunctionNode]:
         return self._call_targets.get(id(call), [])
+
+    def calls_in(self, stmt: ast.stmt) -> List[ast.Call]:
+        """The calls in a function statement's own expressions — not in
+        its nested suites, lambdas or except-clause types — in the order
+        the walk met them."""
+        return self._stmt_calls.get(stmt, [])
 
     def ref_targets(self, site: ast.AST) -> List[FunctionNode]:
         """Functions a value expression (callback argument, table entry)

@@ -493,6 +493,28 @@ def enclosing_function(
     return _nearest(module, node, _DEFS)
 
 
+#: The statements that hold statement suites, defs and classes aside.
+_COMPOUND = (ast.If, ast.For, ast.AsyncFor, ast.While, ast.With,
+             ast.AsyncWith, ast.Try, ast.TryStar, ast.Match)
+
+
+def nested_suites(stmt: ast.stmt) -> List[List[ast.stmt]]:
+    """The statement suites directly under a compound statement, in
+    source order (none under a def or class: its body is a new scope)."""
+    if not isinstance(stmt, _COMPOUND):
+        return []
+    clauses = getattr(stmt, "handlers", None) or getattr(stmt, "cases", [])
+    return [getattr(stmt, "body", []), *(clause.body for clause in clauses),
+            getattr(stmt, "orelse", []), getattr(stmt, "finalbody", [])]
+
+
+def enclosing_statement(module: ModuleInfo, node: ast.AST) -> Optional[ast.AST]:
+    """The statement whose own expressions hold ``node`` (a ``case``
+    pattern or guard is its ``match``'s); None in an except-clause type."""
+    owner = _nearest(module, node, (ast.stmt, ast.ExceptHandler))
+    return None if isinstance(owner, ast.ExceptHandler) else owner
+
+
 def enclosing_class(module: ModuleInfo, node: ast.AST) -> Optional[ast.ClassDef]:
     return _nearest(module, node, (ast.ClassDef,))  # type: ignore[return-value]
 

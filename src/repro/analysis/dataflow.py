@@ -30,7 +30,7 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionNode, Key
-from .core import dotted_name, enclosing_function, suffix_match
+from .core import dotted_name, enclosing_function, nested_suites, suffix_match
 
 __all__ = [
     "exception_escapes",
@@ -47,66 +47,36 @@ Origin = Tuple[str, int]  # (module rel, line) of the originating site
 def fixpoint(
     graph: CallGraph,
     initial: Callable[[FunctionNode], object],
-    transfer: Callable[
-        [FunctionNode, Callable[[FunctionNode], object]], object
-    ],
+    transfer: Callable[[FunctionNode, Dict[Key, object]], object],
 ) -> Dict[Key, object]:
     """Iterate ``transfer`` over every function until summaries settle.
 
-    ``transfer(fn, summary_of)`` recomputes ``fn``'s summary, reading
-    callee summaries through ``summary_of``; when the result differs
-    from the stored summary, every caller of ``fn`` is re-enqueued.
+    ``transfer(fn, summaries)`` recomputes ``fn``'s summary, reading
+    callee summaries from ``summaries`` (by key); when the result differs
+    from the stored summary, every caller of ``fn`` (found once) is
+    re-enqueued.
     Processing order is deterministic (sorted keys, FIFO worklist).
     """
     summaries: Dict[Key, object] = {
         key: initial(fn) for key, fn in graph.functions.items()
     }
-
-    def summary_of(fn: FunctionNode) -> object:
-        return summaries[fn.key]
-
+    callers: Dict[Key, List[Key]] = {}
     pending = deque(sorted(graph.functions))
     queued: Set[Key] = set(pending)
     while pending:
         key = pending.popleft()
         queued.discard(key)
         fn = graph.functions[key]
-        updated = transfer(fn, summary_of)
+        updated = transfer(fn, summaries)
         if updated != summaries[key]:
             summaries[key] = updated
-            for caller in graph.callers_of(fn):
-                if caller.key not in queued:
-                    queued.add(caller.key)
-                    pending.append(caller.key)
+            if key not in callers:
+                callers[key] = [c.key for c in graph.callers_of(fn)]
+            for caller in callers[key]:
+                if caller not in queued:
+                    queued.add(caller)
+                    pending.append(caller)
     return summaries
-
-
-def _header_calls(stmt: ast.stmt, holding: Set[ast.AST]) -> List[ast.Call]:
-    """Calls in the expressions a statement *directly* owns — its test,
-    iterable, targets, value, a ``case``'s pattern and guard — but not
-    in nested statement bodies (those are walked recursively, so
-    try/except filtering stays correct) and not in lambdas (their
-    calls run when the lambda is called).  ``holding`` is the module's
-    ``index.holding(ast.Call)``: nothing outside it is expanded."""
-    if stmt not in holding:
-        return []
-    roots: List[Optional[ast.AST]] = []
-    for child in ast.iter_child_nodes(stmt):
-        if isinstance(child, ast.match_case):  # its body is a suite
-            roots += (child.pattern, child.guard)
-        elif not isinstance(child, (ast.stmt, ast.ExceptHandler)):
-            roots.append(child)
-    wanted = holding.__contains__
-    out: List[ast.Call] = []
-    stack = list(filter(wanted, roots))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Lambda):
-            continue
-        if isinstance(node, ast.Call):
-            out.append(node)
-        stack.extend(filter(wanted, ast.iter_child_nodes(node)))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -174,115 +144,104 @@ def _handler_names(handler: ast.ExceptHandler) -> Optional[List[str]]:
     return names
 
 
+#: The steps of an exception plan: ``(_CALLS, callee keys)``,
+#: ``(_RAISE, name, origin)``, ``(_RERAISE,)`` (a bare ``raise``) and
+#: ``(_TRY, body, ((caught names or None, handler), ...), else, finally)``.
+_CALLS, _RAISE, _RERAISE, _TRY = range(4)
+
+
+def _plan(graph: CallGraph, stmts: Iterable[ast.stmt], rel: str,
+          steps: List[tuple]) -> List[tuple]:
+    """Append a suite's steps to ``steps``, in the order their escapes
+    merge: a statement's nested suites, then the calls in its own
+    expressions.  A suite outside a ``try`` shares its parent's steps (a
+    name keeps its first origin either way); defs and classes are
+    skipped."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(stmt, (ast.Try, ast.TryStar)):
+            handlers = tuple(
+                (_handler_names(handler), _plan(graph, handler.body, rel, []))
+                for handler in stmt.handlers
+            )
+            steps.append((_TRY, _plan(graph, stmt.body, rel, []), handlers,
+                          _plan(graph, stmt.orelse, rel, []),
+                          _plan(graph, stmt.finalbody, rel, [])))
+            continue
+        if isinstance(stmt, ast.Raise):
+            if stmt.exc is None:
+                steps.append((_RERAISE,))
+            elif (name := _raised_name(stmt.exc)) is not None:
+                steps.append((_RAISE, name, (rel, stmt.lineno)))
+        else:
+            for suite in nested_suites(stmt):
+                _plan(graph, suite, rel, steps)
+        calls = graph.calls_in(stmt)
+        keys = calls and tuple(callee.key for call in calls
+                               for callee in graph.call_targets(call))
+        if keys and steps and steps[-1][0] == _CALLS:
+            steps[-1] = (_CALLS, steps[-1][1] + keys)
+        elif keys:
+            steps.append((_CALLS, keys))
+    return steps
+
+
 def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
     """``fn.key -> {exception class name -> origin (rel, line)}`` of
     every exception that can escape the function, transitively."""
-    hierarchy = _Hierarchy(graph)
-    #: stmt -> (its nested suites, the callees of the calls in its own
-    #: expressions): the fixpoint re-visits a body many times and
-    #: neither changes between visits.
-    parts: Dict[ast.stmt, Tuple[tuple, tuple]] = {}
+    covers = _Hierarchy(graph).covers
+    plans = {
+        key: _plan(graph, getattr(fn.node, "body", []), fn.rel, [])
+        for key, fn in graph.functions.items()
+    }
 
-    def parts_of(stmt: ast.stmt, rel: str) -> Tuple[tuple, tuple]:
-        found = parts.get(stmt)
-        if found is None:
-            if isinstance(stmt, ast.Match):
-                suites = tuple(case.body for case in stmt.cases)
-            else:
-                suites = tuple(
-                    value
-                    for _field, value in ast.iter_fields(stmt)
-                    if isinstance(value, list)
-                    and value
-                    and isinstance(value[0], ast.stmt)
-                )
-            holding = graph.tree.module(rel).index.holding(ast.Call)
-            callees = tuple(
-                callee
-                for call in _header_calls(stmt, holding)
-                for callee in graph.call_targets(call)
-            )
-            found = parts[stmt] = (suites, callees)
-        return found
+    def merge(out: Dict[str, Origin], names: Dict[str, Origin]) -> None:
+        for name, origin in names.items():
+            out.setdefault(name, origin)
 
-    def escapes_of(
-        stmts: Iterable[ast.stmt],
-        rel: str,
-        summary_of: Callable[[FunctionNode], object],
-        caught_ctx: Dict[str, Origin],
-    ) -> Dict[str, Origin]:
+    def replay(steps: List[tuple], caught: Dict[str, Origin],
+               summaries: Dict[Key, object]) -> Dict[str, Origin]:
         out: Dict[str, Origin] = {}
-
-        def merge(names: Dict[str, Origin]) -> None:
-            for name, origin in names.items():
-                out.setdefault(name, origin)
-
-        def merge_callees(callees: Iterable[FunctionNode]) -> None:
-            for callee in callees:
-                merge(summary_of(callee))  # type: ignore[arg-type]
-
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.Raise):
-                if stmt.exc is None:
-                    # bare raise: re-raises whatever the nearest handler
-                    # caught (the caller threads that set through)
-                    merge(caught_ctx)
-                else:
-                    name = _raised_name(stmt.exc)
-                    if name is not None:
-                        out.setdefault(name, (rel, stmt.lineno))
-                    # calls inside the raise expression can escape too
-                    merge_callees(parts_of(stmt, rel)[1])
-                continue
-            if isinstance(stmt, (ast.Try, ast.TryStar)):
-                body = escapes_of(stmt.body, rel, summary_of, caught_ctx)
-                survived = dict(body)
-                for handler in stmt.handlers:
-                    caught_names = _handler_names(handler)
-                    if caught_names is None:
-                        taken = dict(survived)
-                        survived = {}
+        for step in steps:
+            tag = step[0]
+            if tag == _CALLS:
+                for key in step[1]:
+                    merge(out, summaries[key])  # type: ignore[arg-type]
+            elif tag == _RAISE:
+                out.setdefault(step[1], step[2])
+            elif tag == _RERAISE:  # re-raises what the nearest handler caught
+                merge(out, caught)
+            else:
+                _tag, body, handlers, orelse, finalbody = step
+                survived = replay(body, caught, summaries)
+                for names, handler in handlers:
+                    if names is None:
+                        taken, survived = survived, {}
                     else:
                         taken = {
                             name: origin
                             for name, origin in survived.items()
-                            if any(
-                                hierarchy.covers(c, name)
-                                for c in caught_names
-                            )
+                            if any(covers(c, name) for c in names)
                         }
                         for name in taken:
-                            survived.pop(name, None)
-                    merge(
-                        escapes_of(handler.body, rel, summary_of, taken)
-                    )
-                merge(survived)
-                merge(escapes_of(stmt.orelse, rel, summary_of, caught_ctx))
-                merge(
-                    escapes_of(stmt.finalbody, rel, summary_of, caught_ctx)
-                )
-                continue
-            # every other statement: recurse into any nested statement
-            # suites, then fold in calls from its own expressions
-            suites, callees = parts_of(stmt, rel)
-            for suite in suites:
-                merge(escapes_of(suite, rel, summary_of, caught_ctx))
-            merge_callees(callees)
+                            del survived[name]
+                    merge(out, replay(handler, taken, summaries))
+                merge(out, survived)
+                merge(out, replay(orelse, caught, summaries))
+                merge(out, replay(finalbody, caught, summaries))
         return out
 
     def transfer(
-        fn: FunctionNode, summary_of: Callable[[FunctionNode], object]
+        fn: FunctionNode, summaries: Dict[Key, object]
     ) -> Dict[str, Origin]:
-        body = getattr(fn.node, "body", [])
-        found = escapes_of(body, fn.rel, summary_of, {})
+        found = replay(plans[fn.key], {}, summaries)
         # Summaries only gain names, and a name keeps the first origin
         # found for it: on a call cycle that reaches two raise sites of
         # one class, "the first in statement order" depends on what the
         # callees knew at that visit and can flip for ever.
-        found.update(summary_of(fn))  # type: ignore[call-overload]
+        found.update(summaries[fn.key])  # type: ignore[call-overload]
         return found
 
     summaries = fixpoint(graph, lambda fn: {}, transfer)
@@ -292,6 +251,11 @@ def exception_escapes(graph: CallGraph) -> Dict[Key, Dict[str, Origin]]:
 # ----------------------------------------------------------------------
 # Wall-clock / entropy taint analysis
 # ----------------------------------------------------------------------
+#: Nodes that hold no name and no call: a read scan never expands them.
+_NO_READS = (ast.Constant, ast.expr_context, ast.operator, ast.unaryop,
+             ast.boolop, ast.cmpop)
+
+
 def tainted_returns(
     graph: CallGraph, sources: Dict[str, str]
 ) -> Dict[Key, Origin]:
@@ -337,16 +301,17 @@ def tainted_returns(
                         break
                     callees = graph.call_targets(node)
                     if callees:
-                        seen.append(callees)
+                        seen.append(tuple(callee.key for callee in callees))
                 elif isinstance(node, ast.Name):
                     seen.append(node.id)
                     continue  # only its Load/Store context below
-                stack.extend(ast.iter_child_nodes(node))
+                stack.extend(child for child in ast.iter_child_nodes(node)
+                             if not isinstance(child, _NO_READS))
             found = reads[expr] = (tuple(seen), source)
         return found
 
     def transfer(
-        fn: FunctionNode, summary_of: Callable[[FunctionNode], object]
+        fn: FunctionNode, summaries: Dict[Key, object]
     ) -> Optional[Origin]:
         tainted_locals: Dict[str, Origin] = {}
 
@@ -357,8 +322,8 @@ def tainted_returns(
                     if read in tainted_locals:
                         return tainted_locals[read]
                     continue
-                for callee in read:
-                    origin = summary_of(callee)
+                for key in read:
+                    origin = summaries[key]
                     if origin is not None:
                         return origin  # type: ignore[return-value]
             return source

@@ -22,7 +22,8 @@ from repro.analysis import cli as analysis_cli
 from repro.analysis import core, run_lint
 from repro.analysis.callgraph import _EXPR_WALK_TYPES, CallGraph
 from repro.analysis.core import AstIndex, Tree
-from repro.analysis.dataflow import _header_calls, exception_escapes
+from repro.analysis import dataflow
+from repro.analysis.dataflow import exception_escapes
 from repro.cli import main as cli_main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -1015,6 +1016,23 @@ def test_exception_flow_caught_by_hierarchy_ancestor(tmp_path):
     assert findings == []
 
 
+_RING_FIXTURE = """\
+def first(n):
+    second(n)
+    raise OSError("one")
+
+
+def second(n):
+    third(n)
+    raise OSError("two")
+
+
+def third(n):
+    first(n)
+    raise OSError("three")
+"""
+
+
 def test_exception_flow_settles_on_a_call_ring(tmp_path):
     """Three mutually recursive functions that each raise the same
     builtin after calling the next: every summary is "my callee's
@@ -1026,21 +1044,7 @@ def test_exception_flow_settles_on_a_call_ring(tmp_path):
         {
             "net/errors.py": _NET_ERRORS,
             "fs/errors.py": _FS_ERRORS,
-            "net/lan.py": """\
-            def first(n):
-                second(n)
-                raise OSError("one")
-
-
-            def second(n):
-                third(n)
-                raise OSError("two")
-
-
-            def third(n):
-                first(n)
-                raise OSError("three")
-            """,
+            "net/lan.py": _RING_FIXTURE,
         },
         ["exception-flow"],
     )
@@ -2031,31 +2035,218 @@ def _edge_rows(graph):
     ]
 
 
+def _visited_statements(graph):
+    """Every statement the escape analysis visits: each function's body
+    and every suite nested in it, but not the defs and classes there."""
+    out = []
+    todo = [stmt for fn in graph.functions.values() for stmt in fn.node.body]
+    while todo:
+        stmt = todo.pop()
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        out.append(stmt)
+        for child in ast.iter_child_nodes(stmt):
+            if isinstance(child, ast.stmt):
+                todo.append(child)
+            elif isinstance(child, (ast.ExceptHandler, ast.match_case)):
+                todo.extend(child.body)
+    return out
+
+
+def _analysis_fixture_tree(tmp_path):
+    return make_tree(tmp_path, {
+        "index.py": _INDEX_FIXTURE,
+        "match.py": _MATCH_FIXTURE,
+        "trystar.py": _TRY_STAR_FIXTURE,
+        "net/ring.py": _RING_FIXTURE,
+        "order.py": _ORDER_FIXTURE,
+        "rpc.py": _RPC_OK,
+        "net/errors.py": _NET_ERRORS,
+        "fs/errors.py": _FS_ERRORS,
+    })
+
+
 @pytest.mark.parametrize("corpus", ["src", "fixtures"])
 def test_pruned_walks_match_unpruned_twins(tmp_path, corpus):
-    if corpus == "src":
-        root = SRC_REPRO
-    else:
-        root = make_tree(tmp_path, {
-            "index.py": _INDEX_FIXTURE,
-            "match.py": _MATCH_FIXTURE,
-            "trystar.py": _TRY_STAR_FIXTURE,
-            "net/errors.py": _NET_ERRORS,
-            "fs/errors.py": _FS_ERRORS,
-        })
+    root = SRC_REPRO if corpus == "src" else _analysis_fixture_tree(tmp_path)
     tree = Tree.load(root)
     pruned, unpruned = _RecordingGraph.build(tree), _UnprunedGraph.build(tree)
     assert pruned.acted_on == unpruned.acted_on
     assert _edge_rows(pruned) == _edge_rows(unpruned)
+    # The calls the walk records per statement are the ones in the
+    # statement's own expressions, in the unpruned walk's order.
     statements = 0
-    for module in tree.parsed():
-        holding = module.index.holding(ast.Call)
-        for stmt in module.nodes_of(ast.stmt):
-            assert _header_calls(stmt, holding) == _unpruned_header_calls(
-                stmt
-            ), (module.rel, stmt.lineno)
-            statements += 1
+    for stmt in _visited_statements(pruned):
+        assert pruned.calls_in(stmt) == _unpruned_header_calls(stmt), (
+            stmt.lineno
+        )
+        statements += 1
     assert statements > (5_000 if corpus == "src" else 50)
+
+
+_ORDER_FIXTURE = """\
+class Boom(Exception):
+    pass
+
+
+def first():
+    raise Boom("first")
+
+
+def second():
+    raise Boom("second")
+
+
+def both():
+    first()
+    second()
+
+
+def handled():
+    try:
+        first()
+    except Boom:
+        pass
+    except Exception:
+        raise
+"""
+
+
+def _recursive_escapes(graph):
+    """``exception_escapes`` as it was before the plans: every transfer
+    walks the function's statements again, recursing into each suite."""
+    covers = dataflow._Hierarchy(graph).covers
+
+    def escapes_of(stmts, rel, summaries, caught):
+        out = {}
+
+        def merge(names):
+            for name, origin in names.items():
+                out.setdefault(name, origin)
+
+        def merge_calls(stmt):
+            for call in _unpruned_header_calls(stmt):
+                for callee in graph.call_targets(call):
+                    merge(summaries[callee.key])
+
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                continue
+            if isinstance(stmt, ast.Raise):
+                if stmt.exc is None:
+                    merge(caught)
+                    continue
+                name = dataflow._raised_name(stmt.exc)
+                if name is not None:
+                    out.setdefault(name, (rel, stmt.lineno))
+                merge_calls(stmt)
+                continue
+            if isinstance(stmt, (ast.Try, ast.TryStar)):
+                survived = escapes_of(stmt.body, rel, summaries, caught)
+                for handler in stmt.handlers:
+                    names = dataflow._handler_names(handler)
+                    if names is None:
+                        taken, survived = survived, {}
+                    else:
+                        taken = {
+                            name: origin
+                            for name, origin in survived.items()
+                            if any(covers(c, name) for c in names)
+                        }
+                        for name in taken:
+                            del survived[name]
+                    merge(escapes_of(handler.body, rel, summaries, taken))
+                merge(survived)
+                merge(escapes_of(stmt.orelse, rel, summaries, caught))
+                merge(escapes_of(stmt.finalbody, rel, summaries, caught))
+                continue
+            if isinstance(stmt, ast.Match):
+                suites = [case.body for case in stmt.cases]
+            else:
+                suites = [
+                    value for _field, value in ast.iter_fields(stmt)
+                    if isinstance(value, list) and value
+                    and isinstance(value[0], ast.stmt)
+                ]
+            for suite in suites:
+                merge(escapes_of(suite, rel, summaries, caught))
+            merge_calls(stmt)
+        return out
+
+    def transfer(fn, summaries):
+        found = escapes_of(fn.node.body, fn.rel, summaries, {})
+        found.update(summaries[fn.key])
+        return found
+
+    summaries = dataflow.fixpoint(graph, lambda fn: {}, transfer)
+    return {key: dict(value) for key, value in summaries.items()}
+
+
+def _escape_rows(escapes):
+    """The escapes with every order they carry: keys, names, origins."""
+    return [(key, list(names.items())) for key, names in escapes.items()]
+
+
+@pytest.mark.parametrize("corpus", ["src", "fixtures"])
+def test_exception_plans_match_the_recursive_twin(tmp_path, corpus):
+    root = SRC_REPRO if corpus == "src" else _analysis_fixture_tree(tmp_path)
+    graph = Tree.load(root).callgraph()
+    escapes = exception_escapes(graph)
+    assert _escape_rows(escapes) == _escape_rows(_recursive_escapes(graph))
+    assert sum(map(len, escapes.values())) > (500 if corpus == "src" else 10)
+
+
+def _reordered(steps, what):
+    """A plan with every callee run (``what="callees"``) or every try's
+    handlers (``"handlers"``) in reverse order."""
+    out = []
+    for step in steps:
+        if step[0] == dataflow._CALLS and what == "callees":
+            step = (dataflow._CALLS, step[1][::-1])
+        elif step[0] == dataflow._TRY:
+            tag, body, handlers, orelse, finalbody = step
+            handlers = tuple(
+                (names, _reordered(handler, what))
+                for names, handler in handlers
+            )
+            step = (
+                tag, _reordered(body, what),
+                handlers[::-1] if what == "handlers" else handlers,
+                _reordered(orelse, what), _reordered(finalbody, what),
+            )
+        out.append(step)
+    return out
+
+
+@pytest.mark.parametrize("what", ["callees", "handlers"])
+def test_reordered_plans_fail_the_twin(tmp_path, monkeypatch, what):
+    # The twin comparison sees order: replaying the callees or the
+    # handlers of each plan backwards changes what escapes.
+    real, depth = dataflow._plan, [0]
+
+    def plan(*args):
+        depth[0] += 1
+        try:
+            steps = real(*args)
+        finally:
+            depth[0] -= 1
+        return _reordered(steps, what) if depth[0] == 0 else steps
+
+    graph = Tree.load(make_tree(tmp_path, {"order.py": _ORDER_FIXTURE})
+                      ).callgraph()
+    monkeypatch.setattr(dataflow, "_plan", plan)
+    escapes = exception_escapes(graph)
+    assert _escape_rows(escapes) != _escape_rows(_recursive_escapes(graph))
+    # `both` takes Boom's origin from its first callee; in `handled`
+    # the narrow handler swallows Boom before the broad one re-raises it.
+    assert escapes[("order.py", "both")]["Boom"] == (
+        ("order.py", 10) if what == "callees" else ("order.py", 6)
+    )
+    assert escapes[("order.py", "handled")] == (
+        {"Boom": ("order.py", 6)} if what == "handlers" else {}
+    )
 
 
 def test_cold_lint_traversal_budget(monkeypatch):

@@ -458,13 +458,13 @@ def test_fixpoint_reenqueues_callers_until_stable(tmp_path):
     )
     # toy analysis: a function's summary is the set of leaf-function
     # names transitively reachable from it
-    def transfer(node, summary_of):
+    def transfer(node, summaries):
         names = set()
         for edge in graph.edges_out(node):
             if edge.kind != "call":
                 continue
             names.add(edge.callee.name)
-            names |= summary_of(edge.callee)
+            names |= summaries[edge.callee.key]
         return names
 
     result = fixpoint(graph, initial=lambda fn: set(), transfer=transfer)
