@@ -48,6 +48,7 @@ from .core import (
     call_args,
     enclosing_function,
     enclosing_statement,
+    nested_suites,
     resolve_str_arg,
 )
 
@@ -248,6 +249,9 @@ class CallGraph:
                     self._module_classes[module.rel][node.name] = node.name
                 self._index_body(module, node.body, scope,
                                  qual + [node.name], info)
+            else:  # a def under if/for/while/with/try/match is in scope
+                for suite in nested_suites(node):
+                    self._index_body(module, suite, scope, qual, klass)
 
     def _collect_imports(self, module: ModuleInfo) -> None:
         """Map imported names to ("obj"|"module", module-rel-ish, name)."""
@@ -326,13 +330,11 @@ class CallGraph:
         while stack:
             node = stack.pop()
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # nested defs are walked by _walk_suite via their scope
-                fn = self._fn_by_ast.get(id(node))
-                child = self._scopes.get(id(node))
-                if fn is not None and child is not None:
-                    scope.nested.setdefault(node.name, fn)
-                    self._record_decorators(module, node, scope)
-                    self._walk_suite(module, node.body, child, None)
+                # a def under a compound statement: its body has a scope
+                scope.nested.setdefault(node.name, self._fn_by_ast[id(node)])
+                self._record_decorators(module, node, scope)
+                self._walk_suite(module, node.body, self._scopes[id(node)],
+                                 None)
                 continue
             if isinstance(node, ast.Lambda):
                 continue

@@ -11,6 +11,8 @@ from __future__ import annotations
 import pathlib
 import textwrap
 
+import pytest
+
 from repro.analysis.core import Tree
 from repro.analysis.dataflow import exception_escapes, fixpoint, tainted_returns
 
@@ -330,6 +332,86 @@ def test_exception_escapes_converges_on_cycle(tmp_path):
     assert set(escapes[("mod.py", "a")]) == {"ValueError"}
     assert set(escapes[("mod.py", "b")]) == {"ValueError"}
     assert escapes[("mod.py", "b")]["ValueError"] == ("mod.py", 3)
+
+
+# ----------------------------------------------------------------------
+# defs under compound statements
+# ----------------------------------------------------------------------
+_DEF = "def helper():\n    fail()"
+_NESTED_DEFS = {
+    "if": "if flag:\n{def}",
+    "for": "for item in items:\n{def}",
+    "async-for": "async for item in items:\n{def}",
+    "while": "while flag:\n{def}\n    break",
+    "with": "with ctx:\n{def}",
+    "async-with": "async with ctx:\n{def}",
+    "try": "try:\n{def}\nexcept ValueError:\n    pass",
+    "except": "try:\n    pass\nexcept ValueError:\n{def}",
+    "else": "try:\n    pass\nexcept ValueError:\n    pass\nelse:\n{def}",
+    "finally": "try:\n    pass\nfinally:\n{def}",
+    "except*": "try:\n    pass\nexcept* ValueError:\n{def}",
+    "match": "match flag:\n    case 1:\n{case_def}",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED_DEFS))
+def test_def_under_compound_statement_is_a_function(tmp_path, kind):
+    # A def under any compound statement is a FunctionNode of the scope
+    # around it: its calls are edges, its raises escape through a call.
+    suite = _NESTED_DEFS[kind].format_map({
+        "def": textwrap.indent(_DEF, "    "),
+        "case_def": textwrap.indent(_DEF, "        "),
+    })
+    body = textwrap.indent(suite + "\nreturn helper()", "    ")
+    graph = graph_of(tmp_path, {"mod.py": (
+        "def fail():\n    raise KeyError('lost')\n\n\n"
+        f"async def host(flag, items, ctx):\n{body}\n"
+    )})
+    helper = fn(graph, "mod.py", "host.helper")
+    assert helper.is_nested and helper.class_name is None
+    assert callee_keys(graph, helper) == [("mod.py", "fail")]
+    assert ("mod.py", "host.helper") in callee_keys(
+        graph, fn(graph, "mod.py", "host")
+    )
+    escapes = exception_escapes(graph)
+    assert escapes[("mod.py", "host.helper")] == {"KeyError": ("mod.py", 2)}
+
+
+def test_def_under_compound_statement_at_module_and_class_level(tmp_path):
+    graph = graph_of(tmp_path, {"mod.py": """\
+import sys
+
+if sys.platform:
+    def helper():
+        return target()
+else:
+    def fallback():
+        return target()
+
+
+class Box:
+    if sys.platform:
+        def method(self):
+            return target()
+
+
+def target():
+    return 1
+
+
+def use(box: Box):
+    return helper() + box.method()
+"""})
+    assert not fn(graph, "mod.py", "helper").is_nested
+    assert not fn(graph, "mod.py", "fallback").is_nested
+    assert fn(graph, "mod.py", "Box.method").class_name == "Box"
+    assert callee_keys(graph, fn(graph, "mod.py", "use")) == [
+        ("mod.py", "Box.method"), ("mod.py", "helper"),
+    ]
+    for name in ("helper", "fallback", "Box.method"):
+        assert callee_keys(graph, fn(graph, "mod.py", name)) == [
+            ("mod.py", "target")
+        ]
 
 
 # ----------------------------------------------------------------------
