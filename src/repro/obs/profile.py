@@ -16,8 +16,10 @@ attributes every dispatched event three ways:
 * **subsystem** — the source's prefix before ``:`` (``rpc-server``,
   ``kernel``, ``mig``): the shard-granularity rollup.
 
-Counts are deterministic for a fixed seed, so the report is
-byte-identical across reruns.
+A dispatch only counts the ``(kind, owner name)`` pair; the three
+buckets are derived from those counts when they are read.  Counts are
+deterministic for a fixed seed, so the report is byte-identical across
+reruns.
 """
 
 from __future__ import annotations
@@ -41,16 +43,16 @@ class EngineProfiler:
     """Per-dispatch attribution of engine events.
 
     Install with :meth:`install` (or assign ``sim.profiler``); the
-    engine then routes every dispatch through :meth:`dispatch`.
+    engine then routes every dispatch through :meth:`dispatch`, which
+    counts ``(kind, owner name)`` pairs.  The three buckets are derived
+    from those counts when read.
     """
 
-    __slots__ = ("events", "by_kind", "by_source", "by_subsystem")
+    __slots__ = ("pairs",)
 
     def __init__(self) -> None:
-        self.events = 0
-        self.by_kind: Dict[str, int] = {}
-        self.by_source: Dict[str, int] = {}
-        self.by_subsystem: Dict[str, int] = {}
+        #: ``(event kind, the callback owner's name or None)`` -> events.
+        self.pairs: Dict[Tuple[str, Any], int] = {}
 
     # ------------------------------------------------------------------
     def install(self, sim: Any) -> "EngineProfiler":
@@ -59,45 +61,63 @@ class EngineProfiler:
 
     # ------------------------------------------------------------------
     def dispatch(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
-        """Run ``fn(*args)`` and attribute the event.
+        """Run ``fn(*args)`` and count the event.
 
         Called by the engine's profiled dispatch loop; the engine has
         already popped the event and advanced the clock.
         """
         fn(*args)
-        self.events += 1
-        kind = getattr(fn, "__qualname__", None)
-        if kind is None:
-            kind = type(fn).__name__
-        owner = getattr(fn, "__self__", None)
-        source = getattr(owner, "name", None) if owner is not None else None
-        if not isinstance(source, str) or not source:
-            source = "(callback)"
-        subsystem = _subsystem(source)
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        self.by_source[source] = self.by_source.get(source, 0) + 1
-        self.by_subsystem[subsystem] = self.by_subsystem.get(subsystem, 0) + 1
+        pair = (getattr(fn, "__qualname__", None) or type(fn).__name__,
+                getattr(getattr(fn, "__self__", None), "name", None))
+        pairs = self.pairs
+        pairs[pair] = pairs.get(pair, 0) + 1
+
+    @property
+    def events(self) -> int:
+        """Events dispatched."""
+        return sum(self.pairs.values())
+
+    def _buckets(self) -> Tuple[Dict[str, int], Dict[str, int],
+                                Dict[str, int]]:
+        """``(by kind, by task source, by subsystem)``."""
+        by_kind: Dict[str, int] = {}
+        by_source: Dict[str, int] = {}
+        by_subsystem: Dict[str, int] = {}
+        for (kind, source), count in self.pairs.items():
+            if not isinstance(source, str) or not source:
+                source = "(callback)"
+            for bucket, name in ((by_kind, kind), (by_source, source),
+                                 (by_subsystem, _subsystem(source))):
+                bucket[name] = bucket.get(name, 0) + count
+        return by_kind, by_source, by_subsystem
+
+    @property
+    def by_kind(self) -> Dict[str, int]:
+        return self._buckets()[0]
+
+    @property
+    def by_source(self) -> Dict[str, int]:
+        return self._buckets()[1]
+
+    @property
+    def by_subsystem(self) -> Dict[str, int]:
+        return self._buckets()[2]
 
     # ------------------------------------------------------------------
     def merge_from(self, other: "EngineProfiler") -> "EngineProfiler":
-        """Fold another profiler's buckets into this one (sweep merges)."""
-        self.events += other.events
-        for mine, theirs in (
-            (self.by_kind, other.by_kind),
-            (self.by_source, other.by_source),
-            (self.by_subsystem, other.by_subsystem),
-        ):
-            for key, count in theirs.items():
-                mine[key] = mine.get(key, 0) + count
+        """Fold another profiler's counts into this one (sweep merges)."""
+        for pair, count in other.pairs.items():
+            self.pairs[pair] = self.pairs.get(pair, 0) + count
         return self
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able state: the event count and the three buckets."""
+        by_kind, by_source, by_subsystem = self._buckets()
         return {
             "events": self.events,
-            "by_kind": dict(sorted(self.by_kind.items())),
-            "by_source": dict(sorted(self.by_source.items())),
-            "by_subsystem": dict(sorted(self.by_subsystem.items())),
+            "by_kind": dict(sorted(by_kind.items())),
+            "by_source": dict(sorted(by_source.items())),
+            "by_subsystem": dict(sorted(by_subsystem.items())),
         }
 
     # ------------------------------------------------------------------
@@ -117,15 +137,16 @@ class EngineProfiler:
     def render(self) -> str:
         """The "what to shard" report, byte-identical across fixed-seed
         reruns."""
+        by_kind, by_source, by_subsystem = self._buckets()
         sections = [
             f"engine profile: {self.events} events dispatched",
             "",
         ]
         sections.extend(self._render_counts(
-            "by subsystem (shard candidates)", self.by_subsystem,
+            "by subsystem (shard candidates)", by_subsystem,
         ))
         sections.append("")
-        sections.extend(self._render_counts("by event kind", self.by_kind))
+        sections.extend(self._render_counts("by event kind", by_kind))
         sections.append("")
-        sections.extend(self._render_counts("by task source", self.by_source))
+        sections.extend(self._render_counts("by task source", by_source))
         return "\n".join(sections)
