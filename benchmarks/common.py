@@ -11,6 +11,14 @@ from typing import Any, Callable, Dict, Tuple
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def results_dir() -> pathlib.Path:
+    """Where the benches write their renderings and wall JSON:
+    ``benchmarks/results/``, or ``$REPRO_RESULTS_DIR`` when it is set.
+    ``repro trace`` sets it to the trace's output directory, so a traced
+    run (spans on) never rewrites the committed archives."""
+    return pathlib.Path(os.environ.get("REPRO_RESULTS_DIR") or RESULTS_DIR)
+
+
 def sweep_workers(cap: int = 4) -> int:
     """Worker count for forked sweep fan-out: the granted cores, capped.
 
@@ -35,14 +43,15 @@ def run_simulated(benchmark, fn):
 
 
 def archive_json(name: str, payload: Dict[str, Any]) -> pathlib.Path:
-    """Write ``payload`` as ``benchmarks/results/<name>.json``.
+    """Write ``payload`` as ``<name>.json`` under :func:`results_dir`.
 
     Machine-readable companion to the rendered ``*.txt`` artifacts the
     ``archive`` fixture produces; downstream tooling (CI trend tracking,
     the engine benchmark) reads these instead of scraping tables.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
+    directory = results_dir()
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -33,7 +33,36 @@ def test_experiment_and_trace_accept_exactly_the_table_ids():
         return set(arg.choices)
 
     assert choices("experiment", "id") == ids
-    assert choices("trace", "target") == ids | set(DEMOS) | {"migration"}
+    untraceable = {"E2", "E9", "S1"}
+    assert choices("trace", "target") == (
+        (ids - untraceable) | set(DEMOS) | {"migration"}
+    )
+
+
+@pytest.mark.parametrize("target", ["E2", "E9", "S1"])
+def test_trace_rejects_experiments_it_cannot_capture(target, capsys):
+    # E2 and S1 build each cluster in a forked sweep child and E9 none:
+    # a trace of them captured nothing and exited 1.  They stay
+    # experiments.
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["trace", target])
+    assert "invalid choice" in capsys.readouterr().err
+    assert parser.parse_args(["experiment", target]).id == target
+
+
+def test_traced_bench_archives_beside_the_trace(tmp_path, capsys):
+    # Spans on move P8's fingerprints: the traced rendering lands in the
+    # trace's output directory, and benchmarks/results stays as it was.
+    results = REPO_ROOT / "benchmarks" / "results"
+    before = {path.name: path.read_bytes() for path in results.iterdir()}
+    out = tmp_path / "trace"
+    assert main(["trace", "P8", "--out", str(out)]) == 0
+    after = {path.name: path.read_bytes() for path in results.iterdir()}
+    assert after == before
+    traced = (out / "P8_checkpoint.txt").read_text()
+    assert traced != (results / "P8_checkpoint.txt").read_text()
+    assert "fingerprint" in traced and (out / "P8_checkpoint.json").exists()
 
 
 def test_chaos_help_describes_the_crash_matrix(capsys):
