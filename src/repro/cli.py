@@ -293,7 +293,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
             # Spans on move the benches' fingerprints: their renderings
             # go beside the trace, not over benchmarks/results.
-            out_dir.mkdir(parents=True, exist_ok=True)
             with mock.patch.dict(
                 os.environ, {"REPRO_RESULTS_DIR": str(out_dir.resolve())}
             ):
