@@ -42,6 +42,7 @@ from typing import (
 
 __all__ = [
     "AstIndex",
+    "CallMatcher",
     "Finding",
     "LintResult",
     "ModuleInfo",
@@ -51,6 +52,7 @@ __all__ = [
     "collector_paused",
     "default_src_root",
     "dotted_name",
+    "name_tail",
     "register_rule",
     "run_lint",
     "suffix_match",
@@ -91,6 +93,77 @@ def suffix_match(name: str, suffixes: Iterable[str]) -> Optional[str]:
         if name == suffix or name.endswith("." + suffix):
             return suffix
     return None
+
+
+def name_tail(node: ast.AST) -> str:
+    """The last component of :func:`dotted_name` of ``node``, without
+    building the name."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return "?"
+
+
+class CallMatcher:
+    """Matches call targets against dotted ``suffixes``
+    (:func:`suffix_match`), each target's root resolved through its
+    module's absolute imports: with ``time.time`` among the suffixes,
+    ``import time as t; t.time()`` and ``from time import time; time()``
+    match too.
+
+    The tail is tested first.  A target whose last component ends no
+    suffix, or a bare name no import anywhere in ``tree`` binds to such
+    a target, is turned away before any name is built; the module's
+    imports are read only for the few that pass."""
+
+    def __init__(self, tree: "Tree", suffixes: Iterable[str]):
+        self.suffixes = tuple(suffixes)
+        self.tails = frozenset(s.rsplit(".", 1)[-1] for s in self.suffixes)
+        #: every name a bare-name call can match under
+        self.names = set(self.tails)
+        for module in tree.parsed():
+            for bound, target in _import_bindings(module):
+                if target.rpartition(".")[2] in self.tails:
+                    self.names.add(bound)
+
+    def match(self, module: "ModuleInfo",
+              func: ast.AST) -> Optional[Tuple[str, str]]:
+        """``(name as written, suffix)`` when call target ``func``
+        matches one of the suffixes, else None."""
+        if isinstance(func, ast.Attribute):
+            if func.attr not in self.tails:
+                return None
+        elif not (isinstance(func, ast.Name) and func.id in self.names):
+            return None
+        name = dotted_name(func)
+        root, dot, rest = name.partition(".")
+        bound = None
+        for bound_name, target in _import_bindings(module):
+            if bound_name == root:
+                bound = target
+        resolved = name if bound is None else bound + dot + rest
+        suffix = suffix_match(resolved, self.suffixes)
+        return None if suffix is None else (name, suffix)
+
+
+def _import_bindings(module: "ModuleInfo") -> Iterator[Tuple[str, str]]:
+    """``(name, target)`` for each name the module's absolute imports
+    bind to something other than itself, in binding order: ``import
+    time as t`` binds ``t`` to ``time``, ``from time import perf_counter
+    as clock`` binds ``clock`` to ``time.perf_counter``.  A relative
+    import names a module of the tree, not a library one: left out.
+    (The query is the call graph's, so a lint that builds the graph
+    asks the index for no new list.)"""
+    for node in module.nodes_of(ast.ImportFrom, ast.Import):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    yield alias.asname, alias.name
+        elif node.level == 0 and node.module:
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, f"{node.module}.{alias.name}"
 
 
 @dataclass(frozen=True)
@@ -410,14 +483,23 @@ def collector_paused() -> Iterator[None]:
 
     Every AST and call-graph object a lint builds stays alive until the
     lint returns, so a collection during the run scans them all and
-    frees nothing.  Pausing only moves the reclaiming of the lint's
-    cyclic garbage to the caller's next collection."""
+    frees nothing.  That holds for the collection the pause puts off
+    too: the first allocation after re-enabling would start it, still
+    inside the lint, over every object allocated in the pause.  So the
+    pause ends by moving those objects to the oldest generation without
+    a scan (``gc.freeze()`` then ``gc.unfreeze()``), unless the caller
+    has frozen objects of its own, which must stay frozen.  The lint's
+    cyclic garbage is then reclaimed at the caller's next full
+    collection."""
     was = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if was:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -30,7 +30,7 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, FunctionNode, Key
-from .core import dotted_name, enclosing_function, nested_suites, suffix_match
+from .core import CallMatcher, ModuleInfo, enclosing_function, nested_suites
 
 __all__ = [
     "exception_escapes",
@@ -257,16 +257,19 @@ _NO_READS = (ast.Constant, ast.expr_context, ast.operator, ast.unaryop,
 
 
 def tainted_returns(
-    graph: CallGraph, sources: Dict[str, str]
+    graph: CallGraph, sources: Iterable[str]
 ) -> Dict[Key, Origin]:
     """Functions whose *return value* derives from an ambient source.
 
-    ``sources`` maps dotted-suffix -> human label (the determinism
-    rules' wall-clock table).  The summary for a tainted function is the
+    ``sources`` holds the dotted suffixes of source calls (the
+    determinism rules' wall-clock table), matched as the wall-clock rule
+    matches them (:class:`~repro.analysis.core.CallMatcher`, through the
+    module's import aliases).  The summary for a tainted function is the
     origin ``(rel, line)`` of the source call the value traces back to.
     Taint flows through local assignments (in statement order, iterated
     twice for simple loops) and through calls to tainted functions.
     """
+    matcher = CallMatcher(graph.tree, sources)
 
     #: id(def) -> the assignments and returns of its own body (nested
     #: defs own theirs), in walk order — the order taint flows in.
@@ -285,7 +288,7 @@ def tainted_returns(
     #: whose origin ends the scan.
     reads: Dict[ast.AST, Tuple[tuple, Optional[Origin]]] = {}
 
-    def reads_of(expr: ast.AST, rel: str) -> Tuple[tuple, Optional[Origin]]:
+    def reads_of(expr: ast.AST, module: ModuleInfo) -> Tuple[tuple, Optional[Origin]]:
         found = reads.get(expr)
         if found is None:
             seen: List[object] = []
@@ -296,8 +299,8 @@ def tainted_returns(
                 if isinstance(node, ast.Lambda):
                     continue
                 if isinstance(node, ast.Call):
-                    if suffix_match(dotted_name(node.func), sources):
-                        source = (rel, node.lineno)
+                    if matcher.match(module, node.func):
+                        source = (module.rel, node.lineno)
                         break
                     callees = graph.call_targets(node)
                     if callees:
@@ -314,9 +317,10 @@ def tainted_returns(
         fn: FunctionNode, summaries: Dict[Key, object]
     ) -> Optional[Origin]:
         tainted_locals: Dict[str, Origin] = {}
+        module = graph.tree.module(fn.rel)
 
         def expr_taint(expr: ast.AST) -> Optional[Origin]:
-            seen, source = reads_of(expr, fn.rel)
+            seen, source = reads_of(expr, module)
             for read in seen:
                 if isinstance(read, str):
                     if read in tainted_locals:

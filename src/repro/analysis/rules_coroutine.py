@@ -47,45 +47,41 @@ class DiscardedCoroutineRule(Rule):
                 targets = graph.call_targets(node)
                 if not targets or not all(t.is_generator for t in targets):
                     continue
-                label = dotted_name(node.func)
                 parent = module.parents.get(node)
                 if isinstance(parent, ast.Expr):
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"call to coroutine `{label}` discards the "
+                    message = (
+                        "call to coroutine `{}` discards the "
                         "generator object — no body code runs; drive it "
-                        "with `yield from` or spawn it",
+                        "with `yield from` or spawn it"
                     )
                 elif isinstance(parent, ast.Yield):
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"`yield {label}(...)` yields the generator "
+                    message = (
+                        "`yield {}(...)` yields the generator "
                         "object itself; use `yield from` to drive the "
-                        "coroutine",
+                        "coroutine"
                     )
                 elif (
                     isinstance(parent, (ast.If, ast.While))
                     and parent.test is node
                 ):
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"coroutine `{label}` used as a condition: a "
+                    message = (
+                        "coroutine `{}` used as a condition: a "
                         "generator object is always truthy; drive it "
-                        "with `yield from` and test the result",
+                        "with `yield from` and test the result"
                     )
                 elif isinstance(parent, ast.UnaryOp) and isinstance(
                     parent.op, ast.Not
                 ):
-                    yield module.finding(
-                        self.id,
-                        node,
-                        f"`not {label}(...)` is always False: the call "
+                    message = (
+                        "`not {}(...)` is always False: the call "
                         "builds a generator object; drive it with "
-                        "`yield from` and test the result",
+                        "`yield from` and test the result"
                     )
+                else:
+                    continue
+                yield module.finding(
+                    self.id, node, message.format(dotted_name(node.func))
+                )
 
 
 register_rule(DiscardedCoroutineRule())

@@ -9,7 +9,9 @@ substreams, and nothing iterates an unordered container into the event
 schedule or the network.
 
 ``determinism-wallclock`` and ``determinism-taint`` ask one question of
-one source table (:data:`_WALLCLOCK_SUFFIXES`) at two depths: the first
+one source table (:data:`_WALLCLOCK_SUFFIXES`) at two depths, both
+through :class:`~repro.analysis.core.CallMatcher` (so ``import time as
+t; t.time()`` and ``from uuid import uuid4; uuid4()`` count): the first
 flags a *direct* ``time.time()``; the second flags, at the call site
 and naming the source line, every call from simulation code to a
 function whose return value derives from a source through any chain of
@@ -27,14 +29,15 @@ import ast
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import (
+    CallMatcher,
     Finding,
     ModuleInfo,
     Rule,
     Tree,
     dotted_name,
+    name_tail,
     register_rule,
     resolve_str_arg,
-    suffix_match,
 )
 from .dataflow import tainted_returns
 
@@ -55,6 +58,8 @@ _WALLCLOCK_SUFFIXES = {
     "uuid.uuid1": "host/time-derived UUID",
     "uuid.uuid4": "OS-entropy UUID",
 }
+#: roots of the attribute chains :class:`GlobalRandomRule` looks at
+_NUMPY_ROOTS = {"np", "numpy"}
 
 #: callers the taint rule lets consume real time
 _TAINT_EXEMPT_HEADS = {"obs", "workloads", "baselines"}
@@ -92,11 +97,12 @@ class WallClockRule(Rule):
     )
 
     def check(self, tree: Tree) -> Iterable[Finding]:
+        matcher = CallMatcher(tree, _WALLCLOCK_SUFFIXES)
         for module in tree.parsed():
             for node in module.nodes_of(ast.Call):
-                name = dotted_name(node.func)
-                suffix = suffix_match(name, _WALLCLOCK_SUFFIXES)
-                if suffix is not None:
+                match = matcher.match(module, node.func)
+                if match is not None:
+                    name, suffix = match
                     yield module.finding(
                         self.id,
                         node,
@@ -166,9 +172,10 @@ class GlobalRandomRule(Rule):
                         if node.module == "numpy"
                     ]
                 else:
-                    name = dotted_name(node)
-                    if name.startswith(("np.random.", "numpy.random.")):
-                        yield self._numpy(module, node, name)
+                    if _chain_root(node) in _NUMPY_ROOTS:
+                        name = dotted_name(node)
+                        if name.startswith(("np.random.", "numpy.random.")):
+                            yield self._numpy(module, node, name)
                     continue
                 for name in names:
                     if name == "random" or name.startswith("random."):
@@ -189,6 +196,14 @@ class GlobalRandomRule(Rule):
             "draw from repro.sim.random (cluster.rng.stream(name), or "
             "Rng(seed))",
         )
+
+
+def _chain_root(node: ast.Attribute) -> Optional[str]:
+    """The ``Name`` an attribute chain starts from, if it starts from one."""
+    value = node.value
+    while isinstance(value, ast.Attribute):
+        value = value.value
+    return value.id if isinstance(value, ast.Name) else None
 
 
 class RngStreamLiteralRule(Rule):
@@ -246,9 +261,7 @@ def _stream_calls(
             func = node.func
             if not (isinstance(func, ast.Attribute) and func.attr == "stream"):
                 continue
-            receiver = dotted_name(func.value)
-            tail = receiver.rsplit(".", 1)[-1]
-            if tail not in _STREAM_RECEIVERS:
+            if name_tail(func.value) not in _STREAM_RECEIVERS:
                 continue
             arg = node.args[0] if node.args else None
             sites.append((module, node, resolve_str_arg(module, node, arg)))
@@ -315,8 +328,7 @@ def _first_effect(module: ModuleInfo, loop: ast.For) -> Optional[str]:
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 return "yield"
             if isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                tail = name.rsplit(".", 1)[-1]
+                tail = name_tail(node.func)
                 if tail in _EFFECT_SUFFIXES:
                     return tail
     return None

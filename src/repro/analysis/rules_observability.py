@@ -33,6 +33,7 @@ from .core import (
     Tree,
     call_args,
     dotted_name,
+    name_tail,
     register_rule,
     resolve_str_arg,
 )
@@ -81,7 +82,7 @@ def _is_emit_call(call: ast.Call, attrs: Iterable[str] = _EMIT_ATTRS) -> bool:
     func = call.func
     if not isinstance(func, ast.Attribute) or func.attr not in attrs:
         return False
-    return dotted_name(func.value).rsplit(".", 1)[-1] == "tracer"
+    return name_tail(func.value) == "tracer"
 
 
 def _test_is_guard(test: ast.AST) -> bool:

@@ -38,6 +38,7 @@ from .core import (
     Rule,
     Tree,
     dotted_name,
+    name_tail,
     register_rule,
     resolve_str_arg,
 )
@@ -45,8 +46,8 @@ from .core import (
 _Site = Tuple[ModuleInfo, ast.AST]
 
 
-def _is_rpc_receiver(receiver: str) -> bool:
-    tail = receiver.rsplit(".", 1)[-1]
+def _is_rpc_receiver(receiver: ast.AST) -> bool:
+    tail = name_tail(receiver)
     return tail == "rpc" or tail.startswith("port")
 
 
@@ -74,7 +75,6 @@ def _collect(tree: Tree):
             target = node.func
             if not isinstance(target, ast.Attribute):
                 continue
-            receiver = dotted_name(target.value)
             if target.attr == "register":
                 name_arg = node.args[0] if node.args else None
                 name = resolve_str_arg(module, node, name_arg)
@@ -83,7 +83,7 @@ def _collect(tree: Tree):
                 registered.setdefault(name, []).append((module, node))
                 if len(node.args) >= 2:
                     handlers.append((module, node, node.args[1]))
-            elif target.attr == "call" and _is_rpc_receiver(receiver):
+            elif target.attr == "call" and _is_rpc_receiver(target.value):
                 arg = _service_arg(node)
                 name = resolve_str_arg(module, node, arg)
                 if name is not None:

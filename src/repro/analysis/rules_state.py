@@ -31,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-from .core import Finding, ModuleInfo, Rule, Tree, dotted_name, register_rule
+from .core import Finding, ModuleInfo, Rule, Tree, dotted_name, name_tail, register_rule
 
 __all__ = ["ModuleMutableStateRule"]
 
@@ -66,8 +66,7 @@ def _mutable_value(node: ast.AST) -> Optional[str]:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return "a set"
     if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        tail = name.rsplit(".", 1)[-1]
+        tail = name_tail(node.func)
         if tail in _MUTABLE_CONSTRUCTORS:
             return f"{tail}(...)"
     return None

@@ -22,8 +22,8 @@ from .core import (
     ModuleInfo,
     Rule,
     Tree,
-    dotted_name,
     literal_str,
+    name_tail,
     register_rule,
 )
 
@@ -73,8 +73,7 @@ def _step_sites(tree: Tree) -> Iterable[Tuple[ModuleInfo, ast.Call, str]]:
             if index is None:
                 continue
             if func.attr in ("step", "did"):
-                receiver_tail = dotted_name(func.value).rsplit(".", 1)[-1]
-                if receiver_tail not in ("txn", "transaction"):
+                if name_tail(func.value) not in ("txn", "transaction"):
                     continue
             if index < len(node.args):
                 name = literal_str(node.args[index])

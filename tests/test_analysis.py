@@ -14,7 +14,9 @@ import gc
 import json
 import pathlib
 import shutil
+import sys
 import textwrap
+import weakref
 
 import pytest
 
@@ -102,6 +104,47 @@ def test_wallclock_pragma(tmp_path):
     result = run_lint(root, rule_ids=["determinism-wallclock"])
     assert result.findings == []
     assert result.suppressed == 1
+
+
+@pytest.mark.parametrize(
+    "imported, call, label",
+    [
+        ("from time import perf_counter as clock", "clock", "wall-clock read"),
+        ("import time as t", "t.time", "wall-clock read"),
+        ("from uuid import uuid4", "uuid4", "OS-entropy UUID"),
+    ],
+)
+def test_wallclock_resolves_import_aliases(tmp_path, imported, call, label):
+    # The call's root resolves through the module's imports; the message
+    # shows the name as written.
+    findings = findings_of(
+        tmp_path,
+        {"mod.py": f"{imported}\n\n\ndef stamp():\n    return {call}()\n"},
+        ["determinism-wallclock"],
+    )
+    assert [(f.line, f.message) for f in findings] == [
+        (5, f"{call}() is a {label}; use engine.now / cluster.rng for "
+            "anything trace-visible"),
+    ]
+
+
+def test_wallclock_ignores_relative_import_aliases(tmp_path):
+    # A relative import names a tree module, not the library's.
+    findings = findings_of(
+        tmp_path,
+        {
+            "mod.py": """\
+            from .time import perf_counter as clock
+            from . import time as t
+
+
+            def stamp():
+                return clock() + t.perf_counter()
+            """
+        },
+        ["determinism-wallclock"],
+    )
+    assert findings == []
 
 
 # ----------------------------------------------------------------------
@@ -1678,6 +1721,31 @@ def test_taint_helper_return_positive(tmp_path):
     assert "obs/clock.py:5" in findings[0].message
 
 
+def test_taint_source_through_import_alias(tmp_path):
+    findings = findings_of(
+        tmp_path,
+        {
+            "obs/clock.py": """\
+            from time import monotonic as clock
+
+
+            def stamp():
+                return clock()
+            """,
+            "sim/engine.py": """\
+            from ..obs.clock import stamp
+
+
+            def tick(state):
+                state.t = stamp()
+            """,
+        },
+        ["determinism-taint"],
+    )
+    assert rule_ids(findings) == ["determinism-taint"]
+    assert "obs/clock.py:5" in findings[0].message
+
+
 def test_taint_flows_through_chain_and_locals(tmp_path):
     # taint survives an intermediate helper and a local rebind
     findings = findings_of(
@@ -2274,6 +2342,36 @@ def test_cold_lint_traversal_budget(monkeypatch):
     assert calls[0] <= nodes, (calls[0], nodes)
 
 
+def test_cold_lint_name_budget(monkeypatch):
+    # A rule tests a call's tail (or an attribute chain's root) against
+    # its table before it derives the dotted name, so a cold lint builds
+    # at most one name per `Call` node of the tree (it built 4.6 per
+    # call node when three rules named every call and attribute they met).
+    # Host-independent: counts every `dotted_name` the analysis makes.
+    derived = [0]
+    real = core.dotted_name
+
+    def counting(node):
+        derived[0] += 1
+        return real(node)
+
+    wrapped = [
+        name for name, module in list(sys.modules.items())
+        if name.startswith("repro.analysis")
+        and getattr(module, "dotted_name", None) is real
+    ]
+    for name in wrapped:
+        monkeypatch.setattr(sys.modules[name], "dotted_name", counting)
+    result = run_lint(SRC_REPRO)
+    monkeypatch.undo()
+    assert result.clean
+    assert "repro.analysis.core" in wrapped and len(wrapped) > 1
+    calls = sum(
+        len(module.nodes_of(ast.Call)) for module in Tree.load(SRC_REPRO).parsed()
+    )
+    assert derived[0] <= calls, (derived[0], calls)
+
+
 def test_first_match_rules_follow_walk_order(tmp_path):
     # Walk order is breadth-first: of two candidates the shallower wins
     # even when it comes later in the file.  The handler lookup and the
@@ -2504,6 +2602,57 @@ def test_a_raising_rule_or_graph_restores_the_collector(tmp_path, monkeypatch):
     finally:
         (gc.enable if was else gc.disable)()
     assert rule.seen == [False, False]   # paused while they ran
+
+
+def test_a_lint_starts_no_collection_and_leaves_its_tree_collectable(
+    tmp_path, monkeypatch
+):
+    # The collection the pause puts off would start at the first
+    # allocation after it, still inside the lint, and scan every object
+    # the lint built, all of them alive.  The pause ends by promoting
+    # them to the oldest generation unscanned instead; a full collection
+    # afterwards frees the lint's tree, and a caller's frozen objects
+    # stay frozen.
+    built = []
+    load = Tree.load.__func__
+
+    def keeping(cls, root):
+        tree = load(cls, root)
+        built.append(weakref.ref(tree))
+        return tree
+
+    monkeypatch.setattr(Tree, "load", classmethod(keeping))
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        result = run_lint(SRC_REPRO)
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was else gc.disable)()
+    assert result.clean
+    assert started == []
+    del result
+    gc.collect()
+    assert len(built) == 1 and built[0]() is None
+
+    root = make_tree(tmp_path, _PAUSE_FIXTURE)
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        gc.enable()
+        run_lint(root)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+        (gc.enable if was else gc.disable)()
 
 
 def test_pausing_the_collector_changes_no_output(tmp_path, capsys, monkeypatch):
