@@ -263,7 +263,7 @@ class FailureDetector:
                 continue
             if pcb.task is not None:
                 pcb.task.abort(("declared-dead", host.address))
-            kernel.procs.pop(pcb.pid, None)
+            kernel._forget(pcb.pid)
             killed += 1
         return killed
 

@@ -7,6 +7,8 @@ After any run — scripted plan, random churn, or a hand-driven test —
   every resident process thinks it is where its kernel thinks it is;
   every shadow PCB points at a host that actually runs its process, or
   at one whose latest crash the cluster has not detected yet.
+* **Guest index**: each kernel's ``foreign_pcbs()`` lists exactly the
+  guests a scan of its whole process table finds, in table order.
 * **Migration ledger**: records have sane timestamps, never migrate a
   process onto the host it left from in the same hop, and the refusal
   flags agree with the per-reason refusal tally.
@@ -64,6 +66,7 @@ class InvariantChecker:
     def check(self, expected_pids: Optional[Iterable[int]] = None) -> List[Violation]:
         violations: List[Violation] = []
         violations.extend(self._check_placement())
+        violations.extend(self._check_guest_index())
         violations.extend(self._check_records())
         violations.extend(self._check_leases())
         violations.extend(self._check_journals())
@@ -154,6 +157,30 @@ class InvariantChecker:
                         "dangling-shadow",
                         {"pid": pid, "home": address, "remote": remote},
                     ))
+        return violations
+
+    def _check_guest_index(self) -> List[Violation]:
+        """Each kernel's ``foreign_pcbs()``, read from its guest index,
+        must be what a scan of the whole process table finds, in the
+        table's order."""
+        violations: List[Violation] = []
+        for address in sorted(self.cluster.kernels):
+            kernel = self.cluster.kernels[address]
+            scanned = [
+                pcb for pcb in kernel.procs.values()
+                if pcb.state == ProcState.RUNNING
+                and pcb.current == address and pcb.home != address
+            ]
+            indexed = kernel.foreign_pcbs()
+            if len(indexed) != len(scanned) or any(
+                mine is not theirs for mine, theirs in zip(indexed, scanned)
+            ):
+                violations.append(Violation(
+                    "guest-index-drift",
+                    {"kernel": address,
+                     "indexed": [pcb.pid for pcb in indexed],
+                     "scanned": [pcb.pid for pcb in scanned]},
+                ))
         return violations
 
     def _check_records(self) -> List[Violation]:

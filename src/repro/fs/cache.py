@@ -168,6 +168,8 @@ class BlockCache:
     def aged_dirty(self, now: float, max_age: float) -> Dict[str, List[CacheBlock]]:
         """Dirty blocks older than ``max_age``, grouped by path."""
         by_path: Dict[str, List[CacheBlock]] = {}
+        if not self._dirty:  # nothing dirty: no need to walk the LRU
+            return by_path
         for block in self._blocks.values():
             if block.dirty and now - block.dirty_since >= max_age:
                 by_path.setdefault(block.path, []).append(block)

@@ -98,6 +98,12 @@ class SpriteKernel:
         self.params = params or lan.params
         self.tracer = lan.tracer
         self.procs: Dict[int, Pcb] = {}
+        #: The entries of ``procs`` homed elsewhere, in ``procs``'s
+        #: order (a pid's home never changes): :meth:`foreign_pcbs`
+        #: scans these, not the home's shadows and zombies.  Every write
+        #: to ``procs`` goes through :meth:`_adopt` and :meth:`_forget`
+        #: (a crash clears both).
+        self._guests: Dict[int, Pcb] = {}
         self._pid_seq = itertools.count(1)
         #: Set by repro.migration when the host supports migration.
         self.migration: Any = None
@@ -147,14 +153,26 @@ class SpriteKernel:
             pcb.env = dict(parent.env)
             pcb.cwd = parent.cwd
             pcb.pgrp = parent.pgrp or parent.pid
-        self.procs[pcb.pid] = pcb
+        self._adopt(pcb)
         return pcb
+
+    def _adopt(self, pcb: Pcb) -> None:
+        """Enter ``pcb`` in the process table (replacing its pid's entry
+        in place, as a dict store does)."""
+        self.procs[pcb.pid] = pcb
+        if pcb.home != self.address:
+            self._guests[pcb.pid] = pcb
+
+    def _forget(self, pid: int) -> None:
+        """Drop ``pid``'s entry from the process table, if any."""
+        self.procs.pop(pid, None)
+        self._guests.pop(pid, None)
 
     def install_pcb(self, pcb: Pcb) -> None:
         """Adopt a PCB arriving via migration."""
         pcb.current = self.address
         pcb.state = ProcState.RUNNING
-        self.procs[pcb.pid] = pcb
+        self._adopt(pcb)
 
     def detach_pcb(self, pcb: Pcb, moved_to: int) -> None:
         """Mark a PCB as gone to another host.
@@ -190,9 +208,9 @@ class SpriteKernel:
                 # re-detaching after the remote copy finished): the
                 # zombie entry is the newer truth — keep it.
                 return
-            self.procs[pcb.pid] = shadow
+            self._adopt(shadow)
         else:
-            self.procs.pop(pcb.pid, None)
+            self._forget(pcb.pid)
 
     def resident(self, pid: int) -> Pcb:
         pcb = self.procs.get(pid)
@@ -204,7 +222,7 @@ class SpriteKernel:
         """Processes executing here away from their homes."""
         return [
             p
-            for p in self.procs.values()
+            for p in self._guests.values()
             if p.state == ProcState.RUNNING
             and p.current == self.address
             and p.home != self.address
@@ -248,6 +266,7 @@ class SpriteKernel:
                     pcb.task.abort(("host-crashed", self.address))
                 lost.append(pcb)
         self.procs.clear()
+        self._guests.clear()
         if self.migration is not None:
             self.migration.on_crash()
         return lost
@@ -284,7 +303,7 @@ class SpriteKernel:
             ):
                 if pcb.task is not None:
                     pcb.task.abort(("home-crashed", address))
-                self.procs.pop(pcb.pid, None)
+                self._forget(pcb.pid)
                 orphaned += 1
             elif pcb.state == ProcState.MIGRATED and pcb.current == address:
                 self.reap_shadow(pcb)
@@ -341,7 +360,7 @@ class SpriteKernel:
             child.env = dict(parent.env)
             child.cwd = parent.cwd
             child.pgrp = payload["pgrp"]
-            self.procs[child.pid] = child
+            self._adopt(child)
         # Copy-on-write address space: child starts with the parent's
         # size; residency rebuilt on demand.
         child.vm = Vm(size=parent.vm.size, resident=0, dirty=0)
@@ -365,7 +384,7 @@ class SpriteKernel:
             parent.children.add(pid)
             shadow.uid = parent.uid
             shadow.pgrp = parent.pgrp or parent.pid
-        self.procs[pid] = shadow
+        self._adopt(shadow)
         return {"pid": pid, "pgrp": shadow.pgrp}
 
     def exit_bookkeeping(self, pcb: Pcb, code: int) -> Generator[Effect, None, None]:
@@ -377,7 +396,7 @@ class SpriteKernel:
         if pcb.home == self.address:
             self._record_zombie(pcb, status)
         else:
-            self.procs.pop(pcb.pid, None)
+            self._forget(pcb.pid)
             self.calls_forwarded_home += 1
             # The home may be crashed or partitioned away right now.
             # Sprite blocks RPCs to a down peer until its recovery

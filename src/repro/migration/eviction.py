@@ -87,12 +87,6 @@ class EvictionDaemon:
                 # may be temporarily unreachable, retry next period.
                 self.failed_evictions += 1
 
-    def _user_returned(self) -> bool:
-        newer = self.host.last_input > self._last_seen_input
-        if newer:
-            self._last_seen_input = self.host.last_input
-        return self.host.user_present or newer
-
     # ------------------------------------------------------------------
     def evict_now(self) -> Generator[Effect, None, EvictionEvent]:
         """Evict every foreign process immediately; returns the event."""
@@ -163,9 +157,16 @@ class _Poll(Effect):
         )
 
     def _evicts(self) -> bool:
-        """One poll: resume the task, and say so, if it must evict."""
+        """One poll: resume the task, and say so, if it must evict —
+        if the owner is present or has typed since the last poll, while
+        foreign processes run here."""
         daemon = self.daemon
-        if daemon._user_returned() and daemon.manager.kernel.foreign_pcbs():
+        host = daemon.host
+        returned = host.user_present
+        if host.last_input > daemon._last_seen_input:
+            daemon._last_seen_input = host.last_input
+            returned = True
+        if returned and daemon.manager.kernel.foreign_pcbs():
             self._waiter._resume(None)
             return True
         return False

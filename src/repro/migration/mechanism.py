@@ -733,7 +733,7 @@ class MigrationManager(TxnResolver):
             return
         # Foreign process: drop our copy and tell the home (bounded
         # retries — the home's own crash detection is the backstop).
-        self.kernel.procs.pop(pcb.pid, None)
+        self.kernel._forget(pcb.pid)
         yield from self._settle(
             txn, pcb.home, "proc.exit_notify",
             {"pid": pcb.pid, "code": status.code,

@@ -215,7 +215,8 @@ class TxnResolver:
     def _show_zombie(self, pcb: Pcb) -> None:
         """A home process that exited remotely: make sure the zombie is
         visible here to waiting parents."""
-        self.kernel.procs.setdefault(pcb.pid, pcb)
+        if pcb.pid not in self.kernel.procs:
+            self.kernel._adopt(pcb)
         if pcb.state not in (ProcState.ZOMBIE, ProcState.DEAD):
             self.kernel._record_zombie(pcb, pcb.exit_status)
 

@@ -19,7 +19,9 @@ Two consumers:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Generator, List, Sequence, Tuple
 
 from ..kernel import Host
@@ -30,6 +32,9 @@ __all__ = ["ActivityModel", "ActivityDriver", "idle_fraction_by_hour"]
 
 DAY = 24 * 3600.0
 WEEK = 7 * DAY
+
+_START = itemgetter(0)
+_STOP = itemgetter(1)
 
 
 @dataclass
@@ -78,9 +83,16 @@ class ActivityModel:
     def busy_fraction(
         self, intervals: Sequence[Tuple[float, float]], window: Tuple[float, float]
     ) -> float:
+        """Share of ``window`` covered by ``intervals``, whose starts and
+        stops must both be sorted (as :meth:`generate_intervals` makes
+        them).  Only the intervals that can overlap the window are
+        summed: one that stops by ``lo`` or starts at ``hi`` or later
+        adds exactly ``0.0``, so the sum is the full walk's, bit for bit."""
         lo, hi = window
+        first = bisect_right(intervals, lo, key=_STOP)
+        end = bisect_left(intervals, hi, first, key=_START)
         busy = 0.0
-        for start, stop in intervals:
+        for start, stop in intervals[first:end]:
             busy += max(0.0, min(stop, hi) - max(start, lo))
         return busy / (hi - lo) if hi > lo else 0.0
 

@@ -452,7 +452,7 @@ def test_invariant_checker_flags_duplicated_process():
     pcb, _ = a.spawn_process(job, name="job")
     cluster.run(until=1.0)
     # Forge a second RUNNING entry for the same pid on another kernel.
-    b.kernel.procs[pcb.pid] = pcb
+    b.kernel._adopt(pcb)
     violations = InvariantChecker(cluster).check()
     kinds = {v.kind for v in violations}
     assert "duplicated-process" in kinds
@@ -465,6 +465,103 @@ def test_invariant_checker_flags_lost_process():
     assert [v.kind for v in violations] == ["lost-process"]
     with pytest.raises(AssertionError):
         checker.assert_clean(expected_pids=[1000042])
+
+
+def _scan_guests(kernel):
+    """The full-table predicate :meth:`SpriteKernel.foreign_pcbs` had
+    before the guest index: the twin the index is checked against."""
+    return [
+        pcb for pcb in kernel.procs.values()
+        if pcb.state == ProcState.RUNNING
+        and pcb.current == kernel.address and pcb.home != kernel.address
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7])
+def test_guest_index_matches_a_full_scan_after_every_event(seed):
+    """Seeded spawns, migrations, remote forks, an eviction, exits, a
+    crash with its peers' reaction and the reboot's journal recovery:
+    after every event each kernel's ``foreign_pcbs()`` is the very list
+    of pcbs the full-table predicate finds, in order."""
+    import random
+
+    from repro.kernel import NoSuchProcess
+    from repro.net import RpcError
+
+    rng = random.Random(seed)
+    cluster = SpriteCluster(workstations=4, start_daemons=True, seed=seed)
+    injector = cluster.faults(detect_delay=2.0)
+    hosts = cluster.hosts
+
+    def child(proc, work):
+        yield from proc.compute(work)
+        return 0
+
+    def parent(proc, work):
+        yield from proc.compute(work)
+        try:
+            yield from proc.fork(child, work / 2)
+            yield from proc.compute(work / 2)
+            yield from proc.wait_all()
+        except (RpcError, NoSuchProcess):
+            return 1  # its home is down
+        return 0
+
+    def later(delay, action):
+        def step():
+            yield Sleep(delay)
+            try:
+                yield from action()
+            except Exception:  # noqa: BLE001 - a refused or failed hop
+                pass
+
+        spawn(cluster.sim, step(), name="step")
+
+    def migrate(pcb):
+        def action():
+            if pcb.state == ProcState.RUNNING:
+                source = pcb.current
+                target = rng.choice([h for h in hosts if h.address != source])
+                yield from cluster.managers[source].migrate(pcb, target.address)
+
+        return action
+
+    def now(fn):
+        def action():
+            fn()
+            yield from ()
+
+        return action
+
+    for index in range(6):
+        home = rng.choice(hosts)
+        pcb, _ = home.spawn_process(
+            parent, rng.uniform(2.0, 8.0), name=f"job{index}"
+        )
+        later(rng.uniform(0.2, 1.5), migrate(pcb))
+        later(rng.uniform(4.0, 9.0), migrate(pcb))
+    later(rng.uniform(3.0, 5.0), now(rng.choice(hosts).user_input))
+    victim = rng.choice(hosts)
+    crash_at = rng.uniform(5.0, 8.0)
+    later(crash_at, now(lambda: injector.crash_host(victim)))
+    later(crash_at + rng.uniform(3.0, 6.0),
+          now(lambda: injector.reboot_host(victim)))
+
+    guests = set()
+    while cluster.sim.now < 40.0 and cluster.sim.step():
+        for kernel in cluster.kernels.values():
+            indexed = kernel.foreign_pcbs()
+            scanned = _scan_guests(kernel)
+            assert len(indexed) == len(scanned)
+            assert all(a is b for a, b in zip(indexed, scanned))
+            guests.update((kernel.address, pcb.pid) for pcb in indexed)
+    # The run took every path that writes a process table.
+    assert len(guests) >= 8
+    assert sum(len(evictor.events) for evictor in cluster.evictors) >= 1
+    assert sum(k.calls_forwarded_home for k in cluster.kernels.values()) >= 1
+    assert injector.orphaned + injector.reaped >= 1
+    assert sum(m.journal.recovered for m in cluster.managers.values()) >= 1
+    InvariantChecker(cluster, injector).assert_clean()
 
 
 # ----------------------------------------------------------------------

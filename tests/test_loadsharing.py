@@ -266,10 +266,16 @@ def test_accept_hook_caps_foreign_guests():
     target = cluster.hosts[1]
     hook = cluster.managers[target.address].accept_hook
     assert hook({"home": 99}) is True
-    # Install a fake foreign resident: the cap (max_foreign=1) now bites.
+    # Let that acceptance's in-flight ticket lapse, so only a resident
+    # guest can fill the cap (MAX_FOREIGN = 1).
+    manager = cluster.managers[target.address]
+    cluster.run(until=cluster.sim.now + cluster.params.migration_ticket_ttl + 1.0)
+    assert manager.leases.pending_arrivals == 0
+    # Install a fake foreign resident: the cap now bites.
     guest = Pcb(pid=99_000_001, name="guest", home=99, current=target.address)
     guest.exit_event = SimEvent(cluster.sim)
-    target.kernel.procs[guest.pid] = guest
+    target.kernel._adopt(guest)
+    assert target.kernel.foreign_pcbs() == [guest]
     assert hook({"home": 99}) is False
 
 

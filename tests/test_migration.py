@@ -481,7 +481,11 @@ class SleepingEvictionDaemon(EvictionDaemon):
     def _watch(self):
         while True:
             yield Sleep(self.poll_period)
-            if self._user_returned() and self.manager.kernel.foreign_pcbs():
+            newer = self.host.last_input > self._last_seen_input
+            if newer:
+                self._last_seen_input = self.host.last_input
+            returned = self.host.user_present or newer
+            if returned and self.manager.kernel.foreign_pcbs():
                 try:
                     yield from self.evict_now()
                 except Exception:  # noqa: BLE001 - as the daemon does
