@@ -152,10 +152,8 @@ def _import_bindings(module: "ModuleInfo") -> Iterator[Tuple[str, str]]:
     bind to something other than itself, in binding order: ``import
     time as t`` binds ``t`` to ``time``, ``from time import perf_counter
     as clock`` binds ``clock`` to ``time.perf_counter``.  A relative
-    import names a module of the tree, not a library one: left out.
-    (The query is the call graph's, so a lint that builds the graph
-    asks the index for no new list.)"""
-    for node in module.nodes_of(ast.ImportFrom, ast.Import):
+    import names a module of the tree, not a library one: left out."""
+    for node in module.imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
@@ -351,6 +349,24 @@ class ModuleInfo:
     @property
     def parents(self) -> Dict[ast.AST, ast.AST]:
         return self.index.parents
+
+    @cached_property
+    def imports(self) -> List[ast.stmt]:
+        """The ``import`` and ``from`` statements, in walk order: the
+        one list every reader of the module's imports shares.  A walk
+        pruned to the subtrees holding one finds them without the scan
+        of every node that a two-type :meth:`nodes_of` key takes."""
+        wanted = self.index.holding(ast.Import, ast.ImportFrom)
+        found: List[ast.stmt] = []
+        todo = deque([self.tree] if self.tree in wanted else [])
+        while todo:
+            node = todo.popleft()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.append(node)
+            else:
+                todo.extend(filter(wanted.__contains__,
+                                   ast.iter_child_nodes(node)))
+        return found
 
     @cached_property
     def generators(self) -> Set[ast.AST]:
