@@ -83,7 +83,6 @@ class CondorScheduler:
         self.queue: List[CondorJob] = []
         self.results: List[CondorJobResult] = []
         self.evictions = 0
-        self._runner_tasks: List[Task] = []
         #: Checkpoint images, keyed by job id (shared primitives with
         #: the kernel-level checkpoint daemon; bounded generations).
         self.store = CheckpointStore(cluster.params, root="/condor")
@@ -117,13 +116,12 @@ class CondorScheduler:
                     break
                 job = self.queue.pop(0)
                 busy_hosts.add(host.address)
-                task = spawn(
+                spawn(
                     self.cluster.sim,
                     self._run_job(job, host, busy_hosts),
                     name=f"condor-job{job.job_id}@{host.name}",
                     daemon=True,
                 )
-                self._runner_tasks.append(task)
             yield Sleep(self.poll_period)
 
     def _find_idle_host(self, busy_hosts: set) -> Optional[Host]:

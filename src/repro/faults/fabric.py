@@ -159,10 +159,6 @@ class LinkFabric:
     def clear_links(self) -> None:
         self._links.clear()
 
-    @property
-    def partitioned(self) -> bool:
-        return self._groups is not None
-
     def connected(self, a: int, b: int) -> bool:
         groups = self._groups
         if groups is None:

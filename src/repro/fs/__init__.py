@@ -14,7 +14,6 @@ from .client import FsClient
 from .errors import (
     AccessError,
     BadStream,
-    FileExists,
     FileNotFound,
     FsError,
     NotPseudoDevice,
@@ -34,7 +33,6 @@ __all__ = [
     "BadStream",
     "BlockCache",
     "CacheBlock",
-    "FileExists",
     "FileNotFound",
     "FileServer",
     "FsClient",

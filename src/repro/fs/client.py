@@ -61,8 +61,6 @@ class FsClient:
             capacity_blocks=self.params.client_cache_blocks,
             block_size=self.params.fs_block_size,
         )
-        #: handle_id -> server address, for streams this client holds.
-        self._servers_by_handle: Dict[int, int] = {}
         #: path -> handle_id memo, so write-backs after close still know
         #: which server handle to address.
         self._path_handles: Dict[str, int] = {}
@@ -173,7 +171,6 @@ class FsClient:
             pdev_id=result.pdev_id,
             stream_id=next(self._stream_ids),
         )
-        self._servers_by_handle[result.handle_id] = server
         self._path_handles[path] = result.handle_id
         self.open_streams[stream.stream_id] = stream
         if stream.is_pdev:
@@ -423,7 +420,6 @@ class FsClient:
         for performance), open streams, and handle memos."""
         self.cache.drop_all()
         self.open_streams.clear()
-        self._servers_by_handle.clear()
         self._path_handles.clear()
 
     # ------------------------------------------------------------------
@@ -611,7 +607,6 @@ class FsClient:
         """Restore the client-side records for a stream whose export was
         rolled back (idempotent)."""
         if not (stream.is_pipe or stream.is_pdev):
-            self._servers_by_handle[stream.handle_id] = stream.server
             self._path_handles[stream.path] = stream.handle_id
         self.open_streams[stream.stream_id] = stream
 
@@ -624,7 +619,6 @@ class FsClient:
         """Target side: install a stream exported by another client."""
         stream: Stream = state["stream"]
         yield from self.cpu.consume(self.params.stream_transfer_cpu)
-        self._servers_by_handle[stream.handle_id] = stream.server
         self._path_handles[stream.path] = stream.handle_id
         self.open_streams[stream.stream_id] = stream
         return stream

@@ -11,10 +11,6 @@ class FileNotFound(FsError):
     """No such file or directory."""
 
 
-class FileExists(FsError):
-    """Exclusive create of an existing path."""
-
-
 class BadStream(FsError):
     """Operation on a closed or invalid stream."""
 

@@ -35,7 +35,6 @@ class BackingFile:
         self.server = client.prefixes.route(path)
         self.handle_id: int = -1
         self.bytes_paged_out = 0
-        self.bytes_paged_in = 0
 
     def create(self) -> Generator[Effect, None, "BackingFile"]:
         """Create (or reattach to) the backing file on its server."""
@@ -50,10 +49,6 @@ class BackingFile:
         )
         self.handle_id = result.handle_id
         return self
-
-    def attach(self, handle_id: int) -> None:
-        """Adopt an existing backing file (after migration)."""
-        self.handle_id = handle_id
 
     # ------------------------------------------------------------------
     def page_out(self, nbytes: int) -> Generator[Effect, None, int]:
@@ -99,7 +94,6 @@ class BackingFile:
         yield from self.client.cpu.consume(
             self.params.page_handling_cpu * self.params.pages(nbytes)
         )
-        self.bytes_paged_in += nbytes
         return nbytes
 
     def remove(self) -> Generator[Effect, None, None]:

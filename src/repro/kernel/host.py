@@ -71,7 +71,6 @@ class Host:
         self.user_present = False
         #: Crash/reboot bookkeeping (driven by repro.faults).
         self.crashes = 0
-        self.up_since = 0.0
 
     # ------------------------------------------------------------------
     @property
@@ -104,10 +103,6 @@ class Host:
     # ------------------------------------------------------------------
     # Crash / reboot lifecycle (driven by repro.faults)
     # ------------------------------------------------------------------
-    @property
-    def is_up(self) -> bool:
-        return self.node.up
-
     def crash(self) -> list:
         """Full-host crash: all volatile state is lost at this instant.
 
@@ -143,7 +138,6 @@ class Host:
         if self.node.up:
             return
         self.node.up = True
-        self.up_since = self.sim.now
         self.last_input = float("-inf")
         self.user_present = False
         self.kernel.on_reboot()

@@ -109,8 +109,6 @@ class SpriteKernel:
         self.migration: Any = None
         # Statistics.
         self.calls_forwarded_home = 0
-        self.calls_forwarded_away = 0
-        self.signals_delivered = 0
         self._register_services()
 
     # ------------------------------------------------------------------
@@ -211,12 +209,6 @@ class SpriteKernel:
             self._adopt(shadow)
         else:
             self._forget(pcb.pid)
-
-    def resident(self, pid: int) -> Pcb:
-        pcb = self.procs.get(pid)
-        if pcb is None or pcb.state != ProcState.RUNNING:
-            raise NoSuchProcess(f"pid {pid} not resident on {self.node.name}")
-        return pcb
 
     def foreign_pcbs(self) -> List[Pcb]:
         """Processes executing here away from their homes."""
@@ -539,7 +531,6 @@ class SpriteKernel:
             return
         if pcb is not None and pcb.state == ProcState.MIGRATED:
             # We are the home: forward to the current host.
-            self.calls_forwarded_away += 1
             yield from self.rpc.call(
                 pcb.current, "proc.signal", {"pid": target_pid, "sig": signum}
             )
@@ -574,7 +565,6 @@ class SpriteKernel:
     def post_signal_local(self, pcb: Pcb, signum: int) -> None:
         """Queue a signal on a resident process and preempt it if possible."""
         pcb.pending_signals.append(signum)
-        self.signals_delivered += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 self.sim.now, f"kernel:{self.node.name}", "signal",

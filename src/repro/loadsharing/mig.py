@@ -74,7 +74,6 @@ class MigClient:
         self.jobs: List[RemoteJob] = []
         #: pid -> granted host, so completions can recycle hosts.
         self._host_of_pid: Dict[int, Optional[int]] = {}
-        self.local_fallbacks = 0
 
     # ------------------------------------------------------------------
     def acquire_hosts(self, n: int) -> Generator[Effect, None, List[int]]:
@@ -135,8 +134,6 @@ class MigClient:
                 job.fell_back_local = bool(
                     getattr(job, "_fallback_flag", [])
                 )
-                if job.fell_back_local:
-                    self.local_fallbacks += 1
                 break
         status.freed_host = target  # type: ignore[attr-defined]
         return status

@@ -52,7 +52,6 @@ class MigdServer:
         #: Outstanding assignments per requesting host (fairness).
         self.assignments: Dict[int, Set[int]] = {}
         self.requests_served = 0
-        self.updates_received = 0
         #: Host-selection requests load-shed because the server's offer
         #: queue was over ``params.migd_max_pending`` (when > 0).
         self.refused_busy = 0
@@ -111,7 +110,6 @@ class MigdServer:
         return {"error": f"unknown op {kind!r}"}
 
     def _on_update(self, message: Dict) -> Dict:
-        self.updates_received += 1
         address = message["host"]
         info = self.hosts.setdefault(address, _HostInfo(address=address))
         was_available = info.available
@@ -262,9 +260,6 @@ class CentralizedSelector(HostSelector):
         super().__init__(host)
         self._stream = None
         self.failures = 0
-        #: Requests the server answered with an explicit busy verdict
-        #: (distinct from ``failures``: the server is up, just loaded).
-        self.backpressured = 0
 
     def _ensure_stream(self) -> Generator[Effect, None, None]:
         if self._stream is None:
@@ -294,8 +289,6 @@ class CentralizedSelector(HostSelector):
                 "exclude": list(exclude),
             }
         )
-        if reply and reply.get("busy"):
-            self.backpressured += 1
         granted = reply.get("hosts", []) if reply else []
         return self._timed_request_end(started, granted)
 

@@ -156,7 +156,6 @@ class ProbabilisticSelector(HostSelector):
         super().__init__(host)
         self.vector: Dict[int, _VectorEntry] = {}
         self.peers: List[int] = []          # set by install()
-        self.gossip_messages = 0
         host.rpc.register(self.GOSSIP_SERVICE, self._rpc_gossip)
         spawn(host.sim, self._gossip_loop, name=f"gossip:{host.name}", daemon=True)
 
@@ -193,7 +192,6 @@ class ProbabilisticSelector(HostSelector):
                 for address, entry in self.vector.items()
             }
             for target in sorted(targets):
-                self.gossip_messages += 1
                 try:
                     yield from self.host.rpc.call(
                         target, self.GOSSIP_SERVICE, payload, timeout=2.0
@@ -277,7 +275,6 @@ class MulticastSelector(HostSelector):
     def __init__(self, host: Host):
         super().__init__(host)
         self._offers: Optional[Channel] = None
-        self.queries_answered = 0
         host.rpc.register(self.OFFER_SERVICE, self._rpc_offer)
         host.rpc.fallback = _QueryFallback(self, host.rpc.fallback)
 
@@ -287,7 +284,6 @@ class MulticastSelector(HostSelector):
         yield from host.cpu.consume(host.params.kernel_call_cpu)
         if not host.is_available():
             return
-        self.queries_answered += 1
         try:
             yield from host.rpc.call(
                 packet.src,

@@ -7,7 +7,7 @@ and the per-host daemons the architecture needs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..cluster import SpriteCluster
 from ..kernel import Host
@@ -43,20 +43,18 @@ class LoadSharingService:
         self.architecture = architecture
         self.selectors: Dict[int, HostSelector] = {}
         self.migd: Optional[MigdServer] = None
-        self.notifiers: List[AvailabilityNotifier] = []
-        self.boards: List[SharedFileBoard] = []
         install_accept_hooks(cluster)
 
         if architecture == "centralized":
             self.migd = MigdServer(cluster.hosts[0])
             self.migd.start()
             for host in cluster.hosts:
-                self.notifiers.append(AvailabilityNotifier(host))
+                AvailabilityNotifier(host)  # lives on in its own task
                 self.selectors[host.address] = CentralizedSelector(host)
         elif architecture == "shared-file":
             cluster.add_file(LOAD_BOARD_PATH, payload={})
             for host in cluster.hosts:
-                self.boards.append(SharedFileBoard(host))
+                SharedFileBoard(host)  # lives on in its own task
                 self.selectors[host.address] = SharedFileSelector(host)
         elif architecture == "probabilistic":
             addresses = [host.address for host in cluster.hosts]

@@ -23,8 +23,6 @@ from .stats import (
     collect_records,
     records_by_reason,
     refusal_reasons,
-    rollback_stats,
-    summarize_records,
 )
 from .txn import (
     TXN_STEPS,
@@ -67,6 +65,4 @@ __all__ = [
     "make_policy",
     "records_by_reason",
     "refusal_reasons",
-    "rollback_stats",
-    "summarize_records",
 ]

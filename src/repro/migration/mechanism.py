@@ -153,9 +153,6 @@ class MigrationManager(TxnResolver):
         #: the cap refused one.
         self.outgoing_in_flight = 0
         self.refused_outgoing_cap = 0
-        #: Evictions that failed (their refusal is swallowed so one bad
-        #: victim cannot strand the others on a reclaimed host).
-        self.eviction_failures = 0
         self._managers = managers
         managers[host.address] = self
         #: Target side: lease registry and the ``mig.*`` lease services.
@@ -218,7 +215,7 @@ class MigrationManager(TxnResolver):
 
         Each eviction is its own transaction; one refused victim (home
         down, transfer aborted) must not strand the remaining guests,
-        so refusals are counted and skipped rather than propagated.
+        so refusals are collected and raised once every victim had its try.
         """
         victims = self.kernel.foreign_pcbs()
         records = []
@@ -229,7 +226,6 @@ class MigrationManager(TxnResolver):
             except MigrationAbandoned:
                 raise
             except MigrationRefused as err:
-                self.eviction_failures += 1
                 failures.append(f"pid {pcb.pid}: {err}")
                 self._trace("eviction-failed", pid=pcb.pid, why=str(err))
                 continue

@@ -11,10 +11,8 @@ __all__ = [
     "collect_records",
     "mean",
     "percentile",
-    "summarize_records",
     "records_by_reason",
     "refusal_reasons",
-    "rollback_stats",
 ]
 
 
@@ -47,34 +45,6 @@ def refusal_reasons(records: Iterable[MigrationRecord]) -> Dict[str, int]:
         why = record.detail.get("refusal", "unspecified")
         reasons[why] = reasons.get(why, 0) + 1
     return reasons
-
-
-def rollback_stats(managers: Iterable[MigrationManager]) -> Dict[str, int]:
-    """Cluster-wide undo-log health: transaction counters plus the
-    ``rollback_incomplete`` tally (aborts whose inline undo replay
-    exhausted its retries and was handed to a background repair task).
-    """
-    totals = {
-        "begun": 0,
-        "committed": 0,
-        "aborted": 0,
-        "recovered": 0,
-        "rollback_incomplete": 0,
-        "rollback_pending": 0,
-        "eviction_failures": 0,
-    }
-    for manager in managers:
-        journal = manager.journal
-        totals["begun"] += journal.begun
-        totals["committed"] += journal.committed
-        totals["aborted"] += journal.aborted
-        totals["recovered"] += journal.recovered
-        totals["rollback_incomplete"] += manager.rollback_incomplete
-        totals["rollback_pending"] += sum(
-            1 for txn in journal.txns.values() if txn.rollback_pending
-        )
-        totals["eviction_failures"] += manager.eviction_failures
-    return totals
 
 
 def _pairwise_sum(values: Sequence[float]) -> float:
@@ -123,22 +93,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     if gamma >= 0.5:
         return hi - (hi - lo) * (1 - gamma)
     return lo + (hi - lo) * gamma
-
-
-def summarize_records(records: List[MigrationRecord]) -> Dict[str, float]:
-    """Means/percentiles of migration and freeze time (completed only)."""
-    done = [r for r in records if not r.refused]
-    if not done:
-        return {"count": 0, "refused": sum(1 for r in records if r.refused)}
-    totals = [r.total_time for r in done]
-    freezes = [r.freeze_time for r in done]
-    return {
-        "count": len(done),
-        "refused": sum(1 for r in records if r.refused),
-        "mean_total_s": mean(totals),
-        "p95_total_s": percentile(totals, 95),
-        "mean_freeze_s": mean(freezes),
-        "p95_freeze_s": percentile(freezes, 95),
-        "mean_streams": mean([r.streams_moved for r in done]),
-        "vm_bytes_total": float(sum(r.vm.bytes_total if r.vm else 0 for r in done)),
-    }

@@ -126,11 +126,6 @@ class MigrationTxn:
         """Compensating actions not yet applied, newest first."""
         return [e for e in reversed(self.undo) if not e.undone]
 
-    @property
-    def in_doubt(self) -> bool:
-        """The commit may have been delivered but was never acked."""
-        return self.did("commit_sent") and not self.did("committed")
-
 
 class MigrationJournal:
     """Per-host migration write-ahead journal.
@@ -150,7 +145,6 @@ class MigrationJournal:
         #: after each step is journaled, *at that simulated instant*.
         self.on_step: Optional[Callable[[MigrationTxn, str], None]] = None
         #: Monotonic telemetry (never reset; survives crashes).
-        self.begun = 0
         self.committed = 0
         self.aborted = 0
         self.recovered = 0
@@ -169,7 +163,6 @@ class MigrationJournal:
             reason=reason,
             pcb=pcb,
         )
-        self.begun += 1
         self.txns[txn.txn_id] = txn
         return txn
 

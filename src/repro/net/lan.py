@@ -144,8 +144,6 @@ class Lan:
         #: counted backpressure path: senders discover the loss by
         #: timeout and back off.
         self.inbox_overflows = 0
-        #: Extra copies delivered for fabric duplicate verdicts.
-        self.duplicates_delivered = 0
         #: Optional per-kind byte accounting ({packet kind: bytes});
         #: ``None`` until the observability layer installs a dict, so an
         #: unobserved run pays only an ``is not None`` test per message.
@@ -257,7 +255,6 @@ class Lan:
         copy = Packet(packet.src, packet.dst, packet.kind, packet.payload,
                       packet.size, send_time=packet.send_time,
                       corrupt=corrupt or packet.corrupt)
-        self.duplicates_delivered += 1
         if self.tracer.enabled:
             self.tracer.emit(
                 self.sim.now, "lan", "duplicate",

@@ -23,7 +23,7 @@ simply by naming it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 __all__ = ["Counter", "StateRegistry"]
 
@@ -69,17 +69,5 @@ class StateRegistry:
             entry = self._entries[name] = Counter(name, start=start)
         return entry
 
-    def get(self, name: str) -> Any:
-        return self._entries[name]
-
-    def names(self) -> List[str]:
-        return sorted(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __repr__(self) -> str:
-        return f"<StateRegistry {self.names()}>"
+        return f"<StateRegistry {sorted(self._entries)}>"

@@ -1,4 +1,5 @@
-"""Shared fixtures: a miniature cluster of FS clients and servers.
+"""Shared fixtures: a miniature cluster of FS clients and servers, and
+the parsed source tree the whole-repository audits read.
 
 Kernel-free harness used by the file-system and network tests; the
 kernel tests build full hosts via repro.cluster instead.
@@ -6,12 +7,33 @@ kernel tests build full hosts via repro.cluster instead.
 
 from __future__ import annotations
 
-from typing import Generator, List
+import ast
+import functools
+import pathlib
+from typing import Generator, List, Tuple
 
 from repro.config import ClusterParams
 from repro.fs import FileServer, FsClient, PdevRegistry, PrefixTable
 from repro.net import Lan, NetNode, RpcPort
 from repro.sim import Cpu, Simulator, run_until_complete
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: The trees a source audit reads: everything that may set or read the
+#: program's state.
+SCANNED = ("src", "tests", "benchmarks", "examples", "tools")
+
+
+@functools.lru_cache(maxsize=None)
+def parsed_sources() -> Tuple[Tuple[pathlib.Path, List[ast.AST]], ...]:
+    """``(path, nodes)`` of every ``.py`` file under :data:`SCANNED`, in
+    path order: ``nodes`` is ``list(ast.walk(tree))``, the module first.
+    Parsed and walked once for every audit of a test run; the nodes are
+    shared, so read them, don't mutate them."""
+    return tuple(
+        (path, list(ast.walk(ast.parse(path.read_text()))))
+        for top in SCANNED
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+    )
 
 
 class FsHost:

@@ -13,6 +13,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis import run_lint
 from repro.analysis.core import Tree
 from repro.analysis.dataflow import exception_escapes, fixpoint, tainted_returns
 
@@ -214,6 +215,65 @@ def test_callback_argument_gets_ref_edge(tmp_path):
     start = fn(graph, "mod.py", "start")
     refs = [e.callee.key for e in graph.edges_out(start) if e.kind == "ref"]
     assert refs == [("mod.py", "on_done")]
+
+
+_ATTRIBUTE_ARGUMENTS = {
+    "net/errors.py": "class RpcError(Exception):\n    pass\n",
+    "fs/errors.py": "class FsError(Exception):\n    pass\n",
+    "util.py": "def func():\n    return 1\n",
+    "things.py": """\
+    class Store:
+        def attr(self):
+            return 2
+    """,
+    "svc.py": """\
+    from . import util
+
+
+    def helper(value):
+        return value
+
+
+    class Service:
+        def __init__(self, port):
+            port.register("svc", self._rpc_x)
+
+        def _rpc_x(self, args):
+            raise RuntimeError("boom")
+
+        def method(self):
+            return 3
+
+        def run(self, obj):
+            helper(obj.attr)
+            helper(value=obj.attr)
+            helper(self.method)
+            helper(util.func)
+    """,
+}
+
+
+def test_attribute_argument_makes_only_sharp_ref_edges(tmp_path):
+    """``helper(obj.attr)`` on an untyped ``obj`` is data, not a
+    callback: no by-name edge to ``Store.attr``.  ``self.``, module
+    alias and registered-handler arguments still resolve, sharply."""
+    graph = graph_of(tmp_path, _ATTRIBUTE_ARGUMENTS)
+    run = fn(graph, "svc.py", "Service.run")
+    refs = [e for e in graph.edges_out(run) if e.kind == "ref"]
+    assert sorted(e.callee.key for e in refs) == [
+        ("svc.py", "Service.method"),
+        ("util.py", "func"),
+    ]
+    assert all(e.sharp for e in refs)
+    assert graph.edges_in(fn(graph, "things.py", "Store.attr")) == []
+    init = fn(graph, "svc.py", "Service.__init__")
+    handlers = [e for e in graph.edges_out(init) if e.kind == "ref"]
+    assert [(e.callee.qualname, e.sharp) for e in handlers] == [
+        ("Service._rpc_x", True),
+    ]
+    # exception-flow still takes the registered handler as an entry
+    findings = run_lint(graph.tree.root, rule_ids=["exception-flow"]).findings
+    assert [(f.rel, f.line) for f in findings] == [("svc.py", 13)]
 
 
 def test_decorator_expression_gets_ref_edge(tmp_path):
@@ -495,15 +555,17 @@ _DEADCODE_FIXTURE = {
 
 def test_golden_dead_code_report(tmp_path):
     graph = graph_of(tmp_path, _DEADCODE_FIXTURE)
-    # exact golden: orphans only — `entry` is exported via __all__,
-    # `used_helper` has an in-edge, decorated and dunder defs are
-    # exempt by policy.
+    # exact golden: orphans only — `used_helper` has an in-edge,
+    # decorated and dunder defs are exempt by policy.  `entry` is
+    # exported via __all__, which calls nothing: it is reported too.
     assert [f"{f.rel}::{f.qualname}" for f in graph.unreferenced()] == [
+        "pkg/api.py::entry",
         "pkg/api.py::orphan_api",
         "pkg/work.py::orphan_worker",
     ]
     report = graph.render_report()
-    assert "unreferenced functions (2)" in report
+    assert "unreferenced functions (3)" in report
+    assert "pkg/api.py:4 entry" in report
     assert "pkg/api.py:8 orphan_api" in report
     assert "pkg/work.py:8 orphan_worker" in report
 
@@ -513,7 +575,7 @@ def test_stats_counts(tmp_path):
     stats = graph.stats()
     assert stats["modules"] == 3
     assert stats["functions"] == 6
-    assert stats["unreferenced"] == 2
+    assert stats["unreferenced"] == 3
     assert stats["call_edges"] >= 1
 
 

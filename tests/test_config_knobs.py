@@ -11,25 +11,25 @@ file, no allow-list.
 
 import ast
 import dataclasses
+import functools
 import pathlib
 
 import pytest
 
 from repro.config import ClusterParams
 
+from .helpers import REPO_ROOT, parsed_sources
+
 THIS_FILE = pathlib.Path(__file__).resolve()
-REPO_ROOT = THIS_FILE.parents[1]
-SCANNED = ("src", "tests", "benchmarks", "examples", "tools")
 
 FIELDS = {field.name for field in dataclasses.fields(ClusterParams)}
 CONSTANTS = set(ClusterParams.__annotations__) - FIELDS
 
 
 def _sources():
-    for top in SCANNED:
-        for path in sorted((REPO_ROOT / top).rglob("*.py")):
-            if path not in (REPO_ROOT / "src" / "repro" / "config.py", THIS_FILE):
-                yield path.relative_to(REPO_ROOT), ast.parse(path.read_text())
+    for path, nodes in parsed_sources():
+        if path not in (REPO_ROOT / "src" / "repro" / "config.py", THIS_FILE):
+            yield path.relative_to(REPO_ROOT), nodes
 
 
 def _assigned_attributes(node):
@@ -44,13 +44,14 @@ def _assigned_attributes(node):
             yield target
 
 
+@functools.lru_cache(maxsize=None)
 def _audit():
     """``name -> [where it is set]`` for fields; ``[where]`` for constants
     assigned through a ``params`` object."""
     setters = {name: [] for name in FIELDS}
     shadowed = []
-    for path, tree in _sources():
-        for node in ast.walk(tree):
+    for path, nodes in _sources():
+        for node in nodes:
             where = f"{path}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Call):
                 for keyword in node.keywords:
@@ -61,6 +62,8 @@ def _audit():
                     if isinstance(key, ast.Constant) and key.value in FIELDS:
                         setters[key.value].append(where)
             for target in _assigned_attributes(node):
+                if target.attr not in FIELDS and target.attr not in CONSTANTS:
+                    continue
                 if "params" not in ast.unparse(target.value):
                     continue  # ``self.page_size = ...`` on some other object
                 if target.attr in FIELDS:
