@@ -68,7 +68,7 @@ _FALLBACK_BLOCKLIST = frozenset({
     "format", "encode", "decode", "startswith", "endswith", "items",
     "keys", "values", "index", "copy", "replace", "lower", "upper",
     "remove", "discard", "add", "update", "pop", "clear", "popleft",
-    "appendleft",
+    "appendleft", "get",
 })
 
 #: What :meth:`CallGraph._walk_expr_calls` acts on (a lambda's body
@@ -723,10 +723,11 @@ class CallGraph:
     def unreferenced(self) -> List[FunctionNode]:
         """Functions nothing refers to: no in-edge under the linted
         root and no mention by name in the repository's other caller
-        trees (:data:`_CALLER_TREES`).  Not dunders, not decorated
-        (properties and the like are reached without a Call).  An
-        ``__all__`` export is no caller: a helper only its unit tests
-        call is reported like any other."""
+        trees (:data:`_CALLER_TREES`), where an attribute name keeps a
+        method and a bare or imported name a module-level function.
+        Not dunders, not decorated (properties and the like are reached
+        without a Call).  An ``__all__`` export is no caller: a helper
+        only its unit tests call is reported like any other."""
         if self._unreferenced is not None:
             return self._unreferenced
         attrs, names = self._outside_mentions()
@@ -741,9 +742,9 @@ class CallGraph:
             if getattr(fn.node, "decorator_list", []):
                 continue
             # the by-name fallback of untyped receivers, from outside
-            if name in attrs or (
-                name in names and fn.class_name is None and not fn.is_nested
-            ):
+            if fn.class_name is not None and name in attrs:
+                continue
+            if fn.class_name is None and not fn.is_nested and name in names:
                 continue
             out.append(fn)
         self._unreferenced = out

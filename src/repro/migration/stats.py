@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Sequence
 
 from .mechanism import MigrationManager, MigrationRecord
@@ -10,7 +9,6 @@ from .mechanism import MigrationManager, MigrationRecord
 __all__ = [
     "collect_records",
     "mean",
-    "percentile",
     "records_by_reason",
     "refusal_reasons",
 ]
@@ -76,20 +74,3 @@ def _pairwise_sum(values: Sequence[float]) -> float:
 def mean(values: Sequence[float]) -> float:
     """The float ``numpy.mean`` returns for a non-empty sequence."""
     return _pairwise_sum(values) / len(values)
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The float ``numpy.percentile(values, q)`` returns (its default
-    ``linear`` method) for a non-empty sequence."""
-    ordered = sorted(values)
-    last = len(ordered) - 1
-    virtual = last * (q / 100)
-    if virtual >= last:
-        return ordered[last]
-    below = math.floor(virtual)
-    lo, hi = ordered[below], ordered[below + 1]
-    gamma = virtual - below
-    # numpy's lerp anchors on the nearer end point.
-    if gamma >= 0.5:
-        return hi - (hi - lo) * (1 - gamma)
-    return lo + (hi - lo) * gamma

@@ -3,7 +3,8 @@
 Each rule gets fixture snippets for the positive (finding), negative
 (clean) and pragma (suppressed) paths.  Live-tree tests assert the
 shipped tree is lint-clean and that an injected violation fails with a
-file:line finding.
+file:line finding; they read the session's one lint of ``src/repro``
+(``tests.helpers.live_lint``) unless they must lint it cold.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import ast
 import contextlib
 import gc
 import json
-import pathlib
 import shutil
-import sys
 import textwrap
 import weakref
 
@@ -28,8 +27,7 @@ from repro.analysis import dataflow
 from repro.analysis.dataflow import exception_escapes
 from repro.cli import main as cli_main
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SRC_REPRO = REPO_ROOT / "src" / "repro"
+from .helpers import SRC_REPRO, live_lint, one_live_lint  # noqa: F401
 
 
 # ----------------------------------------------------------------------
@@ -1416,22 +1414,35 @@ def test_cli_lint_list_rules(capsys):
 # ----------------------------------------------------------------------
 # live tree
 # ----------------------------------------------------------------------
-def test_live_tree_is_lint_clean(capsys):
-    code = cli_main(["lint"])
-    out = capsys.readouterr().out
-    assert code == 0, f"live tree has lint findings:\n{out}"
+def test_live_tree_is_lint_clean():
+    result = live_lint().result
+    assert core.default_src_root() == SRC_REPRO   # what `repro lint` reads
+    assert result.clean, [
+        f.to_dict() for f in result.parse_errors + result.findings
+    ]
 
 
-def test_live_tree_injected_violation_fails(tmp_path, capsys):
-    # Copy the real tree, inject one wall-clock read into the kernel,
-    # and require a non-zero exit with a file:line finding.
+def test_a_cold_live_tree_lint_fails_the_test():
+    with pytest.raises(pytest.fail.Exception, match="src/repro cold"):
+        run_lint(SRC_REPRO)
+
+
+def _injected_copy(tmp_path):
+    """A copy of the real tree with one wall-clock read appended to the
+    kernel, and the kernel's own source."""
     copy = tmp_path / "repro"
     shutil.copytree(SRC_REPRO, copy)
     target = copy / "kernel" / "kernel.py"
+    source = target.read_text()
     target.write_text(
-        target.read_text()
-        + "\n\nimport time\n\n\ndef _injected():\n    return time.time()\n"
+        source + "\n\nimport time\n\n\ndef _injected():\n    return time.time()\n"
     )
+    return copy, source
+
+
+def test_live_tree_injected_violation_fails(tmp_path, capsys):
+    # An injected wall-clock read fails with a file:line finding.
+    copy, _ = _injected_copy(tmp_path)
     code = cli_main(["lint", "--path", str(copy)])
     out = capsys.readouterr().out
     assert code == 1
@@ -1991,7 +2002,7 @@ def test_nodes_of_scans_only_for_several_present_types():
 
 
 def test_ast_index_matches_walk_on_live_tree():
-    modules = Tree.load(SRC_REPRO).parsed()
+    modules = live_lint().tree.parsed()
     assert len(modules) > 50
     for module in modules:
         _assert_index_matches_walk(module.index, module.tree)
@@ -2126,8 +2137,11 @@ def _visited_statements(graph):
     return out
 
 
-def _analysis_fixture_tree(tmp_path):
-    return make_tree(tmp_path, {
+def _corpus(tmp_path, corpus):
+    """The live tree of the shared lint, or the fixtures loaded fresh."""
+    if corpus == "src":
+        return live_lint().tree
+    return Tree.load(make_tree(tmp_path, {
         "index.py": _INDEX_FIXTURE,
         "match.py": _MATCH_FIXTURE,
         "trystar.py": _TRY_STAR_FIXTURE,
@@ -2136,13 +2150,12 @@ def _analysis_fixture_tree(tmp_path):
         "rpc.py": _RPC_OK,
         "net/errors.py": _NET_ERRORS,
         "fs/errors.py": _FS_ERRORS,
-    })
+    }))
 
 
 @pytest.mark.parametrize("corpus", ["src", "fixtures"])
 def test_pruned_walks_match_unpruned_twins(tmp_path, corpus):
-    root = SRC_REPRO if corpus == "src" else _analysis_fixture_tree(tmp_path)
-    tree = Tree.load(root)
+    tree = _corpus(tmp_path, corpus)
     pruned, unpruned = _RecordingGraph.build(tree), _UnprunedGraph.build(tree)
     assert pruned.acted_on == unpruned.acted_on
     assert _edge_rows(pruned) == _edge_rows(unpruned)
@@ -2263,8 +2276,7 @@ def _escape_rows(escapes):
 
 @pytest.mark.parametrize("corpus", ["src", "fixtures"])
 def test_exception_plans_match_the_recursive_twin(tmp_path, corpus):
-    root = SRC_REPRO if corpus == "src" else _analysis_fixture_tree(tmp_path)
-    graph = Tree.load(root).callgraph()
+    graph = _corpus(tmp_path, corpus).callgraph()
     escapes = exception_escapes(graph)
     assert _escape_rows(escapes) == _escape_rows(_recursive_escapes(graph))
     assert sum(map(len, escapes.values())) > (500 if corpus == "src" else 10)
@@ -2321,7 +2333,7 @@ def test_reordered_plans_fail_the_twin(tmp_path, monkeypatch, what):
     )
 
 
-def test_cold_lint_traversal_budget(monkeypatch):
+def test_cold_lint_traversal_budget():
     # Every rule reads the shared index, and the call graph's and the
     # dataflow's expression walks expand only subtrees that hold what
     # they look for (`AstIndex.holding`): a cold lint expands fewer
@@ -2329,51 +2341,23 @@ def test_cold_lint_traversal_budget(monkeypatch):
     # A host-independent count, so a private `ast.walk` over module
     # trees cannot creep back in unnoticed (it was 26x before the index,
     # and one more whole-tree walk would pass 1).
-    calls = [0]
-    real = ast.iter_child_nodes
-
-    def counting(node):
-        calls[0] += 1
-        return real(node)
-
-    monkeypatch.setattr(ast, "iter_child_nodes", counting)
-    result = run_lint(SRC_REPRO)
-    monkeypatch.undo()
-    assert result.clean
-    nodes = sum(
-        len(module.index.nodes) for module in Tree.load(SRC_REPRO).parsed()
-    )
-    assert calls[0] <= nodes, (calls[0], nodes)
+    lint = live_lint()
+    assert lint.result.clean
+    nodes = sum(len(module.index.nodes) for module in lint.tree.parsed())
+    assert lint.walks <= nodes, (lint.walks, nodes)
 
 
-def test_cold_lint_name_budget(monkeypatch):
+def test_cold_lint_name_budget():
     # A rule tests a call's tail (or an attribute chain's root) against
     # its table before it derives the dotted name, so a cold lint builds
     # at most one name per `Call` node of the tree (it built 4.6 per
     # call node when three rules named every call and attribute they met).
     # Host-independent: counts every `dotted_name` the analysis makes.
-    derived = [0]
-    real = core.dotted_name
-
-    def counting(node):
-        derived[0] += 1
-        return real(node)
-
-    wrapped = [
-        name for name, module in list(sys.modules.items())
-        if name.startswith("repro.analysis")
-        and getattr(module, "dotted_name", None) is real
-    ]
-    for name in wrapped:
-        monkeypatch.setattr(sys.modules[name], "dotted_name", counting)
-    result = run_lint(SRC_REPRO)
-    monkeypatch.undo()
-    assert result.clean
-    assert "repro.analysis.core" in wrapped and len(wrapped) > 1
-    calls = sum(
-        len(module.nodes_of(ast.Call)) for module in Tree.load(SRC_REPRO).parsed()
-    )
-    assert derived[0] <= calls, (derived[0], calls)
+    lint = live_lint()
+    assert lint.result.clean
+    assert "repro.analysis.core" in lint.named_in and len(lint.named_in) > 1
+    calls = sum(len(module.nodes_of(ast.Call)) for module in lint.tree.parsed())
+    assert lint.names <= calls, (lint.names, calls)
 
 
 def test_first_match_rules_follow_walk_order(tmp_path):
@@ -2428,13 +2412,7 @@ def test_first_match_rules_follow_walk_order(tmp_path):
 def test_live_tree_injected_violation_json_is_exact(tmp_path, capsys):
     # The machine-readable form of the injected-violation run, pinned
     # field by field (recorded before the rules moved onto the index).
-    copy = tmp_path / "repro"
-    shutil.copytree(SRC_REPRO, copy)
-    target = copy / "kernel" / "kernel.py"
-    source = target.read_text()
-    target.write_text(
-        source + "\n\nimport time\n\n\ndef _injected():\n    return time.time()\n"
-    )
+    copy, source = _injected_copy(tmp_path)
     code = cli_main(["lint", "--path", str(copy), "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1

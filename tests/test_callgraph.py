@@ -3,12 +3,14 @@
 Covers the resolution edge cases the rules depend on — subclass method
 dispatch, ``functools.partial`` wrapping, string-name handler lookup via
 ``getattr``, recursion cycles — plus a golden dead-code report over a
-fixture package and unit tests for the summary fixpoint engine.
+fixture package and unit tests for the summary fixpoint engine.  The
+live-tree tests read the session's one lint of ``src/repro``
+(``tests.helpers.live_lint``).
 """
 
 from __future__ import annotations
 
-import pathlib
+import json
 import textwrap
 
 import pytest
@@ -17,7 +19,7 @@ from repro.analysis import run_lint
 from repro.analysis.core import Tree
 from repro.analysis.dataflow import exception_escapes, fixpoint, tainted_returns
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+from .helpers import REPO_ROOT, SRC_REPRO, live_lint, one_live_lint  # noqa: F401
 
 
 def graph_of(tmp_path, files):
@@ -687,7 +689,7 @@ def test_tainted_returns_transitive(tmp_path):
 # live tree sanity
 # ----------------------------------------------------------------------
 def test_live_tree_graph_builds_and_is_well_formed():
-    tree = Tree.load(REPO_ROOT / "src" / "repro")
+    tree = live_lint().tree
     graph = tree.callgraph()
     stats = graph.stats()
     assert stats["functions"] > 500
@@ -701,6 +703,11 @@ def test_live_tree_graph_builds_and_is_well_formed():
     assert tree.callgraph() is graph
 
 
+def test_a_cold_live_tree_graph_fails_the_test():
+    with pytest.raises(pytest.fail.Exception, match="src/repro cold"):
+        Tree.load(SRC_REPRO).callgraph()
+
+
 def test_dead_code_baseline_in_sync():
     """tools/deadcode_baseline.json must match the live report exactly.
 
@@ -708,12 +715,10 @@ def test_dead_code_baseline_in_sync():
     unreferenced function is deleted, given a caller, or added to the
     kept list with a reason — and named in docs/api.md.
     """
-    import json
-
     kept = json.loads(
         (REPO_ROOT / "tools" / "deadcode_baseline.json").read_text()
     )["unreferenced"]
-    graph = Tree.load(REPO_ROOT / "src" / "repro").callgraph()
+    graph = live_lint().tree.callgraph()
     assert [f.ident for f in graph.unreferenced()] == list(kept)
     assert len(kept) < 20
     api = (REPO_ROOT / "docs" / "api.md").read_text()
@@ -762,13 +767,20 @@ _OUTSIDE_FIXTURE = {
         def add(self):
             return 3
 
+        def get(self):
+            return 6
 
-    def helper():
-        return 4
+
+    def helper(table):
+        return table.get(4)
 
 
     def orphan():
         return 5
+
+
+    def benched():
+        return 7
     """,
     "benchmarks/bench_meter.py": """\
     from tree.mod import helper
@@ -790,12 +802,17 @@ def test_benchmarks_count_as_callers_and_tests_do_not(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
     graph = Tree.load(tmp_path / "tree").callgraph()
-    # `benched` and `helper` are named in the sibling benchmarks/ tree;
-    # `only_tested` is named only under tests/, `add` only through a
-    # blocklisted method name, `orphan` only as a local variable.
+    # `Meter.benched` and `helper` are named in the sibling benchmarks/
+    # tree, as an attribute (which keeps methods, not the module-level
+    # `benched`) and by import; `only_tested` is named only under tests/,
+    # `add` only through a blocklisted method name, `orphan` only as a
+    # local variable.  `table.get(4)` guesses no edge to `Meter.get`.
+    assert graph.edges_in(fn(graph, "mod.py", "Meter.get")) == []
     assert [f.ident for f in graph.unreferenced()] == [
         "mod.py::Meter.add",
+        "mod.py::Meter.get",
         "mod.py::Meter.only_tested",
+        "mod.py::benched",
         "mod.py::orphan",
     ]
     report = graph.render_report({"mod.py::Meter.add": "blocklisted name"})

@@ -1,10 +1,9 @@
 """``repro.sim.random`` against numpy, its oracle.
 
 The runtime's generator must draw, call for call, exactly what
-``numpy.random.default_rng(seed)`` draws, and the stdlib mean and
-percentile in ``repro.migration.stats`` must return what ``np.mean``
-and ``np.percentile`` return: every golden digest was recorded with
-numpy.
+``numpy.random.default_rng(seed)`` draws, and the stdlib mean in
+``repro.migration.stats`` must return what ``np.mean`` returns: every
+golden digest was recorded with numpy.
 """
 
 import os
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.migration.stats import mean, percentile
+from repro.migration.stats import mean
 from repro.sim._ziggurat import EXP_R
 from repro.sim.random import RandomStreams, Rng
 
@@ -147,15 +146,13 @@ def test_unsupported_arguments_raise():
     assert not hasattr(gen, "normal")
 
 
-def test_mean_and_percentile_match_numpy():
+def test_mean_matches_numpy():
     # Lengths past 128 take the pairwise halving; past 8,192, numpy's
     # buffer size, a chunked sum would show.
     for n in list(range(1, 301)) + [1000, 8191, 8192, 8193, 20_000]:
         oracle = np.random.default_rng(n)
         values = (oracle.random(n) * 10.0 ** oracle.integers(-3, 6, n)).tolist()
         assert mean(values) == float(np.mean(values)), n
-        for q in (0, 5, 50, 95, 100):
-            assert percentile(values, q) == float(np.percentile(values, q)), (n, q)
         counts = oracle.integers(0, 7, n).tolist()
         assert mean(counts) == float(np.mean(counts)), n
 
