@@ -104,7 +104,8 @@ class ForwardingProcess:
         return (
             yield from self.runner.rpc.call(
                 self.home.address, SERVICE, payload,
-                size=size, reply_size=reply_size, timeout=None,
+                size=size, reply_size=reply_size,
+                timeout=self.runner.params.rpc_probe_interval,
             )
         )
 

@@ -69,7 +69,7 @@ class BackingFile:
                 nbytes=nbytes,
             ),
             size=nbytes,
-            timeout=None,
+            timeout=self.params.rpc_probe_interval,
         )
         self.bytes_paged_out += nbytes
         return nbytes
@@ -89,7 +89,7 @@ class BackingFile:
                 nbytes=nbytes,
             ),
             reply_size=nbytes,
-            timeout=None,
+            timeout=self.params.rpc_probe_interval,
         )
         yield from self.client.cpu.consume(
             self.params.page_handling_cpu * self.params.pages(nbytes)

@@ -492,7 +492,10 @@ class SpriteKernel:
         one place such a call is counted)."""
         self.calls_forwarded_home += 1
         if call == "wait":  # the child may run for hours
-            return (yield from self.rpc.call(pcb.home, "proc.wait", args, timeout=None))
+            return (yield from self.rpc.call(
+                pcb.home, "proc.wait", args,
+                timeout=self.params.rpc_probe_interval,
+            ))
         if call == "killpg":
             return (yield from self.rpc.call(pcb.home, "proc.signal_group", args))
         tracer = self.tracer

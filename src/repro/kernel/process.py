@@ -298,7 +298,7 @@ class UserContext:
         if vm.debt_from == "cor" and vm.cor_source >= 0:
             yield from self.kernel.rpc.call(
                 vm.cor_source, "mig.cor_fetch", debt, reply_size=debt,
-                timeout=None,
+                timeout=self.params.rpc_probe_interval,
             )
         elif vm.backing is not None:
             yield from vm.backing.page_in(debt)
@@ -474,7 +474,6 @@ class UserContext:
         return (
             yield from self.kernel.fs.pdev_request(
                 self.pcb.stream(fd), message, size=size, reply_size=reply_size,
-                timeout=None,
             )
         )
 

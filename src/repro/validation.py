@@ -71,7 +71,8 @@ def measure_calibration(params: ClusterParams = None) -> CalibrationReport:
         measurements["null_rpc"] = (sim.now - start) / rounds
         start = sim.now
         yield from port_a.call(
-            b.address, "bulk", 0, reply_size=1 * MB, timeout=None
+            b.address, "bulk", 0, reply_size=1 * MB,
+            timeout=params.rpc_probe_interval,
         )
         measurements["bulk_seconds_per_mb"] = sim.now - start
         start = sim.now
