@@ -163,7 +163,6 @@ class CallGraph:
         self.classes: Dict[str, ClassInfo] = {}
         self.edges: List[CallEdge] = []
         self._edges_in: Dict[Key, List[CallEdge]] = {}
-        self._edges_out: Dict[Key, List[CallEdge]] = {}
         self._call_targets: Dict[int, List[FunctionNode]] = {}
         self._stmt_calls: Dict[ast.stmt, List[ast.Call]] = {}
         self._ref_targets: Dict[int, List[FunctionNode]] = {}
@@ -189,8 +188,6 @@ class CallGraph:
             graph._resolve_module(module)
         for edge in graph.edges:
             graph._edges_in.setdefault(edge.callee.key, []).append(edge)
-            if edge.caller is not None:
-                graph._edges_out.setdefault(edge.caller.key, []).append(edge)
         return graph
 
     # -- pass 1: definitions -------------------------------------------
@@ -657,9 +654,6 @@ class CallGraph:
 
     def edges_in(self, fn: FunctionNode) -> List[CallEdge]:
         return self._edges_in.get(fn.key, [])
-
-    def edges_out(self, fn: FunctionNode) -> List[CallEdge]:
-        return self._edges_out.get(fn.key, [])
 
     def callers_of(self, fn: FunctionNode) -> List[FunctionNode]:
         seen: Set[Key] = set()

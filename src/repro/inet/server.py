@@ -22,7 +22,6 @@ from typing import Deque, Dict, Optional, Tuple
 
 from collections import deque
 
-from ..config import KB
 from ..fs import PdevMaster
 from ..kernel import Host
 from ..sim import SimEvent
@@ -30,7 +29,6 @@ from ..sim import SimEvent
 __all__ = ["InternetServer", "NET_PDEV_PATH", "SocketError"]
 
 NET_PDEV_PATH = "/dev/net"
-STREAM_BUFFER = 16 * KB
 
 
 class SocketError(Exception):

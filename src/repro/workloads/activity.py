@@ -31,7 +31,6 @@ from ..sim.random import Rng
 __all__ = ["ActivityModel", "ActivityDriver", "idle_fraction_by_hour"]
 
 DAY = 24 * 3600.0
-WEEK = 7 * DAY
 
 _START = itemgetter(0)
 _STOP = itemgetter(1)

@@ -1,14 +1,17 @@
 """Nothing kept that nothing reads.
 
-Every attribute the source assigns through ``self`` and every
-``@property`` it defines must be read somewhere in the repository:
-src, tests, benchmarks, examples or tools.  A counter only ever bumped,
+Every attribute the source assigns through ``self``, every
+``@property`` it defines and every name it assigns at module level
+(dunders aside) must be read somewhere in the repository: src, tests,
+benchmarks, examples or tools.  A counter only ever bumped,
 a table only ever filled, a property nothing asks for is state that
 costs a write on every path and tells no one anything — delete it.
 The dead-code report (``repro lint --graph``) covers functions; this
 audit covers the state beside them.  No baseline file, no allow-list.
 
-A reader is any load of ``.name`` except one that is merely
+A reader of an attribute is any load of ``.name``, and a reader of a
+module-level name is any load of ``name`` or ``.name``, except one that
+is merely
 
 * the receiver of a store or ``del`` (``x.name[k] = v``,
   ``x.name.y = v``, ``del x.name[k]``), augmented assignments included;
@@ -21,6 +24,7 @@ name.  Readers are matched by name, not by class.
 """
 
 import ast
+import functools
 import pathlib
 import re
 
@@ -66,6 +70,27 @@ def _kept(node, owner, rel):
         yield from _kept(child, owner, rel)
 
 
+def _assigned(body, rel):
+    """``(name, where)`` for each name a module's top level assigns,
+    through ``if`` and ``try`` blocks; dunders are the interpreter's."""
+    for node in body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            if isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+                for block in ("body", "orelse", "finalbody", "handlers"):
+                    yield from _assigned(getattr(node, block, ()), rel)
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name)
+                        and not (name.id.startswith("__")
+                                 and name.id.endswith("__"))):
+                    yield name.id, f"{rel}::{name.id}"
+
+
 def _receivers(target):
     """The loads a store to ``target`` only passes through."""
     if isinstance(target, (ast.Tuple, ast.List)):
@@ -78,10 +103,11 @@ def _receivers(target):
 
 
 def _read_names(nodes):
-    """Every name a module reads, by load or by string."""
+    """Every name a module reads: ``(attributes, variables)``, each by
+    load or by string."""
     loads, strings, passed, docstrings = [], [], set(), set()
     for node in nodes:
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, (ast.Attribute, ast.Name)):
             if isinstance(node.ctx, ast.Load):
                 loads.append(node)
         elif isinstance(node, ast.Constant):
@@ -102,29 +128,50 @@ def _read_names(nodes):
                 passed.update(_receivers(target))
         elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
             passed.update(_receivers(node.target))
-    names = {node.attr for node in loads if node not in passed}
+    words = set()
     for node in strings:
         if node not in docstrings:
-            names.update(_WORD.findall(node.value))
-    return names
+            words.update(_WORD.findall(node.value))
+    attributes = {node.attr for node in loads
+                  if isinstance(node, ast.Attribute) and node not in passed}
+    variables = {node.id for node in loads
+                 if isinstance(node, ast.Name) and node not in passed}
+    return attributes | words, variables | attributes | words
 
 
+@functools.lru_cache(maxsize=None)
 def _unread():
-    kept = set()
-    read = set()
+    """``(attributes and properties, module-level names)`` that nothing
+    reads, each as sorted ``where`` strings."""
+    kept, assigned = set(), set()
+    read_attributes, read_variables = set(), set()
     for path, nodes in parsed_sources():
         if path == THIS_FILE:
             continue
         if SOURCE_ROOT in path.parents:
-            kept.update(_kept(nodes[0], "<module>",
-                              path.relative_to(SOURCE_ROOT).as_posix()))
-        read.update(_read_names(nodes))
-    return sorted(where for name, where in kept if name not in read)
+            rel = path.relative_to(SOURCE_ROOT).as_posix()
+            kept.update(_kept(nodes[0], "<module>", rel))
+            assigned.update(_assigned(nodes[0].body, rel))
+        attributes, variables = _read_names(nodes)
+        read_attributes |= attributes
+        read_variables |= variables
+    return (
+        sorted(where for name, where in kept if name not in read_attributes),
+        sorted(where for name, where in assigned if name not in read_variables),
+    )
 
 
 def test_every_kept_attribute_and_property_has_a_reader():
-    unread = _unread()
+    unread = _unread()[0]
     assert unread == [], (
         f"{len(unread)} attributes or properties are kept but never read "
+        f"anywhere in the repository — delete them: {unread}"
+    )
+
+
+def test_every_module_level_name_has_a_reader():
+    unread = _unread()[1]
+    assert unread == [], (
+        f"{len(unread)} module-level names are assigned but never read "
         f"anywhere in the repository — delete them: {unread}"
     )
