@@ -2,11 +2,13 @@
 
 ``golden_migration_fingerprints.json`` records, per crash-matrix cell,
 the outcome and trace fingerprint of ``run_matrix(seed=0)`` (all 132
-cells), and the trace fingerprint of five chaos runs.  The matrix and
-chaos tests compare against it, so a change to the mechanism that moves
-one journal entry, RPC or trace record fails here instead of merely
-staying self-consistent.  CI compares the full matrix the same way
-(``python -m repro chaos --crash-matrix --json``).
+cells), the matrix fingerprint of every seed in :data:`MATRIX_SEEDS`,
+and the trace fingerprint of five chaos runs.  The matrix and chaos
+tests compare against it, so a change to the mechanism that moves one
+journal entry, RPC or trace record fails here instead of merely staying
+self-consistent.  CI compares the full matrix the same way
+(``python -m repro chaos --crash-matrix --json``), at seed 0 and over
+every pinned seed.
 
 Regenerate only when a behaviour change is intended, in its own commit
 with the reason::
@@ -44,6 +46,10 @@ CHAOS_RUNS: Dict[str, Dict] = {
 }
 
 
+#: The cluster seeds whose whole-matrix fingerprints are pinned.
+MATRIX_SEEDS = range(80)
+
+
 def load() -> Dict:
     return json.loads(GOLDEN_PATH.read_text())
 
@@ -75,6 +81,10 @@ def regenerate() -> None:
             "seed": 0,
             "fingerprint": matrix.fingerprint,
             "cells": cell_fingerprints(matrix),
+        },
+        "matrix_seeds": {
+            str(seed): run_matrix(seed=seed, workers=2).fingerprint
+            for seed in MATRIX_SEEDS
         },
         "chaos": {
             name: run_chaos(**kwargs).fingerprint
