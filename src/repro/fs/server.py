@@ -120,8 +120,6 @@ class FileServer:
         self.bytes_read = 0
         self.bytes_written = 0
         self.consistency_callbacks = 0
-        #: Bumped at each crash; clients compare to detect restarts.
-        self.epoch = 0
         self.reopens = 0
         self._register_services()
 
@@ -446,7 +444,7 @@ class FileServer:
         caches, shared offsets) is lost; the disk (file contents/sizes)
         survives.  Clients re-build our state via ``fs.reopen``."""
         self.node.up = False
-        self.epoch += 1
+        self.node.epoch += 1
         for entry in self.files.values():
             entry.open_readers.clear()
             entry.open_writers.clear()
@@ -511,7 +509,7 @@ class FileServer:
             entry.shared_offsets[stream_id] = max(known, args.get("offset", 0))
         self.reopens += 1
         return {"handle_id": entry.handle_id, "size": entry.size,
-                "epoch": self.epoch}
+                "epoch": self.node.epoch}
 
     def add_file(self, path: str, size: int = 0, payload: Any = None) -> ServerFile:
         """Populate the namespace without RPC traffic (workload setup)."""

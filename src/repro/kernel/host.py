@@ -69,8 +69,6 @@ class Host:
         #: True while the host's owner is at the console (activity traces
         #: toggle this; input events refresh last_input).
         self.user_present = False
-        #: Crash/reboot bookkeeping (driven by repro.faults).
-        self.crashes = 0
 
     # ------------------------------------------------------------------
     @property
@@ -117,7 +115,7 @@ class Host:
         if not self.node.up:
             return []
         self.node.up = False
-        self.crashes += 1
+        self.node.epoch += 1
         lost = self.kernel.on_crash()
         self.fs.on_crash()
         while True:

@@ -168,8 +168,9 @@ class MigrationManager(TxnResolver):
 
     def on_crash(self) -> None:
         """Volatile migration state dies with the host: every driving
-        task's claim on its transaction, and the lease registry."""
-        super().on_crash()
+        task's claim on its transaction (the host's crash count moved),
+        and the lease registry.  The journal (modeled as written
+        through the file system) survives."""
         self.leases.on_crash()
 
     def remote_page_install(self, target: int, nbytes: int) -> Generator[Effect, None, None]:

@@ -61,9 +61,6 @@ class TxnResolver:
         #: Aborts whose undo log could not be fully replayed inline
         #: (a background repair task owns the remainder).
         self.rollback_incomplete = 0
-        #: Bumped by ``on_crash``: driving tasks notice mid-protocol
-        #: that their host died under them and abandon the transaction.
-        self.crash_epoch = 0
         #: Per-peer crash epochs (bumped when the cluster *detects* a
         #: peer's crash) — the escape hatch for retry-forever loops.
         self._peer_epochs: Dict[int, int] = {}
@@ -81,6 +78,12 @@ class TxnResolver:
     def address(self) -> int:
         return self.host.address
 
+    @property
+    def crash_epoch(self) -> int:
+        """The host's crash count: driving tasks notice mid-protocol
+        that their host died under them and abandon the transaction."""
+        return self.host.node.epoch
+
     def _trace(self, kind: str, **fields: Any) -> None:
         tracer = self.host.tracer
         if tracer.enabled:
@@ -89,12 +92,6 @@ class TxnResolver:
     # ------------------------------------------------------------------
     # Crash / reboot lifecycle (wired from SpriteKernel) and ownership
     # ------------------------------------------------------------------
-    def on_crash(self) -> None:
-        """Every driving task's claim on its transaction dies with the
-        host.  The journal (modeled as written through the file system)
-        survives."""
-        self.crash_epoch += 1
-
     def on_reboot(self) -> None:
         """Replay the journal: resolve every transaction left open."""
         txns = self.journal.open_txns()

@@ -157,9 +157,9 @@ def test_consistency_still_enforced_after_recovery():
 
 def test_epoch_increments_per_crash():
     cluster = make_cluster(1)
-    assert cluster.server.epoch == 0
+    assert cluster.server.node.epoch == 0
     cluster.server.crash()
     cluster.server.restart()
     cluster.server.crash()
     cluster.server.restart()
-    assert cluster.server.epoch == 2
+    assert cluster.server.node.epoch == 2
